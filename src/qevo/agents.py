@@ -16,12 +16,15 @@ qubit, followed by one variational block: the CNOT ring 0->1 ... 6->7,
 argmax picks the action (ties break low).  A softmax over the logits
 would not change the argmax, so none is applied.  Genome layout: the 24
 circuit angles (qubit-major, (alpha, beta, gamma)), then the MPS entries
-as offsets from the identity-plus-noise base.
+as offsets from mps.identity_base.
 
-Both forwards are pure functions of (genome, observation).  Construction
-precomputes everything reusable: the 4x4 circuit unitary for cart-pole,
-the per-qubit Rot matrices and the fixed CNOT-ring permutation for the
-8-qubit agent.
+An agent is built straight from its genome, whose length it checks once.
+Its circuit parameters are read-only views of the genome; the MPS entries
+are the one derived array (identity base + offsets), which
+mps.MpsFeatureExtractor views as cores.  Both forwards are pure functions
+of (genome, observation).  Construction precomputes everything reusable: the
+4x4 circuit unitary for cart-pole, the per-qubit Rot matrices and the
+fixed CNOT-ring permutation for the 8-qubit agent.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ CARTPOLE_QUBITS = 2
 CARTPOLE_BLOCKS = 4
 CARTPOLE_GENOME_LENGTH = CARTPOLE_BLOCKS * CARTPOLE_QUBITS * 3 + 2  # 26
 
+TNVQC_SITES = 147  # flattened 7x7x3 minigrid view
 TNVQC_QUBITS = 8
 TNVQC_MEASURED = 6
 TNVQC_CIRCUIT_PARAMS = TNVQC_QUBITS * 3  # 24
@@ -48,35 +52,21 @@ _H_ON_ZERO = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
 
 
 class CartPoleAgent:
-    def __init__(self, block_params: np.ndarray, bias: np.ndarray):
-        block_params = np.asarray(block_params, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64)
-        if block_params.shape != (CARTPOLE_BLOCKS, CARTPOLE_QUBITS, 3):
-            raise ValueError(f"block_params must have shape "
-                             f"{(CARTPOLE_BLOCKS, CARTPOLE_QUBITS, 3)}, "
-                             f"got {block_params.shape}")
-        if bias.shape != (2,):
-            raise ValueError(f"bias must have shape (2,), got {bias.shape}")
-        self.block_params = block_params
-        self.bias = bias
-        unitary = np.eye(4, dtype=np.complex128)
-        for block in block_params:
-            apply_cnot_kernel(unitary, CARTPOLE_QUBITS, 0, 1)
-            apply_single(unitary, CARTPOLE_QUBITS, 0, rot_matrix(*block[0]))
-            apply_single(unitary, CARTPOLE_QUBITS, 1, rot_matrix(*block[1]))
-        self._unitary = unitary
-
-    @classmethod
-    def from_genome(cls, genome: np.ndarray) -> "CartPoleAgent":
+    def __init__(self, genome: np.ndarray):
         genome = np.asarray(genome, dtype=np.float64)
         if genome.shape != (CARTPOLE_GENOME_LENGTH,):
             raise ValueError(f"cart-pole genome must have length "
                              f"{CARTPOLE_GENOME_LENGTH}, got {genome.shape}")
-        return cls(genome[:24].reshape(CARTPOLE_BLOCKS, CARTPOLE_QUBITS, 3),
-                   genome[24:])
-
-    def to_genome(self) -> np.ndarray:
-        return np.concatenate([self.block_params.ravel(), self.bias])
+        genome = genome.view()
+        genome.flags.writeable = False
+        self.block_params = genome[:24].reshape(CARTPOLE_BLOCKS, CARTPOLE_QUBITS, 3)
+        self.bias = genome[24:]
+        unitary = np.eye(4, dtype=np.complex128)
+        for block in self.block_params:
+            apply_cnot_kernel(unitary, CARTPOLE_QUBITS, 0, 1)
+            apply_single(unitary, CARTPOLE_QUBITS, 0, rot_matrix(*block[0]))
+            apply_single(unitary, CARTPOLE_QUBITS, 1, rot_matrix(*block[1]))
+        self._unitary = unitary
 
     def logits(self, obs: np.ndarray) -> np.ndarray:
         obs = np.asarray(obs, dtype=np.float64)
@@ -123,44 +113,19 @@ def _ring_gather_indices() -> np.ndarray:
     return inverse
 
 
-@lru_cache(maxsize=8)
-def _identity_base_flat(n_sites: int, bond_dim: int, out_dim: int) -> np.ndarray:
-    base = np.concatenate([c.ravel() for c in
-                           mps.identity_cores(n_sites, bond_dim, out_dim)])
-    base.flags.writeable = False
-    return base
-
-
 class TnVqcAgent:
-    def __init__(self, extractor: mps.MpsFeatureExtractor, vqc_params: np.ndarray):
-        vqc_params = np.asarray(vqc_params, dtype=np.float64)
-        if vqc_params.shape != (TNVQC_QUBITS, 3):
-            raise ValueError(f"vqc_params must have shape {(TNVQC_QUBITS, 3)}, "
-                             f"got {vqc_params.shape}")
-        if extractor.out_dim != TNVQC_QUBITS:
-            raise ValueError(f"extractor must emit {TNVQC_QUBITS} features, "
-                             f"got {extractor.out_dim}")
-        self.extractor = extractor
-        self.vqc_params = vqc_params
-        self._rot_mats = [rot_matrix(*angles) for angles in vqc_params]
-
-    @classmethod
-    def from_genome(cls, genome: np.ndarray, bond_dim: int = 4,
-                    n_sites: int = 147, out_dim: int = TNVQC_QUBITS) -> "TnVqcAgent":
+    def __init__(self, genome: np.ndarray, bond_dim: int):
         genome = np.asarray(genome, dtype=np.float64)
-        expected = TNVQC_CIRCUIT_PARAMS + mps.param_count(n_sites, bond_dim, out_dim)
+        base = mps.identity_base(TNVQC_SITES, bond_dim, TNVQC_QUBITS)
+        expected = TNVQC_CIRCUIT_PARAMS + base.size
         if genome.shape != (expected,):
             raise ValueError(f"genome must have length {expected}, got {genome.shape}")
-        base = _identity_base_flat(n_sites, bond_dim, out_dim)
-        extractor = mps.unflatten(base + genome[TNVQC_CIRCUIT_PARAMS:],
-                                  n_sites, bond_dim, out_dim)
-        return cls(extractor, genome[:TNVQC_CIRCUIT_PARAMS].reshape(TNVQC_QUBITS, 3))
-
-    def to_genome(self) -> np.ndarray:
-        base = _identity_base_flat(self.extractor.n_sites, self.extractor.bond_dim,
-                                   self.extractor.out_dim)
-        return np.concatenate([self.vqc_params.ravel(),
-                               mps.flatten(self.extractor) - base])
+        genome = genome.view()
+        genome.flags.writeable = False
+        self.vqc_params = genome[:TNVQC_CIRCUIT_PARAMS].reshape(TNVQC_QUBITS, 3)
+        self.extractor = mps.MpsFeatureExtractor(
+            TNVQC_SITES, bond_dim, TNVQC_QUBITS, base + genome[TNVQC_CIRCUIT_PARAMS:])
+        self._rot_mats = [rot_matrix(*angles) for angles in self.vqc_params]
 
     def feature_logits(self, features: np.ndarray) -> np.ndarray:
         """<Z> of the 6 measured qubits for the given 8 MPS features."""
@@ -185,11 +150,8 @@ class TnVqcAgent:
             logits[qubit] = shaped[:, 0].sum() - shaped[:, 1].sum()
         return logits
 
-    def action_from_features(self, features: np.ndarray) -> int:
-        return int(np.argmax(self.feature_logits(features)))
-
     def act(self, obs: np.ndarray) -> int:
-        return self.action_from_features(mps.contract(self.extractor, obs))
+        return int(np.argmax(self.feature_logits(mps.contract(self.extractor, obs))))
 
 
 # ---------------------------------------------------------------------------
@@ -197,32 +159,21 @@ class TnVqcAgent:
 
 @dataclass(frozen=True)
 class AgentArchitecture:
-    """Recipe tying a genome layout to an agent constructor."""
+    """A genome length and the agent class that reads genomes of it."""
 
     name: str
     genome_length: int
-    builder: Callable[[np.ndarray], object]
+    agent: Callable[[np.ndarray], object]
 
     def build(self, genome: np.ndarray):
-        return self.builder(genome)
-
-
-def _build_cartpole(genome: np.ndarray) -> CartPoleAgent:
-    return CartPoleAgent.from_genome(genome)
-
-
-def _build_tnvqc(genome: np.ndarray, bond_dim: int, n_sites: int,
-                 out_dim: int) -> TnVqcAgent:
-    return TnVqcAgent.from_genome(genome, bond_dim, n_sites, out_dim)
+        return self.agent(genome)
 
 
 def cartpole_architecture() -> AgentArchitecture:
-    return AgentArchitecture("cartpole", CARTPOLE_GENOME_LENGTH, _build_cartpole)
+    return AgentArchitecture("cartpole", CARTPOLE_GENOME_LENGTH, CartPoleAgent)
 
 
-def tnvqc_architecture(bond_dim: int = 4, n_sites: int = 147,
-                       out_dim: int = TNVQC_QUBITS) -> AgentArchitecture:
-    length = TNVQC_CIRCUIT_PARAMS + mps.param_count(n_sites, bond_dim, out_dim)
-    builder = partial(_build_tnvqc, bond_dim=bond_dim, n_sites=n_sites,
-                      out_dim=out_dim)
-    return AgentArchitecture(f"tnvqc-m{bond_dim}", length, builder)
+def tnvqc_architecture(bond_dim: int = 4) -> AgentArchitecture:
+    length = TNVQC_CIRCUIT_PARAMS + mps.param_count(TNVQC_SITES, bond_dim, TNVQC_QUBITS)
+    return AgentArchitecture(f"tnvqc-m{bond_dim}", length,
+                             partial(TnVqcAgent, bond_dim=bond_dim))

@@ -93,12 +93,12 @@ def load_run_config(path: str | Path) -> RunConfig:
         return _run_config_from_dict(json.load(handle))
 
 
-def resolve_task(config: RunConfig):
-    """(env_factory, architecture) for a run config."""
-    factory = envs.env_factory(config.env)
-    if config.env == "cartpole":
+def resolve_task(env: str, bond_dim: int):
+    """(env_factory, architecture) for an environment; bond_dim is for minigrid."""
+    factory = envs.env_factory(env)
+    if env == "cartpole":
         return factory, agents.cartpole_architecture()
-    return factory, agents.tnvqc_architecture(bond_dim=config.mps_bond_dim)
+    return factory, agents.tnvqc_architecture(bond_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ def _truncate_stats(path: Path, last_generation: int) -> None:
 
 def _train_loop(config: RunConfig, resume_state: evo.ResumeState | None,
                 stats_mode: str) -> int:
-    env_factory, architecture = resolve_task(config)
+    env_factory, architecture = resolve_task(config.env, config.mps_bond_dim)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats_path = out_dir / "stats.csv"
@@ -263,14 +263,17 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.episodes < 0:
+        raise ValueError(f"--episodes must be >= 0, got {args.episodes}")
+    if args.bond_dim is not None and args.bond_dim < 1:
+        raise ValueError(f"--bond-dim must be >= 1, got {args.bond_dim}")
     with open(args.genome) as handle:
         payload = json.load(handle)
     env_name = args.env or payload.get("env")
     if env_name is None:
         raise ValueError("genome file does not name an env; pass --env")
-    bond_dim = args.bond_dim or payload.get("bond_dim") or 4
-    config = RunConfig(env=env_name, evo=_DUMMY_EVO, mps_bond_dim=bond_dim)
-    env_factory, architecture = resolve_task(config)
+    bond_dim = args.bond_dim if args.bond_dim is not None else payload.get("bond_dim", 4)
+    env_factory, architecture = resolve_task(env_name, bond_dim)
     genome = np.asarray(payload["genome"], dtype=np.float64)
     if genome.shape != (architecture.genome_length,):
         raise ValueError(
@@ -292,10 +295,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     }
     print(json.dumps(result))
     return 0
-
-
-_DUMMY_EVO = evo.EvoConfig(population=2, truncation=1, mutation_power=1.0,
-                           generations=0)
 
 
 # ---------------------------------------------------------------------------

@@ -112,22 +112,12 @@ def init_population(config: EvoConfig, genome_length: int) -> np.ndarray:
     return config.init_scale * np.stack(rows)
 
 
-def mutate(genome: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian perturbation; the parent is left untouched."""
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
-    return genome + sigma * rng.standard_normal(genome.shape)
-
-
-def play_episode(agent, env, rng: np.random.Generator,
-                 memo: dict | None = None) -> float:
+def play_episode(agent, env, rng: np.random.Generator, memo: dict) -> float:
     """One rollout; returns the undiscounted sum of rewards.
 
     `memo` caches observation -> action per agent: the policy is a pure
     function of the observation, so repeat states skip the circuit.
     """
-    if memo is None:
-        memo = {}
     obs = env.reset(rng)
     total = 0.0
     while True:
@@ -182,40 +172,7 @@ def _window_stats(window) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# evaluators
-
-class _FunctionEvaluator:
-    """Deterministic objective on the genome itself; repeats are moot."""
-
-    def __init__(self, objective: Callable[[np.ndarray], float]):
-        self._objective = objective
-
-    def batch(self, genomes: np.ndarray, generation: int, tag: int,
-              repeats: int) -> np.ndarray:
-        return np.array([float(self._objective(g)) for g in genomes])
-
-    def close(self) -> None:
-        pass
-
-
-class _SerialEnvEvaluator:
-    def __init__(self, env_factory, architecture: AgentArchitecture,
-                 master_seed: int):
-        self._env = env_factory()
-        self._architecture = architecture
-        self._master_seed = master_seed
-
-    def batch(self, genomes: np.ndarray, generation: int, tag: int,
-              repeats: int) -> np.ndarray:
-        return np.array([
-            evaluate_fitness(genome, self._architecture, self._env, repeats,
-                             [self._master_seed, tag, generation, i])
-            for i, genome in enumerate(genomes)
-        ])
-
-    def close(self) -> None:
-        pass
-
+# pool workers: each builds its environment once
 
 _WORKER_ENV = None
 _WORKER_ARCH = None
@@ -232,34 +189,16 @@ def _eval_task(task) -> float:
     return evaluate_fitness(genome, _WORKER_ARCH, _WORKER_ENV, repeats, entropy)
 
 
-class _PoolEnvEvaluator:
-    def __init__(self, env_factory, architecture: AgentArchitecture,
-                 master_seed: int, workers: int):
-        self._master_seed = master_seed
-        self._workers = workers
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker,
-            initargs=(env_factory, architecture))
-
-    def batch(self, genomes: np.ndarray, generation: int, tag: int,
-              repeats: int) -> np.ndarray:
-        tasks = [(genome, [self._master_seed, tag, generation, i], repeats)
-                 for i, genome in enumerate(genomes)]
-        chunk = max(1, math.ceil(len(tasks) / (4 * self._workers)))
-        scores = self._pool.map(_eval_task, tasks, chunksize=chunk)
-        return np.fromiter(scores, dtype=np.float64, count=len(tasks))
-
-    def close(self) -> None:
-        self._pool.shutdown()
-
-
 # ---------------------------------------------------------------------------
 # main loop
 
-def _evolve(config: EvoConfig, evaluator, genome_length: int,
+def _evolve(config: EvoConfig,
+            fitness_of: Callable[[np.ndarray, int, int, int], np.ndarray],
+            genome_length: int,
             stop_condition: Callable[[GenerationStats], bool] | None,
             on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None,
             resume: ResumeState | None) -> list[GenerationStats]:
+    """The loop; fitness_of(genomes, generation, tag, repeats) scores a batch."""
     if resume is None:
         population = init_population(config, genome_length)
         start = 0
@@ -280,14 +219,13 @@ def _evolve(config: EvoConfig, evaluator, genome_length: int,
 
     history: list[GenerationStats] = []
     for generation in range(start, config.generations):
-        fitness = evaluator.batch(population, generation, TAG_EVAL,
-                                  config.repeats_all)
+        fitness = fitness_of(population, generation, TAG_EVAL, config.repeats_all)
         order = rank_indices(fitness)
         parents = population[order[:config.truncation]].copy()
         parent_fitness = fitness[order[:config.truncation]].copy()
 
-        elite_scores = evaluator.batch(parents, generation, TAG_ELITE,
-                                       config.repeats_parents)
+        elite_scores = fitness_of(parents, generation, TAG_ELITE,
+                                  config.repeats_parents)
         elite_index = int(np.argmax(elite_scores))  # first max: ties break low
         elite = parents[elite_index].copy()
         elite_score = float(elite_scores[elite_index])
@@ -326,20 +264,35 @@ def run(config: EvoConfig, env_factory, architecture: AgentArchitecture,
         stop_condition: Callable[[GenerationStats], bool] | None = None,
         on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None = None,
         resume: ResumeState | None = None) -> list[GenerationStats]:
-    """Train on an environment; see the module docstring for the loop."""
+    """Train on an environment; see the module docstring for the loop.
+
+    Agent i of a batch plays from the stream [master_seed, tag, generation,
+    i], so `workers` changes only where the episodes run.
+    """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if workers == 1:
-        evaluator = _SerialEnvEvaluator(env_factory, architecture,
-                                        config.master_seed)
-    else:
-        evaluator = _PoolEnvEvaluator(env_factory, architecture,
-                                      config.master_seed, workers)
+    env = env_factory() if workers == 1 else None
+    pool = None if workers == 1 else ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker,
+        initargs=(env_factory, architecture))
+
+    def fitness_of(genomes, generation, tag, repeats):
+        tasks = [(genome, [config.master_seed, tag, generation, i], repeats)
+                 for i, genome in enumerate(genomes)]
+        if pool is None:
+            scores = (evaluate_fitness(genome, architecture, env, repeats, entropy)
+                      for genome, entropy, repeats in tasks)
+        else:
+            chunk = max(1, math.ceil(len(tasks) / (4 * workers)))
+            scores = pool.map(_eval_task, tasks, chunksize=chunk)
+        return np.fromiter(scores, dtype=np.float64, count=len(tasks))
+
     try:
-        return _evolve(config, evaluator, architecture.genome_length,
+        return _evolve(config, fitness_of, architecture.genome_length,
                        stop_condition, on_generation, resume)
     finally:
-        evaluator.close()
+        if pool is not None:
+            pool.shutdown()
 
 
 def run_function(config: EvoConfig, objective: Callable[[np.ndarray], float],
@@ -348,5 +301,9 @@ def run_function(config: EvoConfig, objective: Callable[[np.ndarray], float],
                  on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None = None,
                  ) -> list[GenerationStats]:
     """Run the strategy on a closed-form objective instead of an environment."""
-    return _evolve(config, _FunctionEvaluator(objective), genome_length,
-                   stop_condition, on_generation, None)
+
+    def objective_fitness(genomes, generation, tag, repeats):
+        return np.array([float(objective(g)) for g in genomes])
+
+    return _evolve(config, objective_fitness, genome_length, stop_condition,
+                   on_generation, None)

@@ -11,17 +11,16 @@ Core shapes, left to right (m = bond dimension, d = 2):
 
     (d, m), (m, d, m) ... (m, out_dim, m) ... (m, d, m), (m, d)
 
-Cores are initialized as identity-plus-noise: every core is a Kronecker
-delta on its bond indices (boundaries: indicator of bond index 0),
-replicated across the physical/output index, plus Gaussian noise.  With
-zero noise the contraction of any input is the all-ones vector, so
-freshly initialized extractors are not collapsed to zero output.
+An extractor views one flat vector of core entries as these cores,
+without copying.  Genomes store the entries as offsets from
+`identity_base`, which contracts every input to the all-ones vector, so
+near-zero genomes are not collapsed to zero output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,15 +34,10 @@ def feature_map(v: float) -> tuple[float, float]:
     return (1.0 - v, v)
 
 
+@lru_cache(maxsize=64)
 def param_count(n_sites: int, bond_dim: int, out_dim: int) -> int:
     """Total number of real entries across all cores."""
-    total = 0
-    for shape in _core_shapes(n_sites, bond_dim, out_dim):
-        size = 1
-        for dim in shape:
-            size *= dim
-        total += size
-    return total
+    return sum(math.prod(shape) for shape in _core_shapes(n_sites, bond_dim, out_dim))
 
 
 def _core_shapes(n_sites: int, bond_dim: int, out_dim: int) -> list[tuple[int, ...]]:
@@ -51,78 +45,77 @@ def _core_shapes(n_sites: int, bond_dim: int, out_dim: int) -> list[tuple[int, .
         raise ValueError("need at least 2 input sites to host an interior output core")
     if bond_dim < 1:
         raise ValueError("bond dimension must be >= 1")
-    n_cores = n_sites + 1
-    output_pos = n_cores // 2
-    shapes: list[tuple[int, ...]] = []
-    for pos in range(n_cores):
-        if pos == 0:
-            shapes.append((LOCAL_DIM, bond_dim))
-        elif pos == n_cores - 1:
-            shapes.append((bond_dim, LOCAL_DIM))
-        elif pos == output_pos:
-            shapes.append((bond_dim, out_dim, bond_dim))
-        else:
-            shapes.append((bond_dim, LOCAL_DIM, bond_dim))
-    return shapes
+    m = bond_dim
+    output_pos = (n_sites + 1) // 2
+    interior = (m, LOCAL_DIM, m)
+    return ([(LOCAL_DIM, m)] + [interior] * (output_pos - 1) + [(m, out_dim, m)]
+            + [interior] * (n_sites - 1 - output_pos) + [(m, LOCAL_DIM)])
 
 
-@dataclass(eq=False)
+def _views(flat: np.ndarray, n_sites: int, bond_dim: int,
+           out_dim: int) -> tuple[np.ndarray, ...]:
+    """(first, left, output, right, last) reshaped views of the flat entries."""
+    m = bond_dim
+    output_pos = (n_sites + 1) // 2
+    n_left, n_right = output_pos - 1, n_sites - 1 - output_pos
+    ends = np.cumsum([LOCAL_DIM * m, n_left * m * LOCAL_DIM * m,
+                      m * out_dim * m, n_right * m * LOCAL_DIM * m])
+    first, left, output, right, last = np.split(flat, ends)
+    return (first.reshape(LOCAL_DIM, m), left.reshape(n_left, m, LOCAL_DIM, m),
+            output.reshape(m, out_dim, m), right.reshape(n_right, m, LOCAL_DIM, m),
+            last.reshape(m, LOCAL_DIM))
+
+
 class MpsFeatureExtractor:
-    n_sites: int
-    bond_dim: int
-    out_dim: int
-    cores: list[np.ndarray] = field(repr=False)
+    """Read-only views of the cores over one flat vector of entries.
 
-    def __post_init__(self) -> None:
-        expected = _core_shapes(self.n_sites, self.bond_dim, self.out_dim)
-        if len(self.cores) != len(expected):
-            raise ValueError(f"expected {len(expected)} cores, got {len(self.cores)}")
-        for core, shape in zip(self.cores, expected):
-            if core.shape != shape:
-                raise ValueError(f"core shape {core.shape} does not match {shape}")
+    `flat` holds the cores in chain order, each row-major, so the interior
+    cores on either side of the output core are one contiguous slice:
+
+    - `first` (d, m) and `last` (m, d): the boundary cores;
+    - `left` (k, m, d, m): the k = output_pos - 1 cores before the output;
+    - `output` (m, out_dim, m);
+    - `right` (k', m, d, m): the k' = n_sites - 1 - output_pos cores after it.
+
+    A float64 `flat` is not copied: the views alias it, and are read-only
+    so that the extractor cannot write to it.
+    """
+
+    def __init__(self, n_sites: int, bond_dim: int, out_dim: int,
+                 flat: np.ndarray):
+        flat = np.asarray(flat, dtype=np.float64)
+        expected = param_count(n_sites, bond_dim, out_dim)
+        if flat.shape != (expected,):
+            raise ValueError(f"expected {expected} entries, got {flat.shape}")
+        self.n_sites = n_sites
+        self.bond_dim = bond_dim
+        self.out_dim = out_dim
+        self.flat = flat.view()
+        self.flat.flags.writeable = False
+        self.first, self.left, self.output, self.right, self.last = _views(
+            self.flat, n_sites, bond_dim, out_dim)
 
     @property
     def output_pos(self) -> int:
         return (self.n_sites + 1) // 2
 
-    @property
-    def param_count(self) -> int:
-        return sum(core.size for core in self.cores)
 
-    # stacked interior cores, cached for the einsum fast path in contract()
-    @cached_property
-    def _stack_left(self) -> np.ndarray | None:
-        cores = self.cores[1:self.output_pos]
-        return np.stack(cores) if cores else None
+@lru_cache(maxsize=8)
+def identity_base(n_sites: int, bond_dim: int, out_dim: int) -> np.ndarray:
+    """Bond-index deltas replicated over physical legs (boundaries: bond 0).
 
-    @cached_property
-    def _stack_right(self) -> np.ndarray | None:
-        cores = self.cores[self.output_pos + 1:self.n_sites]
-        return np.stack(cores) if cores else None
-
-
-def identity_cores(n_sites: int, bond_dim: int, out_dim: int) -> list[np.ndarray]:
-    """Noise-free base: bond-index deltas replicated over physical legs."""
-    shapes = _core_shapes(n_sites, bond_dim, out_dim)
-    cores = []
-    for pos, shape in enumerate(shapes):
-        core = np.zeros(shape)
-        if pos == 0:  # left boundary (d, m): indicator of bond 0
-            core[:, 0] = 1.0
-        elif pos == len(shapes) - 1:  # right boundary (m, d)
-            core[0, :] = 1.0
-        else:  # (m, d_or_out, m): bond delta for every physical value
-            core[:] = np.eye(bond_dim)[:, None, :]
-        cores.append(core)
-    return cores
-
-
-def init_extractor(bond_dim: int, rng: np.random.Generator, noise_scale: float,
-                   n_sites: int = 147, out_dim: int = 8) -> MpsFeatureExtractor:
-    """Identity base plus Gaussian(0, 1) * noise_scale on every entry."""
-    cores = [core + noise_scale * rng.standard_normal(core.shape)
-             for core in identity_cores(n_sites, bond_dim, out_dim)]
-    return MpsFeatureExtractor(n_sites, bond_dim, out_dim, cores)
+    Read-only, since every caller shares the array.
+    """
+    base = np.zeros(param_count(n_sites, bond_dim, out_dim))
+    first, left, output, right, last = _views(base, n_sites, bond_dim, out_dim)
+    first[:, 0] = 1.0
+    last[0, :] = 1.0
+    delta = np.eye(bond_dim)[:, None, :]
+    left[:] = delta
+    output[:] = delta
+    right[:] = delta
+    base.flags.writeable = False
+    return base
 
 
 def contract(extractor: MpsFeatureExtractor, values: np.ndarray) -> np.ndarray:
@@ -143,38 +136,13 @@ def contract(extractor: MpsFeatureExtractor, values: np.ndarray) -> np.ndarray:
     phi[:, 1] = values
 
     pos = extractor.output_pos
-    vec = phi[0] @ extractor.cores[0]  # (m,)
-    if extractor._stack_left is not None:
-        mats = np.einsum("kd,kadb->kab", phi[1:pos], extractor._stack_left)
-        for mat in mats:
-            vec = vec @ mat
-    carry = np.einsum("a,aob->ob", vec, extractor.cores[pos])  # (out_dim, m)
-    if extractor._stack_right is not None:
-        mats = np.einsum("kd,kadb->kab", phi[pos:extractor.n_sites - 1],
-                         extractor._stack_right)
-        for mat in mats:
-            carry = carry @ mat
-    out = carry @ (extractor.cores[-1] @ phi[-1])
+    vec = phi[0] @ extractor.first  # (m,)
+    for mat in np.einsum("kd,kadb->kab", phi[1:pos], extractor.left):
+        vec = vec @ mat
+    carry = np.einsum("a,aob->ob", vec, extractor.output)  # (out_dim, m)
+    for mat in np.einsum("kd,kadb->kab", phi[pos:extractor.n_sites - 1],
+                         extractor.right):
+        carry = carry @ mat
+    out = carry @ (extractor.last @ phi[-1])
     assert np.all(np.isfinite(out)), "non-finite MPS contraction intermediate"
     return out
-
-
-def flatten(extractor: MpsFeatureExtractor) -> np.ndarray:
-    """All core entries as one vector: core-index major, row-major per core."""
-    return np.concatenate([core.ravel() for core in extractor.cores])
-
-
-def unflatten(values: np.ndarray, n_sites: int, bond_dim: int,
-              out_dim: int) -> MpsFeatureExtractor:
-    values = np.asarray(values, dtype=np.float64)
-    shapes = _core_shapes(n_sites, bond_dim, out_dim)
-    expected = param_count(n_sites, bond_dim, out_dim)
-    if values.shape != (expected,):
-        raise ValueError(f"expected {expected} entries, got {values.shape}")
-    cores = []
-    offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        cores.append(values[offset:offset + size].reshape(shape).copy())
-        offset += size
-    return MpsFeatureExtractor(n_sites, bond_dim, out_dim, cores)

@@ -110,7 +110,8 @@ def exhaustive_contract(extractor: mps.MpsFeatureExtractor,
     """Sum over every index tuple: feature products times core chains."""
     phi = np.array([mps.feature_map(v) for v in values])
     pos = extractor.output_pos
-    cores = extractor.cores
+    cores = [extractor.first, *extractor.left, extractor.output,
+             *extractor.right, extractor.last]
     out = np.zeros(extractor.out_dim)
     for bits in np.ndindex(*(2,) * extractor.n_sites):
         weight = np.prod([phi[i, b] for i, b in enumerate(bits)])
@@ -129,9 +130,10 @@ def test_criterion_3_mps_oracle_equivalence():
         rng = np.random.default_rng(300)
         for n_sites in range(2, 9):
             for bond_dim in (1, 2, 3):
-                extractor = mps.init_extractor(bond_dim, rng,
-                                               noise_scale=0.3,
-                                               n_sites=n_sites, out_dim=8)
+                base = mps.identity_base(n_sites, bond_dim, 8)
+                extractor = mps.MpsFeatureExtractor(
+                    n_sites, bond_dim, 8,
+                    base + 0.3 * rng.standard_normal(base.size))
                 for _ in range(3):
                     values = rng.uniform(0.0, 1.0, n_sites)
                     fast = mps.contract(extractor, values)

@@ -12,7 +12,7 @@ from qevo import agents, envs, mps, qsim
 
 def cartpole_logits_via_simulator(genome, obs):
     """Step-by-step statevector route, no cached unitary."""
-    agent = agents.CartPoleAgent.from_genome(genome)
+    agent = agents.CartPoleAgent(genome)
     norm = np.linalg.norm(obs)
     amps = obs / norm if norm > 0 else np.full(4, 0.5)
     state = qsim.assign_amplitudes(amps)
@@ -45,10 +45,10 @@ def tnvqc_logits_via_simulator(agent, features):
 def test_genome_length_is_26():
     assert agents.CARTPOLE_GENOME_LENGTH == 26
     assert agents.cartpole_architecture().genome_length == 26
-    agents.CartPoleAgent.from_genome(np.zeros(26))
+    agents.CartPoleAgent(np.zeros(26))
     for bad in (25, 27):
         with pytest.raises(ValueError, match="length"):
-            agents.CartPoleAgent.from_genome(np.zeros(bad))
+            agents.CartPoleAgent(np.zeros(bad))
 
 
 def test_basis_observation_tie_broken_by_bias():
@@ -57,14 +57,14 @@ def test_basis_observation_tie_broken_by_bias():
     obs = np.array([1.0, 0.0, 0.0, 0.0])
     genome = np.zeros(26)
     genome[24] = 1.0  # bias (1, 0)
-    assert agents.CartPoleAgent.from_genome(genome).act(obs) == 0
+    assert agents.CartPoleAgent(genome).act(obs) == 0
     genome = np.zeros(26)
     genome[25] = 1.0  # bias (0, 1)
-    assert agents.CartPoleAgent.from_genome(genome).act(obs) == 1
+    assert agents.CartPoleAgent(genome).act(obs) == 1
 
 
 def test_equal_logits_tie_breaks_low():
-    agent = agents.CartPoleAgent.from_genome(np.zeros(26))
+    agent = agents.CartPoleAgent(np.zeros(26))
     assert agent.act(np.array([1.0, 0.0, 0.0, 0.0])) == 0
 
 
@@ -73,7 +73,7 @@ def test_cached_unitary_matches_simulator_route():
     for _ in range(20):
         genome = rng.standard_normal(26)
         obs = rng.standard_normal(4)
-        agent = agents.CartPoleAgent.from_genome(genome)
+        agent = agents.CartPoleAgent(genome)
         np.testing.assert_allclose(agent.logits(obs),
                                    cartpole_logits_via_simulator(genome, obs),
                                    atol=1e-12)
@@ -85,13 +85,13 @@ def test_action_invariant_under_observation_scaling(seed, scale):
     rng = np.random.default_rng(seed)
     genome = rng.standard_normal(26)
     obs = rng.standard_normal(4)
-    agent = agents.CartPoleAgent.from_genome(genome)
+    agent = agents.CartPoleAgent(genome)
     assert agent.act(obs) == agent.act(scale * obs)
 
 
 def test_zero_observation_uses_uniform_amplitudes():
     rng = np.random.default_rng(3)
-    agent = agents.CartPoleAgent.from_genome(rng.standard_normal(26))
+    agent = agents.CartPoleAgent(rng.standard_normal(26))
     zero_logits = agent.logits(np.zeros(4))
     uniform_logits = agent.logits(np.full(4, 1e-9))  # any positive uniform obs
     assert np.all(np.isfinite(zero_logits))
@@ -103,22 +103,26 @@ def test_pre_bias_logits_are_bounded_expectations():
     for _ in range(20):
         genome = rng.standard_normal(26)
         genome[24:] = 0.0  # strip the bias to expose raw <Z>
-        logits = agents.CartPoleAgent.from_genome(genome).logits(
+        logits = agents.CartPoleAgent(genome).logits(
             rng.standard_normal(4))
         assert np.all(np.abs(logits) <= 1.0 + 1e-12)
 
 
 def test_rejects_non_finite_observation():
-    agent = agents.CartPoleAgent.from_genome(np.zeros(26))
+    agent = agents.CartPoleAgent(np.zeros(26))
     with pytest.raises(ValueError, match="finite"):
         agent.act(np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
-def test_cartpole_genome_roundtrip():
-    rng = np.random.default_rng(4)
-    genome = rng.standard_normal(26)
-    agent = agents.CartPoleAgent.from_genome(genome)
-    np.testing.assert_array_equal(agent.to_genome(), genome)
+def test_cartpole_agent_aliases_genome():
+    genome = np.random.default_rng(4).standard_normal(26)
+    agent = agents.CartPoleAgent(genome)
+    for params in (agent.block_params, agent.bias):
+        assert np.shares_memory(params, genome)
+        assert not params.flags.writeable
+    np.testing.assert_array_equal(
+        np.concatenate([agent.block_params.ravel(), agent.bias]), genome)
+    assert genome.flags.writeable  # the caller's array is left as it was
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +133,7 @@ def test_tnvqc_genome_length_identity():
         arch = agents.tnvqc_architecture(bond_dim=bond_dim)
         assert arch.genome_length == 24 + mps.param_count(147, bond_dim, 8)
     with pytest.raises(ValueError, match="length"):
-        agents.TnVqcAgent.from_genome(np.zeros(100), bond_dim=2)
+        agents.TnVqcAgent(np.zeros(100), bond_dim=2)
 
 
 def test_zero_features_tie_to_action_zero():
@@ -139,7 +143,14 @@ def test_zero_features_tie_to_action_zero():
     agent = arch.build(np.zeros(arch.genome_length))
     logits = agent.feature_logits(np.zeros(8))
     np.testing.assert_array_equal(logits, np.zeros(6))
-    assert agent.action_from_features(np.zeros(8)) == 0
+    # MPS offsets of minus the identity base zero every core, so every
+    # observation contracts to zero features
+    genome = np.zeros(arch.genome_length)
+    genome[agents.TNVQC_CIRCUIT_PARAMS:] = -mps.identity_base(147, 2, 8)
+    agent = arch.build(genome)
+    obs = np.random.default_rng(0).uniform(0, 1, 147)
+    np.testing.assert_array_equal(mps.contract(agent.extractor, obs), np.zeros(8))
+    assert agent.act(obs) == 0
 
 
 def test_zero_genome_extractor_is_identity_base():
@@ -180,12 +191,17 @@ def test_tnvqc_rejects_wrong_observation_length():
         agent.act(np.zeros(146))
 
 
-def test_tnvqc_genome_roundtrip():
+def test_tnvqc_agent_aliases_genome():
     rng = np.random.default_rng(13)
     arch = agents.tnvqc_architecture(bond_dim=2)
     genome = rng.standard_normal(arch.genome_length)
     agent = arch.build(genome)
-    np.testing.assert_allclose(agent.to_genome(), genome, atol=1e-12)
+    assert np.shares_memory(agent.vqc_params, genome)
+    assert not agent.vqc_params.flags.writeable
+    np.testing.assert_array_equal(agent.vqc_params.ravel(), genome[:24])
+    # the MPS entries are the identity base plus the genome's offsets
+    np.testing.assert_array_equal(
+        agent.extractor.flat, mps.identity_base(147, 2, 8) + genome[24:])
 
 
 def test_logits_expectations_bounded():

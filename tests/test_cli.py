@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from qevo import cli
+from qevo import agents, cli
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -144,6 +146,33 @@ def test_eval_zero_episodes(tmp_path, capsys):
     assert result["mean"] is None and result["std"] is None
 
 
+def test_eval_rejects_negative_episodes(tmp_path, capsys):
+    genome_file = tmp_path / "g.json"
+    genome_file.write_text(json.dumps({"env": "cartpole",
+                                       "genome": [0.0] * 26}))
+    assert cli.main(["eval", "--genome", str(genome_file),
+                     "--episodes", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "--episodes" in captured.err
+    assert captured.out == ""
+
+
+def test_eval_rejects_zero_bond_dim(tmp_path, capsys):
+    # the file's bond dimension must not stand in for an invalid override
+    length = agents.tnvqc_architecture(bond_dim=2).genome_length
+    genome_file = tmp_path / "g.json"
+    genome_file.write_text(json.dumps({"env": "minigrid-5", "bond_dim": 2,
+                                       "genome": [0.0] * length}))
+    assert cli.main(["eval", "--genome", str(genome_file),
+                     "--episodes", "1"]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--genome", str(genome_file),
+                     "--bond-dim", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "--bond-dim" in captured.err
+    assert captured.out == ""
+
+
 def test_eval_architecture_mismatch_fails(tmp_path, capsys):
     genome_file = tmp_path / "g.json"
     genome_file.write_text(json.dumps({"env": "cartpole",
@@ -197,3 +226,14 @@ def test_zero_generation_override_parses_full_scale_configs(tmp_path, capsys):
         assert cli.main(["train", "--config", str(path),
                          "--generations", "0"]) == 0
         assert "no generations to run" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config_path", sorted(CONFIG_DIR.glob("*.json")),
+                         ids=lambda path: path.name)
+def test_shipped_config_starts(config_path, tmp_path, capsys):
+    """Every config in configs/ must load and start without running."""
+    assert cli.main(["train", "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "run"),
+                     "--generations", "0"]) == 0
+    assert "no generations to run" in capsys.readouterr().out
+    assert read_stats(tmp_path / "run") == [",".join(cli.STATS_COLUMNS)]

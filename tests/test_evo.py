@@ -12,6 +12,10 @@ def sphere(genome):
     return -float(np.dot(genome, genome))
 
 
+def sphere_fitness(genomes, generation, tag, repeats):
+    return np.array([sphere(g) for g in genomes])
+
+
 def tiny_config(**overrides):
     base = dict(population=8, truncation=3, mutation_power=0.05,
                 generations=4, repeats_all=2, repeats_parents=2,
@@ -60,16 +64,6 @@ def test_init_scale_zero_gives_zero_population():
     np.testing.assert_array_equal(pop, np.zeros((8, 5)))
 
 
-def test_mutate_zero_sigma_is_identity_and_parent_untouched():
-    rng = np.random.default_rng(0)
-    parent = np.arange(6.0)
-    child = evo.mutate(parent, 0.0, rng)
-    np.testing.assert_array_equal(child, parent)
-    child2 = evo.mutate(parent, 1.0, np.random.default_rng(1))
-    assert not np.array_equal(child2, parent)
-    np.testing.assert_array_equal(parent, np.arange(6.0))
-
-
 def test_rank_indices_descending_with_stable_ties():
     fitness = np.array([1.0, 3.0, 3.0, 2.0, 3.0])
     np.testing.assert_array_equal(evo.rank_indices(fitness), [1, 2, 4, 3, 0])
@@ -99,7 +93,7 @@ def test_spawn_children_single_parent():
 
 
 def test_play_episode_memo_consistency():
-    agent = agents.CartPoleAgent.from_genome(
+    agent = agents.CartPoleAgent(
         np.random.default_rng(2).standard_normal(26))
     env = envs.CartPoleEnv()
     memo: dict = {}
@@ -209,8 +203,7 @@ def test_resume_reproduces_uninterrupted_run():
         best_genome=cut.best_genome,
         best_score=cut.best_score,
     )
-    tail = evo._evolve(config, evo._FunctionEvaluator(sphere), 5,
-                       None, None, resume)
+    tail = evo._evolve(config, sphere_fitness, 5, None, None, resume)
     assert [repr(s) for s in tail] == [repr(s) for s in full[4:]]
 
 
@@ -225,6 +218,20 @@ def test_worker_count_does_not_change_results():
     serial = evo.run(config, envs.CartPoleEnv, arch, workers=1)
     pooled = evo.run(config, envs.CartPoleEnv, arch, workers=2)
     assert [repr(s) for s in serial] == [repr(s) for s in pooled]
+
+
+def test_minigrid_worker_count_does_not_change_results():
+    # the pool rebuilds TN-VQC agents from pickled architectures; with this
+    # seed and init scale some agents reach the goal, so the stats are not
+    # all zero (most small minigrid runs score 0 everywhere)
+    config = evo.EvoConfig(population=10, truncation=2, mutation_power=0.05,
+                           generations=2, repeats_all=2, repeats_parents=2,
+                           master_seed=1, init_scale=0.2)
+    arch = agents.tnvqc_architecture(bond_dim=2)
+    serial = evo.run(config, envs.make_minigrid_5, arch, workers=1)
+    pooled = evo.run(config, envs.make_minigrid_5, arch, workers=2)
+    assert [repr(s) for s in serial] == [repr(s) for s in pooled]
+    assert any(s.top5_avg > 0.0 for s in serial)
 
 
 def test_near_zero_genomes_score_like_random_play():
@@ -248,5 +255,4 @@ def test_resume_shape_mismatch_rejected():
                              best_score=-math.inf)
     with pytest.raises(ValueError, match="shape"):
         evo.run_function(config, sphere, 5) is not None  # baseline ok
-        evo._evolve(config, evo._FunctionEvaluator(sphere), 5, None, None,
-                    resume)
+        evo._evolve(config, sphere_fitness, 5, None, None, resume)

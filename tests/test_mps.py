@@ -1,6 +1,7 @@
 """MPS feature extractor tests, anchored by an exhaustive-sum oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qevo import mps
+
+
+def chain(extractor):
+    """The cores one by one, in chain order."""
+    return [extractor.first, *extractor.left, extractor.output,
+            *extractor.right, extractor.last]
+
+
+def noisy_extractor(n_sites, bond_dim, out_dim, rng, scale):
+    """Identity base plus scale * standard normal noise on every entry."""
+    base = mps.identity_base(n_sites, bond_dim, out_dim)
+    return mps.MpsFeatureExtractor(n_sites, bond_dim, out_dim,
+                                   base + scale * rng.standard_normal(base.size))
 
 
 def exhaustive_contract(extractor, values):
@@ -18,20 +32,20 @@ def exhaustive_contract(extractor, values):
     """
     n = extractor.n_sites
     pos = extractor.output_pos
-    n_cores = len(extractor.cores)
+    cores = chain(extractor)
     out = np.zeros(extractor.out_dim)
     phis = [mps.feature_map(v) for v in values]
     for assignment in itertools.product(range(mps.LOCAL_DIM), repeat=n):
         weight = 1.0
         for site, idx in enumerate(assignment):
             weight *= phis[site][idx]
-        left = extractor.cores[0][assignment[0]]  # (m,)
+        left = cores[0][assignment[0]]  # (m,)
         for core_index in range(1, pos):
-            left = left @ extractor.cores[core_index][:, assignment[core_index], :]
-        right = extractor.cores[-1][:, assignment[-1]]  # (m,)
-        for core_index in range(n_cores - 2, pos, -1):
-            right = extractor.cores[core_index][:, assignment[core_index - 1], :] @ right
-        out += weight * np.einsum("a,aob,b->o", left, extractor.cores[pos], right)
+            left = left @ cores[core_index][:, assignment[core_index], :]
+        right = cores[-1][:, assignment[-1]]  # (m,)
+        for core_index in range(len(cores) - 2, pos, -1):
+            right = cores[core_index][:, assignment[core_index - 1], :] @ right
+        out += weight * np.einsum("a,aob,b->o", left, cores[pos], right)
     return out
 
 
@@ -40,8 +54,7 @@ def exhaustive_contract(extractor, values):
 ])
 def test_sweep_matches_exhaustive_sum(n_sites, bond_dim, out_dim):
     rng = np.random.default_rng(n_sites * 100 + bond_dim)
-    extractor = mps.init_extractor(bond_dim, rng, 0.5, n_sites=n_sites,
-                                   out_dim=out_dim)
+    extractor = noisy_extractor(n_sites, bond_dim, out_dim, rng, 0.5)
     values = rng.uniform(0.0, 1.0, n_sites)
     want = exhaustive_contract(extractor, values)
     got = mps.contract(extractor, values)
@@ -52,8 +65,7 @@ def test_all_ones_cores_small_oracle():
     # n_sites=3, m=2, out_dim=2, every entry 1, input (0,0,0): phi = (1,0)
     # everywhere, so only one index tuple survives and the open-leg sum is
     # over the three bond indices: 2^3 = 8 for both outputs
-    cores = [np.ones(s) for s in ((2, 2), (2, 2, 2), (2, 2, 2), (2, 2))]
-    extractor = mps.MpsFeatureExtractor(3, 2, 2, cores)
+    extractor = mps.MpsFeatureExtractor(3, 2, 2, np.ones(4 + 8 + 8 + 4))
     got = mps.contract(extractor, np.zeros(3))
     want = exhaustive_contract(extractor, np.zeros(3))
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -80,35 +92,34 @@ def test_feature_map_rejects_out_of_range():
 # initialization
 
 def test_zero_noise_init_is_seed_independent():
-    a = mps.init_extractor(3, np.random.default_rng(0), 0.0, n_sites=6, out_dim=4)
-    b = mps.init_extractor(3, np.random.default_rng(999), 0.0, n_sites=6, out_dim=4)
-    for ca, cb in zip(a.cores, b.cores):
-        np.testing.assert_array_equal(ca, cb)
+    a = noisy_extractor(6, 3, 4, np.random.default_rng(0), 0.0)
+    b = noisy_extractor(6, 3, 4, np.random.default_rng(999), 0.0)
+    np.testing.assert_array_equal(a.flat, b.flat)
+    np.testing.assert_array_equal(a.flat, mps.identity_base(6, 3, 4))
 
 
 def test_zero_noise_init_contracts_to_ones():
-    extractor = mps.init_extractor(4, np.random.default_rng(0), 0.0)
+    extractor = mps.MpsFeatureExtractor(147, 4, 8, mps.identity_base(147, 4, 8))
     values = np.random.default_rng(1).uniform(0, 1, 147)
     np.testing.assert_allclose(mps.contract(extractor, values), np.ones(8),
                                atol=1e-12)
 
 
 def test_same_seed_same_extractor():
-    a = mps.init_extractor(2, np.random.default_rng(42), 0.01, n_sites=9, out_dim=3)
-    b = mps.init_extractor(2, np.random.default_rng(42), 0.01, n_sites=9, out_dim=3)
-    for ca, cb in zip(a.cores, b.cores):
-        np.testing.assert_array_equal(ca, cb)
+    a = noisy_extractor(9, 2, 3, np.random.default_rng(42), 0.01)
+    b = noisy_extractor(9, 2, 3, np.random.default_rng(42), 0.01)
+    np.testing.assert_array_equal(a.flat, b.flat)
 
 
 def test_noisy_init_contracts_finite_nonzero():
-    extractor = mps.init_extractor(2, np.random.default_rng(5), 0.01)
+    extractor = noisy_extractor(147, 2, 8, np.random.default_rng(5), 0.01)
     out = mps.contract(extractor, np.random.default_rng(6).uniform(0, 1, 147))
     assert np.all(np.isfinite(out))
     assert np.any(out != 0.0)
 
 
 # ---------------------------------------------------------------------------
-# flatten / unflatten / param_count
+# flat layout / param_count
 
 def test_param_count_enumeration_m2():
     # 1 left boundary (2*2) + 145 interior (2*2*2) + 1 output (2*8*2)
@@ -118,32 +129,39 @@ def test_param_count_enumeration_m2():
 
 def test_param_count_matches_flatten_length():
     for bond_dim in (1, 2, 4):
-        extractor = mps.init_extractor(bond_dim, np.random.default_rng(0), 0.01,
-                                       n_sites=11, out_dim=5)
-        assert mps.flatten(extractor).size == mps.param_count(11, bond_dim, 5)
-        assert extractor.param_count == mps.param_count(11, bond_dim, 5)
+        extractor = noisy_extractor(11, bond_dim, 5, np.random.default_rng(0), 0.01)
+        assert extractor.flat.size == mps.param_count(11, bond_dim, 5)
+        assert mps.identity_base(11, bond_dim, 5).size == mps.param_count(11, bond_dim, 5)
 
 
 def test_output_core_sits_in_the_middle():
-    extractor = mps.init_extractor(2, np.random.default_rng(0), 0.0)
+    extractor = mps.MpsFeatureExtractor(147, 2, 8, mps.identity_base(147, 2, 8))
     assert extractor.output_pos == 74
-    assert len(extractor.cores) == 148
-    assert extractor.cores[74].shape == (2, 8, 2)
+    assert len(chain(extractor)) == 148
+    assert extractor.left.shape == (73, 2, 2, 2)
+    assert chain(extractor)[74] is extractor.output
+    assert extractor.output.shape == (2, 8, 2)
 
 
 @given(st.integers(2, 9), st.integers(1, 3), st.integers(1, 4),
        st.integers(0, 2 ** 31))
 @settings(max_examples=30, deadline=None)
-def test_flatten_unflatten_roundtrip(n_sites, bond_dim, out_dim, seed):
+def test_views_tile_the_flat_vector(n_sites, bond_dim, out_dim, seed):
     flat = np.random.default_rng(seed).standard_normal(
         mps.param_count(n_sites, bond_dim, out_dim))
-    extractor = mps.unflatten(flat, n_sites, bond_dim, out_dim)
-    np.testing.assert_array_equal(mps.flatten(extractor), flat)
+    extractor = mps.MpsFeatureExtractor(n_sites, bond_dim, out_dim, flat)
+    cores = chain(extractor)
+    assert [c.shape for c in cores] == mps._core_shapes(n_sites, bond_dim, out_dim)
+    for view in (extractor.first, extractor.left, extractor.output,
+                 extractor.right, extractor.last):
+        assert np.shares_memory(view, flat) or view.size == 0
+        assert not view.flags.writeable
+    np.testing.assert_array_equal(np.concatenate([c.ravel() for c in cores]), flat)
 
 
 def test_unflatten_rejects_wrong_length():
     with pytest.raises(ValueError, match="entries"):
-        mps.unflatten(np.zeros(10), 5, 2, 3)
+        mps.MpsFeatureExtractor(5, 2, 3, np.zeros(10))
 
 
 # ---------------------------------------------------------------------------
@@ -151,20 +169,23 @@ def test_unflatten_rejects_wrong_length():
 
 def test_contract_linear_in_each_core():
     rng = np.random.default_rng(12)
-    extractor = mps.init_extractor(2, rng, 0.3, n_sites=7, out_dim=3)
+    extractor = noisy_extractor(7, 2, 3, rng, 0.3)
     values = rng.uniform(0, 1, 7)
     base = mps.contract(extractor, values)
-    for index in range(len(extractor.cores)):
-        cores = [c.copy() for c in extractor.cores]
-        cores[index] *= 2.0
-        doubled = mps.MpsFeatureExtractor(7, 2, 3, cores)
+    offset = 0
+    for shape in mps._core_shapes(7, 2, 3):
+        size = math.prod(shape)
+        flat = extractor.flat.copy()
+        flat[offset:offset + size] *= 2.0
+        offset += size
+        doubled = mps.MpsFeatureExtractor(7, 2, 3, flat)
         np.testing.assert_allclose(mps.contract(doubled, values), 2.0 * base,
                                    atol=1e-9)
+    assert offset == extractor.flat.size
 
 
 def test_contract_rejects_bad_inputs():
-    extractor = mps.init_extractor(2, np.random.default_rng(0), 0.0, n_sites=5,
-                                   out_dim=2)
+    extractor = mps.MpsFeatureExtractor(5, 2, 2, mps.identity_base(5, 2, 2))
     with pytest.raises(ValueError, match="components"):
         mps.contract(extractor, np.zeros(4))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -172,7 +193,7 @@ def test_contract_rejects_bad_inputs():
 
 
 def test_extractor_shape_validation():
-    with pytest.raises(ValueError, match="cores"):
-        mps.MpsFeatureExtractor(5, 2, 2, [np.zeros((2, 2))])
+    with pytest.raises(ValueError, match="entries"):
+        mps.MpsFeatureExtractor(5, 2, 2, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="at least 2"):
         mps.param_count(1, 2, 2)

@@ -25,6 +25,12 @@ mps.MpsFeatureExtractor views as cores.  Both forwards are pure functions
 of (genome, observation).  Construction precomputes everything reusable: the
 4x4 circuit unitary for cart-pole, the per-qubit Rot matrices and the
 fixed CNOT-ring permutation for the 8-qubit agent.
+
+The agent classes are the scalar reference.  Training runs the batched
+policies instead: `cartpole_policy(genomes)` and `tnvqc_policy(genomes,
+bond_dim)` return a function of (agent indices, observation rows) that
+gives every row's action with the same arithmetic as `act`, bit for bit:
+normalise, U @ amps, |psi|^2, the same Z sums, argmax with ties low.
 """
 
 from __future__ import annotations
@@ -61,12 +67,7 @@ class CartPoleAgent:
         genome.flags.writeable = False
         self.block_params = genome[:24].reshape(CARTPOLE_BLOCKS, CARTPOLE_QUBITS, 3)
         self.bias = genome[24:]
-        unitary = np.eye(4, dtype=np.complex128)
-        for block in self.block_params:
-            apply_cnot_kernel(unitary, CARTPOLE_QUBITS, 0, 1)
-            apply_single(unitary, CARTPOLE_QUBITS, 0, rot_matrix(*block[0]))
-            apply_single(unitary, CARTPOLE_QUBITS, 1, rot_matrix(*block[1]))
-        self._unitary = unitary
+        self._unitary = cartpole_unitaries(genome[None])[0]
 
     def logits(self, obs: np.ndarray) -> np.ndarray:
         obs = np.asarray(obs, dtype=np.float64)
@@ -85,6 +86,52 @@ class CartPoleAgent:
 
     def act(self, obs: np.ndarray) -> int:
         return int(np.argmax(self.logits(obs)))
+
+
+def cartpole_unitaries(genomes: np.ndarray) -> np.ndarray:
+    """(P, 4, 4) circuit unitaries of P cart-pole genomes, built together."""
+    count = len(genomes)
+    rots = rot_matrix(*np.moveaxis(genomes[:, :24].reshape(
+        count, CARTPOLE_BLOCKS, CARTPOLE_QUBITS, 3), -1, 0))
+    # columns of the identity, one (4, 4) block per genome along the last axis
+    unitaries = np.repeat(np.eye(4, dtype=np.complex128)[:, :, None], count, axis=2)
+    for block in range(CARTPOLE_BLOCKS):
+        apply_cnot_kernel(unitaries, CARTPOLE_QUBITS, 0, 1)
+        apply_single(unitaries, CARTPOLE_QUBITS, 0, rots[:, block, 0])
+        apply_single(unitaries, CARTPOLE_QUBITS, 1, rots[:, block, 1])
+    return np.ascontiguousarray(unitaries.transpose(2, 0, 1))
+
+
+def _cartpole_logits(unitaries: np.ndarray, bias: np.ndarray,
+                     obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`CartPoleAgent.logits` over rows: (n, 4, 4) unitaries, (n, 2) biases."""
+    norm = np.sqrt(np.vecdot(obs, obs))
+    zero = norm == 0.0
+    if zero.any():  # no direction: the uniform state, as in `logits`
+        obs = np.where(zero[:, None], 0.5, obs)
+        norm[zero] = 1.0
+    amps = obs / norm[:, None]
+    p0, p1, p2, p3 = (np.abs(np.matvec(unitaries, amps)) ** 2).T
+    return p0 + p1 - p2 - p3 + bias[:, 0], p0 - p1 + p2 - p3 + bias[:, 1]
+
+
+def _cartpole_actions(unitaries: np.ndarray, bias: np.ndarray,
+                      agents: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    left, right = _cartpole_logits(unitaries[agents], bias[agents], obs)
+    return (right > left).astype(np.intp)  # argmax: ties break low
+
+
+def cartpole_policy(genomes: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Batched `CartPoleAgent.act`: policy(agents, obs) for (P, 26) genomes."""
+    genomes = _check_genomes(genomes, CARTPOLE_GENOME_LENGTH)
+    return partial(_cartpole_actions, cartpole_unitaries(genomes), genomes[:, 24:])
+
+
+def _check_genomes(genomes: np.ndarray, length: int) -> np.ndarray:
+    genomes = np.asarray(genomes, dtype=np.float64)
+    if genomes.ndim != 2 or genomes.shape[1] != length:
+        raise ValueError(f"genomes must have shape (P, {length}), got {genomes.shape}")
+    return genomes
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +172,7 @@ class TnVqcAgent:
         self.vqc_params = genome[:TNVQC_CIRCUIT_PARAMS].reshape(TNVQC_QUBITS, 3)
         self.extractor = mps.MpsFeatureExtractor(
             TNVQC_SITES, bond_dim, TNVQC_QUBITS, base + genome[TNVQC_CIRCUIT_PARAMS:])
-        self._rot_mats = [rot_matrix(*angles) for angles in self.vqc_params]
+        self._rot_mats = rot_matrix(*self.vqc_params.T)
 
     def feature_logits(self, features: np.ndarray) -> np.ndarray:
         """<Z> of the 6 measured qubits for the given 8 MPS features."""
@@ -154,26 +201,69 @@ class TnVqcAgent:
         return int(np.argmax(self.feature_logits(mps.contract(self.extractor, obs))))
 
 
+def _tnvqc_logits(features: np.ndarray, rot_mats: np.ndarray) -> np.ndarray:
+    """`TnVqcAgent.feature_logits` over rows: (n, 8) features, (n, 8, 2, 2) Rots."""
+    count = len(features)
+    # math.atan, not np.arctan: the two differ in the last bit on some inputs
+    angles = np.array([math.atan(x) for x in features.ravel().tolist()])
+    squares = np.array([math.atan(x) for x in (features * features).ravel().tolist()])
+    local = np.matvec(rz_matrix(squares), np.matvec(ry_matrix(angles), _H_ON_ZERO))
+    local = local.reshape(count, TNVQC_QUBITS, 2)
+    psi = np.ones((count, 1), dtype=np.complex128)
+    for qubit in range(TNVQC_QUBITS):
+        psi = (psi[:, :, None] * local[:, qubit, None, :]).reshape(count, -1)
+    # amplitudes along axis 0 and one column per row, as apply_single wants
+    psi = np.ascontiguousarray(psi[:, _ring_gather_indices()].T)
+    for qubit in range(TNVQC_QUBITS):
+        apply_single(psi, TNVQC_QUBITS, qubit, rot_mats[:, qubit])
+    probs = np.ascontiguousarray((np.abs(psi) ** 2).T)
+    logits = np.empty((count, TNVQC_MEASURED))
+    for qubit in range(TNVQC_MEASURED):
+        shaped = probs.reshape((count, 1 << qubit, 2, -1))
+        logits[:, qubit] = shaped[:, :, 0].sum(axis=(1, 2)) - shaped[:, :, 1].sum(axis=(1, 2))
+    return logits
+
+
+def _tnvqc_actions(rot_mats: np.ndarray, offsets: np.ndarray, bond_dim: int,
+                   agents: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    features = mps.contract_rows(offsets, agents, obs, bond_dim, TNVQC_QUBITS)
+    return np.argmax(_tnvqc_logits(features, rot_mats[agents]), axis=1)
+
+
+def tnvqc_policy(genomes: np.ndarray,
+                 bond_dim: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Batched `TnVqcAgent.act`: policy(agents, obs) for (P, L) genomes."""
+    length = TNVQC_CIRCUIT_PARAMS + mps.param_count(TNVQC_SITES, bond_dim, TNVQC_QUBITS)
+    genomes = _check_genomes(genomes, length)
+    circuit = genomes[:, :TNVQC_CIRCUIT_PARAMS].reshape(-1, TNVQC_QUBITS, 3)
+    return partial(_tnvqc_actions, rot_matrix(*np.moveaxis(circuit, -1, 0)),
+                   genomes[:, TNVQC_CIRCUIT_PARAMS:], bond_dim)
+
+
 # ---------------------------------------------------------------------------
 # architecture registry (picklable, so worker pools can rebuild agents)
 
 @dataclass(frozen=True)
 class AgentArchitecture:
-    """A genome length and the agent class that reads genomes of it."""
+    """A genome length, the agent class that reads one genome of it, and
+    the batched policy over a (P, genome_length) array of them."""
 
     name: str
     genome_length: int
     agent: Callable[[np.ndarray], object]
+    policy: Callable[[np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
     def build(self, genome: np.ndarray):
         return self.agent(genome)
 
 
 def cartpole_architecture() -> AgentArchitecture:
-    return AgentArchitecture("cartpole", CARTPOLE_GENOME_LENGTH, CartPoleAgent)
+    return AgentArchitecture("cartpole", CARTPOLE_GENOME_LENGTH, CartPoleAgent,
+                             cartpole_policy)
 
 
 def tnvqc_architecture(bond_dim: int = 4) -> AgentArchitecture:
     length = TNVQC_CIRCUIT_PARAMS + mps.param_count(TNVQC_SITES, bond_dim, TNVQC_QUBITS)
     return AgentArchitecture(f"tnvqc-m{bond_dim}", length,
-                             partial(TnVqcAgent, bond_dim=bond_dim))
+                             partial(TnVqcAgent, bond_dim=bond_dim),
+                             partial(tnvqc_policy, bond_dim=bond_dim))

@@ -148,12 +148,23 @@ def _write_best_genome(path: Path, config: RunConfig,
     path.write_text(json.dumps(payload))
 
 
+def _finite_array(values, what: str) -> np.ndarray:
+    """A float64 array of JSON numbers, rejecting NaN and infinities."""
+    array = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{what} holds non-finite entries")
+    return array
+
+
 def _load_checkpoint(path: str | Path) -> tuple[RunConfig, dict]:
     with open(path) as handle:
         data = json.load(handle)
     if data.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format: {data.get('format')!r}")
     config = _run_config_from_dict(data["run_config"])
+    for key in ("parents", "parent_fitness", "elite", "elite_score", "window",
+                "best_genome", "best_score"):
+        _finite_array(data[key], f"checkpoint {key!r}")
     return config, data
 
 
@@ -274,18 +285,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError("genome file does not name an env; pass --env")
     bond_dim = args.bond_dim if args.bond_dim is not None else payload.get("bond_dim", 4)
     env_factory, architecture = resolve_task(env_name, bond_dim)
-    genome = np.asarray(payload["genome"], dtype=np.float64)
+    genome = _finite_array(payload["genome"], "genome")
     if genome.shape != (architecture.genome_length,):
         raise ValueError(
             f"genome length {genome.size} does not match {architecture.name} "
             f"(expected {architecture.genome_length})")
 
-    agent = architecture.build(genome)
-    env = env_factory()
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
-    memo: dict = {}
-    scores = [evo.play_episode(agent, env, rng, memo)
-              for _ in range(args.episodes)]
+    # one agent, its episodes all drawn from the stream SeedSequence([seed])
+    scores = evo.episode_returns(genome[None], architecture, env_factory(),
+                                 args.episodes, [[args.seed]])[0].tolist()
     result = {
         "env": env_name,
         "episodes": args.episodes,

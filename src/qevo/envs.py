@@ -5,6 +5,17 @@ Both environments expose the same minimal interface:
     obs = env.reset(rng)          # rng may be ignored by deterministic envs
     transition = env.step(action) # EnvTransition(observation, reward, done)
 
+and the same batched one, which plays many episodes in lockstep:
+
+    returns = env.rollouts(policy, rngs, n_agents, repeats)
+
+`policy(agents, observations)` maps an array of agent indices and one
+observation row per index to an array of actions; `rngs` yields one
+Generator per agent, drawn from in agent order only by envs whose reset
+draws.  Episode j of agent i starts from that agent's j-th reset, exactly
+as `repeats` calls of `reset` on its Generator would, and the (n_agents,
+repeats) returns equal the undiscounted sums that `step` would give.
+
 CartPoleEnv: classic pole balancing.  Physics constants are fixed here so
 results are reproducible without any external dependency: gravity 9.8,
 cart mass 1.0, pole mass 0.1, half pole length 0.5, force magnitude 10.0,
@@ -22,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,27 +79,61 @@ class CartPoleEnv:
 
         x, x_dot, theta, theta_dot = self._state
         force = self.FORCE_MAG if action == 1 else -self.FORCE_MAG
-        cos_t = math.cos(theta)
-        sin_t = math.sin(theta)
-
-        total_mass = self.CART_MASS + self.POLE_MASS
-        pole_mass_length = self.POLE_MASS * self.HALF_POLE_LENGTH
-        temp = (force + pole_mass_length * theta_dot ** 2 * sin_t) / total_mass
-        theta_acc = (self.GRAVITY * sin_t - cos_t * temp) / (
-            self.HALF_POLE_LENGTH * (4.0 / 3.0 - self.POLE_MASS * cos_t ** 2 / total_mass))
-        x_acc = temp - pole_mass_length * theta_acc * cos_t / total_mass
-
-        # positions advance with the old velocities, then velocities update
-        x = x + self.TAU * x_dot
-        x_dot = x_dot + self.TAU * x_acc
-        theta = theta + self.TAU * theta_dot
-        theta_dot = theta_dot + self.TAU * theta_acc
+        x, x_dot, theta, theta_dot = self._integrate(
+            x, x_dot, theta, theta_dot, force, math.cos(theta), math.sin(theta))
 
         self._state = np.array([x, x_dot, theta, theta_dot])
         self.steps += 1
         self._done = (abs(x) > self.X_LIMIT or abs(theta) > self.theta_limit
                       or self.steps >= self.MAX_STEPS)
         return EnvTransition(self._state.copy(), 1.0, self._done)
+
+    def step_batch(self, states: np.ndarray,
+                   actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`step` over the rows of a (n, 4) state array.
+
+        Returns the next states and where they leave the position or angle
+        bounds; the step cap is the caller's to count.  np.cos/np.sin give
+        the same bits as math's (a test keeps this so).
+        """
+        x, x_dot, theta, theta_dot = states.T
+        force = np.where(actions == 1, self.FORCE_MAG, -self.FORCE_MAG)
+        x, x_dot, theta, theta_dot = self._integrate(
+            x, x_dot, theta, theta_dot, force, np.cos(theta), np.sin(theta))
+        failed = (np.abs(x) > self.X_LIMIT) | (np.abs(theta) > self.theta_limit)
+        return np.stack([x, x_dot, theta, theta_dot], axis=1), failed
+
+    def _integrate(self, x, x_dot, theta, theta_dot, force, cos_t, sin_t):
+        """One semi-implicit Euler step, on scalars or on arrays alike."""
+        total_mass = self.CART_MASS + self.POLE_MASS
+        pole_mass_length = self.POLE_MASS * self.HALF_POLE_LENGTH
+        temp = (force + pole_mass_length * theta_dot ** 2 * sin_t) / total_mass
+        theta_acc = (self.GRAVITY * sin_t - cos_t * temp) / (
+            self.HALF_POLE_LENGTH * (4.0 / 3.0 - self.POLE_MASS * cos_t ** 2 / total_mass))
+        x_acc = temp - pole_mass_length * theta_acc * cos_t / total_mass
+        # positions advance with the old velocities, then velocities update
+        return (x + self.TAU * x_dot, x_dot + self.TAU * x_acc,
+                theta + self.TAU * theta_dot, theta_dot + self.TAU * theta_acc)
+
+    def rollouts(self, policy, rngs, n_agents: int, repeats: int) -> np.ndarray:
+        """Every agent's `repeats` episodes, stepped in lockstep.
+
+        The reward is 1.0 per step, so an episode's return is its length.
+        """
+        states = np.array([self.reset(rng) for rng in rngs for _ in range(repeats)])
+        states = states.reshape(n_agents * repeats, 4)
+        lengths = np.zeros(len(states))
+        agent = np.repeat(np.arange(n_agents), repeats)
+        episode = np.arange(len(states))
+        for step in range(1, self.MAX_STEPS + 1):
+            if not episode.size:
+                break
+            states, failed = self.step_batch(states, policy(agent, states))
+            done = failed | (step == self.MAX_STEPS)
+            if done.any():
+                lengths[episode[done]] = step
+                states, agent, episode = states[~done], agent[~done], episode[~done]
+        return lengths.reshape(n_agents, repeats)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +163,23 @@ ACTION_RIGHT = 1
 ACTION_FORWARD = 2
 # 3 (pickup), 4 (drop), 5 (toggle): consume a step, change nothing here
 N_ACTIONS = 6
+
+
+@dataclass(frozen=True)
+class GridModel:
+    """A grid's finite model, indexed by state s = one (pos, dir) pair.
+
+    states: the (pos, dir) pair of each s; observations (S, 147): what
+    `step` returns in state s, in [0, 1]; successor (S, 6): the state after
+    each action; goal (S,): s is on the goal cell; start: the state `reset`
+    returns to.
+    """
+
+    states: tuple[tuple[tuple[int, int], int], ...]
+    observations: np.ndarray
+    successor: np.ndarray
+    goal: np.ndarray
+    start: int
 
 
 class MiniGridEnv:
@@ -151,15 +214,7 @@ class MiniGridEnv:
 
         self.steps += 1
         reward = 0.0
-        if action == ACTION_LEFT:
-            self.agent_dir = (self.agent_dir - 1) % 4
-        elif action == ACTION_RIGHT:
-            self.agent_dir = (self.agent_dir + 1) % 4
-        elif action == ACTION_FORWARD:
-            fx, fy = DIR_VECTORS[self.agent_dir]
-            target = (self.agent_pos[0] + fx, self.agent_pos[1] + fy)
-            if self._cell_object(*target) != OBJECT_WALL:
-                self.agent_pos = target
+        self.agent_pos, self.agent_dir = self._move(self.agent_pos, self.agent_dir, action)
 
         if self.agent_pos == self.goal_pos:
             reward = 1.0 - 0.9 * self.steps / self.max_steps
@@ -167,6 +222,69 @@ class MiniGridEnv:
         elif self.steps >= self.max_steps:
             self._done = True
         return EnvTransition(self._observation(), reward, self._done)
+
+    def _move(self, pos: tuple[int, int], direction: int,
+              action: int) -> tuple[tuple[int, int], int]:
+        if action == ACTION_LEFT:
+            direction = (direction - 1) % 4
+        elif action == ACTION_RIGHT:
+            direction = (direction + 1) % 4
+        elif action == ACTION_FORWARD:
+            fx, fy = DIR_VECTORS[direction]
+            target = (pos[0] + fx, pos[1] + fy)
+            if self._cell_object(*target) != OBJECT_WALL:
+                pos = target
+        return pos, direction
+
+    # -- finite model and batched episodes ----------------------------------
+
+    @cached_property
+    def model(self) -> GridModel:
+        """The whole (pos, dir) state space as lookup tables."""
+        inner = range(1, self.grid_size - 1)
+        states = [((x, y), d) for y in inner for x in inner for d in range(4)]
+        index = {state: i for i, state in enumerate(states)}
+        observations = np.stack([self._encode_view(pos, d) for pos, d in states])
+        if np.any(observations < 0.0) or np.any(observations > 1.0):
+            raise ValueError("observation entries must lie in [0, 1]")
+        observations.flags.writeable = False
+        successor = np.array([[index[self._move(pos, d, a)] for a in range(N_ACTIONS)]
+                              for pos, d in states], dtype=np.intp)
+        goal = np.array([pos == self.goal_pos for pos, _ in states])
+        return GridModel(tuple(states), observations, successor, goal, index[((1, 1), 0)])
+
+    def rollouts(self, policy, rngs, n_agents: int, repeats: int) -> np.ndarray:
+        """Every agent's episodes, walked in lockstep over `model`.
+
+        Reset ignores its rng and the dynamics are deterministic, so an
+        agent's repeats are the same episode: each agent walks it once.
+        The policy runs only on (agent, state) pairs not yet in that
+        agent's action table.  Revisiting a state without having reached
+        the goal means the walk cycles until the step cap: return 0.
+        """
+        model = self.model
+        n_states = len(model.goal)
+        actions = np.full((n_agents, n_states), -1, dtype=np.intp)
+        visited = np.zeros((n_agents, n_states), dtype=bool)
+        returns = np.zeros(n_agents)
+        agent = np.arange(n_agents)
+        state = np.full(n_agents, model.start)
+        for step in range(1, self.max_steps + 1):
+            if not agent.size:
+                break
+            visited[agent, state] = True
+            action = actions[agent, state]
+            unknown = action < 0
+            if unknown.any():
+                action[unknown] = policy(agent[unknown],
+                                         model.observations[state[unknown]])
+                actions[agent[unknown], state[unknown]] = action[unknown]
+            state = model.successor[state, action]
+            reached = model.goal[state]
+            returns[agent[reached]] = 1.0 - 0.9 * step / self.max_steps
+            going = ~reached & ~visited[agent, state]
+            agent, state = agent[going], state[going]
+        return np.repeat(returns[:, None], repeats, axis=1)
 
     # -- observation ---------------------------------------------------------
 
@@ -184,21 +302,21 @@ class MiniGridEnv:
         key = (self.agent_pos, self.agent_dir)
         cached = self._obs_cache.get(key)
         if cached is None:
-            cached = self._encode_view()
+            cached = self._encode_view(*key)
             cached.flags.writeable = False
             self._obs_cache[key] = cached
         return cached
 
-    def _encode_view(self) -> np.ndarray:
+    def _encode_view(self, pos: tuple[int, int], direction: int) -> np.ndarray:
         """Egocentric view: the agent sits at view row 6, column 3.
 
         View cell (row, col) maps to the world cell
         pos + forward * (6 - row) + right * (col - 3), so row 0 is farthest
         ahead and columns grow to the agent's right.
         """
-        fx, fy = DIR_VECTORS[self.agent_dir]
+        fx, fy = DIR_VECTORS[direction]
         rx, ry = -fy, fx  # right-hand vector
-        px, py = self.agent_pos
+        px, py = pos
         view = np.zeros((VIEW_SIZE, VIEW_SIZE, 3))
         for row in range(VIEW_SIZE):
             ahead = VIEW_SIZE - 1 - row

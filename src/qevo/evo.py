@@ -16,6 +16,12 @@ np.random.SeedSequence([master_seed, TAG, generation, index]), so results
 are byte-identical for any worker count and any evaluation order, and a
 checkpoint holding only the ranked parents and the elite reconstructs the
 next population exactly by re-running the mutation stream.
+
+A batch of genomes is scored by `batch_fitness`, which plays all of its
+episodes at once (`episode_returns`: the architecture's batched policy
+driving the env's lockstep `rollouts`).  `evaluate_fitness` and
+`play_episode` are the one-agent, one-step-at-a-time reference that the
+tests hold the batched path to, bit for bit; training does not call them.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ class EvoConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.truncation < self.population:
             raise ValueError("need 1 <= truncation < population")
+        if not (math.isfinite(self.mutation_power) and math.isfinite(self.init_scale)):
+            raise ValueError("mutation_power and init_scale must be finite")
         if self.mutation_power <= 0.0:
             raise ValueError("mutation_power must be positive")
         if self.repeats_all < 1 or self.repeats_parents < 1:
@@ -135,13 +143,39 @@ def play_episode(agent, env, rng: np.random.Generator, memo: dict) -> float:
 
 def evaluate_fitness(genome: np.ndarray, architecture: AgentArchitecture,
                      env, repeats: int, seed_entropy: Sequence[int]) -> float:
-    """Mean score of `repeats` episodes, all seeded from `seed_entropy`."""
+    """Mean score of `repeats` episodes, all seeded from `seed_entropy`.
+
+    The scalar reference for `batch_fitness`, kept for the tests.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_entropy)))
     agent = architecture.build(genome)
     memo: dict = {}
     total = 0.0
     for _ in range(repeats):
         total += play_episode(agent, env, rng, memo)
+    return total / repeats
+
+
+def episode_returns(genomes: np.ndarray, architecture: AgentArchitecture, env,
+                    repeats: int, entropies: Sequence[Sequence[int]]) -> np.ndarray:
+    """(P, repeats) returns: row i plays genome i from the stream entropies[i].
+
+    Every episode of the batch runs in lockstep through the architecture's
+    batched policy and the env's `rollouts`; row i equals the scores of
+    `repeats` calls of `play_episode` on one Generator seeded the same way.
+    """
+    rngs = (np.random.default_rng(np.random.SeedSequence(list(entropy)))
+            for entropy in entropies)
+    return env.rollouts(architecture.policy(genomes), rngs, len(genomes), repeats)
+
+
+def batch_fitness(genomes: np.ndarray, architecture: AgentArchitecture, env,
+                  repeats: int, entropies: Sequence[Sequence[int]]) -> np.ndarray:
+    """`evaluate_fitness` of every row of `genomes`, bit for bit."""
+    returns = episode_returns(genomes, architecture, env, repeats, entropies)
+    total = np.zeros(len(genomes))
+    for column in returns.T:  # summed in repeat order, as evaluate_fitness does
+        total += column
     return total / repeats
 
 
@@ -184,13 +218,21 @@ def _init_worker(env_factory, architecture) -> None:
     _WORKER_ARCH = architecture
 
 
-def _eval_task(task) -> float:
-    genome, entropy, repeats = task
-    return evaluate_fitness(genome, _WORKER_ARCH, _WORKER_ENV, repeats, entropy)
+def _eval_task(task) -> np.ndarray:
+    genomes, entropies, repeats = task
+    return batch_fitness(genomes, _WORKER_ARCH, _WORKER_ENV, repeats, entropies)
 
 
 # ---------------------------------------------------------------------------
 # main loop
+
+def _finite(fitness: np.ndarray, generation: int) -> np.ndarray:
+    """Ranking would sort NaN silently and checkpoints would hold it."""
+    fitness = np.asarray(fitness, dtype=np.float64)
+    if not np.all(np.isfinite(fitness)):
+        raise ValueError(f"non-finite fitness in generation {generation}")
+    return fitness
+
 
 def _evolve(config: EvoConfig,
             fitness_of: Callable[[np.ndarray, int, int, int], np.ndarray],
@@ -219,13 +261,14 @@ def _evolve(config: EvoConfig,
 
     history: list[GenerationStats] = []
     for generation in range(start, config.generations):
-        fitness = fitness_of(population, generation, TAG_EVAL, config.repeats_all)
+        fitness = _finite(fitness_of(population, generation, TAG_EVAL,
+                                     config.repeats_all), generation)
         order = rank_indices(fitness)
         parents = population[order[:config.truncation]].copy()
         parent_fitness = fitness[order[:config.truncation]].copy()
 
-        elite_scores = fitness_of(parents, generation, TAG_ELITE,
-                                  config.repeats_parents)
+        elite_scores = _finite(fitness_of(parents, generation, TAG_ELITE,
+                                          config.repeats_parents), generation)
         elite_index = int(np.argmax(elite_scores))  # first max: ties break low
         elite = parents[elite_index].copy()
         elite_score = float(elite_scores[elite_index])
@@ -267,7 +310,9 @@ def run(config: EvoConfig, env_factory, architecture: AgentArchitecture,
     """Train on an environment; see the module docstring for the loop.
 
     Agent i of a batch plays from the stream [master_seed, tag, generation,
-    i], so `workers` changes only where the episodes run.
+    i], so `workers` changes only where the episodes run: with workers > 1
+    each batch is split into contiguous slices, about four per worker, and
+    every worker scores its slices with `batch_fitness`.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -277,15 +322,15 @@ def run(config: EvoConfig, env_factory, architecture: AgentArchitecture,
         initargs=(env_factory, architecture))
 
     def fitness_of(genomes, generation, tag, repeats):
-        tasks = [(genome, [config.master_seed, tag, generation, i], repeats)
-                 for i, genome in enumerate(genomes)]
+        entropies = [[config.master_seed, tag, generation, i]
+                     for i in range(len(genomes))]
         if pool is None:
-            scores = (evaluate_fitness(genome, architecture, env, repeats, entropy)
-                      for genome, entropy, repeats in tasks)
-        else:
-            chunk = max(1, math.ceil(len(tasks) / (4 * workers)))
-            scores = pool.map(_eval_task, tasks, chunksize=chunk)
-        return np.fromiter(scores, dtype=np.float64, count=len(tasks))
+            return batch_fitness(genomes, architecture, env, repeats, entropies)
+        # contiguous slices, about 4 per worker
+        size = max(1, math.ceil(len(genomes) / (4 * workers)))
+        tasks = [(genomes[i:i + size], entropies[i:i + size], repeats)
+                 for i in range(0, len(genomes), size)]
+        return np.concatenate(list(pool.map(_eval_task, tasks)))
 
     try:
         return _evolve(config, fitness_of, architecture.genome_length,

@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 LOCAL_DIM = 2
+_BLOCK_ENTRIES = 1 << 16  # core entries gathered per step of contract_rows
 
 
 def feature_map(v: float) -> tuple[float, float]:
@@ -146,3 +147,48 @@ def contract(extractor: MpsFeatureExtractor, values: np.ndarray) -> np.ndarray:
     out = carry @ (extractor.last @ phi[-1])
     assert np.all(np.isfinite(out)), "non-finite MPS contraction intermediate"
     return out
+
+
+def contract_rows(offsets: np.ndarray, rows: np.ndarray, values: np.ndarray,
+                  bond_dim: int, out_dim: int) -> np.ndarray:
+    """`contract` of many (extractor, input) pairs at once, bit for bit.
+
+    Pair i contracts the extractor with entries identity_base +
+    offsets[rows[i]] against the input values[i] (n_sites components, each
+    in [0, 1]; not checked here).  Returns (n, out_dim).  Core entries are
+    gathered a block of sites at a time, about _BLOCK_ENTRIES floats, so no
+    pair's full set of cores is ever copied.
+    """
+    count, n_sites = values.shape
+    m = bond_dim
+    base = identity_base(n_sites, m, out_dim)
+    pos = (n_sites + 1) // 2
+    site_size = m * LOCAL_DIM * m
+
+    def entries(start: int, stop: int) -> np.ndarray:
+        return base[start:stop] + offsets[rows, start:stop]
+
+    def site_matrices(start: int, sites: range):
+        """(count, m, m) per site: phi(v) contracted with the physical leg."""
+        per_block = max(1, _BLOCK_ENTRIES // (count * site_size))
+        for lo in range(0, len(sites), per_block):
+            block = sites[lo:lo + per_block]
+            cores = entries(start + lo * site_size, start + (lo + len(block)) * site_size)
+            cores = cores.reshape(count, len(block), m, LOCAL_DIM, m)
+            v = values[:, block.start:block.stop, None, None]
+            mats = (1.0 - v) * cores[:, :, :, 0] + v * cores[:, :, :, 1]
+            yield from np.ascontiguousarray(mats.transpose(1, 0, 2, 3))
+
+    ends = np.cumsum([LOCAL_DIM * m, (pos - 1) * site_size, m * out_dim * m,
+                      (n_sites - 1 - pos) * site_size])
+    first_phi = np.stack([1.0 - values[:, 0], values[:, 0]], axis=1)
+    vec = np.vecmat(first_phi, entries(0, ends[0]).reshape(count, LOCAL_DIM, m))
+    for mat in site_matrices(ends[0], range(1, pos)):
+        vec = np.vecmat(vec, mat)
+    output = entries(ends[1], ends[2]).reshape(count, m, out_dim, m)
+    carry = np.einsum("na,naob->nob", vec, output)
+    for mat in site_matrices(ends[2], range(pos, n_sites - 1)):
+        carry = carry @ mat
+    last_phi = np.stack([1.0 - values[:, -1], values[:, -1]], axis=1)
+    last = entries(ends[3], base.size).reshape(count, m, LOCAL_DIM)
+    return np.matvec(carry, np.matvec(last, last_phi))

@@ -10,7 +10,11 @@ Conventions, fixed once and relied on by every consumer:
 
 The low-level kernels accept amplitude arrays of shape (2**n,) or
 (2**n, batch); trailing axes ride along untouched, so applying a circuit
-to the columns of np.eye(2**n) yields the circuit unitary.
+to the columns of np.eye(2**n) yields the circuit unitary.  The gate
+matrices take angle arrays too and return stacks of shape (..., 2, 2);
+`apply_single` applies such a stack along the last axis of the amplitudes,
+one matrix per column, which is how a whole population's circuits run at
+once.
 """
 
 from __future__ import annotations
@@ -33,19 +37,33 @@ def h_matrix() -> np.ndarray:
                     dtype=np.complex128)
 
 
-def ry_matrix(theta: float) -> np.ndarray:
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+def ry_matrix(theta) -> np.ndarray:
+    """Ry of an angle, or a (..., 2, 2) stack for an array of angles."""
+    theta = np.asarray(theta, dtype=np.float64)
+    c = np.cos(theta / 2.0)
+    s = np.sin(theta / 2.0)
+    out = np.empty(theta.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = c
+    return out
 
 
-def rz_matrix(theta: float) -> np.ndarray:
-    p = np.exp(-0.5j * theta)
-    return np.array([[p, 0.0], [0.0, p.conjugate()]], dtype=np.complex128)
+def rz_matrix(theta) -> np.ndarray:
+    """Rz of an angle, or a (..., 2, 2) stack for an array of angles."""
+    p = np.exp(-0.5j * np.asarray(theta, dtype=np.float64))
+    out = np.zeros(p.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = p
+    out[..., 1, 1] = p.conjugate()
+    return out
 
 
-def rot_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """General single-qubit rotation Rz(gamma) @ Ry(beta) @ Rz(alpha)."""
+def rot_matrix(alpha, beta, gamma) -> np.ndarray:
+    """General single-qubit rotation Rz(gamma) @ Ry(beta) @ Rz(alpha).
+
+    Array arguments broadcast and give a (..., 2, 2) stack.
+    """
     return rz_matrix(gamma) @ ry_matrix(beta) @ rz_matrix(alpha)
 
 
@@ -64,14 +82,19 @@ def _check_qubit(n_qubits: int, qubit: int) -> None:
 
 def apply_single(amps: np.ndarray, n_qubits: int, qubit: int,
                  matrix: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit, in place."""
+    """Apply a 2x2 matrix to one qubit, in place.
+
+    A stack of B matrices, shape (B, 2, 2), applies matrix b to the
+    amplitudes amps[..., b], so the last axis of amps must have length B.
+    """
     _check_contiguous(amps)
     _check_qubit(n_qubits, qubit)
-    shaped = amps.reshape((1 << qubit, 2, -1))
+    shaped = amps.reshape((1 << qubit, 2, -1) + matrix.shape[:-2])
+    m00, m01, m10, m11 = (matrix[..., i, j] for i in (0, 1) for j in (0, 1))
     top = shaped[:, 0].copy()
     bot = shaped[:, 1]
-    shaped[:, 0] = matrix[0, 0] * top + matrix[0, 1] * bot
-    shaped[:, 1] = matrix[1, 0] * top + matrix[1, 1] * bot
+    shaped[:, 0] = m00 * top + m01 * bot
+    shaped[:, 1] = m10 * top + m11 * bot
     return amps
 
 

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines.  The two
 training checks (6 and 7) are stochastic by design and documented to pass
-on at least 2 of their 3 fixed seeds; together they dominate the ~2 minute
+on at least 2 of their 3 fixed seeds; together they dominate the ~20 s
 runtime of this module.
 """
 

@@ -1,0 +1,192 @@
+"""The batched evaluation path against the scalar reference, bit for bit.
+
+Training scores every genome through `evo.batch_fitness`: lockstep
+rollouts (`env.rollouts`) driven by the architectures' batched policies.
+The scalar path (`evaluate_fitness`, `play_episode`, the agents' `act`,
+`mps.contract`) stays as the oracle these tests compare against; equality
+is exact, not approximate, because training must write the same bytes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qevo import agents, envs, evo, mps
+
+TASKS = {
+    "cartpole": (envs.make_cartpole, agents.cartpole_architecture()),
+    "minigrid-5": (envs.make_minigrid_5, agents.tnvqc_architecture(bond_dim=2)),
+    "minigrid-6": (envs.make_minigrid_6, agents.tnvqc_architecture(bond_dim=1)),
+    "minigrid-8": (envs.make_minigrid_8, agents.tnvqc_architecture(bond_dim=2)),
+}
+
+
+def random_genomes(rng, count, length, scale):
+    return rng.standard_normal((count, length)) * scale
+
+
+def scalar_fitness(genomes, architecture, env, repeats, entropies):
+    return np.array([evo.evaluate_fitness(g, architecture, env, repeats, e)
+                     for g, e in zip(genomes, entropies)])
+
+
+# ---------------------------------------------------------------------------
+# policies
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 0.01, 0.3, 3.0, 100.0]))
+def test_cartpole_policy_matches_act(seed, scale):
+    rng = np.random.default_rng(seed)
+    genomes = random_genomes(rng, 7, 26, scale)
+    obs = rng.standard_normal((400, 4)) * rng.uniform(1e-6, 10.0, (400, 1))
+    obs[:3] = 0.0  # no direction: the uniform state
+    obs[3] = [1.0, 0.0, 0.0, 0.0]  # basis state: only the bias can break the tie
+    rows = rng.integers(0, len(genomes), len(obs))
+    actions = agents.cartpole_policy(genomes)(rows, obs)
+    built = [agents.CartPoleAgent(g) for g in genomes]
+    assert actions.tolist() == [built[r].act(o) for r, o in zip(rows, obs)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.01, 0.3, 3.0]))
+def test_cartpole_logits_match_logits(seed, scale):
+    rng = np.random.default_rng(seed)
+    genomes = random_genomes(rng, 5, 26, scale)
+    obs = rng.standard_normal((300, 4)) * rng.uniform(1e-6, 10.0, (300, 1))
+    obs[0] = 0.0
+    rows = rng.integers(0, len(genomes), len(obs))
+    left, right = agents._cartpole_logits(agents.cartpole_unitaries(genomes)[rows],
+                                          genomes[rows, 24:], obs)
+    expected = np.array([agents.CartPoleAgent(genomes[r]).logits(o)
+                         for r, o in zip(rows, obs)])
+    assert np.stack([left, right], axis=1).tobytes() == expected.tobytes()
+
+
+def test_cartpole_unitaries_match_each_agent():
+    genomes = random_genomes(np.random.default_rng(31), 20, 26, 2.0)
+    unitaries = agents.cartpole_unitaries(genomes)
+    for genome, unitary in zip(genomes, unitaries):
+        assert np.array_equal(agents.CartPoleAgent(genome)._unitary, unitary)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 0.1, 1.0, 30.0]))
+def test_tnvqc_logits_match_feature_logits(seed, scale):
+    rng = np.random.default_rng(seed)
+    architecture = agents.tnvqc_architecture(bond_dim=1)
+    built = [architecture.build(g) for g in random_genomes(
+        rng, 3, architecture.genome_length, scale)]
+    features = rng.standard_normal((60, agents.TNVQC_QUBITS)) * rng.uniform(0.0, 20.0, (60, 1))
+    features[0] = 0.0
+    rows = rng.integers(0, len(built), len(features))
+    rot_mats = np.stack([built[r]._rot_mats for r in rows])
+    logits = agents._tnvqc_logits(features, rot_mats)
+    expected = np.array([built[r].feature_logits(f) for r, f in zip(rows, features)])
+    assert logits.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("size,bond_dim", [(5, 4), (6, 2), (8, 1), (8, 4)])
+def test_tnvqc_action_tables_match_act(size, bond_dim):
+    architecture = agents.tnvqc_architecture(bond_dim)
+    rng = np.random.default_rng(size * 10 + bond_dim)
+    genomes = random_genomes(rng, 4, architecture.genome_length, 0.3)
+    # offsets of -identity_base zero every core: features 0, every logit ties
+    genomes[0, :agents.TNVQC_CIRCUIT_PARAMS] = 0.0
+    genomes[0, agents.TNVQC_CIRCUIT_PARAMS:] = -mps.identity_base(
+        agents.TNVQC_SITES, bond_dim, agents.TNVQC_QUBITS)
+    genomes[1] = 0.0  # the identity extractor
+    model = envs.MiniGridEnv(size).model
+    n_states = len(model.goal)
+    rows = np.repeat(np.arange(len(genomes)), n_states)
+    states = np.tile(np.arange(n_states), len(genomes))
+    table = architecture.policy(genomes)(rows, model.observations[states])
+    built = [architecture.build(g) for g in genomes]
+    assert table.tolist() == [built[r].act(model.observations[s])
+                              for r, s in zip(rows, states)]
+    assert not table[:n_states].any()  # the tie case picks action 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_sites=st.integers(2, 12), bond_dim=st.integers(1, 4),
+       out_dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_contract_rows_matches_contract(n_sites, bond_dim, out_dim, seed):
+    rng = np.random.default_rng(seed)
+    offsets = rng.standard_normal((5, mps.param_count(n_sites, bond_dim, out_dim)))
+    values = rng.random((30, n_sites))
+    values[0] = 0.0
+    values[1] = 1.0
+    rows = rng.integers(0, len(offsets), len(values))
+    batched = mps.contract_rows(offsets, rows, values, bond_dim, out_dim)
+    base = mps.identity_base(n_sites, bond_dim, out_dim)
+    for row, v, got in zip(rows, values, batched):
+        extractor = mps.MpsFeatureExtractor(n_sites, bond_dim, out_dim, base + offsets[row])
+        assert np.array_equal(mps.contract(extractor, v), got)
+
+
+# ---------------------------------------------------------------------------
+# returns and fitness
+
+@settings(max_examples=12, deadline=None)
+@given(env_name=st.sampled_from(sorted(TASKS)), repeats=st.integers(1, 5),
+       tag=st.sampled_from([evo.TAG_EVAL, evo.TAG_ELITE]),
+       scale=st.sampled_from([0.0, 0.01, 0.2, 1.0, 3.0]),
+       seed=st.integers(0, 2**16))
+def test_batch_fitness_matches_evaluate_fitness(env_name, repeats, tag, scale, seed):
+    factory, architecture = TASKS[env_name]
+    genomes = random_genomes(np.random.default_rng(seed), 4,
+                             architecture.genome_length, scale)
+    entropies = [[seed, tag, 3, i] for i in range(len(genomes))]
+    batched = evo.batch_fitness(genomes, architecture, factory(), repeats, entropies)
+    expected = scalar_fitness(genomes, architecture, factory(), repeats, entropies)
+    assert batched.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("env_name", ["cartpole", "minigrid-5"])
+def test_episode_returns_match_play_episode(env_name):
+    factory, architecture = TASKS[env_name]
+    genomes = random_genomes(np.random.default_rng(41), 3, architecture.genome_length, 0.5)
+    env = factory()
+    returns = evo.episode_returns(genomes, architecture, env, 4,
+                                  [[9, i] for i in range(len(genomes))])
+    for i, genome in enumerate(genomes):
+        rng = np.random.default_rng(np.random.SeedSequence([9, i]))
+        agent = architecture.build(genome)
+        memo: dict = {}
+        assert returns[i].tolist() == [evo.play_episode(agent, env, rng, memo)
+                                       for _ in range(4)]
+
+
+@pytest.mark.parametrize("env_name,generations", [("cartpole", 12), ("minigrid-5", 6)])
+def test_trained_populations_match_evaluate_fitness(env_name, generations):
+    """Populations captured from a short training run, not just random ones."""
+    factory, architecture = TASKS[env_name]
+    config = evo.EvoConfig(population=30, truncation=4, mutation_power=0.05,
+                           generations=generations, repeats_all=3,
+                           repeats_parents=2, master_seed=5, init_scale=0.1)
+    populations = []
+
+    def capture(stats, snapshot):
+        if snapshot.generation % 3 == 2:
+            populations.append((snapshot.generation, evo.spawn_children(
+                snapshot.parents, snapshot.elite, config, snapshot.generation)))
+
+    evo.run(config, factory, architecture, on_generation=capture)
+    assert len(populations) >= 2
+    for generation, population in populations:
+        entropies = [[5, evo.TAG_EVAL, generation + 1, i] for i in range(len(population))]
+        batched = evo.batch_fitness(population, architecture, factory(), 3, entropies)
+        expected = scalar_fitness(population, architecture, factory(), 3, entropies)
+        assert batched.tobytes() == expected.tobytes()
+
+
+def test_pool_task_matches_serial_slice(monkeypatch):
+    factory, architecture = TASKS["minigrid-5"]
+    genomes = random_genomes(np.random.default_rng(51), 6, architecture.genome_length, 0.2)
+    entropies = [[1, 0, 0, i] for i in range(6)]
+    monkeypatch.setattr(evo, "_WORKER_ENV", None)  # restored after the test
+    monkeypatch.setattr(evo, "_WORKER_ARCH", None)
+    evo._init_worker(factory, architecture)
+    sliced = evo._eval_task((genomes[2:5], entropies[2:5], 3))
+    whole = evo.batch_fitness(genomes, architecture, factory(), 3, entropies)
+    assert sliced.tobytes() == whole[2:5].tobytes()

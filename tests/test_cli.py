@@ -3,9 +3,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qevo import agents, cli
+from qevo import agents, cli, envs, evo
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -171,6 +172,58 @@ def test_eval_rejects_zero_bond_dim(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error:" in captured.err and "--bond-dim" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("env_name,bond_dim", [("cartpole", 4), ("minigrid-5", 2)])
+def test_eval_output_matches_play_episode(tmp_path, capsys, env_name, bond_dim):
+    factory, architecture = cli.resolve_task(env_name, bond_dim)
+    genome = np.random.default_rng(8).standard_normal(architecture.genome_length) * 0.3
+    genome_file = tmp_path / "g.json"
+    genome_file.write_text(json.dumps({"env": env_name, "bond_dim": bond_dim,
+                                       "genome": genome.tolist()}))
+    assert cli.main(["eval", "--genome", str(genome_file),
+                     "--episodes", "4", "--seed", "6"]) == 0
+    # the scalar reference: one agent, one Generator for all episodes
+    agent, env = architecture.build(genome), factory()
+    rng = np.random.default_rng(np.random.SeedSequence([6]))
+    memo: dict = {}
+    scores = [evo.play_episode(agent, env, rng, memo) for _ in range(4)]
+    expected = json.dumps({"env": env_name, "episodes": 4, "scores": scores,
+                           "mean": float(np.mean(scores)), "std": float(np.std(scores))})
+    assert capsys.readouterr().out == expected + "\n"
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_eval_rejects_non_finite_genome(tmp_path, capsys, bad):
+    genome_file = tmp_path / "g.json"
+    genome_file.write_text('{"env": "cartpole", "genome": [%s%s]}'
+                           % ("0.0, " * 25, bad))
+    assert cli.main(["eval", "--genome", str(genome_file), "--episodes", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "non-finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("key", ["parents", "elite", "best_genome", "best_score",
+                                 "parent_fitness", "elite_score", "window"])
+def test_resume_rejects_non_finite_checkpoint(tmp_path, capsys, key):
+    config = write_config(tmp_path / "cfg.json", evo={"generations": 4})
+    assert cli.main(["train", "--config", str(config)]) == 0
+    checkpoint = tmp_path / "run" / "checkpoint_1.json"
+    data = json.loads(checkpoint.read_text())
+    if isinstance(data[key], float):
+        data[key] = float("nan")
+    elif isinstance(data[key][0], list):
+        data[key][0][-1] = float("nan")
+    else:
+        data[key][-1] = float("nan")
+    checkpoint.write_text(json.dumps(data))  # json writes the NaN token
+    before = (tmp_path / "run" / "stats.csv").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "non-finite" in captured.err
+    assert (tmp_path / "run" / "stats.csv").read_bytes() == before
 
 
 def test_eval_architecture_mismatch_fails(tmp_path, capsys):

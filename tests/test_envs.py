@@ -316,3 +316,124 @@ def test_rotation_changes_view_not_position():
     after = env.step(1).observation
     assert env.agent_pos == (1, 1)
     assert not np.array_equal(before, after)
+
+
+# ---------------------------------------------------------------------------
+# batched forms: cart-pole step arrays and the grid's finite model
+
+def test_numpy_trig_matches_math_bitwise():
+    # the batched cart-pole step uses np.cos/np.sin where step uses math's
+    rng = np.random.default_rng(21)
+    theta = np.concatenate([rng.uniform(-1.0, 1.0, 500_000),
+                            rng.uniform(-1e4, 1e4, 500_000)])
+    values = theta.tolist()
+    assert np.array_equal(np.cos(theta), [math.cos(v) for v in values])
+    assert np.array_equal(np.sin(theta), [math.sin(v) for v in values])
+
+
+def test_batched_cartpole_step_matches_step():
+    rng = np.random.default_rng(22)
+    env = envs.CartPoleEnv()
+    # random states, many of them past a bound after one step
+    states = rng.uniform(-1.0, 1.0, (4000, 4)) * [2.5, 3.0, 0.3, 3.0]
+    actions = rng.integers(0, 2, len(states))
+    batched, failed = env.step_batch(states, actions)
+    for row, (state, action) in enumerate(zip(states, actions)):
+        env._state, env._done, env.steps = state.copy(), False, 0
+        transition = env.step(int(action))
+        assert np.array_equal(transition.observation, batched[row])
+        assert transition.done == failed[row]
+    assert 0 < failed.sum() < len(states)
+
+
+def test_cartpole_rollouts_match_episodes():
+    env = envs.CartPoleEnv()
+    policies = [scripted_balancer, lambda obs: 0, lambda obs: int(obs[3] > 0)]
+
+    def policy(agents, obs):
+        return np.array([policies[a](o) for a, o in zip(agents, obs)])
+
+    seeds = [5, 6, 7]
+    returns = env.rollouts(policy, (np.random.default_rng(s) for s in seeds), 3, 2)
+    for agent, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        expected = [run_episode(env, policies[agent], rng)[0] for _ in range(2)]
+        assert returns[agent].tolist() == expected
+    assert returns[0].tolist() == [500.0, 500.0]
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_grid_model_matches_step(n):
+    env = envs.MiniGridEnv(n)
+    model = env.model
+    assert model is env.model  # built once per env
+    assert model.observations.shape == ((n - 2) ** 2 * 4, envs.OBS_LENGTH)
+    assert not model.observations.flags.writeable
+    assert model.goal.sum() == 4
+    assert np.array_equal(model.observations[model.start], env.reset())
+    assert model.states[model.start] == ((1, 1), 0)
+    # every (state, action) pair against step itself
+    probe = envs.MiniGridEnv(n)
+    for s, (pos, direction) in enumerate(model.states):
+        probe.reset()
+        probe.agent_pos, probe.agent_dir = pos, direction
+        assert np.array_equal(model.observations[s], probe._observation())
+        assert model.goal[s] == (pos == probe.goal_pos)
+        for action in range(envs.N_ACTIONS):
+            probe.reset()
+            probe.agent_pos, probe.agent_dir = pos, direction
+            probe.step(action)
+            assert model.states[model.successor[s, action]] == (probe.agent_pos,
+                                                                probe.agent_dir)
+
+
+def test_grid_rollouts_follow_the_table_and_cut_cycles():
+    env = envs.MiniGridEnv(5)
+    calls = []
+
+    def policy(agents, obs):
+        calls.append(len(agents))
+        # agent 0 runs the optimal path, agent 1 spins, agent 2 hits the wall
+        out = []
+        for a, o in zip(agents, obs):
+            if a == 0:
+                ahead = o.reshape(envs.VIEW_SIZE, envs.VIEW_SIZE, 3)[5, 3, 0]
+                out.append(envs.ACTION_RIGHT if ahead * envs.OBJECT_SCALE == envs.OBJECT_WALL
+                           else envs.ACTION_FORWARD)
+            else:
+                out.append(envs.ACTION_LEFT if a == 1 else envs.ACTION_FORWARD)
+        return np.array(out)
+
+    returns = env.rollouts(policy, iter(()), 3, 4)
+    assert returns.shape == (3, 4)
+    assert returns[0].tolist() == [0.955] * 4
+    assert returns[1:].tolist() == [[0.0] * 4] * 2
+    assert calls[0] == 3 and sum(calls) < 20  # each (agent, state) pair once
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_grid_rollouts_match_episodes_of_random_tables(n):
+    # 200 agents, each with a random action per state that mostly heads
+    # for the goal: many reach it, at many step counts; the rest loop
+    env = envs.MiniGridEnv(n)
+    model = env.model
+    distance = np.where(model.goal, 0, 10**6)
+    for _ in range(len(model.goal)):
+        distance = np.minimum(distance, 1 + distance[model.successor].min(axis=1))
+    toward = distance[model.successor].argmin(axis=1)
+    rng = np.random.default_rng(n)
+    shape = (200, len(model.goal))
+    tables = np.where(rng.random(shape) < 0.75, toward,
+                      rng.choice([envs.ACTION_LEFT, envs.ACTION_RIGHT, 4], size=shape))
+    index = {obs.tobytes(): s for s, obs in enumerate(model.observations)}
+
+    def policy(agents, obs):
+        return tables[agents, [index[o.tobytes()] for o in obs]]
+
+    returns = env.rollouts(policy, iter(()), len(tables), 2)
+    expected = [run_episode(env, lambda o: tables[a, index[o.tobytes()]], None)[0]
+                for a in range(len(tables))]
+    assert returns[:, 0].tolist() == expected
+    assert returns[:, 1].tolist() == expected
+    if n < 8:  # 8x8 views repeat (90 distinct of 144), and these walks get lost
+        assert len({r for r in expected if r > 0.0}) >= 3

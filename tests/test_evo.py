@@ -144,6 +144,21 @@ def test_sphere_run_improves_and_best_never_degrades():
         snapshots[min(range(30), key=lambda g: -history[g].elite_score)].elite)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_fitness_is_rejected(bad):
+    def objective(genome):
+        return bad if genome[0] > 0.0 else sphere(genome)
+
+    with pytest.raises(ValueError, match="non-finite fitness"):
+        evo.run_function(tiny_config(), objective, 5)
+
+
+def test_non_finite_config_is_rejected():
+    for field in ("mutation_power", "init_scale"):
+        with pytest.raises(ValueError, match="finite"):
+            tiny_config(**{field: math.nan})
+
+
 def test_zero_generations_returns_empty_history():
     config = tiny_config(generations=0)
     assert evo.run_function(config, sphere, 3) == []

@@ -70,6 +70,51 @@ def test_rot_is_rz_ry_rz_in_order():
     np.testing.assert_allclose(by_rot.amps, by_parts.amps, atol=1e-14)
 
 
+def _reference_rot(alpha, beta, gamma):
+    """Rz(g) Ry(b) Rz(a) from math.cos/math.sin and one complex exp each."""
+    def ry(t):
+        c, s = math.cos(t / 2.0), math.sin(t / 2.0)
+        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+
+    def rz(t):
+        p = np.exp(-0.5j * t)
+        return np.array([[p, 0.0], [0.0, p.conjugate()]], dtype=np.complex128)
+
+    return rz(gamma) @ ry(beta) @ rz(alpha)
+
+
+EDGE_ANGLES = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 1e-300, 5e-324,
+               1e6, -1e9, 1e15, 1e22, -1e300]
+
+
+def test_stacked_gates_match_scalar_matrices_bitwise():
+    rng = np.random.default_rng(11)
+    angles = rng.uniform(-50.0, 50.0, (20_000, 3))
+    edges = np.array(EDGE_ANGLES)
+    grid = np.stack(np.meshgrid(edges, edges, edges, indexing="ij"), -1).reshape(-1, 3)
+    angles = np.concatenate([grid, angles])
+    stacked = qsim.rot_matrix(angles[:, 0], angles[:, 1], angles[:, 2])
+    assert stacked.shape == (len(angles), 2, 2)
+    reference = np.array([_reference_rot(*row) for row in angles.tolist()])
+    assert np.array_equal(stacked.view(np.float64), reference.view(np.float64))
+    # an angle array of any shape gives that shape of matrices
+    assert qsim.ry_matrix(np.zeros((3, 4))).shape == (3, 4, 2, 2)
+    assert qsim.rz_matrix(0.5).shape == (2, 2)
+
+
+def test_stacked_apply_single_matches_column_by_column():
+    rng = np.random.default_rng(12)
+    n_qubits, batch = 3, 7
+    amps = rng.standard_normal((1 << n_qubits, batch)) \
+        + 1j * rng.standard_normal((1 << n_qubits, batch))
+    mats = qsim.rot_matrix(*rng.uniform(-3, 3, (3, batch)))
+    for qubit in range(n_qubits):
+        stacked = qsim.apply_single(amps.copy(), n_qubits, qubit, mats)
+        for col in range(batch):
+            single = qsim.apply_single(amps[:, col].copy(), n_qubits, qubit, mats[col])
+            assert np.array_equal(stacked[:, col], single)
+
+
 def test_cnot_truth_table():
     # qubit 0 is the most significant bit: CNOT(0 -> 1) swaps |10> and |11>
     for source, target in [(0, 0), (1, 1), (2, 3), (3, 2)]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,8 +40,7 @@ import numpy as np
 
 from . import agents, envs, evo
 
-STATS_COLUMNS = ("generation", "top5_avg", "pop_mean", "pop_std",
-                 "elite_score", "rolling_mean_100", "rolling_std_100")
+STATS_COLUMNS = tuple(field.name for field in dataclasses.fields(evo.GenerationStats))
 CHECKPOINT_FORMAT = 1
 
 
@@ -54,6 +54,7 @@ class RunConfig:
     checkpoint_every: int = 50
 
     def __post_init__(self) -> None:
+        evo.check_field_types(self)
         if self.env not in envs.ENV_NAMES:
             raise ValueError(f"env must be one of {envs.ENV_NAMES}, "
                              f"got {self.env!r}")
@@ -105,114 +106,122 @@ def resolve_task(env: str, bond_dim: int):
 # stats / checkpoint files
 
 def _stats_row(stats: evo.GenerationStats) -> str:
-    return ",".join([
-        str(stats.generation), repr(stats.top5_avg), repr(stats.pop_mean),
-        repr(stats.pop_std), repr(stats.elite_score),
-        repr(stats.rolling_mean_100), repr(stats.rolling_std_100),
-    ]) + "\n"
+    # every field is an int or a Python float, whose repr round-trips
+    return ",".join(map(repr, dataclasses.astuple(stats))) + "\n"
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Write JSON (arrays as lists) so that a crash leaves the old or the new file.
+
+    The text is synced to a temporary file beside `path`, then renamed over it.
+    """
+    text = json.dumps(payload, default=np.ndarray.tolist)
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        with open(temp, "w") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _write_checkpoint(path: Path, config: RunConfig,
                       snapshot: evo.GenerationSnapshot) -> None:
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "run_config": {
-            "env": config.env,
-            "mps_bond_dim": config.mps_bond_dim,
-            "out_dir": config.out_dir,
-            "workers": config.workers,
-            "checkpoint_every": config.checkpoint_every,
-            "evo": dataclasses.asdict(config.evo),
-        },
-        "generation": snapshot.generation,
-        "parents": [row.tolist() for row in snapshot.parents],
-        "parent_fitness": snapshot.parent_fitness.tolist(),
-        "elite": snapshot.elite.tolist(),
-        "elite_score": snapshot.elite_score,
-        "window": [list(entry) for entry in snapshot.window],
-        "best_genome": snapshot.best_genome.tolist(),
-        "best_score": snapshot.best_score,
-    }
-    path.write_text(json.dumps(payload))
+    _write_json(path, {"format": CHECKPOINT_FORMAT,
+                       "run_config": dataclasses.asdict(config), **vars(snapshot)})
 
 
 def _write_best_genome(path: Path, config: RunConfig,
                        snapshot: evo.GenerationSnapshot) -> None:
-    payload = {
-        "env": config.env,
-        "bond_dim": config.mps_bond_dim,
-        "generation": snapshot.generation,
-        "score": snapshot.best_score,
-        "genome": snapshot.best_genome.tolist(),
-    }
-    path.write_text(json.dumps(payload))
+    _write_json(path, {"env": config.env, "bond_dim": config.mps_bond_dim,
+                       "generation": snapshot.generation,
+                       "score": snapshot.best_score, "genome": snapshot.best_genome})
 
 
 def _finite_array(values, what: str) -> np.ndarray:
     """A float64 array of JSON numbers, rejecting NaN and infinities."""
-    array = np.asarray(values, dtype=np.float64)
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} is not a regular array of numbers") from None
     if not np.all(np.isfinite(array)):
         raise ValueError(f"{what} holds non-finite entries")
     return array
 
 
-def _load_checkpoint(path: str | Path) -> tuple[RunConfig, dict]:
+def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapshot]:
+    """The run config and snapshot of a checkpoint, checked before anything is written."""
     with open(path) as handle:
         data = json.load(handle)
     if data.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format: {data.get('format')!r}")
     config = _run_config_from_dict(data["run_config"])
-    for key in ("parents", "parent_fitness", "elite", "elite_score", "window",
-                "best_genome", "best_score"):
-        _finite_array(data[key], f"checkpoint {key!r}")
-    return config, data
+    generation = data["generation"]
+    if type(generation) is not int or generation < 0:
+        raise ValueError(f"checkpoint 'generation' must be an int >= 0, got {generation!r}")
+    length = resolve_task(config.env, config.mps_bond_dim)[1].genome_length
+    rows = config.evo.truncation
+    shapes = {"parents": (rows, length), "parent_fitness": (rows,),
+              "elite": (length,), "elite_score": (),
+              "window": (min(generation + 1, evo.ROLLING_WINDOW), 3),
+              "best_genome": (length,), "best_score": ()}
+    values = {"generation": generation}
+    for key, shape in shapes.items():
+        array = _finite_array(data[key], f"checkpoint {key!r}")
+        if array.shape != shape:
+            raise ValueError(f"checkpoint {key!r} must have shape {shape}, "
+                             f"got {array.shape}")
+        values[key] = array if shape else array.item()
+    # the window's sums become stats.csv cells through repr, so its rows stay
+    # the JSON numbers: a NumPy scalar would print as np.float64(...)
+    values["window"] = tuple(map(tuple, data["window"]))
+    return config, evo.GenerationSnapshot(**values)
 
 
-def _truncate_stats(path: Path, last_generation: int) -> None:
-    """Drop rows past the checkpointed generation before appending."""
-    header = ",".join(STATS_COLUMNS) + "\n"
-    if path.exists():
-        kept = []
-        for line in path.read_text().splitlines():
-            first = line.split(",", 1)[0]
-            if first == "generation":
-                continue
-            if int(first) <= last_generation:
+def _start_stats(path: Path, resume: evo.GenerationSnapshot | None) -> None:
+    """Write the header, keeping the rows up to the generation resumed from."""
+    kept = []
+    if resume is not None and path.exists():
+        for line in path.read_text().splitlines()[1:]:
+            if int(line.split(",", 1)[0]) <= resume.generation:
                 kept.append(line + "\n")
-        path.write_text(header + "".join(kept))
-    else:
-        path.write_text(header)
+    path.write_text(",".join(STATS_COLUMNS) + "\n" + "".join(kept))
 
 
-def _train_loop(config: RunConfig, resume_state: evo.ResumeState | None,
-                stats_mode: str) -> int:
+def _train_loop(config: RunConfig, resume: evo.GenerationSnapshot | None) -> int:
+    """Train from scratch, or on from the snapshot `resume`."""
     env_factory, architecture = resolve_task(config.env, config.mps_bond_dim)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats_path = out_dir / "stats.csv"
+    _start_stats(stats_path, resume)
 
-    last_snapshot: list[evo.GenerationSnapshot | None] = [None]
-    with open(stats_path, stats_mode) as stats_file:
-        if stats_mode == "w":
-            stats_file.write(",".join(STATS_COLUMNS) + "\n")
+    snapshot: evo.GenerationSnapshot | None = None
+    with open(stats_path, "a") as stats_file:
 
         def on_generation(stats: evo.GenerationStats,
-                          snapshot: evo.GenerationSnapshot) -> None:
+                          latest: evo.GenerationSnapshot) -> None:
+            nonlocal snapshot
+            snapshot = latest
             stats_file.write(_stats_row(stats))
             stats_file.flush()
-            last_snapshot[0] = snapshot
-            if (snapshot.generation + 1) % config.checkpoint_every == 0:
-                _write_checkpoint(out_dir / f"checkpoint_{snapshot.generation}.json",
-                                  config, snapshot)
+            if (latest.generation + 1) % config.checkpoint_every == 0:
+                _write_checkpoint(out_dir / f"checkpoint_{latest.generation}.json",
+                                  config, latest)
 
         history = evo.run(config.evo, env_factory, architecture,
                           workers=config.workers, on_generation=on_generation,
-                          resume=resume_state)
+                          resume=resume)
 
-    snapshot = last_snapshot[0]
     if snapshot is not None:
-        _write_checkpoint(out_dir / f"checkpoint_{snapshot.generation}.json",
-                          config, snapshot)
+        # the last generation's checkpoint, unless the cadence wrote it; written
+        # here, once the run's population is freed, it adds no peak memory
+        if (snapshot.generation + 1) % config.checkpoint_every:
+            _write_checkpoint(out_dir / f"checkpoint_{snapshot.generation}.json",
+                              config, snapshot)
         _write_best_genome(out_dir / "best_genome.json", config, snapshot)
         print(f"finished generation {snapshot.generation}: "
               f"best score {snapshot.best_score}, outputs in {out_dir}")
@@ -241,11 +250,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         overrides["evo"] = dataclasses.replace(config.evo, **evo_overrides)
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    return _train_loop(config, resume_state=None, stats_mode="w")
+    return _train_loop(config, resume=None)
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    config, data = _load_checkpoint(args.checkpoint)
+    config, snapshot = _load_checkpoint(args.checkpoint)
     if args.env is not None and args.env != config.env:
         raise ValueError(f"checkpoint was trained on {config.env!r}, "
                          f"cannot resume on {args.env!r}")
@@ -257,20 +266,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
                                                generations=args.generations)
     if overrides:
         config = dataclasses.replace(config, **overrides)
-
-    generation = int(data["generation"])
-    parents = np.asarray(data["parents"], dtype=np.float64)
-    elite = np.asarray(data["elite"], dtype=np.float64)
-    population = evo.spawn_children(parents, elite, config.evo, generation)
-    resume_state = evo.ResumeState(
-        next_generation=generation + 1,
-        population=population,
-        window=[tuple(entry) for entry in data["window"]],
-        best_genome=np.asarray(data["best_genome"], dtype=np.float64),
-        best_score=float(data["best_score"]),
-    )
-    _truncate_stats(Path(config.out_dir) / "stats.csv", generation)
-    return _train_loop(config, resume_state=resume_state, stats_mode="a")
+    return _train_loop(config, resume=snapshot)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

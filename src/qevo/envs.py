@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -337,33 +337,15 @@ class MiniGridEnv:
 
 
 # ---------------------------------------------------------------------------
-# factories (top-level, picklable, usable as worker initializers)
-
-ENV_NAMES = ("cartpole", "minigrid-5", "minigrid-6", "minigrid-8")
-
-
-def make_cartpole() -> CartPoleEnv:
-    return CartPoleEnv()
-
-
-def make_minigrid_5() -> MiniGridEnv:
-    return MiniGridEnv(5)
-
-
-def make_minigrid_6() -> MiniGridEnv:
-    return MiniGridEnv(6)
-
-
-def make_minigrid_8() -> MiniGridEnv:
-    return MiniGridEnv(8)
-
+# factories (zero-argument and picklable, so pool workers can build envs)
 
 _FACTORIES = {
-    "cartpole": make_cartpole,
-    "minigrid-5": make_minigrid_5,
-    "minigrid-6": make_minigrid_6,
-    "minigrid-8": make_minigrid_8,
+    "cartpole": CartPoleEnv,
+    "minigrid-5": partial(MiniGridEnv, 5),
+    "minigrid-6": partial(MiniGridEnv, 6),
+    "minigrid-8": partial(MiniGridEnv, 8),
 }
+ENV_NAMES = tuple(_FACTORIES)
 
 
 def env_factory(name: str):

@@ -27,10 +27,11 @@ tests hold the batched path to, bit for bit; training does not call them.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -56,6 +57,7 @@ class EvoConfig:
     init_scale: float = 0.01
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 1 <= self.truncation < self.population:
             raise ValueError("need 1 <= truncation < population")
         if not (math.isfinite(self.mutation_power) and math.isfinite(self.init_scale)):
@@ -68,6 +70,20 @@ class EvoConfig:
             raise ValueError("generations must be >= 0")
         if self.init_scale < 0.0:
             raise ValueError("init_scale must be >= 0")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
+
+
+def check_field_types(config) -> None:
+    """Reject a bool or a fraction in an int field, and a bool in a float field.
+
+    JSON's `true` and `1.5` would pass the range checks or fail deep in a run.
+    """
+    for name, hint in get_type_hints(type(config)).items():
+        kind = {int: numbers.Integral, float: numbers.Real}.get(hint)
+        value = getattr(config, name)
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValueError(f"{name} must be of type {hint.__name__}, got {value!r}")
 
 
 @dataclass
@@ -83,7 +99,10 @@ class GenerationStats:
 
 @dataclass
 class GenerationSnapshot:
-    """Everything needed to checkpoint and later resume after `generation`."""
+    """Everything needed to checkpoint and later resume after `generation`.
+
+    A checkpoint file holds exactly these fields, plus the run config.
+    """
 
     generation: int
     parents: np.ndarray
@@ -92,15 +111,6 @@ class GenerationSnapshot:
     elite_score: float
     window: tuple[tuple[int, float, float], ...]
     best_genome: np.ndarray
-    best_score: float
-
-
-@dataclass
-class ResumeState:
-    next_generation: int
-    population: np.ndarray
-    window: Sequence[tuple[int, float, float]]
-    best_genome: np.ndarray | None
     best_score: float
 
 
@@ -239,8 +249,11 @@ def _evolve(config: EvoConfig,
             genome_length: int,
             stop_condition: Callable[[GenerationStats], bool] | None,
             on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None,
-            resume: ResumeState | None) -> list[GenerationStats]:
-    """The loop; fitness_of(genomes, generation, tag, repeats) scores a batch."""
+            resume: GenerationSnapshot | None) -> list[GenerationStats]:
+    """The loop; fitness_of(genomes, generation, tag, repeats) scores a batch.
+
+    `resume`, the snapshot of generation g, re-spawns generation g + 1.
+    """
     if resume is None:
         population = init_population(config, genome_length)
         start = 0
@@ -248,8 +261,9 @@ def _evolve(config: EvoConfig,
         best_genome: np.ndarray | None = None
         best_score = -math.inf
     else:
-        population = np.asarray(resume.population, dtype=np.float64)
-        start = resume.next_generation
+        population = spawn_children(resume.parents, resume.elite, config,
+                                    resume.generation)
+        start = resume.generation + 1
         window = deque(resume.window, maxlen=ROLLING_WINDOW)
         best_genome = resume.best_genome
         best_score = resume.best_score
@@ -306,7 +320,7 @@ def run(config: EvoConfig, env_factory, architecture: AgentArchitecture,
         workers: int = 1,
         stop_condition: Callable[[GenerationStats], bool] | None = None,
         on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None = None,
-        resume: ResumeState | None = None) -> list[GenerationStats]:
+        resume: GenerationSnapshot | None = None) -> list[GenerationStats]:
     """Train on an environment; see the module docstring for the loop.
 
     Agent i of a batch plays from the stream [master_seed, tag, generation,

@@ -209,7 +209,7 @@ def test_criterion_7_desk_scale_minigrid_training():
                                    mutation_power=0.02, generations=150,
                                    repeats_all=3, repeats_parents=5,
                                    master_seed=seed)
-            hit, gens = run_until(config, envs.make_minigrid_5,
+            hit, gens = run_until(config, envs.env_factory("minigrid-5"),
                                   agents.tnvqc_architecture(bond_dim=4), 0.90)
             outcomes.append(hit)
             print(f"  seed {seed}: top-5 avg >= 0.90 "

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from qevo import agents, envs, evo, mps
 
 TASKS = {
-    "cartpole": (envs.make_cartpole, agents.cartpole_architecture()),
-    "minigrid-5": (envs.make_minigrid_5, agents.tnvqc_architecture(bond_dim=2)),
-    "minigrid-6": (envs.make_minigrid_6, agents.tnvqc_architecture(bond_dim=1)),
-    "minigrid-8": (envs.make_minigrid_8, agents.tnvqc_architecture(bond_dim=2)),
+    "cartpole": (envs.env_factory("cartpole"), agents.cartpole_architecture()),
+    "minigrid-5": (envs.env_factory("minigrid-5"), agents.tnvqc_architecture(bond_dim=2)),
+    "minigrid-6": (envs.env_factory("minigrid-6"), agents.tnvqc_architecture(bond_dim=1)),
+    "minigrid-8": (envs.env_factory("minigrid-8"), agents.tnvqc_architecture(bond_dim=2)),
 }
 
 

@@ -226,6 +226,93 @@ def test_resume_rejects_non_finite_checkpoint(tmp_path, capsys, key):
     assert (tmp_path / "run" / "stats.csv").read_bytes() == before
 
 
+@pytest.mark.parametrize("key,corrupt", [
+    ("parents", lambda rows: [row[:-1] for row in rows]),
+    ("parents", lambda rows: rows[:-1]),
+    ("parent_fitness", lambda values: values[:-1]),
+    ("elite", lambda values: values[:-1]),
+    ("best_genome", lambda values: values[:3]),
+    ("window", lambda rows: [row[:-1] for row in rows]),
+    ("window", lambda rows: rows[:-1]),
+    ("generation", lambda value: 1.5),
+    ("generation", lambda value: -1),
+], ids=["parents-width", "parents-count", "parent_fitness", "elite",
+        "best_genome", "window-width", "window-rows", "generation-float",
+        "generation-negative"])
+def test_rejected_resume_leaves_stats_unchanged(tmp_path, capsys, key, corrupt):
+    config = write_config(tmp_path / "cfg.json")
+    assert cli.main(["train", "--config", str(config)]) == 0
+    checkpoint = tmp_path / "run" / "checkpoint_1.json"
+    data = json.loads(checkpoint.read_text())
+    data[key] = corrupt(data[key])
+    checkpoint.write_text(json.dumps(data))
+    before = (tmp_path / "run" / "stats.csv").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and repr(key) in captured.err
+    assert (tmp_path / "run" / "stats.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("every,expected", [(2, [1, 3, 4]), (1, [0, 1, 2, 3, 4]),
+                                            (5, [4]), (7, [4])])
+def test_each_checkpoint_is_written_once(tmp_path, monkeypatch, every, expected):
+    written = []
+    write = cli._write_checkpoint
+
+    def counted(path, config, snapshot):
+        written.append(snapshot.generation)
+        write(path, config, snapshot)
+
+    monkeypatch.setattr(cli, "_write_checkpoint", counted)
+    config = write_config(tmp_path / "cfg.json", checkpoint_every=every)
+    assert cli.main(["train", "--config", str(config)]) == 0
+    assert written == expected
+
+
+def test_checkpoint_round_trips_byte_for_byte(tmp_path):
+    config = write_config(tmp_path / "cfg.json")
+    cli.main(["train", "--config", str(config)])
+    original = tmp_path / "run" / "checkpoint_3.json"
+    run_config, snapshot = cli._load_checkpoint(original)
+    cli._write_checkpoint(tmp_path / "copy.json", run_config, snapshot)
+    assert (tmp_path / "copy.json").read_bytes() == original.read_bytes()
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    config = write_config(tmp_path / "cfg.json")
+    cli.main(["train", "--config", str(config)])
+    out_dir = tmp_path / "run"
+    checkpoint = out_dir / "checkpoint_3.json"
+    before = checkpoint.read_bytes()
+    files = sorted(out_dir.iterdir())
+    run_config, snapshot = cli._load_checkpoint(out_dir / "checkpoint_4.json")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_checkpoint(checkpoint, run_config, snapshot)
+    assert checkpoint.read_bytes() == before
+    assert sorted(out_dir.iterdir()) == files
+
+
+@pytest.mark.parametrize("field,value", [
+    ("checkpoint_every", 1.5), ("workers", True), ("mps_bond_dim", 2.0),
+    ("evo.population", 10.5), ("evo.truncation", True), ("evo.master_seed", True),
+    ("evo.master_seed", -1), ("evo.init_scale", True), ("evo.mutation_power", True),
+])
+def test_config_rejects_mistyped_numbers(tmp_path, capsys, field, value):
+    section, _, name = field.rpartition(".")
+    overrides = {"evo": {name: value}} if section else {name: value}
+    config = write_config(tmp_path / "cfg.json", **overrides)
+    assert cli.main(["train", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and name in captured.err
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_architecture_mismatch_fails(tmp_path, capsys):
     genome_file = tmp_path / "g.json"
     genome_file.write_text(json.dumps({"env": "cartpole",

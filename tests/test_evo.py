@@ -210,15 +210,7 @@ def test_resume_reproduces_uninterrupted_run():
     full = evo.run_function(config, sphere, 5,
                             on_generation=lambda s, snap: snaps.__setitem__(
                                 snap.generation, snap))
-    cut = snaps[3]
-    resume = evo.ResumeState(
-        next_generation=4,
-        population=evo.spawn_children(cut.parents, cut.elite, config, 3),
-        window=cut.window,
-        best_genome=cut.best_genome,
-        best_score=cut.best_score,
-    )
-    tail = evo._evolve(config, sphere_fitness, 5, None, None, resume)
+    tail = evo._evolve(config, sphere_fitness, 5, None, None, snaps[3])
     assert [repr(s) for s in tail] == [repr(s) for s in full[4:]]
 
 
@@ -243,8 +235,8 @@ def test_minigrid_worker_count_does_not_change_results():
                            generations=2, repeats_all=2, repeats_parents=2,
                            master_seed=1, init_scale=0.2)
     arch = agents.tnvqc_architecture(bond_dim=2)
-    serial = evo.run(config, envs.make_minigrid_5, arch, workers=1)
-    pooled = evo.run(config, envs.make_minigrid_5, arch, workers=2)
+    serial = evo.run(config, envs.env_factory("minigrid-5"), arch, workers=1)
+    pooled = evo.run(config, envs.env_factory("minigrid-5"), arch, workers=2)
     assert [repr(s) for s in serial] == [repr(s) for s in pooled]
     assert any(s.top5_avg > 0.0 for s in serial)
 
@@ -265,9 +257,11 @@ def test_run_rejects_bad_worker_count():
 
 def test_resume_shape_mismatch_rejected():
     config = tiny_config()
-    resume = evo.ResumeState(next_generation=1, population=np.zeros((3, 5)),
-                             window=[], best_genome=None,
-                             best_score=-math.inf)
+    # parents and elite of length 4 re-spawn a population of the wrong width
+    resume = evo.GenerationSnapshot(
+        generation=0, parents=np.zeros((3, 4)), parent_fitness=np.zeros(3),
+        elite=np.zeros(4), elite_score=0.0, window=((8, 0.0, 0.0),),
+        best_genome=np.zeros(4), best_score=0.0)
     with pytest.raises(ValueError, match="shape"):
         evo.run_function(config, sphere, 5) is not None  # baseline ok
         evo._evolve(config, sphere_fitness, 5, None, None, resume)

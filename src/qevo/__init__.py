@@ -2,10 +2,10 @@
 
 Layers, bottom up:
 
-- qsim: dense statevector simulator (gates, expectations, amplitude encoding)
-- mps: trainable matrix-product-state feature extractor
-- envs: cart-pole and empty-gridworld environments, implemented from scratch
-- agents: the two circuit policies and their flat-genome interface
+- qsim: gate matrices and in-place gate kernels on (batches of) amplitudes
+- mps: trainable matrix-product-state feature extractor, contracted by rows
+- envs: cart-pole and empty-gridworld environments, played in lockstep
+- agents: the two circuit policies, batched over a population of genomes
 - evo: truncation-selection evolution strategy with deterministic seeding
 - cli: train / eval / resume front end with CSV stats and JSON checkpoints
 """

@@ -1,6 +1,6 @@
-"""The two circuit policies and their flat-genome interface.
+"""The two circuit policies, batched over a population of flat genomes.
 
-CartPoleAgent (2 qubits, 26 parameters): the 4-component observation is
+Cart-pole (2 qubits, 26 parameters): the 4-component observation is
 L2-normalized and written directly into the amplitudes (signed entries
 are legal there), then 4 blocks of [CNOT(0->1); Rot(q0); Rot(q1)] run,
 each block with its own 6 angles.  The two logits are <Z0> + bias0 and
@@ -8,7 +8,7 @@ each block with its own 6 angles.  The two logits are <Z0> + bias0 and
 ties break low).  Genome layout: 24 circuit angles, block-major, qubit,
 then (alpha, beta, gamma), followed by the 2 bias entries.
 
-TnVqcAgent (MPS front end + 8 qubits, 24 + mps.param_count parameters):
+TN-VQC (MPS front end + 8 qubits, 24 + mps.param_count parameters):
 the 147-component observation is compressed by the MPS into 8 features
 x_i, loaded variationally as H, Ry(arctan x_i), Rz(arctan x_i^2) per
 qubit, followed by one variational block: the CNOT ring 0->1 ... 6->7,
@@ -18,19 +18,8 @@ would not change the argmax, so none is applied.  Genome layout: the 24
 circuit angles (qubit-major, (alpha, beta, gamma)), then the MPS entries
 as offsets from mps.identity_base.
 
-An agent is built straight from its genome, whose length it checks once.
-Its circuit parameters are read-only views of the genome; the MPS entries
-are the one derived array (identity base + offsets), which
-mps.MpsFeatureExtractor views as cores.  Both forwards are pure functions
-of (genome, observation).  Construction precomputes everything reusable: the
-4x4 circuit unitary for cart-pole, the per-qubit Rot matrices and the
-fixed CNOT-ring permutation for the 8-qubit agent.
-
-The agent classes are the scalar reference.  Training runs the batched
-policies instead: `cartpole_policy(genomes)` and `tnvqc_policy(genomes,
-bond_dim)` return a function of (agent indices, observation rows) that
-gives every row's action with the same arithmetic as `act`, bit for bit:
-normalise, U @ amps, |psi|^2, the same Z sums, argmax with ties low.
+`cartpole_policy` and `tnvqc_policy` read a (P, L) genome array once and
+return policy(agents, observations), the action of each row's agent.
 """
 
 from __future__ import annotations
@@ -57,37 +46,6 @@ TNVQC_CIRCUIT_PARAMS = TNVQC_QUBITS * 3  # 24
 _H_ON_ZERO = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
 
 
-class CartPoleAgent:
-    def __init__(self, genome: np.ndarray):
-        genome = np.asarray(genome, dtype=np.float64)
-        if genome.shape != (CARTPOLE_GENOME_LENGTH,):
-            raise ValueError(f"cart-pole genome must have length "
-                             f"{CARTPOLE_GENOME_LENGTH}, got {genome.shape}")
-        genome = genome.view()
-        genome.flags.writeable = False
-        self.block_params = genome[:24].reshape(CARTPOLE_BLOCKS, CARTPOLE_QUBITS, 3)
-        self.bias = genome[24:]
-        self._unitary = cartpole_unitaries(genome[None])[0]
-
-    def logits(self, obs: np.ndarray) -> np.ndarray:
-        obs = np.asarray(obs, dtype=np.float64)
-        if obs.shape != (4,):
-            raise ValueError(f"observation must have shape (4,), got {obs.shape}")
-        if not np.all(np.isfinite(obs)):
-            raise ValueError("observation must be finite")
-        norm = float(np.linalg.norm(obs))
-        # an all-zero observation has no direction; encode the uniform state
-        amps = obs / norm if norm > 0.0 else np.full(4, 0.5)
-        psi = self._unitary @ amps
-        p = np.abs(psi) ** 2
-        z0 = p[0] + p[1] - p[2] - p[3]
-        z1 = p[0] - p[1] + p[2] - p[3]
-        return np.array([z0 + self.bias[0], z1 + self.bias[1]])
-
-    def act(self, obs: np.ndarray) -> int:
-        return int(np.argmax(self.logits(obs)))
-
-
 def cartpole_unitaries(genomes: np.ndarray) -> np.ndarray:
     """(P, 4, 4) circuit unitaries of P cart-pole genomes, built together."""
     count = len(genomes)
@@ -104,10 +62,10 @@ def cartpole_unitaries(genomes: np.ndarray) -> np.ndarray:
 
 def _cartpole_logits(unitaries: np.ndarray, bias: np.ndarray,
                      obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`CartPoleAgent.logits` over rows: (n, 4, 4) unitaries, (n, 2) biases."""
+    """The two logits of each row: (n, 4, 4) unitaries, (n, 2) biases."""
     norm = np.sqrt(np.vecdot(obs, obs))
     zero = norm == 0.0
-    if zero.any():  # no direction: the uniform state, as in `logits`
+    if zero.any():  # no direction: encode the uniform state
         obs = np.where(zero[:, None], 0.5, obs)
         norm[zero] = 1.0
     amps = obs / norm[:, None]
@@ -122,7 +80,7 @@ def _cartpole_actions(unitaries: np.ndarray, bias: np.ndarray,
 
 
 def cartpole_policy(genomes: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Batched `CartPoleAgent.act`: policy(agents, obs) for (P, 26) genomes."""
+    """policy(agents, obs) for (P, 26) genomes."""
     genomes = _check_genomes(genomes, CARTPOLE_GENOME_LENGTH)
     return partial(_cartpole_actions, cartpole_unitaries(genomes), genomes[:, 24:])
 
@@ -160,49 +118,8 @@ def _ring_gather_indices() -> np.ndarray:
     return inverse
 
 
-class TnVqcAgent:
-    def __init__(self, genome: np.ndarray, bond_dim: int):
-        genome = np.asarray(genome, dtype=np.float64)
-        base = mps.identity_base(TNVQC_SITES, bond_dim, TNVQC_QUBITS)
-        expected = TNVQC_CIRCUIT_PARAMS + base.size
-        if genome.shape != (expected,):
-            raise ValueError(f"genome must have length {expected}, got {genome.shape}")
-        genome = genome.view()
-        genome.flags.writeable = False
-        self.vqc_params = genome[:TNVQC_CIRCUIT_PARAMS].reshape(TNVQC_QUBITS, 3)
-        self.extractor = mps.MpsFeatureExtractor(
-            TNVQC_SITES, bond_dim, TNVQC_QUBITS, base + genome[TNVQC_CIRCUIT_PARAMS:])
-        self._rot_mats = rot_matrix(*self.vqc_params.T)
-
-    def feature_logits(self, features: np.ndarray) -> np.ndarray:
-        """<Z> of the 6 measured qubits for the given 8 MPS features."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape != (TNVQC_QUBITS,):
-            raise ValueError(f"expected {TNVQC_QUBITS} features, got {features.shape}")
-        psi = np.ones(1, dtype=np.complex128)
-        for x in features:
-            # encoding layer is a product state: H, Ry(arctan x), Rz(arctan x^2)
-            local = rz_matrix(math.atan(x * x)) @ (
-                ry_matrix(math.atan(x)) @ _H_ON_ZERO)
-            psi = np.kron(psi, local)
-        psi = np.ascontiguousarray(psi[_ring_gather_indices()])
-        for qubit, mat in enumerate(self._rot_mats):
-            apply_single(psi, TNVQC_QUBITS, qubit, mat)
-        probs = np.abs(psi) ** 2
-        # same halves-difference as qsim.expectation_z, so symmetric states
-        # cancel exactly and ties stay ties
-        logits = np.empty(TNVQC_MEASURED)
-        for qubit in range(TNVQC_MEASURED):
-            shaped = probs.reshape((1 << qubit, 2, -1))
-            logits[qubit] = shaped[:, 0].sum() - shaped[:, 1].sum()
-        return logits
-
-    def act(self, obs: np.ndarray) -> int:
-        return int(np.argmax(self.feature_logits(mps.contract(self.extractor, obs))))
-
-
 def _tnvqc_logits(features: np.ndarray, rot_mats: np.ndarray) -> np.ndarray:
-    """`TnVqcAgent.feature_logits` over rows: (n, 8) features, (n, 8, 2, 2) Rots."""
+    """<Z> of the 6 measured qubits per row: (n, 8) features, (n, 8, 2, 2) Rots."""
     count = len(features)
     # math.atan, not np.arctan: the two differ in the last bit on some inputs
     angles = np.array([math.atan(x) for x in features.ravel().tolist()])
@@ -232,7 +149,7 @@ def _tnvqc_actions(rot_mats: np.ndarray, offsets: np.ndarray, bond_dim: int,
 
 def tnvqc_policy(genomes: np.ndarray,
                  bond_dim: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Batched `TnVqcAgent.act`: policy(agents, obs) for (P, L) genomes."""
+    """policy(agents, obs) for (P, L) genomes."""
     length = TNVQC_CIRCUIT_PARAMS + mps.param_count(TNVQC_SITES, bond_dim, TNVQC_QUBITS)
     genomes = _check_genomes(genomes, length)
     circuit = genomes[:, :TNVQC_CIRCUIT_PARAMS].reshape(-1, TNVQC_QUBITS, 3)
@@ -241,29 +158,22 @@ def tnvqc_policy(genomes: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# architecture registry (picklable, so worker pools can rebuild agents)
+# architecture registry (picklable, so worker pools can rebuild policies)
 
 @dataclass(frozen=True)
 class AgentArchitecture:
-    """A genome length, the agent class that reads one genome of it, and
-    the batched policy over a (P, genome_length) array of them."""
+    """A genome length and the policy over a (P, genome_length) array of genomes."""
 
     name: str
     genome_length: int
-    agent: Callable[[np.ndarray], object]
     policy: Callable[[np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]]
-
-    def build(self, genome: np.ndarray):
-        return self.agent(genome)
 
 
 def cartpole_architecture() -> AgentArchitecture:
-    return AgentArchitecture("cartpole", CARTPOLE_GENOME_LENGTH, CartPoleAgent,
-                             cartpole_policy)
+    return AgentArchitecture("cartpole", CARTPOLE_GENOME_LENGTH, cartpole_policy)
 
 
 def tnvqc_architecture(bond_dim: int = 4) -> AgentArchitecture:
     length = TNVQC_CIRCUIT_PARAMS + mps.param_count(TNVQC_SITES, bond_dim, TNVQC_QUBITS)
     return AgentArchitecture(f"tnvqc-m{bond_dim}", length,
-                             partial(TnVqcAgent, bond_dim=bond_dim),
                              partial(tnvqc_policy, bond_dim=bond_dim))

@@ -35,6 +35,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -66,32 +67,24 @@ class RunConfig:
             raise ValueError("checkpoint_every must be >= 1")
 
 
-def _evo_config_from_dict(data: dict) -> evo.EvoConfig:
-    allowed = {f.name for f in dataclasses.fields(evo.EvoConfig)}
-    unknown = set(data) - allowed
+def _from_dict(cls, data: dict, section: str):
+    """A config dataclass from JSON; a field without a default is a required key."""
+    fields = dataclasses.fields(cls)
+    unknown = set(data) - {f.name for f in fields}
     if unknown:
-        raise ValueError(f"unknown evo config keys: {sorted(unknown)}")
-    missing = {"population", "truncation", "mutation_power", "generations"} - set(data)
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    missing = {f.name for f in fields if f.default is dataclasses.MISSING} - set(data)
     if missing:
-        raise ValueError(f"missing evo config keys: {sorted(missing)}")
-    return evo.EvoConfig(**data)
-
-
-def _run_config_from_dict(data: dict) -> RunConfig:
-    allowed = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "env" not in data or "evo" not in data:
-        raise ValueError("config requires 'env' and 'evo' sections")
-    fields = dict(data)
-    fields["evo"] = _evo_config_from_dict(fields["evo"])
-    return RunConfig(**fields)
+        raise ValueError(f"missing {section} keys: {sorted(missing)}")
+    hints = get_type_hints(cls)  # a dataclass-typed field is a nested section
+    return cls(**{key: _from_dict(hints[key], value, f"{key} config")
+                  if dataclasses.is_dataclass(hints[key]) else value
+                  for key, value in data.items()})
 
 
 def load_run_config(path: str | Path) -> RunConfig:
     with open(path) as handle:
-        return _run_config_from_dict(json.load(handle))
+        return _from_dict(RunConfig, json.load(handle), "config")
 
 
 def resolve_task(env: str, bond_dim: int):
@@ -158,7 +151,7 @@ def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapsho
         data = json.load(handle)
     if data.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format: {data.get('format')!r}")
-    config = _run_config_from_dict(data["run_config"])
+    config = _from_dict(RunConfig, data["run_config"], "config")
     generation = data["generation"]
     if type(generation) is not int or generation < 0:
         raise ValueError(f"checkpoint 'generation' must be an int >= 0, got {generation!r}")
@@ -188,6 +181,7 @@ def _start_stats(path: Path, resume: evo.GenerationSnapshot | None) -> None:
         for line in path.read_text().splitlines()[1:]:
             if int(line.split(",", 1)[0]) <= resume.generation:
                 kept.append(line + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(",".join(STATS_COLUMNS) + "\n" + "".join(kept))
 
 
@@ -195,26 +189,26 @@ def _train_loop(config: RunConfig, resume: evo.GenerationSnapshot | None) -> int
     """Train from scratch, or on from the snapshot `resume`."""
     env_factory, architecture = resolve_task(config.env, config.mps_bond_dim)
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stats_path = out_dir / "stats.csv"
-    _start_stats(stats_path, resume)
-
+    if resume is None:
+        _start_stats(stats_path, None)
     snapshot: evo.GenerationSnapshot | None = None
-    with open(stats_path, "a") as stats_file:
 
-        def on_generation(stats: evo.GenerationStats,
-                          latest: evo.GenerationSnapshot) -> None:
-            nonlocal snapshot
-            snapshot = latest
+    def on_generation(stats: evo.GenerationStats, latest: evo.GenerationSnapshot) -> None:
+        nonlocal snapshot
+        # a resume cuts the rows after its checkpoint only once a new row
+        # replaces them, so one with nothing left to run writes nothing
+        if snapshot is None and resume is not None:
+            _start_stats(stats_path, resume)
+        snapshot = latest
+        with open(stats_path, "a") as stats_file:
             stats_file.write(_stats_row(stats))
-            stats_file.flush()
-            if (latest.generation + 1) % config.checkpoint_every == 0:
-                _write_checkpoint(out_dir / f"checkpoint_{latest.generation}.json",
-                                  config, latest)
+        if (latest.generation + 1) % config.checkpoint_every == 0:
+            _write_checkpoint(out_dir / f"checkpoint_{latest.generation}.json",
+                              config, latest)
 
-        history = evo.run(config.evo, env_factory, architecture,
-                          workers=config.workers, on_generation=on_generation,
-                          resume=resume)
+    evo.run(config.evo, env_factory, architecture, workers=config.workers,
+            on_generation=on_generation, resume=resume)
 
     if snapshot is not None:
         # the last generation's checkpoint, unless the cadence wrote it; written
@@ -225,8 +219,10 @@ def _train_loop(config: RunConfig, resume: evo.GenerationSnapshot | None) -> int
         _write_best_genome(out_dir / "best_genome.json", config, snapshot)
         print(f"finished generation {snapshot.generation}: "
               f"best score {snapshot.best_score}, outputs in {out_dir}")
+    elif resume is None:
+        print(f"no generations to run; wrote the stats.csv header in {out_dir}")
     else:
-        print(f"no generations to run ({len(history)} completed); "
+        print(f"no generations to run after generation {resume.generation}; "
               f"outputs in {out_dir} unchanged")
     return 0
 
@@ -234,23 +230,18 @@ def _train_loop(config: RunConfig, resume: evo.GenerationSnapshot | None) -> int
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _with_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
+    """`config` with the values of the override flags given on the command line."""
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    run = {name: given[name] for name in ("out_dir", "workers") if name in given}
+    evo_fields = {field: given[flag] for flag, field in
+                  (("seed", "master_seed"), ("generations", "generations")) if flag in given}
+    return dataclasses.replace(config, **run,
+                               evo=dataclasses.replace(config.evo, **evo_fields))
+
+
 def cmd_train(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config)
-    overrides: dict = {}
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    evo_overrides: dict = {}
-    if args.seed is not None:
-        evo_overrides["master_seed"] = args.seed
-    if args.generations is not None:
-        evo_overrides["generations"] = args.generations
-    if evo_overrides:
-        overrides["evo"] = dataclasses.replace(config.evo, **evo_overrides)
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return _train_loop(config, resume=None)
+    return _train_loop(_with_flags(load_run_config(args.config), args), resume=None)
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
@@ -258,15 +249,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     if args.env is not None and args.env != config.env:
         raise ValueError(f"checkpoint was trained on {config.env!r}, "
                          f"cannot resume on {args.env!r}")
-    overrides: dict = {}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.generations is not None:
-        overrides["evo"] = dataclasses.replace(config.evo,
-                                               generations=args.generations)
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return _train_loop(config, resume=snapshot)
+    return _train_loop(_with_flags(config, args), resume=snapshot)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

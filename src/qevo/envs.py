@@ -1,20 +1,14 @@
 """Episodic environments, implemented from scratch.
 
-Both environments expose the same minimal interface:
-
-    obs = env.reset(rng)          # rng may be ignored by deterministic envs
-    transition = env.step(action) # EnvTransition(observation, reward, done)
-
-and the same batched one, which plays many episodes in lockstep:
+Both environments play many episodes in lockstep:
 
     returns = env.rollouts(policy, rngs, n_agents, repeats)
 
-`policy(agents, observations)` maps an array of agent indices and one
-observation row per index to an array of actions; `rngs` yields one
-Generator per agent, drawn from in agent order only by envs whose reset
-draws.  Episode j of agent i starts from that agent's j-th reset, exactly
-as `repeats` calls of `reset` on its Generator would, and the (n_agents,
-repeats) returns equal the undiscounted sums that `step` would give.
+`policy(agents, observations)` maps agent indices, one observation row
+each, to actions; `rngs` yields one Generator per agent, drawn from in
+agent order by envs with a random start.  Episode j of agent i starts
+from that agent's j-th draw; the (n_agents, repeats) array holds each
+episode's undiscounted sum of rewards.
 
 CartPoleEnv: classic pole balancing.  Physics constants are fixed here so
 results are reproducible without any external dependency: gravity 9.8,
@@ -38,13 +32,6 @@ from functools import cached_property, partial
 import numpy as np
 
 
-@dataclass
-class EnvTransition:
-    observation: np.ndarray
-    reward: float
-    done: bool
-
-
 # ---------------------------------------------------------------------------
 # cart-pole
 
@@ -60,37 +47,14 @@ class CartPoleEnv:
 
     def __init__(self, theta_threshold_deg: float = 15.0):
         self.theta_limit = math.radians(theta_threshold_deg)
-        self._state: np.ndarray | None = None
-        self._done = True
-        self.steps = 0
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
-        """All four components uniform in [-0.05, 0.05]."""
-        self._state = rng.uniform(-0.05, 0.05, size=4)
-        self._done = False
-        self.steps = 0
-        return self._state.copy()
-
-    def step(self, action: int) -> EnvTransition:
-        if self._done or self._state is None:
-            raise RuntimeError("episode is finished; call reset() first")
-        if action not in (0, 1):
-            raise ValueError(f"action must be 0 (left) or 1 (right), got {action}")
-
-        x, x_dot, theta, theta_dot = self._state
-        force = self.FORCE_MAG if action == 1 else -self.FORCE_MAG
-        x, x_dot, theta, theta_dot = self._integrate(
-            x, x_dot, theta, theta_dot, force, math.cos(theta), math.sin(theta))
-
-        self._state = np.array([x, x_dot, theta, theta_dot])
-        self.steps += 1
-        self._done = (abs(x) > self.X_LIMIT or abs(theta) > self.theta_limit
-                      or self.steps >= self.MAX_STEPS)
-        return EnvTransition(self._state.copy(), 1.0, self._done)
+        """An episode's start state: all four components uniform in [-0.05, 0.05]."""
+        return rng.uniform(-0.05, 0.05, size=4)
 
     def step_batch(self, states: np.ndarray,
                    actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`step` over the rows of a (n, 4) state array.
+        """One step of every row of a (n, 4) state array.
 
         Returns the next states and where they leave the position or angle
         bounds; the step cap is the caller's to count.  np.cos/np.sin give
@@ -169,10 +133,9 @@ N_ACTIONS = 6
 class GridModel:
     """A grid's finite model, indexed by state s = one (pos, dir) pair.
 
-    states: the (pos, dir) pair of each s; observations (S, 147): what
-    `step` returns in state s, in [0, 1]; successor (S, 6): the state after
-    each action; goal (S,): s is on the goal cell; start: the state `reset`
-    returns to.
+    states: the (pos, dir) pair of each s; observations (S, 147): the view
+    in state s, in [0, 1]; successor (S, 6): the state after each action;
+    goal (S,): s is on the goal cell; start: every episode's first state.
     """
 
     states: tuple[tuple[tuple[int, int], int], ...]
@@ -192,36 +155,6 @@ class MiniGridEnv:
         self.grid_size = grid_size
         self.goal_pos = (grid_size - 2, grid_size - 2)
         self.max_steps = 4 * grid_size * grid_size
-        self.agent_pos = (1, 1)
-        self.agent_dir = 0
-        self.steps = 0
-        self._done = True
-        self._obs_cache: dict[tuple[tuple[int, int], int], np.ndarray] = {}
-
-    def reset(self, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Deterministic layout: agent at (1, 1) facing east; rng unused."""
-        self.agent_pos = (1, 1)
-        self.agent_dir = 0
-        self.steps = 0
-        self._done = False
-        return self._observation()
-
-    def step(self, action: int) -> EnvTransition:
-        if self._done:
-            raise RuntimeError("episode is finished; call reset() first")
-        if not 0 <= action < N_ACTIONS:
-            raise ValueError(f"action must be in [0, {N_ACTIONS - 1}], got {action}")
-
-        self.steps += 1
-        reward = 0.0
-        self.agent_pos, self.agent_dir = self._move(self.agent_pos, self.agent_dir, action)
-
-        if self.agent_pos == self.goal_pos:
-            reward = 1.0 - 0.9 * self.steps / self.max_steps
-            self._done = True
-        elif self.steps >= self.max_steps:
-            self._done = True
-        return EnvTransition(self._observation(), reward, self._done)
 
     def _move(self, pos: tuple[int, int], direction: int,
               action: int) -> tuple[tuple[int, int], int]:
@@ -256,8 +189,9 @@ class MiniGridEnv:
     def rollouts(self, policy, rngs, n_agents: int, repeats: int) -> np.ndarray:
         """Every agent's episodes, walked in lockstep over `model`.
 
-        Reset ignores its rng and the dynamics are deterministic, so an
-        agent's repeats are the same episode: each agent walks it once.
+        Every episode starts at `model.start` and the dynamics are
+        deterministic, so an agent's repeats are the same episode: each
+        agent walks it once.
         The policy runs only on (agent, state) pairs not yet in that
         agent's action table.  Revisiting a state without having reached
         the goal means the walk cycles until the step cap: return 0.
@@ -297,15 +231,6 @@ class MiniGridEnv:
         if (x, y) == self.goal_pos:
             return OBJECT_GOAL
         return OBJECT_EMPTY
-
-    def _observation(self) -> np.ndarray:
-        key = (self.agent_pos, self.agent_dir)
-        cached = self._obs_cache.get(key)
-        if cached is None:
-            cached = self._encode_view(*key)
-            cached.flags.writeable = False
-            self._obs_cache[key] = cached
-        return cached
 
     def _encode_view(self, pos: tuple[int, int], direction: int) -> np.ndarray:
         """Egocentric view: the agent sits at view row 6, column 3.

@@ -19,9 +19,7 @@ next population exactly by re-running the mutation stream.
 
 A batch of genomes is scored by `batch_fitness`, which plays all of its
 episodes at once (`episode_returns`: the architecture's batched policy
-driving the env's lockstep `rollouts`).  `evaluate_fitness` and
-`play_episode` are the one-agent, one-step-at-a-time reference that the
-tests hold the batched path to, bit for bit; training does not call them.
+driving the env's lockstep `rollouts`).
 """
 
 from __future__ import annotations
@@ -130,49 +128,13 @@ def init_population(config: EvoConfig, genome_length: int) -> np.ndarray:
     return config.init_scale * np.stack(rows)
 
 
-def play_episode(agent, env, rng: np.random.Generator, memo: dict) -> float:
-    """One rollout; returns the undiscounted sum of rewards.
-
-    `memo` caches observation -> action per agent: the policy is a pure
-    function of the observation, so repeat states skip the circuit.
-    """
-    obs = env.reset(rng)
-    total = 0.0
-    while True:
-        key = obs.tobytes()
-        action = memo.get(key)
-        if action is None:
-            action = agent.act(obs)
-            memo[key] = action
-        transition = env.step(action)
-        total += transition.reward
-        if transition.done:
-            return total
-        obs = transition.observation
-
-
-def evaluate_fitness(genome: np.ndarray, architecture: AgentArchitecture,
-                     env, repeats: int, seed_entropy: Sequence[int]) -> float:
-    """Mean score of `repeats` episodes, all seeded from `seed_entropy`.
-
-    The scalar reference for `batch_fitness`, kept for the tests.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(list(seed_entropy)))
-    agent = architecture.build(genome)
-    memo: dict = {}
-    total = 0.0
-    for _ in range(repeats):
-        total += play_episode(agent, env, rng, memo)
-    return total / repeats
-
-
 def episode_returns(genomes: np.ndarray, architecture: AgentArchitecture, env,
                     repeats: int, entropies: Sequence[Sequence[int]]) -> np.ndarray:
     """(P, repeats) returns: row i plays genome i from the stream entropies[i].
 
     Every episode of the batch runs in lockstep through the architecture's
-    batched policy and the env's `rollouts`; row i equals the scores of
-    `repeats` calls of `play_episode` on one Generator seeded the same way.
+    batched policy and the env's `rollouts`; row i holds the returns of
+    `repeats` episodes played one after another from one Generator.
     """
     rngs = (np.random.default_rng(np.random.SeedSequence(list(entropy)))
             for entropy in entropies)
@@ -181,10 +143,10 @@ def episode_returns(genomes: np.ndarray, architecture: AgentArchitecture, env,
 
 def batch_fitness(genomes: np.ndarray, architecture: AgentArchitecture, env,
                   repeats: int, entropies: Sequence[Sequence[int]]) -> np.ndarray:
-    """`evaluate_fitness` of every row of `genomes`, bit for bit."""
+    """Each row's mean return over `repeats` episodes."""
     returns = episode_returns(genomes, architecture, env, repeats, entropies)
     total = np.zeros(len(genomes))
-    for column in returns.T:  # summed in repeat order, as evaluate_fitness does
+    for column in returns.T:  # summed in repeat order, one episode at a time
         total += column
     return total / repeats
 
@@ -247,9 +209,9 @@ def _finite(fitness: np.ndarray, generation: int) -> np.ndarray:
 def _evolve(config: EvoConfig,
             fitness_of: Callable[[np.ndarray, int, int, int], np.ndarray],
             genome_length: int,
-            stop_condition: Callable[[GenerationStats], bool] | None,
-            on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None,
-            resume: GenerationSnapshot | None) -> list[GenerationStats]:
+            stop_condition: Callable[[GenerationStats], bool] | None = None,
+            on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None = None,
+            resume: GenerationSnapshot | None = None) -> list[GenerationStats]:
     """The loop; fitness_of(genomes, generation, tag, repeats) scores a batch.
 
     `resume`, the snapshot of generation g, re-spawns generation g + 1.
@@ -352,17 +314,3 @@ def run(config: EvoConfig, env_factory, architecture: AgentArchitecture,
     finally:
         if pool is not None:
             pool.shutdown()
-
-
-def run_function(config: EvoConfig, objective: Callable[[np.ndarray], float],
-                 genome_length: int,
-                 stop_condition: Callable[[GenerationStats], bool] | None = None,
-                 on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None = None,
-                 ) -> list[GenerationStats]:
-    """Run the strategy on a closed-form objective instead of an environment."""
-
-    def objective_fitness(genomes, generation, tag, repeats):
-        return np.array([float(objective(g)) for g in genomes])
-
-    return _evolve(config, objective_fitness, genome_length, stop_condition,
-                   on_generation, None)

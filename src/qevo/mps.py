@@ -11,10 +11,9 @@ Core shapes, left to right (m = bond dimension, d = 2):
 
     (d, m), (m, d, m) ... (m, out_dim, m) ... (m, d, m), (m, d)
 
-An extractor views one flat vector of core entries as these cores,
-without copying.  Genomes store the entries as offsets from
-`identity_base`, which contracts every input to the all-ones vector, so
-near-zero genomes are not collapsed to zero output.
+Genomes store the entries as offsets from `identity_base`, which contracts
+every input to the all-ones vector, so near-zero genomes are not collapsed
+to zero output.
 """
 
 from __future__ import annotations
@@ -26,13 +25,6 @@ import numpy as np
 
 LOCAL_DIM = 2
 _BLOCK_ENTRIES = 1 << 16  # core entries gathered per step of contract_rows
-
-
-def feature_map(v: float) -> tuple[float, float]:
-    """Lift a scalar in [0, 1] to the local 2-vector (1 - v, v)."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"feature map input must lie in [0, 1], got {v!r}")
-    return (1.0 - v, v)
 
 
 @lru_cache(maxsize=64)
@@ -67,40 +59,6 @@ def _views(flat: np.ndarray, n_sites: int, bond_dim: int,
             last.reshape(m, LOCAL_DIM))
 
 
-class MpsFeatureExtractor:
-    """Read-only views of the cores over one flat vector of entries.
-
-    `flat` holds the cores in chain order, each row-major, so the interior
-    cores on either side of the output core are one contiguous slice:
-
-    - `first` (d, m) and `last` (m, d): the boundary cores;
-    - `left` (k, m, d, m): the k = output_pos - 1 cores before the output;
-    - `output` (m, out_dim, m);
-    - `right` (k', m, d, m): the k' = n_sites - 1 - output_pos cores after it.
-
-    A float64 `flat` is not copied: the views alias it, and are read-only
-    so that the extractor cannot write to it.
-    """
-
-    def __init__(self, n_sites: int, bond_dim: int, out_dim: int,
-                 flat: np.ndarray):
-        flat = np.asarray(flat, dtype=np.float64)
-        expected = param_count(n_sites, bond_dim, out_dim)
-        if flat.shape != (expected,):
-            raise ValueError(f"expected {expected} entries, got {flat.shape}")
-        self.n_sites = n_sites
-        self.bond_dim = bond_dim
-        self.out_dim = out_dim
-        self.flat = flat.view()
-        self.flat.flags.writeable = False
-        self.first, self.left, self.output, self.right, self.last = _views(
-            self.flat, n_sites, bond_dim, out_dim)
-
-    @property
-    def output_pos(self) -> int:
-        return (self.n_sites + 1) // 2
-
-
 @lru_cache(maxsize=8)
 def identity_base(n_sites: int, bond_dim: int, out_dim: int) -> np.ndarray:
     """Bond-index deltas replicated over physical legs (boundaries: bond 0).
@@ -119,41 +77,11 @@ def identity_base(n_sites: int, bond_dim: int, out_dim: int) -> np.ndarray:
     return base
 
 
-def contract(extractor: MpsFeatureExtractor, values: np.ndarray) -> np.ndarray:
-    """Left-to-right sweep; peak intermediate is (out_dim, bond_dim).
-
-    values: the n_sites input components, each in [0, 1].
-    Returns the out_dim-vector with the output leg left open.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (extractor.n_sites,):
-        raise ValueError(
-            f"expected {extractor.n_sites} input components, got {values.shape}")
-    if np.any(values < 0.0) or np.any(values > 1.0):
-        raise ValueError("input components must lie in [0, 1]")
-
-    phi = np.empty((extractor.n_sites, LOCAL_DIM))
-    phi[:, 0] = 1.0 - values
-    phi[:, 1] = values
-
-    pos = extractor.output_pos
-    vec = phi[0] @ extractor.first  # (m,)
-    for mat in np.einsum("kd,kadb->kab", phi[1:pos], extractor.left):
-        vec = vec @ mat
-    carry = np.einsum("a,aob->ob", vec, extractor.output)  # (out_dim, m)
-    for mat in np.einsum("kd,kadb->kab", phi[pos:extractor.n_sites - 1],
-                         extractor.right):
-        carry = carry @ mat
-    out = carry @ (extractor.last @ phi[-1])
-    assert np.all(np.isfinite(out)), "non-finite MPS contraction intermediate"
-    return out
-
-
 def contract_rows(offsets: np.ndarray, rows: np.ndarray, values: np.ndarray,
                   bond_dim: int, out_dim: int) -> np.ndarray:
-    """`contract` of many (extractor, input) pairs at once, bit for bit.
+    """Left-to-right sweeps of many (cores, input) pairs at once.
 
-    Pair i contracts the extractor with entries identity_base +
+    Pair i contracts the chain with entries identity_base +
     offsets[rows[i]] against the input values[i] (n_sites components, each
     in [0, 1]; not checked here).  Returns (n, out_dim).  Core entries are
     gathered a block of sites at a time, about _BLOCK_ENTRIES floats, so no

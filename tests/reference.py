@@ -1,0 +1,512 @@
+"""The scalar reference: one agent plays one episode, one step at a time.
+
+The library runs only the batched path, and the tests hold it to these forms
+bit for bit.  This module imports the library; the library never imports it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from qevo import envs
+from qevo.agents import (CARTPOLE_BLOCKS, CARTPOLE_GENOME_LENGTH, CARTPOLE_QUBITS,
+                         TNVQC_CIRCUIT_PARAMS, TNVQC_MEASURED, TNVQC_QUBITS, TNVQC_SITES,
+                         _H_ON_ZERO, AgentArchitecture, _ring_gather_indices, cartpole_unitaries)
+from qevo.envs import N_ACTIONS
+from qevo.mps import LOCAL_DIM, _views, identity_base, param_count
+from qevo.qsim import (_check_qubit, apply_cnot_kernel, apply_single, rot_matrix,
+                       ry_matrix, rz_matrix)
+
+# ---------------------------------------------------------------------------
+# qsim: the statevector API and amplitude encoding
+
+MAX_QUBITS = 20
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def h_matrix() -> np.ndarray:
+    return np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]],
+                    dtype=np.complex128)
+
+
+@dataclass
+class Statevector:
+    """Pure state of an n-qubit register as 2**n complex amplitudes."""
+
+    n_qubits: int
+    amps: np.ndarray
+
+    def copy(self) -> "Statevector":
+        return Statevector(self.n_qubits, self.amps.copy())
+
+    def norm(self) -> float:
+        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
+
+
+def new_zero_state(n_qubits: int) -> Statevector:
+    """|0...0> on `n_qubits` qubits."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps[0] = 1.0
+    return Statevector(n_qubits, amps)
+
+
+def apply_h(state: Statevector, qubit: int) -> Statevector:
+    apply_single(state.amps, state.n_qubits, qubit, h_matrix())
+    return state
+
+
+def apply_ry(state: Statevector, qubit: int, theta: float) -> Statevector:
+    apply_single(state.amps, state.n_qubits, qubit, ry_matrix(theta))
+    return state
+
+
+def apply_rz(state: Statevector, qubit: int, theta: float) -> Statevector:
+    apply_single(state.amps, state.n_qubits, qubit, rz_matrix(theta))
+    return state
+
+
+def apply_rot(state: Statevector, qubit: int, alpha: float, beta: float,
+              gamma: float) -> Statevector:
+    apply_single(state.amps, state.n_qubits, qubit, rot_matrix(alpha, beta, gamma))
+    return state
+
+
+def apply_cnot(state: Statevector, control: int, target: int) -> Statevector:
+    apply_cnot_kernel(state.amps, state.n_qubits, control, target)
+    return state
+
+
+@dataclass(frozen=True)
+class ControlledRotationSpec:
+    """Ry(angle) on `target`, active only where every control holds its bit.
+
+    controls: tuple of (qubit index, required bit in {0, 1}); may be empty.
+    """
+
+    controls: tuple[tuple[int, int], ...]
+    target: int
+    angle: float
+
+    def __post_init__(self) -> None:
+        qubits = [q for q, _ in self.controls]
+        if len(set(qubits)) != len(qubits):
+            raise ValueError("control qubits must be distinct")
+        if self.target in qubits:
+            raise ValueError("control and target must differ")
+        for _, bit in self.controls:
+            if bit not in (0, 1):
+                raise ValueError(f"control bit must be 0 or 1, got {bit}")
+
+
+def apply_controlled_ry(state: Statevector, spec: ControlledRotationSpec) -> Statevector:
+    """Apply Ry(spec.angle) to the subspace selected by spec.controls."""
+    n = state.n_qubits
+    _check_qubit(n, spec.target)
+    for q, _ in spec.controls:
+        _check_qubit(n, q)
+    idx = np.arange(1 << n)
+    mask = np.ones(idx.shape, dtype=bool)
+    for q, bit in spec.controls:
+        mask &= ((idx >> (n - 1 - q)) & 1) == bit
+    t_bit = 1 << (n - 1 - spec.target)
+    rows0 = idx[mask & ((idx & t_bit) == 0)]
+    rows1 = rows0 | t_bit
+    m = ry_matrix(spec.angle)
+    a = state.amps[rows0].copy()
+    b = state.amps[rows1]
+    state.amps[rows0] = m[0, 0] * a + m[0, 1] * b
+    state.amps[rows1] = m[1, 0] * a + m[1, 1] * b
+    return state
+
+
+def expectation_z(state: Statevector, qubit: int) -> float:
+    """<Z> of one qubit: +1 weight where its bit is 0, -1 where it is 1."""
+    _check_qubit(state.n_qubits, qubit)
+    probs = np.abs(state.amps) ** 2
+    shaped = probs.reshape((1 << qubit, 2, -1))
+    return float(shaped[:, 0].sum() - shaped[:, 1].sum())
+
+
+def _check_normalized(values: np.ndarray, tol: float = 1e-9) -> None:
+    norm = float(np.linalg.norm(values))
+    if abs(norm - 1.0) > tol:
+        raise ValueError(f"input must be L2-normalized, got norm {norm!r}")
+
+
+def beta_angle(alphas: np.ndarray, s: int, j: int) -> float:
+    """Rotation angle of the disentangling cascade, level s, index j (1-based).
+
+    beta_j^s = 2*arcsin( ||alphas[(2j-1)*2^(s-1) : (2j-1)*2^(s-1) + 2^(s-1)]||
+                       / ||alphas[(j-1)*2^s   : (j-1)*2^s + 2^s]|| )
+
+    Returns 0 when the denominator vanishes: the rotation then acts on a
+    zero-amplitude subspace where any angle works, and 0 is cheapest.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    _check_normalized(alphas)
+    if s < 1 or j < 1:
+        raise ValueError("cascade level and rotation index are 1-based")
+    half = 1 << (s - 1)
+    block = 1 << s
+    if (j - 1) * block + block > alphas.size:
+        raise ValueError(f"(s={s}, j={j}) out of range for length {alphas.size}")
+    num = float(np.linalg.norm(alphas[(2 * j - 1) * half:(2 * j - 1) * half + half]))
+    den = float(np.linalg.norm(alphas[(j - 1) * block:(j - 1) * block + block]))
+    if den == 0.0:
+        return 0.0
+    # rounding can push the ratio a hair above 1
+    return 2.0 * math.asin(min(num / den, 1.0))
+
+
+def cascade_rotations(values: np.ndarray) -> list[ControlledRotationSpec]:
+    """Multi-controlled Ry cascade that disentangles `values` to |0...0>.
+
+    Specs are listed in disentangling order; apply each with angle negated
+    to map the encoded state to |0...0>.  Level s rotates qubit n-s,
+    controlled on all more-significant qubits matching the binary pattern
+    of j-1.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = _n_qubits_for(values.size)
+    specs = []
+    for s in range(1, n + 1):
+        target = n - s
+        for j in range(1, (1 << (n - s)) + 1):
+            pattern = j - 1
+            controls = tuple(
+                (q, (pattern >> (n - s - 1 - q)) & 1) for q in range(n - s)
+            )
+            specs.append(ControlledRotationSpec(controls, target,
+                                                beta_angle(values, s, j)))
+    return specs
+
+
+def _n_qubits_for(length: int) -> int:
+    n = int(length).bit_length() - 1
+    if length < 2 or (1 << n) != length:
+        raise ValueError(f"input length must be a power of two >= 2, got {length}")
+    return n
+
+
+def amplitude_encode(values: np.ndarray) -> Statevector:
+    """Prepare a state whose amplitudes equal the non-negative vector `values`.
+
+    Inverts the disentangling cascade: each rotation is applied with its
+    original (positive) angle, in reverse order, to |0...0>.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    _check_normalized(values)
+    if np.any(values < 0.0):
+        raise ValueError("cascade encoding requires non-negative amplitudes")
+    state = new_zero_state(_n_qubits_for(values.size))
+    for spec in reversed(cascade_rotations(values)):
+        apply_controlled_ry(state, spec)
+    return state
+
+
+def assign_amplitudes(values: np.ndarray) -> Statevector:
+    """Prepare a state by writing `values` directly into the amplitudes.
+
+    Unlike the cascade this handles signed inputs exactly; it is the
+    preparation mode used for signed normalized observations.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    _check_normalized(values)
+    n = _n_qubits_for(values.size)
+    return Statevector(n, values.astype(np.complex128))
+
+
+# ---------------------------------------------------------------------------
+# mps: the scalar sweep
+
+def feature_map(v: float) -> tuple[float, float]:
+    """Lift a scalar in [0, 1] to the local 2-vector (1 - v, v)."""
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"feature map input must lie in [0, 1], got {v!r}")
+    return (1.0 - v, v)
+
+
+class MpsFeatureExtractor:
+    """Read-only views of the cores over one flat vector of entries.
+
+    `flat` holds the cores in chain order, each row-major, so the interior
+    cores on either side of the output core are one contiguous slice:
+
+    - `first` (d, m) and `last` (m, d): the boundary cores;
+    - `left` (k, m, d, m): the k = output_pos - 1 cores before the output;
+    - `output` (m, out_dim, m);
+    - `right` (k', m, d, m): the k' = n_sites - 1 - output_pos cores after it.
+
+    A float64 `flat` is not copied: the views alias it, and are read-only
+    so that the extractor cannot write to it.
+    """
+
+    def __init__(self, n_sites: int, bond_dim: int, out_dim: int,
+                 flat: np.ndarray):
+        flat = np.asarray(flat, dtype=np.float64)
+        expected = param_count(n_sites, bond_dim, out_dim)
+        if flat.shape != (expected,):
+            raise ValueError(f"expected {expected} entries, got {flat.shape}")
+        self.n_sites = n_sites
+        self.bond_dim = bond_dim
+        self.out_dim = out_dim
+        self.flat = flat.view()
+        self.flat.flags.writeable = False
+        self.first, self.left, self.output, self.right, self.last = _views(
+            self.flat, n_sites, bond_dim, out_dim)
+
+    @property
+    def output_pos(self) -> int:
+        return (self.n_sites + 1) // 2
+
+
+def contract(extractor: MpsFeatureExtractor, values: np.ndarray) -> np.ndarray:
+    """Left-to-right sweep; peak intermediate is (out_dim, bond_dim).
+
+    values: the n_sites input components, each in [0, 1].
+    Returns the out_dim-vector with the output leg left open.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (extractor.n_sites,):
+        raise ValueError(
+            f"expected {extractor.n_sites} input components, got {values.shape}")
+    if np.any(values < 0.0) or np.any(values > 1.0):
+        raise ValueError("input components must lie in [0, 1]")
+
+    phi = np.empty((extractor.n_sites, LOCAL_DIM))
+    phi[:, 0] = 1.0 - values
+    phi[:, 1] = values
+
+    pos = extractor.output_pos
+    vec = phi[0] @ extractor.first  # (m,)
+    for mat in np.einsum("kd,kadb->kab", phi[1:pos], extractor.left):
+        vec = vec @ mat
+    carry = np.einsum("a,aob->ob", vec, extractor.output)  # (out_dim, m)
+    for mat in np.einsum("kd,kadb->kab", phi[pos:extractor.n_sites - 1],
+                         extractor.right):
+        carry = carry @ mat
+    out = carry @ (extractor.last @ phi[-1])
+    assert np.all(np.isfinite(out)), "non-finite MPS contraction intermediate"
+    return out
+
+
+# ---------------------------------------------------------------------------
+# agents
+
+class CartPoleAgent:
+    def __init__(self, genome: np.ndarray):
+        genome = np.asarray(genome, dtype=np.float64)
+        if genome.shape != (CARTPOLE_GENOME_LENGTH,):
+            raise ValueError(f"cart-pole genome must have length "
+                             f"{CARTPOLE_GENOME_LENGTH}, got {genome.shape}")
+        genome = genome.view()
+        genome.flags.writeable = False
+        self.block_params = genome[:24].reshape(CARTPOLE_BLOCKS, CARTPOLE_QUBITS, 3)
+        self.bias = genome[24:]
+        self._unitary = cartpole_unitaries(genome[None])[0]
+
+    def logits(self, obs: np.ndarray) -> np.ndarray:
+        obs = np.asarray(obs, dtype=np.float64)
+        if obs.shape != (4,):
+            raise ValueError(f"observation must have shape (4,), got {obs.shape}")
+        if not np.all(np.isfinite(obs)):
+            raise ValueError("observation must be finite")
+        norm = float(np.linalg.norm(obs))
+        # an all-zero observation has no direction; encode the uniform state
+        amps = obs / norm if norm > 0.0 else np.full(4, 0.5)
+        psi = self._unitary @ amps
+        p = np.abs(psi) ** 2
+        z0 = p[0] + p[1] - p[2] - p[3]
+        z1 = p[0] - p[1] + p[2] - p[3]
+        return np.array([z0 + self.bias[0], z1 + self.bias[1]])
+
+    def act(self, obs: np.ndarray) -> int:
+        return int(np.argmax(self.logits(obs)))
+
+
+class TnVqcAgent:
+    def __init__(self, genome: np.ndarray, bond_dim: int):
+        genome = np.asarray(genome, dtype=np.float64)
+        base = identity_base(TNVQC_SITES, bond_dim, TNVQC_QUBITS)
+        expected = TNVQC_CIRCUIT_PARAMS + base.size
+        if genome.shape != (expected,):
+            raise ValueError(f"genome must have length {expected}, got {genome.shape}")
+        genome = genome.view()
+        genome.flags.writeable = False
+        self.vqc_params = genome[:TNVQC_CIRCUIT_PARAMS].reshape(TNVQC_QUBITS, 3)
+        self.extractor = MpsFeatureExtractor(
+            TNVQC_SITES, bond_dim, TNVQC_QUBITS, base + genome[TNVQC_CIRCUIT_PARAMS:])
+        self._rot_mats = rot_matrix(*self.vqc_params.T)
+
+    def feature_logits(self, features: np.ndarray) -> np.ndarray:
+        """<Z> of the 6 measured qubits for the given 8 MPS features."""
+        features = np.asarray(features, dtype=np.float64)
+        if features.shape != (TNVQC_QUBITS,):
+            raise ValueError(f"expected {TNVQC_QUBITS} features, got {features.shape}")
+        psi = np.ones(1, dtype=np.complex128)
+        for x in features:
+            # encoding layer is a product state: H, Ry(arctan x), Rz(arctan x^2)
+            local = rz_matrix(math.atan(x * x)) @ (
+                ry_matrix(math.atan(x)) @ _H_ON_ZERO)
+            psi = np.kron(psi, local)
+        psi = np.ascontiguousarray(psi[_ring_gather_indices()])
+        for qubit, mat in enumerate(self._rot_mats):
+            apply_single(psi, TNVQC_QUBITS, qubit, mat)
+        probs = np.abs(psi) ** 2
+        # same halves-difference as expectation_z, so symmetric states
+        # cancel exactly and ties stay ties
+        logits = np.empty(TNVQC_MEASURED)
+        for qubit in range(TNVQC_MEASURED):
+            shaped = probs.reshape((1 << qubit, 2, -1))
+            logits[qubit] = shaped[:, 0].sum() - shaped[:, 1].sum()
+        return logits
+
+    def act(self, obs: np.ndarray) -> int:
+        return int(np.argmax(self.feature_logits(contract(self.extractor, obs))))
+
+
+def build_agent(architecture: AgentArchitecture, genome: np.ndarray):
+    """The reference agent of one genome, picked by the architecture's name."""
+    if architecture.name == "cartpole":
+        return CartPoleAgent(genome)
+    return TnVqcAgent(genome, int(architecture.name.removeprefix("tnvqc-m")))
+
+
+# ---------------------------------------------------------------------------
+# envs with episode state
+
+@dataclass
+class EnvTransition:
+    observation: np.ndarray
+    reward: float
+    done: bool
+
+
+class CartPoleEnv(envs.CartPoleEnv):
+    """`envs.CartPoleEnv` holding one episode: `reset` stores the state `step` advances."""
+
+    _state: np.ndarray | None = None
+    _done = True
+    steps = 0
+
+    def reset(self, rng: np.random.Generator) -> np.ndarray:
+        self._state = super().reset(rng)
+        self._done = False
+        self.steps = 0
+        return self._state.copy()
+
+    def step(self, action: int) -> EnvTransition:
+        if self._done or self._state is None:
+            raise RuntimeError("episode is finished; call reset() first")
+        if action not in (0, 1):
+            raise ValueError(f"action must be 0 (left) or 1 (right), got {action}")
+
+        x, x_dot, theta, theta_dot = self._state
+        force = self.FORCE_MAG if action == 1 else -self.FORCE_MAG
+        x, x_dot, theta, theta_dot = self._integrate(
+            x, x_dot, theta, theta_dot, force, math.cos(theta), math.sin(theta))
+
+        self._state = np.array([x, x_dot, theta, theta_dot])
+        self.steps += 1
+        self._done = (abs(x) > self.X_LIMIT or abs(theta) > self.theta_limit
+                      or self.steps >= self.MAX_STEPS)
+        return EnvTransition(self._state.copy(), 1.0, self._done)
+
+
+class MiniGridEnv(envs.MiniGridEnv):
+    """`envs.MiniGridEnv` holding one episode: the agent's pose and step count."""
+
+    def __init__(self, grid_size: int):
+        super().__init__(grid_size)
+        self.agent_pos = (1, 1)
+        self.agent_dir = 0
+        self.steps = 0
+        self._done = True
+        self._obs_cache: dict[tuple[tuple[int, int], int], np.ndarray] = {}
+
+    def reset(self, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Deterministic layout: agent at (1, 1) facing east; rng unused."""
+        self.agent_pos = (1, 1)
+        self.agent_dir = 0
+        self.steps = 0
+        self._done = False
+        return self._observation()
+
+    def step(self, action: int) -> EnvTransition:
+        if self._done:
+            raise RuntimeError("episode is finished; call reset() first")
+        if not 0 <= action < N_ACTIONS:
+            raise ValueError(f"action must be in [0, {N_ACTIONS - 1}], got {action}")
+
+        self.steps += 1
+        reward = 0.0
+        self.agent_pos, self.agent_dir = self._move(self.agent_pos, self.agent_dir, action)
+
+        if self.agent_pos == self.goal_pos:
+            reward = 1.0 - 0.9 * self.steps / self.max_steps
+            self._done = True
+        elif self.steps >= self.max_steps:
+            self._done = True
+        return EnvTransition(self._observation(), reward, self._done)
+
+    def _observation(self) -> np.ndarray:
+        key = (self.agent_pos, self.agent_dir)
+        cached = self._obs_cache.get(key)
+        if cached is None:
+            cached = self._encode_view(*key)
+            cached.flags.writeable = False
+            self._obs_cache[key] = cached
+        return cached
+
+
+def make_env(name: str):
+    """The reference env of a library env name."""
+    if name == "cartpole":
+        return CartPoleEnv()
+    return MiniGridEnv(int(name.removeprefix("minigrid-")))
+
+
+# ---------------------------------------------------------------------------
+# episodes and fitness
+
+def play_episode(agent, env, rng: np.random.Generator, memo: dict) -> float:
+    """One rollout; returns the undiscounted sum of rewards.
+
+    `memo` caches observation -> action per agent: the policy is a pure
+    function of the observation, so repeat states skip the circuit.
+    """
+    obs = env.reset(rng)
+    total = 0.0
+    while True:
+        key = obs.tobytes()
+        action = memo.get(key)
+        if action is None:
+            action = agent.act(obs)
+            memo[key] = action
+        transition = env.step(action)
+        total += transition.reward
+        if transition.done:
+            return total
+        obs = transition.observation
+
+
+def evaluate_fitness(genome: np.ndarray, architecture: AgentArchitecture,
+                     env, repeats: int, seed_entropy: Sequence[int]) -> float:
+    """Mean score of `repeats` episodes, all seeded from `seed_entropy`.
+
+    The scalar reference for `evo.batch_fitness`.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(list(seed_entropy)))
+    agent = build_agent(architecture, genome)
+    memo: dict = {}
+    total = 0.0
+    for _ in range(repeats):
+        total += play_episode(agent, env, rng, memo)
+    return total / repeats

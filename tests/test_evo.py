@@ -7,6 +7,8 @@ import pytest
 
 from qevo import agents, envs, evo
 
+import reference as ref
+
 
 def sphere(genome):
     return -float(np.dot(genome, genome))
@@ -93,23 +95,23 @@ def test_spawn_children_single_parent():
 
 
 def test_play_episode_memo_consistency():
-    agent = agents.CartPoleAgent(
+    agent = ref.CartPoleAgent(
         np.random.default_rng(2).standard_normal(26))
-    env = envs.CartPoleEnv()
+    env = ref.CartPoleEnv()
     memo: dict = {}
-    first = evo.play_episode(agent, env, np.random.default_rng(5), memo)
-    warm = evo.play_episode(agent, env, np.random.default_rng(5), memo)
-    cold = evo.play_episode(agent, env, np.random.default_rng(5), {})
+    first = ref.play_episode(agent, env, np.random.default_rng(5), memo)
+    warm = ref.play_episode(agent, env, np.random.default_rng(5), memo)
+    cold = ref.play_episode(agent, env, np.random.default_rng(5), {})
     assert first == warm == cold
 
 
 def test_evaluate_fitness_deterministic_in_entropy():
     arch = agents.cartpole_architecture()
     genome = np.random.default_rng(3).standard_normal(26) * 0.01
-    env = envs.CartPoleEnv()
-    a = evo.evaluate_fitness(genome, arch, env, 3, [0, 0, 0, 0])
-    b = evo.evaluate_fitness(genome, arch, env, 3, [0, 0, 0, 0])
-    c = evo.evaluate_fitness(genome, arch, env, 3, [0, 0, 0, 1])
+    env = ref.CartPoleEnv()
+    a = ref.evaluate_fitness(genome, arch, env, 3, [0, 0, 0, 0])
+    b = ref.evaluate_fitness(genome, arch, env, 3, [0, 0, 0, 0])
+    c = ref.evaluate_fitness(genome, arch, env, 3, [0, 0, 0, 1])
     assert a == b
     assert a != c  # different stream, different start states
 
@@ -117,9 +119,9 @@ def test_evaluate_fitness_deterministic_in_entropy():
 def test_evaluate_fitness_repeats_collapse_when_env_deterministic():
     arch = agents.tnvqc_architecture(bond_dim=2)
     genome = np.random.default_rng(4).standard_normal(arch.genome_length) * 0.01
-    env = envs.MiniGridEnv(5)
-    one = evo.evaluate_fitness(genome, arch, env, 1, [1, 2, 3])
-    three = evo.evaluate_fitness(genome, arch, env, 3, [9, 9, 9])
+    env = ref.MiniGridEnv(5)
+    one = ref.evaluate_fitness(genome, arch, env, 1, [1, 2, 3])
+    three = ref.evaluate_fitness(genome, arch, env, 3, [9, 9, 9])
     assert one == three
 
 
@@ -131,8 +133,8 @@ def test_sphere_run_improves_and_best_never_degrades():
                            generations=30, master_seed=1, init_scale=0.5)
     best = -math.inf
     snapshots = []
-    history = evo.run_function(config, sphere, 10,
-                               on_generation=lambda s, snap: snapshots.append(snap))
+    history = evo._evolve(config, sphere_fitness, 10,
+                          on_generation=lambda s, snap: snapshots.append(snap))
     assert len(history) == 30
     for snap in snapshots:
         assert snap.best_score >= best
@@ -149,8 +151,11 @@ def test_non_finite_fitness_is_rejected(bad):
     def objective(genome):
         return bad if genome[0] > 0.0 else sphere(genome)
 
+    def fitness(genomes, generation, tag, repeats):
+        return np.array([objective(g) for g in genomes])
+
     with pytest.raises(ValueError, match="non-finite fitness"):
-        evo.run_function(tiny_config(), objective, 5)
+        evo._evolve(tiny_config(), fitness, 5)
 
 
 def test_non_finite_config_is_rejected():
@@ -161,13 +166,13 @@ def test_non_finite_config_is_rejected():
 
 def test_zero_generations_returns_empty_history():
     config = tiny_config(generations=0)
-    assert evo.run_function(config, sphere, 3) == []
+    assert evo._evolve(config, sphere_fitness, 3) == []
 
 
 def test_stop_condition_halts_early():
     config = tiny_config(generations=50)
-    history = evo.run_function(config, sphere, 3,
-                               stop_condition=lambda s: s.generation >= 4)
+    history = evo._evolve(config, sphere_fitness, 3,
+                          stop_condition=lambda s: s.generation >= 4)
     assert len(history) == 5
 
 
@@ -175,8 +180,8 @@ def test_elite_reappears_in_next_generation():
     config = evo.EvoConfig(population=10, truncation=3, mutation_power=0.1,
                            generations=5, master_seed=2, init_scale=0.3)
     snaps = []
-    evo.run_function(config, sphere, 6,
-                     on_generation=lambda s, snap: snaps.append(snap))
+    evo._evolve(config, sphere_fitness, 6,
+                on_generation=lambda s, snap: snaps.append(snap))
     for snap in snaps:
         elite_fitness = sphere(snap.elite)
         # repeats are moot for a deterministic objective, so the elite is
@@ -190,7 +195,7 @@ def test_elite_reappears_in_next_generation():
 def test_rolling_window_pools_recent_generations():
     config = evo.EvoConfig(population=6, truncation=2, mutation_power=0.2,
                            generations=120, master_seed=3, init_scale=0.5)
-    history = evo.run_function(config, sphere, 4)
+    history = evo._evolve(config, sphere_fitness, 4)
     for upto in (0, 30, 119):
         recent = history[max(0, upto - 99):upto + 1]
         values = np.array([[s.pop_mean, s.pop_std] for s in recent])
@@ -207,9 +212,9 @@ def test_resume_reproduces_uninterrupted_run():
     config = evo.EvoConfig(population=12, truncation=4, mutation_power=0.1,
                            generations=9, master_seed=5, init_scale=0.4)
     snaps = {}
-    full = evo.run_function(config, sphere, 5,
-                            on_generation=lambda s, snap: snaps.__setitem__(
-                                snap.generation, snap))
+    full = evo._evolve(config, sphere_fitness, 5,
+                       on_generation=lambda s, snap: snaps.__setitem__(
+                           snap.generation, snap))
     tail = evo._evolve(config, sphere_fitness, 5, None, None, snaps[3])
     assert [repr(s) for s in tail] == [repr(s) for s in full[4:]]
 
@@ -263,5 +268,5 @@ def test_resume_shape_mismatch_rejected():
         elite=np.zeros(4), elite_score=0.0, window=((8, 0.0, 0.0),),
         best_genome=np.zeros(4), best_score=0.0)
     with pytest.raises(ValueError, match="shape"):
-        evo.run_function(config, sphere, 5) is not None  # baseline ok
+        evo._evolve(config, sphere_fitness, 5) is not None  # baseline ok
         evo._evolve(config, sphere_fitness, 5, None, None, resume)

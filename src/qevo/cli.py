@@ -20,9 +20,10 @@ Config files are single JSON documents:
               "master_seed": 1, "init_scale": 0.01}
     }
 
-Training writes `stats.csv` (one row per generation), periodic
-`checkpoint_<g>.json` files, and `best_genome.json`, which is rewritten
-with every checkpoint, the run's last included.  All randomness
+Training writes `stats.csv` (one row per generation), a
+`checkpoint_<g>.json` file after every `checkpoint_every` generations and
+after the last one, and `best_genome.json`, which is rewritten just before
+each checkpoint, so it is never older than the newest one.  All randomness
 flows from the master seed, so re-running a config reproduces the CSV
 byte for byte, for any worker count.
 
@@ -242,40 +243,29 @@ def _train_loop(config: RunConfig, resume: evo.GenerationSnapshot | None) -> int
     stats_path = out_dir / "stats.csv"
     if resume is None:
         _start_stats(stats_path, None)
-    snapshot: evo.GenerationSnapshot | None = None
+    last = config.evo.generations - 1
 
-    def on_generation(stats: evo.GenerationStats, latest: evo.GenerationSnapshot) -> None:
-        nonlocal snapshot
+    def on_generation(stats: evo.GenerationStats, snapshot: evo.GenerationSnapshot) -> None:
+        generation = snapshot.generation
         # a resume cuts the rows after its checkpoint only once a new row
         # replaces them, so one with nothing left to run writes nothing
-        if snapshot is None and resume is not None:
+        if resume is not None and generation == resume.generation + 1:
             _start_stats(stats_path, resume)
-        snapshot = latest
         with open(stats_path, "a") as stats_file:
             stats_file.write(_stats_row(stats))
-        if (latest.generation + 1) % config.checkpoint_every == 0:
-            _write_checkpoint(out_dir / f"checkpoint_{latest.generation}.json",
-                              config, latest)
-            _write_best_genome(out_dir / "best_genome.json", config, latest)
-
-    evo.run(config.evo, env_factory, architecture, workers=config.workers,
-            on_generation=on_generation, resume=resume)
-
-    if snapshot is not None:
-        # the last generation's checkpoint and best genome, unless the cadence
-        # wrote them; written here, once the run's population is freed, the
-        # checkpoint adds no peak memory
-        if (snapshot.generation + 1) % config.checkpoint_every:
-            _write_checkpoint(out_dir / f"checkpoint_{snapshot.generation}.json",
-                              config, snapshot)
+        if (generation + 1) % config.checkpoint_every == 0 or generation == last:
+            # the best genome first, so that a kill between the two renames
+            # leaves it no older than the newest checkpoint
             _write_best_genome(out_dir / "best_genome.json", config, snapshot)
-        print(f"finished generation {snapshot.generation}: "
-              f"best score {snapshot.best_score}, outputs in {out_dir}")
-    elif resume is None:
-        print(f"no generations to run; wrote the stats.csv header in {out_dir}")
-    else:
-        print(f"no generations to run after generation {resume.generation}; "
-              f"outputs in {out_dir} unchanged")
+            _write_checkpoint(out_dir / f"checkpoint_{generation}.json", config, snapshot)
+        if generation == last:
+            print(f"finished generation {generation}: "
+                  f"best score {snapshot.best_score}, outputs in {out_dir}")
+
+    if not evo.run(config.evo, env_factory, architecture, workers=config.workers,
+                   on_generation=on_generation, resume=resume):
+        after = "" if resume is None else f" after generation {resume.generation}"
+        print(f"no generations to run{after}; outputs in {out_dir}")
     return 0
 
 

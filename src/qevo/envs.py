@@ -14,7 +14,7 @@ CartPoleEnv: classic pole balancing.  Physics constants are fixed here so
 results are reproducible without any external dependency: gravity 9.8,
 cart mass 1.0, pole mass 0.1, half pole length 0.5, force magnitude 10.0,
 time step 0.02, semi-implicit Euler integration.  The failure angle is
-15 degrees by default (a configurable knob; some conventions use 12).
+15 degrees.
 
 MiniGridEnv: an empty n x n room (n in {5, 6, 8}) with a 1-cell wall
 border.  The agent starts at (1, 1) facing east; the goal sits at
@@ -43,10 +43,8 @@ class CartPoleEnv:
     FORCE_MAG = 10.0
     TAU = 0.02
     X_LIMIT = 2.4
+    THETA_LIMIT = math.radians(15.0)
     MAX_STEPS = 500
-
-    def __init__(self, theta_threshold_deg: float = 15.0):
-        self.theta_limit = math.radians(theta_threshold_deg)
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         """An episode's start state: all four components uniform in [-0.05, 0.05]."""
@@ -64,7 +62,7 @@ class CartPoleEnv:
         force = np.where(actions == 1, self.FORCE_MAG, -self.FORCE_MAG)
         x, x_dot, theta, theta_dot = self._integrate(
             x, x_dot, theta, theta_dot, force, np.cos(theta), np.sin(theta))
-        failed = (np.abs(x) > self.X_LIMIT) | (np.abs(theta) > self.theta_limit)
+        failed = (np.abs(x) > self.X_LIMIT) | (np.abs(theta) > self.THETA_LIMIT)
         return np.stack([x, x_dot, theta, theta_dot], axis=1), failed
 
     def _integrate(self, x, x_dot, theta, theta_dot, force, cos_t, sin_t):

@@ -45,17 +45,25 @@ def _core_shapes(n_sites: int, bond_dim: int, out_dim: int) -> list[tuple[int, .
             + [interior] * (n_sites - 1 - output_pos) + [(m, LOCAL_DIM)])
 
 
+def _segment_ends(n_sites: int, bond_dim: int, out_dim: int) -> np.ndarray:
+    """Where the first core, the interior cores left of the output core, the
+    output core and the interior cores right of it end in the flat entries;
+    the last core takes the rest."""
+    m = bond_dim
+    output_pos = (n_sites + 1) // 2
+    site_size = m * LOCAL_DIM * m
+    return np.cumsum([LOCAL_DIM * m, (output_pos - 1) * site_size,
+                      m * out_dim * m, (n_sites - 1 - output_pos) * site_size])
+
+
 def _views(flat: np.ndarray, n_sites: int, bond_dim: int,
            out_dim: int) -> tuple[np.ndarray, ...]:
     """(first, left, output, right, last) reshaped views of the flat entries."""
     m = bond_dim
-    output_pos = (n_sites + 1) // 2
-    n_left, n_right = output_pos - 1, n_sites - 1 - output_pos
-    ends = np.cumsum([LOCAL_DIM * m, n_left * m * LOCAL_DIM * m,
-                      m * out_dim * m, n_right * m * LOCAL_DIM * m])
-    first, left, output, right, last = np.split(flat, ends)
-    return (first.reshape(LOCAL_DIM, m), left.reshape(n_left, m, LOCAL_DIM, m),
-            output.reshape(m, out_dim, m), right.reshape(n_right, m, LOCAL_DIM, m),
+    first, left, output, right, last = np.split(
+        flat, _segment_ends(n_sites, m, out_dim))
+    return (first.reshape(LOCAL_DIM, m), left.reshape(-1, m, LOCAL_DIM, m),
+            output.reshape(m, out_dim, m), right.reshape(-1, m, LOCAL_DIM, m),
             last.reshape(m, LOCAL_DIM))
 
 
@@ -107,8 +115,7 @@ def contract_rows(offsets: np.ndarray, rows: np.ndarray, values: np.ndarray,
             mats = (1.0 - v) * cores[:, :, :, 0] + v * cores[:, :, :, 1]
             yield from np.ascontiguousarray(mats.transpose(1, 0, 2, 3))
 
-    ends = np.cumsum([LOCAL_DIM * m, (pos - 1) * site_size, m * out_dim * m,
-                      (n_sites - 1 - pos) * site_size])
+    ends = _segment_ends(n_sites, m, out_dim)
     first_phi = np.stack([1.0 - values[:, 0], values[:, 0]], axis=1)
     vec = np.vecmat(first_phi, entries(0, ends[0]).reshape(count, LOCAL_DIM, m))
     for mat in site_matrices(ends[0], range(1, pos)):

@@ -415,7 +415,7 @@ class CartPoleEnv(envs.CartPoleEnv):
 
         self._state = np.array([x, x_dot, theta, theta_dot])
         self.steps += 1
-        self._done = (abs(x) > self.X_LIMIT or abs(theta) > self.theta_limit
+        self._done = (abs(x) > self.X_LIMIT or abs(theta) > self.THETA_LIMIT
                       or self.steps >= self.MAX_STEPS)
         return EnvTransition(self._state.copy(), 1.0, self._done)
 

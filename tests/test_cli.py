@@ -446,6 +446,33 @@ def test_killed_run_leaves_best_genome_of_last_checkpoint(tmp_path, monkeypatch,
     assert np.array_equal(best["genome"], snapshot.best_genome)
 
 
+@pytest.mark.parametrize("every", [1, 2, 4])
+@pytest.mark.parametrize("kill", range(1, 13))  # 6 generations write at most 12 files
+def test_killed_rename_leaves_best_genome_no_older_than_checkpoint(
+        tmp_path, monkeypatch, every, kill):
+    replace = cli.os.replace
+    replaced = 0
+
+    def replace_until_killed(src, dst):
+        nonlocal replaced
+        replaced += 1
+        if replaced == kill:
+            raise Killed()
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", replace_until_killed)
+    config = write_config(tmp_path / "cfg.json", checkpoint_every=every,
+                          evo={"generations": 6})
+    status = cli.main(["train", "--config", str(config)])
+    assert status == (1 if replaced >= kill else 0)
+    out_dir = tmp_path / "run"
+    checkpoints = [int(path.stem.split("_")[1]) for path in out_dir.glob("checkpoint_*.json")]
+    if checkpoints:  # none without a best genome, and none newer than it
+        assert (out_dir / "best_genome.json").exists()
+        best = json.loads((out_dir / "best_genome.json").read_text())
+        assert best["generation"] >= max(checkpoints)
+
+
 @pytest.fixture(scope="module")
 def uninterrupted_stats(tmp_path_factory) -> bytes:
     path = tmp_path_factory.mktemp("uninterrupted") / "cfg.json"

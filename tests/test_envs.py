@@ -85,11 +85,6 @@ def test_terminates_outside_angle_limit():
     assert env.step(1).done
 
 
-def test_angle_threshold_is_configurable():
-    env = envs.CartPoleEnv(theta_threshold_deg=12.0)
-    assert env.theta_limit == pytest.approx(math.radians(12.0))
-
-
 def test_full_survival_episode_scores_exactly_500():
     env = ref.CartPoleEnv()
     for seed in (0, 1, 2):

@@ -301,10 +301,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"--bond-dim must be >= 1, got {args.bond_dim}")
     with open(args.genome) as handle:
         payload = json.load(handle)
+    if type(payload) is not dict or "genome" not in payload:
+        raise ValueError("genome file must be a JSON object with a 'genome' key")
     env_name = args.env or payload.get("env")
     if env_name is None:
         raise ValueError("genome file does not name an env; pass --env")
     bond_dim = args.bond_dim if args.bond_dim is not None else payload.get("bond_dim", 4)
+    if type(bond_dim) is not int or bond_dim < 1:
+        raise ValueError(f"genome file's 'bond_dim' must be an int >= 1, got {bond_dim!r}")
     env_factory, architecture = resolve_task(env_name, bond_dim)
     genome = _finite_array(payload["genome"], "genome")
     if genome.shape != (architecture.genome_length,):

@@ -45,10 +45,11 @@ class CartPoleEnv:
     X_LIMIT = 2.4
     THETA_LIMIT = math.radians(15.0)
     MAX_STEPS = 500
+    START_LIMIT = 0.05
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         """An episode's start state: all four components uniform in [-0.05, 0.05]."""
-        return rng.uniform(-0.05, 0.05, size=4)
+        return rng.uniform(-self.START_LIMIT, self.START_LIMIT, size=4)
 
     def step_batch(self, states: np.ndarray,
                    actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,7 +83,10 @@ class CartPoleEnv:
 
         The reward is 1.0 per step, so an episode's return is its length.
         """
-        states = np.array([self.reset(rng) for rng in rngs for _ in range(repeats)])
+        # an agent's `repeats` start states in one draw: the same values as
+        # one `reset` per episode
+        states = np.array([rng.uniform(-self.START_LIMIT, self.START_LIMIT, size=(repeats, 4))
+                           for rng in rngs])
         states = states.reshape(n_agents * repeats, 4)
         lengths = np.zeros(len(states))
         agent = np.repeat(np.arange(n_agents), repeats)

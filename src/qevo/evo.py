@@ -20,6 +20,11 @@ next population exactly by re-running the mutation stream.
 A batch of genomes is scored by `batch_fitness`, which plays all of its
 episodes at once (`episode_returns`: the architecture's batched policy
 driving the env's lockstep `rollouts`).
+
+A run spawns every generation in place into one (population,
+genome_length) buffer, so no second population is ever allocated.  With a
+process pool that buffer is shared memory which every worker maps once; a
+task names rows of it, and no genome crosses a pipe.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numbers
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing.sharedctypes import RawArray
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
@@ -41,6 +47,11 @@ TAG_MUTATE = 2
 TAG_INIT = 3
 
 ROLLING_WINDOW = 100
+# Genome entries (2 MiB) of picked parents gathered per step of spawn_children.
+# Freeing a block this large keeps glibc's mmap threshold above the 0.5 MB
+# temporaries of mps.contract_rows; with 32-row blocks those were mapped and
+# page-faulted afresh on every call, and minigrid-5 training ran 5% slower.
+SPAWN_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -115,17 +126,22 @@ class GenerationSnapshot:
 # ---------------------------------------------------------------------------
 # primitive operations
 
-def init_population(config: EvoConfig, genome_length: int) -> np.ndarray:
-    """N genomes, entries Normal(0, 1) * init_scale, one stream per agent."""
+def init_population(config: EvoConfig, genome_length: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """N genomes, entries Normal(0, 1) * init_scale, one stream per agent.
+
+    Written into `out`, a (population, genome_length) float64 array, when
+    given; returns the array written.
+    """
     if genome_length < 1:
         raise ValueError("genome_length must be positive")
-    rows = [
+    out = _population_buffer(out, (config.population, genome_length))
+    for i, row in enumerate(out):
         np.random.default_rng(
             np.random.SeedSequence([config.master_seed, TAG_INIT, 0, i])
-        ).standard_normal(genome_length)
-        for i in range(config.population)
-    ]
-    return config.init_scale * np.stack(rows)
+        ).standard_normal(out=row)
+    out *= config.init_scale
+    return out
 
 
 def episode_returns(genomes: np.ndarray, architecture: AgentArchitecture, env,
@@ -157,15 +173,36 @@ def rank_indices(fitness: np.ndarray) -> np.ndarray:
 
 
 def spawn_children(parents: np.ndarray, elite: np.ndarray, config: EvoConfig,
-                   generation: int) -> np.ndarray:
-    """Next population from ranked parents: N-1 mutants plus the elite last."""
+                   generation: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Next population from ranked parents: N-1 mutants plus the elite last.
+
+    Written into `out` when given, which must not overlap `parents` or
+    `elite`; returns the array written.  The noise is drawn straight into
+    the children's rows and scaled there, and the picked parents are added
+    a block of about SPAWN_BLOCK_ENTRIES entries at a time, so no
+    population-sized temporary exists.
+    """
+    out = _population_buffer(out, (config.population, parents.shape[1]))
     rng = np.random.default_rng(
         np.random.SeedSequence([config.master_seed, TAG_MUTATE, generation]))
-    n_children = config.population - 1
-    picks = rng.integers(0, len(parents), size=n_children)
-    children = parents[picks] + config.mutation_power * rng.standard_normal(
-        (n_children, parents.shape[1]))
-    return np.concatenate([children, elite[None, :]], axis=0)
+    children = out[:-1]
+    picks = rng.integers(0, len(parents), size=len(children))
+    rng.standard_normal(out=children)
+    children *= config.mutation_power
+    rows = max(1, SPAWN_BLOCK_ENTRIES // parents.shape[1])
+    for start in range(0, len(children), rows):
+        children[start:start + rows] += parents[picks[start:start + rows]]
+    out[-1] = elite
+    return out
+
+
+def _population_buffer(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
+    """`out`, checked to be a population of `shape`, or a new one."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape:
+        raise ValueError(f"population must have shape {shape}, got {out.shape}")
+    return out
 
 
 def _window_stats(window) -> tuple[float, float]:
@@ -178,21 +215,26 @@ def _window_stats(window) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# pool workers: each builds its environment once
+# pool workers: each builds its environment once and maps the shared
+# population buffer once
 
 _WORKER_ENV = None
 _WORKER_ARCH = None
+_WORKER_POPULATION = None
 
 
-def _init_worker(env_factory, architecture) -> None:
-    global _WORKER_ENV, _WORKER_ARCH
+def _init_worker(env_factory, architecture, shared, shape) -> None:
+    global _WORKER_ENV, _WORKER_ARCH, _WORKER_POPULATION
     _WORKER_ENV = env_factory()
     _WORKER_ARCH = architecture
+    _WORKER_POPULATION = np.frombuffer(shared, dtype=np.float64).reshape(shape)
 
 
 def _eval_task(task) -> np.ndarray:
-    genomes, entropies, repeats = task
-    return batch_fitness(genomes, _WORKER_ARCH, _WORKER_ENV, repeats, entropies)
+    """Fitness of rows start..stop of the shared population buffer."""
+    start, stop, entropies, repeats = task
+    return batch_fitness(_WORKER_POPULATION[start:stop], _WORKER_ARCH, _WORKER_ENV,
+                         repeats, entropies)
 
 
 # ---------------------------------------------------------------------------
@@ -211,37 +253,40 @@ def _evolve(config: EvoConfig,
             genome_length: int,
             stop_condition: Callable[[GenerationStats], bool] | None = None,
             on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None = None,
-            resume: GenerationSnapshot | None = None) -> list[GenerationStats]:
+            resume: GenerationSnapshot | None = None,
+            buffer: np.ndarray | None = None) -> list[GenerationStats]:
     """The loop; fitness_of(genomes, generation, tag, repeats) scores a batch.
 
     `resume`, the snapshot of generation g, re-spawns generation g + 1.
+    Every generation is spawned in place into one (population,
+    genome_length) buffer, `buffer` if given.  Once the parents are copied
+    out, the old population is spent, so fitness_of may overwrite the
+    buffer when it scores the elite batch.
     """
+    if buffer is None:
+        buffer = np.empty((config.population, genome_length))
     if resume is None:
-        population = init_population(config, genome_length)
+        population = init_population(config, genome_length, out=buffer)
         start = 0
         window: deque = deque(maxlen=ROLLING_WINDOW)
         best_genome: np.ndarray | None = None
         best_score = -math.inf
     else:
         population = spawn_children(resume.parents, resume.elite, config,
-                                    resume.generation)
+                                    resume.generation, out=buffer)
         start = resume.generation + 1
         window = deque(resume.window, maxlen=ROLLING_WINDOW)
         best_genome = resume.best_genome
         best_score = resume.best_score
-
-    if population.shape != (config.population, genome_length):
-        raise ValueError(f"population must have shape "
-                         f"{(config.population, genome_length)}, "
-                         f"got {population.shape}")
 
     history: list[GenerationStats] = []
     for generation in range(start, config.generations):
         fitness = _finite(fitness_of(population, generation, TAG_EVAL,
                                      config.repeats_all), generation)
         order = rank_indices(fitness)
-        parents = population[order[:config.truncation]].copy()
-        parent_fitness = fitness[order[:config.truncation]].copy()
+        # fancy indexing copies: the parents outlive the buffer's next spawn
+        parents = population[order[:config.truncation]]
+        parent_fitness = fitness[order[:config.truncation]]
 
         elite_scores = _finite(fitness_of(parents, generation, TAG_ELITE,
                                           config.repeats_parents), generation)
@@ -274,7 +319,8 @@ def _evolve(config: EvoConfig,
                 tuple(window), best_genome, best_score))
         if stop_condition is not None and stop_condition(stats):
             break
-        population = spawn_children(parents, elite, config, generation)
+        population = spawn_children(parents, elite, config, generation,
+                                    out=population)
     return history
 
 
@@ -286,31 +332,41 @@ def run(config: EvoConfig, env_factory, architecture: AgentArchitecture,
     """Train on an environment; see the module docstring for the loop.
 
     Agent i of a batch plays from the stream [master_seed, tag, generation,
-    i], so `workers` changes only where the episodes run: with workers > 1
-    each batch is split into contiguous slices, about four per worker, and
-    every worker scores its slices with `batch_fitness`.
+    i], so `workers` changes only where the episodes run.  With workers > 1
+    the population lives in one shared-memory buffer that every worker maps
+    at start-up; each batch is split into contiguous row slices, about four
+    per worker, and a task names only its rows, entropies and repeats, so no
+    genome is pickled.  The elite batch is copied into the buffer's head
+    rows first.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    env = env_factory() if workers == 1 else None
-    pool = None if workers == 1 else ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker,
-        initargs=(env_factory, architecture))
+    env = pool = population = None
+    if workers == 1:
+        env = env_factory()
+    else:
+        shape = (config.population, architecture.genome_length)
+        shared = RawArray("d", shape[0] * shape[1])
+        population = np.frombuffer(shared, dtype=np.float64).reshape(shape)
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                   initargs=(env_factory, architecture, shared, shape))
 
     def fitness_of(genomes, generation, tag, repeats):
         entropies = [[config.master_seed, tag, generation, i]
                      for i in range(len(genomes))]
         if pool is None:
             return batch_fitness(genomes, architecture, env, repeats, entropies)
+        if genomes is not population:  # the elite batch; the population is spent
+            population[:len(genomes)] = genomes
         # contiguous slices, about 4 per worker
         size = max(1, math.ceil(len(genomes) / (4 * workers)))
-        tasks = [(genomes[i:i + size], entropies[i:i + size], repeats)
+        tasks = [(i, min(i + size, len(genomes)), entropies[i:i + size], repeats)
                  for i in range(0, len(genomes), size)]
         return np.concatenate(list(pool.map(_eval_task, tasks)))
 
     try:
         return _evolve(config, fitness_of, architecture.genome_length,
-                       stop_condition, on_generation, resume)
+                       stop_condition, on_generation, resume, population)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -1,7 +1,9 @@
 """The scalar reference: one agent plays one episode, one step at a time.
 
 The library runs only the batched path, and the tests hold it to these forms
-bit for bit.  This module imports the library; the library never imports it.
+bit for bit.  The generation step is here too, in the form that allocates a
+new population: the library spawns in place, and must write the same bytes.
+This module imports the library; the library never imports it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from qevo import envs
+from qevo.evo import TAG_INIT, TAG_MUTATE, EvoConfig
 from qevo.agents import (CARTPOLE_BLOCKS, CARTPOLE_GENOME_LENGTH, CARTPOLE_QUBITS,
                          TNVQC_CIRCUIT_PARAMS, TNVQC_MEASURED, TNVQC_QUBITS, TNVQC_SITES,
                          _H_ON_ZERO, AgentArchitecture, _ring_gather_indices, cartpole_unitaries)
@@ -510,3 +513,29 @@ def evaluate_fitness(genome: np.ndarray, architecture: AgentArchitecture,
     for _ in range(repeats):
         total += play_episode(agent, env, rng, memo)
     return total / repeats
+
+
+# ---------------------------------------------------------------------------
+# the generation step, allocating
+
+def init_population(config: EvoConfig, genome_length: int) -> np.ndarray:
+    """N genomes, entries Normal(0, 1) * init_scale, one stream per agent."""
+    rows = [
+        np.random.default_rng(
+            np.random.SeedSequence([config.master_seed, TAG_INIT, 0, i])
+        ).standard_normal(genome_length)
+        for i in range(config.population)
+    ]
+    return config.init_scale * np.stack(rows)
+
+
+def spawn_children(parents: np.ndarray, elite: np.ndarray, config: EvoConfig,
+                   generation: int) -> np.ndarray:
+    """Next population from ranked parents: N-1 mutants plus the elite last."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([config.master_seed, TAG_MUTATE, generation]))
+    n_children = config.population - 1
+    picks = rng.integers(0, len(parents), size=n_children)
+    children = parents[picks] + config.mutation_power * rng.standard_normal(
+        (n_children, parents.shape[1]))
+    return np.concatenate([children, elite[None, :]], axis=0)

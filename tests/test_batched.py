@@ -7,6 +7,8 @@ agents' `act`, `contract`) is the oracle these tests compare against; equality
 is exact, not approximate, because training must write the same bytes.
 """
 
+from multiprocessing.sharedctypes import RawArray
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,9 +190,12 @@ def test_pool_task_matches_serial_slice(monkeypatch):
     factory, architecture = TASKS["minigrid-5"]
     genomes = random_genomes(np.random.default_rng(51), 6, architecture.genome_length, 0.2)
     entropies = [[1, 0, 0, i] for i in range(6)]
+    shared = RawArray("d", genomes.size)
+    np.frombuffer(shared, dtype=np.float64)[:] = genomes.ravel()
     monkeypatch.setattr(evo, "_WORKER_ENV", None)  # restored after the test
     monkeypatch.setattr(evo, "_WORKER_ARCH", None)
-    evo._init_worker(factory, architecture)
-    sliced = evo._eval_task((genomes[2:5], entropies[2:5], 3))
+    monkeypatch.setattr(evo, "_WORKER_POPULATION", None)
+    evo._init_worker(factory, architecture, shared, genomes.shape)
+    sliced = evo._eval_task((2, 5, entropies[2:5], 3))
     whole = evo.batch_fitness(genomes, architecture, factory(), 3, entropies)
     assert sliced.tobytes() == whole[2:5].tobytes()

@@ -204,6 +204,30 @@ def test_eval_rejects_zero_bond_dim(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("bad", [1.5, True, 0, "2", None])
+def test_eval_rejects_a_bad_bond_dim_in_the_file(tmp_path, capsys, bad):
+    # 1.5 used to reach the architecture (expected length 700.5), true was taken as 1
+    length = agents.tnvqc_architecture(bond_dim=1).genome_length
+    genome_file = tmp_path / "g.json"
+    genome_file.write_text(json.dumps({"env": "minigrid-5", "bond_dim": bad,
+                                       "genome": [0.0] * length}))
+    assert cli.main(["eval", "--genome", str(genome_file), "--episodes", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "'bond_dim'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("payload", [[0.0] * 26, {"env": "cartpole"}, "genome", 26])
+def test_eval_requires_an_object_with_a_genome_key(tmp_path, capsys, payload):
+    genome_file = tmp_path / "g.json"
+    genome_file.write_text(json.dumps(payload))
+    assert cli.main(["eval", "--genome", str(genome_file), "--env", "cartpole",
+                     "--episodes", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "'genome'" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("env_name,bond_dim", [("cartpole", 4), ("minigrid-5", 2)])
 def test_eval_output_matches_play_episode(tmp_path, capsys, env_name, bond_dim):
     _, architecture = cli.resolve_task(env_name, bond_dim)

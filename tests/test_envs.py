@@ -359,6 +359,27 @@ def test_cartpole_rollouts_match_episodes():
     assert returns[0].tolist() == [500.0, 500.0]
 
 
+@pytest.mark.parametrize("repeats", [0, 1, 3])
+def test_cartpole_rollouts_start_where_resets_do(repeats):
+    # one draw of (repeats, 4) per agent gives the bytes of one reset per episode
+    env = envs.CartPoleEnv()
+    seen = []
+
+    def policy(agents, obs):
+        if not seen:
+            seen.append(obs.copy())
+        return np.zeros(len(obs), dtype=np.int64)
+
+    seeds = [3, 4]
+    env.rollouts(policy, (np.random.default_rng(s) for s in seeds), len(seeds), repeats)
+    expected = [env.reset(rng) for rng in map(np.random.default_rng, seeds)
+                for _ in range(repeats)]
+    if repeats:
+        assert seen[0].tobytes() == np.array(expected).tobytes()
+    else:
+        assert not seen  # no episode, no policy call
+
+
 @pytest.mark.parametrize("n", [5, 6, 8])
 def test_grid_model_matches_step(n):
     env = ref.MiniGridEnv(n)

@@ -1,9 +1,12 @@
 """Evolution-strategy tests: seeding, ranking, elitism, resume, workers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qevo import agents, envs, evo
 
@@ -82,6 +85,75 @@ def test_spawn_children_layout():
     np.testing.assert_array_equal(pop, again)
     shifted = evo.spawn_children(parents, elite, config, generation=1)
     assert not np.array_equal(pop[:-1], shifted[:-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(population=st.integers(2, 100), genome_length=st.integers(1, 60),
+       init_scale=st.sampled_from([0.0, 1e-300, 0.01, 0.2, 3.0]),
+       master_seed=st.integers(0, 2**32 - 1), given_out=st.booleans())
+def test_init_population_matches_reference(population, genome_length, init_scale,
+                                           master_seed, given_out):
+    # init_scale 0.0 gives signed zeros, which tobytes tells apart
+    config = tiny_config(population=population, truncation=1,
+                         init_scale=init_scale, master_seed=master_seed)
+    out = np.full((population, genome_length), np.nan) if given_out else None
+    pop = evo.init_population(config, genome_length, out=out)
+    assert out is None or pop is out
+    assert pop.tobytes() == ref.init_population(config, genome_length).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), population=st.integers(2, 100), genome_length=st.integers(1, 60),
+       mutation_power=st.sampled_from([1e-300, 0.02, 0.5, 7.0]),
+       generation=st.integers(0, 10_000), master_seed=st.integers(0, 2**32 - 1),
+       parent_scale=st.sampled_from([0.0, 0.01, 1.0, 1e6]), given_out=st.booleans(),
+       block_entries=st.sampled_from([1, 50, 333, evo.SPAWN_BLOCK_ENTRIES]))
+def test_spawn_children_matches_reference(data, population, genome_length, mutation_power,
+                                          generation, master_seed, parent_scale, given_out,
+                                          block_entries):
+    truncation = data.draw(st.integers(1, population - 1), label="truncation")
+    config = tiny_config(population=population, truncation=truncation,
+                         mutation_power=mutation_power, master_seed=master_seed)
+    rng = np.random.default_rng(generation)
+    parents = rng.standard_normal((truncation, genome_length)) * parent_scale
+    elite = parents[rng.integers(truncation)].copy()
+    out = np.full((population, genome_length), np.nan) if given_out else None
+    default_block, evo.SPAWN_BLOCK_ENTRIES = evo.SPAWN_BLOCK_ENTRIES, block_entries
+    try:  # small blocks: the parents are added in many row blocks
+        pop = evo.spawn_children(parents, elite, config, generation, out=out)
+    finally:
+        evo.SPAWN_BLOCK_ENTRIES = default_block
+    assert out is None or pop is out
+    expected = ref.spawn_children(parents, elite, config, generation)
+    assert pop.tobytes() == expected.tobytes()
+
+
+def test_generation_step_allocates_no_second_population():
+    """The in-place loop's peak stays under 1.5 populations of memory.
+
+    The loop owns one population buffer; the parents are a few rows, and
+    spawning gathers picked parents SPAWN_BLOCK_ENTRIES entries at a time.  An
+    allocating init or spawn (stack, noise, sum, concatenate) would hold
+    two or more populations at once.
+    """
+    config = evo.EvoConfig(population=200, truncation=10, mutation_power=0.02,
+                           generations=3, master_seed=4, init_scale=0.1)
+    genome_length = 5_000
+    population_bytes = config.population * genome_length * 8
+    calls = []
+
+    def row_sums(genomes, generation, tag, repeats):  # allocates only (len,)
+        calls.append(tag)
+        return genomes.sum(axis=1)
+
+    tracemalloc.start()
+    try:
+        evo._evolve(config, row_sums, genome_length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [evo.TAG_EVAL, evo.TAG_ELITE] * 3
+    assert peak < 1.5 * population_bytes, peak / population_bytes
 
 
 def test_spawn_children_single_parent():
@@ -244,6 +316,33 @@ def test_minigrid_worker_count_does_not_change_results():
     pooled = evo.run(config, envs.env_factory("minigrid-5"), arch, workers=2)
     assert [repr(s) for s in serial] == [repr(s) for s in pooled]
     assert any(s.top5_avg > 0.0 for s in serial)
+
+
+def test_pooled_resume_reproduces_uninterrupted_serial_run():
+    # the resume re-spawns its first population straight into the shared buffer
+    config = evo.EvoConfig(population=10, truncation=2, mutation_power=0.05,
+                           generations=4, repeats_all=2, repeats_parents=2,
+                           master_seed=1, init_scale=0.2)
+    arch = agents.tnvqc_architecture(bond_dim=2)
+    factory = envs.env_factory("minigrid-5")
+    snaps = {}
+    full = evo.run(config, factory, arch, workers=1,
+                   on_generation=lambda s, snap: snaps.__setitem__(snap.generation, snap))
+    tail = evo.run(config, factory, arch, workers=2, resume=snaps[1])
+    assert [repr(s) for s in tail] == [repr(s) for s in full[2:]]
+    assert any(s.top5_avg > 0.0 for s in full)
+
+
+def test_uneven_pool_split_does_not_change_results():
+    # 7 rows over 3 workers, and an elite batch of 2 rows that is copied
+    # into the head of the shared buffer while the population there is spent
+    config = evo.EvoConfig(population=7, truncation=2, mutation_power=0.05,
+                           generations=3, repeats_all=2, repeats_parents=3,
+                           master_seed=11, init_scale=0.3)
+    arch = agents.cartpole_architecture()
+    serial = evo.run(config, envs.CartPoleEnv, arch, workers=1)
+    pooled = evo.run(config, envs.CartPoleEnv, arch, workers=3)
+    assert [repr(s) for s in serial] == [repr(s) for s in pooled]
 
 
 def test_near_zero_genomes_score_like_random_play():

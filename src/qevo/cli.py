@@ -55,6 +55,8 @@ from . import agents, envs, evo
 
 STATS_COLUMNS = tuple(field.name for field in dataclasses.fields(evo.GenerationStats))
 CHECKPOINT_FORMAT = 2
+CHECKPOINT_KEYS = {"run_config", *(field.name for field in
+                                   dataclasses.fields(evo.GenerationSnapshot))}
 
 
 @dataclass
@@ -81,6 +83,8 @@ class RunConfig:
 
 def _from_dict(cls, data: dict, section: str):
     """A config dataclass from JSON; a field without a default is a required key."""
+    if type(data) is not dict:
+        raise ValueError(f"{section} must be a JSON object, got {type(data).__name__}")
     fields = dataclasses.fields(cls)
     unknown = set(data) - {f.name for f in fields}
     if unknown:
@@ -198,8 +202,13 @@ def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapsho
     """
     with open(path) as handle:
         data = json.load(handle)
+    if type(data) is not dict:
+        raise ValueError(f"checkpoint must be a JSON object, got {type(data).__name__}")
     if data.get("format") not in (1, CHECKPOINT_FORMAT):
         raise ValueError(f"unsupported checkpoint format: {data.get('format')!r}")
+    missing = CHECKPOINT_KEYS - set(data)
+    if missing:
+        raise ValueError(f"checkpoint is missing keys: {sorted(missing)}")
     config = _from_dict(RunConfig, data["run_config"], "config")
     generation = data["generation"]
     if type(generation) is not int or generation < 0:
@@ -303,9 +312,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         payload = json.load(handle)
     if type(payload) is not dict or "genome" not in payload:
         raise ValueError("genome file must be a JSON object with a 'genome' key")
-    env_name = args.env or payload.get("env")
-    if env_name is None:
-        raise ValueError("genome file does not name an env; pass --env")
+    env_name = args.env if args.env is not None else payload.get("env")
+    if args.env is None and (type(env_name) is not str or env_name not in envs.ENV_NAMES):
+        raise ValueError(f"genome file's 'env' must be one of {envs.ENV_NAMES} "
+                         f"(or pass --env), got {env_name!r}")
     bond_dim = args.bond_dim if args.bond_dim is not None else payload.get("bond_dim", 4)
     if type(bond_dim) is not int or bond_dim < 1:
         raise ValueError(f"genome file's 'bond_dim' must be an int >= 1, got {bond_dim!r}")

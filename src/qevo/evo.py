@@ -22,9 +22,12 @@ episodes at once (`episode_returns`: the architecture's batched policy
 driving the env's lockstep `rollouts`).
 
 A run spawns every generation in place into one (population,
-genome_length) buffer, so no second population is ever allocated.  With a
-process pool that buffer is shared memory which every worker maps once; a
-task names rows of it, and no genome crosses a pipe.
+genome_length) buffer, so no second population is ever allocated, and
+scores every batch in that buffer's head rows: the population in all of
+them, the parents in the first `truncation`.  With a process pool the
+buffer is shared memory which every worker maps once; each batch is split
+into one contiguous slice of rows per worker, a task names its slice, and
+no genome crosses a pipe.
 """
 
 from __future__ import annotations
@@ -127,15 +130,15 @@ class GenerationSnapshot:
 # primitive operations
 
 def init_population(config: EvoConfig, genome_length: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
+                    out: np.ndarray) -> np.ndarray:
     """N genomes, entries Normal(0, 1) * init_scale, one stream per agent.
 
-    Written into `out`, a (population, genome_length) float64 array, when
-    given; returns the array written.
+    Written into `out`, a (population, genome_length) float64 array, which
+    is returned.
     """
     if genome_length < 1:
         raise ValueError("genome_length must be positive")
-    out = _population_buffer(out, (config.population, genome_length))
+    _check_population(out, (config.population, genome_length))
     for i, row in enumerate(out):
         np.random.default_rng(
             np.random.SeedSequence([config.master_seed, TAG_INIT, 0, i])
@@ -173,16 +176,16 @@ def rank_indices(fitness: np.ndarray) -> np.ndarray:
 
 
 def spawn_children(parents: np.ndarray, elite: np.ndarray, config: EvoConfig,
-                   generation: int, out: np.ndarray | None = None) -> np.ndarray:
+                   generation: int, out: np.ndarray) -> np.ndarray:
     """Next population from ranked parents: N-1 mutants plus the elite last.
 
-    Written into `out` when given, which must not overlap `parents` or
-    `elite`; returns the array written.  The noise is drawn straight into
-    the children's rows and scaled there, and the picked parents are added
-    a block of about SPAWN_BLOCK_ENTRIES entries at a time, so no
-    population-sized temporary exists.
+    Written into `out`, which must not overlap `parents` or `elite`, and
+    which is returned.  The noise is drawn straight into the children's rows
+    and scaled there, and the picked parents are added a block of about
+    SPAWN_BLOCK_ENTRIES entries at a time, so no population-sized temporary
+    exists.
     """
-    out = _population_buffer(out, (config.population, parents.shape[1]))
+    _check_population(out, (config.population, parents.shape[1]))
     rng = np.random.default_rng(
         np.random.SeedSequence([config.master_seed, TAG_MUTATE, generation]))
     children = out[:-1]
@@ -196,13 +199,9 @@ def spawn_children(parents: np.ndarray, elite: np.ndarray, config: EvoConfig,
     return out
 
 
-def _population_buffer(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
-    """`out`, checked to be a population of `shape`, or a new one."""
-    if out is None:
-        return np.empty(shape)
+def _check_population(out: np.ndarray, shape: tuple[int, int]) -> None:
     if out.shape != shape:
         raise ValueError(f"population must have shape {shape}, got {out.shape}")
-    return out
 
 
 def _window_stats(window) -> tuple[float, float]:
@@ -255,25 +254,24 @@ def _evolve(config: EvoConfig,
             on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None = None,
             resume: GenerationSnapshot | None = None,
             buffer: np.ndarray | None = None) -> list[GenerationStats]:
-    """The loop; fitness_of(genomes, generation, tag, repeats) scores a batch.
+    """The loop; fitness_of(rows, generation, tag, repeats) scores a batch.
 
     `resume`, the snapshot of generation g, re-spawns generation g + 1.
     Every generation is spawned in place into one (population,
-    genome_length) buffer, `buffer` if given.  Once the parents are copied
-    out, the old population is spent, so fitness_of may overwrite the
-    buffer when it scores the elite batch.
+    genome_length) buffer, `buffer` if given, and every batch is passed as
+    the view `buffer[:n]` of its head rows: the population, then the
+    parents, written over its spent first rows.
     """
-    if buffer is None:
-        buffer = np.empty((config.population, genome_length))
+    population = np.empty((config.population, genome_length)) if buffer is None else buffer
     if resume is None:
-        population = init_population(config, genome_length, out=buffer)
+        init_population(config, genome_length, out=population)
         start = 0
         window: deque = deque(maxlen=ROLLING_WINDOW)
         best_genome: np.ndarray | None = None
         best_score = -math.inf
     else:
-        population = spawn_children(resume.parents, resume.elite, config,
-                                    resume.generation, out=buffer)
+        spawn_children(resume.parents, resume.elite, config, resume.generation,
+                       out=population)
         start = resume.generation + 1
         window = deque(resume.window, maxlen=ROLLING_WINDOW)
         best_genome = resume.best_genome
@@ -281,15 +279,16 @@ def _evolve(config: EvoConfig,
 
     history: list[GenerationStats] = []
     for generation in range(start, config.generations):
-        fitness = _finite(fitness_of(population, generation, TAG_EVAL,
-                                     config.repeats_all), generation)
+        fitness = _finite(fitness_of(population[:config.population], generation,
+                                     TAG_EVAL, config.repeats_all), generation)
         order = rank_indices(fitness)
         # fancy indexing copies: the parents outlive the buffer's next spawn
         parents = population[order[:config.truncation]]
         parent_fitness = fitness[order[:config.truncation]]
 
-        elite_scores = _finite(fitness_of(parents, generation, TAG_ELITE,
-                                          config.repeats_parents), generation)
+        population[:config.truncation] = parents  # the population is spent
+        elite_scores = _finite(fitness_of(population[:config.truncation], generation,
+                                          TAG_ELITE, config.repeats_parents), generation)
         elite_index = int(np.argmax(elite_scores))  # first max: ties break low
         elite = parents[elite_index].copy()
         elite_score = float(elite_scores[elite_index])
@@ -319,8 +318,7 @@ def _evolve(config: EvoConfig,
                 tuple(window), best_genome, best_score))
         if stop_condition is not None and stop_condition(stats):
             break
-        population = spawn_children(parents, elite, config, generation,
-                                    out=population)
+        spawn_children(parents, elite, config, generation, out=population)
     return history
 
 
@@ -333,11 +331,11 @@ def run(config: EvoConfig, env_factory, architecture: AgentArchitecture,
 
     Agent i of a batch plays from the stream [master_seed, tag, generation,
     i], so `workers` changes only where the episodes run.  With workers > 1
-    the population lives in one shared-memory buffer that every worker maps
-    at start-up; each batch is split into contiguous row slices, about four
-    per worker, and a task names only its rows, entropies and repeats, so no
-    genome is pickled.  The elite batch is copied into the buffer's head
-    rows first.
+    the population buffer is shared memory that every worker maps at
+    start-up.  A batch is the buffer's first n rows; they are cut at
+    n*k // workers into one contiguous slice per worker (empty slices are
+    skipped), and a task names only its rows, entropies and repeats, so no
+    genome is pickled.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -351,17 +349,14 @@ def run(config: EvoConfig, env_factory, architecture: AgentArchitecture,
         pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                    initargs=(env_factory, architecture, shared, shape))
 
-    def fitness_of(genomes, generation, tag, repeats):
-        entropies = [[config.master_seed, tag, generation, i]
-                     for i in range(len(genomes))]
+    def fitness_of(rows, generation, tag, repeats):
+        n = len(rows)
+        entropies = [[config.master_seed, tag, generation, i] for i in range(n)]
         if pool is None:
-            return batch_fitness(genomes, architecture, env, repeats, entropies)
-        if genomes is not population:  # the elite batch; the population is spent
-            population[:len(genomes)] = genomes
-        # contiguous slices, about 4 per worker
-        size = max(1, math.ceil(len(genomes) / (4 * workers)))
-        tasks = [(i, min(i + size, len(genomes)), entropies[i:i + size], repeats)
-                 for i in range(0, len(genomes), size)]
+            return batch_fitness(rows, architecture, env, repeats, entropies)
+        cuts = [n * k // workers for k in range(workers + 1)]
+        tasks = [(start, stop, entropies[start:stop], repeats)
+                 for start, stop in zip(cuts, cuts[1:]) if start < stop]
         return np.concatenate(list(pool.map(_eval_task, tasks)))
 
     try:

@@ -173,7 +173,7 @@ def test_trained_populations_match_evaluate_fitness(env_name, generations):
 
     def capture(stats, snapshot):
         if snapshot.generation % 3 == 2:
-            populations.append((snapshot.generation, evo.spawn_children(
+            populations.append((snapshot.generation, ref.spawn_children(
                 snapshot.parents, snapshot.elite, config, snapshot.generation)))
 
     evo.run(config, factory, architecture, on_generation=capture)

@@ -228,6 +228,17 @@ def test_eval_requires_an_object_with_a_genome_key(tmp_path, capsys, payload):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("bad", [["cartpole"], 5, None, "pong"],
+                         ids=["list", "number", "null", "unknown"])
+def test_eval_rejects_a_bad_env_in_the_file(tmp_path, capsys, bad):
+    genome_file = tmp_path / "g.json"
+    genome_file.write_text(json.dumps({"env": bad, "genome": [0.0] * 26}))
+    assert cli.main(["eval", "--genome", str(genome_file), "--episodes", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "'env'" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("env_name,bond_dim", [("cartpole", 4), ("minigrid-5", 2)])
 def test_eval_output_matches_play_episode(tmp_path, capsys, env_name, bond_dim):
     _, architecture = cli.resolve_task(env_name, bond_dim)
@@ -380,6 +391,30 @@ def test_resume_rejects_malformed_encoded_array(tmp_path, capsys, key, corrupt):
     assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
     captured = capsys.readouterr()
     assert "error:" in captured.err and repr(key) in captured.err
+    assert (tmp_path / "run" / "stats.csv").read_bytes() == before
+
+
+def test_resume_rejects_a_checkpoint_that_is_not_an_object(tmp_path, capsys):
+    checkpoint = tmp_path / "checkpoint_1.json"
+    checkpoint.write_text("[1]")
+    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
+    assert "checkpoint must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", sorted(cli.CHECKPOINT_KEYS))
+def test_resume_names_a_missing_checkpoint_key(tmp_path, capsys, key):
+    config = write_config(tmp_path / "cfg.json")
+    assert cli.main(["train", "--config", str(config)]) == 0
+    checkpoint = tmp_path / "run" / "checkpoint_1.json"
+    data = json.loads(checkpoint.read_text())
+    del data[key]
+    checkpoint.write_text(json.dumps(data))
+    before = (tmp_path / "run" / "stats.csv").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "missing" in captured.err
+    assert repr(key) in captured.err
     assert (tmp_path / "run" / "stats.csv").read_bytes() == before
 
 
@@ -587,6 +622,24 @@ def test_missing_evo_key_rejected(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert cli.main(["train", "--config", str(path)]) == 1
     assert "missing evo config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,value", [
+    ("evo", 5), ("evo", [0.02]), ("evo", None), ("config", [1]),
+], ids=["evo-number", "evo-list", "evo-null", "config-list"])
+def test_config_section_must_be_an_object(tmp_path, capsys, section, value):
+    path = tmp_path / "cfg.json"
+    data = json.loads(write_config(path).read_text())
+    if section == "config":
+        data = value
+    else:
+        data[section] = value
+        section += " config"
+    path.write_text(json.dumps(data))
+    assert cli.main(["train", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {section} must be a JSON object" in captured.err
+    assert not (tmp_path / "run").exists()
 
 
 def test_zero_generation_override_parses_full_scale_configs(tmp_path, capsys):

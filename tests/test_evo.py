@@ -2,6 +2,9 @@
 
 import math
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -19,6 +22,11 @@ def sphere(genome):
 
 def sphere_fitness(genomes, generation, tag, repeats):
     return np.array([sphere(g) for g in genomes])
+
+
+def new_population(config, genome_length):
+    """An out buffer for init_population / spawn_children; NaN until written."""
+    return np.full((config.population, genome_length), np.nan)
 
 
 def tiny_config(**overrides):
@@ -49,8 +57,8 @@ def test_config_validation():
 
 def test_init_population_deterministic_and_scaled():
     config = tiny_config(population=100, truncation=5, init_scale=0.02)
-    pop = evo.init_population(config, 1000)
-    again = evo.init_population(config, 1000)
+    pop = evo.init_population(config, 1000, new_population(config, 1000))
+    again = evo.init_population(config, 1000, new_population(config, 1000))
     np.testing.assert_array_equal(pop, again)
     assert pop.shape == (100, 1000)
     # 1e5 standard normal draws: sample std within 10% of init_scale
@@ -59,13 +67,16 @@ def test_init_population_deterministic_and_scaled():
 
 
 def test_init_population_rows_independent_of_population_size():
-    small = evo.init_population(tiny_config(population=4, truncation=1), 10)
-    large = evo.init_population(tiny_config(population=8, truncation=1), 10)
+    small_config = tiny_config(population=4, truncation=1)
+    large_config = tiny_config(population=8, truncation=1)
+    small = evo.init_population(small_config, 10, new_population(small_config, 10))
+    large = evo.init_population(large_config, 10, new_population(large_config, 10))
     np.testing.assert_array_equal(small, large[:4])
 
 
 def test_init_scale_zero_gives_zero_population():
-    pop = evo.init_population(tiny_config(init_scale=0.0), 5)
+    config = tiny_config(init_scale=0.0)
+    pop = evo.init_population(config, 5, new_population(config, 5))
     np.testing.assert_array_equal(pop, np.zeros((8, 5)))
 
 
@@ -78,27 +89,27 @@ def test_spawn_children_layout():
     config = tiny_config(population=6, truncation=2, mutation_power=0.1)
     parents = np.stack([np.zeros(4), np.ones(4)])
     elite = np.full(4, 9.0)
-    pop = evo.spawn_children(parents, elite, config, generation=0)
+    pop = evo.spawn_children(parents, elite, config, 0, new_population(config, 4))
     assert pop.shape == (6, 4)
     np.testing.assert_array_equal(pop[-1], elite)  # elite verbatim, last slot
-    again = evo.spawn_children(parents, elite, config, generation=0)
+    again = evo.spawn_children(parents, elite, config, 0, new_population(config, 4))
     np.testing.assert_array_equal(pop, again)
-    shifted = evo.spawn_children(parents, elite, config, generation=1)
+    shifted = evo.spawn_children(parents, elite, config, 1, new_population(config, 4))
     assert not np.array_equal(pop[:-1], shifted[:-1])
 
 
 @settings(max_examples=40, deadline=None)
 @given(population=st.integers(2, 100), genome_length=st.integers(1, 60),
        init_scale=st.sampled_from([0.0, 1e-300, 0.01, 0.2, 3.0]),
-       master_seed=st.integers(0, 2**32 - 1), given_out=st.booleans())
+       master_seed=st.integers(0, 2**32 - 1))
 def test_init_population_matches_reference(population, genome_length, init_scale,
-                                           master_seed, given_out):
+                                           master_seed):
     # init_scale 0.0 gives signed zeros, which tobytes tells apart
     config = tiny_config(population=population, truncation=1,
                          init_scale=init_scale, master_seed=master_seed)
-    out = np.full((population, genome_length), np.nan) if given_out else None
+    out = new_population(config, genome_length)
     pop = evo.init_population(config, genome_length, out=out)
-    assert out is None or pop is out
+    assert pop is out
     assert pop.tobytes() == ref.init_population(config, genome_length).tobytes()
 
 
@@ -106,10 +117,10 @@ def test_init_population_matches_reference(population, genome_length, init_scale
 @given(data=st.data(), population=st.integers(2, 100), genome_length=st.integers(1, 60),
        mutation_power=st.sampled_from([1e-300, 0.02, 0.5, 7.0]),
        generation=st.integers(0, 10_000), master_seed=st.integers(0, 2**32 - 1),
-       parent_scale=st.sampled_from([0.0, 0.01, 1.0, 1e6]), given_out=st.booleans(),
+       parent_scale=st.sampled_from([0.0, 0.01, 1.0, 1e6]),
        block_entries=st.sampled_from([1, 50, 333, evo.SPAWN_BLOCK_ENTRIES]))
 def test_spawn_children_matches_reference(data, population, genome_length, mutation_power,
-                                          generation, master_seed, parent_scale, given_out,
+                                          generation, master_seed, parent_scale,
                                           block_entries):
     truncation = data.draw(st.integers(1, population - 1), label="truncation")
     config = tiny_config(population=population, truncation=truncation,
@@ -117,13 +128,13 @@ def test_spawn_children_matches_reference(data, population, genome_length, mutat
     rng = np.random.default_rng(generation)
     parents = rng.standard_normal((truncation, genome_length)) * parent_scale
     elite = parents[rng.integers(truncation)].copy()
-    out = np.full((population, genome_length), np.nan) if given_out else None
+    out = new_population(config, genome_length)
     default_block, evo.SPAWN_BLOCK_ENTRIES = evo.SPAWN_BLOCK_ENTRIES, block_entries
     try:  # small blocks: the parents are added in many row blocks
         pop = evo.spawn_children(parents, elite, config, generation, out=out)
     finally:
         evo.SPAWN_BLOCK_ENTRIES = default_block
-    assert out is None or pop is out
+    assert pop is out
     expected = ref.spawn_children(parents, elite, config, generation)
     assert pop.tobytes() == expected.tobytes()
 
@@ -159,7 +170,7 @@ def test_generation_step_allocates_no_second_population():
 def test_spawn_children_single_parent():
     config = tiny_config(population=3, truncation=1)
     parents = np.ones((1, 5))
-    pop = evo.spawn_children(parents, parents[0], config, generation=2)
+    pop = evo.spawn_children(parents, parents[0], config, 2, new_population(config, 5))
     # every child is parent + noise of the configured scale
     deltas = pop[:-1] - 1.0
     assert np.all(deltas != 0.0)
@@ -260,7 +271,7 @@ def test_elite_reappears_in_next_generation():
         # simply the top-ranked parent
         assert elite_fitness == max(sphere(p) for p in snap.parents)
         nxt = evo.spawn_children(snap.parents, snap.elite, config,
-                                 snap.generation)
+                                 snap.generation, new_population(config, 6))
         np.testing.assert_array_equal(nxt[-1], snap.elite)
 
 
@@ -334,15 +345,83 @@ def test_pooled_resume_reproduces_uninterrupted_serial_run():
 
 
 def test_uneven_pool_split_does_not_change_results():
-    # 7 rows over 3 workers, and an elite batch of 2 rows that is copied
-    # into the head of the shared buffer while the population there is spent
-    config = evo.EvoConfig(population=7, truncation=2, mutation_power=0.05,
-                           generations=3, repeats_all=2, repeats_parents=3,
-                           master_seed=11, init_scale=0.3)
+    # 7 rows over 3 workers, then an elite batch of 2 rows written over the
+    # spent head of the shared buffer; and P=2, T=1, where both batches have
+    # fewer rows than workers, so some slices are empty and skipped
+    arch = agents.cartpole_architecture()
+    for population, truncation in ((7, 2), (2, 1)):
+        config = evo.EvoConfig(population=population, truncation=truncation,
+                               mutation_power=0.05, generations=3, repeats_all=2,
+                               repeats_parents=3, master_seed=11, init_scale=0.3)
+        serial = evo.run(config, envs.CartPoleEnv, arch, workers=1)
+        pooled = evo.run(config, envs.CartPoleEnv, arch, workers=3)
+        assert [repr(s) for s in serial] == [repr(s) for s in pooled]
+
+
+def test_spawned_pool_workers_match_serial_run(monkeypatch):
+    # spawned workers inherit nothing: the shared buffer reaches them only
+    # through the pool's initargs
+    spawning = partial(ProcessPoolExecutor, mp_context=get_context("spawn"))
+    monkeypatch.setattr(evo, "ProcessPoolExecutor", spawning)
+    config = evo.EvoConfig(population=6, truncation=2, mutation_power=0.05,
+                           generations=2, repeats_all=2, repeats_parents=2,
+                           master_seed=11, init_scale=0.01)
     arch = agents.cartpole_architecture()
     serial = evo.run(config, envs.CartPoleEnv, arch, workers=1)
-    pooled = evo.run(config, envs.CartPoleEnv, arch, workers=3)
+    pooled = evo.run(config, envs.CartPoleEnv, arch, workers=2)
     assert [repr(s) for s in serial] == [repr(s) for s in pooled]
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: runs tasks here and records each map."""
+
+    maps: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.workers = max_workers
+        initializer(*initargs)
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.maps.append((self.workers, tasks))
+        return map(fn, tasks)
+
+    def shutdown(self):
+        pass
+
+
+@pytest.mark.parametrize("population,truncation,workers",
+                         [(7, 2, 3), (2, 1, 3), (10, 3, 4), (5, 4, 5), (12, 5, 2)])
+def test_pool_sends_one_contiguous_slice_per_worker(monkeypatch, population,
+                                                    truncation, workers):
+    monkeypatch.setattr(evo, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "maps", [])
+    for name in ("_WORKER_ENV", "_WORKER_ARCH", "_WORKER_POPULATION"):
+        monkeypatch.setattr(evo, name, None)  # restored after the test
+    config = evo.EvoConfig(population=population, truncation=truncation,
+                           mutation_power=0.05, generations=2, repeats_all=2,
+                           repeats_parents=3, master_seed=4, init_scale=0.3)
+    arch = agents.cartpole_architecture()
+    pooled = evo.run(config, envs.CartPoleEnv, arch, workers=workers)
+    serial = evo.run(config, envs.CartPoleEnv, arch, workers=1)
+    assert [repr(s) for s in serial] == [repr(s) for s in pooled]
+
+    batches = [(generation, tag, rows, repeats)
+               for generation in range(config.generations)
+               for tag, rows, repeats in ((evo.TAG_EVAL, population, 2),
+                                          (evo.TAG_ELITE, truncation, 3))]
+    assert len(InProcessPool.maps) == len(batches)
+    for (generation, tag, rows, repeats), (seen_workers, tasks) in zip(
+            batches, InProcessPool.maps):
+        assert seen_workers == workers
+        assert len(tasks) == min(workers, rows)
+        # the slices tile rows 0..n in order, each row exactly once
+        assert tasks[0][0] == 0 and tasks[-1][1] == rows
+        for (_, stop, _, _), (start, _, _, _) in zip(tasks, tasks[1:]):
+            assert stop == start
+        for start, stop, entropies, task_repeats in tasks:
+            assert start < stop and task_repeats == repeats
+            assert entropies == [[4, tag, generation, i] for i in range(start, stop)]
 
 
 def test_near_zero_genomes_score_like_random_play():

@@ -9,14 +9,18 @@ ties break low).  Genome layout: 24 circuit angles, block-major, qubit,
 then (alpha, beta, gamma), followed by the 2 bias entries.
 
 TN-VQC (MPS front end + 8 qubits, 24 + mps.param_count parameters):
-the 147-component observation is compressed by the MPS into 8 features
-x_i, loaded variationally as H, Ry(arctan x_i), Rz(arctan x_i^2) per
-qubit, followed by one variational block: the CNOT ring 0->1 ... 6->7,
-7->0 and one Rot per qubit.  <Z> of qubits 0..5 are the action logits;
-argmax picks the action (ties break low).  A softmax over the logits
-would not change the argmax, so none is applied.  Genome layout: the 24
-circuit angles (qubit-major, (alpha, beta, gamma)), then the MPS entries
-as offsets from mps.identity_base.
+the MPS compresses the 147-component observation into 8 features x_i,
+loaded as H, Ry(arctan x_i), Rz(arctan x_i^2) per qubit; then come the
+CNOT ring C = 0->1 ... 6->7, 7->0 and one Rot(a, b, g) per qubit.  <Z> of
+qubits 0..5 are the logits; argmax picks the action (ties break low; a
+softmax would not change it).  No statevector is built: Rot^dag Z Rot =
+n . (X, Y, Z) with n = (-sin b cos a, sin b sin a, cos b), each C^dag s C
+is a Pauli string, and its expectation on the product state is the product
+of the sites' I, X, Y, Z components (1, r, x^2 r, -x / sqrt(1 + x^2)),
+r = 1 / sqrt((1 + x^2)(1 + x^4)).  So the logits depend only on a and b of
+qubits 0..5, though the genome keeps its layout: the 24 circuit angles
+(qubit-major, (alpha, beta, gamma)), then the MPS entries as offsets from
+mps.identity_base.
 
 `cartpole_policy` and `tnvqc_policy` read a (P, L) genome array once and
 return policy(agents, observations), the action of each row's agent.
@@ -24,15 +28,14 @@ return policy(agents, observations), the action of each row's agent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import mps
-from .qsim import apply_cnot_kernel, apply_single, rot_matrix, ry_matrix, rz_matrix
+from .qsim import apply_cnot_kernel, apply_single, rot_matrix
 
 CARTPOLE_QUBITS = 2
 CARTPOLE_BLOCKS = 4
@@ -42,8 +45,6 @@ TNVQC_SITES = 147  # flattened 7x7x3 minigrid view
 TNVQC_QUBITS = 8
 TNVQC_MEASURED = 6
 TNVQC_CIRCUIT_PARAMS = TNVQC_QUBITS * 3  # 24
-
-_H_ON_ZERO = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
 
 
 def cartpole_unitaries(genomes: np.ndarray) -> np.ndarray:
@@ -95,65 +96,63 @@ def _check_genomes(genomes: np.ndarray, length: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # 8-qubit hybrid agent
 
-@lru_cache(maxsize=1)
-def _ring_gather_indices() -> np.ndarray:
-    """Index map applying the CNOT ring: psi_out = psi_in[indices].
+def _ring_pauli_strings() -> tuple[np.ndarray, np.ndarray]:
+    """(6, 3, 8) Pauli indices (I, X, Y, Z = 0..3) and (6, 3) signs of C^dag s C.
 
-    The ring is a classical reversible map on basis states, so the whole
-    layer is a fixed permutation, precomputed once.
+    s runs over X, Y, Z of each measured qubit.  The strings are tracked as
+    x, z and sign bits under the stabilizer update rule of CNOT (Gottesman,
+    arXiv:quant-ph/9807006; Aaronson & Gottesman, arXiv:quant-ph/0406196).
     """
-    n = TNVQC_QUBITS
-    pairs = [(q, q + 1) for q in range(n - 1)] + [(n - 1, 0)]
-    perm = np.empty(1 << n, dtype=np.intp)
-    for basis in range(1 << n):
-        bits = [(basis >> (n - 1 - q)) & 1 for q in range(n)]
-        for control, target in pairs:
-            bits[target] ^= bits[control]
-        out = 0
-        for bit in bits:
-            out = (out << 1) | bit
-        perm[basis] = out
-    inverse = np.argsort(perm)
-    inverse.flags.writeable = False
-    return inverse
+    qubits = np.arange(TNVQC_MEASURED)
+    x, z = np.zeros((2, TNVQC_MEASURED, 3, TNVQC_QUBITS), dtype=bool)
+    x[qubits, :2, qubits] = True  # X and Y
+    z[qubits, 1:, qubits] = True  # Y and Z
+    negative = np.zeros((TNVQC_MEASURED, 3), dtype=bool)
+    for control in reversed(range(TNVQC_QUBITS)):  # C^dag s C: the last gate acts first
+        target = (control + 1) % TNVQC_QUBITS
+        negative ^= x[..., control] & z[..., target] & ~(x[..., target] ^ z[..., control])
+        x[..., target] ^= x[..., control]
+        z[..., control] ^= z[..., target]
+    return (x ^ z) + 2 * z.astype(np.intp), np.where(negative, -1.0, 1.0)
 
 
-def _tnvqc_logits(features: np.ndarray, rot_mats: np.ndarray) -> np.ndarray:
-    """<Z> of the 6 measured qubits per row: (n, 8) features, (n, 8, 2, 2) Rots."""
-    count = len(features)
-    # math.atan, not np.arctan: the two differ in the last bit on some inputs
-    angles = np.array([math.atan(x) for x in features.ravel().tolist()])
-    squares = np.array([math.atan(x) for x in (features * features).ravel().tolist()])
-    local = np.matvec(rz_matrix(squares), np.matvec(ry_matrix(angles), _H_ON_ZERO))
-    local = local.reshape(count, TNVQC_QUBITS, 2)
-    psi = np.ones((count, 1), dtype=np.complex128)
-    for qubit in range(TNVQC_QUBITS):
-        psi = (psi[:, :, None] * local[:, qubit, None, :]).reshape(count, -1)
-    # amplitudes along axis 0 and one column per row, as apply_single wants
-    psi = np.ascontiguousarray(psi[:, _ring_gather_indices()].T)
-    for qubit in range(TNVQC_QUBITS):
-        apply_single(psi, TNVQC_QUBITS, qubit, rot_mats[:, qubit])
-    probs = np.ascontiguousarray((np.abs(psi) ** 2).T)
-    logits = np.empty((count, TNVQC_MEASURED))
-    for qubit in range(TNVQC_MEASURED):
-        shaped = probs.reshape((count, 1 << qubit, 2, -1))
-        logits[:, qubit] = shaped[:, :, 0].sum(axis=(1, 2)) - shaped[:, :, 1].sum(axis=(1, 2))
-    return logits
+_RING_PAULIS, _RING_SIGNS = _ring_pauli_strings()
+# each string's factors as rows of the (4 * 8, n) local components
+_RING_GATHER = (_RING_PAULIS * TNVQC_QUBITS + np.arange(TNVQC_QUBITS)).reshape(-1, TNVQC_QUBITS)
+_FEATURE_LIMIT = 1e50  # keeps (1 + x^2)(1 + x^4) finite; moves no component by 1e-50
 
 
-def _tnvqc_actions(rot_mats: np.ndarray, offsets: np.ndarray, bond_dim: int,
+def _measured_axes(circuit: np.ndarray) -> np.ndarray:
+    """(P, 6, 3) axes of Rot^dag Z Rot, signed, from (P, 8, 3) Rot angles."""
+    alpha, beta = circuit[:, :TNVQC_MEASURED, 0], circuit[:, :TNVQC_MEASURED, 1]
+    return np.stack([-np.sin(beta) * np.cos(alpha), np.sin(beta) * np.sin(alpha),
+                     np.cos(beta)], axis=-1) * _RING_SIGNS
+
+
+def _tnvqc_logits(features: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """<Z> of the 6 measured qubits per row: (n, 8) features, (n, 6, 3) axes."""
+    x = np.clip(np.ascontiguousarray(features.T), -_FEATURE_LIMIT, _FEATURE_LIMIT)
+    square = x * x
+    r = 1.0 / np.sqrt((1.0 + square) * (1.0 + square * square))
+    # (4 * 8, n): the I, X, Y, Z components of each site's Bloch vector
+    local = np.concatenate([np.ones_like(x), r, square * r, -x / np.sqrt(1.0 + square)])
+    strings = local[_RING_GATHER].prod(axis=1)
+    products = strings * axes.reshape(len(features), TNVQC_MEASURED * 3).T
+    return products.reshape(TNVQC_MEASURED, 3, len(features)).sum(axis=1).T
+
+
+def _tnvqc_actions(axes: np.ndarray, offsets: np.ndarray, bond_dim: int,
                    agents: np.ndarray, obs: np.ndarray) -> np.ndarray:
     features = mps.contract_rows(offsets, agents, obs, bond_dim, TNVQC_QUBITS)
-    return np.argmax(_tnvqc_logits(features, rot_mats[agents]), axis=1)
+    return np.argmax(_tnvqc_logits(features, axes[agents]), axis=1)
 
 
 def tnvqc_policy(genomes: np.ndarray,
                  bond_dim: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """policy(agents, obs) for (P, L) genomes."""
-    length = TNVQC_CIRCUIT_PARAMS + mps.param_count(TNVQC_SITES, bond_dim, TNVQC_QUBITS)
-    genomes = _check_genomes(genomes, length)
+    genomes = _check_genomes(genomes, tnvqc_architecture(bond_dim).genome_length)
     circuit = genomes[:, :TNVQC_CIRCUIT_PARAMS].reshape(-1, TNVQC_QUBITS, 3)
-    return partial(_tnvqc_actions, rot_matrix(*np.moveaxis(circuit, -1, 0)),
+    return partial(_tnvqc_actions, _measured_axes(circuit),
                    genomes[:, TNVQC_CIRCUIT_PARAMS:], bond_dim)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ from qevo import envs
 from qevo.evo import TAG_INIT, TAG_MUTATE, EvoConfig
 from qevo.agents import (CARTPOLE_BLOCKS, CARTPOLE_GENOME_LENGTH, CARTPOLE_QUBITS,
                          TNVQC_CIRCUIT_PARAMS, TNVQC_MEASURED, TNVQC_QUBITS, TNVQC_SITES,
-                         _H_ON_ZERO, AgentArchitecture, _ring_gather_indices, cartpole_unitaries)
+                         AgentArchitecture, cartpole_unitaries)
 from qevo.envs import N_ACTIONS
 from qevo.mps import LOCAL_DIM, _views, identity_base, param_count
 from qevo.qsim import (_check_qubit, apply_cnot_kernel, apply_single, rot_matrix,
@@ -332,6 +333,58 @@ class CartPoleAgent:
 
     def act(self, obs: np.ndarray) -> int:
         return int(np.argmax(self.logits(obs)))
+
+
+_H_ON_ZERO = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
+
+
+@lru_cache(maxsize=1)
+def _ring_gather_indices() -> np.ndarray:
+    """Index map applying the CNOT ring: psi_out = psi_in[indices].
+
+    The ring is a classical reversible map on basis states, so the whole
+    layer is a fixed permutation, precomputed once.
+    """
+    n = TNVQC_QUBITS
+    pairs = [(q, q + 1) for q in range(n - 1)] + [(n - 1, 0)]
+    perm = np.empty(1 << n, dtype=np.intp)
+    for basis in range(1 << n):
+        bits = [(basis >> (n - 1 - q)) & 1 for q in range(n)]
+        for control, target in pairs:
+            bits[target] ^= bits[control]
+        out = 0
+        for bit in bits:
+            out = (out << 1) | bit
+        perm[basis] = out
+    inverse = np.argsort(perm)
+    inverse.flags.writeable = False
+    return inverse
+
+
+def _tnvqc_logits(features: np.ndarray, rot_mats: np.ndarray) -> np.ndarray:
+    """<Z> of the 6 measured qubits per row: (n, 8) features, (n, 8, 2, 2) Rots.
+
+    The batched statevector readout: one 256-amplitude state per row.
+    """
+    count = len(features)
+    # math.atan, not np.arctan: the two differ in the last bit on some inputs
+    angles = np.array([math.atan(x) for x in features.ravel().tolist()])
+    squares = np.array([math.atan(x) for x in (features * features).ravel().tolist()])
+    local = np.matvec(rz_matrix(squares), np.matvec(ry_matrix(angles), _H_ON_ZERO))
+    local = local.reshape(count, TNVQC_QUBITS, 2)
+    psi = np.ones((count, 1), dtype=np.complex128)
+    for qubit in range(TNVQC_QUBITS):
+        psi = (psi[:, :, None] * local[:, qubit, None, :]).reshape(count, -1)
+    # amplitudes along axis 0 and one column per row, as apply_single wants
+    psi = np.ascontiguousarray(psi[:, _ring_gather_indices()].T)
+    for qubit in range(TNVQC_QUBITS):
+        apply_single(psi, TNVQC_QUBITS, qubit, rot_mats[:, qubit])
+    probs = np.ascontiguousarray((np.abs(psi) ** 2).T)
+    logits = np.empty((count, TNVQC_MEASURED))
+    for qubit in range(TNVQC_MEASURED):
+        shaped = probs.reshape((count, 1 << qubit, 2, -1))
+        logits[:, qubit] = shaped[:, :, 0].sum(axis=(1, 2)) - shaped[:, :, 1].sum(axis=(1, 2))
+    return logits
 
 
 class TnVqcAgent:

@@ -1,13 +1,15 @@
 """Policy tests: parameter counts, circuit equivalence, action selection."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevo import agents, mps
+from qevo import agents, envs, mps
+from qevo.qsim import apply_cnot_kernel, rot_matrix
 
 import reference as ref
 
@@ -173,6 +175,59 @@ def test_tnvqc_circuit_matches_simulator_route():
         np.testing.assert_allclose(agent.feature_logits(features),
                                    tnvqc_logits_via_simulator(agent, features),
                                    atol=1e-12)
+
+
+# I, X, Y, Z, indexed as in agents._RING_PAULIS
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def test_ring_pauli_strings_match_dense_conjugation():
+    n = agents.TNVQC_QUBITS
+    ring = np.eye(1 << n, dtype=np.complex128)  # C, one column per basis state
+    for q in range(n):
+        apply_cnot_kernel(ring, n, q, (q + 1) % n)
+    for q in range(agents.TNVQC_MEASURED):
+        for a in range(3):
+            single = reduce(np.kron, [PAULIS[a + 1] if k == q else PAULIS[0] for k in range(n)])
+            string = reduce(np.kron, PAULIS[agents._RING_PAULIS[q, a]])
+            np.testing.assert_array_equal(ring.conj().T @ single @ ring,
+                                          agents._RING_SIGNS[q, a] * string)
+
+
+FEATURES = st.one_of(st.sampled_from([0.0, 1e-8, -1e-8, 1.0, -1e77, 1e154, -1e300, 1e300]),
+                     st.floats(-1e300, 1e300))
+ANGLES = st.one_of(st.just(0.0), st.floats(-100.0, 100.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(features=st.lists(FEATURES, min_size=8, max_size=8),
+       angles=st.lists(ANGLES, min_size=24, max_size=24))
+def test_closed_form_logits_match_statevector(features, angles):
+    features = np.array([features])
+    circuit = np.array(angles).reshape(1, agents.TNVQC_QUBITS, 3)
+    logits = agents._tnvqc_logits(features, agents._measured_axes(circuit))
+    assert np.isfinite(logits).all()  # np.argmax would pick a NaN
+    with np.errstate(over="ignore"):  # x^2 overflows to inf, and atan(inf) is fine
+        expected = ref._tnvqc_logits(features, rot_matrix(*np.moveaxis(circuit, -1, 0)))
+    np.testing.assert_allclose(logits, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bond_dim", [1, 4])
+def test_closed_form_argmax_matches_statevector_on_ties(bond_dim):
+    arch = agents.tnvqc_architecture(bond_dim)
+    genomes = np.zeros((2, arch.genome_length))  # row 1: the identity extractor
+    # row 0: offsets of -identity_base zero every core, so every feature is 0
+    genomes[0, agents.TNVQC_CIRCUIT_PARAMS:] = -mps.identity_base(
+        agents.TNVQC_SITES, bond_dim, agents.TNVQC_QUBITS)
+    observations = envs.MiniGridEnv(8).model.observations
+    rows = np.repeat([0, 1], len(observations))
+    features = mps.contract_rows(genomes[:, agents.TNVQC_CIRCUIT_PARAMS:], rows,
+                                 np.tile(observations, (2, 1)), bond_dim, agents.TNVQC_QUBITS)
+    circuit = genomes[:, :agents.TNVQC_CIRCUIT_PARAMS].reshape(-1, agents.TNVQC_QUBITS, 3)
+    closed = agents._tnvqc_logits(features, agents._measured_axes(circuit)[rows])
+    expected = ref._tnvqc_logits(features, rot_matrix(*np.moveaxis(circuit, -1, 0))[rows])
+    assert closed.argmax(axis=1).tolist() == expected.argmax(axis=1).tolist()
+    assert not closed[:len(observations)].any()  # every logit ties at 0
 
 
 def test_action_set_and_determinism():

@@ -85,7 +85,7 @@ def test_tnvqc_logits_match_feature_logits(seed, scale):
     features[0] = 0.0
     rows = rng.integers(0, len(built), len(features))
     rot_mats = np.stack([built[r]._rot_mats for r in rows])
-    logits = agents._tnvqc_logits(features, rot_mats)
+    logits = ref._tnvqc_logits(features, rot_mats)
     expected = np.array([built[r].feature_logits(f) for r, f in zip(rows, features)])
     assert logits.tobytes() == expected.tobytes()
 

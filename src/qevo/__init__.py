@@ -2,7 +2,6 @@
 
 Layers, bottom up:
 
-- qsim: gate matrices and in-place gate kernels, for the cart-pole circuit
 - mps: trainable matrix-product-state feature extractor, contracted by rows
 - envs: cart-pole and empty-gridworld environments, played in lockstep
 - agents: the two circuit policies, batched over a population of genomes

@@ -6,7 +6,12 @@ are legal there), then 4 blocks of [CNOT(0->1); Rot(q0); Rot(q1)] run,
 each block with its own 6 angles.  The two logits are <Z0> + bias0 and
 <Z1> + bias1; argmax picks the action (0 = push left, 1 = push right,
 ties break low).  Genome layout: 24 circuit angles, block-major, qubit,
-then (alpha, beta, gamma), followed by the 2 bias entries.
+then (alpha, beta, gamma), followed by the 2 bias entries.  No state is
+simulated: with U the circuit unitary and a the real unit amplitudes,
+<Z1> - <Z0> = 2 (|(Ua)_2|^2 - |(Ua)_1|^2) = a . F . a for the real
+symmetric F = 2 Re(U^dag diag(0, -1, 1, 0) U), built once per genome.  A
+row pushes right where a . F . a > bias0 - bias1; the bias stays a
+threshold, so a row whose norm overflows (a = 0) is decided by it alone.
 
 TN-VQC (MPS front end + 8 qubits, 24 + mps.param_count parameters):
 the MPS compresses the 147-component observation into 8 features x_i,
@@ -35,7 +40,6 @@ from typing import Callable
 import numpy as np
 
 from . import mps
-from .qsim import apply_cnot_kernel, apply_single, rot_matrix
 
 CARTPOLE_QUBITS = 2
 CARTPOLE_BLOCKS = 4
@@ -47,43 +51,48 @@ TNVQC_MEASURED = 6
 TNVQC_CIRCUIT_PARAMS = TNVQC_QUBITS * 3  # 24
 
 
-def cartpole_unitaries(genomes: np.ndarray) -> np.ndarray:
-    """(P, 4, 4) circuit unitaries of P cart-pole genomes, built together."""
-    count = len(genomes)
-    rots = rot_matrix(*np.moveaxis(genomes[:, :24].reshape(
-        count, CARTPOLE_BLOCKS, CARTPOLE_QUBITS, 3), -1, 0))
-    # columns of the identity, one (4, 4) block per genome along the last axis
-    unitaries = np.repeat(np.eye(4, dtype=np.complex128)[:, :, None], count, axis=2)
+def _rot(alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) Rot(a, b, g) = Rz(g) Ry(b) Rz(a), multiplied out."""
+    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
+    plus, minus = np.exp(-0.5j * (alpha + gamma)), np.exp(0.5j * (alpha - gamma))
+    return np.stack([c * plus, -s * minus, s * minus.conj(), c * plus.conj()],
+                    axis=-1).reshape(c.shape + (2, 2))
+
+
+def cartpole_forms(genomes: np.ndarray) -> np.ndarray:
+    """(P, 4, 4) real symmetric F of (P, 26) genomes: <Z1> - <Z0> = a . F . a."""
+    rots = _rot(*np.moveaxis(genomes[:, :24].reshape(
+        -1, CARTPOLE_BLOCKS, CARTPOLE_QUBITS, 3), -1, 0))
+    unitaries = np.broadcast_to(np.eye(4, dtype=np.complex128), (len(genomes), 4, 4))
     for block in range(CARTPOLE_BLOCKS):
-        apply_cnot_kernel(unitaries, CARTPOLE_QUBITS, 0, 1)
-        apply_single(unitaries, CARTPOLE_QUBITS, 0, rots[:, block, 0])
-        apply_single(unitaries, CARTPOLE_QUBITS, 1, rots[:, block, 1])
-    return np.ascontiguousarray(unitaries.transpose(2, 0, 1))
+        # CNOT(0->1) swaps rows |10> and |11>, then Rot on each qubit
+        kron = np.einsum("pij,pkl->pikjl", rots[:, block, 0], rots[:, block, 1])
+        unitaries = kron.reshape(-1, 4, 4) @ unitaries[:, [0, 1, 3, 2]]
+    # 2 Re(U^dag diag(0, -1, 1, 0) U) from rows |10> and |01>, symmetric bit for bit
+    def outer(v: np.ndarray) -> np.ndarray:
+        return v[:, :, None] * v[:, None, :]
+
+    plus, minus = unitaries[:, 2], unitaries[:, 1]
+    return 2.0 * (outer(plus.real) + outer(plus.imag) - outer(minus.real) - outer(minus.imag))
 
 
-def _cartpole_logits(unitaries: np.ndarray, bias: np.ndarray,
-                     obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two logits of each row: (n, 4, 4) unitaries, (n, 2) biases."""
+def _cartpole_actions(forms: np.ndarray, threshold: np.ndarray,
+                      agents: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Push right where a . F . a > b0 - b1 for each row's unit amplitudes a."""
     norm = np.sqrt(np.vecdot(obs, obs))
     zero = norm == 0.0
     if zero.any():  # no direction: encode the uniform state
         obs = np.where(zero[:, None], 0.5, obs)
         norm[zero] = 1.0
     amps = obs / norm[:, None]
-    p0, p1, p2, p3 = (np.abs(np.matvec(unitaries, amps)) ** 2).T
-    return p0 + p1 - p2 - p3 + bias[:, 0], p0 - p1 + p2 - p3 + bias[:, 1]
-
-
-def _cartpole_actions(unitaries: np.ndarray, bias: np.ndarray,
-                      agents: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    left, right = _cartpole_logits(unitaries[agents], bias[agents], obs)
-    return (right > left).astype(np.intp)  # argmax: ties break low
+    value = np.vecdot(amps, np.matvec(forms[agents], amps))
+    return (value > threshold[agents]).astype(np.intp)  # argmax: ties break low
 
 
 def cartpole_policy(genomes: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """policy(agents, obs) for (P, 26) genomes."""
     genomes = _check_genomes(genomes, CARTPOLE_GENOME_LENGTH)
-    return partial(_cartpole_actions, cartpole_unitaries(genomes), genomes[:, 24:])
+    return partial(_cartpole_actions, cartpole_forms(genomes), genomes[:, 24] - genomes[:, 25])
 
 
 def _check_genomes(genomes: np.ndarray, length: int) -> np.ndarray:

@@ -47,10 +47,6 @@ class CartPoleEnv:
     MAX_STEPS = 500
     START_LIMIT = 0.05
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        """An episode's start state: all four components uniform in [-0.05, 0.05]."""
-        return rng.uniform(-self.START_LIMIT, self.START_LIMIT, size=4)
-
     def step_batch(self, states: np.ndarray,
                    actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One step of every row of a (n, 4) state array.
@@ -83,8 +79,8 @@ class CartPoleEnv:
 
         The reward is 1.0 per step, so an episode's return is its length.
         """
-        # an agent's `repeats` start states in one draw: the same values as
-        # one `reset` per episode
+        # an agent's `repeats` start states, every component uniform in
+        # [-0.05, 0.05], in one draw: the same values as one draw per episode
         states = np.array([rng.uniform(-self.START_LIMIT, self.START_LIMIT, size=(repeats, 4))
                            for rng in rngs])
         states = states.reshape(n_agents * repeats, 4)

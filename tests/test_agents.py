@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qevo import agents, envs, mps
-from qevo.qsim import apply_cnot_kernel, rot_matrix
 
 import reference as ref
 
@@ -185,7 +184,7 @@ def test_ring_pauli_strings_match_dense_conjugation():
     n = agents.TNVQC_QUBITS
     ring = np.eye(1 << n, dtype=np.complex128)  # C, one column per basis state
     for q in range(n):
-        apply_cnot_kernel(ring, n, q, (q + 1) % n)
+        ref.apply_cnot_kernel(ring, n, q, (q + 1) % n)
     for q in range(agents.TNVQC_MEASURED):
         for a in range(3):
             single = reduce(np.kron, [PAULIS[a + 1] if k == q else PAULIS[0] for k in range(n)])
@@ -208,7 +207,7 @@ def test_closed_form_logits_match_statevector(features, angles):
     logits = agents._tnvqc_logits(features, agents._measured_axes(circuit))
     assert np.isfinite(logits).all()  # np.argmax would pick a NaN
     with np.errstate(over="ignore"):  # x^2 overflows to inf, and atan(inf) is fine
-        expected = ref._tnvqc_logits(features, rot_matrix(*np.moveaxis(circuit, -1, 0)))
+        expected = ref._tnvqc_logits(features, ref.rot_matrix(*np.moveaxis(circuit, -1, 0)))
     np.testing.assert_allclose(logits, expected, rtol=0.0, atol=1e-12)
 
 
@@ -225,7 +224,7 @@ def test_closed_form_argmax_matches_statevector_on_ties(bond_dim):
                                  np.tile(observations, (2, 1)), bond_dim, agents.TNVQC_QUBITS)
     circuit = genomes[:, :agents.TNVQC_CIRCUIT_PARAMS].reshape(-1, agents.TNVQC_QUBITS, 3)
     closed = agents._tnvqc_logits(features, agents._measured_axes(circuit)[rows])
-    expected = ref._tnvqc_logits(features, rot_matrix(*np.moveaxis(circuit, -1, 0))[rows])
+    expected = ref._tnvqc_logits(features, ref.rot_matrix(*np.moveaxis(circuit, -1, 0))[rows])
     assert closed.argmax(axis=1).tolist() == expected.argmax(axis=1).tolist()
     assert not closed[:len(observations)].any()  # every logit ties at 0
 

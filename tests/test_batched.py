@@ -46,32 +46,45 @@ def test_cartpole_policy_matches_act(seed, scale):
     obs = rng.standard_normal((400, 4)) * rng.uniform(1e-6, 10.0, (400, 1))
     obs[:3] = 0.0  # no direction: the uniform state
     obs[3] = [1.0, 0.0, 0.0, 0.0]  # basis state: only the bias can break the tie
+    obs[4] *= 1e200  # the norm overflows: amplitudes 0, only the bias decides
+    obs[5] *= 1e-200  # the norm underflows to 0: the uniform state
     rows = rng.integers(0, len(genomes), len(obs))
-    actions = agents.cartpole_policy(genomes)(rows, obs)
     built = [ref.CartPoleAgent(g) for g in genomes]
-    assert actions.tolist() == [built[r].act(o) for r, o in zip(rows, obs)]
+    with np.errstate(over="ignore"):
+        actions = agents.cartpole_policy(genomes)(rows, obs)
+        assert actions.tolist() == [built[r].act(o) for r, o in zip(rows, obs)]
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.01, 0.3, 3.0]))
-def test_cartpole_logits_match_logits(seed, scale):
+def test_cartpole_forms_match_logits(seed, scale):
+    # a . F . a is <Z1> - <Z0> of the statevector route, to rounding
     rng = np.random.default_rng(seed)
     genomes = random_genomes(rng, 5, 26, scale)
     obs = rng.standard_normal((300, 4)) * rng.uniform(1e-6, 10.0, (300, 1))
     obs[0] = 0.0
     rows = rng.integers(0, len(genomes), len(obs))
-    left, right = agents._cartpole_logits(agents.cartpole_unitaries(genomes)[rows],
-                                          genomes[rows, 24:], obs)
-    expected = np.array([ref.CartPoleAgent(genomes[r]).logits(o)
-                         for r, o in zip(rows, obs)])
-    assert np.stack([left, right], axis=1).tobytes() == expected.tobytes()
+    norm = np.linalg.norm(obs, axis=1, keepdims=True)
+    norm[0] = 1.0
+    amps = obs / norm
+    amps[0] = 0.5  # no direction: the uniform state
+    quadratic = np.vecdot(amps, np.matvec(agents.cartpole_forms(genomes)[rows], amps))
+    built = [ref.CartPoleAgent(g) for g in genomes]
+    expected = [np.diff(built[r].logits(o) - built[r].bias)[0] for r, o in zip(rows, obs)]
+    np.testing.assert_allclose(quadratic, expected, rtol=0.0, atol=1e-12)
 
 
-def test_cartpole_unitaries_match_each_agent():
+def test_cartpole_forms_are_the_unitaries_forms():
     genomes = random_genomes(np.random.default_rng(31), 20, 26, 2.0)
-    unitaries = agents.cartpole_unitaries(genomes)
-    for genome, unitary in zip(genomes, unitaries):
-        assert np.array_equal(ref.CartPoleAgent(genome)._unitary, unitary)
+    forms = agents.cartpole_forms(genomes)
+    assert np.array_equal(forms, forms.transpose(0, 2, 1))
+    z1_minus_z0 = np.diag([0.0, -1.0, 1.0, 0.0])
+    for unitary, form in zip(ref.cartpole_unitaries(genomes), forms):
+        expected = 2.0 * (unitary.conj().T @ z1_minus_z0 @ unitary).real
+        np.testing.assert_allclose(form, expected, rtol=0.0, atol=1e-13)
+    # zero angles: the circuit is CNOT^4 = I
+    assert np.array_equal(agents.cartpole_forms(np.zeros((1, 26)))[0],
+                          np.diag([0.0, -2.0, 2.0, 0.0]))
 
 
 @settings(max_examples=20, deadline=None)

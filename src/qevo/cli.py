@@ -306,6 +306,8 @@ def cmd_resume(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.episodes < 0:
         raise ValueError(f"--episodes must be >= 0, got {args.episodes}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.bond_dim is not None and args.bond_dim < 1:
         raise ValueError(f"--bond-dim must be >= 1, got {args.bond_dim}")
     with open(args.genome) as handle:

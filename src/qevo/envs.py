@@ -189,15 +189,13 @@ class MiniGridEnv:
 
         Every episode starts at `model.start` and the dynamics are
         deterministic, so an agent's repeats are the same episode: each
-        agent walks it once.
-        The policy runs only on (agent, state) pairs not yet in that
-        agent's action table.  Revisiting a state without having reached
-        the goal means the walk cycles until the step cap: return 0.
+        agent walks it once, and each step asks the policy once for every
+        live agent.  A walk ends at the goal or at its first revisit: a
+        revisit without the goal means the walk cycles until the step cap,
+        so it returns 0.
         """
         model = self.model
-        n_states = len(model.goal)
-        actions = np.full((n_agents, n_states), -1, dtype=np.intp)
-        visited = np.zeros((n_agents, n_states), dtype=bool)
+        visited = np.zeros((n_agents, len(model.goal)), dtype=bool)
         returns = np.zeros(n_agents)
         agent = np.arange(n_agents)
         state = np.full(n_agents, model.start)
@@ -205,13 +203,7 @@ class MiniGridEnv:
             if not agent.size:
                 break
             visited[agent, state] = True
-            action = actions[agent, state]
-            unknown = action < 0
-            if unknown.any():
-                action[unknown] = policy(agent[unknown],
-                                         model.observations[state[unknown]])
-                actions[agent[unknown], state[unknown]] = action[unknown]
-            state = model.successor[state, action]
+            state = model.successor[state, policy(agent, model.observations[state])]
             reached = model.goal[state]
             returns[agent[reached]] = 1.0 - 0.9 * step / self.max_steps
             going = ~reached & ~visited[agent, state]

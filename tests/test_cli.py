@@ -188,6 +188,28 @@ def test_eval_rejects_negative_episodes(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("env_name", ["cartpole", "minigrid-5"])
+def test_eval_rejects_a_negative_seed(tmp_path, capsys, env_name):
+    # a minigrid walk never draws from its stream, so the seed is checked first
+    _, architecture = cli.resolve_task(env_name, 4)
+    genome_file = tmp_path / "g.json"
+    genome_file.write_text(json.dumps({"env": env_name,
+                                       "genome": [0.0] * architecture.genome_length}))
+    assert cli.main(["eval", "--genome", str(genome_file), "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "--seed" in captured.err
+    assert captured.out == ""
+
+
+def test_eval_rejects_an_unknown_env_flag(tmp_path, capsys):
+    genome_file = tmp_path / "g.json"
+    genome_file.write_text(json.dumps({"env": "cartpole", "genome": [0.0] * 26}))
+    assert cli.main(["eval", "--genome", str(genome_file), "--env", "pong"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "unknown environment 'pong'" in captured.err
+    assert captured.out == ""
+
+
 def test_eval_rejects_zero_bond_dim(tmp_path, capsys):
     # the file's bond dimension must not stand in for an invalid override
     length = agents.tnvqc_architecture(bond_dim=2).genome_length
@@ -394,6 +416,26 @@ def test_resume_rejects_malformed_encoded_array(tmp_path, capsys, key, corrupt):
     assert (tmp_path / "run" / "stats.csv").read_bytes() == before
 
 
+@pytest.mark.parametrize("form,key,corrupt,message", [
+    ("encoded", "format", lambda value: 3, "unsupported checkpoint format: 3"),
+    # ragged rows have no encoded form, so this case is a format-1 file only
+    ("list", "parents", lambda rows: [rows[0][:-1], *rows[1:]],
+     "'parents' is not a regular array of numbers"),
+], ids=["format-3", "parents-ragged-format1"])
+def test_resume_rejects_an_unreadable_checkpoint(tmp_path, capsys, form, key, corrupt,
+                                                 message):
+    config = write_config(tmp_path / "cfg.json")
+    assert cli.main(["train", "--config", str(config)]) == 0
+    checkpoint = tmp_path / "run" / "checkpoint_1.json"
+    rewrite_checkpoint(checkpoint, form, key, corrupt)
+    before = (tmp_path / "run" / "stats.csv").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and message in captured.err
+    assert (tmp_path / "run" / "stats.csv").read_bytes() == before
+
+
 def test_resume_rejects_a_checkpoint_that_is_not_an_object(tmp_path, capsys):
     checkpoint = tmp_path / "checkpoint_1.json"
     checkpoint.write_text("[1]")
@@ -580,6 +622,7 @@ def test_resume_after_torn_write_matches_uninterrupted_run(uninterrupted_stats, 
     ("checkpoint_every", 1.5), ("workers", True), ("mps_bond_dim", 2.0),
     ("evo.population", 10.5), ("evo.truncation", True), ("evo.master_seed", True),
     ("evo.master_seed", -1), ("evo.init_scale", True), ("evo.mutation_power", True),
+    ("env", "pong"), ("workers", 0), ("mps_bond_dim", 0), ("checkpoint_every", 0),
 ])
 def test_config_rejects_mistyped_numbers(tmp_path, capsys, field, value):
     section, _, name = field.rpartition(".")

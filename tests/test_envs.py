@@ -411,7 +411,7 @@ def test_grid_rollouts_follow_the_table_and_cut_cycles():
     calls = []
 
     def policy(agents, obs):
-        calls.append(len(agents))
+        calls.append(agents)
         # agent 0 runs the optimal path, agent 1 spins, agent 2 hits the wall
         out = []
         for a, o in zip(agents, obs):
@@ -427,7 +427,10 @@ def test_grid_rollouts_follow_the_table_and_cut_cycles():
     assert returns.shape == (3, 4)
     assert returns[0].tolist() == [0.955] * 4
     assert returns[1:].tolist() == [[0.0] * 4] * 2
-    assert calls[0] == 3 and sum(calls) < 20  # each (agent, state) pair once
+    # one policy row per env step: agent 0 walks 5 steps to the goal, agent
+    # 1 turns 4 times back onto its start, agent 2 meets the wall on step 3
+    assert calls[0].tolist() == [0, 1, 2]
+    assert np.bincount(np.concatenate(calls)).tolist() == [5, 4, 3]
 
 
 @pytest.mark.parametrize("n", [5, 6, 8])
@@ -446,10 +449,23 @@ def test_grid_rollouts_match_episodes_of_random_tables(n):
                       rng.choice([envs.ACTION_LEFT, envs.ACTION_RIGHT, 4], size=shape))
     index = {obs.tobytes(): s for s, obs in enumerate(model.observations)}
 
+    rows = np.zeros(len(tables), dtype=int)
+
     def policy(agents, obs):
+        np.add.at(rows, agents, 1)
         return tables[agents, [index[o.tobytes()] for o in obs]]
 
+    def walk_length(a):
+        # steps from the start up to the goal or the first revisit
+        state, seen, steps = model.start, set(), 0
+        while not model.goal[state] and state not in seen:
+            seen.add(state)
+            action = tables[a, index[model.observations[state].tobytes()]]
+            state, steps = model.successor[state, action], steps + 1
+        return steps
+
     returns = env.rollouts(policy, iter(()), len(tables), 2)
+    assert rows.tolist() == [walk_length(a) for a in range(len(tables))]
     expected = [run_episode(env, lambda o: tables[a, index[o.tobytes()]], None)[0]
                 for a in range(len(tables))]
     assert returns[:, 0].tolist() == expected

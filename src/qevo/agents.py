@@ -91,15 +91,7 @@ def _cartpole_actions(forms: np.ndarray, threshold: np.ndarray,
 
 def cartpole_policy(genomes: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """policy(agents, obs) for (P, 26) genomes."""
-    genomes = _check_genomes(genomes, CARTPOLE_GENOME_LENGTH)
     return partial(_cartpole_actions, cartpole_forms(genomes), genomes[:, 24] - genomes[:, 25])
-
-
-def _check_genomes(genomes: np.ndarray, length: int) -> np.ndarray:
-    genomes = np.asarray(genomes, dtype=np.float64)
-    if genomes.ndim != 2 or genomes.shape[1] != length:
-        raise ValueError(f"genomes must have shape (P, {length}), got {genomes.shape}")
-    return genomes
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +151,6 @@ def _tnvqc_actions(axes: np.ndarray, offsets: np.ndarray, bond_dim: int,
 def tnvqc_policy(genomes: np.ndarray,
                  bond_dim: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """policy(agents, obs) for (P, L) genomes."""
-    genomes = _check_genomes(genomes, tnvqc_architecture(bond_dim).genome_length)
     circuit = genomes[:, :TNVQC_CIRCUIT_PARAMS].reshape(-1, TNVQC_QUBITS, 3)
     return partial(_tnvqc_actions, _measured_axes(circuit),
                    genomes[:, TNVQC_CIRCUIT_PARAMS:], bond_dim)

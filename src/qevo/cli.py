@@ -4,8 +4,8 @@
                [--workers N] [--generations M]
     qevo eval --genome best_genome.json [--env NAME] [--bond-dim M]
               [--episodes K] [--seed N]
-    qevo resume --checkpoint checkpoint_<g>.json [--generations M]
-                [--workers N]
+    qevo resume --checkpoint checkpoint_<g>.json [--env NAME]
+                [--generations M] [--workers N]
 
 Config files are single JSON documents:
 
@@ -235,12 +235,21 @@ def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapsho
 
 
 def _start_stats(path: Path, resume: evo.GenerationSnapshot | None) -> None:
-    """Write the header, keeping the rows up to the generation resumed from."""
+    """Write the header, keeping the rows up to the generation resumed from.
+
+    A resume from generation g needs the rows of generations 0..g in order,
+    each of len(STATS_COLUMNS) fields; if one is missing, the file is left
+    as it is and a ValueError names the first missing generation.
+    """
     kept = []
-    if resume is not None and path.exists():
-        for line in path.read_text().splitlines()[1:]:
-            if int(line.split(",", 1)[0]) <= resume.generation:
-                kept.append(line + "\n")
+    if resume is not None:
+        rows = path.read_text().splitlines()[1:] if path.exists() else []
+        for generation in range(resume.generation + 1):
+            fields = rows[generation].split(",") if generation < len(rows) else []
+            if len(fields) != len(STATS_COLUMNS) or fields[0] != str(generation):
+                raise ValueError(f"{path} lacks the row of generation {generation}, "
+                                 f"which a resume from generation {resume.generation} needs")
+            kept.append(rows[generation] + "\n")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(",".join(STATS_COLUMNS) + "\n" + "".join(kept))
 

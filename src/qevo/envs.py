@@ -112,7 +112,6 @@ COLOR_GREEN = 1
 COLOR_GREY = 5
 OBJECT_SCALE = 10.0
 COLOR_SCALE = 5.0
-STATE_SCALE = 2.0
 
 VIEW_SIZE = 7
 OBS_LENGTH = VIEW_SIZE * VIEW_SIZE * 3
@@ -199,9 +198,9 @@ class MiniGridEnv:
         returns = np.zeros(n_agents)
         agent = np.arange(n_agents)
         state = np.full(n_agents, model.start)
-        for step in range(1, self.max_steps + 1):
-            if not agent.size:
-                break
+        step = 0
+        while agent.size:  # at most one step per state, below max_steps
+            step += 1
             visited[agent, state] = True
             state = model.successor[state, policy(agent, model.observations[state])]
             reached = model.goal[state]
@@ -246,8 +245,7 @@ class MiniGridEnv:
                 else:
                     color = COLOR_NONE
                 view[row, col, 0] = obj / OBJECT_SCALE
-                view[row, col, 1] = color / COLOR_SCALE
-                view[row, col, 2] = 0.0 / STATE_SCALE
+                view[row, col, 1] = color / COLOR_SCALE  # channel 2 (state): 0 in an empty room
         return view.reshape(-1)
 
 

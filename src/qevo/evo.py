@@ -136,8 +136,6 @@ def init_population(config: EvoConfig, genome_length: int,
     Written into `out`, a (population, genome_length) float64 array, which
     is returned.
     """
-    if genome_length < 1:
-        raise ValueError("genome_length must be positive")
     _check_population(out, (config.population, genome_length))
     for i, row in enumerate(out):
         np.random.default_rng(

@@ -36,8 +36,6 @@ def param_count(n_sites: int, bond_dim: int, out_dim: int) -> int:
 def _core_shapes(n_sites: int, bond_dim: int, out_dim: int) -> list[tuple[int, ...]]:
     if n_sites < 2:
         raise ValueError("need at least 2 input sites to host an interior output core")
-    if bond_dim < 1:
-        raise ValueError("bond dimension must be >= 1")
     m = bond_dim
     output_pos = (n_sites + 1) // 2
     interior = (m, LOCAL_DIM, m)

@@ -142,6 +142,42 @@ def test_resume_with_nothing_to_run_touches_no_file(tmp_path, capsys, generation
     assert digests() == before
 
 
+@pytest.mark.parametrize("damage,missing", [
+    (lambda lines: None, 0),
+    (lambda lines: lines[:2], 1),  # the header and row 0
+    (lambda lines: lines[:4] + [lines[4][:5]], 3),
+], ids=["missing", "cut-after-row-0", "torn-row"])
+def test_resume_without_rows_up_to_checkpoint_fails(tmp_path, capsys, damage, missing):
+    config = write_config(tmp_path / "cfg.json", evo={"generations": 6})
+    assert cli.main(["train", "--config", str(config)]) == 0
+    stats = tmp_path / "run" / "stats.csv"
+    lines = damage(read_stats(tmp_path / "run"))
+    kept = None if lines is None else "\n".join(lines) + "\n"
+    if kept is None:
+        stats.unlink()
+    else:
+        stats.write_text(kept)
+    capsys.readouterr()
+    # generation 3's checkpoint needs rows 0..3; the first one missing is named
+    assert cli.main(["resume", "--checkpoint",
+                     str(tmp_path / "run" / "checkpoint_3.json")]) == 1
+    err = capsys.readouterr().err
+    assert "stats.csv" in err and f"generation {missing}," in err
+    assert (stats.read_text() if stats.exists() else None) == kept
+
+
+def test_resume_with_nothing_to_run_keeps_a_header_only_stats_file(tmp_path, capsys):
+    config = write_config(tmp_path / "cfg.json")
+    assert cli.main(["train", "--config", str(config)]) == 0
+    stats = tmp_path / "run" / "stats.csv"
+    stats.write_text(",".join(cli.STATS_COLUMNS) + "\n")
+    before = stats.read_bytes()
+    assert cli.main(["resume", "--checkpoint", str(tmp_path / "run" / "checkpoint_3.json"),
+                     "--generations", "4"]) == 0
+    assert "no generations to run" in capsys.readouterr().out
+    assert stats.read_bytes() == before
+
+
 def test_resume_env_mismatch_fails(tmp_path, capsys):
     config = write_config(tmp_path / "cfg.json")
     cli.main(["train", "--config", str(config)])

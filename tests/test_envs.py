@@ -178,6 +178,14 @@ def test_rejects_unsupported_sizes():
         envs.MiniGridEnv(7)
 
 
+def test_model_rejects_observations_outside_unit_interval(monkeypatch):
+    # the MPS sweep does not check its inputs, so the model is their guard:
+    # an unscaled grey wall (color 5) lies outside [0, 1]
+    monkeypatch.setattr(envs, "COLOR_SCALE", 1.0)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        envs.MiniGridEnv(5).model
+
+
 def test_four_lefts_compose_to_identity():
     env = ref.MiniGridEnv(5)
     start = env.reset()

@@ -2,9 +2,9 @@
 
     qevo train --config cfg.json [--seed N] [--out-dir DIR]
                [--workers N] [--generations M]
-    qevo eval --genome best_genome.json [--env NAME] [--bond-dim M]
+    qevo eval --genome best_genome.json [--env NAME]
               [--episodes K] [--seed N]
-    qevo resume --checkpoint checkpoint_<g>.json [--env NAME]
+    qevo resume --checkpoint checkpoint_<g>.json
                 [--generations M] [--workers N]
 
 Config files are single JSON documents:
@@ -230,6 +230,11 @@ def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapsho
             raise ValueError(f"checkpoint {key!r} must have shape {shape}, "
                              f"got {array.shape}")
         values[key] = array if shape else array.item()
+    # training counts every generation's whole population into its row
+    for count, _, _ in data["window"]:
+        if type(count) is not int or count != config.evo.population:
+            raise ValueError(f"checkpoint 'window' counts must each be the population "
+                             f"{config.evo.population}, got {count!r}")
     values["window"] = tuple(map(tuple, data["window"]))
     return config, evo.GenerationSnapshot(**values)
 
@@ -306,9 +311,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_resume(args: argparse.Namespace) -> int:
     config, snapshot = _load_checkpoint(args.checkpoint)
-    if args.env is not None and args.env != config.env:
-        raise ValueError(f"checkpoint was trained on {config.env!r}, "
-                         f"cannot resume on {args.env!r}")
     return _train_loop(_with_flags(config, args), resume=snapshot)
 
 
@@ -317,8 +319,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"--episodes must be >= 0, got {args.episodes}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    if args.bond_dim is not None and args.bond_dim < 1:
-        raise ValueError(f"--bond-dim must be >= 1, got {args.bond_dim}")
     with open(args.genome) as handle:
         payload = json.load(handle)
     if type(payload) is not dict or "genome" not in payload:
@@ -327,7 +327,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.env is None and (type(env_name) is not str or env_name not in envs.ENV_NAMES):
         raise ValueError(f"genome file's 'env' must be one of {envs.ENV_NAMES} "
                          f"(or pass --env), got {env_name!r}")
-    bond_dim = args.bond_dim if args.bond_dim is not None else payload.get("bond_dim", 4)
+    bond_dim = payload.get("bond_dim", 4)
     if type(bond_dim) is not int or bond_dim < 1:
         raise ValueError(f"genome file's 'bond_dim' must be an int >= 1, got {bond_dim!r}")
     env_factory, architecture = resolve_task(env_name, bond_dim)
@@ -370,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     resume = sub.add_parser("resume", help="continue from a checkpoint")
     resume.add_argument("--checkpoint", required=True, help="checkpoint JSON path")
-    resume.add_argument("--env", help="must match the checkpoint env if given")
     resume.add_argument("--workers", type=int, help="override worker count")
     resume.add_argument("--generations", type=int, help="override generation count")
     resume.set_defaults(func=cmd_resume)
@@ -378,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="replay a saved genome")
     ev.add_argument("--genome", required=True, help="genome JSON path")
     ev.add_argument("--env", help="environment name (defaults to the file's)")
-    ev.add_argument("--bond-dim", type=int, help="MPS bond dimension override")
     ev.add_argument("--episodes", type=int, default=10)
     ev.add_argument("--seed", type=int, default=0)
     ev.set_defaults(func=cmd_eval)

@@ -143,12 +143,7 @@ class GridModel:
 
 
 class MiniGridEnv:
-    SUPPORTED_SIZES = (5, 6, 8)
-
     def __init__(self, grid_size: int):
-        if grid_size not in self.SUPPORTED_SIZES:
-            raise ValueError(
-                f"grid size must be one of {self.SUPPORTED_SIZES}, got {grid_size}")
         self.grid_size = grid_size
         self.goal_pos = (grid_size - 2, grid_size - 2)
         self.max_steps = 4 * grid_size * grid_size

@@ -248,7 +248,6 @@ def _finite(fitness: np.ndarray, generation: int) -> np.ndarray:
 def _evolve(config: EvoConfig,
             fitness_of: Callable[[np.ndarray, int, int, int], np.ndarray],
             genome_length: int,
-            stop_condition: Callable[[GenerationStats], bool] | None = None,
             on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None = None,
             resume: GenerationSnapshot | None = None,
             buffer: np.ndarray | None = None) -> list[GenerationStats]:
@@ -314,15 +313,12 @@ def _evolve(config: EvoConfig,
             on_generation(stats, GenerationSnapshot(
                 generation, parents, parent_fitness, elite, elite_score,
                 tuple(window), best_genome, best_score))
-        if stop_condition is not None and stop_condition(stats):
-            break
         spawn_children(parents, elite, config, generation, out=population)
     return history
 
 
 def run(config: EvoConfig, env_factory, architecture: AgentArchitecture,
         workers: int = 1,
-        stop_condition: Callable[[GenerationStats], bool] | None = None,
         on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None = None,
         resume: GenerationSnapshot | None = None) -> list[GenerationStats]:
     """Train on an environment; see the module docstring for the loop.
@@ -333,7 +329,8 @@ def run(config: EvoConfig, env_factory, architecture: AgentArchitecture,
     start-up.  A batch is the buffer's first n rows; they are cut at
     n*k // workers into one contiguous slice per worker (empty slices are
     skipped), and a task names only its rows, entropies and repeats, so no
-    genome is pickled.
+    genome is pickled.  To stop early, raise from `on_generation`; the pool
+    is shut down either way.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -359,7 +356,7 @@ def run(config: EvoConfig, env_factory, architecture: AgentArchitecture,
 
     try:
         return _evolve(config, fitness_of, architecture.genome_length,
-                       stop_condition, on_generation, resume, population)
+                       on_generation, resume, population)
     finally:
         if pool is not None:
             pool.shutdown()

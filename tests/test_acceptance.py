@@ -180,10 +180,24 @@ DESK_CARTPOLE_SEEDS = (1, 5, 8)
 DESK_MINIGRID_SEEDS = (1, 2, 3)
 
 
+class BarReached(Exception):
+    pass
+
+
 def run_until(config: evo.EvoConfig, env_factory, architecture,
               bar: float) -> tuple[bool, int]:
-    history = evo.run(config, env_factory, architecture,
-                      stop_condition=lambda s: s.top5_avg >= bar)
+    """Train until the top-5 average reaches `bar` or the generations run out."""
+    history = []
+
+    def on_generation(stats, snapshot):
+        history.append(stats)
+        if stats.top5_avg >= bar:
+            raise BarReached
+
+    try:
+        evo.run(config, env_factory, architecture, on_generation=on_generation)
+    except BarReached:
+        pass
     return history[-1].top5_avg >= bar, len(history)
 
 

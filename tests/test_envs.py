@@ -173,11 +173,6 @@ def test_reset_geometry():
     np.testing.assert_array_equal(obs, env.reset())  # deterministic layout
 
 
-def test_rejects_unsupported_sizes():
-    with pytest.raises(ValueError, match="grid size"):
-        envs.MiniGridEnv(7)
-
-
 def test_model_rejects_observations_outside_unit_interval(monkeypatch):
     # the MPS sweep does not check its inputs, so the model is their guard:
     # an unscaled grey wall (color 5) lies outside [0, 1]

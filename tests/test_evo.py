@@ -4,7 +4,7 @@ import math
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from multiprocessing import get_context
+from multiprocessing import active_children, get_context
 
 import numpy as np
 import pytest
@@ -252,13 +252,6 @@ def test_zero_generations_returns_empty_history():
     assert evo._evolve(config, sphere_fitness, 3) == []
 
 
-def test_stop_condition_halts_early():
-    config = tiny_config(generations=50)
-    history = evo._evolve(config, sphere_fitness, 3,
-                          stop_condition=lambda s: s.generation >= 4)
-    assert len(history) == 5
-
-
 def test_elite_reappears_in_next_generation():
     config = evo.EvoConfig(population=10, truncation=3, mutation_power=0.1,
                            generations=5, master_seed=2, init_scale=0.3)
@@ -298,7 +291,7 @@ def test_resume_reproduces_uninterrupted_run():
     full = evo._evolve(config, sphere_fitness, 5,
                        on_generation=lambda s, snap: snaps.__setitem__(
                            snap.generation, snap))
-    tail = evo._evolve(config, sphere_fitness, 5, None, None, snaps[3])
+    tail = evo._evolve(config, sphere_fitness, 5, resume=snaps[3])
     assert [repr(s) for s in tail] == [repr(s) for s in full[4:]]
 
 
@@ -342,6 +335,29 @@ def test_pooled_resume_reproduces_uninterrupted_serial_run():
     tail = evo.run(config, factory, arch, workers=2, resume=snaps[1])
     assert [repr(s) for s in tail] == [repr(s) for s in full[2:]]
     assert any(s.top5_avg > 0.0 for s in full)
+
+
+class StopRun(Exception):
+    pass
+
+
+def test_pooled_run_stopped_by_on_generation_leaves_no_live_worker():
+    # raising from on_generation is how a caller ends a run early
+    config = evo.EvoConfig(population=6, truncation=2, mutation_power=0.05,
+                           generations=5, repeats_all=2, repeats_parents=2,
+                           master_seed=11, init_scale=0.01)
+    seen = []
+
+    def on_generation(stats, snapshot):
+        seen.append(stats.generation)
+        if stats.generation == 1:
+            raise StopRun
+
+    with pytest.raises(StopRun):
+        evo.run(config, envs.CartPoleEnv, agents.cartpole_architecture(),
+                workers=2, on_generation=on_generation)
+    assert seen == [0, 1]
+    assert active_children() == []
 
 
 def test_uneven_pool_split_does_not_change_results():
@@ -445,6 +461,7 @@ def test_resume_shape_mismatch_rejected():
         generation=0, parents=np.zeros((3, 4)), parent_fitness=np.zeros(3),
         elite=np.zeros(4), elite_score=0.0, window=((8, 0.0, 0.0),),
         best_genome=np.zeros(4), best_score=0.0)
+    # the config runs from scratch, so only the resume may raise
+    assert len(evo._evolve(config, sphere_fitness, 5)) == config.generations
     with pytest.raises(ValueError, match="shape"):
-        evo._evolve(config, sphere_fitness, 5) is not None  # baseline ok
-        evo._evolve(config, sphere_fitness, 5, None, None, resume)
+        evo._evolve(config, sphere_fitness, 5, resume=resume)

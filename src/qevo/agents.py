@@ -25,10 +25,16 @@ of the sites' I, X, Y, Z components (1, r, x^2 r, -x / sqrt(1 + x^2)),
 r = 1 / sqrt((1 + x^2)(1 + x^4)).  So the logits depend only on a and b of
 qubits 0..5, though the genome keeps its layout: the 24 circuit angles
 (qubit-major, (alpha, beta, gamma)), then the MPS entries as offsets from
-mps.identity_base.
+mps.identity_base.  A grid observation is a word of 49 cells, each one
+of the grid model's 4 symbols, so the MPS is read through per-genome cell
+tables (mps.cell_tables) built once per batch, for the (cell, symbol)
+pairs the model's words hold; a row then costs one vector-matrix product
+per cell (mps.contract_words).
 
-`cartpole_policy` and `tnvqc_policy` read a (P, L) genome array once and
-return policy(agents, observations), the action of each row's agent.
+`cartpole_policy` reads a (P, 26) genome array once and returns
+policy(agents, states), the action of each row's agent.  `tnvqc_policy`
+reads a (P, L) genome array once and returns bind(model), which builds
+the cell tables for a grid model and returns act(agents, words).
 """
 
 from __future__ import annotations
@@ -142,17 +148,22 @@ def _tnvqc_logits(features: np.ndarray, axes: np.ndarray) -> np.ndarray:
     return products.reshape(TNVQC_MEASURED, 3, len(features)).sum(axis=1).T
 
 
-def _tnvqc_actions(axes: np.ndarray, offsets: np.ndarray, bond_dim: int,
-                   agents: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    features = mps.contract_rows(offsets, agents, obs, bond_dim, TNVQC_QUBITS)
+def _tnvqc_actions(axes: np.ndarray, tables: mps.CellTables,
+                   agents: np.ndarray, words: np.ndarray) -> np.ndarray:
+    features = mps.contract_words(tables, agents, words)
     return np.argmax(_tnvqc_logits(features, axes[agents]), axis=1)
 
 
-def tnvqc_policy(genomes: np.ndarray,
-                 bond_dim: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """policy(agents, obs) for (P, L) genomes."""
+def _bind_tnvqc(axes: np.ndarray, offsets: np.ndarray, bond_dim: int,
+                model) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    tables = mps.cell_tables(offsets, bond_dim, TNVQC_QUBITS, model.alphabet, model.words)
+    return partial(_tnvqc_actions, axes, tables)
+
+
+def tnvqc_policy(genomes: np.ndarray, bond_dim: int) -> Callable:
+    """bind(model) for (P, L) genomes; it returns act(agents, words)."""
     circuit = genomes[:, :TNVQC_CIRCUIT_PARAMS].reshape(-1, TNVQC_QUBITS, 3)
-    return partial(_tnvqc_actions, _measured_axes(circuit),
+    return partial(_bind_tnvqc, _measured_axes(circuit),
                    genomes[:, TNVQC_CIRCUIT_PARAMS:], bond_dim)
 
 
@@ -161,11 +172,12 @@ def tnvqc_policy(genomes: np.ndarray,
 
 @dataclass(frozen=True)
 class AgentArchitecture:
-    """A genome length and the policy over a (P, genome_length) array of genomes."""
+    """A genome length and the policy over a (P, genome_length) array of
+    genomes, in the form its env's `rollouts` takes."""
 
     name: str
     genome_length: int
-    policy: Callable[[np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]]
+    policy: Callable[[np.ndarray], Callable]
 
 
 def cartpole_architecture() -> AgentArchitecture:

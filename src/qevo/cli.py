@@ -57,6 +57,10 @@ STATS_COLUMNS = tuple(field.name for field in dataclasses.fields(evo.GenerationS
 CHECKPOINT_FORMAT = 2
 CHECKPOINT_KEYS = {"run_config", *(field.name for field in
                                    dataclasses.fields(evo.GenerationSnapshot))}
+# relative rounding by which a window row's count * sum of squares may fall
+# short of its sum squared: a generation of equal fitness values gets there
+# by about 1e-16
+WINDOW_ROUNDING = 1e-12
 
 
 @dataclass
@@ -230,11 +234,15 @@ def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapsho
             raise ValueError(f"checkpoint {key!r} must have shape {shape}, "
                              f"got {array.shape}")
         values[key] = array if shape else array.item()
-    # training counts every generation's whole population into its row
-    for count, _, _ in data["window"]:
+    # training counts every generation's whole population into its row, and
+    # no data set has a sum of squares below sum^2 / count
+    for count, total, total_sq in data["window"]:
         if type(count) is not int or count != config.evo.population:
             raise ValueError(f"checkpoint 'window' counts must each be the population "
                              f"{config.evo.population}, got {count!r}")
+        if count * total_sq < (1.0 - WINDOW_ROUNDING) * total * total:
+            raise ValueError(f"checkpoint 'window' row ({count}, {total!r}, {total_sq!r}) "
+                             f"has a sum of squares no {count} values have")
     values["window"] = tuple(map(tuple, data["window"]))
     return config, evo.GenerationSnapshot(**values)
 

@@ -4,11 +4,13 @@ Both environments play many episodes in lockstep:
 
     returns = env.rollouts(policy, rngs, n_agents, repeats)
 
-`policy(agents, observations)` maps agent indices, one observation row
-each, to actions; `rngs` yields one Generator per agent, drawn from in
-agent order by envs with a random start.  Episode j of agent i starts
-from that agent's j-th draw; the (n_agents, repeats) array holds each
-episode's undiscounted sum of rewards.
+`rngs` yields one Generator per agent, drawn from in agent order by envs
+with a random start.  Episode j of agent i starts from that agent's j-th
+draw; the (n_agents, repeats) array holds each episode's undiscounted sum
+of rewards.  On cart-pole, `policy(agents, states)` maps agent indices,
+one state row each, to actions.  A minigrid policy is first bound to the
+grid's model, act = policy(model), once per call; then act(agents, words)
+maps agent indices, one state's cell word each, to actions.
 
 CartPoleEnv: classic pole balancing.  Physics constants are fixed here so
 results are reproducible without any external dependency: gravity 9.8,
@@ -20,7 +22,10 @@ MiniGridEnv: an empty n x n room (n in {5, 6, 8}) with a 1-cell wall
 border.  The agent starts at (1, 1) facing east; the goal sits at
 (n-2, n-2).  Observations are an egocentric 7 x 7 view of the cells ahead,
 3 channels per cell (object id, color id, state id), scaled into [0, 1]
-and flattened to length 147.
+and flattened to length 147.  Every cell shows one of 4 objects (unseen,
+empty, wall, goal), and its channels follow from the object, so a view is
+a word of 49 symbols over that alphabet: `GridModel.words` holds each
+state's word and `GridModel.alphabet` each symbol's channel values.
 """
 
 from __future__ import annotations
@@ -113,6 +118,10 @@ COLOR_GREY = 5
 OBJECT_SCALE = 10.0
 COLOR_SCALE = 5.0
 
+# the objects an empty room shows, in symbol order, and their colors
+CELL_OBJECTS = (OBJECT_UNSEEN, OBJECT_EMPTY, OBJECT_WALL, OBJECT_GOAL)
+CELL_COLORS = (COLOR_NONE, COLOR_NONE, COLOR_GREY, COLOR_GREEN)
+
 VIEW_SIZE = 7
 OBS_LENGTH = VIEW_SIZE * VIEW_SIZE * 3
 
@@ -130,16 +139,26 @@ N_ACTIONS = 6
 class GridModel:
     """A grid's finite model, indexed by state s = one (pos, dir) pair.
 
-    states: the (pos, dir) pair of each s; observations (S, 147): the view
-    in state s, in [0, 1]; successor (S, 6): the state after each action;
-    goal (S,): s is on the goal cell; start: every episode's first state.
+    states: the (pos, dir) pair of each s; words (S, 49): the symbol of
+    every view cell in state s, row-major from the far left corner;
+    alphabet (4, 3): each symbol's channel values, in [0, 1]; successor
+    (S, 6): the state after each action; goal (S,): s is on the goal cell;
+    start: every episode's first state.
     """
 
     states: tuple[tuple[tuple[int, int], int], ...]
-    observations: np.ndarray
+    words: np.ndarray
+    alphabet: np.ndarray
     successor: np.ndarray
     goal: np.ndarray
     start: int
+
+    @cached_property
+    def observations(self) -> np.ndarray:
+        """(S, 147) read-only: the flattened view in state s."""
+        view = self.alphabet[self.words].reshape(len(self.words), -1)
+        view.flags.writeable = False
+        return view
 
 
 class MiniGridEnv:
@@ -169,26 +188,33 @@ class MiniGridEnv:
         inner = range(1, self.grid_size - 1)
         states = [((x, y), d) for y in inner for x in inner for d in range(4)]
         index = {state: i for i, state in enumerate(states)}
-        observations = np.stack([self._encode_view(pos, d) for pos, d in states])
-        if np.any(observations < 0.0) or np.any(observations > 1.0):
+        words = np.array([[CELL_OBJECTS.index(obj) for obj in self._view_objects(pos, d)]
+                          for pos, d in states], dtype=np.intp)
+        # channel 2 (state) is 0 for every object of an empty room
+        alphabet = np.array([(obj / OBJECT_SCALE, color / COLOR_SCALE, 0.0)
+                             for obj, color in zip(CELL_OBJECTS, CELL_COLORS)])
+        if np.any(alphabet < 0.0) or np.any(alphabet > 1.0):
             raise ValueError("observation entries must lie in [0, 1]")
-        observations.flags.writeable = False
+        for table in (words, alphabet):
+            table.flags.writeable = False
         successor = np.array([[index[self._move(pos, d, a)] for a in range(N_ACTIONS)]
                               for pos, d in states], dtype=np.intp)
         goal = np.array([pos == self.goal_pos for pos, _ in states])
-        return GridModel(tuple(states), observations, successor, goal, index[((1, 1), 0)])
+        return GridModel(tuple(states), words, alphabet, successor, goal,
+                         index[((1, 1), 0)])
 
     def rollouts(self, policy, rngs, n_agents: int, repeats: int) -> np.ndarray:
         """Every agent's episodes, walked in lockstep over `model`.
 
         Every episode starts at `model.start` and the dynamics are
         deterministic, so an agent's repeats are the same episode: each
-        agent walks it once, and each step asks the policy once for every
-        live agent.  A walk ends at the goal or at its first revisit: a
-        revisit without the goal means the walk cycles until the step cap,
-        so it returns 0.
+        agent walks it once, and each step asks the policy, bound to the
+        model once, for every live agent's action.  A walk ends at the goal
+        or at its first revisit: a revisit without the goal means the walk
+        cycles until the step cap, so it returns 0.
         """
         model = self.model
+        act = policy(model)
         visited = np.zeros((n_agents, len(model.goal)), dtype=bool)
         returns = np.zeros(n_agents)
         agent = np.arange(n_agents)
@@ -197,7 +223,7 @@ class MiniGridEnv:
         while agent.size:  # at most one step per state, below max_steps
             step += 1
             visited[agent, state] = True
-            state = model.successor[state, policy(agent, model.observations[state])]
+            state = model.successor[state, act(agent, model.words[state])]
             reached = model.goal[state]
             returns[agent[reached]] = 1.0 - 0.9 * step / self.max_steps
             going = ~reached & ~visited[agent, state]
@@ -216,32 +242,19 @@ class MiniGridEnv:
             return OBJECT_GOAL
         return OBJECT_EMPTY
 
-    def _encode_view(self, pos: tuple[int, int], direction: int) -> np.ndarray:
-        """Egocentric view: the agent sits at view row 6, column 3.
+    def _view_objects(self, pos: tuple[int, int], direction: int) -> list[int]:
+        """The object of every cell of the egocentric view, row-major.
 
-        View cell (row, col) maps to the world cell
-        pos + forward * (6 - row) + right * (col - 3), so row 0 is farthest
-        ahead and columns grow to the agent's right.
+        The agent sits at view row 6, column 3.  View cell (row, col) maps
+        to the world cell pos + forward * (6 - row) + right * (col - 3), so
+        row 0 is farthest ahead and columns grow to the agent's right.
         """
         fx, fy = DIR_VECTORS[direction]
         rx, ry = -fy, fx  # right-hand vector
         px, py = pos
-        view = np.zeros((VIEW_SIZE, VIEW_SIZE, 3))
-        for row in range(VIEW_SIZE):
-            ahead = VIEW_SIZE - 1 - row
-            for col in range(VIEW_SIZE):
-                side = col - 3
-                obj = self._cell_object(px + fx * ahead + rx * side,
-                                        py + fy * ahead + ry * side)
-                if obj == OBJECT_WALL:
-                    color = COLOR_GREY
-                elif obj == OBJECT_GOAL:
-                    color = COLOR_GREEN
-                else:
-                    color = COLOR_NONE
-                view[row, col, 0] = obj / OBJECT_SCALE
-                view[row, col, 1] = color / COLOR_SCALE  # channel 2 (state): 0 in an empty room
-        return view.reshape(-1)
+        return [self._cell_object(px + fx * (VIEW_SIZE - 1 - row) + rx * (col - 3),
+                                  py + fy * (VIEW_SIZE - 1 - row) + ry * (col - 3))
+                for row in range(VIEW_SIZE) for col in range(VIEW_SIZE)]
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,12 @@ TAG_INIT = 3
 
 ROLLING_WINDOW = 100
 # Genome entries (2 MiB) of picked parents gathered per step of spawn_children.
-# Freeing a block this large keeps glibc's mmap threshold above the 0.5 MB
-# temporaries of mps.contract_rows; with 32-row blocks those were mapped and
-# page-faulted afresh on every call, and minigrid-5 training ran 5% slower.
+# Freeing a block this large keeps glibc's dynamic mmap threshold above the
+# temporaries of mps.cell_tables and mps.contract_words (up to about 1.3 MB
+# at P=100: the tables themselves and 0.5 MB block buffers), which are then
+# served from the heap; with 256 KiB blocks they were mapped and
+# page-faulted afresh on every batch, and minigrid-5 training ran 0.42 ->
+# 0.48-0.59 s (perfbench minigrid5-desk, 3 seeds).
 SPAWN_BLOCK_ENTRIES = 1 << 18
 
 

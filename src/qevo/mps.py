@@ -1,4 +1,4 @@
-"""Trainable matrix-product-state feature extractor.
+"""Trainable matrix-product-state feature extractor over words of symbols.
 
 A chain of `n_sites` input-carrying cores (local physical dimension 2)
 plus one output core with a free leg of size `out_dim`, inserted at the
@@ -14,17 +14,42 @@ Core shapes, left to right (m = bond dimension, d = 2):
 Genomes store the entries as offsets from `identity_base`, which contracts
 every input to the all-ones vector, so near-zero genomes are not collapsed
 to zero output.
+
+Inputs are words: the n_sites components are cells of C consecutive
+channels, and every cell holds one of K symbols, symbol k standing for
+the channel values alphabet[k].  A cell's C blended site matrices then take
+only K values, so their product is tabulated once per genome and symbol
+(the finite local feature map of Stoudenmire & Schwab, arXiv:1605.05775,
+with K points).  `cell_tables` builds these tables for the (cell, symbol)
+pairs that some word of a finite set holds, and `contract_words` sweeps a
+word as one vector-matrix product per cell:
+
+- the boundary cores act as the bond-0 row of the first site's and the
+  bond-0 column of the last site's (m, d, m) core, so every cell's table is
+  an (m, m) matrix and the sweep starts and ends on the unit vector e0;
+- the cells on which every word agrees, from cell 0 on, fold into one
+  start vector per genome;
+- the output core sits inside the middle cell (the one holding site
+  (n_sites + 1) // 2), whose site matrices on either side of it fold into
+  one (m, out_dim, m) core per symbol;
+- the left vector runs cell by cell up to the middle cell, the right vector
+  from the last cell down to it, and the middle core joins the two.
+
+These products associate differently from a site-by-site sweep, so the
+features differ from it in the last bits.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
 LOCAL_DIM = 2
-_BLOCK_ENTRIES = 1 << 16  # core entries gathered per step of contract_rows
+# core entries gathered per block of genomes while building cell tables
+_BLOCK_ENTRIES = 1 << 17
 
 
 @lru_cache(maxsize=64)
@@ -83,45 +108,150 @@ def identity_base(n_sites: int, bond_dim: int, out_dim: int) -> np.ndarray:
     return base
 
 
-def contract_rows(offsets: np.ndarray, rows: np.ndarray, values: np.ndarray,
-                  bond_dim: int, out_dim: int) -> np.ndarray:
-    """Left-to-right sweeps of many (cores, input) pairs at once.
+@lru_cache(maxsize=8)
+def _site_rows(n_sites: int, bond_dim: int, out_dim: int) -> np.ndarray:
+    """(n_sites, d, m) row numbers of every input site's core as (d, m, m).
 
-    Pair i contracts the chain with entries identity_base +
-    offsets[rows[i]] against the input values[i] (n_sites components, each
-    in [0, 1]; not checked here).  Returns (n, out_dim).  Core entries are
-    gathered a block of sites at a time, about _BLOCK_ENTRIES floats, so no
-    pair's full set of cores is ever copied.
+    Row r is entries r*m .. r*m + m - 1 of the flat entries extended by
+    one zero row and then the 2m rows (last[a, d], 0, ..., 0): the first
+    core is the bond-0 row of its (d, m, m) form, the zero row fills the
+    rest, and the last core is the bond-0 column of its form.
     """
-    count, n_sites = values.shape
     m = bond_dim
-    base = identity_base(n_sites, m, out_dim)
+    rows = param_count(n_sites, m, out_dim) // m
     pos = (n_sites + 1) // 2
-    site_size = m * LOCAL_DIM * m
+    ends = _segment_ends(n_sites, m, out_dim) // m
+    a, d = np.arange(m), np.arange(LOCAL_DIM)[:, None]
+    first = np.where(a == 0, d, rows)
+    interior = LOCAL_DIM * a + d  # row (a, d) of an (m, d, m) core
+    left = ends[0] + (np.arange(pos - 1) * LOCAL_DIM * m)[:, None, None] + interior
+    right = ends[2] + (np.arange(n_sites - 1 - pos) * LOCAL_DIM * m)[:, None, None] + interior
+    last = rows + 1 + interior
+    return np.concatenate([first[None], left, right, last[None]])
 
-    def entries(start: int, stop: int) -> np.ndarray:
-        return base[start:stop] + offsets[rows, start:stop]
 
-    def site_matrices(start: int, sites: range):
-        """(count, m, m) per site: phi(v) contracted with the physical leg."""
-        per_block = max(1, _BLOCK_ENTRIES // (count * site_size))
-        for lo in range(0, len(sites), per_block):
-            block = sites[lo:lo + per_block]
-            cores = entries(start + lo * site_size, start + (lo + len(block)) * site_size)
-            cores = cores.reshape(count, len(block), m, LOCAL_DIM, m)
-            v = values[:, block.start:block.stop, None, None]
-            mats = (1.0 - v) * cores[:, :, :, 0] + v * cores[:, :, :, 1]
-            yield from np.ascontiguousarray(mats.transpose(1, 0, 2, 3))
+@dataclass(frozen=True)
+class CellTables:
+    """One population's cell tables for the words of one alphabet.
 
-    ends = _segment_ends(n_sites, m, out_dim)
-    first_phi = np.stack([1.0 - values[:, 0], values[:, 0]], axis=1)
-    vec = np.vecmat(first_phi, entries(0, ends[0]).reshape(count, LOCAL_DIM, m))
-    for mat in site_matrices(ends[0], range(1, pos)):
-        vec = np.vecmat(vec, mat)
-    output = entries(ends[1], ends[2]).reshape(count, m, out_dim, m)
-    carry = np.einsum("na,naob->nob", vec, output)
-    for mat in site_matrices(ends[2], range(pos, n_sites - 1)):
-        carry = carry @ mat
-    last_phi = np.stack([1.0 - values[:, -1], values[:, -1]], axis=1)
-    last = entries(ends[3], base.size).reshape(count, m, LOCAL_DIM)
-    return np.matvec(carry, np.matvec(last, last_phi))
+    start (P, m): e0 times the tables of the agreed cells; cells
+    (P, n_pairs, m, m): the table of each (cell, symbol) pair outside the
+    middle cell; middle (P, n_middle, m, out_dim, m): the output core with
+    the middle cell's site matrices folded in, one per symbol that cell
+    holds; index (n_cells, K): each pair's position among its genome's
+    cells or middle cores; mid: the middle cell; swept: the
+    cells a row sweeps, the n_left before the middle cell left to right,
+    then the ones after it from the last cell down.
+    """
+
+    start: np.ndarray
+    cells: np.ndarray
+    middle: np.ndarray
+    index: np.ndarray
+    mid: int
+    swept: np.ndarray
+    n_left: int
+
+
+def cell_tables(offsets: np.ndarray, bond_dim: int, out_dim: int,
+                alphabet: np.ndarray, words: np.ndarray) -> CellTables:
+    """The tables of P chains, entries identity_base + offsets[p].
+
+    alphabet (K, C): each symbol's channel values, each in [0, 1] (not
+    checked here); words (S, n_cells): the words to be swept, symbols
+    0..K-1.  Only the (cell, symbol) pairs some word holds are built, for
+    a block of genomes of about _BLOCK_ENTRIES gathered core entries at a
+    time.
+    """
+    m = bond_dim
+    n_symbols, channels = alphabet.shape
+    n_cells = words.shape[1]
+    n_sites = n_cells * channels
+    mid, split = divmod((n_sites + 1) // 2, channels)
+    agreed = np.logical_and.accumulate((words == words[0]).all(axis=0))
+    folded = min(int(agreed.sum()), mid)
+
+    held = np.zeros((n_cells, n_symbols), dtype=bool)
+    held[np.arange(n_cells), words] = True
+    held_cell, held_symbol = np.nonzero(held)
+    # pairs in cell order, so the agreed cells' come first, one each, and
+    # the middle cell's last
+    order = np.argsort(held_cell == mid, kind="stable")
+    pair_cell, pair_symbol = held_cell[order], held_symbol[order]
+    n_middle = int(held[mid].sum())
+    n_pairs = len(pair_cell) - n_middle
+    index = np.full((n_cells, n_symbols), -1)
+    index[pair_cell, pair_symbol] = np.r_[np.arange(n_pairs), np.arange(n_middle)]
+    # the blend (1 - v) A0 + v A1 of every site matrix of every pair,
+    # channel-major: (C, pairs, m, m)
+    high_weight = np.repeat(alphabet[pair_symbol].T, m * m, axis=1).reshape(
+        channels, -1, m, m)
+    low_weight = 1.0 - high_weight
+    site_rows = _site_rows(n_sites, m, out_dim)[pair_cell * channels
+                                                 + np.arange(channels)[:, None]]
+
+    count = len(offsets)
+    cells = np.empty((count, n_pairs, m, m))
+    middle = np.empty((count, n_middle, m * out_dim, m))
+    base = identity_base(n_sites, m, out_dim)
+    output_entries = slice(*_segment_ends(n_sites, m, out_dim)[1:3])
+    per_block = min(count, max(1, _BLOCK_ENTRIES // (2 * high_weight.size)))
+    row = np.dtype((np.void, m * 8))  # m float64 entries
+    # a block's entries, then the zero row and the last core's rows of _site_rows
+    entries = np.zeros((per_block, base.size + m + LOCAL_DIM * m * m))
+    extra_last = entries[:, base.size + m:].reshape(per_block, m * LOCAL_DIM, m)
+    low = np.empty((per_block,) + high_weight.shape)
+    high = np.empty_like(low)
+    for lo in range(0, count, per_block):
+        size = min(per_block, count - lo)
+        block = entries[:size, :base.size]
+        np.add(base, offsets[lo:lo + size], out=block)
+        extra_last[:size, :, 0] = block[:, -LOCAL_DIM * m:]
+        as_rows = entries[:size].view(row)
+        # every row number is valid: "clip" only spares take a buffered copy
+        np.take(as_rows, site_rows[..., 0, :], axis=1, out=low[:size].view(row)[..., 0],
+                mode="clip")
+        np.take(as_rows, site_rows[..., 1, :], axis=1, out=high[:size].view(row)[..., 0],
+                mode="clip")
+        blended = low[:size]
+        blended *= low_weight
+        high[:size] *= high_weight
+        blended += high[:size]
+        channel = list(blended.swapaxes(0, 1))
+        after = reduce(np.matmul, channel[split:])
+        before = (reduce(np.matmul, channel[:split]) if split
+                  else np.broadcast_to(np.eye(m), after.shape))
+        np.matmul(before[:, :n_pairs], after[:, :n_pairs], out=cells[lo:lo + size])
+        output = block[:, output_entries].reshape(size, 1, m, -1)
+        np.matmul((before[:, n_pairs:] @ output).reshape(size, n_middle, -1, m),
+                  after[:, n_pairs:], out=middle[lo:lo + size])
+
+    start = np.zeros((count, m))
+    start[:, 0] = 1.0
+    for pair in range(folded):
+        start = np.vecmat(start, cells[:, pair])
+    cell_ids = np.arange(n_cells)
+    return CellTables(start, cells, middle.reshape(count, n_middle, m, out_dim, m),
+                      index, mid, np.r_[cell_ids[folded:mid], cell_ids[:mid:-1]],
+                      mid - folded)
+
+
+def contract_words(tables: CellTables, rows: np.ndarray,
+                   words: np.ndarray) -> np.ndarray:
+    """(n, out_dim) features of words[i] under the chain of genome rows[i].
+
+    Every symbol of words[i] is one the tables were built for (not checked
+    here).
+    """
+    mats = tables.cells[rows, tables.index[tables.swept, words[:, tables.swept]].T]
+    vec = tables.start[rows]
+    for mat in mats[:tables.n_left]:
+        vec = np.einsum("na,nab->nb", vec, mat)
+    back = np.zeros_like(vec)
+    back[:, 0] = 1.0
+    for mat in mats[tables.n_left:]:
+        back = np.einsum("nab,nb->na", mat, back)
+    middle = tables.middle[rows, tables.index[tables.mid, words[:, tables.mid]]]
+    n, m, out_dim, _ = middle.shape
+    joined = np.vecmat(vec, middle.reshape(n, m, out_dim * m)).reshape(n, out_dim, m)
+    return np.vecdot(joined, back[:, None])

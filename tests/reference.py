@@ -21,7 +21,7 @@ from qevo.agents import (CARTPOLE_BLOCKS, CARTPOLE_GENOME_LENGTH, CARTPOLE_QUBIT
                          TNVQC_CIRCUIT_PARAMS, TNVQC_MEASURED, TNVQC_QUBITS, TNVQC_SITES,
                          AgentArchitecture)
 from qevo.envs import N_ACTIONS
-from qevo.mps import LOCAL_DIM, _views, identity_base, param_count
+from qevo.mps import LOCAL_DIM, _segment_ends, _views, identity_base, param_count
 
 # ---------------------------------------------------------------------------
 # qsim: gate matrices, in-place gate kernels, the statevector API and
@@ -419,6 +419,54 @@ def contract(extractor: MpsFeatureExtractor, values: np.ndarray) -> np.ndarray:
     return out
 
 
+_BLOCK_ENTRIES = 1 << 16  # core entries gathered per step of contract_rows
+
+
+def contract_rows(offsets: np.ndarray, rows: np.ndarray, values: np.ndarray,
+                  bond_dim: int, out_dim: int) -> np.ndarray:
+    """Left-to-right sweeps of many (cores, input) pairs at once.
+
+    Pair i contracts the chain with entries identity_base +
+    offsets[rows[i]] against the input values[i] (n_sites components, each
+    in [0, 1]; not checked here).  Returns (n, out_dim).  Core entries are
+    gathered a block of sites at a time, about _BLOCK_ENTRIES floats, so no
+    pair's full set of cores is ever copied.  It is the oracle of
+    `mps.cell_tables` and `mps.contract_words`, on float views.
+    """
+    count, n_sites = values.shape
+    m = bond_dim
+    base = identity_base(n_sites, m, out_dim)
+    pos = (n_sites + 1) // 2
+    site_size = m * LOCAL_DIM * m
+
+    def entries(start: int, stop: int) -> np.ndarray:
+        return base[start:stop] + offsets[rows, start:stop]
+
+    def site_matrices(start: int, sites: range):
+        """(count, m, m) per site: phi(v) contracted with the physical leg."""
+        per_block = max(1, _BLOCK_ENTRIES // (count * site_size))
+        for lo in range(0, len(sites), per_block):
+            block = sites[lo:lo + per_block]
+            cores = entries(start + lo * site_size, start + (lo + len(block)) * site_size)
+            cores = cores.reshape(count, len(block), m, LOCAL_DIM, m)
+            v = values[:, block.start:block.stop, None, None]
+            mats = (1.0 - v) * cores[:, :, :, 0] + v * cores[:, :, :, 1]
+            yield from np.ascontiguousarray(mats.transpose(1, 0, 2, 3))
+
+    ends = _segment_ends(n_sites, m, out_dim)
+    first_phi = np.stack([1.0 - values[:, 0], values[:, 0]], axis=1)
+    vec = np.vecmat(first_phi, entries(0, ends[0]).reshape(count, LOCAL_DIM, m))
+    for mat in site_matrices(ends[0], range(1, pos)):
+        vec = np.vecmat(vec, mat)
+    output = entries(ends[1], ends[2]).reshape(count, m, out_dim, m)
+    carry = np.einsum("na,naob->nob", vec, output)
+    for mat in site_matrices(ends[2], range(pos, n_sites - 1)):
+        carry = carry @ mat
+    last_phi = np.stack([1.0 - values[:, -1], values[:, -1]], axis=1)
+    last = entries(ends[3], base.size).reshape(count, m, LOCAL_DIM)
+    return np.matvec(carry, np.matvec(last, last_phi))
+
+
 # ---------------------------------------------------------------------------
 # agents
 
@@ -639,6 +687,33 @@ class MiniGridEnv(envs.MiniGridEnv):
             cached.flags.writeable = False
             self._obs_cache[key] = cached
         return cached
+
+    def _encode_view(self, pos: tuple[int, int], direction: int) -> np.ndarray:
+        """Egocentric view, 3 scaled channels per cell, straight from the grid.
+
+        The agent sits at view row 6, column 3.  View cell (row, col) maps
+        to the world cell pos + forward * (6 - row) + right * (col - 3), so
+        row 0 is farthest ahead and columns grow to the agent's right.
+        """
+        fx, fy = envs.DIR_VECTORS[direction]
+        rx, ry = -fy, fx  # right-hand vector
+        px, py = pos
+        view = np.zeros((envs.VIEW_SIZE, envs.VIEW_SIZE, 3))
+        for row in range(envs.VIEW_SIZE):
+            ahead = envs.VIEW_SIZE - 1 - row
+            for col in range(envs.VIEW_SIZE):
+                side = col - 3
+                obj = self._cell_object(px + fx * ahead + rx * side,
+                                        py + fy * ahead + ry * side)
+                if obj == envs.OBJECT_WALL:
+                    color = envs.COLOR_GREY
+                elif obj == envs.OBJECT_GOAL:
+                    color = envs.COLOR_GREEN
+                else:
+                    color = envs.COLOR_NONE
+                view[row, col, 0] = obj / envs.OBJECT_SCALE
+                view[row, col, 1] = color / envs.COLOR_SCALE  # channel 2 (state): 0 in an empty room
+        return view.reshape(-1)
 
 
 def make_env(name: str):

@@ -218,15 +218,16 @@ def test_closed_form_argmax_matches_statevector_on_ties(bond_dim):
     # row 0: offsets of -identity_base zero every core, so every feature is 0
     genomes[0, agents.TNVQC_CIRCUIT_PARAMS:] = -mps.identity_base(
         agents.TNVQC_SITES, bond_dim, agents.TNVQC_QUBITS)
-    observations = envs.MiniGridEnv(8).model.observations
-    rows = np.repeat([0, 1], len(observations))
-    features = mps.contract_rows(genomes[:, agents.TNVQC_CIRCUIT_PARAMS:], rows,
-                                 np.tile(observations, (2, 1)), bond_dim, agents.TNVQC_QUBITS)
+    model = envs.MiniGridEnv(8).model
+    tables = mps.cell_tables(genomes[:, agents.TNVQC_CIRCUIT_PARAMS:], bond_dim,
+                             agents.TNVQC_QUBITS, model.alphabet, model.words)
+    rows = np.repeat([0, 1], len(model.words))
+    features = mps.contract_words(tables, rows, np.tile(model.words, (2, 1)))
     circuit = genomes[:, :agents.TNVQC_CIRCUIT_PARAMS].reshape(-1, agents.TNVQC_QUBITS, 3)
     closed = agents._tnvqc_logits(features, agents._measured_axes(circuit)[rows])
     expected = ref._tnvqc_logits(features, ref.rot_matrix(*np.moveaxis(circuit, -1, 0))[rows])
     assert closed.argmax(axis=1).tolist() == expected.argmax(axis=1).tolist()
-    assert not closed[:len(observations)].any()  # every logit ties at 0
+    assert not closed[:len(model.words)].any()  # every logit ties at 0
 
 
 def test_action_set_and_determinism():

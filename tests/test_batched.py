@@ -117,7 +117,7 @@ def test_tnvqc_action_tables_match_act(size, bond_dim):
     n_states = len(model.goal)
     rows = np.repeat(np.arange(len(genomes)), n_states)
     states = np.tile(np.arange(n_states), len(genomes))
-    table = architecture.policy(genomes)(rows, model.observations[states])
+    table = architecture.policy(genomes)(model)(rows, model.words[states])
     built = [ref.build_agent(architecture, g) for g in genomes]
     assert table.tolist() == [built[r].act(model.observations[s])
                               for r, s in zip(rows, states)]
@@ -134,7 +134,7 @@ def test_contract_rows_matches_contract(n_sites, bond_dim, out_dim, seed):
     values[0] = 0.0
     values[1] = 1.0
     rows = rng.integers(0, len(offsets), len(values))
-    batched = mps.contract_rows(offsets, rows, values, bond_dim, out_dim)
+    batched = ref.contract_rows(offsets, rows, values, bond_dim, out_dim)
     base = mps.identity_base(n_sites, bond_dim, out_dim)
     for row, v, got in zip(rows, values, batched):
         extractor = ref.MpsFeatureExtractor(n_sites, bond_dim, out_dim, base + offsets[row])

@@ -448,6 +448,49 @@ def test_resume_rejects_a_window_count_other_than_the_population(tmp_path, capsy
     assert (tmp_path / "run" / "stats.csv").read_bytes() == before
 
 
+def run_dir_bytes(run: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(run.iterdir())}
+
+
+@pytest.mark.parametrize("total,total_sq", [(-1e6, 0.0), (3.0, 1.0), (0.0, -1e-300)],
+                         ids=["negative-sum-zero-squares", "squares-below-mean", "negative-squares"])
+def test_resume_rejects_window_sums_no_data_set_has(tmp_path, capsys, total, total_sq):
+    # 6 values summing to `total` have a sum of squares of at least total^2 / 6;
+    # a row below that would resume into a rolling std no run can write
+    config = write_config(tmp_path / "cfg.json")
+    assert cli.main(["train", "--config", str(config)]) == 0
+    checkpoint = tmp_path / "run" / "checkpoint_1.json"
+    data = json.loads(checkpoint.read_text())
+    data["window"][0][1:] = [total, total_sq]
+    checkpoint.write_text(json.dumps(data))
+    before = run_dir_bytes(tmp_path / "run")
+    capsys.readouterr()
+    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "'window'" in lines[0]
+    assert run_dir_bytes(tmp_path / "run") == before
+
+
+def test_resume_accepts_the_window_of_a_generation_of_equal_fitness(tmp_path, capsys):
+    # six agents that all walk 7 steps to the minigrid-5 goal score 0.937
+    # each, and the sums training writes for them fall short of
+    # count * sumsq >= sum^2 by rounding (about 2e-16 of sum^2)
+    config = write_config(tmp_path / "cfg.json", env="minigrid-5", mps_bond_dim=1,
+                          evo={"generations": 3})
+    assert cli.main(["train", "--config", str(config)]) == 0
+    fitness = np.full(6, 1.0 - 0.9 * 7 / 100)
+    row = [6, float(fitness.sum()), float(np.square(fitness).sum())]
+    assert row[0] * row[2] < row[1] ** 2
+    checkpoint = tmp_path / "run" / "checkpoint_1.json"
+    data = json.loads(checkpoint.read_text())
+    data["window"][0] = row
+    checkpoint.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_stats(tmp_path / "run")) == 4
+
+
 @pytest.mark.parametrize("form,key,corrupt,message", [
     ("encoded", "format", lambda value: 3, "unsupported checkpoint format: 3"),
     # ragged rows have no encoded form, so this case is a format-1 file only

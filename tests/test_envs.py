@@ -391,6 +391,14 @@ def test_grid_model_matches_step(n):
     assert model is env.model  # built once per env
     assert model.observations.shape == ((n - 2) ** 2 * 4, envs.OBS_LENGTH)
     assert not model.observations.flags.writeable
+    # a view spells its word over the alphabet: unseen, empty, wall (grey),
+    # goal (green), and channel 2 (state) always 0
+    assert model.words.shape == (len(model.states), envs.VIEW_SIZE * envs.VIEW_SIZE)
+    assert not model.words.flags.writeable and not model.alphabet.flags.writeable
+    assert model.alphabet.tolist() == [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0],
+                                       [0.2, 1.0, 0.0], [0.8, 0.2, 0.0]]
+    spelled = model.alphabet[model.words].reshape(len(model.words), -1)
+    assert model.observations.tobytes() == spelled.tobytes()
     assert model.goal.sum() == 4
     assert np.array_equal(model.observations[model.start], env.reset())
     assert model.states[model.start] == ((1, 1), 0)
@@ -399,6 +407,7 @@ def test_grid_model_matches_step(n):
     for s, (pos, direction) in enumerate(model.states):
         probe.reset()
         probe.agent_pos, probe.agent_dir = pos, direction
+        # the reference env encodes its views cell by cell, straight from the grid
         assert np.array_equal(model.observations[s], probe._observation())
         assert model.goal[s] == (pos == probe.goal_pos)
         for action in range(envs.N_ACTIONS):
@@ -411,22 +420,22 @@ def test_grid_model_matches_step(n):
 
 def test_grid_rollouts_follow_the_table_and_cut_cycles():
     env = envs.MiniGridEnv(5)
+    wall = envs.CELL_OBJECTS.index(envs.OBJECT_WALL)
     calls = []
 
-    def policy(agents, obs):
+    def act(agents, words):
         calls.append(agents)
         # agent 0 runs the optimal path, agent 1 spins, agent 2 hits the wall
         out = []
-        for a, o in zip(agents, obs):
+        for a, word in zip(agents, words):
             if a == 0:
-                ahead = o.reshape(envs.VIEW_SIZE, envs.VIEW_SIZE, 3)[5, 3, 0]
-                out.append(envs.ACTION_RIGHT if ahead * envs.OBJECT_SCALE == envs.OBJECT_WALL
-                           else envs.ACTION_FORWARD)
+                ahead = word.reshape(envs.VIEW_SIZE, envs.VIEW_SIZE)[5, 3]
+                out.append(envs.ACTION_RIGHT if ahead == wall else envs.ACTION_FORWARD)
             else:
                 out.append(envs.ACTION_LEFT if a == 1 else envs.ACTION_FORWARD)
         return np.array(out)
 
-    returns = env.rollouts(policy, iter(()), 3, 4)
+    returns = env.rollouts(lambda model: act, iter(()), 3, 4)
     assert returns.shape == (3, 4)
     assert returns[0].tolist() == [0.955] * 4
     assert returns[1:].tolist() == [[0.0] * 4] * 2
@@ -454,9 +463,10 @@ def test_grid_rollouts_match_episodes_of_random_tables(n):
 
     rows = np.zeros(len(tables), dtype=int)
 
-    def policy(agents, obs):
+    def act(agents, words):
         np.add.at(rows, agents, 1)
-        return tables[agents, [index[o.tobytes()] for o in obs]]
+        views = model.alphabet[words].reshape(len(words), -1)
+        return tables[agents, [index[o.tobytes()] for o in views]]
 
     def walk_length(a):
         # steps from the start up to the goal or the first revisit
@@ -467,7 +477,7 @@ def test_grid_rollouts_match_episodes_of_random_tables(n):
             state, steps = model.successor[state, action], steps + 1
         return steps
 
-    returns = env.rollouts(policy, iter(()), len(tables), 2)
+    returns = env.rollouts(lambda model: act, iter(()), len(tables), 2)
     assert rows.tolist() == [walk_length(a) for a in range(len(tables))]
     expected = [run_episode(env, lambda o: tables[a, index[o.tobytes()]], None)[0]
                 for a in range(len(tables))]

@@ -1,14 +1,19 @@
-"""MPS feature extractor tests, anchored by an exhaustive-sum oracle."""
+"""MPS feature extractor tests, anchored by an exhaustive-sum oracle.
+
+The library reads the MPS only through cell tables over words of symbols
+(`mps.cell_tables`, `mps.contract_words`); they are held to the batched
+float sweep `reference.contract_rows`, which the scalar sweep anchors.
+"""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qevo import mps
+from qevo import agents, envs, evo, mps
 
 import reference as ref
 
@@ -199,3 +204,101 @@ def test_extractor_shape_validation():
         ref.MpsFeatureExtractor(5, 2, 2, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="at least 2"):
         mps.param_count(1, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# cell tables against the float sweep
+
+GRID_MODELS = {size: envs.MiniGridEnv(size).model for size in (5, 6, 8)}
+
+
+def assert_features_match(features, offsets, rows, values, bond_dim, out_dim):
+    """The oracle's features; `features` lie within 1e-10 of each row's largest.
+
+    The two sweeps associate the products differently.  On a rare row whose
+    features cancel far below the chain's magnitude (about one row in 10^5
+    of random bond-4 genomes at scale 1) neither float64 sweep keeps 1e-10:
+    there the oracle must itself be off the long-double sweep (80-bit on
+    x86-64) by at least a tenth of the difference, so that rounding, not
+    the tables, explains it.
+    """
+    expected = ref.contract_rows(offsets, rows, values, bond_dim, out_dim)
+    difference = np.abs(features - expected).max(axis=1)
+    stray = difference > 1e-10 * np.abs(expected).max(axis=1)
+    if stray.any():
+        exact = ref.contract_rows(offsets.astype(np.longdouble), rows[stray],
+                                  values[stray].astype(np.longdouble), bond_dim, out_dim)
+        oracle_error = np.abs(expected[stray] - exact).max(axis=1)
+        assert np.all(oracle_error >= 0.1 * difference[stray])
+    return expected
+
+
+def assert_grid_policy_matches(genomes, bond_dim, model):
+    """Every (genome, state) pair: features and actions against the oracle."""
+    offsets = genomes[:, agents.TNVQC_CIRCUIT_PARAMS:]
+    states = np.tile(np.arange(len(model.words)), len(genomes))
+    rows = np.repeat(np.arange(len(genomes)), len(model.words))
+    tables = mps.cell_tables(offsets, bond_dim, agents.TNVQC_QUBITS, model.alphabet,
+                             model.words)
+    features = mps.contract_words(tables, rows, model.words[states])
+    expected = assert_features_match(features, offsets, rows, model.observations[states],
+                                     bond_dim, agents.TNVQC_QUBITS)
+    circuit = genomes[:, :agents.TNVQC_CIRCUIT_PARAMS].reshape(-1, agents.TNVQC_QUBITS, 3)
+    oracle = agents._tnvqc_logits(expected, agents._measured_axes(circuit)[rows])
+    actions = agents.tnvqc_architecture(bond_dim).policy(genomes)(model)(
+        rows, model.words[states])
+    assert actions.tolist() == np.argmax(oracle, axis=1).tolist()
+
+
+@settings(max_examples=20, deadline=None)
+@given(size=st.sampled_from(sorted(GRID_MODELS)), bond_dim=st.sampled_from([1, 2, 4]),
+       scale=st.one_of(st.sampled_from([0.0, 0.01, 1.0, 3.0]), st.floats(0.0, 3.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_cell_tables_match_contract_rows_on_every_state(size, bond_dim, scale, seed):
+    length = agents.tnvqc_architecture(bond_dim).genome_length
+    genomes = np.random.default_rng(seed).standard_normal((4, length)) * scale
+    # offsets of -identity_base zero every core: features 0, every logit ties
+    genomes[0, agents.TNVQC_CIRCUIT_PARAMS:] = -mps.identity_base(
+        agents.TNVQC_SITES, bond_dim, agents.TNVQC_QUBITS)
+    assert_grid_policy_matches(genomes, bond_dim, GRID_MODELS[size])
+
+
+@pytest.fixture(scope="module")
+def trained_population():
+    """The population after 6 generations of a minigrid-5 run at bond dimension 4."""
+    config = evo.EvoConfig(population=24, truncation=4, mutation_power=0.05,
+                           generations=6, repeats_all=1, repeats_parents=1,
+                           master_seed=5, init_scale=0.1)
+    snapshots = []
+    evo.run(config, envs.env_factory("minigrid-5"), agents.tnvqc_architecture(4),
+            on_generation=lambda stats, snapshot: snapshots.append(snapshot))
+    last = snapshots[-1]
+    return ref.spawn_children(last.parents, last.elite, config, last.generation)
+
+
+@pytest.mark.parametrize("size", sorted(GRID_MODELS))
+def test_cell_tables_match_contract_rows_on_a_trained_population(trained_population, size):
+    assert_grid_policy_matches(trained_population, 4, GRID_MODELS[size])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_cells=st.integers(1, 7), channels=st.integers(1, 3), n_symbols=st.integers(1, 4),
+       bond_dim=st.integers(1, 3), out_dim=st.integers(1, 3),
+       scale=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_cell_tables_match_contract_rows_on_any_chain(n_cells, channels, n_symbols,
+                                                      bond_dim, out_dim, scale, seed):
+    # any cell geometry: the output core inside, before or after a cell's
+    # sites, in the first or the last cell, with or without agreed cells
+    assume(n_cells * channels >= 2)
+    rng = np.random.default_rng(seed)
+    alphabet = rng.choice([0.0, 1.0, rng.random()], size=(n_symbols, channels))
+    words = rng.integers(0, n_symbols, (rng.integers(1, 9), n_cells))
+    words[:, :rng.integers(0, n_cells + 1)] = words[0, 0]
+    offsets = rng.standard_normal((3, mps.param_count(n_cells * channels, bond_dim,
+                                                      out_dim))) * scale
+    tables = mps.cell_tables(offsets, bond_dim, out_dim, alphabet, words)
+    rows = np.repeat(np.arange(len(offsets)), len(words))
+    swept = np.tile(words, (len(offsets), 1))
+    features = mps.contract_words(tables, rows, swept)
+    assert_features_match(features, offsets, rows, alphabet[swept].reshape(len(rows), -1),
+                          bond_dim, out_dim)

@@ -240,6 +240,9 @@ def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapsho
         if type(count) is not int or count != config.evo.population:
             raise ValueError(f"checkpoint 'window' counts must each be the population "
                              f"{config.evo.population}, got {count!r}")
+        if type(total) not in (int, float) or type(total_sq) not in (int, float):
+            raise ValueError(f"checkpoint 'window' sums must be numbers, "
+                             f"got {total!r} and {total_sq!r}")
         if count * total_sq < (1.0 - WINDOW_ROUNDING) * total * total:
             raise ValueError(f"checkpoint 'window' row ({count}, {total!r}, {total_sq!r}) "
                              f"has a sum of squares no {count} values have")
@@ -347,7 +350,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     # one agent, its episodes all drawn from the stream SeedSequence([seed])
     scores = evo.episode_returns(genome[None], architecture, env_factory(),
-                                 args.episodes, [[args.seed]])[0].tolist()
+                                 [0], [[args.seed]], [args.episodes]).tolist()
     result = {
         "env": env_name,
         "episodes": args.episodes,

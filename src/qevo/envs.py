@@ -2,15 +2,18 @@
 
 Both environments play many episodes in lockstep:
 
-    returns = env.rollouts(policy, rngs, n_agents, repeats)
+    returns = env.rollouts(policy, agents, rngs, repeats)
 
-`rngs` yields one Generator per agent, drawn from in agent order by envs
-with a random start.  Episode j of agent i starts from that agent's j-th
-draw; the (n_agents, repeats) array holds each episode's undiscounted sum
-of rewards.  On cart-pole, `policy(agents, states)` maps agent indices,
-one state row each, to actions.  A minigrid policy is first bound to the
-grid's model, act = policy(model), once per call; then act(agents, words)
-maps agent indices, one state's cell word each, to actions.
+Row i of a batch is played by the policy's agent agents[i] for repeats[i]
+episodes; an agent may play several rows.  `rngs` yields one Generator
+per row, drawn from in row order by envs with a random start (and not
+built by the others).  Episode j of row i starts from that row's j-th
+draw; the flat result holds each episode's undiscounted sum of rewards,
+row by row, each row's episodes in order.  On cart-pole,
+`policy(agents, states)` maps agent indices, one state row each, to
+actions.  A minigrid policy is first bound to the grid's model,
+act = policy(model), once per call; then act(agents, words) maps agent
+indices, one state's cell word each, to actions.
 
 CartPoleEnv: classic pole balancing.  Physics constants are fixed here so
 results are reproducible without any external dependency: gravity 9.8,
@@ -79,18 +82,18 @@ class CartPoleEnv:
         return (x + self.TAU * x_dot, x_dot + self.TAU * x_acc,
                 theta + self.TAU * theta_dot, theta_dot + self.TAU * theta_acc)
 
-    def rollouts(self, policy, rngs, n_agents: int, repeats: int) -> np.ndarray:
-        """Every agent's `repeats` episodes, stepped in lockstep.
+    def rollouts(self, policy, agents: np.ndarray, rngs,
+                 repeats: np.ndarray) -> np.ndarray:
+        """Every row's episodes, stepped in lockstep.
 
         The reward is 1.0 per step, so an episode's return is its length.
         """
-        # an agent's `repeats` start states, every component uniform in
-        # [-0.05, 0.05], in one draw: the same values as one draw per episode
-        states = np.array([rng.uniform(-self.START_LIMIT, self.START_LIMIT, size=(repeats, 4))
-                           for rng in rngs])
-        states = states.reshape(n_agents * repeats, 4)
+        # a row's start states, every component uniform in [-0.05, 0.05],
+        # in one draw: the same values as one draw per episode
+        states = np.concatenate([rng.uniform(-self.START_LIMIT, self.START_LIMIT, size=(r, 4))
+                                 for rng, r in zip(rngs, repeats)])
         lengths = np.zeros(len(states))
-        agent = np.repeat(np.arange(n_agents), repeats)
+        agent = np.repeat(agents, repeats)
         episode = np.arange(len(states))
         for step in range(1, self.MAX_STEPS + 1):
             if not episode.size:
@@ -100,7 +103,7 @@ class CartPoleEnv:
             if done.any():
                 lengths[episode[done]] = step
                 states, agent, episode = states[~done], agent[~done], episode[~done]
-        return lengths.reshape(n_agents, repeats)
+        return lengths
 
 
 # ---------------------------------------------------------------------------
@@ -203,32 +206,34 @@ class MiniGridEnv:
         return GridModel(tuple(states), words, alphabet, successor, goal,
                          index[((1, 1), 0)])
 
-    def rollouts(self, policy, rngs, n_agents: int, repeats: int) -> np.ndarray:
-        """Every agent's episodes, walked in lockstep over `model`.
+    def rollouts(self, policy, agents: np.ndarray, rngs,
+                 repeats: np.ndarray) -> np.ndarray:
+        """Every row's episodes, walked in lockstep over `model`.
 
         Every episode starts at `model.start` and the dynamics are
-        deterministic, so an agent's repeats are the same episode: each
-        agent walks it once, and each step asks the policy, bound to the
-        model once, for every live agent's action.  A walk ends at the goal
-        or at its first revisit: a revisit without the goal means the walk
-        cycles until the step cap, so it returns 0.
+        deterministic, so a row's repeats are the same episode: each row
+        walks it once, and each step asks the policy, bound to the model
+        once, for every live row's action.  A walk ends at the goal or at
+        its first revisit: a revisit without the goal means the walk cycles
+        until the step cap, so it returns 0.  No Generator of `rngs` is
+        built.
         """
         model = self.model
         act = policy(model)
-        visited = np.zeros((n_agents, len(model.goal)), dtype=bool)
-        returns = np.zeros(n_agents)
-        agent = np.arange(n_agents)
-        state = np.full(n_agents, model.start)
+        visited = np.zeros((len(agents), len(model.goal)), dtype=bool)
+        returns = np.zeros(len(agents))
+        row = np.arange(len(agents))
+        state = np.full(len(agents), model.start)
         step = 0
-        while agent.size:  # at most one step per state, below max_steps
+        while row.size:  # at most one step per state, below max_steps
             step += 1
-            visited[agent, state] = True
-            state = model.successor[state, act(agent, model.words[state])]
+            visited[row, state] = True
+            state = model.successor[state, act(agents[row], model.words[state])]
             reached = model.goal[state]
-            returns[agent[reached]] = 1.0 - 0.9 * step / self.max_steps
-            going = ~reached & ~visited[agent, state]
-            agent, state = agent[going], state[going]
-        return np.repeat(returns[:, None], repeats, axis=1)
+            returns[row[reached]] = 1.0 - 0.9 * step / self.max_steps
+            going = ~reached & ~visited[row, state]
+            row, state = row[going], state[going]
+        return np.repeat(returns, repeats)
 
     # -- observation ---------------------------------------------------------
 

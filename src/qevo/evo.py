@@ -17,17 +17,24 @@ are byte-identical for any worker count and any evaluation order, and a
 checkpoint holding only the ranked parents and the elite reconstructs the
 next population exactly by re-running the mutation stream.
 
-A batch of genomes is scored by `batch_fitness`, which plays all of its
-episodes at once (`episode_returns`: the architecture's batched policy
-driving the env's lockstep `rollouts`).
+A batch is a plan of rows, each naming a genome row, a stream entropy
+and a repeat count; `batch_fitness` scores every row of a plan at once
+(`episode_returns`: the architecture's batched policy driving the env's
+lockstep `rollouts`).  Steps 3 and 1 of consecutive generations share a
+batch: generation g + 1's children do not depend on g's elite, so they
+are spawned before it is known and scored beside g's elite trial, along
+with every parent once more on the stream of slot N-1, which the elite
+takes.  So each generation makes one fitness call; the first of a run
+scores its population alone and the last its elite trial alone, and no
+population is spawned after the last generation.
 
-A run spawns every generation in place into one (population,
-genome_length) buffer, so no second population is ever allocated, and
-scores every batch in that buffer's head rows: the population in all of
-them, the parents in the first `truncation`.  With a process pool the
-buffer is shared memory which every worker maps once; each batch is split
-into one contiguous slice of rows per worker, a task names its slice, and
-no genome crosses a pipe.
+A run spawns every generation in place into one (population - 1 +
+truncation, genome_length) buffer, so no second population is ever
+allocated: the children sit in rows 0..N-2, the parents right after them,
+and once the elite is known it is copied into row N-1, so the population
+is rows 0..N-1.  With a process pool the buffer is shared memory which
+every worker maps once; each plan is split into one contiguous slice of
+rows per worker, a task names its slice, and no genome crosses a pipe.
 """
 
 from __future__ import annotations
@@ -149,25 +156,35 @@ def init_population(config: EvoConfig, genome_length: int,
 
 
 def episode_returns(genomes: np.ndarray, architecture: AgentArchitecture, env,
-                    repeats: int, entropies: Sequence[Sequence[int]]) -> np.ndarray:
-    """(P, repeats) returns: row i plays genome i from the stream entropies[i].
+                    rows: Sequence[int], entropies: Sequence[Sequence[int]],
+                    repeats: Sequence[int]) -> np.ndarray:
+    """Flat returns of a plan: its row i plays genome rows[i] for repeats[i]
+    episodes, one after another from the stream entropies[i].
 
-    Every episode of the batch runs in lockstep through the architecture's
-    batched policy and the env's `rollouts`; row i holds the returns of
-    `repeats` episodes played one after another from one Generator.
+    The episodes come out row by row.  Every episode of the plan runs in
+    lockstep through the env's `rollouts` and the architecture's batched
+    policy, built over only the genome rows from the plan's lowest to its
+    highest.
     """
+    rows = np.asarray(rows)
+    low = rows.min()
     rngs = (np.random.default_rng(np.random.SeedSequence(list(entropy)))
             for entropy in entropies)
-    return env.rollouts(architecture.policy(genomes), rngs, len(genomes), repeats)
+    return env.rollouts(architecture.policy(genomes[low:rows.max() + 1]), rows - low,
+                        rngs, np.asarray(repeats))
 
 
 def batch_fitness(genomes: np.ndarray, architecture: AgentArchitecture, env,
-                  repeats: int, entropies: Sequence[Sequence[int]]) -> np.ndarray:
-    """Each row's mean return over `repeats` episodes."""
-    returns = episode_returns(genomes, architecture, env, repeats, entropies)
-    total = np.zeros(len(genomes))
-    for column in returns.T:  # summed in repeat order, one episode at a time
-        total += column
+                  rows: Sequence[int], entropies: Sequence[Sequence[int]],
+                  repeats: Sequence[int]) -> np.ndarray:
+    """Each plan row's mean return over its episodes (see episode_returns)."""
+    repeats = np.asarray(repeats)
+    returns = episode_returns(genomes, architecture, env, rows, entropies, repeats)
+    first = np.cumsum(repeats) - repeats
+    total = np.zeros(len(repeats))
+    for episode in range(repeats.max()):  # summed in repeat order, one episode at a time
+        playing = repeats > episode
+        total[playing] += returns[first[playing] + episode]
     return total / repeats
 
 
@@ -180,11 +197,11 @@ def spawn_children(parents: np.ndarray, elite: np.ndarray, config: EvoConfig,
                    generation: int, out: np.ndarray) -> np.ndarray:
     """Next population from ranked parents: N-1 mutants plus the elite last.
 
-    Written into `out`, which must not overlap `parents` or `elite`, and
-    which is returned.  The noise is drawn straight into the children's rows
-    and scaled there, and the picked parents are added a block of about
-    SPAWN_BLOCK_ENTRIES entries at a time, so no population-sized temporary
-    exists.
+    Written into `out`, whose children's rows must not overlap `parents` or
+    `elite` (its last row may be `elite` itself), and which is returned.
+    The noise is drawn straight into the children's rows and scaled there,
+    and the picked parents are added a block of about SPAWN_BLOCK_ENTRIES
+    entries at a time, so no population-sized temporary exists.
     """
     _check_population(out, (config.population, parents.shape[1]))
     rng = np.random.default_rng(
@@ -231,10 +248,9 @@ def _init_worker(env_factory, architecture, shared, shape) -> None:
 
 
 def _eval_task(task) -> np.ndarray:
-    """Fitness of rows start..stop of the shared population buffer."""
-    start, stop, entropies, repeats = task
-    return batch_fitness(_WORKER_POPULATION[start:stop], _WORKER_ARCH, _WORKER_ENV,
-                         repeats, entropies)
+    """Fitness of a slice (rows, entropies, repeats) of a plan over the
+    shared population buffer."""
+    return batch_fitness(_WORKER_POPULATION, _WORKER_ARCH, _WORKER_ENV, *task)
 
 
 # ---------------------------------------------------------------------------
@@ -248,21 +264,37 @@ def _finite(fitness: np.ndarray, generation: int) -> np.ndarray:
     return fitness
 
 
+def _plan(config: EvoConfig, parts) -> tuple[np.ndarray, list[list[int]], np.ndarray]:
+    """The (rows, entropies, repeats) of a batch of parts (rows, tag,
+    generation, slots, repeats): part row i plays genome row rows[i] from
+    the stream [master_seed, tag, generation, slots[i]]."""
+    return (np.concatenate([rows for rows, *_ in parts]),
+            [[config.master_seed, tag, generation, int(slot)]
+             for _, tag, generation, slots, _ in parts for slot in slots],
+            np.concatenate([np.full(len(rows), repeats) for rows, *_, repeats in parts]))
+
+
 def _evolve(config: EvoConfig,
-            fitness_of: Callable[[np.ndarray, int, int, int], np.ndarray],
+            fitness_of: Callable[[np.ndarray, np.ndarray, list, np.ndarray], np.ndarray],
             genome_length: int,
             on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None = None,
             resume: GenerationSnapshot | None = None,
             buffer: np.ndarray | None = None) -> list[GenerationStats]:
-    """The loop; fitness_of(rows, generation, tag, repeats) scores a batch.
+    """The loop; fitness_of(buffer, rows, entropies, repeats) scores a plan.
 
     `resume`, the snapshot of generation g, re-spawns generation g + 1.
-    Every generation is spawned in place into one (population,
-    genome_length) buffer, `buffer` if given, and every batch is passed as
-    the view `buffer[:n]` of its head rows: the population, then the
-    parents, written over its spent first rows.
+    Every generation lives in one (population - 1 + truncation,
+    genome_length) buffer, `buffer` if given: the population in rows 0..N-1,
+    while generation g's parents are tried for the elite in rows N-1 on,
+    after generation g + 1's children.  Each generation is one plan of the
+    whole buffer: every row on the TAG_EVAL stream of its slot of
+    generation g + 1, the parents all on slot N-1's, since one of them is
+    the elite that slot takes; then generation g's elite trial.  The first
+    plan scores a population alone, the last an elite trial alone.
     """
-    population = np.empty((config.population, genome_length)) if buffer is None else buffer
+    n, t = config.population, config.truncation
+    buffer = np.empty((n - 1 + t, genome_length)) if buffer is None else buffer
+    population = buffer[:n]
     if resume is None:
         init_population(config, genome_length, out=population)
         start = 0
@@ -278,17 +310,25 @@ def _evolve(config: EvoConfig,
         best_score = resume.best_score
 
     history: list[GenerationStats] = []
+    if start >= config.generations:
+        return history
+    rows = np.arange(n - 1 + t)
+    slots = np.minimum(rows, n - 1)  # each row's population slot; a parent's is N-1
+    fitness = _finite(fitness_of(buffer, *_plan(
+        config, [(rows[:n], TAG_EVAL, start, slots[:n], config.repeats_all)])), start)
     for generation in range(start, config.generations):
-        fitness = _finite(fitness_of(population[:config.population], generation,
-                                     TAG_EVAL, config.repeats_all), generation)
         order = rank_indices(fitness)
-        # fancy indexing copies: the parents outlive the buffer's next spawn
-        parents = population[order[:config.truncation]]
-        parent_fitness = fitness[order[:config.truncation]]
-
-        population[:config.truncation] = parents  # the population is spent
-        elite_scores = _finite(fitness_of(population[:config.truncation], generation,
-                                          TAG_ELITE, config.repeats_parents), generation)
+        parent_fitness = fitness[order[:t]]
+        # the gather copies before the write, so the elite in row N-1 may move
+        buffer[n - 1:] = population[order[:t]]
+        parents = buffer[n - 1:]
+        last = generation + 1 == config.generations
+        parts = [(rows[n - 1:], TAG_ELITE, generation, range(t), config.repeats_parents)]
+        if not last:  # the children; spawn's elite row is the first parent's own
+            spawn_children(parents, parents[0], config, generation, out=population)
+            parts.insert(0, (rows, TAG_EVAL, generation + 1, slots, config.repeats_all))
+        scores = fitness_of(buffer, *_plan(config, parts))
+        elite_scores = _finite(scores[-t:], generation)
         elite_index = int(np.argmax(elite_scores))  # first max: ties break low
         elite = parents[elite_index].copy()
         elite_score = float(elite_scores[elite_index])
@@ -314,9 +354,12 @@ def _evolve(config: EvoConfig,
 
         if on_generation is not None:
             on_generation(stats, GenerationSnapshot(
-                generation, parents, parent_fitness, elite, elite_score,
+                generation, parents.copy(), parent_fitness, elite, elite_score,
                 tuple(window), best_genome, best_score))
-        spawn_children(parents, elite, config, generation, out=population)
+        if not last:
+            population[n - 1] = elite
+            fitness = _finite(np.append(scores[:n - 1], scores[n - 1 + elite_index]),
+                              generation + 1)
     return history
 
 
@@ -326,40 +369,39 @@ def run(config: EvoConfig, env_factory, architecture: AgentArchitecture,
         resume: GenerationSnapshot | None = None) -> list[GenerationStats]:
     """Train on an environment; see the module docstring for the loop.
 
-    Agent i of a batch plays from the stream [master_seed, tag, generation,
-    i], so `workers` changes only where the episodes run.  With workers > 1
+    A plan row plays from its stream [master_seed, tag, generation, slot],
+    so `workers` changes only where the episodes run.  With workers > 1
     the population buffer is shared memory that every worker maps at
-    start-up.  A batch is the buffer's first n rows; they are cut at
-    n*k // workers into one contiguous slice per worker (empty slices are
-    skipped), and a task names only its rows, entropies and repeats, so no
+    start-up.  A plan of n rows is cut at n*k // workers into one
+    contiguous slice per worker (empty slices are skipped), and a task
+    names only its slice's genome rows, entropies and repeats, so no
     genome is pickled.  To stop early, raise from `on_generation`; the pool
     is shut down either way.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    env = pool = population = None
+    env = pool = buffer = None
     if workers == 1:
         env = env_factory()
     else:
-        shape = (config.population, architecture.genome_length)
+        shape = (config.population - 1 + config.truncation, architecture.genome_length)
         shared = RawArray("d", shape[0] * shape[1])
-        population = np.frombuffer(shared, dtype=np.float64).reshape(shape)
+        buffer = np.frombuffer(shared, dtype=np.float64).reshape(shape)
         pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                    initargs=(env_factory, architecture, shared, shape))
 
-    def fitness_of(rows, generation, tag, repeats):
-        n = len(rows)
-        entropies = [[config.master_seed, tag, generation, i] for i in range(n)]
+    def fitness_of(genomes, rows, entropies, repeats):
         if pool is None:
-            return batch_fitness(rows, architecture, env, repeats, entropies)
+            return batch_fitness(genomes, architecture, env, rows, entropies, repeats)
+        n = len(rows)
         cuts = [n * k // workers for k in range(workers + 1)]
-        tasks = [(start, stop, entropies[start:stop], repeats)
+        tasks = [(rows[start:stop], entropies[start:stop], repeats[start:stop])
                  for start, stop in zip(cuts, cuts[1:]) if start < stop]
         return np.concatenate(list(pool.map(_eval_task, tasks)))
 
     try:
         return _evolve(config, fitness_of, architecture.genome_length,
-                       on_generation, resume, population)
+                       on_generation, resume, buffer)
     finally:
         if pool is not None:
             pool.shutdown()

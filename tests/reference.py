@@ -2,21 +2,26 @@
 
 The library runs only the batched path, and the tests hold it to these forms
 bit for bit.  The generation step is here too, in the form that allocates a
-new population: the library spawns in place, and must write the same bytes.
+new population: the library spawns in place, and must write the same bytes;
+and so is the generation loop that scores the population and the elite
+trial as two batches: the library fuses them, and must give the same runs.
 This module imports the library; the library never imports it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from qevo import envs
-from qevo.evo import TAG_INIT, TAG_MUTATE, EvoConfig
+from qevo.evo import (ROLLING_WINDOW, TAG_ELITE, TAG_EVAL, TAG_INIT, TAG_MUTATE, EvoConfig,
+                      GenerationSnapshot, GenerationStats, _finite, _window_stats,
+                      rank_indices)
 from qevo.agents import (CARTPOLE_BLOCKS, CARTPOLE_GENOME_LENGTH, CARTPOLE_QUBITS,
                          TNVQC_CIRCUIT_PARAMS, TNVQC_MEASURED, TNVQC_QUBITS, TNVQC_SITES,
                          AgentArchitecture)
@@ -786,3 +791,69 @@ def spawn_children(parents: np.ndarray, elite: np.ndarray, config: EvoConfig,
     children = parents[picks] + config.mutation_power * rng.standard_normal(
         (n_children, parents.shape[1]))
     return np.concatenate([children, elite[None, :]], axis=0)
+
+
+# ---------------------------------------------------------------------------
+# the generation loop, two batches per generation
+
+def evolve(config: EvoConfig, fitness: Callable[[np.ndarray, list[int], int], float],
+           genome_length: int,
+           on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None = None,
+           resume: GenerationSnapshot | None = None) -> list[GenerationStats]:
+    """The oracle of `evo._evolve`; fitness(genome, entropy, repeats) scores one row.
+
+    Each generation scores its population on the TAG_EVAL streams, then
+    its ranked parents on the TAG_ELITE streams, and spawns the next
+    population after `on_generation`, even after the last generation.
+    """
+    def scores(genomes, generation, tag, repeats):
+        return _finite([fitness(genome, [config.master_seed, tag, generation, i], repeats)
+                        for i, genome in enumerate(genomes)], generation)
+
+    if resume is None:
+        population = init_population(config, genome_length)
+        start = 0
+        window: deque = deque(maxlen=ROLLING_WINDOW)
+        best_genome: np.ndarray | None = None
+        best_score = -math.inf
+    else:
+        population = spawn_children(resume.parents, resume.elite, config, resume.generation)
+        start = resume.generation + 1
+        window = deque(resume.window, maxlen=ROLLING_WINDOW)
+        best_genome = resume.best_genome
+        best_score = resume.best_score
+
+    history: list[GenerationStats] = []
+    for generation in range(start, config.generations):
+        fitness_ = scores(population, generation, TAG_EVAL, config.repeats_all)
+        order = rank_indices(fitness_)
+        parents = population[order[:config.truncation]]
+        parent_fitness = fitness_[order[:config.truncation]]
+        elite_scores = scores(parents, generation, TAG_ELITE, config.repeats_parents)
+        elite_index = int(np.argmax(elite_scores))
+        elite = parents[elite_index].copy()
+        elite_score = float(elite_scores[elite_index])
+
+        window.append((fitness_.size, float(fitness_.sum()),
+                       float(np.square(fitness_).sum())))
+        rolling_mean, rolling_std = _window_stats(window)
+        top_k = min(5, fitness_.size)
+        stats = GenerationStats(
+            generation=generation,
+            top5_avg=float(fitness_[order[:top_k]].mean()),
+            pop_mean=float(fitness_.mean()),
+            pop_std=float(fitness_.std()),
+            elite_score=elite_score,
+            rolling_mean_100=rolling_mean,
+            rolling_std_100=rolling_std,
+        )
+        history.append(stats)
+        if elite_score > best_score:
+            best_genome = elite.copy()
+            best_score = elite_score
+        if on_generation is not None:
+            on_generation(stats, GenerationSnapshot(
+                generation, parents, parent_fitness, elite, elite_score,
+                tuple(window), best_genome, best_score))
+        population = spawn_children(parents, elite, config, generation)
+    return history

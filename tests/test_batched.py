@@ -1,7 +1,8 @@
 """The batched evaluation path against the scalar reference, bit for bit.
 
-Training scores every genome through `evo.batch_fitness`: lockstep
-rollouts (`env.rollouts`) driven by the architectures' batched policies.
+Training scores every plan of (genome row, stream, repeats) rows through
+`evo.batch_fitness`: lockstep rollouts (`env.rollouts`) driven by the
+architectures' batched policies.
 The scalar path in reference.py (`evaluate_fitness`, `play_episode`, the
 agents' `act`, `contract`) is the oracle these tests compare against; equality
 is exact, not approximate, because training must write the same bytes.
@@ -30,9 +31,9 @@ def random_genomes(rng, count, length, scale):
     return rng.standard_normal((count, length)) * scale
 
 
-def scalar_fitness(genomes, architecture, env, repeats, entropies):
-    return np.array([ref.evaluate_fitness(g, architecture, env, repeats, e)
-                     for g, e in zip(genomes, entropies)])
+def scalar_fitness(genomes, architecture, env, rows, entropies, repeats):
+    return np.array([ref.evaluate_fitness(genomes[r], architecture, env, k, e)
+                     for r, e, k in zip(rows, entropies, repeats)])
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +146,22 @@ def test_contract_rows_matches_contract(n_sites, bond_dim, out_dim, seed):
 # returns and fitness
 
 @settings(max_examples=12, deadline=None)
-@given(env_name=st.sampled_from(sorted(TASKS)), repeats=st.integers(1, 5),
-       tag=st.sampled_from([evo.TAG_EVAL, evo.TAG_ELITE]),
+@given(env_name=st.sampled_from(sorted(TASKS)),
+       plan=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 5),
+                               st.sampled_from([evo.TAG_EVAL, evo.TAG_ELITE])),
+                     min_size=1, max_size=8),
        scale=st.sampled_from([0.0, 0.01, 0.2, 1.0, 3.0]),
        seed=st.integers(0, 2**16))
-def test_batch_fitness_matches_evaluate_fitness(env_name, repeats, tag, scale, seed):
+def test_batch_fitness_matches_evaluate_fitness(env_name, plan, scale, seed):
+    # a plan mixes genome rows, repeat counts and tags, and may name a row twice
     factory, architecture = TASKS[env_name]
     genomes = random_genomes(np.random.default_rng(seed), 4,
                              architecture.genome_length, scale)
-    entropies = [[seed, tag, 3, i] for i in range(len(genomes))]
-    batched = evo.batch_fitness(genomes, architecture, factory(), repeats, entropies)
-    expected = scalar_fitness(genomes, architecture, ref.make_env(env_name), repeats,
-                              entropies)
+    rows, repeats, tags = (list(column) for column in zip(*plan))
+    entropies = [[seed, tag, 3, i] for i, tag in enumerate(tags)]
+    batched = evo.batch_fitness(genomes, architecture, factory(), rows, entropies, repeats)
+    expected = scalar_fitness(genomes, architecture, ref.make_env(env_name), rows,
+                              entropies, repeats)
     assert batched.tobytes() == expected.tobytes()
 
 
@@ -165,8 +170,8 @@ def test_episode_returns_match_play_episode(env_name):
     factory, architecture = TASKS[env_name]
     genomes = random_genomes(np.random.default_rng(41), 3, architecture.genome_length, 0.5)
     env = ref.make_env(env_name)
-    returns = evo.episode_returns(genomes, architecture, env, 4,
-                                  [[9, i] for i in range(len(genomes))])
+    returns = evo.episode_returns(genomes, architecture, env, range(3),
+                                  [[9, i] for i in range(3)], [4] * 3).reshape(3, 4)
     for i, genome in enumerate(genomes):
         rng = np.random.default_rng(np.random.SeedSequence([9, i]))
         agent = ref.build_agent(architecture, genome)
@@ -192,23 +197,25 @@ def test_trained_populations_match_evaluate_fitness(env_name, generations):
     evo.run(config, factory, architecture, on_generation=capture)
     assert len(populations) >= 2
     for generation, population in populations:
-        entropies = [[5, evo.TAG_EVAL, generation + 1, i] for i in range(len(population))]
-        batched = evo.batch_fitness(population, architecture, factory(), 3, entropies)
-        expected = scalar_fitness(population, architecture, ref.make_env(env_name), 3,
-                                  entropies)
+        rows, repeats = range(len(population)), [3] * len(population)
+        entropies = [[5, evo.TAG_EVAL, generation + 1, i] for i in rows]
+        batched = evo.batch_fitness(population, architecture, factory(), rows, entropies,
+                                    repeats)
+        expected = scalar_fitness(population, architecture, ref.make_env(env_name), rows,
+                                  entropies, repeats)
         assert batched.tobytes() == expected.tobytes()
 
 
 def test_pool_task_matches_serial_slice(monkeypatch):
     factory, architecture = TASKS["minigrid-5"]
     genomes = random_genomes(np.random.default_rng(51), 6, architecture.genome_length, 0.2)
-    entropies = [[1, 0, 0, i] for i in range(6)]
+    rows, entropies, repeats = np.arange(6), [[1, 0, 0, i] for i in range(6)], np.full(6, 3)
     shared = RawArray("d", genomes.size)
     np.frombuffer(shared, dtype=np.float64)[:] = genomes.ravel()
     monkeypatch.setattr(evo, "_WORKER_ENV", None)  # restored after the test
     monkeypatch.setattr(evo, "_WORKER_ARCH", None)
     monkeypatch.setattr(evo, "_WORKER_POPULATION", None)
     evo._init_worker(factory, architecture, shared, genomes.shape)
-    sliced = evo._eval_task((2, 5, entropies[2:5], 3))
-    whole = evo.batch_fitness(genomes, architecture, factory(), 3, entropies)
+    sliced = evo._eval_task((rows[2:5], entropies[2:5], repeats[2:5]))
+    whole = evo.batch_fitness(genomes, architecture, factory(), rows, entropies, repeats)
     assert sliced.tobytes() == whole[2:5].tobytes()

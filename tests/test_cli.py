@@ -452,11 +452,14 @@ def run_dir_bytes(run: Path) -> dict:
     return {path.name: path.read_bytes() for path in sorted(run.iterdir())}
 
 
-@pytest.mark.parametrize("total,total_sq", [(-1e6, 0.0), (3.0, 1.0), (0.0, -1e-300)],
-                         ids=["negative-sum-zero-squares", "squares-below-mean", "negative-squares"])
+@pytest.mark.parametrize("total,total_sq",
+                         [(-1e6, 0.0), (3.0, 1.0), (0.0, -1e-300), (True, 1e9), (6.0, "40")],
+                         ids=["negative-sum-zero-squares", "squares-below-mean",
+                              "negative-squares", "sum-bool", "squares-string"])
 def test_resume_rejects_window_sums_no_data_set_has(tmp_path, capsys, total, total_sq):
     # 6 values summing to `total` have a sum of squares of at least total^2 / 6;
-    # a row below that would resume into a rolling std no run can write
+    # a row below that would resume into a rolling std no run can write, and
+    # a sum that is not a JSON number would be written back as it is
     config = write_config(tmp_path / "cfg.json")
     assert cli.main(["train", "--config", str(config)]) == 0
     checkpoint = tmp_path / "run" / "checkpoint_1.json"

@@ -353,13 +353,16 @@ def test_cartpole_rollouts_match_episodes():
     def policy(agents, obs):
         return np.array([policies[a](o) for a, o in zip(agents, obs)])
 
-    seeds = [5, 6, 7]
-    returns = env.rollouts(policy, (np.random.default_rng(s) for s in seeds), 3, 2)
-    for agent, seed in enumerate(seeds):
+    # rows name their agent and episode count; an agent may play several rows
+    seeds, rows, repeats = [5, 6, 7, 8, 9], [0, 1, 2, 0, 1], [2, 2, 2, 1, 3]
+    returns = env.rollouts(policy, np.array(rows), (np.random.default_rng(s) for s in seeds),
+                           np.array(repeats))
+    expected = []
+    for agent, seed, count in zip(rows, seeds, repeats):
         rng = np.random.default_rng(seed)
-        expected = [run_episode(env, policies[agent], rng)[0] for _ in range(2)]
-        assert returns[agent].tolist() == expected
-    assert returns[0].tolist() == [500.0, 500.0]
+        expected += [run_episode(env, policies[agent], rng)[0] for _ in range(count)]
+    assert returns.tolist() == expected
+    assert returns[:2].tolist() == [500.0, 500.0]
 
 
 @pytest.mark.parametrize("repeats", [0, 1, 3])
@@ -374,7 +377,8 @@ def test_cartpole_rollouts_start_where_resets_do(repeats):
         return np.zeros(len(obs), dtype=np.int64)
 
     seeds = [3, 4]
-    env.rollouts(policy, (np.random.default_rng(s) for s in seeds), len(seeds), repeats)
+    env.rollouts(policy, np.arange(len(seeds)), (np.random.default_rng(s) for s in seeds),
+                 np.full(len(seeds), repeats))
     resets = ref.CartPoleEnv()
     expected = [resets.reset(rng) for rng in map(np.random.default_rng, seeds)
                 for _ in range(repeats)]
@@ -435,14 +439,15 @@ def test_grid_rollouts_follow_the_table_and_cut_cycles():
                 out.append(envs.ACTION_LEFT if a == 1 else envs.ACTION_FORWARD)
         return np.array(out)
 
-    returns = env.rollouts(lambda model: act, iter(()), 3, 4)
-    assert returns.shape == (3, 4)
-    assert returns[0].tolist() == [0.955] * 4
-    assert returns[1:].tolist() == [[0.0] * 4] * 2
-    # one policy row per env step: agent 0 walks 5 steps to the goal, agent
-    # 1 turns 4 times back onto its start, agent 2 meets the wall on step 3
-    assert calls[0].tolist() == [0, 1, 2]
-    assert np.bincount(np.concatenate(calls)).tolist() == [5, 4, 3]
+    # agent 0 plays two rows, agent 1 one row of no episode
+    returns = env.rollouts(lambda model: act, np.array([2, 0, 1, 0]), iter(()),
+                           np.array([4, 1, 0, 3]))
+    assert returns.tolist() == [0.0] * 4 + [0.955] + [0.955] * 3
+    # one policy row per env step of each row: agent 0 walks 5 steps to the
+    # goal (twice), agent 1 turns 4 times back onto its start, agent 2 meets
+    # the wall on step 3
+    assert calls[0].tolist() == [2, 0, 1, 0]
+    assert np.bincount(np.concatenate(calls)).tolist() == [10, 4, 3]
 
 
 @pytest.mark.parametrize("n", [5, 6, 8])
@@ -477,7 +482,8 @@ def test_grid_rollouts_match_episodes_of_random_tables(n):
             state, steps = model.successor[state, action], steps + 1
         return steps
 
-    returns = env.rollouts(lambda model: act, iter(()), len(tables), 2)
+    returns = env.rollouts(lambda model: act, np.arange(len(tables)), iter(()),
+                           np.full(len(tables), 2)).reshape(len(tables), 2)
     assert rows.tolist() == [walk_length(a) for a in range(len(tables))]
     expected = [run_episode(env, lambda o: tables[a, index[o.tobytes()]], None)[0]
                 for a in range(len(tables))]

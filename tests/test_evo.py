@@ -1,7 +1,9 @@
 """Evolution-strategy tests: seeding, ranking, elitism, resume, workers."""
 
+import itertools
 import math
 import tracemalloc
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from multiprocessing import active_children, get_context
@@ -20,8 +22,8 @@ def sphere(genome):
     return -float(np.dot(genome, genome))
 
 
-def sphere_fitness(genomes, generation, tag, repeats):
-    return np.array([sphere(g) for g in genomes])
+def sphere_fitness(genomes, rows, entropies, repeats):
+    return np.array([sphere(genomes[r]) for r in rows])
 
 
 def new_population(config, genome_length):
@@ -139,32 +141,71 @@ def test_spawn_children_matches_reference(data, population, genome_length, mutat
     assert pop.tobytes() == expected.tobytes()
 
 
-def test_generation_step_allocates_no_second_population():
+def test_generation_step_allocates_no_second_population(monkeypatch):
     """The in-place loop's peak stays under 1.5 populations of memory.
 
-    The loop owns one population buffer; the parents are a few rows, and
-    spawning gathers picked parents SPAWN_BLOCK_ENTRIES entries at a time.  An
-    allocating init or spawn (stack, noise, sum, concatenate) would hold
-    two or more populations at once.
+    The loop owns one buffer of N - 1 + T rows; the parents are a few rows,
+    and spawning gathers picked parents SPAWN_BLOCK_ENTRIES entries at a
+    time.  An allocating init or spawn (stack, noise, sum, concatenate)
+    would hold two or more populations at once.  Each generation is one
+    plan: the population alone, then each elite trial beside the next
+    population, then the last elite trial alone, and no population is
+    spawned after the last generation.
     """
     config = evo.EvoConfig(population=200, truncation=10, mutation_power=0.02,
                            generations=3, master_seed=4, init_scale=0.1)
+    n, t = config.population, config.truncation
     genome_length = 5_000
-    population_bytes = config.population * genome_length * 8
-    calls = []
+    population_bytes = n * genome_length * 8
+    plans = []
+    spawns = []
+    spawn_children = evo.spawn_children
 
-    def row_sums(genomes, generation, tag, repeats):  # allocates only (len,)
-        calls.append(tag)
-        return genomes.sum(axis=1)
+    def counted_spawn(*args, **kwargs):
+        spawns.append(args[3])
+        return spawn_children(*args, **kwargs)
 
+    def row_sums(genomes, rows, entropies, repeats):  # allocates only (len,)
+        assert all(entropy[0] == config.master_seed for entropy in entropies)
+        # runs of rows of one (tag, generation, repeats), as (genome row, slot)
+        plan = [((tag, generation, k), (row, slot)) for row, (_, tag, generation, slot), k
+                in zip(rows.tolist(), entropies, repeats.tolist())]
+        plans.append([(key, [cell for _, cell in run])
+                      for key, run in itertools.groupby(plan, key=lambda item: item[0])])
+        return genomes.sum(axis=1)[rows]
+
+    monkeypatch.setattr(evo, "spawn_children", counted_spawn)
     tracemalloc.start()
     try:
         evo._evolve(config, row_sums, genome_length)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == [evo.TAG_EVAL, evo.TAG_ELITE] * 3
     assert peak < 1.5 * population_bytes, peak / population_bytes
+
+    population = [(i, i) for i in range(n)]
+    trial = [(n - 1 + i, i) for i in range(t)]  # the parents after the children
+    # the children, then every parent as the candidate for slot N-1
+    candidates = population[:-1] + [(n - 1 + i, n - 1) for i in range(t)]
+
+    def fused(generation):
+        return [((evo.TAG_EVAL, generation + 1, 3), candidates),
+                ((evo.TAG_ELITE, generation, 5), trial)]
+
+    assert plans == [[((evo.TAG_EVAL, 0, 3), population)], fused(0), fused(1),
+                     [((evo.TAG_ELITE, 2, 5), trial)]]
+    assert spawns == [0, 1]  # generations - 1 spawns
+
+    # a resume re-spawns its first population, then spawns as before
+    snaps = []
+    evo._evolve(config, row_sums, genome_length,
+                on_generation=lambda stats, snap: snaps.append(snap))
+    plans.clear()
+    spawns.clear()
+    evo._evolve(config, row_sums, genome_length, resume=snaps[0])
+    assert plans == [[((evo.TAG_EVAL, 1, 3), population)], fused(1),
+                     [((evo.TAG_ELITE, 2, 5), trial)]]
+    assert spawns == [0, 1]
 
 
 def test_spawn_children_single_parent():
@@ -234,8 +275,8 @@ def test_non_finite_fitness_is_rejected(bad):
     def objective(genome):
         return bad if genome[0] > 0.0 else sphere(genome)
 
-    def fitness(genomes, generation, tag, repeats):
-        return np.array([objective(g) for g in genomes])
+    def fitness(genomes, rows, entropies, repeats):
+        return np.array([objective(genomes[r]) for r in rows])
 
     with pytest.raises(ValueError, match="non-finite fitness"):
         evo._evolve(tiny_config(), fitness, 5)
@@ -293,6 +334,91 @@ def test_resume_reproduces_uninterrupted_run():
                            snap.generation, snap))
     tail = evo._evolve(config, sphere_fitness, 5, resume=snaps[3])
     assert [repr(s) for s in tail] == [repr(s) for s in full[4:]]
+
+
+def stream_objective(scale, digits):
+    """fitness(genome, entropy, repeats): the sphere plus a term of the
+    stream and the repeat count, rounded so that ties occur."""
+    def fitness(genome, entropy, repeats):
+        stream = zlib.crc32(np.array([*entropy, repeats], dtype=np.int64).tobytes()) / 2**32
+        return round(sphere(genome) + scale * stream, digits)
+
+    return fitness
+
+
+def plan_fitness(fitness):
+    """The fitness_of of `_evolve` for a per-row fitness."""
+    def fitness_of(genomes, rows, entropies, repeats):
+        return np.array([fitness(genomes[row], entropy, k)
+                         for row, entropy, k in zip(rows, entropies, repeats)])
+
+    return fitness_of
+
+
+def snapshot_bytes(snap):
+    return (snap.generation, snap.parents.tobytes(), snap.parent_fitness.tobytes(),
+            snap.elite.tobytes(), repr(snap.elite_score), repr(snap.window),
+            snap.best_genome.tobytes(), repr(snap.best_score))
+
+
+def recorded_run(run, config, genome_length, resume=None, stop_at=None):
+    """(stats reprs, snapshot bytes) of a run; it raises StopRun from
+    on_generation after generation `stop_at`."""
+    stats, snaps = [], []
+
+    def on_generation(s, snap):
+        stats.append(repr(s))
+        snaps.append(snapshot_bytes(snap))
+        if snap.generation == stop_at:
+            raise StopRun
+
+    try:
+        history = run(config, genome_length, on_generation, resume)
+    except StopRun:
+        assert stop_at is not None
+    else:
+        assert [repr(s) for s in history] == stats
+    return stats, snaps
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), population=st.integers(2, 9), genome_length=st.integers(1, 4),
+       generations=st.integers(0, 6), repeats_all=st.integers(1, 4),
+       repeats_parents=st.integers(1, 4), master_seed=st.integers(0, 2**32 - 1),
+       mutation_power=st.sampled_from([0.05, 1.0]),
+       init_scale=st.sampled_from([0.0, 0.01, 1.0]),
+       scale=st.sampled_from([0.0, 0.1, 10.0]), digits=st.sampled_from([1, 15]))
+def test_evolve_matches_the_two_batch_loop(data, population, genome_length, generations,
+                                           repeats_all, repeats_parents, master_seed,
+                                           mutation_power, init_scale, scale, digits):
+    # the fused plan gives every row its genome, stream and repeats: a stream
+    # or repeat count given to the wrong row moves a fitness
+    config = evo.EvoConfig(
+        population=population, truncation=data.draw(st.integers(1, population - 1)),
+        mutation_power=mutation_power, generations=generations, repeats_all=repeats_all,
+        repeats_parents=repeats_parents, master_seed=master_seed, init_scale=init_scale)
+    fitness = stream_objective(scale, digits)
+
+    def fused(config, genome_length, on_generation, resume):
+        return evo._evolve(config, plan_fitness(fitness), genome_length, on_generation,
+                           resume)
+
+    def two_batch(config, genome_length, on_generation, resume):
+        return ref.evolve(config, fitness, genome_length, on_generation, resume)
+
+    snapshots = {}
+    expected = recorded_run(two_batch, config, genome_length)
+    assert recorded_run(fused, config, genome_length) == expected
+    evo._evolve(config, plan_fitness(fitness), genome_length,
+                lambda s, snap: snapshots.__setitem__(snap.generation, snap))
+    for generation, snap in snapshots.items():  # resume from every snapshot
+        tail = recorded_run(fused, config, genome_length, resume=snap)
+        assert tail == recorded_run(two_batch, config, genome_length, resume=snap)
+        assert tail == tuple(seen[generation + 1:] for seen in expected)
+    if generations:  # an early stop raised from on_generation
+        stop_at = data.draw(st.integers(0, generations - 1), label="stop_at")
+        stopped = recorded_run(fused, config, genome_length, stop_at=stop_at)
+        assert stopped == tuple(seen[:stop_at + 1] for seen in expected)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +487,9 @@ def test_pooled_run_stopped_by_on_generation_leaves_no_live_worker():
 
 
 def test_uneven_pool_split_does_not_change_results():
-    # 7 rows over 3 workers, then an elite batch of 2 rows written over the
-    # spent head of the shared buffer; and P=2, T=1, where both batches have
-    # fewer rows than workers, so some slices are empty and skipped
+    # 7 rows over 3 workers, then plans of 6 children and the 2 parents
+    # twice over, and an elite trial of 2 rows; and P=2, T=1, where the
+    # plans have 1 to 3 rows, so some slices are empty and skipped
     arch = agents.cartpole_architecture()
     for population, truncation in ((7, 2), (2, 1)):
         config = evo.EvoConfig(population=population, truncation=truncation,
@@ -422,22 +548,27 @@ def test_pool_sends_one_contiguous_slice_per_worker(monkeypatch, population,
     serial = evo.run(config, envs.CartPoleEnv, arch, workers=1)
     assert [repr(s) for s in serial] == [repr(s) for s in pooled]
 
-    batches = [(generation, tag, rows, repeats)
-               for generation in range(config.generations)
-               for tag, rows, repeats in ((evo.TAG_EVAL, population, 2),
-                                          (evo.TAG_ELITE, truncation, 3))]
-    assert len(InProcessPool.maps) == len(batches)
-    for (generation, tag, rows, repeats), (seen_workers, tasks) in zip(
-            batches, InProcessPool.maps):
+    # each generation is one plan of (genome row, entropy, repeats) rows
+    n, t = population, truncation
+
+    def part(rows, tag, generation, slots, repeats):
+        return [(row, [4, tag, generation, slot], repeats) for row, slot in zip(rows, slots)]
+
+    trial = [part(range(n - 1, n - 1 + t), evo.TAG_ELITE, g, range(t), 3) for g in (0, 1)]
+    plans = [part(range(n), evo.TAG_EVAL, 0, range(n), 2),
+             part(range(n - 1 + t), evo.TAG_EVAL, 1, [*range(n - 1), *[n - 1] * t], 2)
+             + trial[0],
+             trial[1]]
+    assert len(InProcessPool.maps) == len(plans)
+    for plan, (seen_workers, tasks) in zip(plans, InProcessPool.maps):
         assert seen_workers == workers
-        assert len(tasks) == min(workers, rows)
-        # the slices tile rows 0..n in order, each row exactly once
-        assert tasks[0][0] == 0 and tasks[-1][1] == rows
-        for (_, stop, _, _), (start, _, _, _) in zip(tasks, tasks[1:]):
-            assert stop == start
-        for start, stop, entropies, task_repeats in tasks:
-            assert start < stop and task_repeats == repeats
-            assert entropies == [[4, tag, generation, i] for i in range(start, stop)]
+        assert len(tasks) == min(workers, len(plan))
+        # the slices are cut at len(plan) * k // workers and tile the plan in
+        # order, each plan row exactly once
+        cuts = sorted({len(plan) * k // workers for k in range(workers + 1)})
+        for (rows, entropies, repeats), start, stop in zip(tasks, cuts, cuts[1:]):
+            assert len(rows) == len(entropies) == len(repeats) == stop - start
+            assert list(zip(rows.tolist(), entropies, repeats.tolist())) == plan[start:stop]
 
 
 def test_near_zero_genomes_score_like_random_play():

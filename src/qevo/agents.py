@@ -31,15 +31,15 @@ tables (mps.cell_tables) built once per batch, for the (cell, symbol)
 pairs the model's words hold; a row then costs one vector-matrix product
 per cell (mps.contract_words).
 
-`cartpole_policy` reads a (P, 26) genome array once and returns
-policy(agents, states), the action of each row's agent.  `tnvqc_policy`
-reads a (P, L) genome array once and returns bind(model), which builds
-the cell tables for a grid model and returns act(agents, words).
+Each policy reads a (P, L) genome array once and returns act(agents,
+obs), the action of each row's agent: `cartpole_policy` on state rows,
+and `tnvqc_policy`, which builds the cell tables for one grid model, on
+that model's words.  The envs pair each task with its policy
+(`CartPoleEnv.policy`, `MiniGridEnv.policy`); nothing here names an env.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -96,7 +96,7 @@ def _cartpole_actions(forms: np.ndarray, threshold: np.ndarray,
 
 
 def cartpole_policy(genomes: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """policy(agents, obs) for (P, 26) genomes."""
+    """act(agents, obs) for (P, 26) genomes."""
     return partial(_cartpole_actions, cartpole_forms(genomes), genomes[:, 24] - genomes[:, 25])
 
 
@@ -154,37 +154,10 @@ def _tnvqc_actions(axes: np.ndarray, tables: mps.CellTables,
     return np.argmax(_tnvqc_logits(features, axes[agents]), axis=1)
 
 
-def _bind_tnvqc(axes: np.ndarray, offsets: np.ndarray, bond_dim: int,
-                model) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    tables = mps.cell_tables(offsets, bond_dim, TNVQC_QUBITS, model.alphabet, model.words)
-    return partial(_tnvqc_actions, axes, tables)
-
-
-def tnvqc_policy(genomes: np.ndarray, bond_dim: int) -> Callable:
-    """bind(model) for (P, L) genomes; it returns act(agents, words)."""
+def tnvqc_policy(genomes: np.ndarray, bond_dim: int,
+                 model) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """act(agents, words) for (P, L) genomes on a grid model's words."""
     circuit = genomes[:, :TNVQC_CIRCUIT_PARAMS].reshape(-1, TNVQC_QUBITS, 3)
-    return partial(_bind_tnvqc, _measured_axes(circuit),
-                   genomes[:, TNVQC_CIRCUIT_PARAMS:], bond_dim)
-
-
-# ---------------------------------------------------------------------------
-# architecture registry (picklable, so worker pools can rebuild policies)
-
-@dataclass(frozen=True)
-class AgentArchitecture:
-    """A genome length and the policy over a (P, genome_length) array of
-    genomes, in the form its env's `rollouts` takes."""
-
-    name: str
-    genome_length: int
-    policy: Callable[[np.ndarray], Callable]
-
-
-def cartpole_architecture() -> AgentArchitecture:
-    return AgentArchitecture("cartpole", CARTPOLE_GENOME_LENGTH, cartpole_policy)
-
-
-def tnvqc_architecture(bond_dim: int = 4) -> AgentArchitecture:
-    length = TNVQC_CIRCUIT_PARAMS + mps.param_count(TNVQC_SITES, bond_dim, TNVQC_QUBITS)
-    return AgentArchitecture(f"tnvqc-m{bond_dim}", length,
-                             partial(tnvqc_policy, bond_dim=bond_dim))
+    tables = mps.cell_tables(genomes[:, TNVQC_CIRCUIT_PARAMS:], bond_dim, TNVQC_QUBITS,
+                             model.alphabet, model.words)
+    return partial(_tnvqc_actions, _measured_axes(circuit), tables)

@@ -51,7 +51,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import agents, envs, evo
+from . import envs, evo
 
 STATS_COLUMNS = tuple(field.name for field in dataclasses.fields(evo.GenerationStats))
 CHECKPOINT_FORMAT = 2
@@ -105,14 +105,6 @@ def _from_dict(cls, data: dict, section: str):
 def load_run_config(path: str | Path) -> RunConfig:
     with open(path) as handle:
         return _from_dict(RunConfig, json.load(handle), "config")
-
-
-def resolve_task(env: str, bond_dim: int):
-    """(env_factory, architecture) for an environment; bond_dim is for minigrid."""
-    factory = envs.env_factory(env)
-    if env == "cartpole":
-        return factory, agents.cartpole_architecture()
-    return factory, agents.tnvqc_architecture(bond_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +173,27 @@ def _write_best_genome(path: Path, config: RunConfig,
                        "genome": snapshot.best_genome.tolist()})
 
 
-def _finite_array(value, what: str) -> np.ndarray:
-    """A float64 array from a JSON list of numbers or an encoded array.
+def _json_numbers(value) -> bool:
+    """Whether a JSON value is a number, or nested lists of numbers; not a bool."""
+    if type(value) is list:
+        return all(map(_json_numbers, value))
+    return type(value) in (int, float)
 
-    NaN and infinities are rejected.
+
+def _finite_array(value, what: str) -> np.ndarray:
+    """A float64 array from a JSON number, nested lists of them or an encoded array.
+
+    NaN and infinities are rejected, and so are strings and bools, which
+    NumPy would read as numbers.
     """
     if isinstance(value, dict):
         array = _decode_array(value, what)
+    elif not _json_numbers(value):
+        raise ValueError(f"{what} holds a value that is not a JSON number")
     else:
         try:
             array = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError):
+        except ValueError:
             raise ValueError(f"{what} is not a regular array of numbers") from None
     if not np.all(np.isfinite(array)):
         raise ValueError(f"{what} holds non-finite entries")
@@ -221,7 +223,7 @@ def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapsho
     # the JSON numbers in both formats: a NumPy scalar would print as np.float64(...)
     if type(data["window"]) is not list:
         raise ValueError("checkpoint 'window' must be a JSON list of rows")
-    length = resolve_task(config.env, config.mps_bond_dim)[1].genome_length
+    length = envs.make(config.env, config.mps_bond_dim).genome_length
     rows = config.evo.truncation
     shapes = {"parents": (rows, length), "parent_fitness": (rows,),
               "elite": (length,), "elite_score": (),
@@ -272,7 +274,7 @@ def _start_stats(path: Path, resume: evo.GenerationSnapshot | None) -> None:
 
 def _train_loop(config: RunConfig, resume: evo.GenerationSnapshot | None) -> int:
     """Train from scratch, or on from the snapshot `resume`."""
-    env_factory, architecture = resolve_task(config.env, config.mps_bond_dim)
+    env = envs.make(config.env, config.mps_bond_dim)
     out_dir = Path(config.out_dir)
     stats_path = out_dir / "stats.csv"
     if resume is None:
@@ -296,7 +298,7 @@ def _train_loop(config: RunConfig, resume: evo.GenerationSnapshot | None) -> int
             print(f"finished generation {generation}: "
                   f"best score {snapshot.best_score}, outputs in {out_dir}")
 
-    if not evo.run(config.evo, env_factory, architecture, workers=config.workers,
+    if not evo.run(config.evo, env, workers=config.workers,
                    on_generation=on_generation, resume=resume):
         after = "" if resume is None else f" after generation {resume.generation}"
         print(f"no generations to run{after}; outputs in {out_dir}")
@@ -341,16 +343,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     bond_dim = payload.get("bond_dim", 4)
     if type(bond_dim) is not int or bond_dim < 1:
         raise ValueError(f"genome file's 'bond_dim' must be an int >= 1, got {bond_dim!r}")
-    env_factory, architecture = resolve_task(env_name, bond_dim)
+    env = envs.make(env_name, bond_dim)
     genome = _finite_array(payload["genome"], "genome")
-    if genome.shape != (architecture.genome_length,):
-        raise ValueError(
-            f"genome length {genome.size} does not match {architecture.name} "
-            f"(expected {architecture.genome_length})")
+    if genome.shape != (env.genome_length,):
+        raise ValueError(f"genome length {genome.size} does not match {env_name} "
+                         f"(expected {env.genome_length})")
 
     # one agent, its episodes all drawn from the stream SeedSequence([seed])
-    scores = evo.episode_returns(genome[None], architecture, env_factory(),
-                                 [0], [[args.seed]], [args.episodes]).tolist()
+    scores = evo.episode_returns(genome[None], env, [0], [[args.seed]],
+                                 [args.episodes]).tolist()
     result = {
         "env": env_name,
         "episodes": args.episodes,

@@ -1,19 +1,20 @@
-"""Episodic environments, implemented from scratch.
+"""Episodic environments, implemented from scratch, each with its policy.
 
-Both environments play many episodes in lockstep:
+An env is the whole task: the paper pairs each with one agent, so an env
+knows its genome length and builds its policy over a (P, genome_length)
+genome array, act = env.policy(genomes).  Both environments then play
+many episodes in lockstep:
 
-    returns = env.rollouts(policy, agents, rngs, repeats)
+    returns = env.rollouts(act, agents, rngs, repeats)
 
-Row i of a batch is played by the policy's agent agents[i] for repeats[i]
-episodes; an agent may play several rows.  `rngs` yields one Generator
-per row, drawn from in row order by envs with a random start (and not
-built by the others).  Episode j of row i starts from that row's j-th
-draw; the flat result holds each episode's undiscounted sum of rewards,
-row by row, each row's episodes in order.  On cart-pole,
-`policy(agents, states)` maps agent indices, one state row each, to
-actions.  A minigrid policy is first bound to the grid's model,
-act = policy(model), once per call; then act(agents, words) maps agent
-indices, one state's cell word each, to actions.
+Row i of a batch is played by agent agents[i] for repeats[i] episodes; an
+agent may play several rows.  `rngs` yields one Generator per row, drawn
+from in row order by envs with a random start (and not built by the
+others).  Episode j of row i starts from that row's j-th draw; the flat
+result holds each episode's undiscounted sum of rewards, row by row, each
+row's episodes in order.  act(agents, obs) maps agent indices, one
+observation each, to actions: a cart-pole state row, or a grid state's
+cell word.  `make(name, bond_dim)` builds an env by name.
 
 CartPoleEnv: classic pole balancing.  Physics constants are fixed here so
 results are reproducible without any external dependency: gravity 9.8,
@@ -35,9 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
+
+from . import mps
+from .agents import (CARTPOLE_GENOME_LENGTH, TNVQC_CIRCUIT_PARAMS, TNVQC_QUBITS, TNVQC_SITES,
+                     cartpole_policy, tnvqc_policy)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +59,11 @@ class CartPoleEnv:
     THETA_LIMIT = math.radians(15.0)
     MAX_STEPS = 500
     START_LIMIT = 0.05
+    genome_length = CARTPOLE_GENOME_LENGTH
+
+    def policy(self, genomes: np.ndarray):
+        """act(agents, states) of the 2-qubit VQC over (P, 26) genomes."""
+        return cartpole_policy(genomes)
 
     def step_batch(self, states: np.ndarray,
                    actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,7 +92,7 @@ class CartPoleEnv:
         return (x + self.TAU * x_dot, x_dot + self.TAU * x_acc,
                 theta + self.TAU * theta_dot, theta_dot + self.TAU * theta_acc)
 
-    def rollouts(self, policy, agents: np.ndarray, rngs,
+    def rollouts(self, act, agents: np.ndarray, rngs,
                  repeats: np.ndarray) -> np.ndarray:
         """Every row's episodes, stepped in lockstep.
 
@@ -98,7 +108,7 @@ class CartPoleEnv:
         for step in range(1, self.MAX_STEPS + 1):
             if not episode.size:
                 break
-            states, failed = self.step_batch(states, policy(agent, states))
+            states, failed = self.step_batch(states, act(agent, states))
             done = failed | (step == self.MAX_STEPS)
             if done.any():
                 lengths[episode[done]] = step
@@ -165,8 +175,13 @@ class GridModel:
 
 
 class MiniGridEnv:
-    def __init__(self, grid_size: int):
+    """An n x n empty room, played by the TN-VQC with MPS bond dimension bond_dim."""
+
+    def __init__(self, grid_size: int, bond_dim: int = 4):
         self.grid_size = grid_size
+        self.bond_dim = bond_dim
+        self.genome_length = TNVQC_CIRCUIT_PARAMS + mps.param_count(
+            TNVQC_SITES, bond_dim, TNVQC_QUBITS)
         self.goal_pos = (grid_size - 2, grid_size - 2)
         self.max_steps = 4 * grid_size * grid_size
 
@@ -206,20 +221,23 @@ class MiniGridEnv:
         return GridModel(tuple(states), words, alphabet, successor, goal,
                          index[((1, 1), 0)])
 
-    def rollouts(self, policy, agents: np.ndarray, rngs,
+    def policy(self, genomes: np.ndarray):
+        """act(agents, words) of the TN-VQC over (P, genome_length) genomes,
+        with cell tables for this grid's `model`."""
+        return tnvqc_policy(genomes, self.bond_dim, self.model)
+
+    def rollouts(self, act, agents: np.ndarray, rngs,
                  repeats: np.ndarray) -> np.ndarray:
         """Every row's episodes, walked in lockstep over `model`.
 
         Every episode starts at `model.start` and the dynamics are
         deterministic, so a row's repeats are the same episode: each row
-        walks it once, and each step asks the policy, bound to the model
-        once, for every live row's action.  A walk ends at the goal or at
-        its first revisit: a revisit without the goal means the walk cycles
-        until the step cap, so it returns 0.  No Generator of `rngs` is
-        built.
+        walks it once, and each step asks `act` for every live row's
+        action.  A walk ends at the goal or at its first revisit: a revisit
+        without the goal means the walk cycles until the step cap, so it
+        returns 0.  No Generator of `rngs` is built.
         """
         model = self.model
-        act = policy(model)
         visited = np.zeros((len(agents), len(model.goal)), dtype=bool)
         returns = np.zeros(len(agents))
         row = np.arange(len(agents))
@@ -263,20 +281,15 @@ class MiniGridEnv:
 
 
 # ---------------------------------------------------------------------------
-# factories (zero-argument and picklable, so pool workers can build envs)
+# by name
 
-_FACTORIES = {
-    "cartpole": CartPoleEnv,
-    "minigrid-5": partial(MiniGridEnv, 5),
-    "minigrid-6": partial(MiniGridEnv, 6),
-    "minigrid-8": partial(MiniGridEnv, 8),
-}
-ENV_NAMES = tuple(_FACTORIES)
+ENV_NAMES = ("cartpole", "minigrid-5", "minigrid-6", "minigrid-8")
 
 
-def env_factory(name: str):
-    """Zero-argument constructor for a named environment."""
-    try:
-        return _FACTORIES[name]
-    except KeyError:
+def make(name: str, bond_dim: int = 4):
+    """The named environment; bond_dim is the minigrid policy's MPS bond dimension."""
+    if name not in ENV_NAMES:
         raise ValueError(f"unknown environment {name!r}; choose from {ENV_NAMES}")
+    if name == "cartpole":
+        return CartPoleEnv()
+    return MiniGridEnv(int(name.removeprefix("minigrid-")), bond_dim)

@@ -17,10 +17,12 @@ are byte-identical for any worker count and any evaluation order, and a
 checkpoint holding only the ranked parents and the elite reconstructs the
 next population exactly by re-running the mutation stream.
 
-A batch is a plan of rows, each naming a genome row, a stream entropy
-and a repeat count; `batch_fitness` scores every row of a plan at once
-(`episode_returns`: the architecture's batched policy driving the env's
-lockstep `rollouts`).  Steps 3 and 1 of consecutive generations share a
+A run takes one env, which is the whole task: its `genome_length`, its
+`policy(genomes)` and its lockstep `rollouts(act, ...)`.  A batch is a
+plan of rows, each naming a genome row, a stream entropy and a repeat
+count; `batch_fitness` scores every row of a plan at once
+(`episode_returns`: the env's act over the plan's genomes driving its
+rollouts).  Steps 3 and 1 of consecutive generations share a
 batch: generation g + 1's children do not depend on g's elite, so they
 are spawned before it is known and scored beside g's elite trial, along
 with every parent once more on the stream of slot N-1, which the elite
@@ -33,8 +35,9 @@ truncation, genome_length) buffer, so no second population is ever
 allocated: the children sit in rows 0..N-2, the parents right after them,
 and once the elite is known it is copied into row N-1, so the population
 is rows 0..N-1.  With a process pool the buffer is shared memory which
-every worker maps once; each plan is split into one contiguous slice of
-rows per worker, a task names its slice, and no genome crosses a pipe.
+every worker maps once, when it also receives its copy of the env; each
+plan is split into one contiguous slice of rows per worker, a task names
+its slice, and no genome crosses a pipe.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ from multiprocessing.sharedctypes import RawArray
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
-
-from .agents import AgentArchitecture
 
 TAG_EVAL = 0
 TAG_ELITE = 1
@@ -97,12 +98,13 @@ class EvoConfig:
 
 
 def check_field_types(config) -> None:
-    """Reject a bool or a fraction in an int field, and a bool in a float field.
+    """Reject a bool or a fraction in an int field, a bool in a float field,
+    and anything but a string in a str field.
 
     JSON's `true` and `1.5` would pass the range checks or fail deep in a run.
     """
     for name, hint in get_type_hints(type(config)).items():
-        kind = {int: numbers.Integral, float: numbers.Real}.get(hint)
+        kind = {int: numbers.Integral, float: numbers.Real, str: str}.get(hint)
         value = getattr(config, name)
         if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
             raise ValueError(f"{name} must be of type {hint.__name__}, got {value!r}")
@@ -155,31 +157,30 @@ def init_population(config: EvoConfig, genome_length: int,
     return out
 
 
-def episode_returns(genomes: np.ndarray, architecture: AgentArchitecture, env,
-                    rows: Sequence[int], entropies: Sequence[Sequence[int]],
+def episode_returns(genomes: np.ndarray, env, rows: Sequence[int],
+                    entropies: Sequence[Sequence[int]],
                     repeats: Sequence[int]) -> np.ndarray:
     """Flat returns of a plan: its row i plays genome rows[i] for repeats[i]
     episodes, one after another from the stream entropies[i].
 
     The episodes come out row by row.  Every episode of the plan runs in
-    lockstep through the env's `rollouts` and the architecture's batched
-    policy, built over only the genome rows from the plan's lowest to its
-    highest.
+    lockstep through the env's `rollouts` and its batched policy, built
+    over only the genome rows from the plan's lowest to its highest.
     """
     rows = np.asarray(rows)
     low = rows.min()
     rngs = (np.random.default_rng(np.random.SeedSequence(list(entropy)))
             for entropy in entropies)
-    return env.rollouts(architecture.policy(genomes[low:rows.max() + 1]), rows - low,
+    return env.rollouts(env.policy(genomes[low:rows.max() + 1]), rows - low,
                         rngs, np.asarray(repeats))
 
 
-def batch_fitness(genomes: np.ndarray, architecture: AgentArchitecture, env,
-                  rows: Sequence[int], entropies: Sequence[Sequence[int]],
+def batch_fitness(genomes: np.ndarray, env, rows: Sequence[int],
+                  entropies: Sequence[Sequence[int]],
                   repeats: Sequence[int]) -> np.ndarray:
     """Each plan row's mean return over its episodes (see episode_returns)."""
     repeats = np.asarray(repeats)
-    returns = episode_returns(genomes, architecture, env, rows, entropies, repeats)
+    returns = episode_returns(genomes, env, rows, entropies, repeats)
     first = np.cumsum(repeats) - repeats
     total = np.zeros(len(repeats))
     for episode in range(repeats.max()):  # summed in repeat order, one episode at a time
@@ -232,25 +233,23 @@ def _window_stats(window) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# pool workers: each builds its environment once and maps the shared
-# population buffer once
+# pool workers: each receives the env once and maps the shared population
+# buffer once
 
 _WORKER_ENV = None
-_WORKER_ARCH = None
 _WORKER_POPULATION = None
 
 
-def _init_worker(env_factory, architecture, shared, shape) -> None:
-    global _WORKER_ENV, _WORKER_ARCH, _WORKER_POPULATION
-    _WORKER_ENV = env_factory()
-    _WORKER_ARCH = architecture
+def _init_worker(env, shared, shape) -> None:
+    global _WORKER_ENV, _WORKER_POPULATION
+    _WORKER_ENV = env
     _WORKER_POPULATION = np.frombuffer(shared, dtype=np.float64).reshape(shape)
 
 
 def _eval_task(task) -> np.ndarray:
     """Fitness of a slice (rows, entropies, repeats) of a plan over the
     shared population buffer."""
-    return batch_fitness(_WORKER_POPULATION, _WORKER_ARCH, _WORKER_ENV, *task)
+    return batch_fitness(_WORKER_POPULATION, _WORKER_ENV, *task)
 
 
 # ---------------------------------------------------------------------------
@@ -363,36 +362,34 @@ def _evolve(config: EvoConfig,
     return history
 
 
-def run(config: EvoConfig, env_factory, architecture: AgentArchitecture,
-        workers: int = 1,
+def run(config: EvoConfig, env, workers: int = 1,
         on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None = None,
         resume: GenerationSnapshot | None = None) -> list[GenerationStats]:
-    """Train on an environment; see the module docstring for the loop.
+    """Train on an env, which brings its genome length and policy; see the
+    module docstring for the loop.
 
     A plan row plays from its stream [master_seed, tag, generation, slot],
     so `workers` changes only where the episodes run.  With workers > 1
     the population buffer is shared memory that every worker maps at
-    start-up.  A plan of n rows is cut at n*k // workers into one
-    contiguous slice per worker (empty slices are skipped), and a task
-    names only its slice's genome rows, entropies and repeats, so no
-    genome is pickled.  To stop early, raise from `on_generation`; the pool
+    start-up, when it also receives a copy of `env`.  A plan of n rows is
+    cut at n*k // workers into one contiguous slice per worker (empty
+    slices are skipped), and a task names only its slice's genome rows,
+    entropies and repeats, so no genome is pickled.  To stop early, raise from `on_generation`; the pool
     is shut down either way.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    env = pool = buffer = None
-    if workers == 1:
-        env = env_factory()
-    else:
-        shape = (config.population - 1 + config.truncation, architecture.genome_length)
+    pool = buffer = None
+    if workers > 1:
+        shape = (config.population - 1 + config.truncation, env.genome_length)
         shared = RawArray("d", shape[0] * shape[1])
         buffer = np.frombuffer(shared, dtype=np.float64).reshape(shape)
         pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                   initargs=(env_factory, architecture, shared, shape))
+                                   initargs=(env, shared, shape))
 
     def fitness_of(genomes, rows, entropies, repeats):
         if pool is None:
-            return batch_fitness(genomes, architecture, env, rows, entropies, repeats)
+            return batch_fitness(genomes, env, rows, entropies, repeats)
         n = len(rows)
         cuts = [n * k // workers for k in range(workers + 1)]
         tasks = [(rows[start:stop], entropies[start:stop], repeats[start:stop])
@@ -400,8 +397,7 @@ def run(config: EvoConfig, env_factory, architecture: AgentArchitecture,
         return np.concatenate(list(pool.map(_eval_task, tasks)))
 
     try:
-        return _evolve(config, fitness_of, architecture.genome_length,
-                       on_generation, resume, buffer)
+        return _evolve(config, fitness_of, env.genome_length, on_generation, resume, buffer)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -23,8 +23,7 @@ from qevo.evo import (ROLLING_WINDOW, TAG_ELITE, TAG_EVAL, TAG_INIT, TAG_MUTATE,
                       GenerationSnapshot, GenerationStats, _finite, _window_stats,
                       rank_indices)
 from qevo.agents import (CARTPOLE_BLOCKS, CARTPOLE_GENOME_LENGTH, CARTPOLE_QUBITS,
-                         TNVQC_CIRCUIT_PARAMS, TNVQC_MEASURED, TNVQC_QUBITS, TNVQC_SITES,
-                         AgentArchitecture)
+                         TNVQC_CIRCUIT_PARAMS, TNVQC_MEASURED, TNVQC_QUBITS, TNVQC_SITES)
 from qevo.envs import N_ACTIONS
 from qevo.mps import LOCAL_DIM, _segment_ends, _views, identity_base, param_count
 
@@ -599,11 +598,11 @@ class TnVqcAgent:
         return int(np.argmax(self.feature_logits(contract(self.extractor, obs))))
 
 
-def build_agent(architecture: AgentArchitecture, genome: np.ndarray):
-    """The reference agent of one genome, picked by the architecture's name."""
-    if architecture.name == "cartpole":
+def build_agent(env, genome: np.ndarray):
+    """The reference agent of one genome for an env's policy."""
+    if isinstance(env, envs.CartPoleEnv):
         return CartPoleAgent(genome)
-    return TnVqcAgent(genome, int(architecture.name.removeprefix("tnvqc-m")))
+    return TnVqcAgent(genome, env.bond_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +650,8 @@ class CartPoleEnv(envs.CartPoleEnv):
 class MiniGridEnv(envs.MiniGridEnv):
     """`envs.MiniGridEnv` holding one episode: the agent's pose and step count."""
 
-    def __init__(self, grid_size: int):
-        super().__init__(grid_size)
+    def __init__(self, grid_size: int, bond_dim: int = 4):
+        super().__init__(grid_size, bond_dim)
         self.agent_pos = (1, 1)
         self.agent_dir = 0
         self.steps = 0
@@ -721,11 +720,11 @@ class MiniGridEnv(envs.MiniGridEnv):
         return view.reshape(-1)
 
 
-def make_env(name: str):
+def make_env(name: str, bond_dim: int = 4):
     """The reference env of a library env name."""
     if name == "cartpole":
         return CartPoleEnv()
-    return MiniGridEnv(int(name.removeprefix("minigrid-")))
+    return MiniGridEnv(int(name.removeprefix("minigrid-")), bond_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -752,14 +751,14 @@ def play_episode(agent, env, rng: np.random.Generator, memo: dict) -> float:
         obs = transition.observation
 
 
-def evaluate_fitness(genome: np.ndarray, architecture: AgentArchitecture,
-                     env, repeats: int, seed_entropy: Sequence[int]) -> float:
+def evaluate_fitness(genome: np.ndarray, env, repeats: int,
+                     seed_entropy: Sequence[int]) -> float:
     """Mean score of `repeats` episodes, all seeded from `seed_entropy`.
 
     The scalar reference for `evo.batch_fitness`.
     """
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_entropy)))
-    agent = build_agent(architecture, genome)
+    agent = build_agent(env, genome)
     memo: dict = {}
     total = 0.0
     for _ in range(repeats):

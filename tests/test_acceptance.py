@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines.  The two
 training checks (6 and 7) are stochastic by design and documented to pass
-on at least 2 of their 3 fixed seeds; together they dominate the ~20 s
+on at least 2 of their 3 fixed seeds; together they dominate the ~8 s
 runtime of this module.
 """
 
@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from qevo import agents, cli, envs, evo, mps
+from qevo import cli, envs, evo, mps
 
 import reference as ref
 
@@ -145,10 +145,10 @@ def test_criterion_3_mps_oracle_equivalence():
 
 def test_criterion_4_parameter_count_identities():
     with criterion(4, "parameter count identities"):
-        assert agents.cartpole_architecture().genome_length == 26
+        assert envs.CartPoleEnv().genome_length == 26
         for bond_dim in (1, 2, 3, 4):
-            arch = agents.tnvqc_architecture(bond_dim=bond_dim)
-            assert arch.genome_length == 24 + mps.param_count(147, bond_dim, 8)
+            env = envs.MiniGridEnv(5, bond_dim=bond_dim)
+            assert env.genome_length == 24 + mps.param_count(147, bond_dim, 8)
 
 
 def test_criterion_5_environment_maxima():
@@ -184,8 +184,7 @@ class BarReached(Exception):
     pass
 
 
-def run_until(config: evo.EvoConfig, env_factory, architecture,
-              bar: float) -> tuple[bool, int]:
+def run_until(config: evo.EvoConfig, env, bar: float) -> tuple[bool, int]:
     """Train until the top-5 average reaches `bar` or the generations run out."""
     history = []
 
@@ -195,7 +194,7 @@ def run_until(config: evo.EvoConfig, env_factory, architecture,
             raise BarReached
 
     try:
-        evo.run(config, env_factory, architecture, on_generation=on_generation)
+        evo.run(config, env, on_generation=on_generation)
     except BarReached:
         pass
     return history[-1].top5_avg >= bar, len(history)
@@ -209,8 +208,7 @@ def test_criterion_6_desk_scale_cartpole_training():
                                    mutation_power=0.02, generations=500,
                                    repeats_all=3, repeats_parents=5,
                                    master_seed=seed)
-            hit, gens = run_until(config, envs.CartPoleEnv,
-                                  agents.cartpole_architecture(), 400.0)
+            hit, gens = run_until(config, envs.CartPoleEnv(), 400.0)
             outcomes.append(hit)
             print(f"  seed {seed}: top-5 avg >= 400 "
                   f"{'reached' if hit else 'missed'} after {gens} generations")
@@ -225,8 +223,7 @@ def test_criterion_7_desk_scale_minigrid_training():
                                    mutation_power=0.02, generations=150,
                                    repeats_all=3, repeats_parents=5,
                                    master_seed=seed)
-            hit, gens = run_until(config, envs.env_factory("minigrid-5"),
-                                  agents.tnvqc_architecture(bond_dim=4), 0.90)
+            hit, gens = run_until(config, envs.MiniGridEnv(5, bond_dim=4), 0.90)
             outcomes.append(hit)
             print(f"  seed {seed}: top-5 avg >= 0.90 "
                   f"{'reached' if hit else 'missed'} after {gens} generations")

@@ -47,7 +47,7 @@ def tnvqc_logits_via_simulator(agent, features):
 
 def test_genome_length_is_26():
     assert agents.CARTPOLE_GENOME_LENGTH == 26
-    assert agents.cartpole_architecture().genome_length == 26
+    assert envs.CartPoleEnv().genome_length == 26
     ref.CartPoleAgent(np.zeros(26))
     for bad in (25, 27):
         with pytest.raises(ValueError, match="length"):
@@ -133,8 +133,8 @@ def test_cartpole_agent_aliases_genome():
 
 def test_tnvqc_genome_length_identity():
     for bond_dim in (1, 2, 4):
-        arch = agents.tnvqc_architecture(bond_dim=bond_dim)
-        assert arch.genome_length == 24 + mps.param_count(147, bond_dim, 8)
+        env = envs.MiniGridEnv(5, bond_dim=bond_dim)
+        assert env.genome_length == 24 + mps.param_count(147, bond_dim, 8)
     with pytest.raises(ValueError, match="length"):
         ref.TnVqcAgent(np.zeros(100), bond_dim=2)
 
@@ -142,23 +142,23 @@ def test_tnvqc_genome_length_identity():
 def test_zero_features_tie_to_action_zero():
     # zero rotations leave |+>^8; the CNOT ring maps it to itself and
     # every <Z> is exactly 0, so the tie must break to action 0
-    arch = agents.tnvqc_architecture(bond_dim=2)
-    agent = ref.build_agent(arch, np.zeros(arch.genome_length))
+    env = envs.MiniGridEnv(5, bond_dim=2)
+    agent = ref.build_agent(env, np.zeros(env.genome_length))
     logits = agent.feature_logits(np.zeros(8))
     np.testing.assert_array_equal(logits, np.zeros(6))
     # MPS offsets of minus the identity base zero every core, so every
     # observation contracts to zero features
-    genome = np.zeros(arch.genome_length)
+    genome = np.zeros(env.genome_length)
     genome[agents.TNVQC_CIRCUIT_PARAMS:] = -mps.identity_base(147, 2, 8)
-    agent = ref.build_agent(arch, genome)
+    agent = ref.build_agent(env, genome)
     obs = np.random.default_rng(0).uniform(0, 1, 147)
     np.testing.assert_array_equal(ref.contract(agent.extractor, obs), np.zeros(8))
     assert agent.act(obs) == 0
 
 
 def test_zero_genome_extractor_is_identity_base():
-    arch = agents.tnvqc_architecture(bond_dim=3)
-    agent = ref.build_agent(arch, np.zeros(arch.genome_length))
+    env = envs.MiniGridEnv(5, bond_dim=3)
+    agent = ref.build_agent(env, np.zeros(env.genome_length))
     obs = np.random.default_rng(0).uniform(0, 1, 147)
     np.testing.assert_allclose(ref.contract(agent.extractor, obs), np.ones(8),
                                atol=1e-12)
@@ -166,10 +166,10 @@ def test_zero_genome_extractor_is_identity_base():
 
 def test_tnvqc_circuit_matches_simulator_route():
     rng = np.random.default_rng(9)
-    arch = agents.tnvqc_architecture(bond_dim=2)
+    env = envs.MiniGridEnv(5, bond_dim=2)
     for _ in range(5):
-        genome = 0.2 * rng.standard_normal(arch.genome_length)
-        agent = ref.build_agent(arch, genome)
+        genome = 0.2 * rng.standard_normal(env.genome_length)
+        agent = ref.build_agent(env, genome)
         features = rng.standard_normal(8)
         np.testing.assert_allclose(agent.feature_logits(features),
                                    tnvqc_logits_via_simulator(agent, features),
@@ -213,12 +213,12 @@ def test_closed_form_logits_match_statevector(features, angles):
 
 @pytest.mark.parametrize("bond_dim", [1, 4])
 def test_closed_form_argmax_matches_statevector_on_ties(bond_dim):
-    arch = agents.tnvqc_architecture(bond_dim)
-    genomes = np.zeros((2, arch.genome_length))  # row 1: the identity extractor
+    env = envs.MiniGridEnv(8, bond_dim)
+    genomes = np.zeros((2, env.genome_length))  # row 1: the identity extractor
     # row 0: offsets of -identity_base zero every core, so every feature is 0
     genomes[0, agents.TNVQC_CIRCUIT_PARAMS:] = -mps.identity_base(
         agents.TNVQC_SITES, bond_dim, agents.TNVQC_QUBITS)
-    model = envs.MiniGridEnv(8).model
+    model = env.model
     tables = mps.cell_tables(genomes[:, agents.TNVQC_CIRCUIT_PARAMS:], bond_dim,
                              agents.TNVQC_QUBITS, model.alphabet, model.words)
     rows = np.repeat([0, 1], len(model.words))
@@ -232,9 +232,8 @@ def test_closed_form_argmax_matches_statevector_on_ties(bond_dim):
 
 def test_action_set_and_determinism():
     rng = np.random.default_rng(10)
-    arch = agents.tnvqc_architecture(bond_dim=2)
-    agent = ref.build_agent(arch, 0.05 * rng.standard_normal(arch.genome_length))
-    env = ref.MiniGridEnv(5)
+    env = ref.MiniGridEnv(5, bond_dim=2)
+    agent = ref.build_agent(env, 0.05 * rng.standard_normal(env.genome_length))
     obs = env.reset()
     actions = {agent.act(obs) for _ in range(5)}
     assert len(actions) == 1  # pure function of the observation
@@ -242,17 +241,17 @@ def test_action_set_and_determinism():
 
 
 def test_tnvqc_rejects_wrong_observation_length():
-    arch = agents.tnvqc_architecture(bond_dim=2)
-    agent = ref.build_agent(arch, np.zeros(arch.genome_length))
+    env = envs.MiniGridEnv(5, bond_dim=2)
+    agent = ref.build_agent(env, np.zeros(env.genome_length))
     with pytest.raises(ValueError, match="components"):
         agent.act(np.zeros(146))
 
 
 def test_tnvqc_agent_aliases_genome():
     rng = np.random.default_rng(13)
-    arch = agents.tnvqc_architecture(bond_dim=2)
-    genome = rng.standard_normal(arch.genome_length)
-    agent = ref.build_agent(arch, genome)
+    env = envs.MiniGridEnv(5, bond_dim=2)
+    genome = rng.standard_normal(env.genome_length)
+    agent = ref.build_agent(env, genome)
     assert np.shares_memory(agent.vqc_params, genome)
     assert not agent.vqc_params.flags.writeable
     np.testing.assert_array_equal(agent.vqc_params.ravel(), genome[:24])
@@ -263,16 +262,8 @@ def test_tnvqc_agent_aliases_genome():
 
 def test_logits_expectations_bounded():
     rng = np.random.default_rng(14)
-    arch = agents.tnvqc_architecture(bond_dim=2)
-    agent = ref.build_agent(arch, rng.standard_normal(arch.genome_length))
+    env = envs.MiniGridEnv(5, bond_dim=2)
+    agent = ref.build_agent(env, rng.standard_normal(env.genome_length))
     logits = agent.feature_logits(rng.standard_normal(8))
     assert np.all(np.abs(logits) <= 1.0 + 1e-12)
 
-
-def test_architectures_are_picklable():
-    import pickle
-    for arch in (agents.cartpole_architecture(),
-                 agents.tnvqc_architecture(bond_dim=2)):
-        clone = pickle.loads(pickle.dumps(arch))
-        assert clone.genome_length == arch.genome_length
-        ref.build_agent(clone, np.zeros(arch.genome_length))

@@ -2,7 +2,7 @@
 
 Training scores every plan of (genome row, stream, repeats) rows through
 `evo.batch_fitness`: lockstep rollouts (`env.rollouts`) driven by the
-architectures' batched policies.
+envs' batched policies (`env.policy`).
 The scalar path in reference.py (`evaluate_fitness`, `play_episode`, the
 agents' `act`, `contract`) is the oracle these tests compare against; equality
 is exact, not approximate, because training must write the same bytes.
@@ -19,20 +19,15 @@ from qevo import agents, envs, evo, mps
 
 import reference as ref
 
-TASKS = {
-    "cartpole": (envs.env_factory("cartpole"), agents.cartpole_architecture()),
-    "minigrid-5": (envs.env_factory("minigrid-5"), agents.tnvqc_architecture(bond_dim=2)),
-    "minigrid-6": (envs.env_factory("minigrid-6"), agents.tnvqc_architecture(bond_dim=1)),
-    "minigrid-8": (envs.env_factory("minigrid-8"), agents.tnvqc_architecture(bond_dim=2)),
-}
+BOND_DIMS = {"cartpole": 4, "minigrid-5": 2, "minigrid-6": 1, "minigrid-8": 2}  # cart-pole: unused
 
 
 def random_genomes(rng, count, length, scale):
     return rng.standard_normal((count, length)) * scale
 
 
-def scalar_fitness(genomes, architecture, env, rows, entropies, repeats):
-    return np.array([ref.evaluate_fitness(genomes[r], architecture, env, k, e)
+def scalar_fitness(genomes, env, rows, entropies, repeats):
+    return np.array([ref.evaluate_fitness(genomes[r], env, k, e)
                      for r, e, k in zip(rows, entropies, repeats)])
 
 
@@ -92,9 +87,8 @@ def test_cartpole_forms_are_the_unitaries_forms():
 @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 0.1, 1.0, 30.0]))
 def test_tnvqc_logits_match_feature_logits(seed, scale):
     rng = np.random.default_rng(seed)
-    architecture = agents.tnvqc_architecture(bond_dim=1)
-    built = [ref.build_agent(architecture, g) for g in random_genomes(
-        rng, 3, architecture.genome_length, scale)]
+    env = envs.MiniGridEnv(5, bond_dim=1)
+    built = [ref.build_agent(env, g) for g in random_genomes(rng, 3, env.genome_length, scale)]
     features = rng.standard_normal((60, agents.TNVQC_QUBITS)) * rng.uniform(0.0, 20.0, (60, 1))
     features[0] = 0.0
     rows = rng.integers(0, len(built), len(features))
@@ -106,20 +100,20 @@ def test_tnvqc_logits_match_feature_logits(seed, scale):
 
 @pytest.mark.parametrize("size,bond_dim", [(5, 4), (6, 2), (8, 1), (8, 4)])
 def test_tnvqc_action_tables_match_act(size, bond_dim):
-    architecture = agents.tnvqc_architecture(bond_dim)
+    env = envs.MiniGridEnv(size, bond_dim)
     rng = np.random.default_rng(size * 10 + bond_dim)
-    genomes = random_genomes(rng, 4, architecture.genome_length, 0.3)
+    genomes = random_genomes(rng, 4, env.genome_length, 0.3)
     # offsets of -identity_base zero every core: features 0, every logit ties
     genomes[0, :agents.TNVQC_CIRCUIT_PARAMS] = 0.0
     genomes[0, agents.TNVQC_CIRCUIT_PARAMS:] = -mps.identity_base(
         agents.TNVQC_SITES, bond_dim, agents.TNVQC_QUBITS)
     genomes[1] = 0.0  # the identity extractor
-    model = envs.MiniGridEnv(size).model
+    model = env.model
     n_states = len(model.goal)
     rows = np.repeat(np.arange(len(genomes)), n_states)
     states = np.tile(np.arange(n_states), len(genomes))
-    table = architecture.policy(genomes)(model)(rows, model.words[states])
-    built = [ref.build_agent(architecture, g) for g in genomes]
+    table = env.policy(genomes)(rows, model.words[states])
+    built = [ref.build_agent(env, g) for g in genomes]
     assert table.tolist() == [built[r].act(model.observations[s])
                               for r, s in zip(rows, states)]
     assert not table[:n_states].any()  # the tie case picks action 0
@@ -146,7 +140,7 @@ def test_contract_rows_matches_contract(n_sites, bond_dim, out_dim, seed):
 # returns and fitness
 
 @settings(max_examples=12, deadline=None)
-@given(env_name=st.sampled_from(sorted(TASKS)),
+@given(env_name=st.sampled_from(sorted(BOND_DIMS)),
        plan=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 5),
                                st.sampled_from([evo.TAG_EVAL, evo.TAG_ELITE])),
                      min_size=1, max_size=8),
@@ -154,27 +148,25 @@ def test_contract_rows_matches_contract(n_sites, bond_dim, out_dim, seed):
        seed=st.integers(0, 2**16))
 def test_batch_fitness_matches_evaluate_fitness(env_name, plan, scale, seed):
     # a plan mixes genome rows, repeat counts and tags, and may name a row twice
-    factory, architecture = TASKS[env_name]
-    genomes = random_genomes(np.random.default_rng(seed), 4,
-                             architecture.genome_length, scale)
+    env = envs.make(env_name, BOND_DIMS[env_name])
+    genomes = random_genomes(np.random.default_rng(seed), 4, env.genome_length, scale)
     rows, repeats, tags = (list(column) for column in zip(*plan))
     entropies = [[seed, tag, 3, i] for i, tag in enumerate(tags)]
-    batched = evo.batch_fitness(genomes, architecture, factory(), rows, entropies, repeats)
-    expected = scalar_fitness(genomes, architecture, ref.make_env(env_name), rows,
+    batched = evo.batch_fitness(genomes, env, rows, entropies, repeats)
+    expected = scalar_fitness(genomes, ref.make_env(env_name, BOND_DIMS[env_name]), rows,
                               entropies, repeats)
     assert batched.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("env_name", ["cartpole", "minigrid-5"])
 def test_episode_returns_match_play_episode(env_name):
-    factory, architecture = TASKS[env_name]
-    genomes = random_genomes(np.random.default_rng(41), 3, architecture.genome_length, 0.5)
-    env = ref.make_env(env_name)
-    returns = evo.episode_returns(genomes, architecture, env, range(3),
-                                  [[9, i] for i in range(3)], [4] * 3).reshape(3, 4)
+    env = ref.make_env(env_name, BOND_DIMS[env_name])
+    genomes = random_genomes(np.random.default_rng(41), 3, env.genome_length, 0.5)
+    returns = evo.episode_returns(genomes, env, range(3), [[9, i] for i in range(3)],
+                                  [4] * 3).reshape(3, 4)
     for i, genome in enumerate(genomes):
         rng = np.random.default_rng(np.random.SeedSequence([9, i]))
-        agent = ref.build_agent(architecture, genome)
+        agent = ref.build_agent(env, genome)
         memo: dict = {}
         assert returns[i].tolist() == [ref.play_episode(agent, env, rng, memo)
                                        for _ in range(4)]
@@ -183,7 +175,7 @@ def test_episode_returns_match_play_episode(env_name):
 @pytest.mark.parametrize("env_name,generations", [("cartpole", 12), ("minigrid-5", 6)])
 def test_trained_populations_match_evaluate_fitness(env_name, generations):
     """Populations captured from a short training run, not just random ones."""
-    factory, architecture = TASKS[env_name]
+    env = envs.make(env_name, BOND_DIMS[env_name])
     config = evo.EvoConfig(population=30, truncation=4, mutation_power=0.05,
                            generations=generations, repeats_all=3,
                            repeats_parents=2, master_seed=5, init_scale=0.1)
@@ -194,28 +186,26 @@ def test_trained_populations_match_evaluate_fitness(env_name, generations):
             populations.append((snapshot.generation, ref.spawn_children(
                 snapshot.parents, snapshot.elite, config, snapshot.generation)))
 
-    evo.run(config, factory, architecture, on_generation=capture)
+    evo.run(config, env, on_generation=capture)
     assert len(populations) >= 2
     for generation, population in populations:
         rows, repeats = range(len(population)), [3] * len(population)
         entropies = [[5, evo.TAG_EVAL, generation + 1, i] for i in rows]
-        batched = evo.batch_fitness(population, architecture, factory(), rows, entropies,
-                                    repeats)
-        expected = scalar_fitness(population, architecture, ref.make_env(env_name), rows,
-                                  entropies, repeats)
+        batched = evo.batch_fitness(population, env, rows, entropies, repeats)
+        expected = scalar_fitness(population, ref.make_env(env_name, BOND_DIMS[env_name]),
+                                  rows, entropies, repeats)
         assert batched.tobytes() == expected.tobytes()
 
 
 def test_pool_task_matches_serial_slice(monkeypatch):
-    factory, architecture = TASKS["minigrid-5"]
-    genomes = random_genomes(np.random.default_rng(51), 6, architecture.genome_length, 0.2)
+    env = envs.MiniGridEnv(5, BOND_DIMS["minigrid-5"])
+    genomes = random_genomes(np.random.default_rng(51), 6, env.genome_length, 0.2)
     rows, entropies, repeats = np.arange(6), [[1, 0, 0, i] for i in range(6)], np.full(6, 3)
     shared = RawArray("d", genomes.size)
     np.frombuffer(shared, dtype=np.float64)[:] = genomes.ravel()
     monkeypatch.setattr(evo, "_WORKER_ENV", None)  # restored after the test
-    monkeypatch.setattr(evo, "_WORKER_ARCH", None)
     monkeypatch.setattr(evo, "_WORKER_POPULATION", None)
-    evo._init_worker(factory, architecture, shared, genomes.shape)
+    evo._init_worker(env, shared, genomes.shape)
     sliced = evo._eval_task((rows[2:5], entropies[2:5], repeats[2:5]))
-    whole = evo.batch_fitness(genomes, architecture, factory(), rows, entropies, repeats)
+    whole = evo.batch_fitness(genomes, env, rows, entropies, repeats)
     assert sliced.tobytes() == whole[2:5].tobytes()

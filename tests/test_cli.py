@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevo import agents, cli
+from qevo import cli, envs
 
 import reference as ref
 
@@ -221,10 +221,9 @@ def test_eval_rejects_negative_episodes(tmp_path, capsys):
 @pytest.mark.parametrize("env_name", ["cartpole", "minigrid-5"])
 def test_eval_rejects_a_negative_seed(tmp_path, capsys, env_name):
     # a minigrid walk never draws from its stream, so the seed is checked first
-    _, architecture = cli.resolve_task(env_name, 4)
     genome_file = tmp_path / "g.json"
     genome_file.write_text(json.dumps({"env": env_name,
-                                       "genome": [0.0] * architecture.genome_length}))
+                                       "genome": [0.0] * envs.make(env_name).genome_length}))
     assert cli.main(["eval", "--genome", str(genome_file), "--seed", "-1"]) == 1
     captured = capsys.readouterr()
     assert "error:" in captured.err and "--seed" in captured.err
@@ -242,8 +241,8 @@ def test_eval_rejects_an_unknown_env_flag(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [1.5, True, 0, "2", None])
 def test_eval_rejects_a_bad_bond_dim_in_the_file(tmp_path, capsys, bad):
-    # 1.5 used to reach the architecture (expected length 700.5), true was taken as 1
-    length = agents.tnvqc_architecture(bond_dim=1).genome_length
+    # 1.5 used to reach the genome length (700.5 expected), true was taken as 1
+    length = envs.MiniGridEnv(5, bond_dim=1).genome_length
     genome_file = tmp_path / "g.json"
     genome_file.write_text(json.dumps({"env": "minigrid-5", "bond_dim": bad,
                                        "genome": [0.0] * length}))
@@ -277,15 +276,15 @@ def test_eval_rejects_a_bad_env_in_the_file(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("env_name,bond_dim", [("cartpole", 4), ("minigrid-5", 2)])
 def test_eval_output_matches_play_episode(tmp_path, capsys, env_name, bond_dim):
-    _, architecture = cli.resolve_task(env_name, bond_dim)
-    genome = np.random.default_rng(8).standard_normal(architecture.genome_length) * 0.3
+    env = ref.make_env(env_name, bond_dim)
+    genome = np.random.default_rng(8).standard_normal(env.genome_length) * 0.3
     genome_file = tmp_path / "g.json"
     genome_file.write_text(json.dumps({"env": env_name, "bond_dim": bond_dim,
                                        "genome": genome.tolist()}))
     assert cli.main(["eval", "--genome", str(genome_file),
                      "--episodes", "4", "--seed", "6"]) == 0
     # the scalar reference: one agent, one Generator for all episodes
-    agent, env = ref.build_agent(architecture, genome), ref.make_env(env_name)
+    agent = ref.build_agent(env, genome)
     rng = np.random.default_rng(np.random.SeedSequence([6]))
     memo: dict = {}
     scores = [ref.play_episode(agent, env, rng, memo) for _ in range(4)]
@@ -313,6 +312,18 @@ def test_eval_rejects_non_finite_genome(tmp_path, capsys, bad):
     assert cli.main(["eval", "--genome", str(genome_file), "--episodes", "2"]) == 1
     captured = capsys.readouterr()
     assert "error:" in captured.err and "non-finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("genome", [["0.5"] * 26, [0.0] * 25 + [True], "0.0"],
+                         ids=["strings", "bool", "string"])
+def test_eval_rejects_a_genome_of_non_numbers(tmp_path, capsys, genome):
+    # NumPy would read "0.5" and true as numbers, and a lone string as a 0-d array
+    genome_file = tmp_path / "g.json"
+    genome_file.write_text(json.dumps({"env": "cartpole", "genome": genome}))
+    assert cli.main(["eval", "--genome", str(genome_file), "--episodes", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "error: genome holds a value that is not a JSON number" in captured.err
     assert captured.out == ""
 
 
@@ -494,24 +505,38 @@ def test_resume_accepts_the_window_of_a_generation_of_equal_fitness(tmp_path, ca
     assert len(read_stats(tmp_path / "run")) == 4
 
 
+NOT_A_NUMBER = "holds a value that is not a JSON number"
+
+
 @pytest.mark.parametrize("form,key,corrupt,message", [
     ("encoded", "format", lambda value: 3, "unsupported checkpoint format: 3"),
     # ragged rows have no encoded form, so this case is a format-1 file only
     ("list", "parents", lambda rows: [rows[0][:-1], *rows[1:]],
      "'parents' is not a regular array of numbers"),
-], ids=["format-3", "parents-ragged-format1"])
+    # NumPy reads "1e9" and true as numbers: a best score of 1e9 no episode
+    # reaches would freeze the run's best genome
+    ("encoded", "best_score", lambda value: "1e9", f"'best_score' {NOT_A_NUMBER}"),
+    ("encoded", "elite_score", lambda value: True, f"'elite_score' {NOT_A_NUMBER}"),
+    ("list", "parents", lambda rows: [[str(v) for v in rows[0]], *rows[1:]],
+     f"'parents' {NOT_A_NUMBER}"),
+    ("list", "best_genome", lambda values: [True, *values[1:]],
+     f"'best_genome' {NOT_A_NUMBER}"),
+    ("encoded", "run_config", lambda config: {**config, "out_dir": 5},
+     "out_dir must be of type str"),
+], ids=["format-3", "parents-ragged-format1", "best_score-string", "elite_score-bool",
+        "parents-strings-format1", "best_genome-bool-format1", "out_dir-int"])
 def test_resume_rejects_an_unreadable_checkpoint(tmp_path, capsys, form, key, corrupt,
                                                  message):
     config = write_config(tmp_path / "cfg.json")
     assert cli.main(["train", "--config", str(config)]) == 0
     checkpoint = tmp_path / "run" / "checkpoint_1.json"
     rewrite_checkpoint(checkpoint, form, key, corrupt)
-    before = (tmp_path / "run" / "stats.csv").read_bytes()
+    before = run_dir_bytes(tmp_path / "run")
     capsys.readouterr()
     assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
     captured = capsys.readouterr()
     assert "error:" in captured.err and message in captured.err
-    assert (tmp_path / "run" / "stats.csv").read_bytes() == before
+    assert run_dir_bytes(tmp_path / "run") == before
 
 
 def test_resume_rejects_a_checkpoint_that_is_not_an_object(tmp_path, capsys):
@@ -701,6 +726,7 @@ def test_resume_after_torn_write_matches_uninterrupted_run(uninterrupted_stats, 
     ("evo.population", 10.5), ("evo.truncation", True), ("evo.master_seed", True),
     ("evo.master_seed", -1), ("evo.init_scale", True), ("evo.mutation_power", True),
     ("env", "pong"), ("workers", 0), ("mps_bond_dim", 0), ("checkpoint_every", 0),
+    ("out_dir", 5), ("out_dir", None),
 ])
 def test_config_rejects_mistyped_numbers(tmp_path, capsys, field, value):
     section, _, name = field.rpartition(".")

@@ -1,6 +1,7 @@
 """Environment tests: hand-integrated physics, BFS path oracle, geometry."""
 
 import math
+import pickle
 from collections import deque
 
 import numpy as np
@@ -350,12 +351,12 @@ def test_cartpole_rollouts_match_episodes():
     env = ref.CartPoleEnv()
     policies = [scripted_balancer, lambda obs: 0, lambda obs: int(obs[3] > 0)]
 
-    def policy(agents, obs):
+    def act(agents, obs):
         return np.array([policies[a](o) for a, o in zip(agents, obs)])
 
     # rows name their agent and episode count; an agent may play several rows
     seeds, rows, repeats = [5, 6, 7, 8, 9], [0, 1, 2, 0, 1], [2, 2, 2, 1, 3]
-    returns = env.rollouts(policy, np.array(rows), (np.random.default_rng(s) for s in seeds),
+    returns = env.rollouts(act, np.array(rows), (np.random.default_rng(s) for s in seeds),
                            np.array(repeats))
     expected = []
     for agent, seed, count in zip(rows, seeds, repeats):
@@ -371,13 +372,13 @@ def test_cartpole_rollouts_start_where_resets_do(repeats):
     env = envs.CartPoleEnv()
     seen = []
 
-    def policy(agents, obs):
+    def act(agents, obs):
         if not seen:
             seen.append(obs.copy())
         return np.zeros(len(obs), dtype=np.int64)
 
     seeds = [3, 4]
-    env.rollouts(policy, np.arange(len(seeds)), (np.random.default_rng(s) for s in seeds),
+    env.rollouts(act, np.arange(len(seeds)), (np.random.default_rng(s) for s in seeds),
                  np.full(len(seeds), repeats))
     resets = ref.CartPoleEnv()
     expected = [resets.reset(rng) for rng in map(np.random.default_rng, seeds)
@@ -440,7 +441,7 @@ def test_grid_rollouts_follow_the_table_and_cut_cycles():
         return np.array(out)
 
     # agent 0 plays two rows, agent 1 one row of no episode
-    returns = env.rollouts(lambda model: act, np.array([2, 0, 1, 0]), iter(()),
+    returns = env.rollouts(act, np.array([2, 0, 1, 0]), iter(()),
                            np.array([4, 1, 0, 3]))
     assert returns.tolist() == [0.0] * 4 + [0.955] + [0.955] * 3
     # one policy row per env step of each row: agent 0 walks 5 steps to the
@@ -482,7 +483,7 @@ def test_grid_rollouts_match_episodes_of_random_tables(n):
             state, steps = model.successor[state, action], steps + 1
         return steps
 
-    returns = env.rollouts(lambda model: act, np.arange(len(tables)), iter(()),
+    returns = env.rollouts(act, np.arange(len(tables)), iter(()),
                            np.full(len(tables), 2)).reshape(len(tables), 2)
     assert rows.tolist() == [walk_length(a) for a in range(len(tables))]
     expected = [run_episode(env, lambda o: tables[a, index[o.tobytes()]], None)[0]
@@ -491,3 +492,29 @@ def test_grid_rollouts_match_episodes_of_random_tables(n):
     assert returns[:, 1].tolist() == expected
     if n < 8:  # 8x8 views repeat (90 distinct of 144), and these walks get lost
         assert len({r for r in expected if r > 0.0}) >= 3
+
+
+# ---------------------------------------------------------------------------
+# the env as the task: genome length and policy
+
+
+def test_made_envs_pickle_with_their_policy():
+    # a process pool pickles the env into its workers' initargs, also after
+    # the parent has built a grid's model
+    built = envs.make("minigrid-6", bond_dim=2)
+    assert built.model is not None
+    rng = np.random.default_rng(23)
+    for env in [*(envs.make(name, bond_dim=2) for name in envs.ENV_NAMES), built]:
+        clone = pickle.loads(pickle.dumps(env))
+        assert type(clone) is type(env)
+        assert clone.genome_length == env.genome_length
+        genomes = rng.standard_normal((3, env.genome_length)) * 0.3
+        if isinstance(env, envs.MiniGridEnv):
+            states = env.model.words  # every state of the grid
+        else:
+            states = rng.uniform(-1.0, 1.0, (300, 4)) * [2.4, 3.0, 0.3, 3.0]
+        rows = np.repeat(np.arange(len(genomes)), len(states))
+        states = np.tile(states, (len(genomes), 1))
+        assert (clone.policy(genomes)(rows, states).tolist()
+                == env.policy(genomes)(rows, states).tolist())
+    assert "model" in vars(pickle.loads(pickle.dumps(built)))  # sent, not rebuilt

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevo import agents, envs, evo
+from qevo import envs, evo
 
 import reference as ref
 
@@ -230,22 +230,20 @@ def test_play_episode_memo_consistency():
 
 
 def test_evaluate_fitness_deterministic_in_entropy():
-    arch = agents.cartpole_architecture()
     genome = np.random.default_rng(3).standard_normal(26) * 0.01
     env = ref.CartPoleEnv()
-    a = ref.evaluate_fitness(genome, arch, env, 3, [0, 0, 0, 0])
-    b = ref.evaluate_fitness(genome, arch, env, 3, [0, 0, 0, 0])
-    c = ref.evaluate_fitness(genome, arch, env, 3, [0, 0, 0, 1])
+    a = ref.evaluate_fitness(genome, env, 3, [0, 0, 0, 0])
+    b = ref.evaluate_fitness(genome, env, 3, [0, 0, 0, 0])
+    c = ref.evaluate_fitness(genome, env, 3, [0, 0, 0, 1])
     assert a == b
     assert a != c  # different stream, different start states
 
 
 def test_evaluate_fitness_repeats_collapse_when_env_deterministic():
-    arch = agents.tnvqc_architecture(bond_dim=2)
-    genome = np.random.default_rng(4).standard_normal(arch.genome_length) * 0.01
-    env = ref.MiniGridEnv(5)
-    one = ref.evaluate_fitness(genome, arch, env, 1, [1, 2, 3])
-    three = ref.evaluate_fitness(genome, arch, env, 3, [9, 9, 9])
+    env = ref.MiniGridEnv(5, bond_dim=2)
+    genome = np.random.default_rng(4).standard_normal(env.genome_length) * 0.01
+    one = ref.evaluate_fitness(genome, env, 1, [1, 2, 3])
+    three = ref.evaluate_fitness(genome, env, 3, [9, 9, 9])
     assert one == three
 
 
@@ -428,22 +426,20 @@ def test_worker_count_does_not_change_results():
     config = evo.EvoConfig(population=6, truncation=2, mutation_power=0.05,
                            generations=2, repeats_all=2, repeats_parents=2,
                            master_seed=11, init_scale=0.01)
-    arch = agents.cartpole_architecture()
-    serial = evo.run(config, envs.CartPoleEnv, arch, workers=1)
-    pooled = evo.run(config, envs.CartPoleEnv, arch, workers=2)
+    serial = evo.run(config, envs.CartPoleEnv(), workers=1)
+    pooled = evo.run(config, envs.CartPoleEnv(), workers=2)
     assert [repr(s) for s in serial] == [repr(s) for s in pooled]
 
 
 def test_minigrid_worker_count_does_not_change_results():
-    # the pool rebuilds TN-VQC agents from pickled architectures; with this
+    # each pool worker builds TN-VQC policies from its copy of the env; with this
     # seed and init scale some agents reach the goal, so the stats are not
     # all zero (most small minigrid runs score 0 everywhere)
     config = evo.EvoConfig(population=10, truncation=2, mutation_power=0.05,
                            generations=2, repeats_all=2, repeats_parents=2,
                            master_seed=1, init_scale=0.2)
-    arch = agents.tnvqc_architecture(bond_dim=2)
-    serial = evo.run(config, envs.env_factory("minigrid-5"), arch, workers=1)
-    pooled = evo.run(config, envs.env_factory("minigrid-5"), arch, workers=2)
+    serial = evo.run(config, envs.MiniGridEnv(5, bond_dim=2), workers=1)
+    pooled = evo.run(config, envs.MiniGridEnv(5, bond_dim=2), workers=2)
     assert [repr(s) for s in serial] == [repr(s) for s in pooled]
     assert any(s.top5_avg > 0.0 for s in serial)
 
@@ -453,12 +449,11 @@ def test_pooled_resume_reproduces_uninterrupted_serial_run():
     config = evo.EvoConfig(population=10, truncation=2, mutation_power=0.05,
                            generations=4, repeats_all=2, repeats_parents=2,
                            master_seed=1, init_scale=0.2)
-    arch = agents.tnvqc_architecture(bond_dim=2)
-    factory = envs.env_factory("minigrid-5")
+    env = envs.MiniGridEnv(5, bond_dim=2)
     snaps = {}
-    full = evo.run(config, factory, arch, workers=1,
+    full = evo.run(config, env, workers=1,
                    on_generation=lambda s, snap: snaps.__setitem__(snap.generation, snap))
-    tail = evo.run(config, factory, arch, workers=2, resume=snaps[1])
+    tail = evo.run(config, env, workers=2, resume=snaps[1])
     assert [repr(s) for s in tail] == [repr(s) for s in full[2:]]
     assert any(s.top5_avg > 0.0 for s in full)
 
@@ -480,8 +475,7 @@ def test_pooled_run_stopped_by_on_generation_leaves_no_live_worker():
             raise StopRun
 
     with pytest.raises(StopRun):
-        evo.run(config, envs.CartPoleEnv, agents.cartpole_architecture(),
-                workers=2, on_generation=on_generation)
+        evo.run(config, envs.CartPoleEnv(), workers=2, on_generation=on_generation)
     assert seen == [0, 1]
     assert active_children() == []
 
@@ -490,13 +484,12 @@ def test_uneven_pool_split_does_not_change_results():
     # 7 rows over 3 workers, then plans of 6 children and the 2 parents
     # twice over, and an elite trial of 2 rows; and P=2, T=1, where the
     # plans have 1 to 3 rows, so some slices are empty and skipped
-    arch = agents.cartpole_architecture()
     for population, truncation in ((7, 2), (2, 1)):
         config = evo.EvoConfig(population=population, truncation=truncation,
                                mutation_power=0.05, generations=3, repeats_all=2,
                                repeats_parents=3, master_seed=11, init_scale=0.3)
-        serial = evo.run(config, envs.CartPoleEnv, arch, workers=1)
-        pooled = evo.run(config, envs.CartPoleEnv, arch, workers=3)
+        serial = evo.run(config, envs.CartPoleEnv(), workers=1)
+        pooled = evo.run(config, envs.CartPoleEnv(), workers=3)
         assert [repr(s) for s in serial] == [repr(s) for s in pooled]
 
 
@@ -508,9 +501,8 @@ def test_spawned_pool_workers_match_serial_run(monkeypatch):
     config = evo.EvoConfig(population=6, truncation=2, mutation_power=0.05,
                            generations=2, repeats_all=2, repeats_parents=2,
                            master_seed=11, init_scale=0.01)
-    arch = agents.cartpole_architecture()
-    serial = evo.run(config, envs.CartPoleEnv, arch, workers=1)
-    pooled = evo.run(config, envs.CartPoleEnv, arch, workers=2)
+    serial = evo.run(config, envs.CartPoleEnv(), workers=1)
+    pooled = evo.run(config, envs.CartPoleEnv(), workers=2)
     assert [repr(s) for s in serial] == [repr(s) for s in pooled]
 
 
@@ -538,14 +530,13 @@ def test_pool_sends_one_contiguous_slice_per_worker(monkeypatch, population,
                                                     truncation, workers):
     monkeypatch.setattr(evo, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(InProcessPool, "maps", [])
-    for name in ("_WORKER_ENV", "_WORKER_ARCH", "_WORKER_POPULATION"):
+    for name in ("_WORKER_ENV", "_WORKER_POPULATION"):
         monkeypatch.setattr(evo, name, None)  # restored after the test
     config = evo.EvoConfig(population=population, truncation=truncation,
                            mutation_power=0.05, generations=2, repeats_all=2,
                            repeats_parents=3, master_seed=4, init_scale=0.3)
-    arch = agents.cartpole_architecture()
-    pooled = evo.run(config, envs.CartPoleEnv, arch, workers=workers)
-    serial = evo.run(config, envs.CartPoleEnv, arch, workers=1)
+    pooled = evo.run(config, envs.CartPoleEnv(), workers=workers)
+    serial = evo.run(config, envs.CartPoleEnv(), workers=1)
     assert [repr(s) for s in serial] == [repr(s) for s in pooled]
 
     # each generation is one plan of (genome row, entropy, repeats) rows
@@ -573,16 +564,14 @@ def test_pool_sends_one_contiguous_slice_per_worker(monkeypatch, population,
 
 def test_near_zero_genomes_score_like_random_play():
     config = tiny_config(generations=1, master_seed=0)
-    history = evo.run(config, envs.CartPoleEnv,
-                      agents.cartpole_architecture())
+    history = evo.run(config, envs.CartPoleEnv())
     # untrained agents topple the pole in well under 100 steps
     assert 5.0 <= history[0].pop_mean <= 100.0
 
 
 def test_run_rejects_bad_worker_count():
     with pytest.raises(ValueError, match="workers"):
-        evo.run(tiny_config(), envs.CartPoleEnv,
-                agents.cartpole_architecture(), workers=0)
+        evo.run(tiny_config(), envs.CartPoleEnv(), workers=0)
 
 
 def test_resume_shape_mismatch_rejected():

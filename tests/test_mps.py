@@ -245,8 +245,7 @@ def assert_grid_policy_matches(genomes, bond_dim, model):
                                      bond_dim, agents.TNVQC_QUBITS)
     circuit = genomes[:, :agents.TNVQC_CIRCUIT_PARAMS].reshape(-1, agents.TNVQC_QUBITS, 3)
     oracle = agents._tnvqc_logits(expected, agents._measured_axes(circuit)[rows])
-    actions = agents.tnvqc_architecture(bond_dim).policy(genomes)(model)(
-        rows, model.words[states])
+    actions = agents.tnvqc_policy(genomes, bond_dim, model)(rows, model.words[states])
     assert actions.tolist() == np.argmax(oracle, axis=1).tolist()
 
 
@@ -255,7 +254,7 @@ def assert_grid_policy_matches(genomes, bond_dim, model):
        scale=st.one_of(st.sampled_from([0.0, 0.01, 1.0, 3.0]), st.floats(0.0, 3.0)),
        seed=st.integers(0, 2**32 - 1))
 def test_cell_tables_match_contract_rows_on_every_state(size, bond_dim, scale, seed):
-    length = agents.tnvqc_architecture(bond_dim).genome_length
+    length = envs.MiniGridEnv(size, bond_dim).genome_length
     genomes = np.random.default_rng(seed).standard_normal((4, length)) * scale
     # offsets of -identity_base zero every core: features 0, every logit ties
     genomes[0, agents.TNVQC_CIRCUIT_PARAMS:] = -mps.identity_base(
@@ -270,7 +269,7 @@ def trained_population():
                            generations=6, repeats_all=1, repeats_parents=1,
                            master_seed=5, init_scale=0.1)
     snapshots = []
-    evo.run(config, envs.env_factory("minigrid-5"), agents.tnvqc_architecture(4),
+    evo.run(config, envs.MiniGridEnv(5, bond_dim=4),
             on_generation=lambda stats, snapshot: snapshots.append(snapshot))
     last = snapshots[-1]
     return ref.spawn_children(last.parents, last.elite, config, last.generation)

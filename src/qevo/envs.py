@@ -5,16 +5,18 @@ knows its genome length and builds its policy over a (P, genome_length)
 genome array, act = env.policy(genomes).  Both environments then play
 many episodes in lockstep:
 
-    returns = env.rollouts(act, agents, rngs, repeats)
+    returns = env.rollouts(act, agents, streams, repeats)
 
 Row i of a batch is played by agent agents[i] for repeats[i] episodes; an
-agent may play several rows.  `rngs` yields one Generator per row, drawn
-from in row order by envs with a random start (and not built by the
-others).  Episode j of row i starts from that row's j-th draw; the flat
-result holds each episode's undiscounted sum of rewards, row by row, each
-row's episodes in order.  act(agents, obs) maps agent indices, one
-observation each, to actions: a cart-pole state row, or a grid state's
-cell word.  `make(name, bond_dim)` builds an env by name.
+agent may play several rows.  `streams` holds one random stream per row
+(an `evo.Streams` of seed entropies), which an env with a random start
+draws from for all rows in one call, `streams.uniform(low, high, counts)`,
+and the others leave alone.  Episode j of row i starts from that row's
+j-th draw; the flat result holds each episode's undiscounted sum of
+rewards, row by row, each row's episodes in order.  act(agents, obs) maps
+agent indices, one observation each, to actions: a cart-pole state row,
+or a grid state's cell word.  `make(name, bond_dim)` builds an env by
+name.
 
 CartPoleEnv: classic pole balancing.  Physics constants are fixed here so
 results are reproducible without any external dependency: gravity 9.8,
@@ -92,16 +94,18 @@ class CartPoleEnv:
         return (x + self.TAU * x_dot, x_dot + self.TAU * x_acc,
                 theta + self.TAU * theta_dot, theta_dot + self.TAU * theta_acc)
 
-    def rollouts(self, act, agents: np.ndarray, rngs,
+    def rollouts(self, act, agents: np.ndarray, streams,
                  repeats: np.ndarray) -> np.ndarray:
         """Every row's episodes, stepped in lockstep.
 
-        The reward is 1.0 per step, so an episode's return is its length.
+        Every start state component is uniform in [-0.05, 0.05]: one call
+        to `streams` draws 4 * repeats[i] values from row i's stream, the
+        same values as one (repeats[i], 4) draw or one 4-value draw per
+        episode.  The reward is 1.0 per step, so an episode's return is its
+        length.
         """
-        # a row's start states, every component uniform in [-0.05, 0.05],
-        # in one draw: the same values as one draw per episode
-        states = np.concatenate([rng.uniform(-self.START_LIMIT, self.START_LIMIT, size=(r, 4))
-                                 for rng, r in zip(rngs, repeats)])
+        states = streams.uniform(-self.START_LIMIT, self.START_LIMIT,
+                                 4 * repeats).reshape(-1, 4)
         lengths = np.zeros(len(states))
         agent = np.repeat(agents, repeats)
         episode = np.arange(len(states))
@@ -226,7 +230,7 @@ class MiniGridEnv:
         with cell tables for this grid's `model`."""
         return tnvqc_policy(genomes, self.bond_dim, self.model)
 
-    def rollouts(self, act, agents: np.ndarray, rngs,
+    def rollouts(self, act, agents: np.ndarray, streams,
                  repeats: np.ndarray) -> np.ndarray:
         """Every row's episodes, walked in lockstep over `model`.
 
@@ -235,7 +239,7 @@ class MiniGridEnv:
         walks it once, and each step asks `act` for every live row's
         action.  A walk ends at the goal or at its first revisit: a revisit
         without the goal means the walk cycles until the step cap, so it
-        returns 0.  No Generator of `rngs` is built.
+        returns 0.  Nothing is drawn from `streams`.
         """
         model = self.model
         visited = np.zeros((len(agents), len(model.goal)), dtype=bool)

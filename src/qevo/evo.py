@@ -15,7 +15,10 @@ Every random draw comes from a named stream
 np.random.SeedSequence([master_seed, TAG, generation, index]), so results
 are byte-identical for any worker count and any evaluation order, and a
 checkpoint holding only the ranked parents and the elite reconstructs the
-next population exactly by re-running the mutation stream.
+next population exactly by re-running the mutation stream.  The episode
+start streams of a plan's rows are `Streams`: their uniforms are derived
+for the whole plan at once, in arrays, and equal the ones a
+np.random.default_rng per row would draw.
 
 A run takes one env, which is the whole task: its `genome_length`, its
 `policy(genomes)` and its lockstep `rollouts(act, ...)`.  A batch is a
@@ -47,6 +50,7 @@ import numbers
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing.sharedctypes import RawArray
 from typing import Callable, Sequence, get_type_hints
 
@@ -139,6 +143,163 @@ class GenerationSnapshot:
 
 
 # ---------------------------------------------------------------------------
+# a plan's random streams: NumPy's SeedSequence -> PCG64 -> Generator.uniform,
+# for every row at once
+
+# SeedSequence's hash constants (pool size 4) and PCG64's 128-bit multiplier
+_POOL_SIZE = 4
+_MIX_INIT, _MIX_MULT = 0x43b0d7e5, 0x931e8875
+_MIX_LEFT, _MIX_RIGHT = 0xca01f9dd, 0x4973f715
+_STATE_INIT, _STATE_MULT = 0x8b51f9dd, 0x58f38ded
+_PCG_MULT = (0x2360ed051fc65da4, 0x4385df649fccf645)  # (high, low) 64-bit halves
+_MASK32 = 0xFFFFFFFF
+
+
+class Streams:
+    """The streams default_rng(SeedSequence(entropy)) of a plan's rows, one
+    entropy (a list of ints >= 0) per row, drawn from for all rows at once.
+
+    No Generator is built: each row's SeedSequence pool and PCG64 state are
+    derived in uint32 and uint64 arrays, and its k-th state is reached by
+    one jump (M^k s + (M^(k-1) + ... + 1) inc), so the values are NumPy's,
+    byte for byte.  The entries at one position must split into the same
+    number of 32-bit words on every row, as a plan's do (its only entry
+    that can reach 2^32 is the master seed, the same on every row).
+    """
+
+    def __init__(self, entropies: Sequence[Sequence[int]]):
+        self.entropies = entropies
+
+    def uniform(self, low: float, high: float, counts: Sequence[int]) -> np.ndarray:
+        """Row by row, the first counts[i] values of row i's
+        Generator.uniform(low, high, counts[i]), concatenated."""
+        counts = np.asarray(counts, dtype=np.intp)
+        total = int(counts.sum())
+        if not total:
+            return np.empty(0)
+        initstate, seq = _seed_state(_entropy_words(self.entropies))
+        inc = seq[0] << 1 | seq[1] >> 63, seq[1] << 1 | 1
+        state = _add128(_mul128(_add128(inc, initstate), _PCG_MULT), inc)
+        jump, shift = _pcg_jumps(1 << (int(counts.max()) - 1).bit_length())
+        row = np.repeat(np.arange(len(counts)), counts)
+        step = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        upper, lower = _add128(_mul128(_take(jump, step), _take(state, row)),
+                               _mul128(_take(shift, step), _take(inc, row)))
+        # PCG64's XSL-RR output, then Generator.uniform's 53-bit double
+        mixed, turn = upper ^ lower, upper >> 58
+        out = mixed >> turn | mixed << (-turn & 63)
+        return low + (high - low) * ((out >> 11) * (1.0 / 9007199254740992.0))
+
+
+def _entropy_words(entropies: Sequence[Sequence[int]]) -> np.ndarray:
+    """(words, rows) uint32: every row's entries split into little-endian
+    32-bit words, as SeedSequence splits them (0 is one zero word)."""
+    columns = list(zip(*entropies))
+    if any(len(entropy) != len(columns) for entropy in entropies):
+        raise ValueError("stream entropies must all have the same number of entries")
+    def word_count(value):
+        return max(1, (int(value).bit_length() + 31) // 32)
+
+    words = []
+    for column in columns:
+        low, count = min(column), word_count(max(column))
+        # word counts grow with the value, so the extremes bound every entry's
+        if low < 0 or word_count(low) != count:
+            raise ValueError("each stream entropy entry must be an int >= 0 that splits "
+                             "into the same number of 32-bit words on every row")
+        words += ([column] if count == 1 else
+                  [[value >> shift & _MASK32 for value in column]
+                   for shift in range(0, 32 * count, 32)])
+    return np.array(words, dtype=np.uint32).reshape(len(words), len(entropies))
+
+
+@lru_cache(maxsize=8)
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """(count, 1) uint32, read-only: init, init * mult, init * mult^2, ...
+    (mod 2^32)."""
+    consts = np.array([[init * pow(mult, k, 1 << 32) & _MASK32] for k in range(count)],
+                      dtype=np.uint32)
+    consts.flags.writeable = False
+    return consts
+
+
+def _seed_state(words: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """SeedSequence(words[:, i]).generate_state(4, uint64) of every row
+    i, as PCG64 reads it: (initstate, sequence), each a (high, low) pair
+    of uint64 arrays."""
+    n_words, rows = words.shape
+    mix_consts = _hash_constants(
+        _MIX_INIT, _MIX_MULT, _POOL_SIZE * max(_POOL_SIZE, n_words) + 1)
+    used = 0
+
+    def hashmix(values, count):
+        nonlocal used
+        values = (values ^ mix_consts[used:used + count]) * mix_consts[used + 1:used + count + 1]
+        used += count
+        return values ^ values >> 16
+
+    def mix(x, y):
+        result = _MIX_LEFT * x - _MIX_RIGHT * y
+        return result ^ result >> 16
+
+    pool = np.zeros((_POOL_SIZE, rows), dtype=np.uint32)
+    pool[:n_words] = words[:_POOL_SIZE]
+    pool = hashmix(pool, _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
+    for src in range(_POOL_SIZE, n_words):
+        pool = mix(pool, hashmix(words[src], _POOL_SIZE))
+    state_consts = _hash_constants(_STATE_INIT, _STATE_MULT, 2 * _POOL_SIZE + 1)
+    state = (np.concatenate([pool, pool]) ^ state_consts[:-1]) * state_consts[1:]
+    state = (state ^ state >> 16).astype(np.uint64)
+    initstate_high, initstate_low, seq_high, seq_low = state[0::2] | state[1::2] << 32
+    return (initstate_high, initstate_low), (seq_high, seq_low)
+
+
+def _take(pair, index):
+    return pair[0][index], pair[1][index]
+
+
+def _add128(a, b):
+    """a + b mod 2^128, on (high, low) pairs of uint64 arrays."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < a[1]), low
+
+
+def _mul128(a, b):
+    """a * b mod 2^128, on (high, low) pairs of uint64 arrays or ints; the
+    low halves' 128-bit product is taken from 32-bit pieces."""
+    a_high, a_low = a
+    b_high, b_low = b
+    a1, a0 = a_low >> 32, a_low & _MASK32
+    b1, b0 = b_low >> 32, b_low & _MASK32
+    cross, mid = a0 * b1, a1 * b0
+    carry = (a0 * b0 >> 32) + (cross & _MASK32) + (mid & _MASK32)
+    high = (a1 * b1 + (cross >> 32) + (mid >> 32) + (carry >> 32)
+            + a_high * b_low + a_low * b_high)
+    return high, a_low * b_low
+
+
+@lru_cache(maxsize=8)
+def _pcg_jumps(steps: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(M^k, M^(k-1) + ... + 1) mod 2^128 for k = 1..steps, a power of two,
+    as (high, low) uint64 pairs; doubled from k = 1: the k + n-th is
+    (M^k M^n, M^k (M^(n-1) + ... + 1) + (M^(k-1) + ... + 1))."""
+    jump = tuple(np.array([half], dtype=np.uint64) for half in _PCG_MULT)
+    shift = (np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.uint64))
+    while len(jump[0]) < steps:
+        last_jump, last_shift = _take(jump, [-1]), _take(shift, [-1])
+        jump, shift = (
+            tuple(np.concatenate(halves) for halves in zip(jump, _mul128(jump, last_jump))),
+            tuple(np.concatenate(halves) for halves in
+                  zip(shift, _add128(_mul128(jump, last_shift), shift))))
+    for half in jump + shift:
+        half.flags.writeable = False
+    return jump, shift
+
+
+# ---------------------------------------------------------------------------
 # primitive operations
 
 def init_population(config: EvoConfig, genome_length: int,
@@ -169,10 +330,8 @@ def episode_returns(genomes: np.ndarray, env, rows: Sequence[int],
     """
     rows = np.asarray(rows)
     low = rows.min()
-    rngs = (np.random.default_rng(np.random.SeedSequence(list(entropy)))
-            for entropy in entropies)
     return env.rollouts(env.policy(genomes[low:rows.max() + 1]), rows - low,
-                        rngs, np.asarray(repeats))
+                        Streams(entropies), np.asarray(repeats))
 
 
 def batch_fitness(genomes: np.ndarray, env, rows: Sequence[int],

@@ -243,7 +243,13 @@ def contract_words(tables: CellTables, rows: np.ndarray,
     Every symbol of words[i] is one the tables were built for (not checked
     here).
     """
-    mats = tables.cells[rows, tables.index[tables.swept, words[:, tables.swept]].T]
+    count, n_pairs, m, _ = tables.cells.shape
+    # one take of whole (m, m) tables, numbered genome by genome, is a
+    # plain copy and runs faster than a two-array fancy index
+    table = np.dtype((np.void, m * m * 8))
+    flat = rows * n_pairs + tables.index[tables.swept, words[:, tables.swept]].T
+    mats = np.take(tables.cells.reshape(count * n_pairs, m * m).view(table)[:, 0],
+                   flat).view(np.float64).reshape(*flat.shape, m, m)
     vec = tables.start[rows]
     for mat in mats[:tables.n_left]:
         vec = np.einsum("na,nab->nb", vec, mat)

@@ -730,6 +730,17 @@ def make_env(name: str, bond_dim: int = 4):
 # ---------------------------------------------------------------------------
 # episodes and fitness
 
+def stream_uniforms(entropies: Sequence[Sequence[int]], low: float, high: float,
+                    counts: Sequence[int]) -> np.ndarray:
+    """One Generator per row, each drawing its counts[i] uniforms in turn.
+
+    The reference for `evo.Streams(entropies).uniform(low, high, counts)`.
+    """
+    return np.concatenate(
+        [np.random.default_rng(np.random.SeedSequence(list(entropy))).uniform(low, high, count)
+         for entropy, count in zip(entropies, counts)] + [np.empty(0)])
+
+
 def play_episode(agent, env, rng: np.random.Generator, memo: dict) -> float:
     """One rollout; returns the undiscounted sum of rewards.
 

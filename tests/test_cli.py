@@ -293,6 +293,24 @@ def test_eval_output_matches_play_episode(tmp_path, capsys, env_name, bond_dim):
     assert capsys.readouterr().out == expected + "\n"
 
 
+@pytest.mark.parametrize("seed,episodes", [(2**32 + 5, 4), (6, 0), (6, 2000)],
+                         ids=["two-word-seed", "no-episodes", "long-stream"])
+def test_cartpole_eval_scores_match_play_episode(tmp_path, capsys, seed, episodes):
+    # every episode's start state comes from the one stream [seed]
+    env = ref.make_env("cartpole")
+    genome = np.random.default_rng(8).standard_normal(env.genome_length) * 0.3
+    genome_file = tmp_path / "g.json"
+    genome_file.write_text(json.dumps({"env": "cartpole", "genome": genome.tolist()}))
+    assert cli.main(["eval", "--genome", str(genome_file), "--episodes", str(episodes),
+                     "--seed", str(seed)]) == 0
+    agent = ref.build_agent(env, genome)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    memo: dict = {}
+    scores = [ref.play_episode(agent, env, rng, memo) for _ in range(episodes)]
+    result = json.loads(capsys.readouterr().out)
+    assert (result["episodes"], result["scores"]) == (episodes, scores)
+
+
 def test_eval_reads_an_encoded_genome(tmp_path, capsys):
     genome = np.random.default_rng(8).standard_normal(26) * 0.3
     outputs = []

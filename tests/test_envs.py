@@ -7,7 +7,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from qevo import envs
+from qevo import envs, evo
 
 import reference as ref
 
@@ -354,9 +354,10 @@ def test_cartpole_rollouts_match_episodes():
     def act(agents, obs):
         return np.array([policies[a](o) for a, o in zip(agents, obs)])
 
-    # rows name their agent and episode count; an agent may play several rows
+    # rows name their agent and episode count; an agent may play several rows;
+    # row i's stream [s] is default_rng(s)'s
     seeds, rows, repeats = [5, 6, 7, 8, 9], [0, 1, 2, 0, 1], [2, 2, 2, 1, 3]
-    returns = env.rollouts(act, np.array(rows), (np.random.default_rng(s) for s in seeds),
+    returns = env.rollouts(act, np.array(rows), evo.Streams([[s] for s in seeds]),
                            np.array(repeats))
     expected = []
     for agent, seed, count in zip(rows, seeds, repeats):
@@ -368,7 +369,7 @@ def test_cartpole_rollouts_match_episodes():
 
 @pytest.mark.parametrize("repeats", [0, 1, 3])
 def test_cartpole_rollouts_start_where_resets_do(repeats):
-    # one draw of (repeats, 4) per agent gives the bytes of one reset per episode
+    # one draw of 4 * repeats values per agent gives the bytes of one reset per episode
     env = envs.CartPoleEnv()
     seen = []
 
@@ -378,7 +379,7 @@ def test_cartpole_rollouts_start_where_resets_do(repeats):
         return np.zeros(len(obs), dtype=np.int64)
 
     seeds = [3, 4]
-    env.rollouts(act, np.arange(len(seeds)), (np.random.default_rng(s) for s in seeds),
+    env.rollouts(act, np.arange(len(seeds)), evo.Streams([[s] for s in seeds]),
                  np.full(len(seeds), repeats))
     resets = ref.CartPoleEnv()
     expected = [resets.reset(rng) for rng in map(np.random.default_rng, seeds)

@@ -1,0 +1,80 @@
+"""A plan's episode start streams against one NumPy Generator per row.
+
+`evo.Streams` derives every row's uniforms at once, re-implementing
+SeedSequence, PCG64 and Generator.uniform in arrays; `ref.stream_uniforms`
+builds default_rng(SeedSequence(entropy)) per row.  The two must agree byte
+for byte, on any NumPy the project supports.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qevo import evo
+
+import reference as ref
+
+# per word count of an entry, the values at the edges of its range
+EDGES = {1: [0, 2**32 - 1], 2: [2**32, 2**64 - 1], 3: [2**64, 2**64 + 3]}
+
+
+def entries(words):
+    low = 0 if words == 1 else 1 << 32 * (words - 1)
+    return st.one_of(st.sampled_from(EDGES[words]),
+                     st.integers(low, (1 << 32 * words) - 1))
+
+
+@st.composite
+def plans(draw):
+    """(entropies, counts): 1-6 entries, each position splitting into the
+    same number of words on every row, and rows that may share an entropy."""
+    widths = draw(st.lists(st.sampled_from(sorted(EDGES)), min_size=1, max_size=6))
+    distinct = draw(st.lists(st.tuples(*map(entries, widths)), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=10))
+    counts = draw(st.lists(st.integers(0, 70), min_size=len(picks), max_size=len(picks)))
+    return [list(distinct[i]) for i in picks], counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=plans(), bounds=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2))
+@example(plan=([[0, 2**32 - 1], [2**32 - 1, 0]], [0, 0]), bounds=[-0.05, 0.05])
+@example(plan=([[2**64 + 3, 2**32, 7]] * 3, [4, 0, 20]), bounds=[-0.05, 0.05])
+def test_streams_match_a_generator_per_row(plan, bounds):
+    entropies, counts = plan
+    low, high = sorted(bounds)
+    drawn = evo.Streams(entropies).uniform(low, high, counts)
+    assert drawn.tobytes() == ref.stream_uniforms(entropies, low, high, counts).tobytes()
+
+
+def test_streams_match_a_training_plan():
+    # the parents all take slot N-1's stream, and a master seed past 2^32
+    # is two words on every row
+    config = evo.EvoConfig(population=7, truncation=3, mutation_power=0.1,
+                           generations=2, master_seed=2**32 + 5)
+    rows = np.arange(9)
+    _, entropies, repeats = evo._plan(config, [
+        (rows, evo.TAG_EVAL, 1, np.minimum(rows, 6), 3),
+        (rows[6:], evo.TAG_ELITE, 0, range(3), 5)])
+    counts = 4 * repeats
+    assert entropies[6] == entropies[7] == entropies[8]
+    drawn = evo.Streams(entropies).uniform(-0.05, 0.05, counts)
+    assert drawn.tobytes() == ref.stream_uniforms(entropies, -0.05, 0.05, counts).tobytes()
+
+
+def test_long_streams_cross_every_jump_table_size():
+    counts = [1, 2, 3, 4, 5, 8, 9, 16, 17, 33, 1000, 8000]
+    entropies = [[11, i] for i in range(len(counts))]
+    drawn = evo.Streams(entropies).uniform(0.0, 1.0, counts)
+    assert drawn.tobytes() == ref.stream_uniforms(entropies, 0.0, 1.0, counts).tobytes()
+
+
+@pytest.mark.parametrize("entropies", [
+    [[0], [2**32]],
+    [[5, 2**64 + 3], [5, 2**32]],
+    [[1, 2], [3]],
+    [[-1]],
+], ids=["one-and-two-words", "two-and-three-words", "ragged", "negative"])
+def test_entries_that_split_unevenly_are_rejected(entropies):
+    with pytest.raises(ValueError):
+        evo.Streams(entropies).uniform(-0.05, 0.05, [4] * len(entropies))

@@ -27,11 +27,11 @@ time step 0.02, semi-implicit Euler integration.  The failure angle is
 MiniGridEnv: an empty n x n room (n in {5, 6, 8}) with a 1-cell wall
 border.  The agent starts at (1, 1) facing east; the goal sits at
 (n-2, n-2).  Observations are an egocentric 7 x 7 view of the cells ahead,
-3 channels per cell (object id, color id, state id), scaled into [0, 1]
-and flattened to length 147.  Every cell shows one of 4 objects (unseen,
-empty, wall, goal), and its channels follow from the object, so a view is
-a word of 49 symbols over that alphabet: `GridModel.words` holds each
-state's word and `GridModel.alphabet` each symbol's channel values.
+3 channels per cell (object id, color id, state id), scaled into [0, 1].
+Every cell shows one of 4 objects (unseen, empty, wall, goal), and its
+channels follow from the object, so a view is a word of 49 symbols over
+that alphabet: `GridModel.words` holds each state's word and
+`GridModel.alphabet` each symbol's channel values.
 """
 
 from __future__ import annotations
@@ -140,7 +140,6 @@ CELL_OBJECTS = (OBJECT_UNSEEN, OBJECT_EMPTY, OBJECT_WALL, OBJECT_GOAL)
 CELL_COLORS = (COLOR_NONE, COLOR_NONE, COLOR_GREY, COLOR_GREEN)
 
 VIEW_SIZE = 7
-OBS_LENGTH = VIEW_SIZE * VIEW_SIZE * 3
 
 # direction index -> forward unit vector (x right, y down)
 DIR_VECTORS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # east, south, west, north
@@ -169,13 +168,6 @@ class GridModel:
     successor: np.ndarray
     goal: np.ndarray
     start: int
-
-    @cached_property
-    def observations(self) -> np.ndarray:
-        """(S, 147) read-only: the flattened view in state s."""
-        view = self.alphabet[self.words].reshape(len(self.words), -1)
-        view.flags.writeable = False
-        return view
 
 
 class MiniGridEnv:
@@ -215,8 +207,6 @@ class MiniGridEnv:
         # channel 2 (state) is 0 for every object of an empty room
         alphabet = np.array([(obj / OBJECT_SCALE, color / COLOR_SCALE, 0.0)
                              for obj, color in zip(CELL_OBJECTS, CELL_COLORS)])
-        if np.any(alphabet < 0.0) or np.any(alphabet > 1.0):
-            raise ValueError("observation entries must lie in [0, 1]")
         for table in (words, alphabet):
             table.flags.writeable = False
         successor = np.array([[index[self._move(pos, d, a)] for a in range(N_ACTIONS)]

@@ -440,15 +440,16 @@ def _evolve(config: EvoConfig,
             buffer: np.ndarray | None = None) -> list[GenerationStats]:
     """The loop; fitness_of(buffer, rows, entropies, repeats) scores a plan.
 
-    `resume`, the snapshot of generation g, re-spawns generation g + 1.
-    Every generation lives in one (population - 1 + truncation,
-    genome_length) buffer, `buffer` if given: the population in rows 0..N-1,
-    while generation g's parents are tried for the elite in rows N-1 on,
-    after generation g + 1's children.  Each generation is one plan of the
-    whole buffer: every row on the TAG_EVAL stream of its slot of
-    generation g + 1, the parents all on slot N-1's, since one of them is
-    the elite that slot takes; then generation g's elite trial.  The first
-    plan scores a population alone, the last an elite trial alone.
+    `resume`, the snapshot of generation g, re-spawns generation g + 1 if
+    that generation is to run; a fresh run draws its population even when
+    no generation is.  Every generation lives in one (population - 1 +
+    truncation, genome_length) buffer, `buffer` if given: the population in
+    rows 0..N-1, while generation g's parents are tried for the elite in
+    rows N-1 on, after generation g + 1's children.  Each generation is one
+    plan of the whole buffer: every row on the TAG_EVAL stream of its slot
+    of generation g + 1, the parents all on slot N-1's, since one of them
+    is the elite that slot takes; then generation g's elite trial.  The
+    first plan scores a population alone, the last an elite trial alone.
     """
     n, t = config.population, config.truncation
     buffer = np.empty((n - 1 + t, genome_length)) if buffer is None else buffer
@@ -460,8 +461,6 @@ def _evolve(config: EvoConfig,
         best_genome: np.ndarray | None = None
         best_score = -math.inf
     else:
-        spawn_children(resume.parents, resume.elite, config, resume.generation,
-                       out=population)
         start = resume.generation + 1
         window = deque(resume.window, maxlen=ROLLING_WINDOW)
         best_genome = resume.best_genome
@@ -470,6 +469,9 @@ def _evolve(config: EvoConfig,
     history: list[GenerationStats] = []
     if start >= config.generations:
         return history
+    if resume is not None:
+        spawn_children(resume.parents, resume.elite, config, resume.generation,
+                       out=population)
     rows = np.arange(n - 1 + t)
     slots = np.minimum(rows, n - 1)  # each row's population slot; a parent's is N-1
     fitness = _finite(fitness_of(buffer, *_plan(

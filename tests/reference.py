@@ -720,6 +720,11 @@ class MiniGridEnv(envs.MiniGridEnv):
         return view.reshape(-1)
 
 
+def grid_views(model: envs.GridModel) -> np.ndarray:
+    """(S, 147): the flattened float view of every state, spelled from its word."""
+    return model.alphabet[model.words].reshape(len(model.words), -1)
+
+
 def make_env(name: str, bond_dim: int = 4):
     """The reference env of a library env name."""
     if name == "cartpole":

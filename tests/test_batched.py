@@ -114,8 +114,8 @@ def test_tnvqc_action_tables_match_act(size, bond_dim):
     states = np.tile(np.arange(n_states), len(genomes))
     table = env.policy(genomes)(rows, model.words[states])
     built = [ref.build_agent(env, g) for g in genomes]
-    assert table.tolist() == [built[r].act(model.observations[s])
-                              for r, s in zip(rows, states)]
+    views = ref.grid_views(model)
+    assert table.tolist() == [built[r].act(views[s]) for r, s in zip(rows, states)]
     assert not table[:n_states].any()  # the tie case picks action 0
 
 

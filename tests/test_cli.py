@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import re
+import shlex
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevo import cli, envs
+from qevo import cli, envs, evo
 
 import reference as ref
 
@@ -781,6 +782,21 @@ def test_usage_text_lists_the_flags_of_each_subcommand():
     assert documented == defined
 
 
+def test_readme_commands_parse():
+    # the README's examples are written by hand, so the parser holds them
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [line for block in blocks for line in block.splitlines()
+                if line.startswith("qevo ")]
+    assert commands
+    parser = cli.build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+
+
 def test_missing_config_file_fails_cleanly(tmp_path, capsys):
     assert cli.main(["train", "--config", str(tmp_path / "absent.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -847,10 +863,20 @@ def test_zero_generation_override_parses_full_scale_configs(tmp_path, capsys):
 
 @pytest.mark.parametrize("config_path", sorted(CONFIG_DIR.glob("*.json")),
                          ids=lambda path: path.name)
-def test_shipped_config_starts(config_path, tmp_path, capsys):
+def test_shipped_config_starts(config_path, tmp_path, capsys, monkeypatch):
     """Every config in configs/ must load and start without running."""
+    draws = []
+    init_population = evo.init_population
+
+    def counted_init(*args, **kwargs):
+        draws.append(args[1])
+        return init_population(*args, **kwargs)
+
+    # perfbench's set-up probe times a run of 0 generations up to this draw
+    monkeypatch.setattr(evo, "init_population", counted_init)
     assert cli.main(["train", "--config", str(config_path),
                      "--out-dir", str(tmp_path / "run"),
                      "--generations", "0"]) == 0
     assert "no generations to run" in capsys.readouterr().out
     assert read_stats(tmp_path / "run") == [",".join(cli.STATS_COLUMNS)]
+    assert len(draws) == 1

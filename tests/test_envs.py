@@ -174,14 +174,6 @@ def test_reset_geometry():
     np.testing.assert_array_equal(obs, env.reset())  # deterministic layout
 
 
-def test_model_rejects_observations_outside_unit_interval(monkeypatch):
-    # the MPS sweep does not check its inputs, so the model is their guard:
-    # an unscaled grey wall (color 5) lies outside [0, 1]
-    monkeypatch.setattr(envs, "COLOR_SCALE", 1.0)
-    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-        envs.MiniGridEnv(5).model
-
-
 def test_four_lefts_compose_to_identity():
     env = ref.MiniGridEnv(5)
     start = env.reset()
@@ -395,18 +387,15 @@ def test_grid_model_matches_step(n):
     env = ref.MiniGridEnv(n)
     model = env.model
     assert model is env.model  # built once per env
-    assert model.observations.shape == ((n - 2) ** 2 * 4, envs.OBS_LENGTH)
-    assert not model.observations.flags.writeable
     # a view spells its word over the alphabet: unseen, empty, wall (grey),
     # goal (green), and channel 2 (state) always 0
-    assert model.words.shape == (len(model.states), envs.VIEW_SIZE * envs.VIEW_SIZE)
+    assert model.words.shape == ((n - 2) ** 2 * 4, envs.VIEW_SIZE * envs.VIEW_SIZE)
     assert not model.words.flags.writeable and not model.alphabet.flags.writeable
     assert model.alphabet.tolist() == [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0],
                                        [0.2, 1.0, 0.0], [0.8, 0.2, 0.0]]
-    spelled = model.alphabet[model.words].reshape(len(model.words), -1)
-    assert model.observations.tobytes() == spelled.tobytes()
+    views = ref.grid_views(model)
     assert model.goal.sum() == 4
-    assert np.array_equal(model.observations[model.start], env.reset())
+    assert np.array_equal(views[model.start], env.reset())
     assert model.states[model.start] == ((1, 1), 0)
     # every (state, action) pair against step itself
     probe = ref.MiniGridEnv(n)
@@ -414,7 +403,7 @@ def test_grid_model_matches_step(n):
         probe.reset()
         probe.agent_pos, probe.agent_dir = pos, direction
         # the reference env encodes its views cell by cell, straight from the grid
-        assert np.array_equal(model.observations[s], probe._observation())
+        assert np.array_equal(views[s], probe._observation())
         assert model.goal[s] == (pos == probe.goal_pos)
         for action in range(envs.N_ACTIONS):
             probe.reset()
@@ -466,21 +455,22 @@ def test_grid_rollouts_match_episodes_of_random_tables(n):
     shape = (200, len(model.goal))
     tables = np.where(rng.random(shape) < 0.75, toward,
                       rng.choice([envs.ACTION_LEFT, envs.ACTION_RIGHT, 4], size=shape))
-    index = {obs.tobytes(): s for s, obs in enumerate(model.observations)}
+    views = ref.grid_views(model)
+    index = {obs.tobytes(): s for s, obs in enumerate(views)}
 
     rows = np.zeros(len(tables), dtype=int)
 
     def act(agents, words):
         np.add.at(rows, agents, 1)
-        views = model.alphabet[words].reshape(len(words), -1)
-        return tables[agents, [index[o.tobytes()] for o in views]]
+        spelled = model.alphabet[words].reshape(len(words), -1)
+        return tables[agents, [index[o.tobytes()] for o in spelled]]
 
     def walk_length(a):
         # steps from the start up to the goal or the first revisit
         state, seen, steps = model.start, set(), 0
         while not model.goal[state] and state not in seen:
             seen.add(state)
-            action = tables[a, index[model.observations[state].tobytes()]]
+            action = tables[a, index[views[state].tobytes()]]
             state, steps = model.successor[state, action], steps + 1
         return steps
 

@@ -458,6 +458,29 @@ def test_pooled_resume_reproduces_uninterrupted_serial_run():
     assert any(s.top5_avg > 0.0 for s in full)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_resume_spawns_only_a_population_it_scores(monkeypatch, workers):
+    # the last generation's snapshot leaves nothing to score, so a resume
+    # from it spawns nothing; one generation earlier re-spawns the last
+    config = tiny_config(generations=3)
+    env = envs.CartPoleEnv()
+    snaps = []
+    full = evo.run(config, env, on_generation=lambda stats, snap: snaps.append(snap))
+    spawns = []
+    spawn_children = evo.spawn_children
+
+    def counted_spawn(*args, **kwargs):
+        spawns.append(args[3])
+        return spawn_children(*args, **kwargs)
+
+    monkeypatch.setattr(evo, "spawn_children", counted_spawn)
+    assert evo.run(config, env, workers=workers, resume=snaps[-1]) == []
+    assert spawns == []
+    tail = evo.run(config, env, workers=workers, resume=snaps[-2])
+    assert [repr(s) for s in tail] == [repr(full[-1])]
+    assert spawns == [snaps[-2].generation]
+
+
 class StopRun(Exception):
     pass
 

@@ -241,7 +241,7 @@ def assert_grid_policy_matches(genomes, bond_dim, model):
     tables = mps.cell_tables(offsets, bond_dim, agents.TNVQC_QUBITS, model.alphabet,
                              model.words)
     features = mps.contract_words(tables, rows, model.words[states])
-    expected = assert_features_match(features, offsets, rows, model.observations[states],
+    expected = assert_features_match(features, offsets, rows, ref.grid_views(model)[states],
                                      bond_dim, agents.TNVQC_QUBITS)
     circuit = genomes[:, :agents.TNVQC_CIRCUIT_PARAMS].reshape(-1, agents.TNVQC_QUBITS, 3)
     oracle = agents._tnvqc_logits(expected, agents._measured_axes(circuit)[rows])

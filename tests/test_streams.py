@@ -6,6 +6,8 @@ builds default_rng(SeedSequence(entropy)) per row.  The two must agree byte
 for byte, on any NumPy the project supports.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -40,9 +42,11 @@ def plans(draw):
 @given(plan=plans(), bounds=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2))
 @example(plan=([[0, 2**32 - 1], [2**32 - 1, 0]], [0, 0]), bounds=[-0.05, 0.05])
 @example(plan=([[2**64 + 3, 2**32, 7]] * 3, [4, 0, 20]), bounds=[-0.05, 0.05])
+@example(plan=([[0]], [3]), bounds=[0.0, -0.0])
 def test_streams_match_a_generator_per_row(plan, bounds):
     entropies, counts = plan
-    low, high = sorted(bounds)
+    # -0.0 before 0.0: NumPy rejects uniform(0.0, -0.0), whose high - low is -0.0
+    low, high = sorted(bounds, key=lambda bound: (bound, math.copysign(1.0, bound)))
     drawn = evo.Streams(entropies).uniform(low, high, counts)
     assert drawn.tobytes() == ref.stream_uniforms(entropies, low, high, counts).tobytes()
 

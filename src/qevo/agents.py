@@ -34,8 +34,8 @@ per cell (mps.contract_words).
 Each policy reads a (P, L) genome array once and returns act(agents,
 obs), the action of each row's agent: `cartpole_policy` on state rows,
 and `tnvqc_policy`, which builds the cell tables for one grid model, on
-that model's words.  The envs pair each task with its policy
-(`CartPoleEnv.policy`, `MiniGridEnv.policy`); nothing here names an env.
+that model's words.  The envs take each task's policy and genome length
+from here, their only qevo import; nothing here names an env.
 """
 
 from __future__ import annotations
@@ -55,6 +55,11 @@ TNVQC_SITES = 147  # flattened 7x7x3 minigrid view
 TNVQC_QUBITS = 8
 TNVQC_MEASURED = 6
 TNVQC_CIRCUIT_PARAMS = TNVQC_QUBITS * 3  # 24
+
+
+def tnvqc_genome_length(bond_dim: int) -> int:
+    """The 24 circuit angles plus the MPS entries at bond dimension bond_dim."""
+    return TNVQC_CIRCUIT_PARAMS + mps.param_count(TNVQC_SITES, bond_dim, TNVQC_QUBITS)
 
 
 def _rot(alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:

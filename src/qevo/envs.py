@@ -2,8 +2,8 @@
 
 An env is the whole task: the paper pairs each with one agent, so an env
 knows its genome length and builds its policy over a (P, genome_length)
-genome array, act = env.policy(genomes).  Both environments then play
-many episodes in lockstep:
+genome array, act = env.policy(genomes), both from `agents` (its only
+qevo import).  Both environments then play many episodes in lockstep:
 
     returns = env.rollouts(act, agents, streams, repeats)
 
@@ -42,9 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import mps
-from .agents import (CARTPOLE_GENOME_LENGTH, TNVQC_CIRCUIT_PARAMS, TNVQC_QUBITS, TNVQC_SITES,
-                     cartpole_policy, tnvqc_policy)
+from .agents import CARTPOLE_GENOME_LENGTH, cartpole_policy, tnvqc_genome_length, tnvqc_policy
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +174,7 @@ class MiniGridEnv:
     def __init__(self, grid_size: int, bond_dim: int = 4):
         self.grid_size = grid_size
         self.bond_dim = bond_dim
-        self.genome_length = TNVQC_CIRCUIT_PARAMS + mps.param_count(
-            TNVQC_SITES, bond_dim, TNVQC_QUBITS)
+        self.genome_length = tnvqc_genome_length(bond_dim)
         self.goal_pos = (grid_size - 2, grid_size - 2)
         self.max_steps = 4 * grid_size * grid_size
 

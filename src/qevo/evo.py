@@ -283,20 +283,19 @@ def _mul128(a, b):
 
 @lru_cache(maxsize=8)
 def _pcg_jumps(steps: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(M^k, M^(k-1) + ... + 1) mod 2^128 for k = 1..steps, a power of two,
-    as (high, low) uint64 pairs; doubled from k = 1: the k + n-th is
-    (M^k M^n, M^k (M^(n-1) + ... + 1) + (M^(k-1) + ... + 1))."""
-    jump = tuple(np.array([half], dtype=np.uint64) for half in _PCG_MULT)
-    shift = (np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.uint64))
-    while len(jump[0]) < steps:
-        last_jump, last_shift = _take(jump, [-1]), _take(shift, [-1])
-        jump, shift = (
-            tuple(np.concatenate(halves) for halves in zip(jump, _mul128(jump, last_jump))),
-            tuple(np.concatenate(halves) for halves in
-                  zip(shift, _add128(_mul128(jump, last_shift), shift))))
-    for half in jump + shift:
+    """(M^k, M^(k-1) + ... + 1) mod 2^128 for k = 1..steps, each as a
+    read-only (high, low) pair of uint64 arrays."""
+    mult, mask = _PCG_MULT[0] << 64 | _PCG_MULT[1], (1 << 128) - 1
+    terms = [(1, 0)]
+    for _ in range(steps):
+        jump, shift = terms[-1]
+        terms.append((jump * mult & mask, (shift * mult + 1) & mask))
+    pairs = tuple((np.array([value >> 64 for value in column], dtype=np.uint64),
+                   np.array([value & (1 << 64) - 1 for value in column], dtype=np.uint64))
+                  for column in zip(*terms[1:]))
+    for half in pairs[0] + pairs[1]:
         half.flags.writeable = False
-    return jump, shift
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +431,11 @@ def _plan(config: EvoConfig, parts) -> tuple[np.ndarray, list[list[int]], np.nda
             np.concatenate([np.full(len(rows), repeats) for rows, *_, repeats in parts]))
 
 
+def _generations(config: EvoConfig, resume: GenerationSnapshot | None) -> range:
+    """The generations a run scores: all, or those after a resumed snapshot's."""
+    return range(0 if resume is None else resume.generation + 1, config.generations)
+
+
 def _evolve(config: EvoConfig,
             fitness_of: Callable[[np.ndarray, np.ndarray, list, np.ndarray], np.ndarray],
             genome_length: int,
@@ -454,20 +458,20 @@ def _evolve(config: EvoConfig,
     n, t = config.population, config.truncation
     buffer = np.empty((n - 1 + t, genome_length)) if buffer is None else buffer
     population = buffer[:n]
+    generations = _generations(config, resume)
+    start = generations.start
     if resume is None:
         init_population(config, genome_length, out=population)
-        start = 0
         window: deque = deque(maxlen=ROLLING_WINDOW)
         best_genome: np.ndarray | None = None
         best_score = -math.inf
     else:
-        start = resume.generation + 1
         window = deque(resume.window, maxlen=ROLLING_WINDOW)
         best_genome = resume.best_genome
         best_score = resume.best_score
 
     history: list[GenerationStats] = []
-    if start >= config.generations:
+    if not generations:
         return history
     if resume is not None:
         spawn_children(resume.parents, resume.elite, config, resume.generation,
@@ -476,7 +480,7 @@ def _evolve(config: EvoConfig,
     slots = np.minimum(rows, n - 1)  # each row's population slot; a parent's is N-1
     fitness = _finite(fitness_of(buffer, *_plan(
         config, [(rows[:n], TAG_EVAL, start, slots[:n], config.repeats_all)])), start)
-    for generation in range(start, config.generations):
+    for generation in generations:
         order = rank_indices(fitness)
         parent_fitness = fitness[order[:t]]
         # the gather copies before the write, so the elite in row N-1 may move
@@ -530,18 +534,18 @@ def run(config: EvoConfig, env, workers: int = 1,
     module docstring for the loop.
 
     A plan row plays from its stream [master_seed, tag, generation, slot],
-    so `workers` changes only where the episodes run.  With workers > 1
-    the population buffer is shared memory that every worker maps at
-    start-up, when it also receives a copy of `env`.  A plan of n rows is
-    cut at n*k // workers into one contiguous slice per worker (empty
-    slices are skipped), and a task names only its slice's genome rows,
-    entropies and repeats, so no genome is pickled.  To stop early, raise from `on_generation`; the pool
-    is shut down either way.
+    so `workers` changes only where the episodes run.  With workers > 1 and
+    a generation to run, the population buffer is shared memory that every
+    worker maps at start-up, when it also receives a copy of `env`.  A plan
+    of n rows is cut at n*k // workers into one contiguous slice per worker
+    (empty slices are skipped), and a task names only its slice's genome
+    rows, entropies and repeats, so no genome is pickled.  To stop early,
+    raise from `on_generation`; the pool is shut down either way.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     pool = buffer = None
-    if workers > 1:
+    if workers > 1 and _generations(config, resume):
         shape = (config.population - 1 + config.truncation, env.genome_length)
         shared = RawArray("d", shape[0] * shape[1])
         buffer = np.frombuffer(shared, dtype=np.float64).reshape(shape)

@@ -7,7 +7,8 @@ Contracting the chain with the per-component feature map
 phi(v) = (1 - v, v) compresses an input vector of length n_sites into
 `out_dim` real features.
 
-Core shapes, left to right (m = bond dimension, d = 2):
+Core shapes, left to right (m = bond dimension, d = 2), spelled only by
+`_core_shapes` and read everywhere else through `_views`:
 
     (d, m), (m, d, m) ... (m, out_dim, m) ... (m, d, m), (m, d)
 
@@ -68,26 +69,19 @@ def _core_shapes(n_sites: int, bond_dim: int, out_dim: int) -> list[tuple[int, .
             + [interior] * (n_sites - 1 - output_pos) + [(m, LOCAL_DIM)])
 
 
-def _segment_ends(n_sites: int, bond_dim: int, out_dim: int) -> np.ndarray:
-    """Where the first core, the interior cores left of the output core, the
-    output core and the interior cores right of it end in the flat entries;
-    the last core takes the rest."""
-    m = bond_dim
-    output_pos = (n_sites + 1) // 2
-    site_size = m * LOCAL_DIM * m
-    return np.cumsum([LOCAL_DIM * m, (output_pos - 1) * site_size,
-                      m * out_dim * m, (n_sites - 1 - output_pos) * site_size])
-
-
 def _views(flat: np.ndarray, n_sites: int, bond_dim: int,
            out_dim: int) -> tuple[np.ndarray, ...]:
-    """(first, left, output, right, last) reshaped views of the flat entries."""
-    m = bond_dim
-    first, left, output, right, last = np.split(
-        flat, _segment_ends(n_sites, m, out_dim))
-    return (first.reshape(LOCAL_DIM, m), left.reshape(-1, m, LOCAL_DIM, m),
-            output.reshape(m, out_dim, m), right.reshape(-1, m, LOCAL_DIM, m),
-            last.reshape(m, LOCAL_DIM))
+    """(first, left, output, right, last) views split off the last axis by
+    `_core_shapes`, so (..., size) entries give (..., *shape) views; left
+    and right stack the interior cores either side of the output core."""
+    shapes = _core_shapes(n_sites, bond_dim, out_dim)
+    pos = (n_sites + 1) // 2
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    interior = (bond_dim, LOCAL_DIM, bond_dim)
+    grouped = (shapes[0], (pos - 1, *interior), shapes[pos],
+               (n_sites - 1 - pos, *interior), shapes[-1])
+    return tuple(part.reshape(flat.shape[:-1] + shape) for part, shape in
+                 zip(np.split(flat, ends[[0, pos - 1, pos, -2]], axis=-1), grouped))
 
 
 @lru_cache(maxsize=8)
@@ -113,21 +107,18 @@ def _site_rows(n_sites: int, bond_dim: int, out_dim: int) -> np.ndarray:
     """(n_sites, d, m) row numbers of every input site's core as (d, m, m).
 
     Row r is entries r*m .. r*m + m - 1 of the flat entries extended by
-    one zero row and then the 2m rows (last[a, d], 0, ..., 0): the first
-    core is the bond-0 row of its (d, m, m) form, the zero row fills the
-    rest, and the last core is the bond-0 column of its form.
+    one zero row and then the last core as the bond-0 column of an
+    (m, d, m) core, one row per entry: the first core is the bond-0 row of
+    its (d, m, m) form, and the zero row fills the rest.
     """
     m = bond_dim
-    rows = param_count(n_sites, m, out_dim) // m
-    pos = (n_sites + 1) // 2
-    ends = _segment_ends(n_sites, m, out_dim) // m
-    a, d = np.arange(m), np.arange(LOCAL_DIM)[:, None]
-    first = np.where(a == 0, d, rows)
-    interior = LOCAL_DIM * a + d  # row (a, d) of an (m, d, m) core
-    left = ends[0] + (np.arange(pos - 1) * LOCAL_DIM * m)[:, None, None] + interior
-    right = ends[2] + (np.arange(n_sites - 1 - pos) * LOCAL_DIM * m)[:, None, None] + interior
-    last = rows + 1 + interior
-    return np.concatenate([first[None], left, right, last[None]])
+    size = param_count(n_sites, m, out_dim)
+    first, left, _, right, last = _views(np.arange(size) // m, n_sites, m, out_dim)
+    zero = size // m
+    first = np.where(np.arange(m) == 0, first[:, :1], zero)
+    last = zero + 1 + np.arange(last.size).reshape(last.shape).T
+    interior = np.concatenate([left, right])[..., 0].swapaxes(1, 2)
+    return np.concatenate([first[None], interior, last[None]])
 
 
 @dataclass(frozen=True)
@@ -194,19 +185,18 @@ def cell_tables(offsets: np.ndarray, bond_dim: int, out_dim: int,
     cells = np.empty((count, n_pairs, m, m))
     middle = np.empty((count, n_middle, m * out_dim, m))
     base = identity_base(n_sites, m, out_dim)
-    output_entries = slice(*_segment_ends(n_sites, m, out_dim)[1:3])
     per_block = min(count, max(1, _BLOCK_ENTRIES // (2 * high_weight.size)))
     row = np.dtype((np.void, m * 8))  # m float64 entries
     # a block's entries, then the zero row and the last core's rows of _site_rows
     entries = np.zeros((per_block, base.size + m + LOCAL_DIM * m * m))
-    extra_last = entries[:, base.size + m:].reshape(per_block, m * LOCAL_DIM, m)
+    _, _, output_core, _, last_core = _views(entries[:, :base.size], n_sites, m, out_dim)
+    last_column = entries[:, base.size + m:].reshape(per_block, m, LOCAL_DIM, m)[..., 0]
     low = np.empty((per_block,) + high_weight.shape)
     high = np.empty_like(low)
     for lo in range(0, count, per_block):
         size = min(per_block, count - lo)
-        block = entries[:size, :base.size]
-        np.add(base, offsets[lo:lo + size], out=block)
-        extra_last[:size, :, 0] = block[:, -LOCAL_DIM * m:]
+        np.add(base, offsets[lo:lo + size], out=entries[:size, :base.size])
+        last_column[:size] = last_core[:size]
         as_rows = entries[:size].view(row)
         # every row number is valid: "clip" only spares take a buffered copy
         np.take(as_rows, site_rows[..., 0, :], axis=1, out=low[:size].view(row)[..., 0],
@@ -222,7 +212,7 @@ def cell_tables(offsets: np.ndarray, bond_dim: int, out_dim: int,
         before = (reduce(np.matmul, channel[:split]) if split
                   else np.broadcast_to(np.eye(m), after.shape))
         np.matmul(before[:, :n_pairs], after[:, :n_pairs], out=cells[lo:lo + size])
-        output = block[:, output_entries].reshape(size, 1, m, -1)
+        output = output_core[:size].reshape(size, 1, m, -1)
         np.matmul((before[:, n_pairs:] @ output).reshape(size, n_middle, -1, m),
                   after[:, n_pairs:], out=middle[lo:lo + size])
 

@@ -25,7 +25,7 @@ from qevo.evo import (ROLLING_WINDOW, TAG_ELITE, TAG_EVAL, TAG_INIT, TAG_MUTATE,
 from qevo.agents import (CARTPOLE_BLOCKS, CARTPOLE_GENOME_LENGTH, CARTPOLE_QUBITS,
                          TNVQC_CIRCUIT_PARAMS, TNVQC_MEASURED, TNVQC_QUBITS, TNVQC_SITES)
 from qevo.envs import N_ACTIONS
-from qevo.mps import LOCAL_DIM, _segment_ends, _views, identity_base, param_count
+from qevo.mps import LOCAL_DIM, _views, identity_base, param_count
 
 # ---------------------------------------------------------------------------
 # qsim: gate matrices, in-place gate kernels, the statevector API and
@@ -439,36 +439,36 @@ def contract_rows(offsets: np.ndarray, rows: np.ndarray, values: np.ndarray,
     """
     count, n_sites = values.shape
     m = bond_dim
-    base = identity_base(n_sites, m, out_dim)
     pos = (n_sites + 1) // 2
     site_size = m * LOCAL_DIM * m
+    # (base, offsets) views of each core: first, left, output, right, last
+    cores = list(zip(_views(identity_base(n_sites, m, out_dim), n_sites, m, out_dim),
+                     _views(offsets, n_sites, m, out_dim)))
 
-    def entries(start: int, stop: int) -> np.ndarray:
-        return base[start:stop] + offsets[rows, start:stop]
+    def entries(core: int, sites: slice = slice(None)) -> np.ndarray:
+        base, offset = cores[core]
+        return base[sites] + offset[rows, sites]
 
-    def site_matrices(start: int, sites: range):
-        """(count, m, m) per site: phi(v) contracted with the physical leg."""
+    def site_matrices(stack: int, first_site: int):
+        """(count, m, m) per site of a stack of interior cores: phi(v)
+        contracted with the physical leg."""
         per_block = max(1, _BLOCK_ENTRIES // (count * site_size))
-        for lo in range(0, len(sites), per_block):
-            block = sites[lo:lo + per_block]
-            cores = entries(start + lo * site_size, start + (lo + len(block)) * site_size)
-            cores = cores.reshape(count, len(block), m, LOCAL_DIM, m)
-            v = values[:, block.start:block.stop, None, None]
-            mats = (1.0 - v) * cores[:, :, :, 0] + v * cores[:, :, :, 1]
+        for lo in range(0, len(cores[stack][0]), per_block):
+            block = entries(stack, slice(lo, lo + per_block))
+            start = first_site + lo
+            v = values[:, start:start + block.shape[1], None, None]
+            mats = (1.0 - v) * block[:, :, :, 0] + v * block[:, :, :, 1]
             yield from np.ascontiguousarray(mats.transpose(1, 0, 2, 3))
 
-    ends = _segment_ends(n_sites, m, out_dim)
     first_phi = np.stack([1.0 - values[:, 0], values[:, 0]], axis=1)
-    vec = np.vecmat(first_phi, entries(0, ends[0]).reshape(count, LOCAL_DIM, m))
-    for mat in site_matrices(ends[0], range(1, pos)):
+    vec = np.vecmat(first_phi, entries(0))
+    for mat in site_matrices(1, 1):
         vec = np.vecmat(vec, mat)
-    output = entries(ends[1], ends[2]).reshape(count, m, out_dim, m)
-    carry = np.einsum("na,naob->nob", vec, output)
-    for mat in site_matrices(ends[2], range(pos, n_sites - 1)):
+    carry = np.einsum("na,naob->nob", vec, entries(2))
+    for mat in site_matrices(3, pos):
         carry = carry @ mat
     last_phi = np.stack([1.0 - values[:, -1], values[:, -1]], axis=1)
-    last = entries(ends[3], base.size).reshape(count, m, LOCAL_DIM)
-    return np.matvec(carry, np.matvec(last, last_phi))
+    return np.matvec(carry, np.matvec(entries(4), last_phi))
 
 
 # ---------------------------------------------------------------------------

@@ -481,6 +481,40 @@ def test_resume_spawns_only_a_population_it_scores(monkeypatch, workers):
     assert spawns == [snaps[-2].generation]
 
 
+def test_run_with_nothing_to_score_builds_no_pool(monkeypatch):
+    # a finished resume, and a fresh run of 0 generations, which still draws
+    # its population once, map no shared buffer and start no worker
+    built = []
+
+    def recorded(name):
+        build = getattr(evo, name)
+
+        def record(*args, **kwargs):
+            built.append(name)
+            return build(*args, **kwargs)
+        return record
+
+    for name in ("RawArray", "ProcessPoolExecutor"):
+        monkeypatch.setattr(evo, name, recorded(name))
+    inits = []
+    init_population = evo.init_population
+
+    def counted_init(*args, **kwargs):
+        inits.append(args)
+        return init_population(*args, **kwargs)
+
+    monkeypatch.setattr(evo, "init_population", counted_init)
+    config = tiny_config(generations=2)
+    env = envs.CartPoleEnv()
+    snaps = []
+    evo.run(config, env, on_generation=lambda stats, snap: snaps.append(snap))
+    inits.clear()
+    assert evo.run(config, env, workers=2, resume=snaps[-1]) == []
+    assert evo.run(tiny_config(generations=0), env, workers=2) == []
+    assert built == []
+    assert len(inits) == 1
+
+
 class StopRun(Exception):
     pass
 

@@ -166,6 +166,40 @@ def test_views_tile_the_flat_vector(n_sites, bond_dim, out_dim, seed):
     np.testing.assert_array_equal(np.concatenate([c.ravel() for c in cores]), flat)
 
 
+@given(st.integers(2, 9), st.integers(1, 4), st.integers(1, 8), st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_views_of_a_block_are_the_views_of_its_rows(n_sites, bond_dim, out_dim, count):
+    block = np.arange(count * mps.param_count(n_sites, bond_dim, out_dim),
+                      dtype=float).reshape(count, -1)
+    views = mps._views(block, n_sites, bond_dim, out_dim)
+    for i, flat in enumerate(block):
+        for view, row_view in zip(views, mps._views(flat, n_sites, bond_dim, out_dim)):
+            assert np.shares_memory(view, block) or view.size == 0
+            np.testing.assert_array_equal(view[i], row_view)
+
+
+@given(st.integers(2, 9), st.integers(1, 4), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_site_rows_address_every_input_core(n_sites, bond_dim, out_dim):
+    # distinct nonzero entries, extended as _site_rows reads them: one zero
+    # row, then the last core as the bond-0 column of an (m, d, m) core
+    m = bond_dim
+    flat = np.arange(1.0, mps.param_count(n_sites, m, out_dim) + 1)
+    extractor = ref.MpsFeatureExtractor(n_sites, m, out_dim, flat)
+    last_column = np.zeros((m, mps.LOCAL_DIM, m))
+    last_column[..., 0] = extractor.last
+    rows = np.concatenate([flat, np.zeros(m), last_column.ravel()]).reshape(-1, m)
+    # gathered[site, d, a] is row a of the site's physical slice d
+    gathered = rows[mps._site_rows(n_sites, m, out_dim)]
+    assert gathered.shape == (n_sites, mps.LOCAL_DIM, m, m)
+    np.testing.assert_array_equal(gathered[0, :, 0], extractor.first)
+    np.testing.assert_array_equal(gathered[0, :, 1:], 0.0)
+    interior = np.concatenate([extractor.left, extractor.right])
+    np.testing.assert_array_equal(gathered[1:-1], interior.transpose(0, 2, 1, 3))
+    np.testing.assert_array_equal(gathered[-1, :, :, 0], extractor.last.T)
+    np.testing.assert_array_equal(gathered[-1, :, :, 1:], 0.0)
+
+
 def test_unflatten_rejects_wrong_length():
     with pytest.raises(ValueError, match="entries"):
         ref.MpsFeatureExtractor(5, 2, 3, np.zeros(10))

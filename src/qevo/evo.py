@@ -40,7 +40,9 @@ and once the elite is known it is copied into row N-1, so the population
 is rows 0..N-1.  With a process pool the buffer is shared memory which
 every worker maps once, when it also receives its copy of the env; each
 plan is split into one contiguous slice of rows per worker, a task names
-its slice, and no genome crosses a pipe.
+its slice, and no genome crosses a pipe.  The pool stack
+(concurrent.futures, multiprocessing) is imported only when a pool is
+built, so a one-worker run never loads it.
 """
 
 from __future__ import annotations
@@ -48,10 +50,8 @@ from __future__ import annotations
 import math
 import numbers
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing.sharedctypes import RawArray
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
@@ -540,12 +540,16 @@ def run(config: EvoConfig, env, workers: int = 1,
     of n rows is cut at n*k // workers into one contiguous slice per worker
     (empty slices are skipped), and a task names only its slice's genome
     rows, entropies and repeats, so no genome is pickled.  To stop early,
-    raise from `on_generation`; the pool is shut down either way.
+    raise from `on_generation`; the pool is shut down either way.  The pool
+    stack is imported here, and only when a pool is built.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     pool = buffer = None
     if workers > 1 and _generations(config, resume):
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing.sharedctypes import RawArray
+
         shape = (config.population - 1 + config.truncation, env.genome_length)
         shared = RawArray("d", shape[0] * shape[1])
         buffer = np.frombuffer(shared, dtype=np.float64).reshape(shape)

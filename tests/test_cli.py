@@ -5,8 +5,11 @@ import base64
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -21,6 +24,7 @@ from qevo import cli, envs, evo
 import reference as ref
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 DATA_DIR = Path(__file__).resolve().parent / "data"
 ARRAY_KEYS = ("parents", "parent_fitness", "elite", "best_genome")
 
@@ -880,3 +884,39 @@ def test_shipped_config_starts(config_path, tmp_path, capsys, monkeypatch):
     assert "no generations to run" in capsys.readouterr().out
     assert read_stats(tmp_path / "run") == [",".join(cli.STATS_COLUMNS)]
     assert len(draws) == 1
+
+
+# train, resume and eval a cart-pole run, then train minigrid-5, in one
+# interpreter; the last line printed lists the pool-stack modules loaded
+POOL_STACK_SCRIPT = """
+import json, sys
+from qevo import cli
+configs, out, *workers = sys.argv[1:]
+run = out + "/cartpole"
+assert cli.main(["train", "--config", configs + "/cartpole_desk.json",
+                 "--generations", "2", "--out-dir", run, *workers]) == 0
+assert cli.main(["resume", "--checkpoint", run + "/checkpoint_1.json",
+                 "--generations", "3", *workers]) == 0
+assert cli.main(["eval", "--genome", run + "/best_genome.json", "--episodes", "2"]) == 0
+assert cli.main(["train", "--config", configs + "/minigrid5_desk.json",
+                 "--generations", "1", "--out-dir", out + "/minigrid5", *workers]) == 0
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.startswith(("multiprocessing", "concurrent")))))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_a_pooled_run_imports_the_pool_stack(tmp_path, workers):
+    # a fresh interpreter with only src on the path, as a user's run has:
+    # pytest itself has loaded both stacks here; NumPy imports ctypes and
+    # threading on its own, so those are not checked
+    done = subprocess.run(
+        [sys.executable, "-c", POOL_STACK_SCRIPT, str(CONFIG_DIR), str(tmp_path),
+         *(["--workers", str(workers)] if workers > 1 else [])],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True, text=True, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    if workers == 1:
+        assert loaded == []
+    else:
+        assert {"concurrent.futures", "multiprocessing.sharedctypes"} <= set(loaded)

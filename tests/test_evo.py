@@ -4,9 +4,10 @@ import itertools
 import math
 import tracemalloc
 import zlib
+from concurrent import futures
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from multiprocessing import active_children, get_context
+from multiprocessing import active_children, get_context, sharedctypes
 
 import numpy as np
 import pytest
@@ -483,19 +484,21 @@ def test_resume_spawns_only_a_population_it_scores(monkeypatch, workers):
 
 def test_run_with_nothing_to_score_builds_no_pool(monkeypatch):
     # a finished resume, and a fresh run of 0 generations, which still draws
-    # its population once, map no shared buffer and start no worker
+    # its population once, map no shared buffer and start no worker; run
+    # imports both names when it builds a pool, so they are wrapped where
+    # that import finds them
     built = []
 
-    def recorded(name):
-        build = getattr(evo, name)
+    def recorded(module, name):
+        build = getattr(module, name)
 
         def record(*args, **kwargs):
             built.append(name)
             return build(*args, **kwargs)
         return record
 
-    for name in ("RawArray", "ProcessPoolExecutor"):
-        monkeypatch.setattr(evo, name, recorded(name))
+    for module, name in ((sharedctypes, "RawArray"), (futures, "ProcessPoolExecutor")):
+        monkeypatch.setattr(module, name, recorded(module, name))
     inits = []
     init_population = evo.init_population
 
@@ -554,7 +557,7 @@ def test_spawned_pool_workers_match_serial_run(monkeypatch):
     # spawned workers inherit nothing: the shared buffer reaches them only
     # through the pool's initargs
     spawning = partial(ProcessPoolExecutor, mp_context=get_context("spawn"))
-    monkeypatch.setattr(evo, "ProcessPoolExecutor", spawning)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", spawning)
     config = evo.EvoConfig(population=6, truncation=2, mutation_power=0.05,
                            generations=2, repeats_all=2, repeats_parents=2,
                            master_seed=11, init_scale=0.01)
@@ -585,7 +588,7 @@ class InProcessPool:
                          [(7, 2, 3), (2, 1, 3), (10, 3, 4), (5, 4, 5), (12, 5, 2)])
 def test_pool_sends_one_contiguous_slice_per_worker(monkeypatch, population,
                                                     truncation, workers):
-    monkeypatch.setattr(evo, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(InProcessPool, "maps", [])
     for name in ("_WORKER_ENV", "_WORKER_POPULATION"):
         monkeypatch.setattr(evo, name, None)  # restored after the test

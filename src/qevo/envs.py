@@ -31,7 +31,12 @@ border.  The agent starts at (1, 1) facing east; the goal sits at
 Every cell shows one of 4 objects (unseen, empty, wall, goal), and its
 channels follow from the object, so a view is a word of 49 symbols over
 that alphabet: `GridModel.words` holds each state's word and
-`GridModel.alphabet` each symbol's channel values.
+`GridModel.alphabet` each symbol's channel values.  `MiniGridEnv.model`
+builds every table of the grid at once, by index arithmetic over one array
+of cell symbols.
+
+Each env has only this batched path; the scalar step that the tests hold
+it to, one episode and one move at a time, is in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -75,22 +80,18 @@ class CartPoleEnv:
         """
         x, x_dot, theta, theta_dot = states.T
         force = np.where(actions == 1, self.FORCE_MAG, -self.FORCE_MAG)
-        x, x_dot, theta, theta_dot = self._integrate(
-            x, x_dot, theta, theta_dot, force, np.cos(theta), np.sin(theta))
-        failed = (np.abs(x) > self.X_LIMIT) | (np.abs(theta) > self.THETA_LIMIT)
-        return np.stack([x, x_dot, theta, theta_dot], axis=1), failed
-
-    def _integrate(self, x, x_dot, theta, theta_dot, force, cos_t, sin_t):
-        """One semi-implicit Euler step, on scalars or on arrays alike."""
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
         total_mass = self.CART_MASS + self.POLE_MASS
         pole_mass_length = self.POLE_MASS * self.HALF_POLE_LENGTH
         temp = (force + pole_mass_length * theta_dot ** 2 * sin_t) / total_mass
         theta_acc = (self.GRAVITY * sin_t - cos_t * temp) / (
             self.HALF_POLE_LENGTH * (4.0 / 3.0 - self.POLE_MASS * cos_t ** 2 / total_mass))
         x_acc = temp - pole_mass_length * theta_acc * cos_t / total_mass
-        # positions advance with the old velocities, then velocities update
-        return (x + self.TAU * x_dot, x_dot + self.TAU * x_acc,
-                theta + self.TAU * theta_dot, theta_dot + self.TAU * theta_acc)
+        # semi-implicit Euler: positions advance with the old velocities
+        x, theta = x + self.TAU * x_dot, theta + self.TAU * theta_dot
+        x_dot, theta_dot = x_dot + self.TAU * x_acc, theta_dot + self.TAU * theta_acc
+        failed = (np.abs(x) > self.X_LIMIT) | (np.abs(theta) > self.THETA_LIMIT)
+        return np.stack([x, x_dot, theta, theta_dot], axis=1), failed
 
     def rollouts(self, act, agents: np.ndarray, streams,
                  repeats: np.ndarray) -> np.ndarray:
@@ -151,16 +152,16 @@ N_ACTIONS = 6
 
 @dataclass(frozen=True)
 class GridModel:
-    """A grid's finite model, indexed by state s = one (pos, dir) pair.
+    """A grid's finite model, as read-only tables indexed by state s.
 
-    states: the (pos, dir) pair of each s; words (S, 49): the symbol of
-    every view cell in state s, row-major from the far left corner;
-    alphabet (4, 3): each symbol's channel values, in [0, 1]; successor
-    (S, 6): the state after each action; goal (S,): s is on the goal cell;
-    start: every episode's first state.
+    s = ((y - 1) * (n - 2) + x - 1) * 4 + dir numbers the agent's poses on
+    the inner cells, row by row, four headings per cell.  words (S, 49): the
+    symbol of every view cell in state s, row-major from the far left
+    corner; alphabet (4, 3): each symbol's channel values, in [0, 1];
+    successor (S, 6): the state after each action; goal (S,): s is on the
+    goal cell; start: every episode's first state.
     """
 
-    states: tuple[tuple[tuple[int, int], int], ...]
     words: np.ndarray
     alphabet: np.ndarray
     successor: np.ndarray
@@ -175,42 +176,53 @@ class MiniGridEnv:
         self.grid_size = grid_size
         self.bond_dim = bond_dim
         self.genome_length = tnvqc_genome_length(bond_dim)
-        self.goal_pos = (grid_size - 2, grid_size - 2)
         self.max_steps = 4 * grid_size * grid_size
-
-    def _move(self, pos: tuple[int, int], direction: int,
-              action: int) -> tuple[tuple[int, int], int]:
-        if action == ACTION_LEFT:
-            direction = (direction - 1) % 4
-        elif action == ACTION_RIGHT:
-            direction = (direction + 1) % 4
-        elif action == ACTION_FORWARD:
-            fx, fy = DIR_VECTORS[direction]
-            target = (pos[0] + fx, pos[1] + fy)
-            if self._cell_object(*target) != OBJECT_WALL:
-                pos = target
-        return pos, direction
-
-    # -- finite model and batched episodes ----------------------------------
 
     @cached_property
     def model(self) -> GridModel:
-        """The whole (pos, dir) state space as lookup tables."""
-        inner = range(1, self.grid_size - 1)
-        states = [((x, y), d) for y in inner for x in inner for d in range(4)]
-        index = {state: i for i, state in enumerate(states)}
-        words = np.array([[CELL_OBJECTS.index(obj) for obj in self._view_objects(pos, d)]
-                          for pos, d in states], dtype=np.intp)
+        """The whole (pos, dir) state space, by index arithmetic over one grid.
+
+        The grid holds every cell's symbol, the room framed by VIEW_SIZE - 1
+        unseen cells, so every view lands inside it.  The agent sits at view
+        row 6, column 3: view cell (row, col) shows the cell pos + forward *
+        (6 - row) + right * (col - 3), so row 0 is farthest ahead and columns
+        grow to the agent's right.  A wall cell blocks a forward step.
+        """
+        n, pad = self.grid_size, VIEW_SIZE - 1
+        symbol = CELL_OBJECTS.index
+        grid = np.full((n + 2 * pad,) * 2, symbol(OBJECT_UNSEEN), dtype=np.intp)
+        room = grid[pad:pad + n, pad:pad + n]
+        room[:] = symbol(OBJECT_WALL)
+        room[1:-1, 1:-1] = symbol(OBJECT_EMPTY)
+        room[n - 2, n - 2] = symbol(OBJECT_GOAL)
+
+        def cell(x, y):
+            return grid[pad + y, pad + x]
+
+        def index(x, y, d):
+            return ((y - 1) * (n - 2) + x - 1) * 4 + d
+
+        y, x, d = np.indices((n - 2, n - 2, 4), dtype=np.intp).reshape(3, -1)
+        x, y = x + 1, y + 1
+        fx, fy = np.array(DIR_VECTORS).T[:, d]
+        ahead, side = np.divmod(np.arange(VIEW_SIZE * VIEW_SIZE), VIEW_SIZE)
+        ahead, side = VIEW_SIZE - 1 - ahead, side - VIEW_SIZE // 2
+        # the right-hand vector is (-fy, fx)
+        words = cell(x[:, None] + np.outer(fx, ahead) - np.outer(fy, side),
+                     y[:, None] + np.outer(fy, ahead) + np.outer(fx, side))
         # channel 2 (state) is 0 for every object of an empty room
         alphabet = np.array([(obj / OBJECT_SCALE, color / COLOR_SCALE, 0.0)
                              for obj, color in zip(CELL_OBJECTS, CELL_COLORS)])
-        for table in (words, alphabet):
+        state = index(x, y, d)
+        successor = np.repeat(state[:, None], N_ACTIONS, axis=1)  # the other actions stay
+        successor[:, ACTION_LEFT] = index(x, y, (d - 1) % 4)
+        successor[:, ACTION_RIGHT] = index(x, y, (d + 1) % 4)
+        blocked = cell(x + fx, y + fy) == symbol(OBJECT_WALL)
+        successor[:, ACTION_FORWARD] = np.where(blocked, state, index(x + fx, y + fy, d))
+        goal = (x == n - 2) & (y == n - 2)
+        for table in (words, alphabet, successor, goal):
             table.flags.writeable = False
-        successor = np.array([[index[self._move(pos, d, a)] for a in range(N_ACTIONS)]
-                              for pos, d in states], dtype=np.intp)
-        goal = np.array([pos == self.goal_pos for pos, _ in states])
-        return GridModel(tuple(states), words, alphabet, successor, goal,
-                         index[((1, 1), 0)])
+        return GridModel(words, alphabet, successor, goal, index(1, 1, 0))
 
     def policy(self, genomes: np.ndarray):
         """act(agents, words) of the TN-VQC over (P, genome_length) genomes,
@@ -243,32 +255,6 @@ class MiniGridEnv:
             going = ~reached & ~visited[row, state]
             row, state = row[going], state[going]
         return np.repeat(returns, repeats)
-
-    # -- observation ---------------------------------------------------------
-
-    def _cell_object(self, x: int, y: int) -> int:
-        n = self.grid_size
-        if not (0 <= x < n and 0 <= y < n):
-            return OBJECT_UNSEEN
-        if x == 0 or y == 0 or x == n - 1 or y == n - 1:
-            return OBJECT_WALL
-        if (x, y) == self.goal_pos:
-            return OBJECT_GOAL
-        return OBJECT_EMPTY
-
-    def _view_objects(self, pos: tuple[int, int], direction: int) -> list[int]:
-        """The object of every cell of the egocentric view, row-major.
-
-        The agent sits at view row 6, column 3.  View cell (row, col) maps
-        to the world cell pos + forward * (6 - row) + right * (col - 3), so
-        row 0 is farthest ahead and columns grow to the agent's right.
-        """
-        fx, fy = DIR_VECTORS[direction]
-        rx, ry = -fy, fx  # right-hand vector
-        px, py = pos
-        return [self._cell_object(px + fx * (VIEW_SIZE - 1 - row) + rx * (col - 3),
-                                  py + fy * (VIEW_SIZE - 1 - row) + ry * (col - 3))
-                for row in range(VIEW_SIZE) for col in range(VIEW_SIZE)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """The scalar reference: one agent plays one episode, one step at a time.
 
 The library runs only the batched path, and the tests hold it to these forms
-bit for bit.  The generation step is here too, in the form that allocates a
-new population: the library spawns in place, and must write the same bytes;
-and so is the generation loop that scores the population and the elite
-trial as two batches: the library fuses them, and must give the same runs.
+bit for bit.  The envs' scalar dynamics live here, not in the library: the
+cart-pole's Euler step, and the grid's moves and cells, read one at a time
+from the room's layout, so the model the library builds from arrays is
+checked against a walk that shares none of its code.  The generation step
+is here too, in the form that allocates a new population: the library
+spawns in place, and must write the same bytes; and so is the generation
+loop that scores the population and the elite trial as two batches: the
+library fuses them, and must give the same runs.
 This module imports the library; the library never imports it.
 """
 
@@ -637,8 +641,16 @@ class CartPoleEnv(envs.CartPoleEnv):
 
         x, x_dot, theta, theta_dot = self._state
         force = self.FORCE_MAG if action == 1 else -self.FORCE_MAG
-        x, x_dot, theta, theta_dot = self._integrate(
-            x, x_dot, theta, theta_dot, force, math.cos(theta), math.sin(theta))
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        total_mass = self.CART_MASS + self.POLE_MASS
+        pole_mass_length = self.POLE_MASS * self.HALF_POLE_LENGTH
+        temp = (force + pole_mass_length * theta_dot ** 2 * sin_t) / total_mass
+        theta_acc = (self.GRAVITY * sin_t - cos_t * temp) / (
+            self.HALF_POLE_LENGTH * (4.0 / 3.0 - self.POLE_MASS * cos_t ** 2 / total_mass))
+        x_acc = temp - pole_mass_length * theta_acc * cos_t / total_mass
+        # semi-implicit Euler: positions advance with the old velocities
+        x, theta = x + self.TAU * x_dot, theta + self.TAU * theta_dot
+        x_dot, theta_dot = x_dot + self.TAU * x_acc, theta_dot + self.TAU * theta_acc
 
         self._state = np.array([x, x_dot, theta, theta_dot])
         self.steps += 1
@@ -648,10 +660,15 @@ class CartPoleEnv(envs.CartPoleEnv):
 
 
 class MiniGridEnv(envs.MiniGridEnv):
-    """`envs.MiniGridEnv` holding one episode: the agent's pose and step count."""
+    """`envs.MiniGridEnv` holding one episode: the agent's pose and step count.
+
+    It moves the agent and reads each cell from the room's layout, cell by
+    cell, without the library's model.
+    """
 
     def __init__(self, grid_size: int, bond_dim: int = 4):
         super().__init__(grid_size, bond_dim)
+        self.goal_pos = (grid_size - 2, grid_size - 2)
         self.agent_pos = (1, 1)
         self.agent_dir = 0
         self.steps = 0
@@ -682,6 +699,29 @@ class MiniGridEnv(envs.MiniGridEnv):
         elif self.steps >= self.max_steps:
             self._done = True
         return EnvTransition(self._observation(), reward, self._done)
+
+    def _move(self, pos: tuple[int, int], direction: int,
+              action: int) -> tuple[tuple[int, int], int]:
+        if action == envs.ACTION_LEFT:
+            direction = (direction - 1) % 4
+        elif action == envs.ACTION_RIGHT:
+            direction = (direction + 1) % 4
+        elif action == envs.ACTION_FORWARD:
+            fx, fy = envs.DIR_VECTORS[direction]
+            target = (pos[0] + fx, pos[1] + fy)
+            if self._cell_object(*target) != envs.OBJECT_WALL:
+                pos = target
+        return pos, direction
+
+    def _cell_object(self, x: int, y: int) -> int:
+        n = self.grid_size
+        if not (0 <= x < n and 0 <= y < n):
+            return envs.OBJECT_UNSEEN
+        if x == 0 or y == 0 or x == n - 1 or y == n - 1:
+            return envs.OBJECT_WALL
+        if (x, y) == self.goal_pos:
+            return envs.OBJECT_GOAL
+        return envs.OBJECT_EMPTY
 
     def _observation(self) -> np.ndarray:
         key = (self.agent_pos, self.agent_dir)
@@ -718,6 +758,13 @@ class MiniGridEnv(envs.MiniGridEnv):
                 view[row, col, 0] = obj / envs.OBJECT_SCALE
                 view[row, col, 1] = color / envs.COLOR_SCALE  # channel 2 (state): 0 in an empty room
         return view.reshape(-1)
+
+
+def grid_states(n: int) -> list[tuple[tuple[int, int], int]]:
+    """The (pos, dir) pose of each state s of an n x n grid's model: the inner
+    cells row by row, four headings per cell."""
+    inner = range(1, n - 1)
+    return [((x, y), d) for y in inner for x in inner for d in range(4)]
 
 
 def grid_views(model: envs.GridModel) -> np.ndarray:

@@ -382,24 +382,29 @@ def test_cartpole_rollouts_start_where_resets_do(repeats):
         assert not seen  # no episode, no policy call
 
 
-@pytest.mark.parametrize("n", [5, 6, 8])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 12])
 def test_grid_model_matches_step(n):
+    # n = 4 is the smallest room with an inner cell off the goal; at n = 12
+    # some views lie wholly inside the room and show no unseen cell
     env = ref.MiniGridEnv(n)
     model = env.model
     assert model is env.model  # built once per env
     # a view spells its word over the alphabet: unseen, empty, wall (grey),
     # goal (green), and channel 2 (state) always 0
     assert model.words.shape == ((n - 2) ** 2 * 4, envs.VIEW_SIZE * envs.VIEW_SIZE)
-    assert not model.words.flags.writeable and not model.alphabet.flags.writeable
+    # every policy call shares the cached tables
+    for table in (model.words, model.alphabet, model.successor, model.goal):
+        assert not table.flags.writeable
     assert model.alphabet.tolist() == [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0],
                                        [0.2, 1.0, 0.0], [0.8, 0.2, 0.0]]
     views = ref.grid_views(model)
     assert model.goal.sum() == 4
     assert np.array_equal(views[model.start], env.reset())
-    assert model.states[model.start] == ((1, 1), 0)
-    # every (state, action) pair against step itself
+    states = ref.grid_states(n)
+    assert states[model.start] == ((1, 1), 0)
+    # every (state, action) pair against the reference's own step
     probe = ref.MiniGridEnv(n)
-    for s, (pos, direction) in enumerate(model.states):
+    for s, (pos, direction) in enumerate(states):
         probe.reset()
         probe.agent_pos, probe.agent_dir = pos, direction
         # the reference env encodes its views cell by cell, straight from the grid
@@ -409,8 +414,9 @@ def test_grid_model_matches_step(n):
             probe.reset()
             probe.agent_pos, probe.agent_dir = pos, direction
             probe.step(action)
-            assert model.states[model.successor[s, action]] == (probe.agent_pos,
-                                                                probe.agent_dir)
+            assert states[model.successor[s, action]] == (probe.agent_pos, probe.agent_dir)
+    if n == 12:
+        assert (model.words != envs.CELL_OBJECTS.index(envs.OBJECT_UNSEEN)).all(axis=1).any()
 
 
 def test_grid_rollouts_follow_the_table_and_cut_cycles():

@@ -29,12 +29,12 @@ mps.identity_base.  A grid observation is a word of 49 cells, each one
 of the grid model's 4 symbols, so the MPS is read through per-genome cell
 tables (mps.cell_tables) built once per batch, for the (cell, symbol)
 pairs the model's words hold; a row then costs one vector-matrix product
-per cell (mps.contract_words).
+per cell (mps.contract_states).
 
 Each policy reads a (P, L) genome array once and returns act(agents,
 obs), the action of each row's agent: `cartpole_policy` on state rows,
 and `tnvqc_policy`, which builds the cell tables for one grid model, on
-that model's words.  The envs take each task's policy and genome length
+that model's state ids.  The envs take each task's policy and genome length
 from here, their only qevo import; nothing here names an env.
 """
 
@@ -154,14 +154,14 @@ def _tnvqc_logits(features: np.ndarray, axes: np.ndarray) -> np.ndarray:
 
 
 def _tnvqc_actions(axes: np.ndarray, tables: mps.CellTables,
-                   agents: np.ndarray, words: np.ndarray) -> np.ndarray:
-    features = mps.contract_words(tables, agents, words)
+                   agents: np.ndarray, states: np.ndarray) -> np.ndarray:
+    features = mps.contract_states(tables, agents, states)
     return np.argmax(_tnvqc_logits(features, axes[agents]), axis=1)
 
 
 def tnvqc_policy(genomes: np.ndarray, bond_dim: int,
                  model) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """act(agents, words) for (P, L) genomes on a grid model's words."""
+    """act(agents, states) for (P, L) genomes on a grid model's state ids."""
     circuit = genomes[:, :TNVQC_CIRCUIT_PARAMS].reshape(-1, TNVQC_QUBITS, 3)
     tables = mps.cell_tables(genomes[:, TNVQC_CIRCUIT_PARAMS:], bond_dim, TNVQC_QUBITS,
                              model.alphabet, model.words)

@@ -15,8 +15,8 @@ and the others leave alone.  Episode j of row i starts from that row's
 j-th draw; the flat result holds each episode's undiscounted sum of
 rewards, row by row, each row's episodes in order.  act(agents, obs) maps
 agent indices, one observation each, to actions: a cart-pole state row,
-or a grid state's cell word.  `make(name, bond_dim)` builds an env by
-name.
+or a grid state's id (a grid policy reads every state's word once, when it
+is built).  `make(name, bond_dim)` builds an env by name.
 
 CartPoleEnv: classic pole balancing.  Physics constants are fixed here so
 results are reproducible without any external dependency: gravity 9.8,
@@ -225,8 +225,8 @@ class MiniGridEnv:
         return GridModel(words, alphabet, successor, goal, index(1, 1, 0))
 
     def policy(self, genomes: np.ndarray):
-        """act(agents, words) of the TN-VQC over (P, genome_length) genomes,
-        with cell tables for this grid's `model`."""
+        """act(agents, states) of the TN-VQC over (P, genome_length) genomes,
+        with cell tables for the words of this grid's `model`."""
         return tnvqc_policy(genomes, self.bond_dim, self.model)
 
     def rollouts(self, act, agents: np.ndarray, streams,
@@ -249,7 +249,7 @@ class MiniGridEnv:
         while row.size:  # at most one step per state, below max_steps
             step += 1
             visited[row, state] = True
-            state = model.successor[state, act(agents[row], model.words[state])]
+            state = model.successor[state, act(agents[row], state)]
             reached = model.goal[state]
             returns[row[reached]] = 1.0 - 0.9 * step / self.max_steps
             going = ~reached & ~visited[row, state]

@@ -64,7 +64,7 @@ TAG_INIT = 3
 ROLLING_WINDOW = 100
 # Genome entries (2 MiB) of picked parents gathered per step of spawn_children.
 # Freeing a block this large keeps glibc's dynamic mmap threshold above the
-# temporaries of mps.cell_tables and mps.contract_words (up to about 1.3 MB
+# temporaries of mps.cell_tables and mps.contract_states (up to about 1.3 MB
 # at P=100: the tables themselves and 0.5 MB block buffers), which are then
 # served from the heap; with 256 KiB blocks they were mapped and
 # page-faulted afresh on every batch, and minigrid-5 training ran 0.42 ->
@@ -175,8 +175,6 @@ class Streams:
         Generator.uniform(low, high, counts[i]), concatenated."""
         counts = np.asarray(counts, dtype=np.intp)
         total = int(counts.sum())
-        if not total:
-            return np.empty(0)
         initstate, seq = _seed_state(_entropy_words(self.entropies))
         inc = seq[0] << 1 | seq[1] >> 63, seq[1] << 1 | 1
         state = _add128(_mul128(_add128(inc, initstate), _PCG_MULT), inc)

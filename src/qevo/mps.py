@@ -22,8 +22,9 @@ the channel values alphabet[k].  A cell's C blended site matrices then take
 only K values, so their product is tabulated once per genome and symbol
 (the finite local feature map of Stoudenmire & Schwab, arXiv:1605.05775,
 with K points).  `cell_tables` builds these tables for the (cell, symbol)
-pairs that some word of a finite set holds, and `contract_words` sweeps a
-word as one vector-matrix product per cell:
+pairs that some word of a finite set of states holds, and resolves each
+state's table numbers once; `contract_states` then sweeps a state's word
+as one vector-matrix product per cell, so any state id is a valid input:
 
 - the boundary cores act as the bond-0 row of the first site's and the
   bond-0 column of the last site's (m, d, m) core, so every cell's table is
@@ -123,24 +124,23 @@ def _site_rows(n_sites: int, bond_dim: int, out_dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CellTables:
-    """One population's cell tables for the words of one alphabet.
+    """One population's cell tables for the states of one set of words.
 
     start (P, m): e0 times the tables of the agreed cells; cells
     (P, n_pairs, m, m): the table of each (cell, symbol) pair outside the
     middle cell; middle (P, n_middle, m, out_dim, m): the output core with
     the middle cell's site matrices folded in, one per symbol that cell
-    holds; index (n_cells, K): each pair's position among its genome's
-    cells or middle cores; mid: the middle cell; swept: the
-    cells a row sweeps, the n_left before the middle cell left to right,
-    then the ones after it from the last cell down.
+    holds; pairs (S, n_swept): the table number of each cell that state s
+    sweeps, the n_left before the middle cell left to right, then the ones
+    after it from the last cell down; cores (S,): the number of state s's
+    middle core.
     """
 
     start: np.ndarray
     cells: np.ndarray
     middle: np.ndarray
-    index: np.ndarray
-    mid: int
-    swept: np.ndarray
+    pairs: np.ndarray
+    cores: np.ndarray
     n_left: int
 
 
@@ -149,10 +149,10 @@ def cell_tables(offsets: np.ndarray, bond_dim: int, out_dim: int,
     """The tables of P chains, entries identity_base + offsets[p].
 
     alphabet (K, C): each symbol's channel values, each in [0, 1] (not
-    checked here); words (S, n_cells): the words to be swept, symbols
+    checked here); words (S, n_cells): the word of each state s, symbols
     0..K-1.  Only the (cell, symbol) pairs some word holds are built, for
     a block of genomes of about _BLOCK_ENTRIES gathered core entries at a
-    time.
+    time, and each state's table numbers are resolved here, once.
     """
     m = bond_dim
     n_symbols, channels = alphabet.shape
@@ -220,24 +220,21 @@ def cell_tables(offsets: np.ndarray, bond_dim: int, out_dim: int,
     start[:, 0] = 1.0
     for pair in range(folded):
         start = np.vecmat(start, cells[:, pair])
-    cell_ids = np.arange(n_cells)
+    swept = np.r_[folded:mid, n_cells - 1:mid:-1]
     return CellTables(start, cells, middle.reshape(count, n_middle, m, out_dim, m),
-                      index, mid, np.r_[cell_ids[folded:mid], cell_ids[:mid:-1]],
+                      index[swept, words[:, swept]], index[mid, words[:, mid]],
                       mid - folded)
 
 
-def contract_words(tables: CellTables, rows: np.ndarray,
-                   words: np.ndarray) -> np.ndarray:
-    """(n, out_dim) features of words[i] under the chain of genome rows[i].
-
-    Every symbol of words[i] is one the tables were built for (not checked
-    here).
-    """
+def contract_states(tables: CellTables, rows: np.ndarray,
+                    states: np.ndarray) -> np.ndarray:
+    """(n, out_dim) features of state states[i]'s word under the chain of
+    genome rows[i]."""
     count, n_pairs, m, _ = tables.cells.shape
     # one take of whole (m, m) tables, numbered genome by genome, is a
     # plain copy and runs faster than a two-array fancy index
     table = np.dtype((np.void, m * m * 8))
-    flat = rows * n_pairs + tables.index[tables.swept, words[:, tables.swept]].T
+    flat = rows * n_pairs + tables.pairs[states].T
     mats = np.take(tables.cells.reshape(count * n_pairs, m * m).view(table)[:, 0],
                    flat).view(np.float64).reshape(*flat.shape, m, m)
     vec = tables.start[rows]
@@ -247,7 +244,7 @@ def contract_words(tables: CellTables, rows: np.ndarray,
     back[:, 0] = 1.0
     for mat in mats[tables.n_left:]:
         back = np.einsum("nab,nb->na", mat, back)
-    middle = tables.middle[rows, tables.index[tables.mid, words[:, tables.mid]]]
+    middle = tables.middle[rows, tables.cores[states]]
     n, m, out_dim, _ = middle.shape
     joined = np.vecmat(vec, middle.reshape(n, m, out_dim * m)).reshape(n, out_dim, m)
     return np.vecdot(joined, back[:, None])

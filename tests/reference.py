@@ -439,7 +439,7 @@ def contract_rows(offsets: np.ndarray, rows: np.ndarray, values: np.ndarray,
     in [0, 1]; not checked here).  Returns (n, out_dim).  Core entries are
     gathered a block of sites at a time, about _BLOCK_ENTRIES floats, so no
     pair's full set of cores is ever copied.  It is the oracle of
-    `mps.cell_tables` and `mps.contract_words`, on float views.
+    `mps.cell_tables` and `mps.contract_states`, on float views.
     """
     count, n_sites = values.shape
     m = bond_dim

@@ -222,7 +222,7 @@ def test_closed_form_argmax_matches_statevector_on_ties(bond_dim):
     tables = mps.cell_tables(genomes[:, agents.TNVQC_CIRCUIT_PARAMS:], bond_dim,
                              agents.TNVQC_QUBITS, model.alphabet, model.words)
     rows = np.repeat([0, 1], len(model.words))
-    features = mps.contract_words(tables, rows, np.tile(model.words, (2, 1)))
+    features = mps.contract_states(tables, rows, np.tile(np.arange(len(model.words)), 2))
     circuit = genomes[:, :agents.TNVQC_CIRCUIT_PARAMS].reshape(-1, agents.TNVQC_QUBITS, 3)
     closed = agents._tnvqc_logits(features, agents._measured_axes(circuit)[rows])
     expected = ref._tnvqc_logits(features, ref.rot_matrix(*np.moveaxis(circuit, -1, 0))[rows])

@@ -112,7 +112,7 @@ def test_tnvqc_action_tables_match_act(size, bond_dim):
     n_states = len(model.goal)
     rows = np.repeat(np.arange(len(genomes)), n_states)
     states = np.tile(np.arange(n_states), len(genomes))
-    table = env.policy(genomes)(rows, model.words[states])
+    table = env.policy(genomes)(rows, states)
     built = [ref.build_agent(env, g) for g in genomes]
     views = ref.grid_views(model)
     assert table.tolist() == [built[r].act(views[s]) for r, s in zip(rows, states)]

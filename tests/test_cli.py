@@ -546,8 +546,13 @@ NOT_A_NUMBER = "holds a value that is not a JSON number"
      f"'best_genome' {NOT_A_NUMBER}"),
     ("encoded", "run_config", lambda config: {**config, "out_dir": 5},
      "out_dir must be of type str"),
+    ("encoded", "run_config", lambda config: {**config, "env": "pong"},
+     "unknown environment 'pong'"),
+    ("encoded", "window", lambda rows: [[rows[0][0], True, rows[0][2]], *rows[1:]],
+     f"'window' {NOT_A_NUMBER}"),
 ], ids=["format-3", "parents-ragged-format1", "best_score-string", "elite_score-bool",
-        "parents-strings-format1", "best_genome-bool-format1", "out_dir-int"])
+        "parents-strings-format1", "best_genome-bool-format1", "out_dir-int", "env-unknown",
+        "window-bool"])
 def test_resume_rejects_an_unreadable_checkpoint(tmp_path, capsys, form, key, corrupt,
                                                  message):
     config = write_config(tmp_path / "cfg.json")

@@ -424,11 +424,11 @@ def test_grid_rollouts_follow_the_table_and_cut_cycles():
     wall = envs.CELL_OBJECTS.index(envs.OBJECT_WALL)
     calls = []
 
-    def act(agents, words):
+    def act(agents, states):
         calls.append(agents)
         # agent 0 runs the optimal path, agent 1 spins, agent 2 hits the wall
         out = []
-        for a, word in zip(agents, words):
+        for a, word in zip(agents, env.model.words[states]):
             if a == 0:
                 ahead = word.reshape(envs.VIEW_SIZE, envs.VIEW_SIZE)[5, 3]
                 out.append(envs.ACTION_RIGHT if ahead == wall else envs.ACTION_FORWARD)
@@ -466,8 +466,9 @@ def test_grid_rollouts_match_episodes_of_random_tables(n):
 
     rows = np.zeros(len(tables), dtype=int)
 
-    def act(agents, words):
+    def act(agents, states):
         np.add.at(rows, agents, 1)
+        words = model.words[states]
         spelled = model.alphabet[words].reshape(len(words), -1)
         return tables[agents, [index[o.tobytes()] for o in spelled]]
 
@@ -507,11 +508,11 @@ def test_made_envs_pickle_with_their_policy():
         assert clone.genome_length == env.genome_length
         genomes = rng.standard_normal((3, env.genome_length)) * 0.3
         if isinstance(env, envs.MiniGridEnv):
-            states = env.model.words  # every state of the grid
+            states = np.arange(len(env.model.goal))  # every state of the grid
         else:
             states = rng.uniform(-1.0, 1.0, (300, 4)) * [2.4, 3.0, 0.3, 3.0]
         rows = np.repeat(np.arange(len(genomes)), len(states))
-        states = np.tile(states, (len(genomes), 1))
+        states = np.concatenate([states] * len(genomes))
         assert (clone.policy(genomes)(rows, states).tolist()
                 == env.policy(genomes)(rows, states).tolist())
     assert "model" in vars(pickle.loads(pickle.dumps(built)))  # sent, not rebuilt

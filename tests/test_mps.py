@@ -1,7 +1,7 @@
 """MPS feature extractor tests, anchored by an exhaustive-sum oracle.
 
 The library reads the MPS only through cell tables over words of symbols
-(`mps.cell_tables`, `mps.contract_words`); they are held to the batched
+(`mps.cell_tables`, `mps.contract_states`); they are held to the batched
 float sweep `reference.contract_rows`, which the scalar sweep anchors.
 """
 
@@ -274,12 +274,12 @@ def assert_grid_policy_matches(genomes, bond_dim, model):
     rows = np.repeat(np.arange(len(genomes)), len(model.words))
     tables = mps.cell_tables(offsets, bond_dim, agents.TNVQC_QUBITS, model.alphabet,
                              model.words)
-    features = mps.contract_words(tables, rows, model.words[states])
+    features = mps.contract_states(tables, rows, states)
     expected = assert_features_match(features, offsets, rows, ref.grid_views(model)[states],
                                      bond_dim, agents.TNVQC_QUBITS)
     circuit = genomes[:, :agents.TNVQC_CIRCUIT_PARAMS].reshape(-1, agents.TNVQC_QUBITS, 3)
     oracle = agents._tnvqc_logits(expected, agents._measured_axes(circuit)[rows])
-    actions = agents.tnvqc_policy(genomes, bond_dim, model)(rows, model.words[states])
+    actions = agents.tnvqc_policy(genomes, bond_dim, model)(rows, states)
     assert actions.tolist() == np.argmax(oracle, axis=1).tolist()
 
 
@@ -331,7 +331,8 @@ def test_cell_tables_match_contract_rows_on_any_chain(n_cells, channels, n_symbo
                                                       out_dim))) * scale
     tables = mps.cell_tables(offsets, bond_dim, out_dim, alphabet, words)
     rows = np.repeat(np.arange(len(offsets)), len(words))
-    swept = np.tile(words, (len(offsets), 1))
-    features = mps.contract_words(tables, rows, swept)
-    assert_features_match(features, offsets, rows, alphabet[swept].reshape(len(rows), -1),
+    states = np.tile(np.arange(len(words)), len(offsets))
+    features = mps.contract_states(tables, rows, states)
+    assert_features_match(features, offsets, rows,
+                          alphabet[words[states]].reshape(len(rows), -1),
                           bond_dim, out_dim)

@@ -80,5 +80,6 @@ def test_long_streams_cross_every_jump_table_size():
     [[-1]],
 ], ids=["one-and-two-words", "two-and-three-words", "ragged", "negative"])
 def test_entries_that_split_unevenly_are_rejected(entropies):
-    with pytest.raises(ValueError):
-        evo.Streams(entropies).uniform(-0.05, 0.05, [4] * len(entropies))
+    for count in (4, 0):  # also where nothing is drawn
+        with pytest.raises(ValueError):
+            evo.Streams(entropies).uniform(-0.05, 0.05, [count] * len(entropies))

@@ -61,6 +61,8 @@ CHECKPOINT_KEYS = {"run_config", *(field.name for field in
 # short of its sum squared: a generation of equal fitness values gets there
 # by about 1e-16
 WINDOW_ROUNDING = 1e-12
+# the JSON values a config field of each type takes: true is no number
+JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
 @dataclass
@@ -73,7 +75,6 @@ class RunConfig:
     checkpoint_every: int = 50
 
     def __post_init__(self) -> None:
-        evo.check_field_types(self)
         if self.mps_bond_dim < 1:
             raise ValueError("mps_bond_dim must be >= 1")
         if self.workers < 1:
@@ -83,7 +84,8 @@ class RunConfig:
 
 
 def _from_dict(cls, data: dict, section: str):
-    """A config dataclass from JSON; a field without a default is a required key."""
+    """A config dataclass from JSON; a field without a default is a required
+    key, and a value must be of a JSON type its field takes (JSON_TYPES)."""
     if type(data) is not dict:
         raise ValueError(f"{section} must be a JSON object, got {type(data).__name__}")
     fields = dataclasses.fields(cls)
@@ -94,9 +96,13 @@ def _from_dict(cls, data: dict, section: str):
     if missing:
         raise ValueError(f"missing {section} keys: {sorted(missing)}")
     hints = get_type_hints(cls)  # a dataclass-typed field is a nested section
-    return cls(**{key: _from_dict(hints[key], value, f"{key} config")
-                  if dataclasses.is_dataclass(hints[key]) else value
-                  for key, value in data.items()})
+    values = {key: _from_dict(hints[key], value, f"{key} config")
+              if dataclasses.is_dataclass(hints[key]) else value
+              for key, value in data.items()}
+    for name, hint in hints.items():
+        if hint in JSON_TYPES and name in data and type(data[name]) not in JSON_TYPES[hint]:
+            raise ValueError(f"{name} must be of type {hint.__name__}, got {data[name]!r}")
+    return cls(**values)
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -246,24 +252,19 @@ def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapsho
     return config, evo.GenerationSnapshot(**values)
 
 
-def _start_stats(path: Path, resume: evo.GenerationSnapshot | None) -> None:
-    """Write the header, keeping the rows up to the generation resumed from.
+def _kept_stats(path: Path, generation: int) -> str:
+    """The rows of generations 0..generation, which a resume from it keeps.
 
-    A resume from generation g needs the rows of generations 0..g in order,
-    each of len(STATS_COLUMNS) fields; if one is missing, the file is left
-    as it is and a ValueError names the first missing generation.
+    They must be the stats file's first rows, in order, each of
+    len(STATS_COLUMNS) fields; if one is missing, a ValueError names it.
     """
-    kept = []
-    if resume is not None:
-        rows = path.read_text().splitlines()[1:] if path.exists() else []
-        for generation in range(resume.generation + 1):
-            fields = rows[generation].split(",") if generation < len(rows) else []
-            if len(fields) != len(STATS_COLUMNS) or fields[0] != str(generation):
-                raise ValueError(f"{path} lacks the row of generation {generation}, "
-                                 f"which a resume from generation {resume.generation} needs")
-            kept.append(rows[generation] + "\n")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(",".join(STATS_COLUMNS) + "\n" + "".join(kept))
+    rows = path.read_text().splitlines()[1:] if path.exists() else []
+    for g in range(generation + 1):
+        fields = rows[g].split(",") if g < len(rows) else []
+        if len(fields) != len(STATS_COLUMNS) or fields[0] != str(g):
+            raise ValueError(f"{path} lacks the row of generation {g}, "
+                             f"which a resume from generation {generation} needs")
+    return "".join(row + "\n" for row in rows[:generation + 1])
 
 
 def _train_loop(config: RunConfig, resume: evo.GenerationSnapshot | None) -> int:
@@ -271,16 +272,21 @@ def _train_loop(config: RunConfig, resume: evo.GenerationSnapshot | None) -> int
     env = envs.make(config.env, config.mps_bond_dim)
     out_dir = Path(config.out_dir)
     stats_path = out_dir / "stats.csv"
+    head = ",".join(STATS_COLUMNS) + "\n"
     if resume is None:
-        _start_stats(stats_path, None)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stats_path.write_text(head)
+    elif resume.generation + 1 < config.evo.generations:
+        # the rows are checked before anything is scored, but those after the
+        # checkpoint are cut only once a new row replaces them, so a resume
+        # with nothing left to run writes nothing
+        head += _kept_stats(stats_path, resume.generation)
     last = config.evo.generations - 1
 
     def on_generation(stats: evo.GenerationStats, snapshot: evo.GenerationSnapshot) -> None:
         generation = snapshot.generation
-        # a resume cuts the rows after its checkpoint only once a new row
-        # replaces them, so one with nothing left to run writes nothing
         if resume is not None and generation == resume.generation + 1:
-            _start_stats(stats_path, resume)
+            stats_path.write_text(head)
         with open(stats_path, "a") as stats_file:
             stats_file.write(_stats_row(stats))
         if (generation + 1) % config.checkpoint_every == 0 or generation == last:

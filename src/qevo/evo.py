@@ -11,8 +11,10 @@ Per generation:
    parent + mutation_power * standard normal noise), slot N-1 holds the
    elite copied verbatim
 
-Every random draw comes from a named stream
-np.random.SeedSequence([master_seed, TAG, generation, index]), so results
+Every random draw comes from a named stream: the initial population's
+agent i from np.random.SeedSequence([master_seed, TAG_INIT, 0, i]), each
+episode row from [master_seed, TAG_EVAL or TAG_ELITE, generation, slot],
+and generation g's mutation from [master_seed, TAG_MUTATE, g].  So results
 are byte-identical for any worker count and any evaluation order, and a
 checkpoint holding only the ranked parents and the elite reconstructs the
 next population exactly by re-running the mutation stream.  The episode
@@ -48,11 +50,10 @@ built, so a one-worker run never loads it.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence, get_type_hints
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -84,7 +85,6 @@ class EvoConfig:
     init_scale: float = 0.01
 
     def __post_init__(self) -> None:
-        check_field_types(self)
         if not 1 <= self.truncation < self.population:
             raise ValueError("need 1 <= truncation < population")
         if not (math.isfinite(self.mutation_power) and math.isfinite(self.init_scale)):
@@ -99,19 +99,6 @@ class EvoConfig:
             raise ValueError("init_scale must be >= 0")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-
-
-def check_field_types(config) -> None:
-    """Reject a bool or a fraction in an int field, a bool in a float field,
-    and anything but a string in a str field.
-
-    JSON's `true` and `1.5` would pass the range checks or fail deep in a run.
-    """
-    for name, hint in get_type_hints(type(config)).items():
-        kind = {int: numbers.Integral, float: numbers.Real, str: str}.get(hint)
-        value = getattr(config, name)
-        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-            raise ValueError(f"{name} must be of type {hint.__name__}, got {value!r}")
 
 
 @dataclass
@@ -537,34 +524,30 @@ def run(config: EvoConfig, env, workers: int = 1,
     worker maps at start-up, when it also receives a copy of `env`.  A plan
     of n rows is cut at n*k // workers into one contiguous slice per worker
     (empty slices are skipped), and a task names only its slice's genome
-    rows, entropies and repeats, so no genome is pickled.  To stop early,
-    raise from `on_generation`; the pool is shut down either way.  The pool
-    stack is imported here, and only when a pool is built.
+    rows, entropies and repeats, so no genome is pickled.  The pool starts
+    at most one process per buffer row (N - 1 + T, the most a plan has),
+    since a forked pool starts all its processes at the first map.  To stop
+    early, raise from `on_generation`; the pool is shut down either way.
+    The pool stack is imported here, and only when a pool is built.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    pool = buffer = None
-    if workers > 1 and _generations(config, resume):
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing.sharedctypes import RawArray
+    if workers == 1 or not _generations(config, resume):
+        return _evolve(config, lambda genomes, *plan: batch_fitness(genomes, env, *plan),
+                       env.genome_length, on_generation, resume)
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.sharedctypes import RawArray
 
-        shape = (config.population - 1 + config.truncation, env.genome_length)
-        shared = RawArray("d", shape[0] * shape[1])
-        buffer = np.frombuffer(shared, dtype=np.float64).reshape(shape)
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                   initargs=(env, shared, shape))
+    shape = (config.population - 1 + config.truncation, env.genome_length)
+    shared = RawArray("d", shape[0] * shape[1])
 
     def fitness_of(genomes, rows, entropies, repeats):
-        if pool is None:
-            return batch_fitness(genomes, env, rows, entropies, repeats)
-        n = len(rows)
-        cuts = [n * k // workers for k in range(workers + 1)]
+        cuts = [len(rows) * k // workers for k in range(workers + 1)]
         tasks = [(rows[start:stop], entropies[start:stop], repeats[start:stop])
                  for start, stop in zip(cuts, cuts[1:]) if start < stop]
         return np.concatenate(list(pool.map(_eval_task, tasks)))
 
-    try:
-        return _evolve(config, fitness_of, env.genome_length, on_generation, resume, buffer)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    with ProcessPoolExecutor(max_workers=min(workers, shape[0]), initializer=_init_worker,
+                             initargs=(env, shared, shape)) as pool:
+        return _evolve(config, fitness_of, env.genome_length, on_generation, resume,
+                       np.frombuffer(shared, dtype=np.float64).reshape(shape))

@@ -156,9 +156,18 @@ def test_resume_with_nothing_to_run_touches_no_file(tmp_path, capsys, generation
     (lambda lines: lines[:2], 1),  # the header and row 0
     (lambda lines: lines[:4] + [lines[4][:5]], 3),
 ], ids=["missing", "cut-after-row-0", "torn-row"])
-def test_resume_without_rows_up_to_checkpoint_fails(tmp_path, capsys, damage, missing):
+def test_resume_without_rows_up_to_checkpoint_fails(tmp_path, capsys, monkeypatch, damage,
+                                                     missing):
     config = write_config(tmp_path / "cfg.json", evo={"generations": 6})
     assert cli.main(["train", "--config", str(config)]) == 0
+    scored = []
+    batch_fitness = evo.batch_fitness
+
+    def recorded(*args):
+        scored.append(args)
+        return batch_fitness(*args)
+
+    monkeypatch.setattr(evo, "batch_fitness", recorded)
     stats = tmp_path / "run" / "stats.csv"
     lines = damage(read_stats(tmp_path / "run"))
     kept = None if lines is None else "\n".join(lines) + "\n"
@@ -173,6 +182,7 @@ def test_resume_without_rows_up_to_checkpoint_fails(tmp_path, capsys, damage, mi
     err = capsys.readouterr().err
     assert "stats.csv" in err and f"generation {missing}," in err
     assert (stats.read_text() if stats.exists() else None) == kept
+    assert scored == []  # the rows are checked before any plan is scored
 
 
 def test_resume_with_nothing_to_run_keeps_a_header_only_stats_file(tmp_path, capsys):
@@ -752,6 +762,7 @@ def test_resume_after_torn_write_matches_uninterrupted_run(uninterrupted_stats, 
 @pytest.mark.parametrize("field,value", [
     ("checkpoint_every", 1.5), ("workers", True), ("mps_bond_dim", 2.0),
     ("evo.population", 10.5), ("evo.truncation", True), ("evo.master_seed", True),
+    ("evo.population", True), ("evo.truncation", 2.5), ("evo.master_seed", 1.0),
     ("evo.master_seed", -1), ("evo.init_scale", True), ("evo.mutation_power", True),
     ("env", "pong"), ("workers", 0), ("mps_bond_dim", 0), ("checkpoint_every", 0),
     ("out_dir", 5), ("out_dir", None),

@@ -27,13 +27,17 @@ each checkpoint, so it is never older than the newest one.  All randomness
 flows from the master seed, so re-running a config reproduces the CSV
 byte for byte, for any worker count.
 
-A checkpoint (format 2) stores each array as an object
+A checkpoint holds what a resume reads: `format`, `run_config`,
+`generation`, the ranked `parents`, the `elite`, the rolling `window` of
+(count, sum, sum of squares) rows, `best_genome` and `best_score`.  Format 2
+stores each array as an object
 
     {"shape": [10, 4808], "float64le": "<base64 of little-endian float64>"}
 
 so that it is exact, compact and quick to write; scalars and the rolling
 window stay JSON numbers.  Format-1 checkpoints, whose arrays are JSON
-lists, still load, and a genome file may hold either form.
+lists, still load, and a genome file may hold either form.  Keys that
+older checkpoints also held (`parent_fitness`, `elite_score`) are ignored.
 """
 
 from __future__ import annotations
@@ -213,7 +217,7 @@ def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapsho
         data = json.load(handle)
     if type(data) is not dict:
         raise ValueError(f"checkpoint must be a JSON object, got {type(data).__name__}")
-    if data.get("format") not in (1, CHECKPOINT_FORMAT):
+    if type(data.get("format")) is not int or data["format"] not in (1, CHECKPOINT_FORMAT):
         raise ValueError(f"unsupported checkpoint format: {data.get('format')!r}")
     missing = CHECKPOINT_KEYS - set(data)
     if missing:
@@ -226,10 +230,9 @@ def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapsho
     # the JSON numbers in both formats: a NumPy scalar would print as np.float64(...)
     if type(data["window"]) is not list:
         raise ValueError("checkpoint 'window' must be a JSON list of rows")
-    length = envs.make(config.env, config.mps_bond_dim).genome_length
-    rows = config.evo.truncation
-    shapes = {"parents": (rows, length), "parent_fitness": (rows,),
-              "elite": (length,), "elite_score": (),
+    env = envs.make(config.env, config.mps_bond_dim)
+    length, top = env.genome_length, env.max_return
+    shapes = {"parents": (config.evo.truncation, length), "elite": (length,),
               "window": (min(generation + 1, evo.ROLLING_WINDOW), 3),
               "best_genome": (length,), "best_score": ()}
     values = {"generation": generation}
@@ -239,12 +242,19 @@ def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapsho
             raise ValueError(f"checkpoint {key!r} must have shape {shape}, "
                              f"got {array.shape}")
         values[key] = array if shape else array.item()
+    # every fitness is a mean of returns in [0, top], and so is the best score
+    if not 0 <= values["best_score"] <= top:
+        raise ValueError(f"checkpoint 'best_score' {values['best_score']!r} lies outside "
+                         f"[0, {top}], the returns of {config.env}")
     # training counts every generation's whole population into its row, and
     # no data set has a sum of squares below sum^2 / count
     for count, total, total_sq in data["window"]:
         if type(count) is not int or count != config.evo.population:
             raise ValueError(f"checkpoint 'window' counts must each be the population "
                              f"{config.evo.population}, got {count!r}")
+        if not (0 <= total <= count * top and 0 <= total_sq <= count * top * top):
+            raise ValueError(f"checkpoint 'window' row ({count}, {total!r}, {total_sq!r}) "
+                             f"has sums no {count} returns in [0, {top}] have")
         if count * total_sq < (1.0 - WINDOW_ROUNDING) * total * total:
             raise ValueError(f"checkpoint 'window' row ({count}, {total!r}, {total_sq!r}) "
                              f"has a sum of squares no {count} values have")

@@ -3,7 +3,8 @@
 An env is the whole task: the paper pairs each with one agent, so an env
 knows its genome length and builds its policy over a (P, genome_length)
 genome array, act = env.policy(genomes), both from `agents` (its only
-qevo import).  Both environments then play many episodes in lockstep:
+qevo import).  Every episode returns a score in [0, env.max_return].
+Both environments then play many episodes in lockstep:
 
     returns = env.rollouts(act, agents, streams, repeats)
 
@@ -65,6 +66,7 @@ class CartPoleEnv:
     MAX_STEPS = 500
     START_LIMIT = 0.05
     genome_length = CARTPOLE_GENOME_LENGTH
+    max_return = MAX_STEPS  # a reward of 1 per step
 
     def policy(self, genomes: np.ndarray):
         """act(agents, states) of the 2-qubit VQC over (P, 26) genomes."""
@@ -171,6 +173,8 @@ class GridModel:
 
 class MiniGridEnv:
     """An n x n empty room, played by the TN-VQC with MPS bond dimension bond_dim."""
+
+    max_return = 1.0  # reaching the goal pays 1 - 0.9 * steps / max_steps
 
     def __init__(self, grid_size: int, bond_dim: int = 4):
         self.grid_size = grid_size

@@ -116,14 +116,13 @@ class GenerationStats:
 class GenerationSnapshot:
     """Everything needed to checkpoint and later resume after `generation`.
 
-    A checkpoint file holds exactly these fields, plus the run config.
+    A checkpoint file holds exactly these fields, plus its format and the
+    run config.
     """
 
     generation: int
     parents: np.ndarray
-    parent_fitness: np.ndarray
     elite: np.ndarray
-    elite_score: float
     window: tuple[tuple[int, float, float], ...]
     best_genome: np.ndarray
     best_score: float
@@ -467,10 +466,11 @@ def _evolve(config: EvoConfig,
         config, [(rows[:n], TAG_EVAL, start, slots[:n], config.repeats_all)])), start)
     for generation in generations:
         order = rank_indices(fitness)
-        parent_fitness = fitness[order[:t]]
         # the gather copies before the write, so the elite in row N-1 may move
         buffer[n - 1:] = population[order[:t]]
         parents = buffer[n - 1:]
+        if not np.all(np.isfinite(parents)):  # the elite and best genome are parents too
+            raise ValueError(f"non-finite genome among the parents of generation {generation}")
         last = generation + 1 == config.generations
         parts = [(rows[n - 1:], TAG_ELITE, generation, range(t), config.repeats_parents)]
         if not last:  # the children; spawn's elite row is the first parent's own
@@ -503,8 +503,7 @@ def _evolve(config: EvoConfig,
 
         if on_generation is not None:
             on_generation(stats, GenerationSnapshot(
-                generation, parents.copy(), parent_fitness, elite, elite_score,
-                tuple(window), best_genome, best_score))
+                generation, parents.copy(), elite, tuple(window), best_genome, best_score))
         if not last:
             population[n - 1] = elite
             fitness = _finite(np.append(scores[:n - 1], scores[n - 1 + elite_index]),

@@ -890,7 +890,6 @@ def evolve(config: EvoConfig, fitness: Callable[[np.ndarray, list[int], int], fl
         fitness_ = scores(population, generation, TAG_EVAL, config.repeats_all)
         order = rank_indices(fitness_)
         parents = population[order[:config.truncation]]
-        parent_fitness = fitness_[order[:config.truncation]]
         elite_scores = scores(parents, generation, TAG_ELITE, config.repeats_parents)
         elite_index = int(np.argmax(elite_scores))
         elite = parents[elite_index].copy()
@@ -915,7 +914,6 @@ def evolve(config: EvoConfig, fitness: Callable[[np.ndarray, list[int], int], fl
             best_score = elite_score
         if on_generation is not None:
             on_generation(stats, GenerationSnapshot(
-                generation, parents, parent_fitness, elite, elite_score,
-                tuple(window), best_genome, best_score))
+                generation, parents, elite, tuple(window), best_genome, best_score))
         population = spawn_children(parents, elite, config, generation)
     return history

@@ -26,7 +26,7 @@ import reference as ref
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 DATA_DIR = Path(__file__).resolve().parent / "data"
-ARRAY_KEYS = ("parents", "parent_fitness", "elite", "best_genome")
+ARRAY_KEYS = ("parents", "elite", "best_genome")
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -65,6 +65,22 @@ def test_train_writes_stats_checkpoints_and_best_genome(tmp_path, capsys):
     assert best["env"] == "cartpole"
     assert len(best["genome"]) == 26
     assert "finished generation 4" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_train_stops_before_writing_a_non_finite_genome(tmp_path, capsys):
+    # init_scale 1e308 overflows most entries to +-inf, whose policies still
+    # score finitely; the run used to write them to best_genome.json and the
+    # checkpoints, which eval and resume reject (NumPy's overflow warnings
+    # are ignored here, as a run without -W error only prints them)
+    config = write_config(tmp_path / "cfg.json", checkpoint_every=1,
+                          evo={"init_scale": 1e308})
+    assert cli.main(["train", "--config", str(config)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: non-finite genome among the parents of generation 0"]
+    assert sorted(path.name for path in (tmp_path / "run").iterdir()) == ["stats.csv"]
+    assert read_stats(tmp_path / "run") == [",".join(cli.STATS_COLUMNS)]
 
 
 def test_stats_rows_use_full_precision_floats(tmp_path):
@@ -394,27 +410,33 @@ def both_forms(cases: list[tuple], ids: list[str]) -> list:
             for case, case_id in zip(cases, ids)]
 
 
-def put_nan(value):
-    if isinstance(value, float):
-        return float("nan")
-    if isinstance(value[0], list):
-        value[0][-1] = float("nan")
-    else:
-        value[-1] = float("nan")
-    return value
+def put(bad):
+    """A corruption that sets a scalar, or the last entry of an array's first
+    row, to `bad`."""
+    def corrupt(value):
+        if isinstance(value, float):
+            return bad
+        if isinstance(value[0], list):
+            value[0][-1] = bad
+        else:
+            value[-1] = bad
+        return value
+
+    return corrupt
 
 
-NON_FINITE_KEYS = ["parents", "elite", "best_genome", "best_score",
-                   "parent_fitness", "elite_score", "window"]
+NON_FINITE_KEYS = ["parents", "elite", "best_genome", "best_score", "window"]
+NON_FINITE_CASES = ([(key, math.nan) for key in NON_FINITE_KEYS]
+                    + [("parents", -math.inf), ("best_score", math.inf)])
 
 
-@pytest.mark.parametrize("form,key", both_forms([(key,) for key in NON_FINITE_KEYS],
-                                                NON_FINITE_KEYS))
-def test_resume_rejects_non_finite_checkpoint(tmp_path, capsys, form, key):
+@pytest.mark.parametrize("form,key,bad", both_forms(
+    NON_FINITE_CASES, NON_FINITE_KEYS + ["parents-inf", "best_score-inf"]))
+def test_resume_rejects_non_finite_checkpoint(tmp_path, capsys, form, key, bad):
     config = write_config(tmp_path / "cfg.json", evo={"generations": 4})
     assert cli.main(["train", "--config", str(config)]) == 0
     checkpoint = tmp_path / "run" / "checkpoint_1.json"
-    rewrite_checkpoint(checkpoint, form, key, put_nan)
+    rewrite_checkpoint(checkpoint, form, key, put(bad))
     before = (tmp_path / "run" / "stats.csv").read_bytes()
     capsys.readouterr()
     assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
@@ -426,14 +448,14 @@ def test_resume_rejects_non_finite_checkpoint(tmp_path, capsys, form, key):
 @pytest.mark.parametrize("form,key,corrupt", both_forms([
     ("parents", lambda rows: [row[:-1] for row in rows]),
     ("parents", lambda rows: rows[:-1]),
-    ("parent_fitness", lambda values: values[:-1]),
+    ("best_score", lambda value: [value]),
     ("elite", lambda values: values[:-1]),
     ("best_genome", lambda values: values[:3]),
     ("window", lambda rows: [row[:-1] for row in rows]),
     ("window", lambda rows: rows[:-1]),
     ("generation", lambda value: 1.5),
     ("generation", lambda value: -1),
-], ["parents-width", "parents-count", "parent_fitness", "elite",
+], ["parents-width", "parents-count", "best_score-list", "elite",
     "best_genome", "window-width", "window-rows", "generation-float",
     "generation-negative"]))
 def test_rejected_resume_leaves_stats_unchanged(tmp_path, capsys, form, key, corrupt):
@@ -455,7 +477,7 @@ def test_rejected_resume_leaves_stats_unchanged(tmp_path, capsys, form, key, cor
     ("best_genome", lambda array: {**array, "shape": [-26]}),
     ("best_genome", lambda array: {**array, "shape": [26.0]}),
     ("best_genome", lambda array: {**array, "shape": [True]}),
-    ("parent_fitness", lambda array: {"shape": array["shape"]}),
+    ("elite", lambda array: {"shape": array["shape"]}),
     ("window", lambda rows: encode(rows)),
 ], ids=["not-base64", "truncated", "shape-negative", "shape-float", "shape-bool",
         "no-float64le", "window-encoded"])
@@ -538,18 +560,52 @@ def test_resume_accepts_the_window_of_a_generation_of_equal_fitness(tmp_path, ca
     assert len(read_stats(tmp_path / "run")) == 4
 
 
+@pytest.mark.parametrize("env,key,corrupt", [
+    # these two used to resume into rolling_std_100 = inf and a best genome
+    # frozen by a score no episode reaches
+    ("cartpole", "window", lambda rows: [[*row[:2], 1e308] for row in rows]),
+    ("cartpole", "best_score", lambda value: 1e9),
+    ("cartpole", "best_score", lambda value: -1.0),
+    ("cartpole", "window", lambda rows: [[6, 3000.5, 3000.5 ** 2 / 6], *rows[1:]]),
+    ("cartpole", "window", lambda rows: [[6, 3000.0, 1.5e6 * (1 + 1e-15)], *rows[1:]]),
+    ("cartpole", "window", lambda rows: [[6, -1e-300, 0.0], *rows[1:]]),
+    ("minigrid-5", "best_score", lambda value: 1.0000000000000002),
+    ("minigrid-5", "window", lambda rows: [[6, 6.5, 6.5 ** 2 / 6], *rows[1:]]),
+], ids=["squares-1e308", "best_score-1e9", "best_score-negative", "sum-above-max",
+        "squares-above-max", "sum-negative", "minigrid-best_score-above-1",
+        "minigrid-sum-above-max"])
+def test_resume_rejects_returns_no_episode_has(tmp_path, capsys, env, key, corrupt):
+    # cart-pole returns lie in [0, 500] and minigrid's in [0, 1]; a window
+    # row of 6 values has sums in [0, 6 R] and [0, 6 R^2]
+    config = write_config(tmp_path / "cfg.json", env=env, mps_bond_dim=1,
+                          evo={"generations": 3})
+    assert cli.main(["train", "--config", str(config)]) == 0
+    checkpoint = tmp_path / "run" / "checkpoint_1.json"
+    data = json.loads(checkpoint.read_text())
+    data[key] = corrupt(data[key])
+    checkpoint.write_text(json.dumps(data))
+    before = run_dir_bytes(tmp_path / "run")
+    capsys.readouterr()
+    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and repr(key) in lines[0]
+    assert run_dir_bytes(tmp_path / "run") == before
+
+
 NOT_A_NUMBER = "holds a value that is not a JSON number"
 
 
 @pytest.mark.parametrize("form,key,corrupt,message", [
     ("encoded", "format", lambda value: 3, "unsupported checkpoint format: 3"),
+    # true == 1 in Python, so it used to pass as format 1
+    ("encoded", "format", lambda value: True, "unsupported checkpoint format: True"),
     # ragged rows have no encoded form, so this case is a format-1 file only
     ("list", "parents", lambda rows: [rows[0][:-1], *rows[1:]],
      "'parents' is not a regular array of numbers"),
     # NumPy reads "1e9" and true as numbers: a best score of 1e9 no episode
     # reaches would freeze the run's best genome
     ("encoded", "best_score", lambda value: "1e9", f"'best_score' {NOT_A_NUMBER}"),
-    ("encoded", "elite_score", lambda value: True, f"'elite_score' {NOT_A_NUMBER}"),
+    ("encoded", "best_score", lambda value: True, f"'best_score' {NOT_A_NUMBER}"),
     ("list", "parents", lambda rows: [[str(v) for v in rows[0]], *rows[1:]],
      f"'parents' {NOT_A_NUMBER}"),
     ("list", "best_genome", lambda values: [True, *values[1:]],
@@ -560,7 +616,7 @@ NOT_A_NUMBER = "holds a value that is not a JSON number"
      "unknown environment 'pong'"),
     ("encoded", "window", lambda rows: [[rows[0][0], True, rows[0][2]], *rows[1:]],
      f"'window' {NOT_A_NUMBER}"),
-], ids=["format-3", "parents-ragged-format1", "best_score-string", "elite_score-bool",
+], ids=["format-3", "format-bool", "parents-ragged-format1", "best_score-string", "best_score-bool",
         "parents-strings-format1", "best_genome-bool-format1", "out_dir-int", "env-unknown",
         "window-bool"])
 def test_resume_rejects_an_unreadable_checkpoint(tmp_path, capsys, form, key, corrupt,
@@ -616,6 +672,34 @@ def test_format1_checkpoint_resumes_to_uninterrupted_stats(tmp_path):
     (out_dir / "stats.csv").write_bytes(b"".join(reference.splitlines(keepends=True)[:3]))
     assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 0
     assert (out_dir / "stats.csv").read_bytes() == reference
+
+
+def test_checkpoint_holds_only_what_a_resume_reads(tmp_path):
+    config = write_config(tmp_path / "cfg.json")
+    assert cli.main(["train", "--config", str(config)]) == 0
+    data = json.loads((tmp_path / "run" / "checkpoint_1.json").read_text())
+    assert set(data) == {"format", "run_config", "generation", "parents", "elite",
+                         "window", "best_genome", "best_score"}
+
+
+def test_format2_checkpoint_with_older_keys_resumes_to_uninterrupted_stats(tmp_path):
+    # checkpoints used to hold the parents' fitness and the elite's score
+    # too; no resume read them, and the loader now ignores them
+    config = write_config(tmp_path / "cfg.json")
+    assert cli.main(["train", "--config", str(config), "--out-dir",
+                     str(tmp_path / "full")]) == 0
+    reference = run_dir_bytes(tmp_path / "full")
+    assert cli.main(["train", "--config", str(config)]) == 0
+    checkpoint = tmp_path / "run" / "checkpoint_1.json"
+    data = json.loads(checkpoint.read_text())
+    elite_score = float(read_stats(tmp_path / "run")[2].split(",")[4])
+    data.update(parent_fitness=encode([elite_score, 0.5 * elite_score]),
+                elite_score=elite_score)
+    checkpoint.write_text(json.dumps(data))
+    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 0
+    resumed = run_dir_bytes(tmp_path / "run")
+    for name in ("stats.csv", "best_genome.json"):
+        assert resumed[name] == reference[name]
 
 
 @pytest.mark.parametrize("every,expected", [(2, [1, 3, 4]), (1, [0, 1, 2, 3, 4]),

@@ -281,6 +281,20 @@ def test_non_finite_fitness_is_rejected(bad):
         evo._evolve(tiny_config(), fitness, 5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parent_stops_the_run_before_its_snapshot(bad):
+    # a genome whose policy still scores finitely would reach the checkpoint
+    # and best_genome.json, which resume and eval then reject
+    def fitness(genomes, rows, entropies, repeats):
+        genomes[rows[0], 1] = bad  # the lowest row ranks first
+        return -np.asarray(rows, dtype=np.float64)
+
+    snaps = []
+    with pytest.raises(ValueError, match="non-finite genome among the parents of generation 0"):
+        evo._evolve(tiny_config(), fitness, 5, on_generation=lambda s, snap: snaps.append(snap))
+    assert snaps == []
+
+
 def test_non_finite_config_is_rejected():
     for field in ("mutation_power", "init_scale"):
         with pytest.raises(ValueError, match="finite"):
@@ -355,8 +369,7 @@ def plan_fitness(fitness):
 
 
 def snapshot_bytes(snap):
-    return (snap.generation, snap.parents.tobytes(), snap.parent_fitness.tobytes(),
-            snap.elite.tobytes(), repr(snap.elite_score), repr(snap.window),
+    return (snap.generation, snap.parents.tobytes(), snap.elite.tobytes(), repr(snap.window),
             snap.best_genome.tobytes(), repr(snap.best_score))
 
 
@@ -642,8 +655,7 @@ def test_resume_shape_mismatch_rejected():
     config = tiny_config()
     # parents and elite of length 4 re-spawn a population of the wrong width
     resume = evo.GenerationSnapshot(
-        generation=0, parents=np.zeros((3, 4)), parent_fitness=np.zeros(3),
-        elite=np.zeros(4), elite_score=0.0, window=((8, 0.0, 0.0),),
+        generation=0, parents=np.zeros((3, 4)), elite=np.zeros(4), window=((8, 0.0, 0.0),),
         best_genome=np.zeros(4), best_score=0.0)
     # the config runs from scratch, so only the resume may raise
     assert len(evo._evolve(config, sphere_fitness, 5)) == config.generations

@@ -91,8 +91,8 @@ def _cartpole_actions(forms: np.ndarray, threshold: np.ndarray,
                       agents: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Push right where a . F . a > b0 - b1 for each row's unit amplitudes a."""
     norm = np.sqrt(np.vecdot(obs, obs))
-    zero = norm == 0.0
-    if zero.any():  # no direction: encode the uniform state
+    if np.count_nonzero(norm) < len(norm):  # no direction: encode the uniform state
+        zero = norm == 0.0
         obs = np.where(zero[:, None], 0.5, obs)
         norm[zero] = 1.0
     amps = obs / norm[:, None]

@@ -355,9 +355,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"genome file's 'bond_dim' must be an int >= 1, got {bond_dim!r}")
     env = envs.make(env_name, bond_dim)
     genome = _finite_array(payload["genome"], "genome")
-    if genome.shape != (env.genome_length,):
-        raise ValueError(f"genome length {genome.size} does not match {env_name} "
-                         f"(expected {env.genome_length})")
+    if genome.shape != (env.genome_length,):  # an encoded genome may have any shape
+        raise ValueError(f"genome shape {genome.shape} does not match {env_name} "
+                         f"(expected ({env.genome_length},))")
 
     # one agent, its episodes all drawn from the stream SeedSequence([seed])
     scores = evo.episode_returns(genome[None], env, [0], [[args.seed]],

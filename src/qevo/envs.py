@@ -67,6 +67,13 @@ class CartPoleEnv:
     START_LIMIT = 0.05
     genome_length = CARTPOLE_GENOME_LENGTH
     max_return = MAX_STEPS  # a reward of 1 per step
+    # the step's operands as float64 arrays: a force per action (push left,
+    # push right) and 0-d constants of the same values as the floats above,
+    # which a ufunc takes without converting a Python float on every call
+    _FORCES = np.array([-FORCE_MAG, FORCE_MAG])
+    _CONSTANTS = tuple(map(np.array, (
+        GRAVITY, POLE_MASS, HALF_POLE_LENGTH, CART_MASS + POLE_MASS,
+        POLE_MASS * HALF_POLE_LENGTH, 4.0 / 3.0, TAU, X_LIMIT, THETA_LIMIT)))
 
     def policy(self, genomes: np.ndarray):
         """act(agents, states) of the 2-qubit VQC over (P, 26) genomes."""
@@ -74,26 +81,29 @@ class CartPoleEnv:
 
     def step_batch(self, states: np.ndarray,
                    actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step of every row of a (n, 4) state array.
+        """One step of every row of a (n, 4) state array by actions 0 or 1.
 
         Returns the next states and where they leave the position or angle
         bounds; the step cap is the caller's to count.  np.cos/np.sin give
         the same bits as math's (a test keeps this so).
         """
+        (gravity, pole_mass, half_length, total_mass, pole_mass_length, four_thirds,
+         tau, x_limit, theta_limit) = self._CONSTANTS
         x, x_dot, theta, theta_dot = states.T
-        force = np.where(actions == 1, self.FORCE_MAG, -self.FORCE_MAG)
+        force = self._FORCES[actions]
         cos_t, sin_t = np.cos(theta), np.sin(theta)
-        total_mass = self.CART_MASS + self.POLE_MASS
-        pole_mass_length = self.POLE_MASS * self.HALF_POLE_LENGTH
         temp = (force + pole_mass_length * theta_dot ** 2 * sin_t) / total_mass
-        theta_acc = (self.GRAVITY * sin_t - cos_t * temp) / (
-            self.HALF_POLE_LENGTH * (4.0 / 3.0 - self.POLE_MASS * cos_t ** 2 / total_mass))
+        theta_acc = (gravity * sin_t - cos_t * temp) / (
+            half_length * (four_thirds - pole_mass * cos_t ** 2 / total_mass))
         x_acc = temp - pole_mass_length * theta_acc * cos_t / total_mass
         # semi-implicit Euler: positions advance with the old velocities
-        x, theta = x + self.TAU * x_dot, theta + self.TAU * theta_dot
-        x_dot, theta_dot = x_dot + self.TAU * x_acc, theta_dot + self.TAU * theta_acc
-        failed = (np.abs(x) > self.X_LIMIT) | (np.abs(theta) > self.THETA_LIMIT)
-        return np.stack([x, x_dot, theta, theta_dot], axis=1), failed
+        out = np.empty_like(states)
+        next_x, next_x_dot, next_theta, next_theta_dot = out.T
+        np.add(x, tau * x_dot, out=next_x)
+        np.add(theta, tau * theta_dot, out=next_theta)
+        np.add(x_dot, tau * x_acc, out=next_x_dot)
+        np.add(theta_dot, tau * theta_acc, out=next_theta_dot)
+        return out, (np.abs(next_x) > x_limit) | (np.abs(next_theta) > theta_limit)
 
     def rollouts(self, act, agents: np.ndarray, streams,
                  repeats: np.ndarray) -> np.ndarray:
@@ -103,21 +113,24 @@ class CartPoleEnv:
         to `streams` draws 4 * repeats[i] values from row i's stream, the
         same values as one (repeats[i], 4) draw or one 4-value draw per
         episode.  The reward is 1.0 per step, so an episode's return is its
-        length.
+        length.  The cap ends every episode still live after step
+        MAX_STEPS - 1 at MAX_STEPS, whatever its last action, so that step
+        is not taken.
         """
         states = streams.uniform(-self.START_LIMIT, self.START_LIMIT,
                                  4 * repeats).reshape(-1, 4)
         lengths = np.zeros(len(states))
         agent = np.repeat(agents, repeats)
         episode = np.arange(len(states))
-        for step in range(1, self.MAX_STEPS + 1):
+        for step in range(1, self.MAX_STEPS):
             if not episode.size:
                 break
             states, failed = self.step_batch(states, act(agent, states))
-            done = failed | (step == self.MAX_STEPS)
-            if done.any():
-                lengths[episode[done]] = step
-                states, agent, episode = states[~done], agent[~done], episode[~done]
+            if np.count_nonzero(failed):
+                lengths[episode[failed]] = step
+                going = ~failed
+                states, agent, episode = states[going], agent[going], episode[going]
+        lengths[episode] = self.MAX_STEPS
         return lengths
 
 

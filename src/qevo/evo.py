@@ -290,14 +290,20 @@ def init_population(config: EvoConfig, genome_length: int,
     """N genomes, entries Normal(0, 1) * init_scale, one stream per agent.
 
     Written into `out`, a (population, genome_length) float64 array, which
-    is returned.
+    is returned.  An entry that overflows stops the run here, before any
+    genome is scored.
     """
     _check_population(out, (config.population, genome_length))
     for i, row in enumerate(out):
         np.random.default_rng(
             np.random.SeedSequence([config.master_seed, TAG_INIT, 0, i])
         ).standard_normal(out=row)
-    out *= config.init_scale
+    try:
+        with np.errstate(over="raise"):
+            out *= config.init_scale
+    except FloatingPointError:
+        raise ValueError(f"init_scale {config.init_scale!r} overflows the initial "
+                         "population") from None
     return out
 
 
@@ -344,7 +350,8 @@ def spawn_children(parents: np.ndarray, elite: np.ndarray, config: EvoConfig,
     `elite` (its last row may be `elite` itself), and which is returned.
     The noise is drawn straight into the children's rows and scaled there,
     and the picked parents are added a block of about SPAWN_BLOCK_ENTRIES
-    entries at a time, so no population-sized temporary exists.
+    entries at a time, so no population-sized temporary exists.  A child
+    entry that overflows stops the run here, before any child is scored.
     """
     _check_population(out, (config.population, parents.shape[1]))
     rng = np.random.default_rng(
@@ -352,10 +359,15 @@ def spawn_children(parents: np.ndarray, elite: np.ndarray, config: EvoConfig,
     children = out[:-1]
     picks = rng.integers(0, len(parents), size=len(children))
     rng.standard_normal(out=children)
-    children *= config.mutation_power
     rows = max(1, SPAWN_BLOCK_ENTRIES // parents.shape[1])
-    for start in range(0, len(children), rows):
-        children[start:start + rows] += parents[picks[start:start + rows]]
+    try:
+        with np.errstate(over="raise"):
+            children *= config.mutation_power
+            for start in range(0, len(children), rows):
+                children[start:start + rows] += parents[picks[start:start + rows]]
+    except FloatingPointError:
+        raise ValueError(f"the children of generation {generation} overflow at "
+                         f"mutation_power {config.mutation_power!r}") from None
     out[-1] = elite
     return out
 

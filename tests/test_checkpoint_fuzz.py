@@ -1,11 +1,14 @@
-"""The resume boundary under one-field changes to a valid checkpoint.
+"""The resume and eval boundaries under one-field changes to valid files.
 
-A checkpoint of generation 1 of each desk config is written once per
-module.  Each example changes one of its values and resumes it for one
-generation.  The resume must either fail with one `error:` line and leave
-every file of the run directory as it was, or succeed and leave a
-`stats.csv` that a real run could write, a best score an episode could
-reach and a checkpoint that itself loads.
+A checkpoint of generation 1 and a `best_genome.json` of each desk config
+are written once per module.  Each checkpoint example changes one of its
+values and resumes it for one generation.  The resume must either fail
+with one `error:` line and leave every file of the run directory as it
+was, or succeed and leave a `stats.csv` that a real run could write, a
+best score an episode could reach and a checkpoint that itself loads.
+Each genome example changes one field of the genome file and evaluates
+it: `qevo eval` must either fail with one `error:` line, or print scores
+that an episode could reach.
 """
 
 import base64
@@ -17,6 +20,7 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,3 +140,53 @@ def test_changed_checkpoint_is_rejected_untouched_or_resumes_plausibly(runs, nam
             assert 0 <= json.loads((out_dir / "best_genome.json").read_text())["score"] <= top
             if (out_dir / "checkpoint_2.json").exists():  # absent if nothing was left to run
                 cli._load_checkpoint(out_dir / "checkpoint_2.json")
+
+
+def changed_genome_file(payload: dict, draw) -> dict:
+    """`payload` with one field changed, removed, or its genome changed in
+    one entry, in length, in type or into an encoded array."""
+    payload = dict(payload)
+    key = draw(st.sampled_from(sorted(payload)), label="key")
+    if draw(st.integers(0, 9), label="remove") == 0:
+        del payload[key]
+        return payload
+    if key == "bond_dim" and draw(st.booleans()):
+        payload[key] = draw(st.sampled_from([0, -1, True, False]))
+        return payload
+    if key != "genome":
+        payload[key] = changed(payload[key], draw)
+        return payload
+    genome = list(payload["genome"])
+    kind = draw(st.sampled_from(["entry", "list", "encoded"]), label="kind")
+    if kind == "entry":
+        index = draw(st.integers(0, len(genome) - 1), label="index")
+        genome[index] = changed(genome[index], draw)
+        payload["genome"] = genome
+    elif kind == "encoded":  # an encoded array, the checkpoints' form, maybe changed
+        encoded = cli._encode_array(np.array(genome))
+        payload["genome"] = changed(encoded, draw) if draw(st.booleans()) else encoded
+    else:  # an entry fewer or more, or a value of another type
+        payload["genome"] = changed(genome, draw)
+    return payload
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(CONFIGS), data=st.data())
+def test_changed_genome_file_is_rejected_or_scores_plausibly(runs, name, data):
+    payload = json.loads((runs[name] / "best_genome.json").read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "best_genome.json"
+        path.write_text(json.dumps(changed_genome_file(payload, data.draw)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            status = cli.main(["eval", "--genome", str(path), "--episodes", "2"])
+    if status == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert out.getvalue() == ""
+    else:
+        assert status == 0 and err.getvalue() == ""
+        result = json.loads(out.getvalue())
+        top = envs.make(result["env"]).max_return
+        assert len(result["scores"]) == 2
+        assert all(0 <= score <= top for score in result["scores"]), result

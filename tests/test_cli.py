@@ -67,20 +67,21 @@ def test_train_writes_stats_checkpoints_and_best_genome(tmp_path, capsys):
     assert "finished generation 4" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_train_stops_before_writing_a_non_finite_genome(tmp_path, capsys):
-    # init_scale 1e308 overflows most entries to +-inf, whose policies still
+    # a scale of 1e308 overflows most entries to +-inf, whose policies still
     # score finitely; the run used to write them to best_genome.json and the
-    # checkpoints, which eval and resume reject (NumPy's overflow warnings
-    # are ignored here, as a run without -W error only prints them)
-    config = write_config(tmp_path / "cfg.json", checkpoint_every=1,
-                          evo={"init_scale": 1e308})
-    assert cli.main(["train", "--config", str(config)]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert lines == ["error: non-finite genome among the parents of generation 0"]
-    assert sorted(path.name for path in (tmp_path / "run").iterdir()) == ["stats.csv"]
-    assert read_stats(tmp_path / "run") == [",".join(cli.STATS_COLUMNS)]
+    # checkpoints, which eval and resume reject.  It now stops where the
+    # overflow happens, before a genome is scored and with no NumPy warning
+    # (a warning is an error here)
+    for key, message in [
+            ("init_scale", "init_scale 1e+308 overflows the initial population"),
+            ("mutation_power", "the children of generation 0 overflow at mutation_power 1e+308")]:
+        (tmp_path / key).mkdir()
+        config = write_config(tmp_path / key / "cfg.json", checkpoint_every=1, evo={key: 1e308})
+        assert cli.main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert sorted(path.name for path in (tmp_path / key / "run").iterdir()) == ["stats.csv"]
+        assert read_stats(tmp_path / key / "run") == [",".join(cli.STATS_COLUMNS)]
 
 
 def test_stats_rows_use_full_precision_floats(tmp_path):
@@ -868,6 +869,15 @@ def test_eval_architecture_mismatch_fails(tmp_path, capsys):
     assert cli.main(["eval", "--genome", str(genome_file),
                      "--env", "minigrid-5"]) == 1
     assert "does not match" in capsys.readouterr().err
+
+
+def test_eval_names_the_shape_of_an_encoded_genome(tmp_path, capsys):
+    # an encoded array may hold the right entry count in the wrong shape
+    genome_file = tmp_path / "g.json"
+    genome_file.write_text(json.dumps({"env": "cartpole", "genome": encode([[0.0]] * 26)}))
+    assert cli.main(["eval", "--genome", str(genome_file)]) == 1
+    assert capsys.readouterr().err == \
+        "error: genome shape (26, 1) does not match cartpole (expected (26,))\n"
 
 
 def test_usage_text_lists_the_flags_of_each_subcommand():

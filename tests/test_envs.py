@@ -382,6 +382,48 @@ def test_cartpole_rollouts_start_where_resets_do(repeats):
         assert not seen  # no episode, no policy call
 
 
+class FixedStarts:
+    """A `streams` stand-in whose draw is the given start states, row by row."""
+
+    def __init__(self, starts):
+        self.starts = np.asarray(starts, dtype=float)
+
+    def uniform(self, low, high, counts):
+        assert counts.tolist() == [4] * len(self.starts)
+        return self.starts.ravel().copy()
+
+
+def test_cartpole_rollouts_skip_the_cap_step():
+    # two step-1 failures (position, angle), three rows that fall on one
+    # step, and two balancer survivors; the cap ends a survivor at step 500
+    # whatever its 500th action, so `act` is asked for 499 steps only
+    policies = [lambda obs: 0, scripted_balancer]
+    limit = math.radians(15.0)
+    starts = [[2.39, 1.0, 0.0, 0.0], [0.0, 0.0, limit - 0.01, 1.0],
+              [0.01, 0.0, 0.02, 0.0], [0.01, 0.0, 0.02, 0.0], [0.01, 0.0, 0.02, 0.0],
+              [0.03, -0.02, 0.01, 0.04], [-0.04, 0.01, -0.03, 0.02]]
+    rows = np.array([0, 0, 0, 0, 0, 1, 1])
+    calls = []
+
+    def act(agents, obs):
+        calls.append(len(obs))
+        return np.array([policies[a](o) for a, o in zip(agents, obs)])
+
+    lengths = envs.CartPoleEnv().rollouts(act, rows, FixedStarts(starts), np.ones(len(rows), int))
+    expected = []
+    for agent, start in zip(rows, starts):
+        env = ref.CartPoleEnv()
+        env._state, env._done, env.steps = np.array(start), False, 0
+        while not env.step(policies[agent](env._state)).done:
+            pass
+        expected.append(env.steps)
+    assert lengths.tolist() == expected
+    assert expected[:2] == [1, 1] and expected[5:] == [500, 500]
+    assert 1 < expected[2] == expected[3] == expected[4] < 500
+    assert len(calls) == envs.CartPoleEnv.MAX_STEPS - 1 == 499
+    assert calls[0] == len(rows) and calls[1] == len(rows) - 2 and calls[-1] == 2
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 12])
 def test_grid_model_matches_step(n):
     # n = 4 is the smallest room with an inner cell off the goal; at n = 12

@@ -36,6 +36,11 @@ obs), the action of each row's agent: `cartpole_policy` on state rows,
 and `tnvqc_policy`, which builds the cell tables for one grid model, on
 that model's state ids.  The envs take each task's policy and genome length
 from here, their only qevo import; nothing here names an env.
+
+Both policies act on every finite genome with no floating-point warning:
+angles are reduced by their period, a threshold b0 - b1 may overflow to
++-inf, and MPS products may overflow to inf, which the feature clip
+saturates, or to NaN, and argmax then picks the first NaN logit.
 """
 
 from __future__ import annotations
@@ -64,6 +69,8 @@ def tnvqc_genome_length(bond_dim: int) -> int:
 
 def _rot(alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """(..., 2, 2) Rot(a, b, g) = Rz(g) Ry(b) Rz(a), multiplied out."""
+    # 4 pi is every entry's period; fmod is exact and leaves (-4 pi, 4 pi) as is
+    alpha, beta, gamma = (np.fmod(angle, 4.0 * np.pi) for angle in (alpha, beta, gamma))
     c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
     plus, minus = np.exp(-0.5j * (alpha + gamma)), np.exp(0.5j * (alpha - gamma))
     return np.stack([c * plus, -s * minus, s * minus.conj(), c * plus.conj()],
@@ -102,7 +109,9 @@ def _cartpole_actions(forms: np.ndarray, threshold: np.ndarray,
 
 def cartpole_policy(genomes: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """act(agents, obs) for (P, 26) genomes."""
-    return partial(_cartpole_actions, cartpole_forms(genomes), genomes[:, 24] - genomes[:, 25])
+    with np.errstate(over="ignore"):  # an infinite threshold decides every row alike
+        threshold = genomes[:, 24] - genomes[:, 25]
+    return partial(_cartpole_actions, cartpole_forms(genomes), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +164,8 @@ def _tnvqc_logits(features: np.ndarray, axes: np.ndarray) -> np.ndarray:
 
 def _tnvqc_actions(axes: np.ndarray, tables: mps.CellTables,
                    agents: np.ndarray, states: np.ndarray) -> np.ndarray:
-    features = mps.contract_states(tables, agents, states)
+    with np.errstate(over="ignore", invalid="ignore"):  # see the module docstring
+        features = mps.contract_states(tables, agents, states)
     return np.argmax(_tnvqc_logits(features, axes[agents]), axis=1)
 
 
@@ -163,6 +173,7 @@ def tnvqc_policy(genomes: np.ndarray, bond_dim: int,
                  model) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """act(agents, states) for (P, L) genomes on a grid model's state ids."""
     circuit = genomes[:, :TNVQC_CIRCUIT_PARAMS].reshape(-1, TNVQC_QUBITS, 3)
-    tables = mps.cell_tables(genomes[:, TNVQC_CIRCUIT_PARAMS:], bond_dim, TNVQC_QUBITS,
-                             model.alphabet, model.words)
+    with np.errstate(over="ignore", invalid="ignore"):  # see the module docstring
+        tables = mps.cell_tables(genomes[:, TNVQC_CIRCUIT_PARAMS:], bond_dim, TNVQC_QUBITS,
+                                 model.alphabet, model.words)
     return partial(_tnvqc_actions, _measured_axes(circuit), tables)

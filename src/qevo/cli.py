@@ -283,10 +283,8 @@ def _train_loop(config: RunConfig, resume: evo.GenerationSnapshot | None) -> int
     out_dir = Path(config.out_dir)
     stats_path = out_dir / "stats.csv"
     head = ",".join(STATS_COLUMNS) + "\n"
-    if resume is None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        stats_path.write_text(head)
-    elif resume.generation + 1 < config.evo.generations:
+    first = 0 if resume is None else resume.generation + 1
+    if resume is not None and first < config.evo.generations:
         # the rows are checked before anything is scored, but those after the
         # checkpoint are cut only once a new row replaces them, so a resume
         # with nothing left to run writes nothing
@@ -295,7 +293,8 @@ def _train_loop(config: RunConfig, resume: evo.GenerationSnapshot | None) -> int
 
     def on_generation(stats: evo.GenerationStats, snapshot: evo.GenerationSnapshot) -> None:
         generation = snapshot.generation
-        if resume is not None and generation == resume.generation + 1:
+        if generation == first:  # a run stopped before its first row leaves no directory
+            out_dir.mkdir(parents=True, exist_ok=True)
             stats_path.write_text(head)
         with open(stats_path, "a") as stats_file:
             stats_file.write(_stats_row(stats))
@@ -310,6 +309,9 @@ def _train_loop(config: RunConfig, resume: evo.GenerationSnapshot | None) -> int
 
     if not evo.run(config.evo, env, workers=config.workers,
                    on_generation=on_generation, resume=resume):
+        if resume is None:  # a fresh run of no generations leaves a header-only file
+            out_dir.mkdir(parents=True, exist_ok=True)
+            stats_path.write_text(head)
         after = "" if resume is None else f" after generation {resume.generation}"
         print(f"no generations to run{after}; outputs in {out_dir}")
     return 0

@@ -45,6 +45,11 @@ plan is split into one contiguous slice of rows per worker, a task names
 its slice, and no genome crosses a pipe.  The pool stack
 (concurrent.futures, multiprocessing) is imported only when a pool is
 built, so a one-worker run never loads it.
+
+Numbers are checked where they are made, so the loop re-checks none: every
+genome a run holds is finite (`init_population` and `spawn_children` stop
+a run that overflows, and cli checks the files a run resumes from), and an
+env scores any finite genome with a finite return (see agents).
 """
 
 from __future__ import annotations
@@ -409,14 +414,6 @@ def _eval_task(task) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # main loop
 
-def _finite(fitness: np.ndarray, generation: int) -> np.ndarray:
-    """Ranking would sort NaN silently and checkpoints would hold it."""
-    fitness = np.asarray(fitness, dtype=np.float64)
-    if not np.all(np.isfinite(fitness)):
-        raise ValueError(f"non-finite fitness in generation {generation}")
-    return fitness
-
-
 def _plan(config: EvoConfig, parts) -> tuple[np.ndarray, list[list[int]], np.ndarray]:
     """The (rows, entropies, repeats) of a batch of parts (rows, tag,
     generation, slots, repeats): part row i plays genome row rows[i] from
@@ -438,7 +435,7 @@ def _evolve(config: EvoConfig,
             on_generation: Callable[[GenerationStats, GenerationSnapshot], None] | None = None,
             resume: GenerationSnapshot | None = None,
             buffer: np.ndarray | None = None) -> list[GenerationStats]:
-    """The loop; fitness_of(buffer, rows, entropies, repeats) scores a plan.
+    """The loop; fitness_of(buffer, rows, entropies, repeats) returns a plan's finite fitness.
 
     `resume`, the snapshot of generation g, re-spawns generation g + 1 if
     that generation is to run; a fresh run draws its population even when
@@ -474,22 +471,20 @@ def _evolve(config: EvoConfig,
                        out=population)
     rows = np.arange(n - 1 + t)
     slots = np.minimum(rows, n - 1)  # each row's population slot; a parent's is N-1
-    fitness = _finite(fitness_of(buffer, *_plan(
-        config, [(rows[:n], TAG_EVAL, start, slots[:n], config.repeats_all)])), start)
+    fitness = fitness_of(buffer, *_plan(
+        config, [(rows[:n], TAG_EVAL, start, slots[:n], config.repeats_all)]))
     for generation in generations:
         order = rank_indices(fitness)
         # the gather copies before the write, so the elite in row N-1 may move
         buffer[n - 1:] = population[order[:t]]
         parents = buffer[n - 1:]
-        if not np.all(np.isfinite(parents)):  # the elite and best genome are parents too
-            raise ValueError(f"non-finite genome among the parents of generation {generation}")
         last = generation + 1 == config.generations
         parts = [(rows[n - 1:], TAG_ELITE, generation, range(t), config.repeats_parents)]
         if not last:  # the children; spawn's elite row is the first parent's own
             spawn_children(parents, parents[0], config, generation, out=population)
             parts.insert(0, (rows, TAG_EVAL, generation + 1, slots, config.repeats_all))
         scores = fitness_of(buffer, *_plan(config, parts))
-        elite_scores = _finite(scores[-t:], generation)
+        elite_scores = scores[-t:]
         elite_index = int(np.argmax(elite_scores))  # first max: ties break low
         elite = parents[elite_index].copy()
         elite_score = float(elite_scores[elite_index])
@@ -518,8 +513,7 @@ def _evolve(config: EvoConfig,
                 generation, parents.copy(), elite, tuple(window), best_genome, best_score))
         if not last:
             population[n - 1] = elite
-            fitness = _finite(np.append(scores[:n - 1], scores[n - 1 + elite_index]),
-                              generation + 1)
+            fitness = np.append(scores[:n - 1], scores[n - 1 + elite_index])
     return history
 
 

@@ -24,8 +24,7 @@ import numpy as np
 
 from qevo import envs
 from qevo.evo import (ROLLING_WINDOW, TAG_ELITE, TAG_EVAL, TAG_INIT, TAG_MUTATE, EvoConfig,
-                      GenerationSnapshot, GenerationStats, _finite, _window_stats,
-                      rank_indices)
+                      GenerationSnapshot, GenerationStats, _window_stats, rank_indices)
 from qevo.agents import (CARTPOLE_BLOCKS, CARTPOLE_GENOME_LENGTH, CARTPOLE_QUBITS,
                          TNVQC_CIRCUIT_PARAMS, TNVQC_MEASURED, TNVQC_QUBITS, TNVQC_SITES)
 from qevo.envs import N_ACTIONS
@@ -869,8 +868,8 @@ def evolve(config: EvoConfig, fitness: Callable[[np.ndarray, list[int], int], fl
     population after `on_generation`, even after the last generation.
     """
     def scores(genomes, generation, tag, repeats):
-        return _finite([fitness(genome, [config.master_seed, tag, generation, i], repeats)
-                        for i, genome in enumerate(genomes)], generation)
+        return np.array([fitness(genome, [config.master_seed, tag, generation, i], repeats)
+                         for i, genome in enumerate(genomes)])
 
     if resume is None:
         population = init_population(config, genome_length)

@@ -267,3 +267,62 @@ def test_logits_expectations_bounded():
     logits = agent.feature_logits(rng.standard_normal(8))
     assert np.all(np.abs(logits) <= 1.0 + 1e-12)
 
+
+
+# ---------------------------------------------------------------------------
+# both policies act on every finite genome, with no floating-point warning
+
+HUGE = (1e308, -1e308, 1e150, -1e150, 1e10)
+
+
+def huge_genomes(value: float, length: int) -> np.ndarray:
+    """Rows of `value` everywhere, with alternating signs (so sums and
+    differences of entries overflow), and in every third entry of a
+    standard-normal row."""
+    rng = np.random.default_rng(22)
+    mixed = rng.standard_normal(length)
+    mixed[::3] = value
+    return np.stack([np.full(length, value), value * (-1.0) ** np.arange(length), mixed])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", HUGE)
+def test_cartpole_policy_acts_on_huge_genomes(value):
+    genomes = huge_genomes(value, agents.CARTPOLE_GENOME_LENGTH)
+    obs = np.random.default_rng(23).standard_normal((20, 4))
+    obs[0] = 0.0
+    act = agents.cartpole_policy(genomes)
+    actions = act(np.repeat(np.arange(len(genomes)), len(obs)), np.tile(obs, (3, 1)))
+    assert actions.dtype == np.intp and set(actions.tolist()) <= {0, 1}
+    if abs(value) > 1e300:  # the alternating row's b0 - b1 overflows to +-inf
+        assert set(actions[len(obs):2 * len(obs)].tolist()) == {0 if value > 0 else 1}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", HUGE)
+def test_tnvqc_policy_acts_on_huge_genomes(value):
+    env = envs.MiniGridEnv(5, bond_dim=2)
+    genomes = huge_genomes(value, env.genome_length)
+    states = np.arange(len(env.model.words))
+    actions = env.policy(genomes)(np.repeat(np.arange(len(genomes)), len(states)),
+                                  np.tile(states, len(genomes)))
+    assert set(actions.tolist()) <= set(range(agents.TNVQC_MEASURED))
+
+
+def unreduced_rot(alpha, beta, gamma):
+    """`agents._rot` without its reduction of the angles."""
+    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
+    plus, minus = np.exp(-0.5j * (alpha + gamma)), np.exp(0.5j * (alpha - gamma))
+    return np.stack([c * plus, -s * minus, s * minus.conj(), c * plus.conj()],
+                    axis=-1).reshape(c.shape + (2, 2))
+
+
+PERIOD_ANGLES = st.floats(-4 * math.pi, 4 * math.pi, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(angles=st.lists(st.tuples(PERIOD_ANGLES, PERIOD_ANGLES, PERIOD_ANGLES),
+                       min_size=1, max_size=8))
+def test_rot_leaves_angles_within_its_period_unchanged(angles):
+    alpha, beta, gamma = np.array(angles).T
+    assert agents._rot(alpha, beta, gamma).tobytes() == unreduced_rot(alpha, beta, gamma).tobytes()

@@ -1,4 +1,4 @@
-"""The resume and eval boundaries under one-field changes to valid files.
+"""The train, resume and eval boundaries under one-field changes to valid files.
 
 A checkpoint of generation 1 and a `best_genome.json` of each desk config
 are written once per module.  Each checkpoint example changes one of its
@@ -8,7 +8,11 @@ was, or succeed and leave a `stats.csv` that a real run could write, a
 best score an episode could reach and a checkpoint that itself loads.
 Each genome example changes one field of the genome file and evaluates
 it: `qevo eval` must either fail with one `error:` line, or print scores
-that an episode could reach.
+that an episode could reach.  Each config example changes one field of a
+desk config, drops or adds a key, or swaps a section for another JSON
+value, then trains for 2 generations: `qevo train` must either fail with
+one `error:` line and no run directory, or write 2 rows that a real run
+could write and a checkpoint that loads.
 """
 
 import base64
@@ -190,3 +194,82 @@ def test_changed_genome_file_is_rejected_or_scores_plausibly(runs, name, data):
         top = envs.make(result["env"]).max_return
         assert len(result["scores"]) == 2
         assert all(0 <= score <= top for score in result["scores"]), result
+
+
+# config fields whose values size a run: an example gives them only invalid
+# values or valid ones up to the desk config's, and at most 2 workers
+SIZE_FIELDS = ("population", "truncation", "generations", "repeats_all",
+               "repeats_parents", "mps_bond_dim", "workers")
+SPECIAL_NUMBERS = SPECIAL_FLOATS + (0, -1)
+
+
+def changed_config_value(name: str, value, draw):
+    """A config field's `value` changed to another type, a bool, a special
+    number or another value of its type."""
+    other = st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(value)])
+    special = st.sampled_from(SPECIAL_NUMBERS)
+    if name in SIZE_FIELDS:
+        top = 2 if name == "workers" else value
+        return draw(st.one_of(other, st.booleans(), special, st.integers(1, top)))
+    if type(value) is int:  # master_seed, checkpoint_every
+        return draw(st.one_of(other, st.booleans(), special, st.integers(0, 2 ** 64)))
+    if type(value) is float:  # mutation_power, init_scale
+        return draw(st.one_of(other, special, st.floats(),
+                              st.floats(0.5, 2.0).map(lambda factor: value * factor)))
+    if name == "env":
+        return draw(st.one_of(other, st.sampled_from([*envs.ENV_NAMES, "pong"])))
+    return draw(other)  # out_dir only changes type, so that no run writes elsewhere
+
+
+def changed_config(config: dict, draw):
+    """`config` with one value changed, one key dropped or added, or the
+    evo section or the whole config replaced by a value of another type."""
+    config = {**config, "evo": dict(config["evo"])}
+    kind = draw(st.sampled_from(["value", "value", "value", "drop", "add", "section"]),
+                label="kind")
+    if kind == "section":
+        other = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not dict]))
+        if draw(st.booleans(), label="whole config"):
+            return other
+        config["evo"] = other
+    elif kind == "add":
+        section = config if draw(st.booleans(), label="top level") else config["evo"]
+        section[draw(st.sampled_from(["extra", "seed", "Population"]), label="key")] = 1
+    else:  # out_dir is never dropped, since its default is relative to the working directory
+        keys = [("config", key) for key in sorted(set(config) - {"evo", "out_dir"})]
+        where, key = draw(st.sampled_from(keys + [("evo", key) for key in sorted(config["evo"])]),
+                          label="key")
+        section = config if where == "config" else config["evo"]
+        if kind == "drop":
+            del section[key]
+        else:
+            section[key] = changed_config_value(key, section[key], draw)
+    return config
+
+
+@pytest.mark.filterwarnings("error")  # so that a policy's float warning fails the run
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(CONFIGS), data=st.data())
+def test_changed_config_is_rejected_without_a_run_or_trains_plausibly(name, data):
+    config = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "run"
+        config["out_dir"] = str(out_dir)
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(changed_config(config, data.draw)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            status = cli.main(["train", "--config", str(path), "--generations", "2"])
+        if status == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            # a float warning raised as an error is no boundary's message
+            assert "encountered in" not in lines[0], lines
+            assert not out_dir.exists() and out.getvalue() == ""
+        else:
+            assert status == 0 and err.getvalue() == ""
+            run_config, snapshot = cli._load_checkpoint(out_dir / "checkpoint_1.json")
+            top = envs.make(run_config.env, run_config.mps_bond_dim).max_return
+            stats = (out_dir / "stats.csv").read_text()
+            assert len(stats.splitlines()) == 3 and rows_a_run_could_write(stats, top)
+            assert 0 <= snapshot.best_score <= top

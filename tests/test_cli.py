@@ -71,8 +71,8 @@ def test_train_stops_before_writing_a_non_finite_genome(tmp_path, capsys):
     # a scale of 1e308 overflows most entries to +-inf, whose policies still
     # score finitely; the run used to write them to best_genome.json and the
     # checkpoints, which eval and resume reject.  It now stops where the
-    # overflow happens, before a genome is scored and with no NumPy warning
-    # (a warning is an error here)
+    # overflow happens, before a genome is scored, before its run directory
+    # is made and with no NumPy warning (a warning is an error here)
     for key, message in [
             ("init_scale", "init_scale 1e+308 overflows the initial population"),
             ("mutation_power", "the children of generation 0 overflow at mutation_power 1e+308")]:
@@ -80,8 +80,7 @@ def test_train_stops_before_writing_a_non_finite_genome(tmp_path, capsys):
         config = write_config(tmp_path / key / "cfg.json", checkpoint_every=1, evo={key: 1e308})
         assert cli.main(["train", "--config", str(config)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-        assert sorted(path.name for path in (tmp_path / key / "run").iterdir()) == ["stats.csv"]
-        assert read_stats(tmp_path / key / "run") == [",".join(cli.STATS_COLUMNS)]
+        assert not (tmp_path / key / "run").exists()
 
 
 def test_stats_rows_use_full_precision_floats(tmp_path):
@@ -363,6 +362,33 @@ def test_eval_rejects_non_finite_genome(tmp_path, capsys, bad):
     captured = capsys.readouterr()
     assert "error:" in captured.err and "non-finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_plays_a_genome_of_huge_angles(capsys):
+    # alpha + gamma of two angles of 1e308 overflows unless they are reduced
+    # by their period first
+    assert cli.main(["eval", "--genome", str(DATA_DIR / "cartpole_huge_angles.json"),
+                     "--episodes", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert all(0 <= score <= envs.CartPoleEnv.max_return
+               for score in json.loads(captured.out)["scores"])
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_on_huge_mps_entries_runs_without_warning_on_any_worker_count(tmp_path, capsys):
+    # entries of about 1e10 overflow the cell tables' products to inf and NaN
+    config = write_config(tmp_path / "cfg.json", env="minigrid-5",
+                          evo={"init_scale": 1e10, "generations": 2})
+    stats = []
+    for workers in ("1", "2"):
+        out_dir = tmp_path / f"workers{workers}"
+        assert cli.main(["train", "--config", str(config), "--workers", workers,
+                         "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().err == ""
+        stats.append((out_dir / "stats.csv").read_bytes())
+    assert stats[0] == stats[1] and len(stats[0].splitlines()) == 3
 
 
 @pytest.mark.parametrize("genome", [["0.5"] * 26, [0.0] * 25 + [True], "0.0"],

@@ -151,11 +151,11 @@ class Streams:
     entropy (a list of ints >= 0) per row, drawn from for all rows at once.
 
     No Generator is built: each row's SeedSequence pool and PCG64 state are
-    derived in uint32 and uint64 arrays, and its k-th state is reached by
-    one jump (M^k s + (M^(k-1) + ... + 1) inc), so the values are NumPy's,
-    byte for byte.  The entries at one position must split into the same
-    number of 32-bit words on every row, as a plan's do (its only entry
-    that can reach 2^32 is the master seed, the same on every row).
+    derived in uint32 and uint64 arrays, and its k-th state is one jump
+    (M^k s + (M^(k-1) + ... + 1) inc) from a table built by doubling, so the
+    values are NumPy's, byte for byte.  The entries at one position must
+    split into the same number of 32-bit words on every row, as a plan's do
+    (its only entry that can reach 2^32 is the master seed, on every row).
     """
 
     def __init__(self, entropies: Sequence[Sequence[int]]):
@@ -169,7 +169,7 @@ class Streams:
         initstate, seq = _seed_state(_entropy_words(self.entropies))
         inc = seq[0] << 1 | seq[1] >> 63, seq[1] << 1 | 1
         state = _add128(_mul128(_add128(inc, initstate), _PCG_MULT), inc)
-        jump, shift = _pcg_jumps(1 << (int(counts.max()) - 1).bit_length())
+        jump, shift = _pcg_jumps(int(counts.max()))
         row = np.repeat(np.arange(len(counts)), counts)
         step = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
         upper, lower = _add128(_mul128(_take(jump, step), _take(state, row)),
@@ -271,20 +271,20 @@ def _mul128(a, b):
 
 
 @lru_cache(maxsize=8)
-def _pcg_jumps(steps: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(M^k, M^(k-1) + ... + 1) mod 2^128 for k = 1..steps, each as a
-    read-only (high, low) pair of uint64 arrays."""
-    mult, mask = _PCG_MULT[0] << 64 | _PCG_MULT[1], (1 << 128) - 1
-    terms = [(1, 0)]
-    for _ in range(steps):
-        jump, shift = terms[-1]
-        terms.append((jump * mult & mask, (shift * mult + 1) & mask))
-    pairs = tuple((np.array([value >> 64 for value in column], dtype=np.uint64),
-                   np.array([value & (1 << 64) - 1 for value in column], dtype=np.uint64))
-                  for column in zip(*terms[1:]))
-    for half in pairs[0] + pairs[1]:
-        half.flags.writeable = False
-    return pairs
+def _pcg_jumps(steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M^k, c_k = M^(k-1) + ... + 1) mod 2^128 for k = 1..steps, as two
+    read-only (2, steps) uint64 arrays of (high, low) halves, built by
+    doubling (Brown, "Random Number Generation with Arbitrary Strides"):
+    with K entries known, entry K + j is (M^K M^j, M^K c_j + c_K)."""
+    jump = np.array(_PCG_MULT, dtype=np.uint64)[:, None]
+    shift = np.array([[0], [1]], dtype=np.uint64)
+    while jump.shape[1] < steps:
+        head, top = slice(steps - jump.shape[1]), jump[:, -1:]
+        jump, shift = (np.hstack([jump, _mul128(top, jump[:, head])]),
+                       np.hstack([shift, _add128(_mul128(top, shift[:, head]), shift[:, -1:])]))
+    jump, shift = jump[:, :steps], shift[:, :steps]
+    jump.flags.writeable = shift.flags.writeable = False
+    return jump, shift
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,20 @@ def test_cartpole_eval_scores_match_play_episode(tmp_path, capsys, seed, episode
     assert (result["episodes"], result["scores"]) == (episodes, scores)
 
 
+def test_cartpole_eval_plays_a_long_stream_in_order(tmp_path, capsys):
+    # a long eval reads the same stream as a short one, so its first scores
+    # are the short eval's
+    genome = np.random.default_rng(8).standard_normal(26) * 0.3
+    genome_file = tmp_path / "g.json"
+    genome_file.write_text(json.dumps({"env": "cartpole", "genome": genome.tolist()}))
+    scores = []
+    for episodes in ("16384", "4"):
+        assert cli.main(["eval", "--genome", str(genome_file), "--episodes", episodes,
+                         "--seed", "6"]) == 0
+        scores.append(json.loads(capsys.readouterr().out)["scores"])
+    assert len(scores[0]) == 16384 and scores[0][:4] == scores[1]
+
+
 def test_eval_reads_an_encoded_genome(tmp_path, capsys):
     genome = np.random.default_rng(8).standard_normal(26) * 0.3
     outputs = []

@@ -73,6 +73,21 @@ def test_long_streams_cross_every_jump_table_size():
     assert drawn.tobytes() == ref.stream_uniforms(entropies, 0.0, 1.0, counts).tobytes()
 
 
+def test_jump_table_is_a_prefix_of_the_lcg_stepped_one_at_a_time():
+    # sizes around the doubling rounds' ends, where the last round is cut short
+    oracle = ref.pcg_jumps(65539)
+    for steps in [*range(34), 4095, 4096, 4097, 65539]:
+        table = evo._pcg_jumps(steps)
+        for half, expected in zip(table, oracle):
+            assert half.shape == (2, steps) and not half.flags.writeable
+            assert half.tobytes() == expected[:, :steps].tobytes()
+
+
+def test_one_long_row_matches_its_generator():
+    drawn = evo.Streams([[6]]).uniform(-0.05, 0.05, [262144])
+    assert drawn.tobytes() == ref.stream_uniforms([[6]], -0.05, 0.05, [262144]).tobytes()
+
+
 @pytest.mark.parametrize("entropies", [
     [[0], [2**32]],
     [[5, 2**64 + 3], [5, 2**32]],

@@ -6,14 +6,15 @@ genome array, act = env.policy(genomes), both from `agents` (its only
 qevo import).  Every episode returns a score in [0, env.max_return].
 Both environments then play many episodes in lockstep:
 
-    returns = env.rollouts(act, agents, streams, repeats)
+    returns = env.rollouts(act, agents, draw, repeats)
 
 Row i of a batch is played by agent agents[i] for repeats[i] episodes; an
-agent may play several rows.  `streams` holds one random stream per row
-(an `evo.Streams` of seed entropies), which an env with a random start
-draws from for all rows in one call, `streams.uniform(low, high, counts)`,
-and the others leave alone.  Episode j of row i starts from that row's
-j-th draw; the flat result holds each episode's undiscounted sum of
+agent may play several rows.  `draw(low, high, counts)` returns, row after
+row, the first counts[i] uniforms in [low, high) of row i's random stream
+(training passes `evo.stream_uniforms` bound to the plan's seed
+entropies); an env with a random start calls it once for all rows, and
+the others never call it.  Episode j of row i starts from that row's j-th
+draw; the flat result holds each episode's undiscounted sum of
 rewards, row by row, each row's episodes in order.  act(agents, obs) maps
 agent indices, one observation each, to actions: a cart-pole state row,
 or a grid state's id (a grid policy reads every state's word once, when it
@@ -105,20 +106,19 @@ class CartPoleEnv:
         np.add(theta_dot, tau * theta_acc, out=next_theta_dot)
         return out, (np.abs(next_x) > x_limit) | (np.abs(next_theta) > theta_limit)
 
-    def rollouts(self, act, agents: np.ndarray, streams,
+    def rollouts(self, act, agents: np.ndarray, draw,
                  repeats: np.ndarray) -> np.ndarray:
         """Every row's episodes, stepped in lockstep.
 
         Every start state component is uniform in [-0.05, 0.05]: one call
-        to `streams` draws 4 * repeats[i] values from row i's stream, the
+        of `draw` takes 4 * repeats[i] values from row i's stream, the
         same values as one (repeats[i], 4) draw or one 4-value draw per
         episode.  The reward is 1.0 per step, so an episode's return is its
         length.  The cap ends every episode still live after step
         MAX_STEPS - 1 at MAX_STEPS, whatever its last action, so that step
         is not taken.
         """
-        states = streams.uniform(-self.START_LIMIT, self.START_LIMIT,
-                                 4 * repeats).reshape(-1, 4)
+        states = draw(-self.START_LIMIT, self.START_LIMIT, 4 * repeats).reshape(-1, 4)
         lengths = np.zeros(len(states))
         agent = np.repeat(agents, repeats)
         episode = np.arange(len(states))
@@ -246,7 +246,7 @@ class MiniGridEnv:
         with cell tables for the words of this grid's `model`."""
         return tnvqc_policy(genomes, self.bond_dim, self.model)
 
-    def rollouts(self, act, agents: np.ndarray, streams,
+    def rollouts(self, act, agents: np.ndarray, draw,
                  repeats: np.ndarray) -> np.ndarray:
         """Every row's episodes, walked in lockstep over `model`.
 
@@ -255,7 +255,7 @@ class MiniGridEnv:
         walks it once, and each step asks `act` for every live row's
         action.  A walk ends at the goal or at its first revisit: a revisit
         without the goal means the walk cycles until the step cap, so it
-        returns 0.  Nothing is drawn from `streams`.
+        returns 0.  `draw` is never called.
         """
         model = self.model
         visited = np.zeros((len(agents), len(model.goal)), dtype=bool)

@@ -18,16 +18,17 @@ and generation g's mutation from [master_seed, TAG_MUTATE, g].  So results
 are byte-identical for any worker count and any evaluation order, and a
 checkpoint holding only the ranked parents and the elite reconstructs the
 next population exactly by re-running the mutation stream.  The episode
-start streams of a plan's rows are `Streams`: their uniforms are derived
-for the whole plan at once, in arrays, and equal the ones a
-np.random.default_rng per row would draw.
+start streams of a plan's rows are drawn by `stream_uniforms`: their
+uniforms are derived for the whole plan at once, in arrays, and equal the
+ones a np.random.default_rng per row would draw.
 
 A run takes one env, which is the whole task: its `genome_length`, its
-`policy(genomes)` and its lockstep `rollouts(act, ...)`.  A batch is a
-plan of rows, each naming a genome row, a stream entropy and a repeat
-count; `batch_fitness` scores every row of a plan at once
+`policy(genomes)` and its lockstep `rollouts(act, agents, draw, repeats)`.
+A batch is a plan of rows, each naming a genome row, a stream entropy and
+a repeat count; `batch_fitness` scores every row of a plan at once
 (`episode_returns`: the env's act over the plan's genomes driving its
-rollouts).  Steps 3 and 1 of consecutive generations share a
+rollouts, whose draw(low, high, counts) is stream_uniforms on the plan's
+entropies).  Steps 3 and 1 of consecutive generations share a
 batch: generation g + 1's children do not depend on g's elite, so they
 are spawned before it is known and scored beside g's elite trial, along
 with every parent once more on the stream of slot N-1, which the elite
@@ -37,9 +38,10 @@ population is spawned after the last generation.
 
 A run spawns every generation in place into one (population - 1 +
 truncation, genome_length) buffer, so no second population is ever
-allocated: the children sit in rows 0..N-2, the parents right after them,
-and once the elite is known it is copied into row N-1, so the population
-is rows 0..N-1.  With a process pool the buffer is shared memory which
+allocated: `spawn_children` writes the children into rows 0..N-2, the
+parents sit right after them, and once the elite is known the loop copies
+it into row N-1 (a resume copies its snapshot's elite there), so the
+population is rows 0..N-1.  With a process pool the buffer is shared memory which
 every worker maps once, when it also receives its copy of the env; each
 plan is split into one contiguous slice of rows per worker, a task names
 its slice, and no genome crosses a pipe.  The pool stack
@@ -57,7 +59,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -146,9 +148,12 @@ _PCG_MULT = (0x2360ed051fc65da4, 0x4385df649fccf645)  # (high, low) 64-bit halve
 _MASK32 = 0xFFFFFFFF
 
 
-class Streams:
-    """The streams default_rng(SeedSequence(entropy)) of a plan's rows, one
-    entropy (a list of ints >= 0) per row, drawn from for all rows at once.
+def stream_uniforms(entropies: Sequence[Sequence[int]], low: float, high: float,
+                    counts: Sequence[int]) -> np.ndarray:
+    """Row by row, the first counts[i] values of
+    default_rng(SeedSequence(entropies[i])).uniform(low, high, counts[i]),
+    concatenated: one entropy (a list of ints >= 0) per row, all rows drawn
+    at once.
 
     No Generator is built: each row's SeedSequence pool and PCG64 state are
     derived in uint32 and uint64 arrays, and its k-th state is one jump
@@ -157,27 +162,20 @@ class Streams:
     split into the same number of 32-bit words on every row, as a plan's do
     (its only entry that can reach 2^32 is the master seed, on every row).
     """
-
-    def __init__(self, entropies: Sequence[Sequence[int]]):
-        self.entropies = entropies
-
-    def uniform(self, low: float, high: float, counts: Sequence[int]) -> np.ndarray:
-        """Row by row, the first counts[i] values of row i's
-        Generator.uniform(low, high, counts[i]), concatenated."""
-        counts = np.asarray(counts, dtype=np.intp)
-        total = int(counts.sum())
-        initstate, seq = _seed_state(_entropy_words(self.entropies))
-        inc = seq[0] << 1 | seq[1] >> 63, seq[1] << 1 | 1
-        state = _add128(_mul128(_add128(inc, initstate), _PCG_MULT), inc)
-        jump, shift = _pcg_jumps(int(counts.max()))
-        row = np.repeat(np.arange(len(counts)), counts)
-        step = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        upper, lower = _add128(_mul128(_take(jump, step), _take(state, row)),
-                               _mul128(_take(shift, step), _take(inc, row)))
-        # PCG64's XSL-RR output, then Generator.uniform's 53-bit double
-        mixed, turn = upper ^ lower, upper >> 58
-        out = mixed >> turn | mixed << (-turn & 63)
-        return low + (high - low) * ((out >> 11) * (1.0 / 9007199254740992.0))
+    counts = np.asarray(counts, dtype=np.intp)
+    total = int(counts.sum())
+    initstate, seq = _seed_state(_entropy_words(entropies))
+    inc = seq[0] << 1 | seq[1] >> 63, seq[1] << 1 | 1
+    state = _add128(_mul128(_add128(inc, initstate), _PCG_MULT), inc)
+    jump, shift = _pcg_jumps(int(counts.max()))
+    row = np.repeat(np.arange(len(counts)), counts)
+    step = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    upper, lower = _add128(_mul128(_take(jump, step), _take(state, row)),
+                           _mul128(_take(shift, step), _take(inc, row)))
+    # PCG64's XSL-RR output, then Generator.uniform's 53-bit double
+    mixed, turn = upper ^ lower, upper >> 58
+    out = mixed >> turn | mixed << (-turn & 63)
+    return low + (high - low) * ((out >> 11) * (1.0 / 9007199254740992.0))
 
 
 def _entropy_words(entropies: Sequence[Sequence[int]]) -> np.ndarray:
@@ -290,15 +288,14 @@ def _pcg_jumps(steps: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # primitive operations
 
-def init_population(config: EvoConfig, genome_length: int,
-                    out: np.ndarray) -> np.ndarray:
+def init_population(config: EvoConfig, out: np.ndarray) -> np.ndarray:
     """N genomes, entries Normal(0, 1) * init_scale, one stream per agent.
 
     Written into `out`, a (population, genome_length) float64 array, which
     is returned.  An entry that overflows stops the run here, before any
     genome is scored.
     """
-    _check_population(out, (config.population, genome_length))
+    _check_population(out, (config.population, out.shape[-1]))
     for i, row in enumerate(out):
         np.random.default_rng(
             np.random.SeedSequence([config.master_seed, TAG_INIT, 0, i])
@@ -325,7 +322,7 @@ def episode_returns(genomes: np.ndarray, env, rows: Sequence[int],
     rows = np.asarray(rows)
     low = rows.min()
     return env.rollouts(env.policy(genomes[low:rows.max() + 1]), rows - low,
-                        Streams(entropies), np.asarray(repeats))
+                        partial(stream_uniforms, entropies), np.asarray(repeats))
 
 
 def batch_fitness(genomes: np.ndarray, env, rows: Sequence[int],
@@ -347,33 +344,31 @@ def rank_indices(fitness: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(fitness, dtype=np.float64), kind="stable")
 
 
-def spawn_children(parents: np.ndarray, elite: np.ndarray, config: EvoConfig,
-                   generation: int, out: np.ndarray) -> np.ndarray:
-    """Next population from ranked parents: N-1 mutants plus the elite last.
+def spawn_children(parents: np.ndarray, config: EvoConfig, generation: int,
+                   out: np.ndarray) -> np.ndarray:
+    """The N-1 mutants of ranked parents, the next population's rows 0..N-2.
 
-    Written into `out`, whose children's rows must not overlap `parents` or
-    `elite` (its last row may be `elite` itself), and which is returned.
-    The noise is drawn straight into the children's rows and scaled there,
-    and the picked parents are added a block of about SPAWN_BLOCK_ENTRIES
-    entries at a time, so no population-sized temporary exists.  A child
-    entry that overflows stops the run here, before any child is scored.
+    Written into `out`, a (population - 1, genome_length) array that must
+    not overlap `parents`, which is returned.  The noise is drawn straight
+    into `out` and scaled there, and the picked parents are added a block
+    of about SPAWN_BLOCK_ENTRIES entries at a time, so no population-sized
+    temporary exists.  A child entry that overflows stops the run here,
+    before any child is scored.
     """
-    _check_population(out, (config.population, parents.shape[1]))
+    _check_population(out, (config.population - 1, parents.shape[1]))
     rng = np.random.default_rng(
         np.random.SeedSequence([config.master_seed, TAG_MUTATE, generation]))
-    children = out[:-1]
-    picks = rng.integers(0, len(parents), size=len(children))
-    rng.standard_normal(out=children)
+    picks = rng.integers(0, len(parents), size=len(out))
+    rng.standard_normal(out=out)
     rows = max(1, SPAWN_BLOCK_ENTRIES // parents.shape[1])
     try:
         with np.errstate(over="raise"):
-            children *= config.mutation_power
-            for start in range(0, len(children), rows):
-                children[start:start + rows] += parents[picks[start:start + rows]]
+            out *= config.mutation_power
+            for start in range(0, len(out), rows):
+                out[start:start + rows] += parents[picks[start:start + rows]]
     except FloatingPointError:
         raise ValueError(f"the children of generation {generation} overflow at "
                          f"mutation_power {config.mutation_power!r}") from None
-    out[-1] = elite
     return out
 
 
@@ -437,9 +432,9 @@ def _evolve(config: EvoConfig,
             buffer: np.ndarray | None = None) -> list[GenerationStats]:
     """The loop; fitness_of(buffer, rows, entropies, repeats) returns a plan's finite fitness.
 
-    `resume`, the snapshot of generation g, re-spawns generation g + 1 if
-    that generation is to run; a fresh run draws its population even when
-    no generation is.  Every generation lives in one (population - 1 +
+    `resume`, the snapshot of generation g, re-spawns generation g + 1's
+    children and places its elite in row N-1 if that generation is to run;
+    a fresh run draws its population even when no generation is.  Every generation lives in one (population - 1 +
     truncation, genome_length) buffer, `buffer` if given: the population in
     rows 0..N-1, while generation g's parents are tried for the elite in
     rows N-1 on, after generation g + 1's children.  Each generation is one
@@ -454,7 +449,7 @@ def _evolve(config: EvoConfig,
     generations = _generations(config, resume)
     start = generations.start
     if resume is None:
-        init_population(config, genome_length, out=population)
+        init_population(config, out=population)
         window: deque = deque(maxlen=ROLLING_WINDOW)
         best_genome: np.ndarray | None = None
         best_score = -math.inf
@@ -467,8 +462,8 @@ def _evolve(config: EvoConfig,
     if not generations:
         return history
     if resume is not None:
-        spawn_children(resume.parents, resume.elite, config, resume.generation,
-                       out=population)
+        spawn_children(resume.parents, config, resume.generation, out=population[:-1])
+        population[-1] = resume.elite
     rows = np.arange(n - 1 + t)
     slots = np.minimum(rows, n - 1)  # each row's population slot; a parent's is N-1
     fitness = fitness_of(buffer, *_plan(
@@ -480,8 +475,8 @@ def _evolve(config: EvoConfig,
         parents = buffer[n - 1:]
         last = generation + 1 == config.generations
         parts = [(rows[n - 1:], TAG_ELITE, generation, range(t), config.repeats_parents)]
-        if not last:  # the children; spawn's elite row is the first parent's own
-            spawn_children(parents, parents[0], config, generation, out=population)
+        if not last:  # the children; the elite joins them in row N-1 below
+            spawn_children(parents, config, generation, out=population[:-1])
             parts.insert(0, (rows, TAG_EVAL, generation + 1, slots, config.repeats_all))
         scores = fitness_of(buffer, *_plan(config, parts))
         elite_scores = scores[-t:]

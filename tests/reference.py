@@ -785,7 +785,8 @@ def stream_uniforms(entropies: Sequence[Sequence[int]], low: float, high: float,
                     counts: Sequence[int]) -> np.ndarray:
     """One Generator per row, each drawing its counts[i] uniforms in turn.
 
-    The reference for `evo.Streams(entropies).uniform(low, high, counts)`.
+    The reference for `evo.stream_uniforms(entropies, low, high, counts)`,
+    which training hands the envs' `rollouts` as their `draw`.
     """
     return np.concatenate(
         [np.random.default_rng(np.random.SeedSequence(list(entropy))).uniform(low, high, count)
@@ -863,7 +864,11 @@ def init_population(config: EvoConfig, genome_length: int) -> np.ndarray:
 
 def spawn_children(parents: np.ndarray, elite: np.ndarray, config: EvoConfig,
                    generation: int) -> np.ndarray:
-    """Next population from ranked parents: N-1 mutants plus the elite last."""
+    """Next population from ranked parents: N-1 mutants plus the elite last.
+
+    The reference for `evo.spawn_children`, which writes the mutants (rows
+    0..N-2), and for the elite that `evo._evolve` then places in row N-1.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence([config.master_seed, TAG_MUTATE, generation]))
     n_children = config.population - 1

@@ -1023,7 +1023,7 @@ def test_shipped_config_starts(config_path, tmp_path, capsys, monkeypatch):
     init_population = evo.init_population
 
     def counted_init(*args, **kwargs):
-        draws.append(args[1])
+        draws.append(args)
         return init_population(*args, **kwargs)
 
     # perfbench's set-up probe times a run of 0 generations up to this draw

@@ -3,6 +3,7 @@
 import math
 import pickle
 from collections import deque
+from functools import partial
 
 import numpy as np
 import pytest
@@ -349,8 +350,8 @@ def test_cartpole_rollouts_match_episodes():
     # rows name their agent and episode count; an agent may play several rows;
     # row i's stream [s] is default_rng(s)'s
     seeds, rows, repeats = [5, 6, 7, 8, 9], [0, 1, 2, 0, 1], [2, 2, 2, 1, 3]
-    returns = env.rollouts(act, np.array(rows), evo.Streams([[s] for s in seeds]),
-                           np.array(repeats))
+    returns = env.rollouts(act, np.array(rows),
+                           partial(evo.stream_uniforms, [[s] for s in seeds]), np.array(repeats))
     expected = []
     for agent, seed, count in zip(rows, seeds, repeats):
         rng = np.random.default_rng(seed)
@@ -361,36 +362,42 @@ def test_cartpole_rollouts_match_episodes():
 
 @pytest.mark.parametrize("repeats", [0, 1, 3])
 def test_cartpole_rollouts_start_where_resets_do(repeats):
-    # one draw of 4 * repeats values per agent gives the bytes of one reset per episode
+    # one draw of 4 * repeats values per row gives the bytes of one reset per
+    # episode; `draw` is called once, for every row, the idle middle one too
     env = envs.CartPoleEnv()
     seen = []
+    draws = []
 
     def act(agents, obs):
         if not seen:
             seen.append(obs.copy())
         return np.zeros(len(obs), dtype=np.int64)
 
-    seeds = [3, 4]
-    env.rollouts(act, np.arange(len(seeds)), evo.Streams([[s] for s in seeds]),
-                 np.full(len(seeds), repeats))
+    seeds, counts = [3, 5, 4], [repeats, 0, repeats]
+
+    def draw(low, high, counts):
+        draws.append((low, high, counts.tolist()))
+        return evo.stream_uniforms([[s] for s in seeds], low, high, counts)
+
+    env.rollouts(act, np.arange(len(seeds)), draw, np.array(counts))
+    assert draws == [(-env.START_LIMIT, env.START_LIMIT, [4 * c for c in counts])]
     resets = ref.CartPoleEnv()
-    expected = [resets.reset(rng) for rng in map(np.random.default_rng, seeds)
-                for _ in range(repeats)]
+    expected = [resets.reset(rng) for rng, count in zip(map(np.random.default_rng, seeds), counts)
+                for _ in range(count)]
     if repeats:
         assert seen[0].tobytes() == np.array(expected).tobytes()
     else:
         assert not seen  # no episode, no policy call
 
 
-class FixedStarts:
-    """A `streams` stand-in whose draw is the given start states, row by row."""
+def fixed_starts(starts):
+    """A `draw` whose values are the given start states, row by row."""
+    starts = np.asarray(starts, dtype=float)
 
-    def __init__(self, starts):
-        self.starts = np.asarray(starts, dtype=float)
-
-    def uniform(self, low, high, counts):
-        assert counts.tolist() == [4] * len(self.starts)
-        return self.starts.ravel().copy()
+    def draw(low, high, counts):
+        assert counts.tolist() == [4] * len(starts)
+        return starts.ravel().copy()
+    return draw
 
 
 def test_cartpole_rollouts_skip_the_cap_step():
@@ -409,7 +416,7 @@ def test_cartpole_rollouts_skip_the_cap_step():
         calls.append(len(obs))
         return np.array([policies[a](o) for a, o in zip(agents, obs)])
 
-    lengths = envs.CartPoleEnv().rollouts(act, rows, FixedStarts(starts), np.ones(len(rows), int))
+    lengths = envs.CartPoleEnv().rollouts(act, rows, fixed_starts(starts), np.ones(len(rows), int))
     expected = []
     for agent, start in zip(rows, starts):
         env = ref.CartPoleEnv()
@@ -461,6 +468,11 @@ def test_grid_model_matches_step(n):
         assert (model.words != envs.CELL_OBJECTS.index(envs.OBJECT_UNSEEN)).all(axis=1).any()
 
 
+def no_draw(low, high, counts):
+    """A `draw` for envs that must never call it."""
+    raise AssertionError("a grid episode drew a start state")
+
+
 def test_grid_rollouts_follow_the_table_and_cut_cycles():
     env = envs.MiniGridEnv(5)
     wall = envs.CELL_OBJECTS.index(envs.OBJECT_WALL)
@@ -479,7 +491,7 @@ def test_grid_rollouts_follow_the_table_and_cut_cycles():
         return np.array(out)
 
     # agent 0 plays two rows, agent 1 one row of no episode
-    returns = env.rollouts(act, np.array([2, 0, 1, 0]), iter(()),
+    returns = env.rollouts(act, np.array([2, 0, 1, 0]), no_draw,
                            np.array([4, 1, 0, 3]))
     assert returns.tolist() == [0.0] * 4 + [0.955] + [0.955] * 3
     # one policy row per env step of each row: agent 0 walks 5 steps to the
@@ -523,7 +535,7 @@ def test_grid_rollouts_match_episodes_of_random_tables(n):
             state, steps = model.successor[state, action], steps + 1
         return steps
 
-    returns = env.rollouts(act, np.arange(len(tables)), iter(()),
+    returns = env.rollouts(act, np.arange(len(tables)), no_draw,
                            np.full(len(tables), 2)).reshape(len(tables), 2)
     assert rows.tolist() == [walk_length(a) for a in range(len(tables))]
     expected = [run_episode(env, lambda o: tables[a, index[o.tobytes()]], None)[0]

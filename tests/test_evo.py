@@ -1,5 +1,6 @@
 """Evolution-strategy tests: seeding, ranking, elitism, resume, workers."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -28,8 +29,13 @@ def sphere_fitness(genomes, rows, entropies, repeats):
 
 
 def new_population(config, genome_length):
-    """An out buffer for init_population / spawn_children; NaN until written."""
+    """An out buffer for init_population; NaN until written."""
     return np.full((config.population, genome_length), np.nan)
+
+
+def new_children(config, genome_length):
+    """An out buffer for spawn_children: a population's first N-1 rows."""
+    return new_population(config, genome_length)[:-1]
 
 
 def tiny_config(**overrides):
@@ -60,8 +66,8 @@ def test_config_validation():
 
 def test_init_population_deterministic_and_scaled():
     config = tiny_config(population=100, truncation=5, init_scale=0.02)
-    pop = evo.init_population(config, 1000, new_population(config, 1000))
-    again = evo.init_population(config, 1000, new_population(config, 1000))
+    pop = evo.init_population(config, new_population(config, 1000))
+    again = evo.init_population(config, new_population(config, 1000))
     np.testing.assert_array_equal(pop, again)
     assert pop.shape == (100, 1000)
     # 1e5 standard normal draws: sample std within 10% of init_scale
@@ -72,14 +78,14 @@ def test_init_population_deterministic_and_scaled():
 def test_init_population_rows_independent_of_population_size():
     small_config = tiny_config(population=4, truncation=1)
     large_config = tiny_config(population=8, truncation=1)
-    small = evo.init_population(small_config, 10, new_population(small_config, 10))
-    large = evo.init_population(large_config, 10, new_population(large_config, 10))
+    small = evo.init_population(small_config, new_population(small_config, 10))
+    large = evo.init_population(large_config, new_population(large_config, 10))
     np.testing.assert_array_equal(small, large[:4])
 
 
 def test_init_scale_zero_gives_zero_population():
     config = tiny_config(init_scale=0.0)
-    pop = evo.init_population(config, 5, new_population(config, 5))
+    pop = evo.init_population(config, new_population(config, 5))
     np.testing.assert_array_equal(pop, np.zeros((8, 5)))
 
 
@@ -89,16 +95,24 @@ def test_rank_indices_descending_with_stable_ties():
 
 
 def test_spawn_children_layout():
+    # spawn writes the N-1 children and nothing else: a sentinel in the
+    # row just past `out` (where the loop puts the elite) and the parents
+    # after it, the loop's layout, are left as they were
     config = tiny_config(population=6, truncation=2, mutation_power=0.1)
-    parents = np.stack([np.zeros(4), np.ones(4)])
-    elite = np.full(4, 9.0)
-    pop = evo.spawn_children(parents, elite, config, 0, new_population(config, 4))
-    assert pop.shape == (6, 4)
-    np.testing.assert_array_equal(pop[-1], elite)  # elite verbatim, last slot
-    again = evo.spawn_children(parents, elite, config, 0, new_population(config, 4))
+    n, t = config.population, config.truncation
+    buffer = np.full((n + t, 4), np.nan)
+    buffer[n - 1] = sentinel = np.array([-0.0, 9.0, np.inf, np.nan])
+    buffer[n:] = parents = np.stack([np.zeros(4), np.ones(4)])
+    pop = evo.spawn_children(buffer[n:], config, 0, out=buffer[:n - 1])
+    assert pop.shape == (5, 4) and np.shares_memory(pop, buffer)
+    assert buffer[n - 1].tobytes() == sentinel.tobytes()
+    assert buffer[n:].tobytes() == parents.tobytes()
+    again = evo.spawn_children(parents, config, 0, new_children(config, 4))
     np.testing.assert_array_equal(pop, again)
-    shifted = evo.spawn_children(parents, elite, config, 1, new_population(config, 4))
-    assert not np.array_equal(pop[:-1], shifted[:-1])
+    shifted = evo.spawn_children(parents, config, 1, new_children(config, 4))
+    assert not np.array_equal(pop, shifted)
+    with pytest.raises(ValueError, match="shape"):  # a whole population is one row too many
+        evo.spawn_children(parents, config, 0, new_population(config, 4))
 
 
 @settings(max_examples=40, deadline=None)
@@ -111,7 +125,7 @@ def test_init_population_matches_reference(population, genome_length, init_scale
     config = tiny_config(population=population, truncation=1,
                          init_scale=init_scale, master_seed=master_seed)
     out = new_population(config, genome_length)
-    pop = evo.init_population(config, genome_length, out=out)
+    pop = evo.init_population(config, out=out)
     assert pop is out
     assert pop.tobytes() == ref.init_population(config, genome_length).tobytes()
 
@@ -131,15 +145,15 @@ def test_spawn_children_matches_reference(data, population, genome_length, mutat
     rng = np.random.default_rng(generation)
     parents = rng.standard_normal((truncation, genome_length)) * parent_scale
     elite = parents[rng.integers(truncation)].copy()
-    out = new_population(config, genome_length)
+    out = new_children(config, genome_length)
     default_block, evo.SPAWN_BLOCK_ENTRIES = evo.SPAWN_BLOCK_ENTRIES, block_entries
     try:  # small blocks: the parents are added in many row blocks
-        pop = evo.spawn_children(parents, elite, config, generation, out=out)
+        pop = evo.spawn_children(parents, config, generation, out=out)
     finally:
         evo.SPAWN_BLOCK_ENTRIES = default_block
     assert pop is out
     expected = ref.spawn_children(parents, elite, config, generation)
-    assert pop.tobytes() == expected.tobytes()
+    assert pop.tobytes() == expected[:-1].tobytes()
 
 
 def test_generation_step_allocates_no_second_population(monkeypatch):
@@ -163,7 +177,7 @@ def test_generation_step_allocates_no_second_population(monkeypatch):
     spawn_children = evo.spawn_children
 
     def counted_spawn(*args, **kwargs):
-        spawns.append(args[3])
+        spawns.append(args[2])
         return spawn_children(*args, **kwargs)
 
     def row_sums(genomes, rows, entropies, repeats):  # allocates only (len,)
@@ -212,9 +226,9 @@ def test_generation_step_allocates_no_second_population(monkeypatch):
 def test_spawn_children_single_parent():
     config = tiny_config(population=3, truncation=1)
     parents = np.ones((1, 5))
-    pop = evo.spawn_children(parents, parents[0], config, 2, new_population(config, 5))
+    pop = evo.spawn_children(parents, config, 2, new_children(config, 5))
     # every child is parent + noise of the configured scale
-    deltas = pop[:-1] - 1.0
+    deltas = pop - 1.0
     assert np.all(deltas != 0.0)
     assert np.all(np.abs(deltas) < 1.0)  # 0.05 sigma: 20-sigma bound
 
@@ -280,20 +294,48 @@ def test_zero_generations_returns_empty_history():
     assert evo._evolve(config, sphere_fitness, 3) == []
 
 
-def test_elite_reappears_in_next_generation():
+def test_elite_reappears_in_next_generation(monkeypatch):
     config = evo.EvoConfig(population=10, truncation=3, mutation_power=0.1,
                            generations=5, master_seed=2, init_scale=0.3)
+    n = config.population
+    buffer = np.empty((n - 1 + config.truncation, 6))
+    ranked = []  # row N-1 of every population as it is ranked
+    rank_indices = evo.rank_indices
+
+    def recorded_rank(fitness):
+        ranked.append(buffer[n - 1].copy())
+        return rank_indices(fitness)
+
+    monkeypatch.setattr(evo, "rank_indices", recorded_rank)
     snaps = []
     evo._evolve(config, sphere_fitness, 6,
-                on_generation=lambda s, snap: snaps.append(snap))
-    for snap in snaps:
+                on_generation=lambda s, snap: snaps.append(snap), buffer=buffer)
+    assert len(ranked) == len(snaps) == config.generations
+    for snap, row in zip(snaps, ranked[1:]):
         elite_fitness = sphere(snap.elite)
         # repeats are moot for a deterministic objective, so the elite is
         # simply the top-ranked parent
         assert elite_fitness == max(sphere(p) for p in snap.parents)
-        nxt = evo.spawn_children(snap.parents, snap.elite, config,
-                                 snap.generation, new_population(config, 6))
-        np.testing.assert_array_equal(nxt[-1], snap.elite)
+        assert row.tobytes() == snap.elite.tobytes()
+
+
+def test_resume_scores_the_checkpoint_elite_in_row_n_minus_1():
+    # an elite unlike every parent, so that only the snapshot's can be there
+    config = tiny_config(generations=4)
+    n = config.population
+    snaps = []
+    evo._evolve(config, sphere_fitness, 5, on_generation=lambda s, snap: snaps.append(snap))
+    resume = dataclasses.replace(snaps[1], elite=np.array([0.25, -0.0, 1e-300, 3.0, -7.5]))
+    seen = []
+
+    def recorded_fitness(genomes, rows, entropies, repeats):
+        seen.append(genomes[:n].copy())
+        return sphere_fitness(genomes, rows, entropies, repeats)
+
+    evo._evolve(config, recorded_fitness, 5, resume=resume)
+    assert seen[0][n - 1].tobytes() == resume.elite.tobytes()
+    expected = ref.spawn_children(resume.parents, resume.elite, config, resume.generation)
+    assert seen[0].tobytes() == expected.tobytes()
 
 
 def test_rolling_window_pools_recent_generations():
@@ -458,7 +500,7 @@ def test_resume_spawns_only_a_population_it_scores(monkeypatch, workers):
     spawn_children = evo.spawn_children
 
     def counted_spawn(*args, **kwargs):
-        spawns.append(args[3])
+        spawns.append(args[2])
         return spawn_children(*args, **kwargs)
 
     monkeypatch.setattr(evo, "spawn_children", counted_spawn)

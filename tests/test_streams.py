@@ -1,6 +1,6 @@
 """A plan's episode start streams against one NumPy Generator per row.
 
-`evo.Streams` derives every row's uniforms at once, re-implementing
+`evo.stream_uniforms` derives every row's uniforms at once, re-implementing
 SeedSequence, PCG64 and Generator.uniform in arrays; `ref.stream_uniforms`
 builds default_rng(SeedSequence(entropy)) per row.  The two must agree byte
 for byte, on any NumPy the project supports.
@@ -47,7 +47,7 @@ def test_streams_match_a_generator_per_row(plan, bounds):
     entropies, counts = plan
     # -0.0 before 0.0: NumPy rejects uniform(0.0, -0.0), whose high - low is -0.0
     low, high = sorted(bounds, key=lambda bound: (bound, math.copysign(1.0, bound)))
-    drawn = evo.Streams(entropies).uniform(low, high, counts)
+    drawn = evo.stream_uniforms(entropies, low, high, counts)
     assert drawn.tobytes() == ref.stream_uniforms(entropies, low, high, counts).tobytes()
 
 
@@ -62,14 +62,14 @@ def test_streams_match_a_training_plan():
         (rows[6:], evo.TAG_ELITE, 0, range(3), 5)])
     counts = 4 * repeats
     assert entropies[6] == entropies[7] == entropies[8]
-    drawn = evo.Streams(entropies).uniform(-0.05, 0.05, counts)
+    drawn = evo.stream_uniforms(entropies, -0.05, 0.05, counts)
     assert drawn.tobytes() == ref.stream_uniforms(entropies, -0.05, 0.05, counts).tobytes()
 
 
 def test_long_streams_cross_every_jump_table_size():
     counts = [1, 2, 3, 4, 5, 8, 9, 16, 17, 33, 1000, 8000]
     entropies = [[11, i] for i in range(len(counts))]
-    drawn = evo.Streams(entropies).uniform(0.0, 1.0, counts)
+    drawn = evo.stream_uniforms(entropies, 0.0, 1.0, counts)
     assert drawn.tobytes() == ref.stream_uniforms(entropies, 0.0, 1.0, counts).tobytes()
 
 
@@ -84,7 +84,7 @@ def test_jump_table_is_a_prefix_of_the_lcg_stepped_one_at_a_time():
 
 
 def test_one_long_row_matches_its_generator():
-    drawn = evo.Streams([[6]]).uniform(-0.05, 0.05, [262144])
+    drawn = evo.stream_uniforms([[6]], -0.05, 0.05, [262144])
     assert drawn.tobytes() == ref.stream_uniforms([[6]], -0.05, 0.05, [262144]).tobytes()
 
 
@@ -97,4 +97,4 @@ def test_one_long_row_matches_its_generator():
 def test_entries_that_split_unevenly_are_rejected(entropies):
     for count in (4, 0):  # also where nothing is drawn
         with pytest.raises(ValueError):
-            evo.Streams(entropies).uniform(-0.05, 0.05, [count] * len(entropies))
+            evo.stream_uniforms(entropies, -0.05, 0.05, [count] * len(entropies))

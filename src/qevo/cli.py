@@ -262,18 +262,26 @@ def _load_checkpoint(path: str | Path) -> tuple[RunConfig, evo.GenerationSnapsho
     return config, evo.GenerationSnapshot(**values)
 
 
-def _kept_stats(path: Path, generation: int) -> str:
-    """The rows of generations 0..generation, which a resume from it keeps.
+def _kept_stats(path: Path, snapshot: evo.GenerationSnapshot) -> str:
+    """The rows of generations 0..g, which a resume from snapshot g keeps.
 
     They must be the stats file's first rows, in order, each of
-    len(STATS_COLUMNS) fields; if one is missing, a ValueError names it.
+    len(STATS_COLUMNS) fields, and row g's pop_mean must be the mean of the
+    snapshot's last window row, so that rows of another run are not kept;
+    otherwise a ValueError names the first missing row, or row g.
     """
+    generation = snapshot.generation
     rows = path.read_text().splitlines()[1:] if path.exists() else []
     for g in range(generation + 1):
         fields = rows[g].split(",") if g < len(rows) else []
         if len(fields) != len(STATS_COLUMNS) or fields[0] != str(g):
             raise ValueError(f"{path} lacks the row of generation {g}, "
                              f"which a resume from generation {generation} needs")
+    count, total, _ = snapshot.window[-1]
+    pop_mean = rows[generation].split(",")[STATS_COLUMNS.index("pop_mean")]
+    if pop_mean != repr(total / count):
+        raise ValueError(f"{path} row of generation {generation} has pop_mean {pop_mean}, "
+                         f"not the checkpoint's {total / count!r}: it is another run's")
     return "".join(row + "\n" for row in rows[:generation + 1])
 
 
@@ -288,7 +296,7 @@ def _train_loop(config: RunConfig, resume: evo.GenerationSnapshot | None) -> int
         # the rows are checked before anything is scored, but those after the
         # checkpoint are cut only once a new row replaces them, so a resume
         # with nothing left to run writes nothing
-        head += _kept_stats(stats_path, resume.generation)
+        head += _kept_stats(stats_path, resume)
     last = config.evo.generations - 1
 
     def on_generation(stats: evo.GenerationStats, snapshot: evo.GenerationSnapshot) -> None:

@@ -409,16 +409,6 @@ def _eval_task(task) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # main loop
 
-def _plan(config: EvoConfig, parts) -> tuple[np.ndarray, list[list[int]], np.ndarray]:
-    """The (rows, entropies, repeats) of a batch of parts (rows, tag,
-    generation, slots, repeats): part row i plays genome row rows[i] from
-    the stream [master_seed, tag, generation, slots[i]]."""
-    return (np.concatenate([rows for rows, *_ in parts]),
-            [[config.master_seed, tag, generation, int(slot)]
-             for _, tag, generation, slots, _ in parts for slot in slots],
-            np.concatenate([np.full(len(rows), repeats) for rows, *_, repeats in parts]))
-
-
 def _generations(config: EvoConfig, resume: GenerationSnapshot | None) -> range:
     """The generations a run scores: all, or those after a resumed snapshot's."""
     return range(0 if resume is None else resume.generation + 1, config.generations)
@@ -434,20 +424,18 @@ def _evolve(config: EvoConfig,
 
     `resume`, the snapshot of generation g, re-spawns generation g + 1's
     children and places its elite in row N-1 if that generation is to run;
-    a fresh run draws its population even when no generation is.  Every generation lives in one (population - 1 +
-    truncation, genome_length) buffer, `buffer` if given: the population in
-    rows 0..N-1, while generation g's parents are tried for the elite in
-    rows N-1 on, after generation g + 1's children.  Each generation is one
-    plan of the whole buffer: every row on the TAG_EVAL stream of its slot
-    of generation g + 1, the parents all on slot N-1's, since one of them
-    is the elite that slot takes; then generation g's elite trial.  The
-    first plan scores a population alone, the last an elite trial alone.
+    a fresh run draws its population even when no generation is.  Every
+    generation lives in one (population - 1 + truncation, genome_length)
+    buffer, `buffer` if given: the population in rows 0..N-1, while
+    generation g's parents are tried for the elite in rows N-1 on, after
+    generation g + 1's children.  Every plan is a slice of one layout (see
+    below): the first a population alone, each generation's all of it, and
+    the last an elite trial alone.
     """
     n, t = config.population, config.truncation
     buffer = np.empty((n - 1 + t, genome_length)) if buffer is None else buffer
     population = buffer[:n]
     generations = _generations(config, resume)
-    start = generations.start
     if resume is None:
         init_population(config, out=population)
         window: deque = deque(maxlen=ROLLING_WINDOW)
@@ -464,21 +452,29 @@ def _evolve(config: EvoConfig,
     if resume is not None:
         spawn_children(resume.parents, config, resume.generation, out=population[:-1])
         population[-1] = resume.elite
-    rows = np.arange(n - 1 + t)
-    slots = np.minimum(rows, n - 1)  # each row's population slot; a parent's is N-1
-    fitness = fitness_of(buffer, *_plan(
-        config, [(rows[:n], TAG_EVAL, start, slots[:n], config.repeats_all)]))
+    # generation g's plans slice one layout: rows 0..N-2+T play repeats_all episodes
+    # on g + 1's TAG_EVAL stream of their population slot (every parent on N-1's,
+    # which the elite takes), then rows N-1..N-2+T play repeats_parents episodes
+    # on g's TAG_ELITE stream of their rank: g's elite trial
+    rows = np.r_[0:n - 1 + t, n - 1:n - 1 + t]
+    streams = ([(TAG_EVAL, 1, min(row, n - 1)) for row in range(n - 1 + t)]
+               + [(TAG_ELITE, 0, rank) for rank in range(t)])
+    repeats = np.repeat([config.repeats_all, config.repeats_parents], [n - 1 + t, t])
+
+    def plan(g: int, part: slice):
+        return (rows[part], [[config.master_seed, tag, g + ahead, slot]
+                             for tag, ahead, slot in streams[part]], repeats[part])
+
+    fitness = fitness_of(buffer, *plan(generations.start - 1, slice(n)))
     for generation in generations:
         order = rank_indices(fitness)
         # the gather copies before the write, so the elite in row N-1 may move
         buffer[n - 1:] = population[order[:t]]
         parents = buffer[n - 1:]
         last = generation + 1 == config.generations
-        parts = [(rows[n - 1:], TAG_ELITE, generation, range(t), config.repeats_parents)]
         if not last:  # the children; the elite joins them in row N-1 below
             spawn_children(parents, config, generation, out=population[:-1])
-            parts.insert(0, (rows, TAG_EVAL, generation + 1, slots, config.repeats_all))
-        scores = fitness_of(buffer, *_plan(config, parts))
+        scores = fitness_of(buffer, *plan(generation, slice(n - 1 + t if last else 0, None)))
         elite_scores = scores[-t:]
         elite_index = int(np.argmax(elite_scores))  # first max: ties break low
         elite = parents[elite_index].copy()
@@ -487,10 +483,9 @@ def _evolve(config: EvoConfig,
         window.append((fitness.size, float(fitness.sum()),
                        float(np.square(fitness).sum())))
         rolling_mean, rolling_std = _window_stats(window)
-        top_k = min(5, fitness.size)
         stats = GenerationStats(
             generation=generation,
-            top5_avg=float(fitness[order[:top_k]].mean()),
+            top5_avg=float(fitness[order[:5]].mean()),
             pop_mean=float(fitness.mean()),
             pop_std=float(fitness.std()),
             elite_score=elite_score,

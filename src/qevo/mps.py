@@ -8,7 +8,7 @@ phi(v) = (1 - v, v) compresses an input vector of length n_sites into
 `out_dim` real features.
 
 Core shapes, left to right (m = bond dimension, d = 2), spelled only by
-`_core_shapes` and read everywhere else through `_views`:
+`_piece_shapes`, as five pieces, and read everywhere else through `_views`:
 
     (d, m), (m, d, m) ... (m, out_dim, m) ... (m, d, m), (m, d)
 
@@ -54,35 +54,30 @@ LOCAL_DIM = 2
 _BLOCK_ENTRIES = 1 << 17
 
 
-@lru_cache(maxsize=64)
 def param_count(n_sites: int, bond_dim: int, out_dim: int) -> int:
     """Total number of real entries across all cores."""
-    return sum(math.prod(shape) for shape in _core_shapes(n_sites, bond_dim, out_dim))
+    return sum(map(math.prod, _piece_shapes(n_sites, bond_dim, out_dim)))
 
 
-def _core_shapes(n_sites: int, bond_dim: int, out_dim: int) -> list[tuple[int, ...]]:
+def _piece_shapes(n_sites: int, bond_dim: int, out_dim: int) -> tuple[tuple[int, ...], ...]:
+    """first (d, m), left (pos - 1, m, d, m), output (m, out_dim, m), right
+    (n_sites - 1 - pos, m, d, m) and last (m, d), with pos = (n_sites + 1) // 2:
+    left and right stack the interior cores either side of the output core."""
     if n_sites < 2:
         raise ValueError("need at least 2 input sites to host an interior output core")
-    m = bond_dim
-    output_pos = (n_sites + 1) // 2
-    interior = (m, LOCAL_DIM, m)
-    return ([(LOCAL_DIM, m)] + [interior] * (output_pos - 1) + [(m, out_dim, m)]
-            + [interior] * (n_sites - 1 - output_pos) + [(m, LOCAL_DIM)])
+    m, d = bond_dim, LOCAL_DIM
+    pos = (n_sites + 1) // 2
+    return (d, m), (pos - 1, m, d, m), (m, out_dim, m), (n_sites - 1 - pos, m, d, m), (m, d)
 
 
 def _views(flat: np.ndarray, n_sites: int, bond_dim: int,
            out_dim: int) -> tuple[np.ndarray, ...]:
     """(first, left, output, right, last) views split off the last axis by
-    `_core_shapes`, so (..., size) entries give (..., *shape) views; left
-    and right stack the interior cores either side of the output core."""
-    shapes = _core_shapes(n_sites, bond_dim, out_dim)
-    pos = (n_sites + 1) // 2
-    ends = np.cumsum([math.prod(shape) for shape in shapes])
-    interior = (bond_dim, LOCAL_DIM, bond_dim)
-    grouped = (shapes[0], (pos - 1, *interior), shapes[pos],
-               (n_sites - 1 - pos, *interior), shapes[-1])
-    return tuple(part.reshape(flat.shape[:-1] + shape) for part, shape in
-                 zip(np.split(flat, ends[[0, pos - 1, pos, -2]], axis=-1), grouped))
+    `_piece_shapes`, so (..., size) entries give (..., *shape) views."""
+    shapes = _piece_shapes(n_sites, bond_dim, out_dim)
+    ends = np.cumsum([math.prod(shape) for shape in shapes[:-1]])
+    return tuple(part.reshape(flat.shape[:-1] + shape)
+                 for part, shape in zip(np.split(flat, ends, axis=-1), shapes))
 
 
 @lru_cache(maxsize=8)

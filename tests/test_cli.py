@@ -201,6 +201,26 @@ def test_resume_without_rows_up_to_checkpoint_fails(tmp_path, capsys, monkeypatc
     assert scored == []  # the rows are checked before any plan is scored
 
 
+def test_resume_rejects_the_stats_of_another_run(tmp_path, capsys):
+    # a 4-generation seed-2 run into the directory of a 2-generation seed-1
+    # run leaves seed-1's checkpoint_1.json beside seed-2's stats.csv, whose
+    # rows 0-1 a resume from it would keep under seed-1's row 2
+    config = str(CONFIG_DIR / "cartpole_desk.json")
+    out_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", config, "--generations", "2",
+                     "--out-dir", str(out_dir)]) == 0
+    assert cli.main(["train", "--config", config, "--generations", "4", "--seed", "2",
+                     "--out-dir", str(out_dir)]) == 0
+    before = run_dir_bytes(out_dir)
+    capsys.readouterr()
+    assert cli.main(["resume", "--checkpoint", str(out_dir / "checkpoint_1.json"),
+                     "--generations", "3"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "stats.csv row of generation 1 has pop_mean" in lines[0]
+    assert run_dir_bytes(out_dir) == before
+
+
 def test_resume_with_nothing_to_run_keeps_a_header_only_stats_file(tmp_path, capsys):
     config = write_config(tmp_path / "cfg.json")
     assert cli.main(["train", "--config", str(config)]) == 0

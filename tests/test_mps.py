@@ -6,7 +6,6 @@ float sweep `reference.contract_rows`, which the scalar sweep anchors.
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -134,6 +133,13 @@ def test_param_count_enumeration_m2():
     assert mps.param_count(147, 2, 8) == 4 + 145 * 8 + 32 + 4 == 1200
 
 
+def test_param_count_counts_two_boundary_cores_the_interior_and_the_output():
+    d = mps.LOCAL_DIM
+    for n_sites, m, out_dim in itertools.product(range(2, 201), range(1, 6), range(1, 9)):
+        assert mps.param_count(n_sites, m, out_dim) == (
+            2 * d * m + (n_sites - 2) * d * m * m + out_dim * m * m)
+
+
 def test_param_count_matches_flatten_length():
     for bond_dim in (1, 2, 4):
         extractor = noisy_extractor(11, bond_dim, 5, np.random.default_rng(0), 0.01)
@@ -158,7 +164,11 @@ def test_views_tile_the_flat_vector(n_sites, bond_dim, out_dim, seed):
         mps.param_count(n_sites, bond_dim, out_dim))
     extractor = ref.MpsFeatureExtractor(n_sites, bond_dim, out_dim, flat)
     cores = chain(extractor)
-    assert [c.shape for c in cores] == mps._core_shapes(n_sites, bond_dim, out_dim)
+    # the module docstring's rule: the output core at (n_sites + 1) // 2
+    m, d = bond_dim, mps.LOCAL_DIM
+    pos = (n_sites + 1) // 2
+    assert [c.shape for c in cores] == ([(d, m)] + [(m, d, m)] * (pos - 1) + [(m, out_dim, m)]
+                                        + [(m, d, m)] * (n_sites - 1 - pos) + [(m, d)])
     for view in (extractor.first, extractor.left, extractor.output,
                  extractor.right, extractor.last):
         assert np.shares_memory(view, flat) or view.size == 0
@@ -214,11 +224,10 @@ def test_contract_linear_in_each_core():
     values = rng.uniform(0, 1, 7)
     base = ref.contract(extractor, values)
     offset = 0
-    for shape in mps._core_shapes(7, 2, 3):
-        size = math.prod(shape)
+    for core in chain(extractor):
         flat = extractor.flat.copy()
-        flat[offset:offset + size] *= 2.0
-        offset += size
+        flat[offset:offset + core.size] *= 2.0
+        offset += core.size
         doubled = ref.MpsFeatureExtractor(7, 2, 3, flat)
         np.testing.assert_allclose(ref.contract(doubled, values), 2.0 * base,
                                    atol=1e-9)

@@ -52,16 +52,21 @@ def test_streams_match_a_generator_per_row(plan, bounds):
 
 
 def test_streams_match_a_training_plan():
-    # the parents all take slot N-1's stream, and a master seed past 2^32
-    # is two words on every row
+    # generation 0's plan, as the loop makes it: the parents all take slot
+    # N-1's stream, and a master seed past 2^32 is two words on every row
     config = evo.EvoConfig(population=7, truncation=3, mutation_power=0.1,
                            generations=2, master_seed=2**32 + 5)
-    rows = np.arange(9)
-    _, entropies, repeats = evo._plan(config, [
-        (rows, evo.TAG_EVAL, 1, np.minimum(rows, 6), 3),
-        (rows[6:], evo.TAG_ELITE, 0, range(3), 5)])
+    plans = []
+
+    def fitness_of(genomes, rows, entropies, repeats):
+        plans.append((entropies, repeats))
+        return np.zeros(len(rows))
+
+    evo._evolve(config, fitness_of, 4)
+    entropies, repeats = plans[1]
+    assert len(entropies) == 12 and repeats.tolist() == [3] * 9 + [5] * 3
+    assert entropies[6] == entropies[7] == entropies[8] == [2**32 + 5, evo.TAG_EVAL, 1, 6]
     counts = 4 * repeats
-    assert entropies[6] == entropies[7] == entropies[8]
     drawn = evo.stream_uniforms(entropies, -0.05, 0.05, counts)
     assert drawn.tobytes() == ref.stream_uniforms(entropies, -0.05, 0.05, counts).tobytes()
 

@@ -34,8 +34,11 @@ per cell (mps.contract_states).
 Each policy reads a (P, L) genome array once and returns act(agents,
 obs), the action of each row's agent: `cartpole_policy` on state rows,
 and `tnvqc_policy`, which builds the cell tables for one grid model, on
-that model's state ids.  The envs take each task's policy and genome length
-from here, their only qevo import; nothing here names an env.
+that model's state ids.  The cart-pole policy also decides one agent's
+action on one state in Python floats (`CartPolePolicy.decide`), where it
+can tell that the batched policy would decide the same.  The envs take
+each task's policy and genome length from here, their only qevo import;
+nothing here names an env.
 
 Both policies act on every finite genome with no floating-point warning:
 angles are reduced by their period, a threshold b0 - b1 may overflow to
@@ -46,7 +49,7 @@ saturates, or to NaN, and argmax then picks the first NaN logit.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -107,11 +110,54 @@ def _cartpole_actions(forms: np.ndarray, threshold: np.ndarray,
     return (value > threshold[agents]).astype(np.intp)  # argmax: ties break low
 
 
-def cartpole_policy(genomes: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """act(agents, obs) for (P, 26) genomes."""
-    with np.errstate(over="ignore"):  # an infinite threshold decides every row alike
-        threshold = genomes[:, 24] - genomes[:, 25]
-    return partial(_cartpole_actions, cartpole_forms(genomes), threshold)
+# the scalar decision's trusted range: |obs|^2 whose amplitudes neither
+# underflow nor overflow, and a distance from the threshold far beyond the
+# < 1e-13 that separates its float value from the batched one (|F_ij| <= 2)
+_SCALAR_NORMS = (1e-200, 1e200)
+_SCALAR_MARGIN = 1e-9
+# a . F . a as 10 terms: F's upper triangle, its off-diagonals doubled (exactly)
+_UPPER_ROWS, _UPPER_COLS = np.triu_indices(4)
+_UPPER_WEIGHTS = np.where(_UPPER_ROWS == _UPPER_COLS, 1.0, 2.0)
+
+
+class CartPolePolicy:
+    """act(agents, obs) for (P, 26) genomes, and `decide` for one state in floats."""
+
+    def __init__(self, genomes: np.ndarray):
+        self.forms = cartpole_forms(genomes)
+        with np.errstate(over="ignore"):  # an infinite threshold decides every row alike
+            self.threshold = genomes[:, 24] - genomes[:, 25]
+        self._coefficients = (self.forms[:, _UPPER_ROWS, _UPPER_COLS] * _UPPER_WEIGHTS).tolist()
+        self._thresholds = self.threshold.tolist()
+
+    def __call__(self, agents: np.ndarray, obs: np.ndarray) -> np.ndarray:
+        return _cartpole_actions(self.forms, self.threshold, agents, obs)
+
+    def decide(self, agent: int, state: Sequence[float]) -> int:
+        """`self` on one agent and one state row, computed in Python floats.
+
+        It decides alone only where |state|^2 lies in _SCALAR_NORMS and
+        a . F . a is more than _SCALAR_MARGIN from the threshold, so its
+        action is the batched one; any other row is passed to the batched
+        policy.
+        """
+        x, x_dot, theta, theta_dot = state
+        norm2 = x * x + x_dot * x_dot + theta * theta + theta_dot * theta_dot
+        if _SCALAR_NORMS[0] <= norm2 <= _SCALAR_NORMS[1]:
+            f00, f01, f02, f03, f11, f12, f13, f22, f23, f33 = self._coefficients[agent]
+            value = (x * (f00 * x + f01 * x_dot + f02 * theta + f03 * theta_dot)
+                     + x_dot * (f11 * x_dot + f12 * theta + f13 * theta_dot)
+                     + theta * (f22 * theta + f23 * theta_dot)
+                     + theta_dot * f33 * theta_dot) / norm2
+            threshold = self._thresholds[agent]
+            if abs(value - threshold) > _SCALAR_MARGIN:
+                return 1 if value > threshold else 0
+        return int(self(np.array([agent]), np.array([state]))[0])
+
+
+def cartpole_policy(genomes: np.ndarray) -> CartPolePolicy:
+    """act(agents, obs) for (P, 26) genomes, with its scalar `decide`."""
+    return CartPolePolicy(genomes)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,11 @@ that alphabet: `GridModel.words` holds each state's word and
 builds every table of the grid at once, by index arithmetic over one array
 of cell symbols.
 
-Each env has only this batched path; the scalar step that the tests hold
-it to, one episode and one move at a time, is in tests/reference.py.
+Each env has only this batched path, except that cart-pole's last
+TAIL_ROWS live episodes leave the lockstep and finish one at a time in
+Python floats (`CartPoleEnv.step_one`, with the policy's `decide`), with
+the lockstep's bits.  The scalar episodes the tests hold both to, one move
+at a time, are in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -54,6 +58,10 @@ from .agents import CARTPOLE_GENOME_LENGTH, cartpole_policy, tnvqc_genome_length
 
 # ---------------------------------------------------------------------------
 # cart-pole
+
+# live episodes at or below which the lockstep ends and each finishes alone
+TAIL_ROWS = 8
+
 
 class CartPoleEnv:
     GRAVITY = 9.8
@@ -68,13 +76,14 @@ class CartPoleEnv:
     START_LIMIT = 0.05
     genome_length = CARTPOLE_GENOME_LENGTH
     max_return = MAX_STEPS  # a reward of 1 per step
-    # the step's operands as float64 arrays: a force per action (push left,
-    # push right) and 0-d constants of the same values as the floats above,
-    # which a ufunc takes without converting a Python float on every call
+    # the step's constants as floats (step_one's), and step_batch's operands
+    # as float64 arrays: a force per action (push left, push right) and 0-d
+    # constants of the same values, which a ufunc takes without converting
+    # a Python float on every call
     _FORCES = np.array([-FORCE_MAG, FORCE_MAG])
-    _CONSTANTS = tuple(map(np.array, (
-        GRAVITY, POLE_MASS, HALF_POLE_LENGTH, CART_MASS + POLE_MASS,
-        POLE_MASS * HALF_POLE_LENGTH, 4.0 / 3.0, TAU, X_LIMIT, THETA_LIMIT)))
+    _FLOATS = (GRAVITY, POLE_MASS, HALF_POLE_LENGTH, CART_MASS + POLE_MASS,
+               POLE_MASS * HALF_POLE_LENGTH, 4.0 / 3.0, TAU, X_LIMIT, THETA_LIMIT)
+    _CONSTANTS = tuple(map(np.array, _FLOATS))
 
     def policy(self, genomes: np.ndarray):
         """act(agents, states) of the 2-qubit VQC over (P, 26) genomes."""
@@ -106,9 +115,27 @@ class CartPoleEnv:
         np.add(theta_dot, tau * theta_acc, out=next_theta_dot)
         return out, (np.abs(next_x) > x_limit) | (np.abs(next_theta) > theta_limit)
 
+    def step_one(self, state: Sequence[float],
+                 action: int) -> tuple[tuple[float, float, float, float], bool]:
+        """`step_batch` of one state row in Python floats, in its operations
+        and order, so with its bits: math.cos/math.sin give np.cos/np.sin's,
+        and x * x is what NumPy computes for x ** 2."""
+        (gravity, pole_mass, half_length, total_mass, pole_mass_length, four_thirds,
+         tau, x_limit, theta_limit) = self._FLOATS
+        x, x_dot, theta, theta_dot = state
+        force = self.FORCE_MAG if action else -self.FORCE_MAG
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        temp = (force + pole_mass_length * (theta_dot * theta_dot) * sin_t) / total_mass
+        theta_acc = (gravity * sin_t - cos_t * temp) / (
+            half_length * (four_thirds - pole_mass * (cos_t * cos_t) / total_mass))
+        x_acc = temp - pole_mass_length * theta_acc * cos_t / total_mass
+        x, theta = x + tau * x_dot, theta + tau * theta_dot
+        return ((x, x_dot + tau * x_acc, theta, theta_dot + tau * theta_acc),
+                abs(x) > x_limit or abs(theta) > theta_limit)
+
     def rollouts(self, act, agents: np.ndarray, draw,
                  repeats: np.ndarray) -> np.ndarray:
-        """Every row's episodes, stepped in lockstep.
+        """Every row's episodes, stepped in lockstep, the last few alone.
 
         Every start state component is uniform in [-0.05, 0.05]: one call
         of `draw` takes 4 * repeats[i] values from row i's stream, the
@@ -116,21 +143,31 @@ class CartPoleEnv:
         episode.  The reward is 1.0 per step, so an episode's return is its
         length.  The cap ends every episode still live after step
         MAX_STEPS - 1 at MAX_STEPS, whatever its last action, so that step
-        is not taken.
+        is not taken.  A lockstep step costs about the same at 1 live row
+        as at 12, so once at most TAIL_ROWS remain, each finishes alone in
+        `step_one`, asking `act.decide`; an `act` without `decide` keeps
+        the lockstep to the end.
         """
         states = draw(-self.START_LIMIT, self.START_LIMIT, 4 * repeats).reshape(-1, 4)
-        lengths = np.zeros(len(states))
+        lengths = np.full(len(states), float(self.MAX_STEPS))
         agent = np.repeat(agents, repeats)
         episode = np.arange(len(states))
-        for step in range(1, self.MAX_STEPS):
-            if not episode.size:
-                break
+        decide = getattr(act, "decide", None)
+        tail = TAIL_ROWS if decide is not None else 0
+        taken = 0
+        while len(episode) > tail and taken < self.MAX_STEPS - 1:
+            taken += 1
             states, failed = self.step_batch(states, act(agent, states))
             if np.count_nonzero(failed):
-                lengths[episode[failed]] = step
+                lengths[episode[failed]] = taken
                 going = ~failed
                 states, agent, episode = states[going], agent[going], episode[going]
-        lengths[episode] = self.MAX_STEPS
+        for row, player, state in zip(episode.tolist(), agent.tolist(), states.tolist()):
+            for step in range(taken + 1, self.MAX_STEPS):
+                state, failed = self.step_one(state, decide(player, state))
+                if failed:
+                    lengths[row] = step
+                    break
         return lengths
 
 

@@ -315,9 +315,10 @@ def episode_returns(genomes: np.ndarray, env, rows: Sequence[int],
     """Flat returns of a plan: its row i plays genome rows[i] for repeats[i]
     episodes, one after another from the stream entropies[i].
 
-    The episodes come out row by row.  Every episode of the plan runs in
-    lockstep through the env's `rollouts` and its batched policy, built
-    over only the genome rows from the plan's lowest to its highest.
+    The episodes come out row by row.  Every episode of the plan runs
+    through the env's `rollouts` (in lockstep, cart-pole's last few alone)
+    and its policy, built over only the genome rows from the plan's lowest
+    to its highest.
     """
     rows = np.asarray(rows)
     low = rows.min()

@@ -51,6 +51,56 @@ def test_cartpole_policy_matches_act(seed, scale):
         assert actions.tolist() == [built[r].act(o) for r, o in zip(rows, obs)]
 
 
+class CountingPolicy(agents.CartPolePolicy):
+    """The cart-pole policy, recording the agents of each batched call and
+    counting its scalar decisions."""
+
+    def __init__(self, genomes):
+        super().__init__(genomes)
+        self.calls = []
+        self.decisions = 0
+
+    def __call__(self, agents, obs):
+        self.calls.append(agents.tolist())
+        return super().__call__(agents, obs)
+
+    def decide(self, agent, state):
+        self.decisions += 1
+        return super().decide(agent, state)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 100.0))
+def test_cartpole_decide_matches_batched_actions(seed, scale):
+    # genomes 0-3: random, 1e308 angles, b0 - b1 overflowing to +inf and to
+    # -inf; genomes 4-7 each hold a threshold within 1e-12 of one state's
+    # a . F . a, a tie the scalar decision must leave to the batched policy
+    rng = np.random.default_rng(seed)
+    genomes = random_genomes(rng, 8, 26, scale)
+    genomes[1, :24] = 1e308 * rng.choice([-1.0, 1.0], 24)
+    genomes[2, 24:] = [1e308, -1e308]
+    genomes[3, 24:] = [-1e308, 1e308]
+    obs = rng.standard_normal((60, 4)) * rng.uniform(1e-3, 10.0, (60, 1))
+    obs[0] = 0.0  # no direction
+    obs[1] = [0.0, 0.0, 1.0, 0.0]  # basis state
+    obs[2] *= 1e200  # |obs|^2 overflows
+    obs[3] *= 1e-200  # |obs|^2 underflows
+    rows = rng.integers(0, 4, len(obs))
+    ties = np.arange(len(obs) - 4, len(obs))
+    rows[ties] = np.arange(4, 8)
+    amps = obs[ties] / np.linalg.norm(obs[ties], axis=1, keepdims=True)
+    values = np.vecdot(amps, np.matvec(agents.cartpole_forms(genomes[4:]), amps))
+    genomes[4:, 24] = values + rng.uniform(-1e-12, 1e-12, 4)
+    genomes[4:, 25] = 0.0
+    policy = CountingPolicy(genomes)
+    with np.errstate(over="ignore"):  # the batched policy's |obs|^2 of row 2
+        expected = agents._cartpole_actions(policy.forms, policy.threshold, rows, obs)
+        decided = [policy.decide(row, state) for row, state in zip(rows.tolist(), obs.tolist())]
+    assert decided == expected.tolist()
+    # only the rows without a trusted float value reach the batched policy
+    assert policy.calls == [[row] for row in rows[[0, 2, 3, *ties]].tolist()]
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.01, 0.3, 3.0]))
 def test_cartpole_forms_match_logits(seed, scale):
@@ -138,6 +188,50 @@ def test_contract_rows_matches_contract(n_sites, bond_dim, out_dim, seed):
 
 # ---------------------------------------------------------------------------
 # returns and fitness
+
+# a genome that, by the scalar reference, balances to the cap from five of
+# stream [0]'s first 40 starts and falls from the others
+BALANCER = np.random.default_rng(7).standard_normal((27, 26))[26:]
+STARTS = evo.stream_uniforms([[0]], -0.05, 0.05, np.array([4 * 40])).reshape(40, 4)
+STEP_ONE_FAILURE = [2.39, 1.0, 0.0, 0.0]  # x passes 2.4 on step 1
+
+
+def reference_length(start):
+    env, agent = ref.CartPoleEnv(), ref.CartPoleAgent(BALANCER[0])
+    env._state, env._done, env.steps = np.array(start), False, 0
+    while not env.step(agent.act(env._state)).done:
+        pass
+    return env.steps
+
+
+@pytest.mark.parametrize("live", [0, 1, envs.TAIL_ROWS, envs.TAIL_ROWS + 1])
+def test_cartpole_tail_matches_episodes(live):
+    # plans whose lockstep ends with `live` rows: TAIL_ROWS + 1 copies of one
+    # fall, step-1 failures beside a balancer and live - 1 of the starts,
+    # and TAIL_ROWS + 1 balancers, which stay in the lockstep up to the cap
+    balances = [start for start in STARTS if reference_length(start) == 500]
+    if live == 0:
+        starts = [STARTS[0]] * (envs.TAIL_ROWS + 1)
+    elif live <= envs.TAIL_ROWS:
+        starts = ([STEP_ONE_FAILURE] * (envs.TAIL_ROWS + 1 - live) + balances[:1]
+                  + list(STARTS[:live - 1]))
+    else:
+        starts = (balances * live)[:live]
+    policy = CountingPolicy(BALANCER)
+    returns = envs.CartPoleEnv().rollouts(policy, np.zeros(len(starts), int),
+                                          lambda low, high, counts: np.ravel(starts),
+                                          np.ones(len(starts), int))
+    expected = [reference_length(start) for start in starts]
+    assert returns.tolist() == expected
+    # the lockstep runs while more than TAIL_ROWS rows live, the tail asks
+    # `decide` once per step it takes, and neither takes the cap step
+    taken = len(policy.calls)
+    assert all(len(call) > envs.TAIL_ROWS for call in policy.calls)
+    assert policy.decisions == sum(min(length, 499) - taken for length in expected
+                                   if length > taken)
+    assert sum(length > taken for length in expected) == live
+    assert 500 in expected or live == 0
+
 
 @settings(max_examples=12, deadline=None)
 @given(env_name=st.sampled_from(sorted(BOND_DIMS)),

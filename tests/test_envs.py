@@ -431,6 +431,26 @@ def test_cartpole_rollouts_skip_the_cap_step():
     assert calls[0] == len(rows) and calls[1] == len(rows) - 2 and calls[-1] == 2
 
 
+def test_cartpole_step_one_matches_step_batch():
+    env = envs.CartPoleEnv()
+    rng = np.random.default_rng(24)
+    states = rng.uniform(-1.0, 1.0, (4000, 4)) * [2.5, 3.0, 0.3, 3.0]
+    # still states on each bound and one float past it: a step keeps x and theta
+    at_bounds = np.zeros((8, 4))
+    for block, (column, limit) in enumerate([(0, env.X_LIMIT), (2, env.THETA_LIMIT)]):
+        edges = [limit, -limit, np.nextafter(limit, 3.0), np.nextafter(-limit, -3.0)]
+        at_bounds[4 * block:4 * block + 4, column] = edges
+    states = np.concatenate([states, at_bounds])
+    actions = rng.integers(0, 2, len(states))
+    batched, failed = env.step_batch(states, actions)
+    for row, (state, action) in enumerate(zip(states.tolist(), actions.tolist())):
+        after, done = env.step_one(state, action)
+        assert np.array(after).tobytes() == batched[row].tobytes()
+        assert done == failed[row]
+    assert 0 < failed.sum() < len(states)
+    assert failed[-8:].tolist() == [False, False, True, True] * 2
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 12])
 def test_grid_model_matches_step(n):
     # n = 4 is the smallest room with an inner cell off the goal; at n = 12

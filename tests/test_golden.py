@@ -10,11 +10,17 @@ or loosened.
 
 Recorded with NumPy 2.4.6 on Python 3.11.7, x86-64 Linux, on an Intel Xeon
 whose `numpy.show_runtime()` found the SIMD extensions X86_V3, X86_V4,
-AVX512_ICL and AVX512_SPR over the X86_V2 baseline.  If another platform
-writes different bytes, the byte contract depends on the platform: find the
-operation that differs (a SIMD `np.sin`/`np.cos` path is the first suspect)
-and document the contract's scope.  CI prints `numpy.show_runtime()` before
-the tests for that reason.
+AVX512_ICL and AVX512_SPR over the X86_V2 baseline, and where OpenBLAS
+picks its SkylakeX kernels.  On such a machine the digests also held with
+NumPy's dispatch cut to the X86_V2 baseline (NPY_DISABLE_CPU_FEATURES), and
+with OPENBLAS_CORETYPE set to each of Prescott, Nehalem, Sandybridge,
+Haswell and SkylakeX, under which np.vecdot, np.matvec and np.matmul give
+four distinct byte streams; so neither SIMD dispatch nor the BLAS kernel
+holds the bytes there, and CI runs one leg with both pinned low.  If another platform writes
+different bytes, the byte contract depends on the platform: find the
+operation that differs (libm, another architecture or another NumPy version
+are the suspects left) and document the contract's scope.  CI prints
+`numpy.show_runtime()` before the tests for that reason.
 """
 
 import hashlib

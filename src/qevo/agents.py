@@ -31,14 +31,13 @@ tables (mps.cell_tables) built once per batch, for the (cell, symbol)
 pairs the model's words hold; a row then costs one vector-matrix product
 per cell (mps.contract_states).
 
-Each policy reads a (P, L) genome array once and returns act(agents,
-obs), the action of each row's agent: `cartpole_policy` on state rows,
-and `tnvqc_policy`, which builds the cell tables for one grid model, on
-that model's state ids.  The cart-pole policy also decides one agent's
-action on one state in Python floats (`CartPolePolicy.decide`), where it
-can tell that the batched policy would decide the same.  The envs take
-each task's policy and genome length from here, their only qevo import;
-nothing here names an env.
+Each policy reads a (P, L) genome array once and is act(agents, obs),
+the action of each row's agent: `CartPolePolicy` on state rows, and
+`tnvqc_policy`, which builds the cell tables for one grid model, on that
+model's state ids.  `CartPolePolicy.decide` also decides one agent's
+action on one state in Python floats, where it can tell that the batched
+call would decide the same.  The envs take each task's policy and genome
+length from here, their only qevo import; nothing here names an env.
 
 Both policies act on every finite genome with no floating-point warning:
 angles are reduced by their period, a threshold b0 - b1 may overflow to
@@ -97,19 +96,6 @@ def cartpole_forms(genomes: np.ndarray) -> np.ndarray:
     return 2.0 * (outer(plus.real) + outer(plus.imag) - outer(minus.real) - outer(minus.imag))
 
 
-def _cartpole_actions(forms: np.ndarray, threshold: np.ndarray,
-                      agents: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Push right where a . F . a > b0 - b1 for each row's unit amplitudes a."""
-    norm = np.sqrt(np.vecdot(obs, obs))
-    if np.count_nonzero(norm) < len(norm):  # no direction: encode the uniform state
-        zero = norm == 0.0
-        obs = np.where(zero[:, None], 0.5, obs)
-        norm[zero] = 1.0
-    amps = obs / norm[:, None]
-    value = np.vecdot(amps, np.matvec(forms[agents], amps))
-    return (value > threshold[agents]).astype(np.intp)  # argmax: ties break low
-
-
 # the scalar decision's trusted range: |obs|^2 whose amplitudes neither
 # underflow nor overflow, and a distance from the threshold far beyond the
 # < 1e-13 that separates its float value from the batched one (|F_ij| <= 2)
@@ -131,7 +117,15 @@ class CartPolePolicy:
         self._thresholds = self.threshold.tolist()
 
     def __call__(self, agents: np.ndarray, obs: np.ndarray) -> np.ndarray:
-        return _cartpole_actions(self.forms, self.threshold, agents, obs)
+        """Push right where a . F . a > b0 - b1 for each row's unit amplitudes a."""
+        norm = np.sqrt(np.vecdot(obs, obs))
+        if np.count_nonzero(norm) < len(norm):  # no direction: encode the uniform state
+            zero = norm == 0.0
+            obs = np.where(zero[:, None], 0.5, obs)
+            norm[zero] = 1.0
+        amps = obs / norm[:, None]
+        value = np.vecdot(amps, np.matvec(self.forms[agents], amps))
+        return (value > self.threshold[agents]).astype(np.intp)  # argmax: ties break low
 
     def decide(self, agent: int, state: Sequence[float]) -> int:
         """`self` on one agent and one state row, computed in Python floats.
@@ -153,11 +147,6 @@ class CartPolePolicy:
             if abs(value - threshold) > _SCALAR_MARGIN:
                 return 1 if value > threshold else 0
         return int(self(np.array([agent]), np.array([state]))[0])
-
-
-def cartpole_policy(genomes: np.ndarray) -> CartPolePolicy:
-    """act(agents, obs) for (P, 26) genomes, with its scalar `decide`."""
-    return CartPolePolicy(genomes)
 
 
 # ---------------------------------------------------------------------------

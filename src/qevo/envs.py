@@ -16,9 +16,10 @@ entropies); an env with a random start calls it once for all rows, and
 the others never call it.  Episode j of row i starts from that row's j-th
 draw; the flat result holds each episode's undiscounted sum of
 rewards, row by row, each row's episodes in order.  act(agents, obs) maps
-agent indices, one observation each, to actions: a cart-pole state row,
-or a grid state's id (a grid policy reads every state's word once, when it
-is built).  `make(name, bond_dim)` builds an env by name.
+agent indices, one observation each, to actions: a cart-pole state row
+(act is a `CartPolePolicy`, whose `decide` also acts on one row), or a
+grid state's id (a grid policy reads every state's word once, when it is
+built).  `make(name, bond_dim)` builds an env by name.
 
 CartPoleEnv: classic pole balancing.  Physics constants are fixed here so
 results are reproducible without any external dependency: gravity 9.8,
@@ -39,9 +40,9 @@ of cell symbols.
 
 Each env has only this batched path, except that cart-pole's last
 TAIL_ROWS live episodes leave the lockstep and finish one at a time in
-Python floats (`CartPoleEnv.step_one`, with the policy's `decide`), with
-the lockstep's bits.  The scalar episodes the tests hold both to, one move
-at a time, are in tests/reference.py.
+Python floats (`CartPoleEnv.step_one`, with `CartPolePolicy.decide`),
+with the lockstep's bits.  The scalar episodes the tests hold both to,
+one move at a time, are in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .agents import CARTPOLE_GENOME_LENGTH, cartpole_policy, tnvqc_genome_length, tnvqc_policy
+from .agents import CARTPOLE_GENOME_LENGTH, CartPolePolicy, tnvqc_genome_length, tnvqc_policy
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +86,9 @@ class CartPoleEnv:
                POLE_MASS * HALF_POLE_LENGTH, 4.0 / 3.0, TAU, X_LIMIT, THETA_LIMIT)
     _CONSTANTS = tuple(map(np.array, _FLOATS))
 
-    def policy(self, genomes: np.ndarray):
+    def policy(self, genomes: np.ndarray) -> CartPolePolicy:
         """act(agents, states) of the 2-qubit VQC over (P, 26) genomes."""
-        return cartpole_policy(genomes)
+        return CartPolePolicy(genomes)
 
     def step_batch(self, states: np.ndarray,
                    actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,17 +146,15 @@ class CartPoleEnv:
         MAX_STEPS - 1 at MAX_STEPS, whatever its last action, so that step
         is not taken.  A lockstep step costs about the same at 1 live row
         as at 12, so once at most TAIL_ROWS remain, each finishes alone in
-        `step_one`, asking `act.decide`; an `act` without `decide` keeps
-        the lockstep to the end.
+        `step_one`, asking `act.decide`.
         """
         states = draw(-self.START_LIMIT, self.START_LIMIT, 4 * repeats).reshape(-1, 4)
         lengths = np.full(len(states), float(self.MAX_STEPS))
         agent = np.repeat(agents, repeats)
         episode = np.arange(len(states))
-        decide = getattr(act, "decide", None)
-        tail = TAIL_ROWS if decide is not None else 0
+        decide = act.decide
         taken = 0
-        while len(episode) > tail and taken < self.MAX_STEPS - 1:
+        while len(episode) > TAIL_ROWS and taken < self.MAX_STEPS - 1:
             taken += 1
             states, failed = self.step_batch(states, act(agent, states))
             if np.count_nonzero(failed):

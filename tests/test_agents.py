@@ -291,7 +291,7 @@ def test_cartpole_policy_acts_on_huge_genomes(value):
     genomes = huge_genomes(value, agents.CARTPOLE_GENOME_LENGTH)
     obs = np.random.default_rng(23).standard_normal((20, 4))
     obs[0] = 0.0
-    act = agents.cartpole_policy(genomes)
+    act = agents.CartPolePolicy(genomes)
     actions = act(np.repeat(np.arange(len(genomes)), len(obs)), np.tile(obs, (3, 1)))
     assert actions.dtype == np.intp and set(actions.tolist()) <= {0, 1}
     if abs(value) > 1e300:  # the alternating row's b0 - b1 overflows to +-inf

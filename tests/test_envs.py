@@ -19,6 +19,24 @@ def scripted_balancer(obs):
     return 1 if 3.0 * theta + theta_dot + 0.05 * x + 0.2 * x_dot > 0 else 0
 
 
+class ScriptedPolicy:
+    """A cart-pole `act` of per-agent scalar policies, which records the row
+    count of each batched call and counts its scalar decisions."""
+
+    def __init__(self, policies):
+        self.policies = policies
+        self.calls = []
+        self.decisions = 0
+
+    def __call__(self, agents, obs):
+        self.calls.append(len(obs))
+        return np.array([self.policies[a](o) for a, o in zip(agents, obs)])
+
+    def decide(self, agent, state):
+        self.decisions += 1
+        return self.policies[agent](state)
+
+
 def run_episode(env, policy, rng):
     obs = env.reset(rng)
     total = 0.0
@@ -343,10 +361,7 @@ def test_batched_cartpole_step_matches_step():
 def test_cartpole_rollouts_match_episodes():
     env = ref.CartPoleEnv()
     policies = [scripted_balancer, lambda obs: 0, lambda obs: int(obs[3] > 0)]
-
-    def act(agents, obs):
-        return np.array([policies[a](o) for a, o in zip(agents, obs)])
-
+    act = ScriptedPolicy(policies)
     # rows name their agent and episode count; an agent may play several rows;
     # row i's stream [s] is default_rng(s)'s
     seeds, rows, repeats = [5, 6, 7, 8, 9], [0, 1, 2, 0, 1], [2, 2, 2, 1, 3]
@@ -365,29 +380,24 @@ def test_cartpole_rollouts_start_where_resets_do(repeats):
     # one draw of 4 * repeats values per row gives the bytes of one reset per
     # episode; `draw` is called once, for every row, the idle middle one too
     env = envs.CartPoleEnv()
-    seen = []
+    act = ScriptedPolicy([lambda obs: 0] * 3)
     draws = []
-
-    def act(agents, obs):
-        if not seen:
-            seen.append(obs.copy())
-        return np.zeros(len(obs), dtype=np.int64)
-
     seeds, counts = [3, 5, 4], [repeats, 0, repeats]
 
     def draw(low, high, counts):
-        draws.append((low, high, counts.tolist()))
-        return evo.stream_uniforms([[s] for s in seeds], low, high, counts)
+        values = evo.stream_uniforms([[s] for s in seeds], low, high, counts)
+        draws.append((low, high, counts.tolist(), values.copy()))
+        return values
 
     env.rollouts(act, np.arange(len(seeds)), draw, np.array(counts))
-    assert draws == [(-env.START_LIMIT, env.START_LIMIT, [4 * c for c in counts])]
+    [(low, high, drawn, values)] = draws
+    assert (low, high, drawn) == (-env.START_LIMIT, env.START_LIMIT, [4 * c for c in counts])
     resets = ref.CartPoleEnv()
     expected = [resets.reset(rng) for rng, count in zip(map(np.random.default_rng, seeds), counts)
                 for _ in range(count)]
-    if repeats:
-        assert seen[0].tobytes() == np.array(expected).tobytes()
-    else:
-        assert not seen  # no episode, no policy call
+    assert values.tobytes() == np.array(expected).tobytes()
+    if not repeats:  # no episode, no policy call
+        assert act.calls == [] and act.decisions == 0
 
 
 def fixed_starts(starts):
@@ -403,19 +413,15 @@ def fixed_starts(starts):
 def test_cartpole_rollouts_skip_the_cap_step():
     # two step-1 failures (position, angle), three rows that fall on one
     # step, and two balancer survivors; the cap ends a survivor at step 500
-    # whatever its 500th action, so `act` is asked for 499 steps only
+    # whatever its 500th action, so it is asked for 499 actions only.  At
+    # most TAIL_ROWS rows live from the start, so every action is a decision
     policies = [lambda obs: 0, scripted_balancer]
     limit = math.radians(15.0)
     starts = [[2.39, 1.0, 0.0, 0.0], [0.0, 0.0, limit - 0.01, 1.0],
               [0.01, 0.0, 0.02, 0.0], [0.01, 0.0, 0.02, 0.0], [0.01, 0.0, 0.02, 0.0],
               [0.03, -0.02, 0.01, 0.04], [-0.04, 0.01, -0.03, 0.02]]
     rows = np.array([0, 0, 0, 0, 0, 1, 1])
-    calls = []
-
-    def act(agents, obs):
-        calls.append(len(obs))
-        return np.array([policies[a](o) for a, o in zip(agents, obs)])
-
+    act = ScriptedPolicy(policies)
     lengths = envs.CartPoleEnv().rollouts(act, rows, fixed_starts(starts), np.ones(len(rows), int))
     expected = []
     for agent, start in zip(rows, starts):
@@ -427,8 +433,8 @@ def test_cartpole_rollouts_skip_the_cap_step():
     assert lengths.tolist() == expected
     assert expected[:2] == [1, 1] and expected[5:] == [500, 500]
     assert 1 < expected[2] == expected[3] == expected[4] < 500
-    assert len(calls) == envs.CartPoleEnv.MAX_STEPS - 1 == 499
-    assert calls[0] == len(rows) and calls[1] == len(rows) - 2 and calls[-1] == 2
+    assert len(rows) <= envs.TAIL_ROWS and act.calls == []
+    assert act.decisions == sum(min(length, envs.CartPoleEnv.MAX_STEPS - 1) for length in expected)
 
 
 def test_cartpole_step_one_matches_step_batch():

@@ -414,14 +414,14 @@ def contract(extractor: MpsFeatureExtractor, values: np.ndarray) -> np.ndarray:
     phi[:, 1] = values
 
     pos = extractor.output_pos
-    vec = phi[0] @ extractor.first  # (m,)
+    vec = np.einsum("d,db->b", phi[0], extractor.first)  # (m,)
     for mat in np.einsum("kd,kadb->kab", phi[1:pos], extractor.left):
-        vec = vec @ mat
+        vec = np.einsum("a,ab->b", vec, mat)
     carry = np.einsum("a,aob->ob", vec, extractor.output)  # (out_dim, m)
     for mat in np.einsum("kd,kadb->kab", phi[pos:extractor.n_sites - 1],
                          extractor.right):
-        carry = carry @ mat
-    out = carry @ (extractor.last @ phi[-1])
+        carry = np.einsum("oa,ab->ob", carry, mat)
+    out = np.einsum("oa,a->o", carry, np.einsum("ad,d->a", extractor.last, phi[-1]))
     assert np.all(np.isfinite(out)), "non-finite MPS contraction intermediate"
     return out
 
@@ -438,7 +438,10 @@ def contract_rows(offsets: np.ndarray, rows: np.ndarray, values: np.ndarray,
     in [0, 1]; not checked here).  Returns (n, out_dim).  Core entries are
     gathered a block of sites at a time, about _BLOCK_ENTRIES floats, so no
     pair's full set of cores is ever copied.  It is the oracle of
-    `mps.cell_tables` and `mps.contract_states`, on float views.
+    `mps.cell_tables` and `mps.contract_states`, on float views.  Like
+    `contract`, whose bits it must equal, it contracts through np.einsum,
+    not BLAS, since some OpenBLAS kernels round a dot product by its
+    operands' alignment.
     """
     count, n_sites = values.shape
     m = bond_dim
@@ -464,14 +467,14 @@ def contract_rows(offsets: np.ndarray, rows: np.ndarray, values: np.ndarray,
             yield from np.ascontiguousarray(mats.transpose(1, 0, 2, 3))
 
     first_phi = np.stack([1.0 - values[:, 0], values[:, 0]], axis=1)
-    vec = np.vecmat(first_phi, entries(0))
+    vec = np.einsum("nd,ndb->nb", first_phi, entries(0))
     for mat in site_matrices(1, 1):
-        vec = np.vecmat(vec, mat)
+        vec = np.einsum("na,nab->nb", vec, mat)
     carry = np.einsum("na,naob->nob", vec, entries(2))
     for mat in site_matrices(3, pos):
-        carry = carry @ mat
+        carry = np.einsum("noa,nab->nob", carry, mat)
     last_phi = np.stack([1.0 - values[:, -1], values[:, -1]], axis=1)
-    return np.matvec(carry, np.matvec(entries(4), last_phi))
+    return np.einsum("noa,na->no", carry, np.einsum("nad,nd->na", entries(4), last_phi))
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,7 @@ def test_criterion_8_evolution_sanity_oracle():
                                master_seed=0, init_scale=dim ** -0.5)
         history = evo._evolve(
             config,
-            lambda genomes, rows, *_: np.array([-float(np.dot(g, g)) for g in genomes[rows]]),
+            lambda genomes, rows, *_: np.array([-math.fsum(g * g) for g in genomes[rows]]),
             dim)
         assert abs(history[0].pop_mean + 1.0) < 0.2  # starts near -1
         # the elite is carried over verbatim and the objective is

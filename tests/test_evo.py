@@ -21,7 +21,9 @@ import reference as ref
 
 
 def sphere(genome):
-    return -float(np.dot(genome, genome))
+    # not np.dot: some OpenBLAS kernels round a dot product by its operands'
+    # alignment, and a genome changes rows between generations
+    return -math.fsum(genome * genome)
 
 
 def sphere_fitness(genomes, rows, entropies, repeats):

@@ -345,3 +345,32 @@ def test_cell_tables_match_contract_rows_on_any_chain(n_cells, channels, n_symbo
     assert_features_match(features, offsets, rows,
                           alphabet[words[states]].reshape(len(rows), -1),
                           bond_dim, out_dim)
+
+
+@pytest.mark.parametrize("size", [5, 8])
+@pytest.mark.parametrize("bond_dim", [1, 2, 4])
+def test_features_and_tables_do_not_depend_on_the_batch(size, bond_dim):
+    # what --workers invariance rests on: a (genome, state) row's features
+    # are the same bits alone as in a batch, and the tables of a slice of
+    # genomes are the whole population's.  At odd bond dimension OpenBLAS's
+    # Prescott kernels break the first, by batch position
+    model = GRID_MODELS[size]
+    rng = np.random.default_rng(size * 10 + bond_dim)
+    length = mps.param_count(agents.TNVQC_SITES, bond_dim, agents.TNVQC_QUBITS)
+    offsets = rng.standard_normal((7, length)) * 0.3
+    tables = mps.cell_tables(offsets, bond_dim, agents.TNVQC_QUBITS, model.alphabet,
+                             model.words)
+    rows = rng.integers(0, len(offsets), 40)
+    states = rng.integers(0, len(model.words), 40)
+    batched = mps.contract_states(tables, rows, states)
+    for i in range(len(rows)):
+        alone = mps.contract_states(tables, rows[i:i + 1], states[i:i + 1])
+        assert alone.tobytes() == batched[i:i + 1].tobytes()
+    for lo, hi in [(0, 1), (1, 4), (4, 7)]:
+        part = mps.cell_tables(offsets[lo:hi], bond_dim, agents.TNVQC_QUBITS,
+                               model.alphabet, model.words)
+        for name in ("start", "cells", "middle"):
+            assert getattr(part, name).tobytes() == getattr(tables, name)[lo:hi].tobytes()
+        assert np.array_equal(part.pairs, tables.pairs)
+        assert np.array_equal(part.cores, tables.cores)
+        assert part.n_left == tables.n_left

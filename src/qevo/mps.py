@@ -241,5 +241,6 @@ def contract_states(tables: CellTables, rows: np.ndarray,
         back = np.einsum("nab,nb->na", mat, back)
     middle = tables.middle[rows, tables.cores[states]]
     n, m, out_dim, _ = middle.shape
-    joined = np.vecmat(vec, middle.reshape(n, m, out_dim * m)).reshape(n, out_dim, m)
-    return np.vecdot(joined, back[:, None])
+    # einsum, not BLAS: a BLAS dot may round a row by its place in memory
+    joined = np.einsum("na,nab->nb", vec, middle.reshape(n, m, out_dim * m))
+    return np.einsum("nfb,nb->nf", joined.reshape(n, out_dim, m), back)

@@ -425,6 +425,36 @@ def test_train_on_huge_mps_entries_runs_without_warning_on_any_worker_count(tmp_
     assert stats[0] == stats[1] and len(stats[0].splitlines()) == 3
 
 
+def test_train_at_odd_bond_dimension_writes_the_same_bytes_on_any_worker_count(tmp_path):
+    # at odd m the MPS rows are not 16-byte aligned; this seed and these
+    # scales were picked for a run whose rows carry rewards
+    config = write_config(tmp_path / "cfg.json", env="minigrid-5", mps_bond_dim=3,
+                          evo={"population": 20, "truncation": 4, "mutation_power": 0.1,
+                               "repeats_all": 2, "repeats_parents": 3, "generations": 4,
+                               "master_seed": 6, "init_scale": 0.2})
+    written = []
+    for workers in ("1", "2"):
+        out_dir = tmp_path / f"workers{workers}"
+        assert cli.main(["train", "--config", str(config), "--workers", workers,
+                         "--out-dir", str(out_dir)]) == 0
+        written.append([(out_dir / name).read_bytes()
+                        for name in ("stats.csv", "best_genome.json")])
+    assert written[0] == written[1]
+    rows = written[0][0].decode().splitlines()[1:]
+    assert any(float(value) != 0.0 for row in rows for value in row.split(",")[1:])
+
+
+def test_a_config_without_a_master_seed_trains_with_master_seed_0(tmp_path):
+    config = json.loads(write_config(tmp_path / "cfg.json",
+                                     evo={"master_seed": 0}).read_text())
+    del config["evo"]["master_seed"]
+    (tmp_path / "unseeded.json").write_text(json.dumps(config))
+    for name in ("cfg", "unseeded"):
+        assert cli.main(["train", "--config", str(tmp_path / f"{name}.json"),
+                         "--out-dir", str(tmp_path / name)]) == 0
+    assert read_stats(tmp_path / "cfg") == read_stats(tmp_path / "unseeded")
+
+
 @pytest.mark.parametrize("genome", [["0.5"] * 26, [0.0] * 25 + [True], "0.0"],
                          ids=["strings", "bool", "string"])
 def test_eval_rejects_a_genome_of_non_numbers(tmp_path, capsys, genome):

@@ -576,6 +576,11 @@ def test_grid_rollouts_match_episodes_of_random_tables(n):
 # the env as the task: genome length and policy
 
 
+def test_make_builds_the_grid_policy_at_bond_dimension_4_by_default():
+    env = envs.make("minigrid-5")
+    assert env.bond_dim == 4 and env.genome_length == 4808
+
+
 def test_made_envs_pickle_with_their_policy():
     # a process pool pickles the env into its workers' initargs, also after
     # the parent has built a grid's model

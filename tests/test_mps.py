@@ -348,12 +348,11 @@ def test_cell_tables_match_contract_rows_on_any_chain(n_cells, channels, n_symbo
 
 
 @pytest.mark.parametrize("size", [5, 8])
-@pytest.mark.parametrize("bond_dim", [1, 2, 4])
+@pytest.mark.parametrize("bond_dim", [1, 2, 3, 4, 5])
 def test_features_and_tables_do_not_depend_on_the_batch(size, bond_dim):
     # what --workers invariance rests on: a (genome, state) row's features
     # are the same bits alone as in a batch, and the tables of a slice of
-    # genomes are the whole population's.  At odd bond dimension OpenBLAS's
-    # Prescott kernels break the first, by batch position
+    # genomes are the whole population's
     model = GRID_MODELS[size]
     rng = np.random.default_rng(size * 10 + bond_dim)
     length = mps.param_count(agents.TNVQC_SITES, bond_dim, agents.TNVQC_QUBITS)

@@ -73,7 +73,7 @@ JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 class RunConfig:
     env: str
     evo: evo.EvoConfig
-    mps_bond_dim: int = 4
+    mps_bond_dim: int = envs.BOND_DIM
     out_dir: str = "runs/run"
     workers: int = 1
     checkpoint_every: int = 50
@@ -360,7 +360,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.env is None and (type(env_name) is not str or env_name not in envs.ENV_NAMES):
         raise ValueError(f"genome file's 'env' must be one of {envs.ENV_NAMES} "
                          f"(or pass --env), got {env_name!r}")
-    bond_dim = payload.get("bond_dim", 4)
+    bond_dim = payload.get("bond_dim", envs.BOND_DIM)
     if type(bond_dim) is not int or bond_dim < 1:
         raise ValueError(f"genome file's 'bond_dim' must be an int >= 1, got {bond_dim!r}")
     env = envs.make(env_name, bond_dim)

@@ -190,6 +190,8 @@ CELL_OBJECTS = (OBJECT_UNSEEN, OBJECT_EMPTY, OBJECT_WALL, OBJECT_GOAL)
 CELL_COLORS = (COLOR_NONE, COLOR_NONE, COLOR_GREY, COLOR_GREEN)
 
 VIEW_SIZE = 7
+# the grid policy's MPS bond dimension where a config or genome file names none
+BOND_DIM = 4
 
 # direction index -> forward unit vector (x right, y down)
 DIR_VECTORS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # east, south, west, north
@@ -225,7 +227,7 @@ class MiniGridEnv:
 
     max_return = 1.0  # reaching the goal pays 1 - 0.9 * steps / max_steps
 
-    def __init__(self, grid_size: int, bond_dim: int = 4):
+    def __init__(self, grid_size: int, bond_dim: int = BOND_DIM):
         self.grid_size = grid_size
         self.bond_dim = bond_dim
         self.genome_length = tnvqc_genome_length(bond_dim)
@@ -316,7 +318,7 @@ class MiniGridEnv:
 ENV_NAMES = ("cartpole", "minigrid-5", "minigrid-6", "minigrid-8")
 
 
-def make(name: str, bond_dim: int = 4):
+def make(name: str, bond_dim: int = BOND_DIM):
     """The named environment; bond_dim is the minigrid policy's MPS bond dimension."""
     if name not in ENV_NAMES:
         raise ValueError(f"unknown environment {name!r}; choose from {ENV_NAMES}")

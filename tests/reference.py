@@ -14,6 +14,7 @@ This module imports the library; the library never imports it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -183,6 +184,13 @@ def new_zero_state(n_qubits: int) -> Statevector:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
+    return Statevector(n_qubits, amps)
+
+
+def random_state(rng: np.random.Generator, n_qubits: int) -> Statevector:
+    """A normalized state of standard normal real and imaginary parts."""
+    amps = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
+    amps /= np.linalg.norm(amps)
     return Statevector(n_qubits, amps)
 
 
@@ -423,6 +431,32 @@ def contract(extractor: MpsFeatureExtractor, values: np.ndarray) -> np.ndarray:
         carry = np.einsum("oa,ab->ob", carry, mat)
     out = np.einsum("oa,a->o", carry, np.einsum("ad,d->a", extractor.last, phi[-1]))
     assert np.all(np.isfinite(out)), "non-finite MPS contraction intermediate"
+    return out
+
+
+def exhaustive_contract(extractor: MpsFeatureExtractor, values: np.ndarray) -> np.ndarray:
+    """Sum over every physical index tuple; exponential, small cases only.
+
+    Cores before the output core carry input sites equal to their chain
+    position; cores after it carry position - 1.
+    """
+    n = extractor.n_sites
+    pos = extractor.output_pos
+    cores = [extractor.first, *extractor.left, extractor.output,
+             *extractor.right, extractor.last]
+    out = np.zeros(extractor.out_dim)
+    phis = [feature_map(v) for v in values]
+    for assignment in itertools.product(range(LOCAL_DIM), repeat=n):
+        weight = 1.0
+        for site, idx in enumerate(assignment):
+            weight *= phis[site][idx]
+        left = cores[0][assignment[0]]  # (m,)
+        for core_index in range(1, pos):
+            left = left @ cores[core_index][:, assignment[core_index], :]
+        right = cores[-1][:, assignment[-1]]  # (m,)
+        for core_index in range(len(cores) - 2, pos, -1):
+            right = cores[core_index][:, assignment[core_index - 1], :] @ right
+        out += weight * np.einsum("a,aob,b->o", left, cores[pos], right)
     return out
 
 
@@ -668,7 +702,7 @@ class MiniGridEnv(envs.MiniGridEnv):
     cell, without the library's model.
     """
 
-    def __init__(self, grid_size: int, bond_dim: int = 4):
+    def __init__(self, grid_size: int, bond_dim: int = envs.BOND_DIM):
         super().__init__(grid_size, bond_dim)
         self.goal_pos = (grid_size - 2, grid_size - 2)
         self.agent_pos = (1, 1)
@@ -774,7 +808,7 @@ def grid_views(model: envs.GridModel) -> np.ndarray:
     return model.alphabet[model.words].reshape(len(model.words), -1)
 
 
-def make_env(name: str, bond_dim: int = 4):
+def make_env(name: str, bond_dim: int = envs.BOND_DIM):
     """The reference env of a library env name."""
     if name == "cartpole":
         return CartPoleEnv()

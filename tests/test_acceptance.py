@@ -35,12 +35,6 @@ def criterion(number: int, label: str, budget: float | None = None):
     print(f"criterion {number} ({label}): PASS ({elapsed:.2f}s)")
 
 
-def random_state(rng: np.random.Generator, n_qubits: int) -> ref.Statevector:
-    amps = rng.standard_normal(1 << n_qubits) \
-        + 1j * rng.standard_normal(1 << n_qubits)
-    return ref.Statevector(n_qubits, amps / np.linalg.norm(amps))
-
-
 def balancer(obs) -> int:
     """Hand-tuned linear policy that holds the pole for all 500 steps."""
     x, x_dot, theta, theta_dot = obs
@@ -52,7 +46,7 @@ def test_criterion_1_simulator_properties():
         rng = np.random.default_rng(100)
         gates = ("h", "ry", "rz", "rot", "cnot")
         for trial in range(30):
-            state = random_state(rng, 3)
+            state = ref.random_state(rng, 3)
             reference = state.copy()
             applied = []
             for _ in range(12):
@@ -107,26 +101,6 @@ def test_criterion_2_amplitude_encoding_fidelity():
             assert np.max(np.abs(encoded.amps - direct.amps)) < 1e-9
 
 
-def exhaustive_contract(extractor: ref.MpsFeatureExtractor,
-                        values: np.ndarray) -> np.ndarray:
-    """Sum over every index tuple: feature products times core chains."""
-    phi = np.array([ref.feature_map(v) for v in values])
-    pos = extractor.output_pos
-    cores = [extractor.first, *extractor.left, extractor.output,
-             *extractor.right, extractor.last]
-    out = np.zeros(extractor.out_dim)
-    for bits in np.ndindex(*(2,) * extractor.n_sites):
-        weight = np.prod([phi[i, b] for i, b in enumerate(bits)])
-        left = cores[0][bits[0]]
-        for k in range(1, pos):
-            left = left @ cores[k][:, bits[k], :]
-        right = cores[-1][:, bits[-1]]
-        for k in range(len(cores) - 2, pos, -1):
-            right = cores[k][:, bits[k - 1], :] @ right
-        out += weight * np.einsum("a,aob,b->o", left, cores[pos], right)
-    return out
-
-
 def test_criterion_3_mps_oracle_equivalence():
     with criterion(3, "MPS sweep vs exhaustive sum", budget=10.0):
         rng = np.random.default_rng(300)
@@ -139,7 +113,7 @@ def test_criterion_3_mps_oracle_equivalence():
                 for _ in range(3):
                     values = rng.uniform(0.0, 1.0, n_sites)
                     fast = ref.contract(extractor, values)
-                    slow = exhaustive_contract(extractor, values)
+                    slow = ref.exhaustive_contract(extractor, values)
                     assert np.max(np.abs(fast - slow)) < 1e-9
 
 

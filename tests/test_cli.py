@@ -1086,20 +1086,58 @@ def test_shipped_config_starts(config_path, tmp_path, capsys, monkeypatch):
     assert len(draws) == 1
 
 
-# train, resume and eval a cart-pole run, then train minigrid-5, in one
-# interpreter; the last line printed lists the pool-stack modules loaded
+# a user's session in one interpreter, run from a fresh working directory:
+# train, resume and eval on cart-pole and minigrid-5, the runs of both desk
+# configs on two pool workers when the flag is given; the last line printed
+# lists the pool-stack modules loaded
 POOL_STACK_SCRIPT = """
 import json, sys
+from pathlib import Path
 from qevo import cli
-configs, out, *workers = sys.argv[1:]
-run = out + "/cartpole"
-assert cli.main(["train", "--config", configs + "/cartpole_desk.json",
-                 "--generations", "2", "--out-dir", run, *workers]) == 0
-assert cli.main(["resume", "--checkpoint", run + "/checkpoint_1.json",
-                 "--generations", "3", *workers]) == 0
-assert cli.main(["eval", "--genome", run + "/best_genome.json", "--episodes", "2"]) == 0
-assert cli.main(["train", "--config", configs + "/minigrid5_desk.json",
-                 "--generations", "1", "--out-dir", out + "/minigrid5", *workers]) == 0
+configs, data, *workers = sys.argv[1:]
+cartpole, minigrid5 = configs + "/cartpole_desk.json", configs + "/minigrid5_desk.json"
+
+def qevo(*args):
+    assert cli.main([str(arg) for arg in args]) == 0, args
+
+def run_files(run):
+    return {path.name: path.read_bytes() for path in Path(run).iterdir()}
+
+qevo("train", "--config", cartpole, "--generations", 2, "--out-dir", "cartpole", *workers)
+qevo("resume", "--checkpoint", "cartpole/checkpoint_1.json", "--generations", 3, *workers)
+qevo("eval", "--genome", "cartpole/best_genome.json", "--episodes", 2)
+if not workers:  # no eval builds a pool, so the long one runs in one case only
+    # 65,536 episodes draw one long row of start states, each one jump from
+    # a table of 262,144 entries built by doubling
+    qevo("eval", "--genome", "cartpole/best_genome.json", "--episodes", 65536)
+# the format-1 fixture's out_dir "run" is relative to the working directory,
+# whose run holds the interrupted run's header and generations 0 and 1
+Path("run").mkdir()
+Path("run/stats.csv").write_text(
+    "".join(Path(data, "format1_stats.csv").read_text().splitlines(keepends=True)[:3]))
+qevo("resume", "--checkpoint", data + "/format1_checkpoint_1.json")
+qevo("train", "--config", minigrid5, "--generations", 2, "--out-dir", "minigrid5", *workers)
+qevo("resume", "--checkpoint", "minigrid5/checkpoint_1.json", "--generations", 3, *workers)
+# each shipped grid size builds its model for the minigrid-5 genome
+for env in ("minigrid-5", "minigrid-6", "minigrid-8"):
+    qevo("eval", "--genome", "minigrid5/best_genome.json", "--env", env, "--episodes", 1)
+if workers:
+    # the pooled runs write what an uninterrupted serial run writes
+    for config, run in ((cartpole, "cartpole"), (minigrid5, "minigrid5")):
+        qevo("train", "--config", config, "--generations", 3, "--out-dir", run + "-serial")
+        serial = run_files(run + "-serial")
+        assert all(run_files(run)[name] == serial[name]
+                   for name in ("stats.csv", "best_genome.json")), run
+    # a resume from the last checkpoint has nothing to run
+    before = run_files("minigrid5")
+    qevo("resume", "--checkpoint", "minigrid5/checkpoint_2.json", *workers)
+    assert run_files("minigrid5") == before
+    # entries of 1e10 overflow the cell tables' products, in the parent and
+    # in the workers
+    huge = json.loads(Path(minigrid5).read_text())
+    huge["evo"]["init_scale"] = 1e10
+    Path("huge.json").write_text(json.dumps(huge))
+    qevo("train", "--config", "huge.json", "--generations", 2, "--out-dir", "huge", *workers)
 print(json.dumps(sorted(name for name in sys.modules
                         if name.startswith(("multiprocessing", "concurrent")))))
 """
@@ -1107,16 +1145,22 @@ print(json.dumps(sorted(name for name in sys.modules
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_only_a_pooled_run_imports_the_pool_stack(tmp_path, workers):
-    # a fresh interpreter with only src on the path, as a user's run has:
-    # pytest itself has loaded both stacks here; NumPy imports ctypes and
-    # threading on its own, so those are not checked
+    # a fresh interpreter with only src on the path, as a user's run has, so
+    # the library cannot import the test-only reference module: pytest itself
+    # has loaded both pool stacks here; NumPy imports ctypes and threading on
+    # its own, so those are not checked.  Development mode shows every
+    # warning, a RuntimeWarning of a float path or the ResourceWarning of a
+    # leaked shared population buffer among them, and the pool workers write
+    # to the same stderr, which must stay empty
     done = subprocess.run(
-        [sys.executable, "-c", POOL_STACK_SCRIPT, str(CONFIG_DIR), str(tmp_path),
+        [sys.executable, "-X", "dev", "-c", POOL_STACK_SCRIPT, str(CONFIG_DIR), str(DATA_DIR),
          *(["--workers", str(workers)] if workers > 1 else [])],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
     loaded = json.loads(done.stdout.splitlines()[-1])
     if workers == 1:
         assert loaded == []
     else:
         assert {"concurrent.futures", "multiprocessing.sharedctypes"} <= set(loaded)
+        assert "no generations to run after generation 2" in done.stdout

@@ -30,31 +30,6 @@ def noisy_extractor(n_sites, bond_dim, out_dim, rng, scale):
                                    base + scale * rng.standard_normal(base.size))
 
 
-def exhaustive_contract(extractor, values):
-    """Sum over every physical index tuple; exponential, small cases only.
-
-    Cores before the output core carry input sites equal to their chain
-    position; cores after it carry position - 1.
-    """
-    n = extractor.n_sites
-    pos = extractor.output_pos
-    cores = chain(extractor)
-    out = np.zeros(extractor.out_dim)
-    phis = [ref.feature_map(v) for v in values]
-    for assignment in itertools.product(range(mps.LOCAL_DIM), repeat=n):
-        weight = 1.0
-        for site, idx in enumerate(assignment):
-            weight *= phis[site][idx]
-        left = cores[0][assignment[0]]  # (m,)
-        for core_index in range(1, pos):
-            left = left @ cores[core_index][:, assignment[core_index], :]
-        right = cores[-1][:, assignment[-1]]  # (m,)
-        for core_index in range(len(cores) - 2, pos, -1):
-            right = cores[core_index][:, assignment[core_index - 1], :] @ right
-        out += weight * np.einsum("a,aob,b->o", left, cores[pos], right)
-    return out
-
-
 @pytest.mark.parametrize("n_sites,bond_dim,out_dim", [
     (2, 1, 2), (3, 2, 2), (4, 3, 3), (5, 2, 4), (6, 3, 2), (7, 2, 3), (8, 3, 8),
 ])
@@ -62,7 +37,7 @@ def test_sweep_matches_exhaustive_sum(n_sites, bond_dim, out_dim):
     rng = np.random.default_rng(n_sites * 100 + bond_dim)
     extractor = noisy_extractor(n_sites, bond_dim, out_dim, rng, 0.5)
     values = rng.uniform(0.0, 1.0, n_sites)
-    want = exhaustive_contract(extractor, values)
+    want = ref.exhaustive_contract(extractor, values)
     got = ref.contract(extractor, values)
     assert np.abs(want - got).max() < 1e-9
 
@@ -73,7 +48,7 @@ def test_all_ones_cores_small_oracle():
     # over the three bond indices: 2^3 = 8 for both outputs
     extractor = ref.MpsFeatureExtractor(3, 2, 2, np.ones(4 + 8 + 8 + 4))
     got = ref.contract(extractor, np.zeros(3))
-    want = exhaustive_contract(extractor, np.zeros(3))
+    want = ref.exhaustive_contract(extractor, np.zeros(3))
     np.testing.assert_allclose(got, want, atol=1e-12)
     np.testing.assert_allclose(got, [8.0, 8.0], atol=1e-12)
 

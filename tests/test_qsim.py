@@ -10,12 +10,6 @@ from hypothesis import strategies as st
 import reference as ref
 
 
-def random_state(rng, n_qubits):
-    amps = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
-    amps /= np.linalg.norm(amps)
-    return ref.Statevector(n_qubits, amps)
-
-
 # ---------------------------------------------------------------------------
 # zero state
 
@@ -64,7 +58,7 @@ def test_rot_is_rz_ry_rz_in_order():
     want = ref.rz_matrix(g) @ ref.ry_matrix(b) @ ref.rz_matrix(a)
     np.testing.assert_allclose(ref.rot_matrix(a, b, g), want, atol=1e-15)
     rng = np.random.default_rng(0)
-    state = random_state(rng, 2)
+    state = ref.random_state(rng, 2)
     by_rot = ref.apply_rot(state.copy(), 1, a, b, g)
     by_parts = ref.apply_rz(ref.apply_ry(ref.apply_rz(state.copy(), 1, a), 1, b), 1, g)
     np.testing.assert_allclose(by_rot.amps, by_parts.amps, atol=1e-14)
@@ -168,7 +162,7 @@ def test_controlled_ry_inactive_when_control_unmet():
 
 def test_controlled_ry_empty_controls_is_plain_ry():
     rng = np.random.default_rng(1)
-    state = random_state(rng, 3)
+    state = ref.random_state(rng, 3)
     spec = ref.ControlledRotationSpec((), 0, 0.9)
     via_spec = ref.apply_controlled_ry(state.copy(), spec)
     via_ry = ref.apply_ry(state.copy(), 0, 0.9)
@@ -208,7 +202,7 @@ def test_expectation_z_is_cos_theta(theta):
 @settings(max_examples=40, deadline=None)
 def test_expectation_z_bounded(n_qubits, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
-    state = random_state(rng, n_qubits)
+    state = ref.random_state(rng, n_qubits)
     for q in range(n_qubits):
         assert -1.0 <= ref.expectation_z(state, q) <= 1.0
 
@@ -221,7 +215,7 @@ def test_expectation_z_bounded(n_qubits, data):
 @settings(max_examples=50, deadline=None)
 def test_random_gate_sequences_preserve_norm(moves, seed):
     rng = np.random.default_rng(seed)
-    state = random_state(rng, 3)
+    state = ref.random_state(rng, 3)
     for kind, angle in moves:
         if kind == 0:
             ref.apply_h(state, rng.integers(3))
@@ -241,7 +235,7 @@ def test_random_gate_sequences_preserve_norm(moves, seed):
 @settings(max_examples=50, deadline=None)
 def test_gate_inverse_roundtrips(theta, seed):
     rng = np.random.default_rng(seed)
-    original = random_state(rng, 2)
+    original = ref.random_state(rng, 2)
 
     state = original.copy()
     ref.apply_h(state, 0), ref.apply_h(state, 0)

@@ -152,37 +152,36 @@ class CartPolePolicy:
 # ---------------------------------------------------------------------------
 # 8-qubit hybrid agent
 
-def _ring_pauli_strings() -> tuple[np.ndarray, np.ndarray]:
-    """(6, 3, 8) Pauli indices (I, X, Y, Z = 0..3) and (6, 3) signs of C^dag s C.
+def _ring_pauli_strings() -> np.ndarray:
+    """(6, 3, 8) Pauli indices (I, X, Y, Z = 0..3) of C^dag s C.
 
     s runs over X, Y, Z of each measured qubit.  The strings are tracked as
-    x, z and sign bits under the stabilizer update rule of CNOT (Gottesman,
-    arXiv:quant-ph/9807006; Aaronson & Gottesman, arXiv:quant-ph/0406196).
+    x and z bits under the stabilizer update rule of CNOT (Gottesman,
+    arXiv:quant-ph/9807006; Aaronson & Gottesman, arXiv:quant-ph/0406196);
+    all 18 have sign +, so none is tracked.
     """
     qubits = np.arange(TNVQC_MEASURED)
     x, z = np.zeros((2, TNVQC_MEASURED, 3, TNVQC_QUBITS), dtype=bool)
     x[qubits, :2, qubits] = True  # X and Y
     z[qubits, 1:, qubits] = True  # Y and Z
-    negative = np.zeros((TNVQC_MEASURED, 3), dtype=bool)
     for control in reversed(range(TNVQC_QUBITS)):  # C^dag s C: the last gate acts first
         target = (control + 1) % TNVQC_QUBITS
-        negative ^= x[..., control] & z[..., target] & ~(x[..., target] ^ z[..., control])
         x[..., target] ^= x[..., control]
         z[..., control] ^= z[..., target]
-    return (x ^ z) + 2 * z.astype(np.intp), np.where(negative, -1.0, 1.0)
+    return (x ^ z) + 2 * z.astype(np.intp)
 
 
-_RING_PAULIS, _RING_SIGNS = _ring_pauli_strings()
+_RING_PAULIS = _ring_pauli_strings()
 # each string's factors as rows of the (4 * 8, n) local components
 _RING_GATHER = (_RING_PAULIS * TNVQC_QUBITS + np.arange(TNVQC_QUBITS)).reshape(-1, TNVQC_QUBITS)
 _FEATURE_LIMIT = 1e50  # keeps (1 + x^2)(1 + x^4) finite; moves no component by 1e-50
 
 
 def _measured_axes(circuit: np.ndarray) -> np.ndarray:
-    """(P, 6, 3) axes of Rot^dag Z Rot, signed, from (P, 8, 3) Rot angles."""
+    """(P, 6, 3) axes of Rot^dag Z Rot from (P, 8, 3) Rot angles."""
     alpha, beta = circuit[:, :TNVQC_MEASURED, 0], circuit[:, :TNVQC_MEASURED, 1]
     return np.stack([-np.sin(beta) * np.cos(alpha), np.sin(beta) * np.sin(alpha),
-                     np.cos(beta)], axis=-1) * _RING_SIGNS
+                     np.cos(beta)], axis=-1)
 
 
 def _tnvqc_logits(features: np.ndarray, axes: np.ndarray) -> np.ndarray:

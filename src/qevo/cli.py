@@ -81,8 +81,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mps_bond_dim < 1:
             raise ValueError("mps_bond_dim must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
 
@@ -423,7 +421,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # CLI boundary: report, do not traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

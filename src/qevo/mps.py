@@ -100,7 +100,7 @@ def identity_base(n_sites: int, bond_dim: int, out_dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _site_rows(n_sites: int, bond_dim: int, out_dim: int) -> np.ndarray:
-    """(n_sites, d, m) row numbers of every input site's core as (d, m, m).
+    """(n_sites, d, m) row numbers of every input site's core as (d, m, m), read-only.
 
     Row r is entries r*m .. r*m + m - 1 of the flat entries extended by
     one zero row and then the last core as the bond-0 column of an
@@ -114,7 +114,9 @@ def _site_rows(n_sites: int, bond_dim: int, out_dim: int) -> np.ndarray:
     first = np.where(np.arange(m) == 0, first[:, :1], zero)
     last = zero + 1 + np.arange(last.size).reshape(last.shape).T
     interior = np.concatenate([left, right])[..., 0].swapaxes(1, 2)
-    return np.concatenate([first[None], interior, last[None]])
+    rows = np.concatenate([first[None], interior, last[None]])
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,8 @@ PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1,
 
 def test_ring_pauli_strings_match_dense_conjugation():
     n = agents.TNVQC_QUBITS
+    # indices, not just rows of PAULIS: a negative one would wrap round to a Pauli
+    assert agents._RING_PAULIS.min() >= 0 and agents._RING_PAULIS.max() <= 3
     ring = np.eye(1 << n, dtype=np.complex128)  # C, one column per basis state
     for q in range(n):
         ref.apply_cnot_kernel(ring, n, q, (q + 1) % n)
@@ -189,8 +191,7 @@ def test_ring_pauli_strings_match_dense_conjugation():
         for a in range(3):
             single = reduce(np.kron, [PAULIS[a + 1] if k == q else PAULIS[0] for k in range(n)])
             string = reduce(np.kron, PAULIS[agents._RING_PAULIS[q, a]])
-            np.testing.assert_array_equal(ring.conj().T @ single @ ring,
-                                          agents._RING_SIGNS[q, a] * string)
+            np.testing.assert_array_equal(ring.conj().T @ single @ ring, string)
 
 
 FEATURES = st.one_of(st.sampled_from([0.0, 1e-8, -1e-8, 1.0, -1e77, 1e154, -1e300, 1e300]),

@@ -268,6 +268,17 @@ def test_episode_returns_match_play_episode(env_name):
                                        for _ in range(4)]
 
 
+def test_episode_returns_builds_the_policy_over_the_plan_rows_only():
+    # a plan of rows 2..4 of 7 genomes builds its policy over those three alone
+    env = envs.CartPoleEnv()
+    genomes = random_genomes(np.random.default_rng(3), 7, env.genome_length, 0.5)
+    built = []
+    policy = env.policy
+    env.policy = lambda rows: built.append(rows.copy()) or policy(rows)
+    evo.episode_returns(genomes, env, [4, 2, 3], [[1, i] for i in range(3)], [2] * 3)
+    assert len(built) == 1 and built[0].tobytes() == genomes[2:5].tobytes()
+
+
 @pytest.mark.parametrize("env_name,generations", [("cartpole", 12), ("minigrid-5", 6)])
 def test_trained_populations_match_evaluate_fitness(env_name, generations):
     """Populations captured from a short training run, not just random ones."""

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qevo
 from qevo import cli, envs, evo
 
 import reference as ref
@@ -217,7 +218,11 @@ def test_resume_rejects_the_stats_of_another_run(tmp_path, capsys):
                      "--generations", "3"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "stats.csv row of generation 1 has pop_mean" in lines[0]
+    # it names both means: the stats row's and the checkpoint's last window row's
+    count, total, _ = json.loads((out_dir / "checkpoint_1.json").read_text())["window"][-1]
+    theirs = read_stats(out_dir)[2].split(",")[2]
+    assert (f"stats.csv row of generation 1 has pop_mean {theirs}, "
+            f"not the checkpoint's {total / count!r}") in lines[0]
     assert run_dir_bytes(out_dir) == before
 
 
@@ -325,7 +330,8 @@ def test_eval_rejects_a_bad_env_in_the_file(tmp_path, capsys, bad):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("env_name,bond_dim", [("cartpole", 4), ("minigrid-5", 2)])
+@pytest.mark.parametrize("env_name,bond_dim", [("cartpole", 4), ("minigrid-5", 2),
+                                               ("minigrid-5", 1)])
 def test_eval_output_matches_play_episode(tmp_path, capsys, env_name, bond_dim):
     env = ref.make_env(env_name, bond_dim)
     genome = np.random.default_rng(8).standard_normal(env.genome_length) * 0.3
@@ -442,6 +448,16 @@ def test_train_at_odd_bond_dimension_writes_the_same_bytes_on_any_worker_count(t
     assert written[0] == written[1]
     rows = written[0][0].decode().splitlines()[1:]
     assert any(float(value) != 0.0 for row in rows for value in row.split(",")[1:])
+
+
+def test_a_config_of_only_env_and_evo_takes_the_documented_defaults(tmp_path):
+    # the README names each of these defaults
+    config = json.loads(write_config(tmp_path / "cfg.json").read_text())
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"env": config["env"], "evo": config["evo"]}))
+    loaded = cli.load_run_config(bare)
+    assert (loaded.mps_bond_dim, loaded.out_dir, loaded.workers,
+            loaded.checkpoint_every) == (4, "runs/run", 1, 50)
 
 
 def test_a_config_without_a_master_seed_trains_with_master_seed_0(tmp_path):
@@ -644,6 +660,23 @@ def test_resume_accepts_the_window_of_a_generation_of_equal_fitness(tmp_path, ca
     checkpoint = tmp_path / "run" / "checkpoint_1.json"
     data = json.loads(checkpoint.read_text())
     data["window"][0] = row
+    checkpoint.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_stats(tmp_path / "run")) == 4
+
+
+def test_resume_accepts_returns_at_the_top_of_their_range(tmp_path, capsys):
+    # a cart-pole population that balances every episode for all 500 steps
+    # has window rows (6, 6 * 500, 6 * 500^2) and best score 500; the last
+    # window row is checked against stats.csv, so the first one is set
+    config = write_config(tmp_path / "cfg.json", evo={"generations": 3})
+    assert cli.main(["train", "--config", str(config)]) == 0
+    checkpoint = tmp_path / "run" / "checkpoint_1.json"
+    data = json.loads(checkpoint.read_text())
+    data["window"][0] = [6, 3000.0, 1500000.0]
+    data["best_score"] = 500.0
     checkpoint.write_text(json.dumps(data))
     capsys.readouterr()
     assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 0
@@ -962,12 +995,25 @@ def test_eval_architecture_mismatch_fails(tmp_path, capsys):
 
 
 def test_eval_names_the_shape_of_an_encoded_genome(tmp_path, capsys):
-    # an encoded array may hold the right entry count in the wrong shape
+    # an encoded array may hold the right entry count in the wrong shape, or
+    # no entry at all, since a shape's sizes may be 0
     genome_file = tmp_path / "g.json"
-    genome_file.write_text(json.dumps({"env": "cartpole", "genome": encode([[0.0]] * 26)}))
-    assert cli.main(["eval", "--genome", str(genome_file)]) == 1
-    assert capsys.readouterr().err == \
-        "error: genome shape (26, 1) does not match cartpole (expected (26,))\n"
+    for genome, shape in (([[0.0]] * 26, "(26, 1)"), ([], "(0,)")):
+        genome_file.write_text(json.dumps({"env": "cartpole", "genome": encode(genome)}))
+        assert cli.main(["eval", "--genome", str(genome_file)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: genome shape {shape} does not match cartpole (expected (26,))\n"
+
+
+def test_eval_plays_10_episodes_from_seed_0_by_default(tmp_path, capsys):
+    genome_file = tmp_path / "g.json"
+    genome = np.random.default_rng(4).standard_normal(26) * 0.3
+    genome_file.write_text(json.dumps({"env": "cartpole", "genome": genome.tolist()}))
+    outputs = []
+    for flags in ([], ["--episodes", "10", "--seed", "0"]):
+        assert cli.main(["eval", "--genome", str(genome_file), *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_usage_text_lists_the_flags_of_each_subcommand():
@@ -1141,6 +1187,19 @@ if workers:
 print(json.dumps(sorted(name for name in sys.modules
                         if name.startswith(("multiprocessing", "concurrent")))))
 """
+
+
+def test_package_version_is_the_one_pyproject_declares():
+    assert f'\nversion = "{qevo.__version__}"\n' in (SRC_DIR.parent / "pyproject.toml").read_text()
+
+
+def test_python_dash_m_qevo_runs_the_command_line(tmp_path):
+    # the README's spelling for an uninstalled checkout
+    done = subprocess.run([sys.executable, "-m", "qevo", "--help"], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: qevo ")
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -85,6 +85,12 @@ def test_init_population_rows_independent_of_population_size():
     np.testing.assert_array_equal(small, large[:4])
 
 
+def test_init_population_rejects_a_wrong_shape():
+    config = tiny_config()
+    with pytest.raises(ValueError, match=r"shape \(8, 5\), got \(9, 5\)"):
+        evo.init_population(config, np.zeros((config.population + 1, 5)))
+
+
 def test_init_scale_zero_gives_zero_population():
     config = tiny_config(init_scale=0.0)
     pop = evo.init_population(config, new_population(config, 5))
@@ -665,8 +671,10 @@ def test_near_zero_genomes_score_like_random_play():
 
 
 def test_run_rejects_bad_worker_count():
-    with pytest.raises(ValueError, match="workers"):
-        evo.run(tiny_config(), envs.CartPoleEnv(), workers=0)
+    # with no generation to run no pool is built, so only run's own check raises
+    for generations in (4, 0):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            evo.run(tiny_config(generations=generations), envs.CartPoleEnv(), workers=0)
 
 
 def test_resume_shape_mismatch_rejected():

@@ -163,6 +163,19 @@ def test_views_of_a_block_are_the_views_of_its_rows(n_sites, bond_dim, out_dim, 
             np.testing.assert_array_equal(view[i], row_view)
 
 
+@pytest.mark.parametrize("cached", [
+    lambda: mps.identity_base(5, 3, 2),
+    lambda: mps._site_rows(5, 3, 2),
+    lambda: evo._hash_constants(evo._MIX_INIT, evo._MIX_MULT, 17),
+], ids=["identity_base", "_site_rows", "_hash_constants"])
+def test_cached_arrays_refuse_writes(cached):
+    # every caller of an lru_cache'd array gets the same one, so none may write it
+    array = cached()
+    assert cached() is array
+    with pytest.raises(ValueError, match="read-only"):
+        array.flat[0] = 1
+
+
 @given(st.integers(2, 9), st.integers(1, 4), st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
 def test_site_rows_address_every_input_core(n_sites, bond_dim, out_dim):
@@ -314,6 +327,11 @@ def test_cell_tables_match_contract_rows_on_any_chain(n_cells, channels, n_symbo
     offsets = rng.standard_normal((3, mps.param_count(n_cells * channels, bond_dim,
                                                       out_dim))) * scale
     tables = mps.cell_tables(offsets, bond_dim, out_dim, alphabet, words)
+    # the cells every word agrees on, from cell 0 up to the middle cell, fold
+    # into `start` and are not swept
+    agreed = next((c for c in range(n_cells) if len(set(words[:, c])) > 1), n_cells)
+    mid = (n_cells * channels + 1) // 2 // channels
+    assert tables.n_left == mid - min(agreed, mid)
     rows = np.repeat(np.arange(len(offsets)), len(words))
     states = np.tile(np.arange(len(words)), len(offsets))
     features = mps.contract_states(tables, rows, states)

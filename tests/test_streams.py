@@ -6,7 +6,9 @@ builds default_rng(SeedSequence(entropy)) per row.  The two must agree byte
 for byte, on any NumPy the project supports.
 """
 
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -86,6 +88,23 @@ def test_jump_table_is_a_prefix_of_the_lcg_stepped_one_at_a_time():
         for half, expected in zip(table, oracle):
             assert half.shape == (2, steps) and not half.flags.writeable
             assert half.tobytes() == expected[:, :steps].tobytes()
+
+
+def test_128_bit_helpers_match_python_ints():
+    # every pair of halves from the edges of uint64, zero low halves (no
+    # carry) and all-ones ones (every carry) included
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    values = [high << 64 | low for high in edges for low in edges]
+    a, b = zip(*itertools.product(values, repeat=2))
+
+    def halves(numbers):
+        return (np.array([n >> 64 for n in numbers], dtype=np.uint64),
+                np.array([n & (2**64 - 1) for n in numbers], dtype=np.uint64))
+
+    for helper, op in ((evo._add128, operator.add), (evo._mul128, operator.mul)):
+        high, low = helper(halves(a), halves(b))
+        assert [int(h) << 64 | int(l) for h, l in zip(high.tolist(), low.tolist())] == \
+            [op(x, y) % 2**128 for x, y in zip(a, b)]
 
 
 def test_one_long_row_matches_its_generator():

@@ -18,9 +18,9 @@ and generation g's mutation from [master_seed, TAG_MUTATE, g].  So results
 are byte-identical for any worker count and any evaluation order, and a
 checkpoint holding only the ranked parents and the elite reconstructs the
 next population exactly by re-running the mutation stream.  The episode
-start streams of a plan's rows are drawn by `stream_uniforms`: their
-uniforms are derived for the whole plan at once, in arrays, and equal the
-ones a np.random.default_rng per row would draw.
+start streams of a plan's rows are drawn by `stream_uniforms`, which hashes
+every row's SeedSequence at once and seeds NumPy's PCG64 with each row's
+words, so they equal what a np.random.default_rng per row would draw.
 
 A run takes one env, which is the whole task: its `genome_length`, its
 `policy(genomes)` and its lockstep `rollouts(act, agents, draw, repeats)`.
@@ -136,15 +136,14 @@ class GenerationSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# a plan's random streams: NumPy's SeedSequence -> PCG64 -> Generator.uniform,
-# for every row at once
+# a plan's random streams: NumPy's SeedSequence hash for every row at once,
+# then one PCG64 per row and Generator.uniform's conversion
 
-# SeedSequence's hash constants (pool size 4) and PCG64's 128-bit multiplier
+# SeedSequence's hash constants (pool size 4)
 _POOL_SIZE = 4
 _MIX_INIT, _MIX_MULT = 0x43b0d7e5, 0x931e8875
 _MIX_LEFT, _MIX_RIGHT = 0xca01f9dd, 0x4973f715
 _STATE_INIT, _STATE_MULT = 0x8b51f9dd, 0x58f38ded
-_PCG_MULT = (0x2360ed051fc65da4, 0x4385df649fccf645)  # (high, low) 64-bit halves
 _MASK32 = 0xFFFFFFFF
 
 
@@ -152,30 +151,38 @@ def stream_uniforms(entropies: Sequence[Sequence[int]], low: float, high: float,
                     counts: Sequence[int]) -> np.ndarray:
     """Row by row, the first counts[i] values of
     default_rng(SeedSequence(entropies[i])).uniform(low, high, counts[i]),
-    concatenated: one entropy (a list of ints >= 0) per row, all rows drawn
-    at once.
+    concatenated: one entropy (a list of ints >= 0) per row.
 
-    No Generator is built: each row's SeedSequence pool and PCG64 state are
-    derived in uint32 and uint64 arrays, and its k-th state is one jump
-    (M^k s + (M^(k-1) + ... + 1) inc) from a table built by doubling, so the
-    values are NumPy's, byte for byte.  The entries at one position must
-    split into the same number of 32-bit words on every row, as a plan's do
-    (its only entry that can reach 2^32 is the master seed, on every row).
+    No SeedSequence is built: `_seed_state` hashes every row's seed words
+    at once, in uint32 arrays, and each row's words seed NumPy's own PCG64,
+    whose raw draws become Generator.uniform's 53-bit doubles, byte for
+    byte.  The entries at one position must split into the same number of
+    32-bit words on every row, as a plan's do (its only entry that can
+    reach 2^32 is the master seed, on every row).
     """
-    counts = np.asarray(counts, dtype=np.intp)
-    total = int(counts.sum())
-    initstate, seq = _seed_state(_entropy_words(entropies))
-    inc = seq[0] << 1 | seq[1] >> 63, seq[1] << 1 | 1
-    state = _add128(_mul128(_add128(inc, initstate), _PCG_MULT), inc)
-    jump, shift = _pcg_jumps(int(counts.max()))
-    row = np.repeat(np.arange(len(counts)), counts)
-    step = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    upper, lower = _add128(_mul128(_take(jump, step), _take(state, row)),
-                           _mul128(_take(shift, step), _take(inc, row)))
-    # PCG64's XSL-RR output, then Generator.uniform's 53-bit double
-    mixed, turn = upper ^ lower, upper >> 58
-    out = mixed >> turn | mixed << (-turn & 63)
-    return low + (high - low) * ((out >> 11) * (1.0 / 9007199254740992.0))
+    seed_words = _seed_words_type()
+    raw = np.concatenate([np.random.PCG64(seed_words(words)).random_raw(count) for words, count
+                          in zip(_seed_state(_entropy_words(entropies)), counts)])
+    return low + (high - low) * ((raw >> 11) * (1.0 / 9007199254740992.0))
+
+
+@lru_cache(maxsize=1)
+def _seed_words_type() -> type:
+    """PCG64's seed source for one row of `_seed_state`: an ISeedSequence,
+    built on the first draw, so a process that draws nothing never imports
+    numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype: type) -> np.ndarray:
+            if n_words != 4 or dtype != np.uint64:  # PCG64's only request
+                raise ValueError(f"seed words are 4 uint64 words, not {n_words} {dtype}")
+            return self.words
+
+    return SeedWords
 
 
 def _entropy_words(entropies: Sequence[Sequence[int]]) -> np.ndarray:
@@ -210,10 +217,9 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     return consts
 
 
-def _seed_state(words: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """SeedSequence(words[:, i]).generate_state(4, uint64) of every row
-    i, as PCG64 reads it: (initstate, sequence), each a (high, low) pair
-    of uint64 arrays."""
+def _seed_state(words: np.ndarray) -> np.ndarray:
+    """(rows, 4) uint64, C-contiguous: row i is
+    SeedSequence(words[:, i]).generate_state(4, uint64)."""
     n_words, rows = words.shape
     mix_consts = _hash_constants(
         _MIX_INIT, _MIX_MULT, _POOL_SIZE * max(_POOL_SIZE, n_words) + 1)
@@ -240,49 +246,7 @@ def _seed_state(words: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     state_consts = _hash_constants(_STATE_INIT, _STATE_MULT, 2 * _POOL_SIZE + 1)
     state = (np.concatenate([pool, pool]) ^ state_consts[:-1]) * state_consts[1:]
     state = (state ^ state >> 16).astype(np.uint64)
-    initstate_high, initstate_low, seq_high, seq_low = state[0::2] | state[1::2] << 32
-    return (initstate_high, initstate_low), (seq_high, seq_low)
-
-
-def _take(pair, index):
-    return pair[0][index], pair[1][index]
-
-
-def _add128(a, b):
-    """a + b mod 2^128, on (high, low) pairs of uint64 arrays."""
-    low = a[1] + b[1]
-    return a[0] + b[0] + (low < a[1]), low
-
-
-def _mul128(a, b):
-    """a * b mod 2^128, on (high, low) pairs of uint64 arrays or ints; the
-    low halves' 128-bit product is taken from 32-bit pieces."""
-    a_high, a_low = a
-    b_high, b_low = b
-    a1, a0 = a_low >> 32, a_low & _MASK32
-    b1, b0 = b_low >> 32, b_low & _MASK32
-    cross, mid = a0 * b1, a1 * b0
-    carry = (a0 * b0 >> 32) + (cross & _MASK32) + (mid & _MASK32)
-    high = (a1 * b1 + (cross >> 32) + (mid >> 32) + (carry >> 32)
-            + a_high * b_low + a_low * b_high)
-    return high, a_low * b_low
-
-
-@lru_cache(maxsize=8)
-def _pcg_jumps(steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(M^k, c_k = M^(k-1) + ... + 1) mod 2^128 for k = 1..steps, as two
-    read-only (2, steps) uint64 arrays of (high, low) halves, built by
-    doubling (Brown, "Random Number Generation with Arbitrary Strides"):
-    with K entries known, entry K + j is (M^K M^j, M^K c_j + c_K)."""
-    jump = np.array(_PCG_MULT, dtype=np.uint64)[:, None]
-    shift = np.array([[0], [1]], dtype=np.uint64)
-    while jump.shape[1] < steps:
-        head, top = slice(steps - jump.shape[1]), jump[:, -1:]
-        jump, shift = (np.hstack([jump, _mul128(top, jump[:, head])]),
-                       np.hstack([shift, _add128(_mul128(top, shift[:, head]), shift[:, -1:])]))
-    jump, shift = jump[:, :steps], shift[:, :steps]
-    jump.flags.writeable = shift.flags.writeable = False
-    return jump, shift
+    return (state[0::2] | state[1::2] << 32).T.copy()
 
 
 # ---------------------------------------------------------------------------

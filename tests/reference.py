@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from qevo import envs
-from qevo.evo import (_PCG_MULT, ROLLING_WINDOW, TAG_ELITE, TAG_EVAL, TAG_INIT, TAG_MUTATE,
-                      EvoConfig, GenerationSnapshot, GenerationStats, _window_stats, rank_indices)
+from qevo.evo import (ROLLING_WINDOW, TAG_ELITE, TAG_EVAL, TAG_INIT, TAG_MUTATE, EvoConfig,
+                      GenerationSnapshot, GenerationStats, _window_stats, rank_indices)
 from qevo.agents import (CARTPOLE_BLOCKS, CARTPOLE_GENOME_LENGTH, CARTPOLE_QUBITS,
                          TNVQC_CIRCUIT_PARAMS, TNVQC_MEASURED, TNVQC_QUBITS, TNVQC_SITES)
 from qevo.envs import N_ACTIONS
@@ -828,25 +828,6 @@ def stream_uniforms(entropies: Sequence[Sequence[int]], low: float, high: float,
     return np.concatenate(
         [np.random.default_rng(np.random.SeedSequence(list(entropy))).uniform(low, high, count)
          for entropy, count in zip(entropies, counts)] + [np.empty(0)])
-
-
-def pcg_jumps(steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(M^k, M^(k-1) + ... + 1) mod 2^128 for k = 1..steps, one LCG step per
-    entry in Python ints, then split into (2, steps) uint64 arrays of
-    (high, low) halves.
-
-    The reference for `evo._pcg_jumps(steps)`.
-    """
-    mult, mask = _PCG_MULT[0] << 64 | _PCG_MULT[1], (1 << 128) - 1
-    jump, shift, jumps, shifts = 1, 0, [], []
-    for _ in range(steps):
-        jump, shift = jump * mult & mask, (shift * mult + 1) & mask
-        jumps.append(jump)
-        shifts.append(shift)
-    return tuple(np.array([[value >> 64 for value in values],
-                           [value & (1 << 64) - 1 for value in values]],
-                          dtype=np.uint64).reshape(2, steps)
-                 for values in (jumps, shifts))
 
 
 def play_episode(agent, env, rng: np.random.Generator, memo: dict) -> float:

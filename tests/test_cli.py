@@ -16,8 +16,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import qevo
 from qevo import cli, envs, evo
@@ -930,13 +928,12 @@ def uninterrupted_stats(tmp_path_factory) -> bytes:
     return (path.parent / "run" / "stats.csv").read_bytes()
 
 
-@settings(max_examples=30, deadline=None)
-@given(every=st.integers(1, 4), data=st.data())
-def test_resume_after_torn_write_matches_uninterrupted_run(uninterrupted_stats, every, data):
-    # every write renames one file; an uninterrupted run of 6 generations
-    # writes a checkpoint and best_genome.json on each of ceil(6 / every)
-    # occasions, the last generation's included
-    kill = data.draw(st.integers(1, 2 * math.ceil(6 / every)), label="kill")
+# every write renames one file; an uninterrupted run of 6 generations writes
+# a checkpoint and best_genome.json on each of ceil(6 / every) occasions, the
+# last generation's included, so each kill point is one of its renames
+@pytest.mark.parametrize("every,kill", [(every, kill) for every in range(1, 5)
+                                        for kill in range(1, 2 * math.ceil(6 / every) + 1)])
+def test_resume_after_torn_write_matches_uninterrupted_run(uninterrupted_stats, every, kill):
     replace = cli.os.replace
     torn = []
     replaced = 0
@@ -1153,8 +1150,7 @@ qevo("train", "--config", cartpole, "--generations", 2, "--out-dir", "cartpole",
 qevo("resume", "--checkpoint", "cartpole/checkpoint_1.json", "--generations", 3, *workers)
 qevo("eval", "--genome", "cartpole/best_genome.json", "--episodes", 2)
 if not workers:  # no eval builds a pool, so the long one runs in one case only
-    # 65,536 episodes draw one long row of start states, each one jump from
-    # a table of 262,144 entries built by doubling
+    # 65,536 episodes draw one row of 262,144 start-state uniforms from one PCG64
     qevo("eval", "--genome", "cartpole/best_genome.json", "--episodes", 65536)
 # the format-1 fixture's out_dir "run" is relative to the working directory,
 # whose run holds the interrupted run's header and generations 0 and 1
@@ -1200,6 +1196,22 @@ def test_python_dash_m_qevo_runs_the_command_line(tmp_path):
                           capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.startswith("usage: qevo ")
+
+
+def test_a_command_that_draws_nothing_never_imports_numpy_random(tmp_path):
+    # the seed words' ISeedSequence is built on the first draw, so a minigrid
+    # eval, which draws no start state, never pays numpy.random's import
+    genome = tmp_path / "genome.json"
+    genome.write_text(json.dumps({"env": "minigrid-5",
+                                  "genome": [0.0] * envs.make("minigrid-5").genome_length}))
+    script = ("import sys; from qevo import cli; "
+              f"assert cli.main(['eval', '--genome', {str(genome)!r}]) == 0; "
+              "print('numpy.random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,14 +1,12 @@
 """A plan's episode start streams against one NumPy Generator per row.
 
-`evo.stream_uniforms` derives every row's uniforms at once, re-implementing
-SeedSequence, PCG64 and Generator.uniform in arrays; `ref.stream_uniforms`
-builds default_rng(SeedSequence(entropy)) per row.  The two must agree byte
-for byte, on any NumPy the project supports.
+`evo.stream_uniforms` hashes every row's SeedSequence words at once, in
+arrays, and seeds NumPy's own PCG64 with each row's words;
+`ref.stream_uniforms` builds default_rng(SeedSequence(entropy)) per row.
+The two must agree byte for byte, on any NumPy the project supports.
 """
 
-import itertools
 import math
-import operator
 
 import numpy as np
 import pytest
@@ -73,38 +71,27 @@ def test_streams_match_a_training_plan():
     assert drawn.tobytes() == ref.stream_uniforms(entropies, -0.05, 0.05, counts).tobytes()
 
 
-def test_long_streams_cross_every_jump_table_size():
+def test_rows_of_1_to_8000_draws_match_their_generators():
     counts = [1, 2, 3, 4, 5, 8, 9, 16, 17, 33, 1000, 8000]
     entropies = [[11, i] for i in range(len(counts))]
     drawn = evo.stream_uniforms(entropies, 0.0, 1.0, counts)
     assert drawn.tobytes() == ref.stream_uniforms(entropies, 0.0, 1.0, counts).tobytes()
 
 
-def test_jump_table_is_a_prefix_of_the_lcg_stepped_one_at_a_time():
-    # sizes around the doubling rounds' ends, where the last round is cut short
-    oracle = ref.pcg_jumps(65539)
-    for steps in [*range(34), 4095, 4096, 4097, 65539]:
-        table = evo._pcg_jumps(steps)
-        for half, expected in zip(table, oracle):
-            assert half.shape == (2, steps) and not half.flags.writeable
-            assert half.tobytes() == expected[:, :steps].tobytes()
-
-
-def test_128_bit_helpers_match_python_ints():
-    # every pair of halves from the edges of uint64, zero low halves (no
-    # carry) and all-ones ones (every carry) included
-    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-    values = [high << 64 | low for high in edges for low in edges]
-    a, b = zip(*itertools.product(values, repeat=2))
-
-    def halves(numbers):
-        return (np.array([n >> 64 for n in numbers], dtype=np.uint64),
-                np.array([n & (2**64 - 1) for n in numbers], dtype=np.uint64))
-
-    for helper, op in ((evo._add128, operator.add), (evo._mul128, operator.mul)):
-        high, low = helper(halves(a), halves(b))
-        assert [int(h) << 64 | int(l) for h, l in zip(high.tolist(), low.tolist())] == \
-            [op(x, y) % 2**128 for x, y in zip(a, b)]
+def test_seed_words_hand_pcg64_only_what_it_asks_for():
+    # each row is SeedSequence's own 4 uint64 words, and PCG64's request is
+    # the only one the words answer
+    entropies = [[3, 2**32 + 1], [0, 2**33]]
+    state = evo._seed_state(evo._entropy_words(entropies))
+    for entropy, words in zip(entropies, state):
+        expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+        assert words.tobytes() == expected.tobytes()
+    row = state[0]
+    seed = evo._seed_words_type()(row)
+    assert seed.generate_state(4, np.uint64) is row
+    for n_words, dtype in [(4, np.uint32), (8, np.uint32), (2, np.uint64), (5, np.uint64)]:
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seed.generate_state(n_words, dtype)
 
 
 def test_one_long_row_matches_its_generator():

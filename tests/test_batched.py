@@ -149,7 +149,7 @@ def test_tnvqc_logits_match_feature_logits(seed, scale):
 
 
 @pytest.mark.parametrize("size,bond_dim", [(5, 4), (6, 2), (8, 1), (8, 4)])
-def test_tnvqc_action_tables_match_act(size, bond_dim):
+def test_tnvqc_policy_matches_act_on_every_state(size, bond_dim):
     env = envs.MiniGridEnv(size, bond_dim)
     rng = np.random.default_rng(size * 10 + bond_dim)
     genomes = random_genomes(rng, 4, env.genome_length, 0.3)

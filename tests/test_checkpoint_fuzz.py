@@ -1,23 +1,21 @@
 """The train, resume and eval boundaries under one-field changes to valid files.
 
-A checkpoint of generation 1 and a `best_genome.json` of each desk config
-are written once per module.  Each checkpoint example changes one of its
-values and resumes it for one generation.  The resume must either fail
-with one `error:` line and leave every file of the run directory as it
-was, or succeed and leave a `stats.csv` that a real run could write, a
+Each example either fails as `conftest.assert_rejected` states (exit
+status 1, one `error:` line, nothing on stdout, no plan scored, the run
+directory as it was) or succeeds plausibly.  A checkpoint of generation 1
+and a `best_genome.json` of each desk config are written once per module.
+Each checkpoint example changes one of its values and resumes it for one
+generation; a success leaves a `stats.csv` that a real run could write, a
 best score an episode could reach and a checkpoint that itself loads.
 Each genome example changes one field of the genome file and evaluates
-it: `qevo eval` must either fail with one `error:` line, or print scores
-that an episode could reach.  Each config example changes one field of a
-desk config, drops or adds a key, or swaps a section for another JSON
-value, then trains for 2 generations: `qevo train` must either fail with
-one `error:` line and no run directory, or write 2 rows that a real run
-could write and a checkpoint that loads.
+it; a success prints scores that an episode could reach.  Each config
+example changes one field of a desk config, drops or adds a key, or swaps
+a section for another JSON value, then trains for 2 generations; a
+success writes 2 rows that a real run could write and a checkpoint that
+loads.
 """
 
 import base64
-import contextlib
-import io
 import json
 import math
 import struct
@@ -30,6 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qevo import cli, envs
+
+from conftest import assert_rejected, run_qevo
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = ("cartpole_desk", "minigrid5_desk")
@@ -127,18 +127,12 @@ def test_changed_checkpoint_is_rejected_untouched_or_resumes_plausibly(runs, nam
         for file_name, content in files.items():
             (out_dir / file_name).write_bytes(content)
         (out_dir / CHECKPOINT).write_text(json.dumps(checkpoint))
-        before = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
-
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            status = cli.main(["resume", "--checkpoint", str(out_dir / CHECKPOINT),
-                               "--generations", "3", "--workers", "1"])
-        if status == 1:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:"), lines
-            assert {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} == before
+        outcome = run_qevo(["resume", "--checkpoint", str(out_dir / CHECKPOINT),
+                            "--generations", "3", "--workers", "1"], run=out_dir)
+        if outcome.status == 1:
+            assert_rejected(outcome)
         else:
-            assert status == 0 and err.getvalue() == ""
+            assert outcome.status == 0 and outcome.err == ""
             top = envs.make(json.loads(files["best_genome.json"])["env"]).max_return
             assert rows_a_run_could_write((out_dir / "stats.csv").read_text(), top)
             assert 0 <= json.loads((out_dir / "best_genome.json").read_text())["score"] <= top
@@ -181,16 +175,12 @@ def test_changed_genome_file_is_rejected_or_scores_plausibly(runs, name, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "best_genome.json"
         path.write_text(json.dumps(changed_genome_file(payload, data.draw)))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
-            status = cli.main(["eval", "--genome", str(path), "--episodes", "2"])
-    if status == 1:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), lines
-        assert out.getvalue() == ""
+        outcome = run_qevo(["eval", "--genome", str(path), "--episodes", "2"])
+    if outcome.status == 1:
+        assert_rejected(outcome)
     else:
-        assert status == 0 and err.getvalue() == ""
-        result = json.loads(out.getvalue())
+        assert outcome.status == 0 and outcome.err == ""
+        result = json.loads(outcome.out)
         top = envs.make(result["env"]).max_return
         assert len(result["scores"]) == 2
         assert all(0 <= score <= top for score in result["scores"]), result
@@ -257,17 +247,14 @@ def test_changed_config_is_rejected_without_a_run_or_trains_plausibly(name, data
         config["out_dir"] = str(out_dir)
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(changed_config(config, data.draw)))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
-            status = cli.main(["train", "--config", str(path), "--generations", "2"])
-        if status == 1:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        outcome = run_qevo(["train", "--config", str(path), "--generations", "2"], run=out_dir)
+        if outcome.status == 1:
+            # a run stops once generation g's children overflow, after g is scored
+            assert_rejected(outcome, may_score="overflow at mutation_power" in outcome.err)
             # a float warning raised as an error is no boundary's message
-            assert "encountered in" not in lines[0], lines
-            assert not out_dir.exists() and out.getvalue() == ""
+            assert "encountered in" not in outcome.err, outcome.err
         else:
-            assert status == 0 and err.getvalue() == ""
+            assert outcome.status == 0 and outcome.err == ""
             run_config, snapshot = cli._load_checkpoint(out_dir / "checkpoint_1.json")
             top = envs.make(run_config.env, run_config.mps_bond_dim).max_return
             stats = (out_dir / "stats.csv").read_text()

@@ -1,17 +1,21 @@
 """End-to-end command line tests on thumbnail-sized runs."""
 
+from __future__ import annotations
+
 import argparse
 import base64
-import hashlib
 import json
 import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -21,6 +25,7 @@ import qevo
 from qevo import cli, envs, evo
 
 import reference as ref
+from conftest import assert_rejected, run_files, run_qevo
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -66,20 +71,20 @@ def test_train_writes_stats_checkpoints_and_best_genome(tmp_path, capsys):
     assert "finished generation 4" in capsys.readouterr().out
 
 
-def test_train_stops_before_writing_a_non_finite_genome(tmp_path, capsys):
+def test_train_stops_before_writing_a_non_finite_genome(tmp_path):
     # a scale of 1e308 overflows most entries to +-inf, whose policies still
     # score finitely; the run used to write them to best_genome.json and the
     # checkpoints, which eval and resume reject.  It now stops where the
-    # overflow happens, before a genome is scored, before its run directory
-    # is made and with no NumPy warning (a warning is an error here)
+    # overflow happens, before the overflowing genomes are scored (only
+    # generation 0 is, before its children overflow), before its run
+    # directory is made and with no NumPy warning (a warning is an error here)
     for key, message in [
             ("init_scale", "init_scale 1e+308 overflows the initial population"),
             ("mutation_power", "the children of generation 0 overflow at mutation_power 1e+308")]:
         (tmp_path / key).mkdir()
         config = write_config(tmp_path / key / "cfg.json", checkpoint_every=1, evo={key: 1e308})
-        assert cli.main(["train", "--config", str(config)]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-        assert not (tmp_path / key / "run").exists()
+        assert_rejected(run_qevo(["train", "--config", str(config)], run=tmp_path / key / "run"),
+                        message, exact=True, may_score=key == "mutation_power")
 
 
 def test_stats_rows_use_full_precision_floats(tmp_path):
@@ -152,76 +157,13 @@ def test_resume_with_nothing_to_run_touches_no_file(tmp_path, capsys, generation
     config = write_config(tmp_path / "cfg.json", checkpoint_every=1)
     assert cli.main(["train", "--config", str(config)]) == 0
     out_dir = tmp_path / "run"
-
-    def digests():
-        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in out_dir.iterdir()}
-
-    before = digests()
+    before = run_files(out_dir)
     capsys.readouterr()
     # generation 1 is the checkpoint's, so a run of 2 or fewer is already done
     assert cli.main(["resume", "--checkpoint", str(out_dir / "checkpoint_1.json"),
                      "--generations", str(generations)]) == 0
     assert "no generations to run" in capsys.readouterr().out
-    assert digests() == before
-
-
-@pytest.mark.parametrize("damage,missing", [
-    (lambda lines: None, 0),
-    (lambda lines: lines[:2], 1),  # the header and row 0
-    (lambda lines: lines[:4] + [lines[4][:5]], 3),
-], ids=["missing", "cut-after-row-0", "torn-row"])
-def test_resume_without_rows_up_to_checkpoint_fails(tmp_path, capsys, monkeypatch, damage,
-                                                     missing):
-    config = write_config(tmp_path / "cfg.json", evo={"generations": 6})
-    assert cli.main(["train", "--config", str(config)]) == 0
-    scored = []
-    batch_fitness = evo.batch_fitness
-
-    def recorded(*args):
-        scored.append(args)
-        return batch_fitness(*args)
-
-    monkeypatch.setattr(evo, "batch_fitness", recorded)
-    stats = tmp_path / "run" / "stats.csv"
-    lines = damage(read_stats(tmp_path / "run"))
-    kept = None if lines is None else "\n".join(lines) + "\n"
-    if kept is None:
-        stats.unlink()
-    else:
-        stats.write_text(kept)
-    capsys.readouterr()
-    # generation 3's checkpoint needs rows 0..3; the first one missing is named
-    assert cli.main(["resume", "--checkpoint",
-                     str(tmp_path / "run" / "checkpoint_3.json")]) == 1
-    err = capsys.readouterr().err
-    assert "stats.csv" in err and f"generation {missing}," in err
-    assert (stats.read_text() if stats.exists() else None) == kept
-    assert scored == []  # the rows are checked before any plan is scored
-
-
-def test_resume_rejects_the_stats_of_another_run(tmp_path, capsys):
-    # a 4-generation seed-2 run into the directory of a 2-generation seed-1
-    # run leaves seed-1's checkpoint_1.json beside seed-2's stats.csv, whose
-    # rows 0-1 a resume from it would keep under seed-1's row 2
-    config = str(CONFIG_DIR / "cartpole_desk.json")
-    out_dir = tmp_path / "run"
-    assert cli.main(["train", "--config", config, "--generations", "2",
-                     "--out-dir", str(out_dir)]) == 0
-    assert cli.main(["train", "--config", config, "--generations", "4", "--seed", "2",
-                     "--out-dir", str(out_dir)]) == 0
-    before = run_dir_bytes(out_dir)
-    capsys.readouterr()
-    assert cli.main(["resume", "--checkpoint", str(out_dir / "checkpoint_1.json"),
-                     "--generations", "3"]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-    # it names both means: the stats row's and the checkpoint's last window row's
-    count, total, _ = json.loads((out_dir / "checkpoint_1.json").read_text())["window"][-1]
-    theirs = read_stats(out_dir)[2].split(",")[2]
-    assert (f"stats.csv row of generation 1 has pop_mean {theirs}, "
-            f"not the checkpoint's {total / count!r}") in lines[0]
-    assert run_dir_bytes(out_dir) == before
+    assert run_files(out_dir) == before
 
 
 def test_resume_with_nothing_to_run_keeps_a_header_only_stats_file(tmp_path, capsys):
@@ -259,73 +201,6 @@ def test_eval_zero_episodes(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["scores"] == []
     assert result["mean"] is None and result["std"] is None
-
-
-def test_eval_rejects_negative_episodes(tmp_path, capsys):
-    genome_file = tmp_path / "g.json"
-    genome_file.write_text(json.dumps({"env": "cartpole",
-                                       "genome": [0.0] * 26}))
-    assert cli.main(["eval", "--genome", str(genome_file),
-                     "--episodes", "-3"]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "--episodes" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("env_name", ["cartpole", "minigrid-5"])
-def test_eval_rejects_a_negative_seed(tmp_path, capsys, env_name):
-    # a minigrid walk never draws from its stream, so the seed is checked first
-    genome_file = tmp_path / "g.json"
-    genome_file.write_text(json.dumps({"env": env_name,
-                                       "genome": [0.0] * envs.make(env_name).genome_length}))
-    assert cli.main(["eval", "--genome", str(genome_file), "--seed", "-1"]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "--seed" in captured.err
-    assert captured.out == ""
-
-
-def test_eval_rejects_an_unknown_env_flag(tmp_path, capsys):
-    genome_file = tmp_path / "g.json"
-    genome_file.write_text(json.dumps({"env": "cartpole", "genome": [0.0] * 26}))
-    assert cli.main(["eval", "--genome", str(genome_file), "--env", "pong"]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "unknown environment 'pong'" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("bad", [1.5, True, 0, "2", None])
-def test_eval_rejects_a_bad_bond_dim_in_the_file(tmp_path, capsys, bad):
-    # 1.5 used to reach the genome length (700.5 expected), true was taken as 1
-    length = envs.MiniGridEnv(5, bond_dim=1).genome_length
-    genome_file = tmp_path / "g.json"
-    genome_file.write_text(json.dumps({"env": "minigrid-5", "bond_dim": bad,
-                                       "genome": [0.0] * length}))
-    assert cli.main(["eval", "--genome", str(genome_file), "--episodes", "1"]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "'bond_dim'" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("payload", [[0.0] * 26, {"env": "cartpole"}, "genome", 26])
-def test_eval_requires_an_object_with_a_genome_key(tmp_path, capsys, payload):
-    genome_file = tmp_path / "g.json"
-    genome_file.write_text(json.dumps(payload))
-    assert cli.main(["eval", "--genome", str(genome_file), "--env", "cartpole",
-                     "--episodes", "1"]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "'genome'" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("bad", [["cartpole"], 5, None, "pong"],
-                         ids=["list", "number", "null", "unknown"])
-def test_eval_rejects_a_bad_env_in_the_file(tmp_path, capsys, bad):
-    genome_file = tmp_path / "g.json"
-    genome_file.write_text(json.dumps({"env": bad, "genome": [0.0] * 26}))
-    assert cli.main(["eval", "--genome", str(genome_file), "--episodes", "1"]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "'env'" in captured.err
-    assert captured.out == ""
 
 
 @pytest.mark.parametrize("env_name,bond_dim", [("cartpole", 4), ("minigrid-5", 2),
@@ -389,17 +264,6 @@ def test_eval_reads_an_encoded_genome(tmp_path, capsys):
         assert cli.main(["eval", "--genome", str(genome_file), "--episodes", "3"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-
-
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
-def test_eval_rejects_non_finite_genome(tmp_path, capsys, bad):
-    genome_file = tmp_path / "g.json"
-    genome_file.write_text('{"env": "cartpole", "genome": [%s%s]}'
-                           % ("0.0, " * 25, bad))
-    assert cli.main(["eval", "--genome", str(genome_file), "--episodes", "2"]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "non-finite" in captured.err
-    assert captured.out == ""
 
 
 @pytest.mark.filterwarnings("error")
@@ -469,18 +333,6 @@ def test_a_config_without_a_master_seed_trains_with_master_seed_0(tmp_path):
     assert read_stats(tmp_path / "cfg") == read_stats(tmp_path / "unseeded")
 
 
-@pytest.mark.parametrize("genome", [["0.5"] * 26, [0.0] * 25 + [True], "0.0"],
-                         ids=["strings", "bool", "string"])
-def test_eval_rejects_a_genome_of_non_numbers(tmp_path, capsys, genome):
-    # NumPy would read "0.5" and true as numbers, and a lone string as a 0-d array
-    genome_file = tmp_path / "g.json"
-    genome_file.write_text(json.dumps({"env": "cartpole", "genome": genome}))
-    assert cli.main(["eval", "--genome", str(genome_file), "--episodes", "2"]) == 1
-    captured = capsys.readouterr()
-    assert "error: genome holds a value that is not a JSON number" in captured.err
-    assert captured.out == ""
-
-
 def decode(value: dict) -> np.ndarray:
     """A checkpoint array in format 2, read without the code under test."""
     return np.frombuffer(base64.b64decode(value["float64le"]), "<f8").reshape(value["shape"])
@@ -490,29 +342,6 @@ def encode(values) -> dict:
     array = np.asarray(values, dtype="<f8")
     return {"shape": list(array.shape),
             "float64le": base64.b64encode(array.tobytes()).decode("ascii")}
-
-
-def rewrite_checkpoint(path: Path, form: str, key: str, corrupt) -> None:
-    """Apply `corrupt` to field `key` in list form, then write the checkpoint
-    back with its arrays encoded (format 2) or as JSON lists (format 1)."""
-    data = json.loads(path.read_text())
-    for name in ARRAY_KEYS:
-        data[name] = decode(data[name]).tolist()
-    data[key] = corrupt(data[key])
-    if form == "list":
-        data["format"] = 1
-    else:
-        for name in ARRAY_KEYS:
-            data[name] = encode(data[name])
-    path.write_text(json.dumps(data))  # json writes a NaN as the NaN token
-
-
-def both_forms(cases: list[tuple], ids: list[str]) -> list:
-    """Each case on a format-2 checkpoint (under its own id) and on a format-1
-    one (id suffix '-format1')."""
-    return [pytest.param(form, *case, id=case_id + suffix)
-            for form, suffix in (("encoded", ""), ("list", "-format1"))
-            for case, case_id in zip(cases, ids)]
 
 
 def put(bad):
@@ -530,253 +359,386 @@ def put(bad):
     return corrupt
 
 
-NON_FINITE_KEYS = ["parents", "elite", "best_genome", "best_score", "window"]
-NON_FINITE_CASES = ([(key, math.nan) for key in NON_FINITE_KEYS]
-                    + [("parents", -math.inf), ("best_score", math.inf)])
+# ---------------------------------------------------------------------------
+# the failure contract (conftest.assert_rejected), one table per command and
+# one row per rejected input.  A row names the test it belongs to, so that
+# each keeps the id the suite has always printed: a group of rows with ids
+# is one parametrized test, and a group without is one test that checks
+# its rows in turn
 
 
-@pytest.mark.parametrize("form,key,bad", both_forms(
-    NON_FINITE_CASES, NON_FINITE_KEYS + ["parents-inf", "best_score-inf"]))
-def test_resume_rejects_non_finite_checkpoint(tmp_path, capsys, form, key, bad):
-    config = write_config(tmp_path / "cfg.json", evo={"generations": 4})
-    assert cli.main(["train", "--config", str(config)]) == 0
-    checkpoint = tmp_path / "run" / "checkpoint_1.json"
-    rewrite_checkpoint(checkpoint, form, key, put(bad))
-    before = (tmp_path / "run" / "stats.csv").read_bytes()
-    capsys.readouterr()
-    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "non-finite" in captured.err
-    assert (tmp_path / "run" / "stats.csv").read_bytes() == before
+class ConfigRow(NamedTuple):
+    test: str
+    id: str | None
+    config: Callable[[dict], object]  # the tiny config to the JSON trained on, None: no file
+    text: str
 
 
-@pytest.mark.parametrize("form,key,corrupt", both_forms([
-    ("parents", lambda rows: [row[:-1] for row in rows]),
-    ("parents", lambda rows: rows[:-1]),
-    ("best_score", lambda value: [value]),
-    ("elite", lambda values: values[:-1]),
-    ("best_genome", lambda values: values[:3]),
-    ("window", lambda rows: [row[:-1] for row in rows]),
-    ("window", lambda rows: rows[:-1]),
-    ("generation", lambda value: 1.5),
-    ("generation", lambda value: -1),
-], ["parents-width", "parents-count", "best_score-list", "elite",
-    "best_genome", "window-width", "window-rows", "generation-float",
-    "generation-negative"]))
-def test_rejected_resume_leaves_stats_unchanged(tmp_path, capsys, form, key, corrupt):
-    config = write_config(tmp_path / "cfg.json")
-    assert cli.main(["train", "--config", str(config)]) == 0
-    checkpoint = tmp_path / "run" / "checkpoint_1.json"
-    rewrite_checkpoint(checkpoint, form, key, corrupt)
-    before = (tmp_path / "run" / "stats.csv").read_bytes()
-    capsys.readouterr()
-    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and repr(key) in captured.err
-    assert (tmp_path / "run" / "stats.csv").read_bytes() == before
+class EvalRow(NamedTuple):
+    test: str
+    id: str | None
+    genome_file: object  # the JSON evaluated
+    flags: tuple[str, ...]
+    text: str
+    exact: bool = False
 
 
-@pytest.mark.parametrize("key,corrupt", [
-    ("parents", lambda array: {**array, "float64le": "*" + array["float64le"][1:]}),
-    ("elite", lambda array: {**array, "float64le": array["float64le"][:-12]}),
-    ("best_genome", lambda array: {**array, "shape": [-26]}),
-    ("best_genome", lambda array: {**array, "shape": [26.0]}),
-    ("best_genome", lambda array: {**array, "shape": [True]}),
-    ("elite", lambda array: {"shape": array["shape"]}),
-    ("window", lambda rows: encode(rows)),
-], ids=["not-base64", "truncated", "shape-negative", "shape-float", "shape-bool",
-        "no-float64le", "window-encoded"])
-def test_resume_rejects_malformed_encoded_array(tmp_path, capsys, key, corrupt):
-    config = write_config(tmp_path / "cfg.json")
-    assert cli.main(["train", "--config", str(config)]) == 0
-    checkpoint = tmp_path / "run" / "checkpoint_1.json"
-    data = json.loads(checkpoint.read_text())
-    data[key] = corrupt(data[key])
-    checkpoint.write_text(json.dumps(data))
-    before = (tmp_path / "run" / "stats.csv").read_bytes()
-    capsys.readouterr()
-    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and repr(key) in captured.err
-    assert (tmp_path / "run" / "stats.csv").read_bytes() == before
+class ResumeRow(NamedTuple):
+    test: str
+    id: str | None
+    checkpoint: Callable[[dict], object]  # the checkpoint's JSON to the JSON resumed from
+    text: str | Callable[[Path], str]  # or the text, from the run directory as changed
+    env: str = "cartpole"
+    generation: int = 1  # of the checkpoint resumed from
+    # stats.csv's lines to the lines written, or to None: the file deleted
+    stats: Callable[[list[str]], list[str] | None] | None = None
 
 
-@pytest.mark.parametrize("count", [1.5, True, 7, -100])
-def test_resume_rejects_a_window_count_other_than_the_population(tmp_path, capsys, count):
-    # training counts each generation's whole population, here 6; other
-    # counts used to resume into a rolling mean and std no run can write
-    config = write_config(tmp_path / "cfg.json")
-    assert cli.main(["train", "--config", str(config)]) == 0
-    checkpoint = tmp_path / "run" / "checkpoint_1.json"
-    data = json.loads(checkpoint.read_text())
-    data["window"][0][0] = count
-    checkpoint.write_text(json.dumps(data))
-    before = (tmp_path / "run" / "stats.csv").read_bytes()
-    capsys.readouterr()
-    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "'window'" in captured.err
-    assert (tmp_path / "run" / "stats.csv").read_bytes() == before
+def setting(field: str, value):
+    """A config change that sets `field` ("evo.name" in the evo section) to `value`."""
+    section, _, name = field.rpartition(".")
+
+    def change(config: dict) -> dict:
+        (config[section] if section else config)[name] = value
+        return config
+
+    return change
 
 
-def run_dir_bytes(run: Path) -> dict:
-    return {path.name: path.read_bytes() for path in sorted(run.iterdir())}
+def at(key: str, corrupt, form: str | None = None):
+    """A checkpoint change that applies `corrupt` to field `key`: as written,
+    or in list form, then writing the arrays encoded (format 2) or as JSON
+    lists (format 1)."""
+    def change(data: dict) -> dict:
+        if form is not None:
+            for name in ARRAY_KEYS:
+                data[name] = decode(data[name]).tolist()
+        data[key] = corrupt(data[key])
+        if form == "list":
+            data["format"] = 1
+        elif form is not None:
+            for name in ARRAY_KEYS:
+                data[name] = encode(data[name])
+        return data
+
+    return change
 
 
-@pytest.mark.parametrize("total,total_sq",
-                         [(-1e6, 0.0), (3.0, 1.0), (0.0, -1e-300), (True, 1e9), (6.0, "40")],
-                         ids=["negative-sum-zero-squares", "squares-below-mean",
-                              "negative-squares", "sum-bool", "squares-string"])
-def test_resume_rejects_window_sums_no_data_set_has(tmp_path, capsys, total, total_sq):
-    # 6 values summing to `total` have a sum of squares of at least total^2 / 6;
-    # a row below that would resume into a rolling std no run can write, and
-    # a sum that is not a JSON number would be written back as it is
-    config = write_config(tmp_path / "cfg.json")
-    assert cli.main(["train", "--config", str(config)]) == 0
-    checkpoint = tmp_path / "run" / "checkpoint_1.json"
-    data = json.loads(checkpoint.read_text())
-    data["window"][0][1:] = [total, total_sq]
-    checkpoint.write_text(json.dumps(data))
-    before = run_dir_bytes(tmp_path / "run")
-    capsys.readouterr()
-    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and "'window'" in lines[0]
-    assert run_dir_bytes(tmp_path / "run") == before
+def without(key: str):
+    return lambda data: {name: value for name, value in data.items() if name != key}
 
 
-def test_resume_accepts_the_window_of_a_generation_of_equal_fitness(tmp_path, capsys):
-    # six agents that all walk 7 steps to the minigrid-5 goal score 0.937
-    # each, and the sums training writes for them fall short of
-    # count * sumsq >= sum^2 by rounding (about 2e-16 of sum^2)
-    config = write_config(tmp_path / "cfg.json", env="minigrid-5", mps_bond_dim=1,
-                          evo={"generations": 3})
-    assert cli.main(["train", "--config", str(config)]) == 0
-    fitness = np.full(6, 1.0 - 0.9 * 7 / 100)
-    row = [6, float(fitness.sum()), float(np.square(fitness).sum())]
-    assert row[0] * row[2] < row[1] ** 2
-    checkpoint = tmp_path / "run" / "checkpoint_1.json"
-    data = json.loads(checkpoint.read_text())
-    data["window"][0] = row
-    checkpoint.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 0
-    assert capsys.readouterr().err == ""
-    assert len(read_stats(tmp_path / "run")) == 4
+def both_forms(test: str, cases: list[tuple], ids: list[str], text) -> list[ResumeRow]:
+    """Each (key, corrupt) case on a format-2 checkpoint (under its own id)
+    and on a format-1 one (id suffix '-format1'), its text `text(key)`."""
+    return [ResumeRow(test, case_id + suffix, at(key, corrupt, form), text(key))
+            for form, suffix in (("encoded", ""), ("list", "-format1"))
+            for (key, corrupt), case_id in zip(cases, ids)]
 
 
-def test_resume_accepts_returns_at_the_top_of_their_range(tmp_path, capsys):
-    # a cart-pole population that balances every episode for all 500 steps
-    # has window rows (6, 6 * 500, 6 * 500^2) and best score 500; the last
-    # window row is checked against stats.csv, so the first one is set
-    config = write_config(tmp_path / "cfg.json", evo={"generations": 3})
-    assert cli.main(["train", "--config", str(config)]) == 0
-    checkpoint = tmp_path / "run" / "checkpoint_1.json"
-    data = json.loads(checkpoint.read_text())
-    data["window"][0] = [6, 3000.0, 1500000.0]
-    data["best_score"] = 500.0
-    checkpoint.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 0
-    assert capsys.readouterr().err == ""
-    assert len(read_stats(tmp_path / "run")) == 4
-
-
-@pytest.mark.parametrize("env,key,corrupt", [
-    # these two used to resume into rolling_std_100 = inf and a best genome
-    # frozen by a score no episode reaches
-    ("cartpole", "window", lambda rows: [[*row[:2], 1e308] for row in rows]),
-    ("cartpole", "best_score", lambda value: 1e9),
-    ("cartpole", "best_score", lambda value: -1.0),
-    ("cartpole", "window", lambda rows: [[6, 3000.5, 3000.5 ** 2 / 6], *rows[1:]]),
-    ("cartpole", "window", lambda rows: [[6, 3000.0, 1.5e6 * (1 + 1e-15)], *rows[1:]]),
-    ("cartpole", "window", lambda rows: [[6, -1e-300, 0.0], *rows[1:]]),
-    ("minigrid-5", "best_score", lambda value: 1.0000000000000002),
-    ("minigrid-5", "window", lambda rows: [[6, 6.5, 6.5 ** 2 / 6], *rows[1:]]),
-], ids=["squares-1e308", "best_score-1e9", "best_score-negative", "sum-above-max",
-        "squares-above-max", "sum-negative", "minigrid-best_score-above-1",
-        "minigrid-sum-above-max"])
-def test_resume_rejects_returns_no_episode_has(tmp_path, capsys, env, key, corrupt):
-    # cart-pole returns lie in [0, 500] and minigrid's in [0, 1]; a window
-    # row of 6 values has sums in [0, 6 R] and [0, 6 R^2]
-    config = write_config(tmp_path / "cfg.json", env=env, mps_bond_dim=1,
-                          evo={"generations": 3})
-    assert cli.main(["train", "--config", str(config)]) == 0
-    checkpoint = tmp_path / "run" / "checkpoint_1.json"
-    data = json.loads(checkpoint.read_text())
-    data[key] = corrupt(data[key])
-    checkpoint.write_text(json.dumps(data))
-    before = run_dir_bytes(tmp_path / "run")
-    capsys.readouterr()
-    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and repr(key) in lines[0]
-    assert run_dir_bytes(tmp_path / "run") == before
+def another_runs_mean(run: Path) -> str:
+    count, total, _ = json.loads((run / "checkpoint_1.json").read_text())["window"][-1]
+    theirs = read_stats(run)[2].split(",")[2]
+    return (f"stats.csv row of generation 1 has pop_mean {theirs}, "
+            f"not the checkpoint's {total / count!r}")
 
 
 NOT_A_NUMBER = "holds a value that is not a JSON number"
+CARTPOLE_ZEROS = {"env": "cartpole", "genome": [0.0] * 26}
+NON_FINITE_KEYS = ["parents", "elite", "best_genome", "best_score", "window"]
+
+CONFIG_ROWS = [
+    *(ConfigRow("test_config_rejects_mistyped_numbers", f"{field}-{value}",
+                setting(field, value), field.rpartition(".")[2])
+      for field, value in [
+          ("checkpoint_every", 1.5), ("workers", True), ("mps_bond_dim", 2.0),
+          ("evo.population", 10.5), ("evo.truncation", True), ("evo.master_seed", True),
+          ("evo.population", True), ("evo.truncation", 2.5), ("evo.master_seed", 1.0),
+          ("evo.master_seed", -1), ("evo.init_scale", True), ("evo.mutation_power", True),
+          ("env", "pong"), ("workers", 0), ("mps_bond_dim", 0), ("checkpoint_every", 0),
+          ("out_dir", 5), ("out_dir", None)]),
+    *(ConfigRow("test_config_section_must_be_an_object", case_id, change,
+                f"error: {section} must be a JSON object")
+      for case_id, change, section in [
+          ("evo-number", setting("evo", 5), "evo config"),
+          ("evo-list", setting("evo", [0.02]), "evo config"),
+          ("evo-null", setting("evo", None), "evo config"),
+          ("config-list", lambda config: [1], "config")]),
+    ConfigRow("test_missing_config_file_fails_cleanly", None, lambda config: None,
+              "No such file or directory"),
+    ConfigRow("test_unknown_config_key_rejected", None, setting("sigma", 0.1),
+              "unknown config keys"),
+    ConfigRow("test_missing_evo_key_rejected", None,
+              lambda config: {**config, "evo": without("population")(config["evo"])},
+              "missing evo config keys"),
+]
+
+EVAL_ROWS = [
+    EvalRow("test_eval_rejects_negative_episodes", None, CARTPOLE_ZEROS,
+            ("--episodes", "-3"), "--episodes"),
+    # a minigrid walk never draws from its stream, so the seed is checked first
+    *(EvalRow("test_eval_rejects_a_negative_seed", env_name,
+              {"env": env_name, "genome": [0.0] * envs.make(env_name).genome_length},
+              ("--seed", "-1"), "--seed")
+      for env_name in ["cartpole", "minigrid-5"]),
+    EvalRow("test_eval_rejects_an_unknown_env_flag", None, CARTPOLE_ZEROS,
+            ("--env", "pong"), "unknown environment 'pong'"),
+    # 1.5 used to reach the genome length (700.5 expected), true was taken as 1
+    *(EvalRow("test_eval_rejects_a_bad_bond_dim_in_the_file", str(bad),
+              {"env": "minigrid-5", "bond_dim": bad,
+               "genome": [0.0] * envs.make("minigrid-5", 1).genome_length},
+              ("--episodes", "1"), "'bond_dim'")
+      for bad in [1.5, True, 0, "2", None]),
+    *(EvalRow("test_eval_requires_an_object_with_a_genome_key", case_id, payload,
+              ("--env", "cartpole", "--episodes", "1"), "'genome'")
+      for case_id, payload in [("payload0", [0.0] * 26), ("payload1", {"env": "cartpole"}),
+                               ("genome", "genome"), ("26", 26)]),
+    *(EvalRow("test_eval_rejects_a_bad_env_in_the_file", case_id,
+              {"env": bad, "genome": [0.0] * 26}, ("--episodes", "1"), "'env'")
+      for case_id, bad in [("list", ["cartpole"]), ("number", 5), ("null", None),
+                           ("unknown", "pong")]),
+    # json writes a NaN or an infinity as the token NaN, Infinity or -Infinity
+    *(EvalRow("test_eval_rejects_non_finite_genome", case_id,
+              {"env": "cartpole", "genome": [0.0] * 25 + [bad]}, ("--episodes", "2"),
+              "non-finite")
+      for case_id, bad in [("NaN", math.nan), ("Infinity", math.inf),
+                           ("-Infinity", -math.inf)]),
+    # NumPy would read "0.5" and true as numbers, and a lone string as a 0-d array
+    *(EvalRow("test_eval_rejects_a_genome_of_non_numbers", case_id,
+              {"env": "cartpole", "genome": genome}, ("--episodes", "2"),
+              f"error: genome {NOT_A_NUMBER}")
+      for case_id, genome in [("strings", ["0.5"] * 26), ("bool", [0.0] * 25 + [True]),
+                              ("string", "0.0")]),
+    EvalRow("test_eval_architecture_mismatch_fails", None, CARTPOLE_ZEROS,
+            ("--env", "minigrid-5"), "does not match"),
+    # an encoded array may hold the right entry count in the wrong shape, or
+    # no entry at all, since a shape's sizes may be 0
+    *(EvalRow("test_eval_names_the_shape_of_an_encoded_genome", None,
+              {"env": "cartpole", "genome": encode(genome)}, (),
+              f"genome shape {shape} does not match cartpole (expected (26,))", exact=True)
+      for genome, shape in [([[0.0]] * 26, "(26, 1)"), ([], "(0,)")]),
+]
+
+RESUME_ROWS = [
+    *both_forms("test_resume_rejects_non_finite_checkpoint",
+                [(key, put(math.nan)) for key in NON_FINITE_KEYS]
+                + [("parents", put(-math.inf)), ("best_score", put(math.inf))],
+                NON_FINITE_KEYS + ["parents-inf", "best_score-inf"], lambda key: "non-finite"),
+    *both_forms("test_rejected_resume_leaves_stats_unchanged", [
+        ("parents", lambda rows: [row[:-1] for row in rows]),
+        ("parents", lambda rows: rows[:-1]),
+        ("best_score", lambda value: [value]),
+        ("elite", lambda values: values[:-1]),
+        ("best_genome", lambda values: values[:3]),
+        ("window", lambda rows: [row[:-1] for row in rows]),
+        ("window", lambda rows: rows[:-1]),
+        ("generation", lambda value: 1.5),
+        ("generation", lambda value: -1),
+    ], ["parents-width", "parents-count", "best_score-list", "elite", "best_genome",
+        "window-width", "window-rows", "generation-float", "generation-negative"], repr),
+    *(ResumeRow("test_resume_rejects_malformed_encoded_array", case_id, at(key, corrupt),
+                repr(key))
+      for case_id, key, corrupt in [
+          ("not-base64", "parents",
+           lambda array: {**array, "float64le": "*" + array["float64le"][1:]}),
+          ("truncated", "elite", lambda array: {**array, "float64le": array["float64le"][:-12]}),
+          ("shape-negative", "best_genome", lambda array: {**array, "shape": [-26]}),
+          ("shape-float", "best_genome", lambda array: {**array, "shape": [26.0]}),
+          ("shape-bool", "best_genome", lambda array: {**array, "shape": [True]}),
+          ("no-float64le", "elite", lambda array: {"shape": array["shape"]}),
+          ("window-encoded", "window", lambda rows: encode(rows))]),
+    # training counts each generation's whole population, here 6; other
+    # counts used to resume into a rolling mean and std no run can write
+    *(ResumeRow("test_resume_rejects_a_window_count_other_than_the_population", str(count),
+                at("window", lambda rows, count=count: [[count, *rows[0][1:]], *rows[1:]]),
+                "'window'")
+      for count in [1.5, True, 7, -100]),
+    # 6 values summing to `total` have a sum of squares of at least total^2 / 6;
+    # a row below that would resume into a rolling std no run can write, and
+    # a sum that is not a JSON number would be written back as it is
+    *(ResumeRow("test_resume_rejects_window_sums_no_data_set_has", case_id,
+                at("window", lambda rows, sums=sums: [[rows[0][0], *sums], *rows[1:]]),
+                "'window'")
+      for case_id, sums in [("negative-sum-zero-squares", (-1e6, 0.0)),
+                            ("squares-below-mean", (3.0, 1.0)),
+                            ("negative-squares", (0.0, -1e-300)), ("sum-bool", (True, 1e9)),
+                            ("squares-string", (6.0, "40"))]),
+    # cart-pole returns lie in [0, 500] and minigrid's in [0, 1]; a window
+    # row of 6 values has sums in [0, 6 R] and [0, 6 R^2].  The first two
+    # used to resume into rolling_std_100 = inf and a best genome frozen by a
+    # score no episode reaches
+    *(ResumeRow("test_resume_rejects_returns_no_episode_has", case_id, at(key, corrupt),
+                repr(key), env)
+      for case_id, env, key, corrupt in [
+          ("squares-1e308", "cartpole", "window",
+           lambda rows: [[*row[:2], 1e308] for row in rows]),
+          ("best_score-1e9", "cartpole", "best_score", lambda value: 1e9),
+          ("best_score-negative", "cartpole", "best_score", lambda value: -1.0),
+          ("sum-above-max", "cartpole", "window",
+           lambda rows: [[6, 3000.5, 3000.5 ** 2 / 6], *rows[1:]]),
+          ("squares-above-max", "cartpole", "window",
+           lambda rows: [[6, 3000.0, 1.5e6 * (1 + 1e-15)], *rows[1:]]),
+          ("sum-negative", "cartpole", "window", lambda rows: [[6, -1e-300, 0.0], *rows[1:]]),
+          ("minigrid-best_score-above-1", "minigrid-5", "best_score",
+           lambda value: 1.0000000000000002),
+          ("minigrid-sum-above-max", "minigrid-5", "window",
+           lambda rows: [[6, 6.5, 6.5 ** 2 / 6], *rows[1:]])]),
+    *(ResumeRow("test_resume_rejects_an_unreadable_checkpoint", case_id,
+                at(key, corrupt, form), message)
+      for case_id, form, key, corrupt, message in [
+          ("format-3", "encoded", "format", lambda value: 3, "unsupported checkpoint format: 3"),
+          # true == 1 in Python, so it used to pass as format 1
+          ("format-bool", "encoded", "format", lambda value: True,
+           "unsupported checkpoint format: True"),
+          # ragged rows have no encoded form, so this case is a format-1 file only
+          ("parents-ragged-format1", "list", "parents", lambda rows: [rows[0][:-1], *rows[1:]],
+           "'parents' is not a regular array of numbers"),
+          # NumPy reads "1e9" and true as numbers: a best score of 1e9 no
+          # episode reaches would freeze the run's best genome
+          ("best_score-string", "encoded", "best_score", lambda value: "1e9",
+           f"'best_score' {NOT_A_NUMBER}"),
+          ("best_score-bool", "encoded", "best_score", lambda value: True,
+           f"'best_score' {NOT_A_NUMBER}"),
+          ("parents-strings-format1", "list", "parents",
+           lambda rows: [[str(v) for v in rows[0]], *rows[1:]], f"'parents' {NOT_A_NUMBER}"),
+          ("best_genome-bool-format1", "list", "best_genome",
+           lambda values: [True, *values[1:]], f"'best_genome' {NOT_A_NUMBER}"),
+          ("out_dir-int", "encoded", "run_config", lambda config: {**config, "out_dir": 5},
+           "out_dir must be of type str"),
+          ("env-unknown", "encoded", "run_config", lambda config: {**config, "env": "pong"},
+           "unknown environment 'pong'"),
+          ("window-bool", "encoded", "window",
+           lambda rows: [[rows[0][0], True, rows[0][2]], *rows[1:]],
+           f"'window' {NOT_A_NUMBER}")]),
+    ResumeRow("test_resume_rejects_a_checkpoint_that_is_not_an_object", None,
+              lambda data: [1], "checkpoint must be a JSON object"),
+    *(ResumeRow("test_resume_names_a_missing_checkpoint_key", key, without(key),
+                f"checkpoint is missing keys: [{key!r}]")
+      for key in sorted(cli.CHECKPOINT_KEYS)),
+    # generation 3's checkpoint needs rows 0..3; the first one missing is named
+    *(ResumeRow("test_resume_without_rows_up_to_checkpoint_fails", case_id, lambda data: data,
+                f"stats.csv lacks the row of generation {missing},", generation=3, stats=stats)
+      for case_id, stats, missing in [
+          ("missing", lambda lines: None, 0),
+          ("cut-after-row-0", lambda lines: lines[:2], 1),  # the header and row 0
+          ("torn-row", lambda lines: lines[:4] + [lines[4][:5]], 3)]),
+    # row 1 holds generation 3's cells, as a run's stats.csv beside another
+    # run's checkpoint_1.json does: a resume would keep it under the
+    # checkpoint's row 2.  The error names both means, the row's and the
+    # checkpoint's last window row's
+    ResumeRow("test_resume_rejects_the_stats_of_another_run", None, lambda data: data,
+              another_runs_mean,
+              stats=lambda lines: [*lines[:2], "1," + lines[4].split(",", 1)[1], *lines[3:]]),
+]
 
 
-@pytest.mark.parametrize("form,key,corrupt,message", [
-    ("encoded", "format", lambda value: 3, "unsupported checkpoint format: 3"),
-    # true == 1 in Python, so it used to pass as format 1
-    ("encoded", "format", lambda value: True, "unsupported checkpoint format: True"),
-    # ragged rows have no encoded form, so this case is a format-1 file only
-    ("list", "parents", lambda rows: [rows[0][:-1], *rows[1:]],
-     "'parents' is not a regular array of numbers"),
-    # NumPy reads "1e9" and true as numbers: a best score of 1e9 no episode
-    # reaches would freeze the run's best genome
-    ("encoded", "best_score", lambda value: "1e9", f"'best_score' {NOT_A_NUMBER}"),
-    ("encoded", "best_score", lambda value: True, f"'best_score' {NOT_A_NUMBER}"),
-    ("list", "parents", lambda rows: [[str(v) for v in rows[0]], *rows[1:]],
-     f"'parents' {NOT_A_NUMBER}"),
-    ("list", "best_genome", lambda values: [True, *values[1:]],
-     f"'best_genome' {NOT_A_NUMBER}"),
-    ("encoded", "run_config", lambda config: {**config, "out_dir": 5},
-     "out_dir must be of type str"),
-    ("encoded", "run_config", lambda config: {**config, "env": "pong"},
-     "unknown environment 'pong'"),
-    ("encoded", "window", lambda rows: [[rows[0][0], True, rows[0][2]], *rows[1:]],
-     f"'window' {NOT_A_NUMBER}"),
-], ids=["format-3", "format-bool", "parents-ragged-format1", "best_score-string", "best_score-bool",
-        "parents-strings-format1", "best_genome-bool-format1", "out_dir-int", "env-unknown",
-        "window-bool"])
-def test_resume_rejects_an_unreadable_checkpoint(tmp_path, capsys, form, key, corrupt,
-                                                 message):
-    config = write_config(tmp_path / "cfg.json")
-    assert cli.main(["train", "--config", str(config)]) == 0
-    checkpoint = tmp_path / "run" / "checkpoint_1.json"
-    rewrite_checkpoint(checkpoint, form, key, corrupt)
-    before = run_dir_bytes(tmp_path / "run")
-    capsys.readouterr()
-    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and message in captured.err
-    assert run_dir_bytes(tmp_path / "run") == before
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """trained(env): the directory of a tiny run on env (bond dimension 1),
+    trained at its first call in this module."""
+    runs = {}
+
+    def trained_run(env: str) -> Path:
+        if env not in runs:
+            config = write_config(tmp_path_factory.mktemp(env) / "cfg.json", env=env,
+                                  mps_bond_dim=1)
+            assert cli.main(["train", "--config", str(config)]) == 0
+            runs[env] = config.parent / "run"
+        return runs[env]
+
+    return trained_run
 
 
-def test_resume_rejects_a_checkpoint_that_is_not_an_object(tmp_path, capsys):
-    checkpoint = tmp_path / "checkpoint_1.json"
-    checkpoint.write_text("[1]")
-    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
-    assert "checkpoint must be a JSON object" in capsys.readouterr().err
+def check_config_row(row: ConfigRow, tmp_path: Path, trained) -> None:
+    path = tmp_path / "cfg.json"
+    config = row.config(json.loads(write_config(path).read_text()))
+    if config is None:
+        path.unlink()
+    else:
+        path.write_text(json.dumps(config))
+    assert_rejected(run_qevo(["train", "--config", str(path)], run=tmp_path / "run"), row.text)
 
 
-@pytest.mark.parametrize("key", sorted(cli.CHECKPOINT_KEYS))
-def test_resume_names_a_missing_checkpoint_key(tmp_path, capsys, key):
-    config = write_config(tmp_path / "cfg.json")
-    assert cli.main(["train", "--config", str(config)]) == 0
-    checkpoint = tmp_path / "run" / "checkpoint_1.json"
+def check_eval_row(row: EvalRow, tmp_path: Path, trained) -> None:
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(row.genome_file))
+    assert_rejected(run_qevo(["eval", "--genome", str(path), *row.flags]), row.text, row.exact)
+
+
+def resumable_copy(run: Path, tmp_path: Path, generation: int = 1) -> tuple[Path, dict]:
+    """A copy of `run` in tmp_path, and its checkpoint of `generation` (path
+    and JSON), whose out_dir is the copy."""
+    checkpoint = shutil.copytree(run, tmp_path / "run") / f"checkpoint_{generation}.json"
     data = json.loads(checkpoint.read_text())
-    del data[key]
+    data["run_config"]["out_dir"] = str(checkpoint.parent)
+    return checkpoint, data
+
+
+def check_resume_row(row: ResumeRow, tmp_path: Path, trained) -> None:
+    checkpoint, data = resumable_copy(trained(row.env), tmp_path, row.generation)
+    checkpoint.write_text(json.dumps(row.checkpoint(data)))
+    run = checkpoint.parent
+    if row.stats is not None:
+        lines = row.stats(read_stats(run))
+        if lines is None:
+            (run / "stats.csv").unlink()
+        else:
+            (run / "stats.csv").write_text("\n".join(lines) + "\n")
+    text = row.text if isinstance(row.text, str) else row.text(run)
+    assert_rejected(run_qevo(["resume", "--checkpoint", str(checkpoint)], run=run), text)
+
+
+def table_tests(rows: list, check) -> dict:
+    """The test of each group of `rows` under the name they give, checking a
+    row with `check(row, tmp_path, trained)`."""
+    tests = {}
+    for name in dict.fromkeys(row.test for row in rows):
+        group = [row for row in rows if row.test == name]
+        if group[0].id is None:
+            def test(tmp_path, trained, group=group):
+                for index, row in enumerate(group):
+                    (tmp_path / str(index)).mkdir()
+                    check(row, tmp_path / str(index), trained)
+        else:
+            @pytest.mark.parametrize("row", [pytest.param(row, id=row.id) for row in group])
+            def test(tmp_path, trained, row):
+                check(row, tmp_path, trained)
+        test.__name__ = test.__qualname__ = name
+        tests[name] = test
+    return tests
+
+
+globals().update(table_tests(CONFIG_ROWS, check_config_row)
+                 | table_tests(EVAL_ROWS, check_eval_row)
+                 | table_tests(RESUME_ROWS, check_resume_row))
+
+
+def test_resume_accepts_the_window_of_a_generation_of_equal_fitness(tmp_path, trained):
+    # six agents that all walk 7 steps to the minigrid-5 goal score 0.937
+    # each, and the sums training writes for them fall short of
+    # count * sumsq >= sum^2 by rounding (about 2e-16 of sum^2)
+    fitness = np.full(6, 1.0 - 0.9 * 7 / 100)
+    row = [6, float(fitness.sum()), float(np.square(fitness).sum())]
+    assert row[0] * row[2] < row[1] ** 2
+    checkpoint, data = resumable_copy(trained("minigrid-5"), tmp_path)
+    data["window"][0] = row
     checkpoint.write_text(json.dumps(data))
-    before = (tmp_path / "run" / "stats.csv").read_bytes()
-    capsys.readouterr()
-    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "missing" in captured.err
-    assert repr(key) in captured.err
-    assert (tmp_path / "run" / "stats.csv").read_bytes() == before
+    outcome = run_qevo(["resume", "--checkpoint", str(checkpoint)])
+    assert (outcome.status, outcome.err) == (0, "")
+    assert len(read_stats(checkpoint.parent)) == 6
+
+
+def test_resume_accepts_returns_at_the_top_of_their_range(tmp_path, trained):
+    # a cart-pole population that balances every episode for all 500 steps
+    # has window rows (6, 6 * 500, 6 * 500^2) and best score 500; the last
+    # window row is checked against stats.csv, so the first one is set
+    checkpoint, data = resumable_copy(trained("cartpole"), tmp_path)
+    data["window"][0] = [6, 3000.0, 1500000.0]
+    data["best_score"] = 500.0
+    checkpoint.write_text(json.dumps(data))
+    outcome = run_qevo(["resume", "--checkpoint", str(checkpoint)])
+    assert (outcome.status, outcome.err) == (0, "")
+    assert len(read_stats(checkpoint.parent)) == 6
 
 
 def test_format1_checkpoint_resumes_to_uninterrupted_stats(tmp_path):
@@ -810,7 +772,7 @@ def test_format2_checkpoint_with_older_keys_resumes_to_uninterrupted_stats(tmp_p
     config = write_config(tmp_path / "cfg.json")
     assert cli.main(["train", "--config", str(config), "--out-dir",
                      str(tmp_path / "full")]) == 0
-    reference = run_dir_bytes(tmp_path / "full")
+    reference = run_files(tmp_path / "full")
     assert cli.main(["train", "--config", str(config)]) == 0
     checkpoint = tmp_path / "run" / "checkpoint_1.json"
     data = json.loads(checkpoint.read_text())
@@ -819,7 +781,7 @@ def test_format2_checkpoint_with_older_keys_resumes_to_uninterrupted_stats(tmp_p
                 elite_score=elite_score)
     checkpoint.write_text(json.dumps(data))
     assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 0
-    resumed = run_dir_bytes(tmp_path / "run")
+    resumed = run_files(tmp_path / "run")
     for name in ("stats.csv", "best_genome.json"):
         assert resumed[name] == reference[name]
 
@@ -964,44 +926,6 @@ def test_resume_after_torn_write_matches_uninterrupted_run(uninterrupted_stats, 
         assert (out_dir / "stats.csv").read_bytes() == uninterrupted_stats
 
 
-@pytest.mark.parametrize("field,value", [
-    ("checkpoint_every", 1.5), ("workers", True), ("mps_bond_dim", 2.0),
-    ("evo.population", 10.5), ("evo.truncation", True), ("evo.master_seed", True),
-    ("evo.population", True), ("evo.truncation", 2.5), ("evo.master_seed", 1.0),
-    ("evo.master_seed", -1), ("evo.init_scale", True), ("evo.mutation_power", True),
-    ("env", "pong"), ("workers", 0), ("mps_bond_dim", 0), ("checkpoint_every", 0),
-    ("out_dir", 5), ("out_dir", None),
-])
-def test_config_rejects_mistyped_numbers(tmp_path, capsys, field, value):
-    section, _, name = field.rpartition(".")
-    overrides = {"evo": {name: value}} if section else {name: value}
-    config = write_config(tmp_path / "cfg.json", **overrides)
-    assert cli.main(["train", "--config", str(config)]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and name in captured.err
-    assert not (tmp_path / "run").exists()
-
-
-def test_eval_architecture_mismatch_fails(tmp_path, capsys):
-    genome_file = tmp_path / "g.json"
-    genome_file.write_text(json.dumps({"env": "cartpole",
-                                       "genome": [0.0] * 26}))
-    assert cli.main(["eval", "--genome", str(genome_file),
-                     "--env", "minigrid-5"]) == 1
-    assert "does not match" in capsys.readouterr().err
-
-
-def test_eval_names_the_shape_of_an_encoded_genome(tmp_path, capsys):
-    # an encoded array may hold the right entry count in the wrong shape, or
-    # no entry at all, since a shape's sizes may be 0
-    genome_file = tmp_path / "g.json"
-    for genome, shape in (([[0.0]] * 26, "(26, 1)"), ([], "(0,)")):
-        genome_file.write_text(json.dumps({"env": "cartpole", "genome": encode(genome)}))
-        assert cli.main(["eval", "--genome", str(genome_file)]) == 1
-        assert capsys.readouterr().err == \
-            f"error: genome shape {shape} does not match cartpole (expected (26,))\n"
-
-
 def test_eval_plays_10_episodes_from_seed_0_by_default(tmp_path, capsys):
     genome_file = tmp_path / "g.json"
     genome = np.random.default_rng(4).standard_normal(26) * 0.3
@@ -1042,48 +966,6 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
-
-
-def test_missing_config_file_fails_cleanly(tmp_path, capsys):
-    assert cli.main(["train", "--config", str(tmp_path / "absent.json")]) == 1
-    assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
-
-
-def test_unknown_config_key_rejected(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    data = json.loads(write_config(path).read_text())
-    data["sigma"] = 0.1
-    path.write_text(json.dumps(data))
-    assert cli.main(["train", "--config", str(path)]) == 1
-    assert "unknown config keys" in capsys.readouterr().err
-
-
-def test_missing_evo_key_rejected(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    data = json.loads(write_config(path).read_text())
-    del data["evo"]["population"]
-    path.write_text(json.dumps(data))
-    assert cli.main(["train", "--config", str(path)]) == 1
-    assert "missing evo config keys" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("section,value", [
-    ("evo", 5), ("evo", [0.02]), ("evo", None), ("config", [1]),
-], ids=["evo-number", "evo-list", "evo-null", "config-list"])
-def test_config_section_must_be_an_object(tmp_path, capsys, section, value):
-    path = tmp_path / "cfg.json"
-    data = json.loads(write_config(path).read_text())
-    if section == "config":
-        data = value
-    else:
-        data[section] = value
-        section += " config"
-    path.write_text(json.dumps(data))
-    assert cli.main(["train", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert f"error: {section} must be a JSON object" in captured.err
-    assert not (tmp_path / "run").exists()
 
 
 def test_zero_generation_override_parses_full_scale_configs(tmp_path, capsys):
@@ -1212,6 +1094,23 @@ def test_a_command_that_draws_nothing_never_imports_numpy_random(tmp_path):
                           capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_the_benchmark_child_stamps_each_generation_of_a_train_and_its_resume(tmp_path):
+    # perfbench/child.py stamps `first` when evo.init_population returns or
+    # evo.run is entered, and wraps the on_generation callback it is passed
+    # by keyword; a source change that bypasses either breaks the benchmark
+    config = write_config(tmp_path / "cfg.json", checkpoint_every=1, evo={"generations": 3})
+    checkpoint, report = tmp_path / "run" / "checkpoint_0.json", tmp_path / "report.json"
+    for argv, generations in ((["train", "--config", str(config)], 3),
+                              (["resume", "--checkpoint", str(checkpoint)], 2)):
+        done = subprocess.run([sys.executable, str(SRC_DIR.parent / "perfbench" / "child.py"),
+                               str(report), "-", "--", *argv],
+                              cwd=tmp_path, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+        stamps = json.loads(report.read_text())
+        assert stamps["status"] == 0 and stamps["first"] is not None
+        assert len(stamps["gens"]) == generations
 
 
 @pytest.mark.parametrize("workers", [1, 2])

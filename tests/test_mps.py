@@ -198,7 +198,7 @@ def test_site_rows_address_every_input_core(n_sites, bond_dim, out_dim):
     np.testing.assert_array_equal(gathered[-1, :, :, 1:], 0.0)
 
 
-def test_unflatten_rejects_wrong_length():
+def test_mps_extractor_rejects_a_flat_of_the_wrong_entry_count():
     with pytest.raises(ValueError, match="entries"):
         ref.MpsFeatureExtractor(5, 2, 3, np.zeros(10))
 

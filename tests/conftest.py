@@ -5,7 +5,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -90,6 +92,20 @@ def trained(tmp_path_factory):
         return runs[key]
 
     return trained_run
+
+
+@pytest.fixture
+def placements(monkeypatch):
+    """Every os.sched_setaffinity call, as (thread name, pid, sorted cpus),
+    recorded in place of being made, so that no test pins this process:
+    os.sched_getaffinity allows CPUs 3, 5 and 8 and the main thread runs on
+    CPU 5."""
+    placed = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {8, 3, 5})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: placed.append(
+        (threading.current_thread().name, pid, sorted(cpus))), raising=False)
+    monkeypatch.setattr(evo, "_this_cpu", lambda: 5)
+    return placed
 
 
 def assert_rejected(outcome: Outcome, text: str = "", exact: bool = False,

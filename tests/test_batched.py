@@ -304,7 +304,7 @@ def test_trained_populations_match_evaluate_fitness(env_name, generations):
         assert batched.tobytes() == expected.tobytes()
 
 
-def test_pool_task_matches_serial_slice(monkeypatch):
+def test_pool_task_matches_serial_slice(monkeypatch, placements):
     env = envs.MiniGridEnv(5, BOND_DIMS["minigrid-5"])
     genomes = random_genomes(np.random.default_rng(51), 6, env.genome_length, 0.2)
     rows, entropies, repeats = np.arange(6), [[1, 0, 0, i] for i in range(6)], np.full(6, 3)
@@ -313,6 +313,8 @@ def test_pool_task_matches_serial_slice(monkeypatch):
     monkeypatch.setattr(evo, "_WORKER_ENV", None)  # restored after the test
     monkeypatch.setattr(evo, "_WORKER_POPULATION", None)
     evo._init_worker(env, shared, genomes.shape)
-    sliced = evo._eval_task((rows[2:5], entropies[2:5], repeats[2:5]))
     whole = evo.batch_fitness(genomes, env, rows, entropies, repeats)
-    assert sliced.tobytes() == whole[2:5].tobytes()
+    for cpu in (8, None):  # a task names the CPU its slice is scored on, if any
+        sliced = evo._eval_task((cpu, rows[2:5], entropies[2:5], repeats[2:5]))
+        assert sliced.tobytes() == whole[2:5].tobytes()
+    assert placements == [("MainThread", 0, [8])]

@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qevo import cli
+from qevo import cli, evo
 
 from conftest import assert_deterministic, run_qevo, write_config
 
@@ -29,6 +29,10 @@ CONFIGS = {  # overrides of write_config's tiny cart-pole run
     # each pool worker builds TN-VQC policies from its copy of the env
     "minigrid5": {"env": "minigrid-5", "mps_bond_dim": 2, "evo": {
         "population": 10, "generations": 4, "master_seed": 1, "init_scale": 0.2}},
+    # 55 children of 4,808 entries span two spawn blocks, so a helper thread draws the
+    # head of every spawn after the run's first while the plan before it is scored
+    "minigrid5-P56": {"env": "minigrid-5", "mps_bond_dim": 4, "evo": {
+        "population": 56, "generations": 5, "master_seed": 1, "init_scale": 0.2}},
     # entries of about 1e10 overflow the cell tables' products, warning in no process
     "huge-mps": {"env": "minigrid-5", "evo": {"init_scale": 1e10, "generations": 2}},
     # at odd m the MPS rows are not 16-byte aligned
@@ -37,7 +41,7 @@ CONFIGS = {  # overrides of write_config's tiny cart-pole run
         "generations": 4, "master_seed": 6, "init_scale": 0.2}},
     **{f"every{k}": {"checkpoint_every": k, "evo": {"generations": 6}} for k in range(1, 5)},
 }
-REWARDED = {"minigrid5", "bond3"}  # most small minigrid runs score 0 everywhere
+REWARDED = {"minigrid5", "minigrid5-P56", "bond3"}  # most small minigrid runs score 0 everywhere
 
 
 def qevo(*args):
@@ -113,6 +117,13 @@ ROWS = [
         partial(resume, generation=1, workers=2)),
     Row("minigrid5-on-2-workers-resume-from-1-serially", "minigrid5",
         partial(resume, generation=1, trained_on=2)),
+    Row("minigrid5-P56-serially", "minigrid5-P56", train),
+    Row("minigrid5-P56-on-2-workers", "minigrid5-P56", partial(train, workers=2)),
+    Row("minigrid5-P56-resume-from-1-on-2-workers", "minigrid5-P56",
+        partial(resume, generation=1, workers=2)),
+    # the children fit one block, so no spawn has its head drawn ahead
+    Row("minigrid5-P56-in-one-spawn-block", "minigrid5-P56", train,
+        lambda monkeypatch: monkeypatch.setattr(evo, "SPAWN_BLOCK_ENTRIES", 1 << 20)),
     Row("huge-mps-on-2-workers", "huge-mps", partial(train, workers=2)),
     Row("bond3-on-2-workers", "bond3", partial(train, workers=2)),
     # 6 generations rename a best genome and a checkpoint ceil(6 / every) times

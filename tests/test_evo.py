@@ -1,12 +1,16 @@
 """Evolution-strategy tests: seeding, ranking, elitism, the fused loop and its resume, the pool."""
 
 import dataclasses
+import functools
 import itertools
 import math
+import os
+import threading
+import time
 import tracemalloc
 import zlib
 from concurrent import futures
-from multiprocessing import active_children, sharedctypes
+from multiprocessing import active_children, get_context, sharedctypes
 
 import numpy as np
 import pytest
@@ -160,6 +164,41 @@ def test_spawn_children_matches_reference(data, population, genome_length, mutat
     assert pop is out
     expected = ref.spawn_children(parents, elite, config, generation)
     assert pop.tobytes() == expected[:-1].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), population=st.integers(4, 60), genome_length=st.integers(1, 40),
+       head=st.sampled_from(["1 row", "some rows", "all rows"]),
+       mutation_power=st.sampled_from([1e-300, 0.02, 7.0]), generation=st.integers(0, 10_000),
+       master_seed=st.integers(0, 2**32 - 1), parent_scale=st.sampled_from([0.0, 1.0, 1e6]))
+def test_spawn_from_a_predrawn_head_matches_reference(data, population, genome_length, head,
+                                                      mutation_power, generation, master_seed,
+                                                      parent_scale):
+    # the loop has a helper thread draw the head of a spawn's noise into the
+    # block it then gathers the picked parents through; the spawn continues
+    # the helper's Generator over the other rows
+    truncation = data.draw(st.integers(1, population - 1), label="truncation")
+    rows = {"1 row": 1, "all rows": population - 1}.get(head) or data.draw(
+        st.integers(2, population - 2), label="rows")
+    config = tiny_config(population=population, truncation=truncation,
+                         mutation_power=mutation_power, master_seed=master_seed)
+    rng = np.random.default_rng(generation)
+    parents = rng.standard_normal((truncation, genome_length)) * parent_scale
+    elite = parents[rng.integers(truncation)].copy()
+    default_block = evo.SPAWN_BLOCK_ENTRIES
+    evo.SPAWN_BLOCK_ENTRIES = rows * genome_length + genome_length - 1
+    try:  # a block of `rows` whole rows, as the loop sizes it
+        block = np.empty((evo._block_rows(genome_length), genome_length))
+    finally:
+        evo.SPAWN_BLOCK_ENTRIES = default_block
+    helper, predrawn = evo._spawn_ahead(config, generation, truncation, block, [])
+    helper.join(timeout=60)
+    assert not helper.is_alive()
+    out = new_children(config, genome_length)
+    assert evo.spawn_children(parents, config, generation, out=out, head=predrawn) is out
+    assert len(block) == rows and not np.shares_memory(block, out)
+    expected = ref.spawn_children(parents, elite, config, generation)
+    assert out.tobytes() == expected[:-1].tobytes()
 
 
 def test_generation_step_allocates_no_second_population(monkeypatch):
@@ -410,12 +449,15 @@ def recorded_run(run, config, genome_length, resume=None, stop_at=None):
        repeats_parents=st.integers(1, 4), master_seed=st.integers(0, 2**32 - 1),
        mutation_power=st.sampled_from([0.05, 1.0]),
        init_scale=st.sampled_from([0.0, 0.01, 1.0]),
-       scale=st.sampled_from([0.0, 0.1, 10.0]), digits=st.sampled_from([1, 15]))
+       scale=st.sampled_from([0.0, 0.1, 10.0]), digits=st.sampled_from([1, 15]),
+       block_entries=st.sampled_from([1, evo.SPAWN_BLOCK_ENTRIES]))
 def test_evolve_matches_the_two_batch_loop(data, population, genome_length, generations,
                                            repeats_all, repeats_parents, master_seed,
-                                           mutation_power, init_scale, scale, digits):
+                                           mutation_power, init_scale, scale, digits,
+                                           block_entries):
     # the fused plan gives every row its genome, stream and repeats: a stream
-    # or repeat count given to the wrong row moves a fitness
+    # or repeat count given to the wrong row moves a fitness.  With 1-entry
+    # blocks every spawn but a run's first has its head drawn by a helper
     config = evo.EvoConfig(
         population=population, truncation=data.draw(st.integers(1, population - 1)),
         mutation_power=mutation_power, generations=generations, repeats_all=repeats_all,
@@ -431,17 +473,21 @@ def test_evolve_matches_the_two_batch_loop(data, population, genome_length, gene
 
     snapshots = {}
     expected = recorded_run(two_batch, config, genome_length)
-    assert recorded_run(fused, config, genome_length) == expected
-    evo._evolve(config, plan_fitness(fitness), genome_length,
-                lambda s, snap: snapshots.__setitem__(snap.generation, snap))
-    for generation, snap in snapshots.items():  # resume from every snapshot
-        tail = recorded_run(fused, config, genome_length, resume=snap)
-        assert tail == recorded_run(two_batch, config, genome_length, resume=snap)
-        assert tail == tuple(seen[generation + 1:] for seen in expected)
-    if generations:  # an early stop raised from on_generation
-        stop_at = data.draw(st.integers(0, generations - 1), label="stop_at")
-        stopped = recorded_run(fused, config, genome_length, stop_at=stop_at)
-        assert stopped == tuple(seen[:stop_at + 1] for seen in expected)
+    default_block, evo.SPAWN_BLOCK_ENTRIES = evo.SPAWN_BLOCK_ENTRIES, block_entries
+    try:
+        assert recorded_run(fused, config, genome_length) == expected
+        evo._evolve(config, plan_fitness(fitness), genome_length,
+                    lambda s, snap: snapshots.__setitem__(snap.generation, snap))
+        for generation, snap in snapshots.items():  # resume from every snapshot
+            tail = recorded_run(fused, config, genome_length, resume=snap)
+            assert tail == recorded_run(two_batch, config, genome_length, resume=snap)
+            assert tail == tuple(seen[generation + 1:] for seen in expected)
+        if generations:  # an early stop raised from on_generation
+            stop_at = data.draw(st.integers(0, generations - 1), label="stop_at")
+            stopped = recorded_run(fused, config, genome_length, stop_at=stop_at)
+            assert stopped == tuple(seen[:stop_at + 1] for seen in expected)
+    finally:
+        evo.SPAWN_BLOCK_ENTRIES = default_block
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +595,18 @@ class InProcessPool:
         return map(fn, tasks)
 
 
-@pytest.mark.parametrize("population,truncation,workers",
-                         [(7, 2, 3), (2, 1, 3), (10, 3, 4), (5, 4, 5), (12, 5, 2)])
-def test_pool_sends_one_contiguous_slice_per_worker(monkeypatch, population,
-                                                    truncation, workers):
+def in_process_pool(monkeypatch):
     monkeypatch.setattr(futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(InProcessPool, "maps", [])
     for name in ("_WORKER_ENV", "_WORKER_POPULATION"):
         monkeypatch.setattr(evo, name, None)  # restored after the test
+
+
+@pytest.mark.parametrize("population,truncation,workers",
+                         [(7, 2, 3), (2, 1, 3), (10, 3, 4), (5, 4, 5), (12, 5, 2)])
+def test_pool_sends_one_contiguous_slice_per_worker(monkeypatch, placements, population,
+                                                    truncation, workers):
+    in_process_pool(monkeypatch)
     config = evo.EvoConfig(population=population, truncation=truncation,
                            mutation_power=0.05, generations=2, repeats_all=2,
                            repeats_parents=3, master_seed=4, init_scale=0.3)
@@ -583,9 +633,113 @@ def test_pool_sends_one_contiguous_slice_per_worker(monkeypatch, population,
         # the slices are cut at len(plan) * k // workers and tile the plan in
         # order, each plan row exactly once
         cuts = sorted({len(plan) * k // workers for k in range(workers + 1)})
-        for (rows, entropies, repeats), start, stop in zip(tasks, cuts, cuts[1:]):
+        for k, ((cpu, rows, entropies, repeats), start, stop) in enumerate(
+                zip(tasks, cuts, cuts[1:])):
+            assert cpu == [3, 5, 8][k % 3]  # slice k on allowed CPU k mod 3
             assert len(rows) == len(entropies) == len(repeats) == stop - start
             assert list(zip(rows.tolist(), entropies, repeats.tolist())) == plan[start:stop]
+    # each task placed its worker (here, this thread) on its CPU; the children
+    # fit one spawn block, so no helper thread drew ahead
+    assert placements == [("MainThread", 0, [task[0]]) for _, tasks in InProcessPool.maps
+                          for task in tasks]
+
+
+def record_helpers(monkeypatch, blocks: list | None = None, delay: float = 0.0) -> list:
+    """The CPUs handed to each helper thread that draws a spawn's head; each
+    helper appends its block to `blocks` and first sleeps `delay` seconds."""
+    handed, draw_head = [], evo._draw_head
+
+    def recorded(rng, block, cpus):
+        handed.append(list(cpus))
+        if blocks is not None:
+            blocks.append(block)
+        time.sleep(delay)
+        draw_head(rng, block, cpus)
+
+    monkeypatch.setattr(evo, "_draw_head", recorded)
+    return handed
+
+
+def test_a_helper_runs_on_every_allowed_cpu_but_the_main_threads(monkeypatch, placements):
+    # rows of 4 entries, 1 a spawn block: generations 0..3 spawn 5 children
+    # each, and a helper draws the head of every spawn but the run's first
+    monkeypatch.setattr(evo, "SPAWN_BLOCK_ENTRIES", 7)
+    blocks = []
+    handed = record_helpers(monkeypatch, blocks)
+    config = tiny_config(population=6, truncation=2, generations=5)
+    serial = evo._evolve(config, sphere_fitness, 4)
+    assert handed == [[3, 8]] * 3
+    assert all(block is blocks[0] for block in blocks)  # one block a run
+    assert placements == [("qevo-spawn-ahead", 0, [3, 8])] * 3
+    monkeypatch.setattr(evo, "SPAWN_BLOCK_ENTRIES", 20)  # 5 rows: one block, no helper
+    assert [repr(s) for s in evo._evolve(config, sphere_fitness, 4)] == [repr(s) for s in serial]
+    assert len(handed) == 3
+
+
+@pytest.mark.parametrize("host", ["one CPU", "no sched_setaffinity"])
+def test_nothing_is_placed_on_one_cpu_or_without_sched_setaffinity(monkeypatch, placements,
+                                                                   host):
+    if host == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    in_process_pool(monkeypatch)
+    monkeypatch.setattr(evo, "SPAWN_BLOCK_ENTRIES", envs.CartPoleEnv().genome_length)
+    handed = record_helpers(monkeypatch)
+    evo.run(tiny_config(population=6, truncation=2, generations=5), envs.CartPoleEnv(),
+            workers=2)
+    assert handed == [[]] * 3  # the helpers still draw, pinned to nothing
+    assert {task[0] for _, tasks in InProcessPool.maps for task in tasks} == {None}
+    assert placements == []
+
+
+@pytest.mark.parametrize("stop", ["on_generation raises", "a spawn overflows"])
+def test_a_stopped_run_leaves_no_helper_alive(monkeypatch, capfd, stop):
+    # each helper outlasts the plan it is drawn beside, which must wait for it
+    monkeypatch.setattr(evo, "SPAWN_BLOCK_ENTRIES", 4)  # rows of 4 entries, 1 a block
+    handed = record_helpers(monkeypatch, delay=0.02)
+    threads = threading.active_count()
+    if stop == "on_generation raises":
+        def on_generation(stats, snapshot):
+            assert threading.active_count() == threads  # no helper beside a callback
+            if stats.generation == 2:
+                raise StopRun
+
+        with pytest.raises(StopRun):
+            evo._evolve(tiny_config(population=6, truncation=2, generations=6), sphere_fitness,
+                        4, on_generation)
+    else:  # the genomes with the largest entries are kept until the children overflow
+        def largest_entry(genomes, rows, entropies, repeats):
+            return np.log1p(np.abs(genomes[rows]).max(axis=1))
+
+        config = tiny_config(population=6, truncation=2, generations=100,
+                             mutation_power=3e307)
+        with pytest.raises(ValueError, match="overflow at mutation_power"):
+            evo._evolve(config, largest_entry, 4)
+    assert len(handed) >= 2
+    assert threading.active_count() == threads
+    assert capfd.readouterr().err == ""
+
+
+def test_no_helper_is_alive_when_the_pool_forks(monkeypatch):
+    # a fork from a process with a second thread warns from Python 3.12 on;
+    # the forked pool starts both workers at its first plan, before any helper
+    forks, fork = [], os.fork
+
+    def recorded_fork():
+        forks.append(sorted(thread.name for thread in threading.enumerate()))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", functools.partial(
+        futures.ProcessPoolExecutor, mp_context=get_context("fork")))
+    handed = record_helpers(monkeypatch)
+    env = envs.MiniGridEnv(5, envs.BOND_DIM)  # 55 children of 4,808 entries: two blocks
+    config = evo.EvoConfig(population=56, truncation=2, mutation_power=0.05, generations=5,
+                           repeats_all=1, repeats_parents=1, master_seed=3, init_scale=0.2)
+    evo.run(config, env, workers=2)
+    assert len(handed) == 3
+    assert forks == [["MainThread"]] * 2
 
 
 def test_near_zero_genomes_score_like_random_play():

@@ -50,17 +50,18 @@ built, so a one-worker run never loads it.
 
 A spawn's noise is drawn ahead where that helps.  Generation g + 1's
 mutation stream depends on neither g's parents nor its fitness, so while g's
-plan is scored a helper thread draws the noise of g + 1's first children,
-one spawn block of whole rows (see SPAWN_BLOCK_ENTRIES), into a block the
-run allocates once; the spawn then continues the same Generator over the
-other rows and gathers the picked parents through that block.  A chunked
-draw equals one whole draw, and each child entry is still noise *
-mutation_power + parent, so every byte holds.  The helper runs only where
-the children span more than one block (every shipped minigrid config, never
-cart-pole, where a thread a generation costs more than it saves), never for
-a run's first spawn, and it is joined before on_generation, so no callback
-runs beside it and none is alive when a forked pool starts its workers, at
-the run's first plan.
+plan is scored a helper thread draws the noise of g + 1's first children
+into a head block the run allocates once: every child's, if all of it fits
+in HEAD_ENTRIES entries (every desk-scale minigrid config), and otherwise
+one spawn block of whole rows (see SPAWN_BLOCK_ENTRIES).  The spawn then
+continues the same Generator over the other rows, if any, and gathers the
+picked parents through that block.  A chunked draw equals one whole draw,
+and each child entry is still noise * mutation_power + parent, so every
+byte holds.  The helper runs only where the children span more than one
+spawn block (every shipped minigrid config, never cart-pole, where a thread
+a generation costs more than it saves), never for a run's first spawn, and
+it is joined before on_generation, so no callback runs beside it and none
+is alive when a forked pool starts its workers, at the run's first plan.
 
 CPU placement, from os.sched_getaffinity(0): a helper thread runs on every
 allowed CPU but the one the main thread is on, and a pool worker scores
@@ -102,12 +103,15 @@ ROLLING_WINDOW = 100
 # were mapped and page-faulted afresh on every batch, and minigrid-5 training
 # ran 0.42 -> 0.48-0.59 s (perfbench minigrid5-desk, 3 seeds).  Where the
 # children span more than one block, every spawn after a run's first gathers
-# through one block that a helper thread filled with the head of its noise.
-# That block is allocated once, after the first spawn freed its own, so the
-# threshold has risen already.  A block that never lets a 2 MiB chunk be
-# freed took about 800 minor faults per minigrid-5 generation, and a fresh
-# head every generation about 1,300; this layout takes 0-1 there.
+# through one head block that a helper thread filled with the start of its
+# noise: all N-1 children's rows if they fit in HEAD_ENTRIES (4 MiB; 99 rows
+# of 4,808 at P=100), else one spawn block's.  That block is allocated once,
+# after the first spawn freed its own, so the threshold has risen already.
+# A block that never lets a 2 MiB chunk be freed took about 800 minor faults
+# per minigrid-5 generation, and a fresh head every generation about 1,300;
+# this layout takes 0-1 there.
 SPAWN_BLOCK_ENTRIES = 1 << 18
+HEAD_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -426,10 +430,16 @@ def _cpus() -> list[int]:
 
 def _this_cpu() -> int:
     """The CPU this thread runs on now (-1 if that cannot be told)."""
+    return _sched_getcpu()()
+
+
+@lru_cache(maxsize=1)
+def _sched_getcpu() -> Callable[[], int]:
+    """libc's sched_getcpu, bound once a process."""
     import ctypes  # NumPy has imported it already
     sched_getcpu = ctypes.CDLL(None).sched_getcpu
     sched_getcpu.argtypes, sched_getcpu.restype = [], ctypes.c_int
-    return sched_getcpu()
+    return sched_getcpu
 
 
 def _place(cpus: Sequence[int]) -> None:
@@ -503,7 +513,7 @@ def _evolve(config: EvoConfig,
     generation g + 1's children.  Every plan is a slice of one layout (see
     below): the first a population alone, each generation's all of it, and
     the last an elite trial alone.  A helper thread may draw the next
-    spawn's head while a plan is scored (see the module docstring).
+    spawn's head (all of it within HEAD_ENTRIES) while a plan is scored.
     """
     n, t = config.population, config.truncation
     buffer = np.empty((n - 1 + t, genome_length)) if buffer is None else buffer
@@ -525,9 +535,9 @@ def _evolve(config: EvoConfig,
     if resume is not None:
         spawn_children(resume.parents, config, resume.generation, out=population[:-1])
         population[-1] = resume.elite
-    # while a plan is scored, a helper thread draws the head of the next spawn's
-    # noise, if the children span more than one gather block (so never on
-    # cart-pole, where a thread a generation costs more than the draw)
+    # while a plan is scored, a helper thread draws the next spawn's noise (all of
+    # it if it fits in HEAD_ENTRIES), if the children span more than one spawn
+    # block (so never on cart-pole, where a thread a generation costs more)
     draw_ahead = n - 1 > _block_rows(genome_length)
     cpus, block, head = _cpus(), None, None
     # generation g's plans slice one layout: rows 0..N-2+T play repeats_all episodes
@@ -555,7 +565,8 @@ def _evolve(config: EvoConfig,
         helper = head = None
         if draw_ahead and generation + 2 < config.generations:
             if block is None:  # allocated once the run's first spawn freed its own
-                block = np.empty((_block_rows(genome_length), genome_length))
+                block = np.empty((n - 1 if (n - 1) * genome_length <= HEAD_ENTRIES
+                                  else _block_rows(genome_length), genome_length))
             here = _this_cpu() if cpus else -1
             helper, head = _spawn_ahead(config, generation + 1, t, block,
                                         [cpu for cpu in cpus if cpu != here])

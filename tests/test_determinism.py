@@ -30,7 +30,9 @@ CONFIGS = {  # overrides of write_config's tiny cart-pole run
     "minigrid5": {"env": "minigrid-5", "mps_bond_dim": 2, "evo": {
         "population": 10, "generations": 4, "master_seed": 1, "init_scale": 0.2}},
     # 55 children of 4,808 entries span two spawn blocks, so a helper thread draws the
-    # head of every spawn after the run's first while the plan before it is scored
+    # noise of every spawn after the run's first while the plan before it is scored:
+    # all of it, since it fits in evo.HEAD_ENTRIES (the rows with a head of 0 draw one
+    # spawn block ahead and the rest on the main thread, as every P=500 run does)
     "minigrid5-P56": {"env": "minigrid-5", "mps_bond_dim": 4, "evo": {
         "population": 56, "generations": 5, "master_seed": 1, "init_scale": 0.2}},
     # entries of about 1e10 overflow the cell tables' products, warning in no process
@@ -121,6 +123,10 @@ ROWS = [
     Row("minigrid5-P56-on-2-workers", "minigrid5-P56", partial(train, workers=2)),
     Row("minigrid5-P56-resume-from-1-on-2-workers", "minigrid5-P56",
         partial(resume, generation=1, workers=2)),
+    *(Row(f"minigrid5-P56-with-a-one-block-head{on}", "minigrid5-P56",
+          partial(train, workers=workers),
+          lambda monkeypatch: monkeypatch.setattr(evo, "HEAD_ENTRIES", 0))
+      for workers, on in [(1, ""), (2, "-on-2-workers")]),
     # the children fit one block, so no spawn has its head drawn ahead
     Row("minigrid5-P56-in-one-spawn-block", "minigrid5-P56", train,
         lambda monkeypatch: monkeypatch.setattr(evo, "SPAWN_BLOCK_ENTRIES", 1 << 20)),

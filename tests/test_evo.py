@@ -676,6 +676,27 @@ def test_a_helper_runs_on_every_allowed_cpu_but_the_main_threads(monkeypatch, pl
     assert len(handed) == 3
 
 
+@pytest.mark.parametrize("head_entries", [20, 19])
+def test_a_head_holds_every_child_where_all_their_noise_fits(monkeypatch, head_entries):
+    # 5 children of 4 entries, 1 row a spawn block: all 20 of their entries fit
+    # in a head of 20, and a head of 19 holds one spawn block's row
+    config = tiny_config(population=6, truncation=2, generations=5)
+    unaided = [repr(s) for s in evo._evolve(config, sphere_fitness, 4)]  # one block, no helper
+    monkeypatch.setattr(evo, "SPAWN_BLOCK_ENTRIES", 7)
+    monkeypatch.setattr(evo, "HEAD_ENTRIES", head_entries)
+    blocks = []
+    record_helpers(monkeypatch, blocks)
+    assert [repr(s) for s in evo._evolve(config, sphere_fitness, 4)] == unaided
+    rows = config.population - 1 if head_entries == 20 else evo._block_rows(4)
+    assert len(blocks) == 3 and {block.shape for block in blocks} == {(rows, 4)}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no os.sched_getaffinity")
+def test_this_cpu_is_one_this_thread_may_run_on():
+    assert evo._this_cpu() in os.sched_getaffinity(0)
+    assert evo._sched_getcpu() is evo._sched_getcpu()  # bound once a process
+
+
 @pytest.mark.parametrize("host", ["one CPU", "no sched_setaffinity"])
 def test_nothing_is_placed_on_one_cpu_or_without_sched_setaffinity(monkeypatch, placements,
                                                                    host):

@@ -389,18 +389,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qevo",
         description="Evolutionary training of variational quantum circuit policies")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a pool forks from a process that runs OpenBLAS's thread, which warns from 3.12 on
+    workers_help = ("override worker count; a pooled run on Python 3.12+ needs "
+                    "OPENBLAS_NUM_THREADS=1")
 
     train = sub.add_parser("train", help="train from a JSON config")
     train.add_argument("--config", required=True, help="path to JSON run config")
     train.add_argument("--seed", type=int, help="override evo.master_seed")
     train.add_argument("--out-dir", help="override output directory")
-    train.add_argument("--workers", type=int, help="override worker count")
+    train.add_argument("--workers", type=int, help=workers_help)
     train.add_argument("--generations", type=int, help="override generation count")
     train.set_defaults(func=cmd_train)
 
     resume = sub.add_parser("resume", help="continue from a checkpoint")
     resume.add_argument("--checkpoint", required=True, help="checkpoint JSON path")
-    resume.add_argument("--workers", type=int, help="override worker count")
+    resume.add_argument("--workers", type=int, help=workers_help)
     resume.add_argument("--generations", type=int, help="override generation count")
     resume.set_defaults(func=cmd_resume)
 

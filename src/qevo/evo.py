@@ -53,15 +53,16 @@ mutation stream depends on neither g's parents nor its fitness, so while g's
 plan is scored a helper thread draws the noise of g + 1's first children
 into a head block the run allocates once: every child's, if all of it fits
 in HEAD_ENTRIES entries (every desk-scale minigrid config), and otherwise
-one spawn block of whole rows (see SPAWN_BLOCK_ENTRIES).  The spawn then
-continues the same Generator over the other rows, if any, and gathers the
-picked parents through that block.  A chunked draw equals one whole draw,
-and each child entry is still noise * mutation_power + parent, so every
-byte holds.  The helper runs only where the children span more than one
-spawn block (every shipped minigrid config, never cart-pole, where a thread
-a generation costs more than it saves), never for a run's first spawn, and
-it is joined before on_generation, so no callback runs beside it and none
-is alive when a forked pool starts its workers, at the run's first plan.
+one spawn block of whole rows (see SPAWN_BLOCK_ENTRIES).  A spawn that
+nothing drew ahead draws its own head, one spawn block at most; either way
+it continues the Generator over the other rows and gathers the picked
+parents through its head.  A chunked draw equals one whole draw and each
+entry is still noise * mutation_power + parent, so every byte holds.  The
+helper runs only where the children span more than one spawn block (every
+shipped minigrid config, never cart-pole, where a thread a generation costs
+more than it saves), never for a run's first spawn, and it is joined before
+on_generation, so no callback runs beside it and none is alive when a
+forked pool starts its workers, at the run's first plan.
 
 CPU placement, from os.sched_getaffinity(0): a helper thread runs on every
 allowed CPU but the one the main thread is on, and a pool worker scores
@@ -348,34 +349,31 @@ def spawn_children(parents: np.ndarray, config: EvoConfig, generation: int,
     """The N-1 mutants of ranked parents, the next population's rows 0..N-2.
 
     Written into `out`, a (population - 1, genome_length) array that must
-    not overlap `parents`, which is returned.  The noise is drawn straight
-    into `out` and scaled there, and the picked parents are gathered into
-    one block of whole rows, about SPAWN_BLOCK_ENTRIES entries, and added
-    a block at a time, so no population-sized temporary exists.  `head`,
-    from `_spawn_ahead`, is (rng, picks, block): this generation's mutation
-    stream after it drew the picks and then the noise of the first
-    len(block) children into `block`, which is then the gather block.  A
-    child entry that overflows stops the run here, before any child is
+    not overlap `parents`, which is returned.  `head` is `_head`'s (rng,
+    picks, block) once `block` holds rng's next len(block) rows of noise;
+    without one, the spawn fills a head of its own, one block of whole rows
+    (about SPAWN_BLOCK_ENTRIES entries).  The other rows' noise is drawn
+    straight into `out`, and the picked parents are gathered into the block
+    and added a block at a time, so no population-sized temporary exists.
+    A child entry that overflows stops the run here, before any child is
     scored.
     """
     _check_population(out, (config.population - 1, parents.shape[1]))
-    if head is None:  # nothing drawn ahead: the spawn gathers through a block of its own
-        rng, picks = _mutation_stream(config, generation, len(parents))
-        block = np.empty((min(_block_rows(out.shape[1]), len(out)), out.shape[1]))
-        drawn = 0
-    else:
-        rng, picks, block = head
-        drawn = len(block)
+    rng, picks, block = head or _head(config, generation, len(parents), np.empty(
+        (min(_block_rows(out.shape[1]), len(out)), out.shape[1])))
+    if head is None:  # nothing drawn ahead: the spawn fills its own head
+        rng.standard_normal(out=block)
+    drawn = len(block)
     rng.standard_normal(out=out[drawn:])
     try:
         with np.errstate(over="raise"):
-            np.multiply(block[:drawn], config.mutation_power, out=out[:drawn])
+            np.multiply(block, config.mutation_power, out=out[:drawn])
             out[drawn:] *= config.mutation_power
-            for start in range(0, len(out), len(block)):
-                children = out[start:start + len(block)]
+            for start in range(0, len(out), drawn):
+                children = out[start:start + drawn]
                 gathered = block[:len(children)]
                 # mode="raise" would buffer a second block
-                np.take(parents, picks[start:start + len(block)], axis=0, mode="clip",
+                np.take(parents, picks[start:start + drawn], axis=0, mode="clip",
                         out=gathered)
                 children += gathered
     except FloatingPointError:
@@ -384,33 +382,21 @@ def spawn_children(parents: np.ndarray, config: EvoConfig, generation: int,
     return out
 
 
-def _mutation_stream(config: EvoConfig, generation: int, parents: int) -> tuple:
-    """Generation g's TAG_MUTATE Generator, after it drew the picks, and the
-    picks: each child's parent, one of `parents` ranked rows."""
+def _head(config: EvoConfig, generation: int, parents: int, block: np.ndarray) -> tuple:
+    """spawn_children's head for generation g before its noise is drawn:
+    (rng, picks, block), rng the TAG_MUTATE Generator after it drew the
+    picks, each child's parent among `parents` ranked rows."""
     rng = np.random.default_rng(
         np.random.SeedSequence([config.master_seed, TAG_MUTATE, generation]))
-    return rng, rng.integers(0, parents, size=config.population - 1)
+    return rng, rng.integers(0, parents, size=config.population - 1), block
 
 
 def _block_rows(genome_length: int) -> int:
     return max(1, SPAWN_BLOCK_ENTRIES // genome_length)
 
 
-def _spawn_ahead(config: EvoConfig, generation: int, parents: int, block: np.ndarray,
-                 cpus: Sequence[int]) -> tuple[threading.Thread, tuple]:
-    """Start a helper thread drawing generation g's first len(block) rows of
-    mutation noise into `block`, on the CPUs `cpus` (all of this thread's
-    if empty); returns the helper and spawn_children's `head`, which holds
-    once the helper is joined.  The picks were drawn here, before the
-    helper starts, so the stream's draws keep their order."""
-    rng, picks = _mutation_stream(config, generation, parents)
-    helper = threading.Thread(target=_draw_head, args=(rng, block, cpus),
-                              name="qevo-spawn-ahead")
-    helper.start()
-    return helper, (rng, picks, block)
-
-
 def _draw_head(rng: np.random.Generator, block: np.ndarray, cpus: Sequence[int]) -> None:
+    """The helper thread's draw, on `cpus` (all of this thread's if empty)."""
     if cpus:
         _place(cpus)
     rng.standard_normal(out=block)  # releases the GIL
@@ -437,9 +423,7 @@ def _this_cpu() -> int:
 def _sched_getcpu() -> Callable[[], int]:
     """libc's sched_getcpu, bound once a process."""
     import ctypes  # NumPy has imported it already
-    sched_getcpu = ctypes.CDLL(None).sched_getcpu
-    sched_getcpu.argtypes, sched_getcpu.restype = [], ctypes.c_int
-    return sched_getcpu
+    return ctypes.CDLL(None).sched_getcpu  # ctypes' default restype is C int
 
 
 def _place(cpus: Sequence[int]) -> None:
@@ -568,8 +552,11 @@ def _evolve(config: EvoConfig,
                 block = np.empty((n - 1 if (n - 1) * genome_length <= HEAD_ENTRIES
                                   else _block_rows(genome_length), genome_length))
             here = _this_cpu() if cpus else -1
-            helper, head = _spawn_ahead(config, generation + 1, t, block,
-                                        [cpu for cpu in cpus if cpu != here])
+            # the picks first, on this thread, so the stream's draws keep their order
+            head = _head(config, generation + 1, t, block)
+            helper = threading.Thread(target=_draw_head, name="qevo-spawn-ahead", args=(
+                head[0], block, [cpu for cpu in cpus if cpu != here]))
+            helper.start()
         try:
             scores = fitness_of(buffer, *plan(generation, slice(n - 1 + t if last else 0, None)))
         finally:  # no helper outlives the plan, so none sees on_generation or a fork

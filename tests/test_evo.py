@@ -140,6 +140,44 @@ def test_init_population_matches_reference(population, genome_length, init_scale
     assert pop.tobytes() == ref.init_population(config, genome_length).tobytes()
 
 
+def check_spawn_matches_reference(data, population, genome_length, head, mutation_power,
+                                  generation, master_seed, parent_scale, block_entries):
+    """One spawn contract: the children match the reference's bytes.
+
+    Without a head (None) the spawn draws its own, one block of whole rows;
+    with "1 row", "some rows" or "all rows", a helper thread drew the noise
+    of that many rows into the block, and the spawn continues its Generator
+    over the other rows and gathers the picked parents through that block,
+    whatever the block size.
+    """
+    truncation = data.draw(st.integers(1, population - 1), label="truncation")
+    config = tiny_config(population=population, truncation=truncation,
+                         mutation_power=mutation_power, master_seed=master_seed)
+    rng = np.random.default_rng(generation)
+    parents = rng.standard_normal((truncation, genome_length)) * parent_scale
+    elite = parents[rng.integers(truncation)].copy()
+    predrawn = None
+    if head is not None:
+        rows = {"1 row": 1, "all rows": population - 1}.get(head) or data.draw(
+            st.integers(2, population - 2), label="rows")
+        predrawn = evo._head(config, generation, truncation, np.empty((rows, genome_length)))
+        helper = threading.Thread(target=evo._draw_head, args=(predrawn[0], predrawn[2], []))
+        helper.start()
+        helper.join(timeout=60)
+        assert not helper.is_alive()
+    out = new_children(config, genome_length)
+    default_block, evo.SPAWN_BLOCK_ENTRIES = evo.SPAWN_BLOCK_ENTRIES, block_entries
+    try:  # small blocks: the parents are added in many row blocks
+        pop = evo.spawn_children(parents, config, generation, out=out, head=predrawn)
+    finally:
+        evo.SPAWN_BLOCK_ENTRIES = default_block
+    assert pop is out
+    if predrawn is not None:
+        assert len(predrawn[2]) == rows and not np.shares_memory(predrawn[2], out)
+    expected = ref.spawn_children(parents, elite, config, generation)
+    assert pop.tobytes() == expected[:-1].tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), population=st.integers(2, 100), genome_length=st.integers(1, 60),
        mutation_power=st.sampled_from([1e-300, 0.02, 0.5, 7.0]),
@@ -149,56 +187,21 @@ def test_init_population_matches_reference(population, genome_length, init_scale
 def test_spawn_children_matches_reference(data, population, genome_length, mutation_power,
                                           generation, master_seed, parent_scale,
                                           block_entries):
-    truncation = data.draw(st.integers(1, population - 1), label="truncation")
-    config = tiny_config(population=population, truncation=truncation,
-                         mutation_power=mutation_power, master_seed=master_seed)
-    rng = np.random.default_rng(generation)
-    parents = rng.standard_normal((truncation, genome_length)) * parent_scale
-    elite = parents[rng.integers(truncation)].copy()
-    out = new_children(config, genome_length)
-    default_block, evo.SPAWN_BLOCK_ENTRIES = evo.SPAWN_BLOCK_ENTRIES, block_entries
-    try:  # small blocks: the parents are added in many row blocks
-        pop = evo.spawn_children(parents, config, generation, out=out)
-    finally:
-        evo.SPAWN_BLOCK_ENTRIES = default_block
-    assert pop is out
-    expected = ref.spawn_children(parents, elite, config, generation)
-    assert pop.tobytes() == expected[:-1].tobytes()
+    check_spawn_matches_reference(data, population, genome_length, None, mutation_power,
+                                  generation, master_seed, parent_scale, block_entries)
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), population=st.integers(4, 60), genome_length=st.integers(1, 40),
        head=st.sampled_from(["1 row", "some rows", "all rows"]),
        mutation_power=st.sampled_from([1e-300, 0.02, 7.0]), generation=st.integers(0, 10_000),
-       master_seed=st.integers(0, 2**32 - 1), parent_scale=st.sampled_from([0.0, 1.0, 1e6]))
+       master_seed=st.integers(0, 2**32 - 1), parent_scale=st.sampled_from([0.0, 1.0, 1e6]),
+       block_entries=st.sampled_from([1, 50, 333, evo.SPAWN_BLOCK_ENTRIES]))
 def test_spawn_from_a_predrawn_head_matches_reference(data, population, genome_length, head,
                                                       mutation_power, generation, master_seed,
-                                                      parent_scale):
-    # the loop has a helper thread draw the head of a spawn's noise into the
-    # block it then gathers the picked parents through; the spawn continues
-    # the helper's Generator over the other rows
-    truncation = data.draw(st.integers(1, population - 1), label="truncation")
-    rows = {"1 row": 1, "all rows": population - 1}.get(head) or data.draw(
-        st.integers(2, population - 2), label="rows")
-    config = tiny_config(population=population, truncation=truncation,
-                         mutation_power=mutation_power, master_seed=master_seed)
-    rng = np.random.default_rng(generation)
-    parents = rng.standard_normal((truncation, genome_length)) * parent_scale
-    elite = parents[rng.integers(truncation)].copy()
-    default_block = evo.SPAWN_BLOCK_ENTRIES
-    evo.SPAWN_BLOCK_ENTRIES = rows * genome_length + genome_length - 1
-    try:  # a block of `rows` whole rows, as the loop sizes it
-        block = np.empty((evo._block_rows(genome_length), genome_length))
-    finally:
-        evo.SPAWN_BLOCK_ENTRIES = default_block
-    helper, predrawn = evo._spawn_ahead(config, generation, truncation, block, [])
-    helper.join(timeout=60)
-    assert not helper.is_alive()
-    out = new_children(config, genome_length)
-    assert evo.spawn_children(parents, config, generation, out=out, head=predrawn) is out
-    assert len(block) == rows and not np.shares_memory(block, out)
-    expected = ref.spawn_children(parents, elite, config, generation)
-    assert out.tobytes() == expected[:-1].tobytes()
+                                                      parent_scale, block_entries):
+    check_spawn_matches_reference(data, population, genome_length, head, mutation_power,
+                                  generation, master_seed, parent_scale, block_entries)
 
 
 def test_generation_step_allocates_no_second_population(monkeypatch):

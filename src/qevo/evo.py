@@ -48,7 +48,7 @@ its slice, and no genome crosses a pipe.  The pool stack
 (concurrent.futures, multiprocessing) is imported only when a pool is
 built, so a one-worker run never loads it.
 
-A spawn's noise is drawn ahead where that helps.  Generation g + 1's
+A spawn runs beside the work it does not need.  Generation g + 1's
 mutation stream depends on neither g's parents nor its fitness, so while g's
 plan is scored a helper thread draws the noise of g + 1's first children
 into a head block the run allocates once: every child's, if all of it fits
@@ -56,13 +56,15 @@ in HEAD_ENTRIES entries (every desk-scale minigrid config), and otherwise
 one spawn block of whole rows (see SPAWN_BLOCK_ENTRIES).  A spawn that
 nothing drew ahead draws its own head, one spawn block at most; either way
 it continues the Generator over the other rows and gathers the picked
-parents through its head.  A chunked draw equals one whole draw and each
-entry is still noise * mutation_power + parent, so every byte holds.  The
-helper runs only where the children span more than one spawn block (every
-shipped minigrid config, never cart-pole, where a thread a generation costs
-more than it saves), never for a run's first spawn, and it is joined before
-on_generation, so no callback runs beside it and none is alive when a
-forked pool starts its workers, at the run's first plan.
+parents through its head, so every byte holds.  Nor does a spawn need
+on_generation: once g's elite is picked, a helper ranks g + 1, gathers its
+parents and spawns while the main thread calls on_generation, then draws the
+next head beside the plan, which waits for the spawn alone.  Helpers run
+only where the children span more than one spawn block (every shipped
+minigrid config, never cart-pole, where a thread a generation costs more
+than it saves).  A callback may run beside one, so it gets only copies, and
+what a helper raises is raised after the callback.  None outlives run or is
+alive when a forked pool starts its workers, at the run's first plan.
 
 CPU placement, from os.sched_getaffinity(0): a helper thread runs on every
 allowed CPU but the one the main thread is on, and a pool worker scores
@@ -86,7 +88,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -395,11 +397,34 @@ def _block_rows(genome_length: int) -> int:
     return max(1, SPAWN_BLOCK_ENTRIES // genome_length)
 
 
-def _draw_head(rng: np.random.Generator, block: np.ndarray, cpus: Sequence[int]) -> None:
-    """The helper thread's draw, on `cpus` (all of this thread's if empty)."""
-    if cpus:
-        _place(cpus)
-    rng.standard_normal(out=block)  # releases the GIL
+class _Helper(threading.Thread):
+    """A thread, started at once on every CPU in `cpus` but the caller's (on
+    any if none is left), that runs the generator `work` to its end."""
+
+    def __init__(self, cpus: Sequence[int], work: Iterator[np.ndarray]) -> None:
+        super().__init__(name="qevo-spawn-ahead")
+        self.cpus = [cpu for cpu in cpus if cpu != _this_cpu()]
+        self.work, self.yielded, self.error = work, threading.Event(), None
+        self.start()
+
+    def run(self) -> None:
+        if self.cpus:
+            _place(self.cpus)
+        try:
+            self.value = next(self.work)
+            self.yielded.set()
+            next(self.work, None)
+        except BaseException as error:  # raised again by result()
+            self.error = error
+        self.yielded.set()
+
+    def result(self, join: bool = False) -> np.ndarray:
+        """What `work` yielded (if `join`, once it has ended); raises what it raised."""
+        (self.join if join else self.yielded.wait)()
+        if self.error is not None:
+            self.join()
+            raise self.error
+        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +521,7 @@ def _evolve(config: EvoConfig,
     generation g's parents are tried for the elite in rows N-1 on, after
     generation g + 1's children.  Every plan is a slice of one layout (see
     below): the first a population alone, each generation's all of it, and
-    the last an elite trial alone.  A helper thread may draw the next
-    spawn's head (all of it within HEAD_ENTRIES) while a plan is scored.
+    the last an elite trial alone.
     """
     n, t = config.population, config.truncation
     buffer = np.empty((n - 1 + t, genome_length)) if buffer is None else buffer
@@ -519,9 +543,7 @@ def _evolve(config: EvoConfig,
     if resume is not None:
         spawn_children(resume.parents, config, resume.generation, out=population[:-1])
         population[-1] = resume.elite
-    # while a plan is scored, a helper thread draws the next spawn's noise (all of
-    # it if it fits in HEAD_ENTRIES), if the children span more than one spawn
-    # block (so never on cart-pole, where a thread a generation costs more)
+    # helpers run where the children span more than one spawn block (never on cart-pole)
     draw_ahead = n - 1 > _block_rows(genome_length)
     cpus, block, head = _cpus(), None, None
     # generation g's plans slice one layout: rows 0..N-2+T play repeats_all episodes
@@ -532,65 +554,73 @@ def _evolve(config: EvoConfig,
     streams = ([(TAG_EVAL, 1, min(row, n - 1)) for row in range(n - 1 + t)]
                + [(TAG_ELITE, 0, rank) for rank in range(t)])
     repeats = np.repeat([config.repeats_all, config.repeats_parents], [n - 1 + t, t])
+    parents = buffer[n - 1:]
 
     def plan(g: int, part: slice):
         return (rows[part], [[config.master_seed, tag, g + ahead, slot]
                              for tag, ahead, slot in streams[part]], repeats[part])
 
-    fitness = fitness_of(buffer, *plan(generations.start - 1, slice(n)))
-    for generation in generations:
+    def advance(fitness: np.ndarray, generation: int) -> Iterator[np.ndarray]:
+        """Rank generation's population, gather its parents, spawn their children
+        (none after the last) and yield the ranking; then draw the next head."""
+        nonlocal block, head
         order = rank_indices(fitness)
         # the gather copies before the write, so the elite in row N-1 may move
         buffer[n - 1:] = population[order[:t]]
-        parents = buffer[n - 1:]
-        last = generation + 1 == config.generations
-        if not last:  # the children; the elite joins them in row N-1 below
+        if generation + 1 < config.generations:
             spawn_children(parents, config, generation, out=population[:-1], head=head)
-        helper = head = None
-        if draw_ahead and generation + 2 < config.generations:
+        yield order
+        if generation + 2 < config.generations:
             if block is None:  # allocated once the run's first spawn freed its own
                 block = np.empty((n - 1 if (n - 1) * genome_length <= HEAD_ENTRIES
                                   else _block_rows(genome_length), genome_length))
-            here = _this_cpu() if cpus else -1
-            # the picks first, on this thread, so the stream's draws keep their order
             head = _head(config, generation + 1, t, block)
-            helper = threading.Thread(target=_draw_head, name="qevo-spawn-ahead", args=(
-                head[0], block, [cpu for cpu in cpus if cpu != here]))
-            helper.start()
-        try:
+            head[0].standard_normal(out=block)  # releases the GIL
+
+    fitness = fitness_of(buffer, *plan(generations.start - 1, slice(n)))
+    helper = _Helper(cpus, advance(fitness, generations.start)) if draw_ahead else None
+    try:
+        for generation in generations:
+            last = generation + 1 == config.generations
+            order = next(advance(fitness, generation)) if helper is None else helper.result()
             scores = fitness_of(buffer, *plan(generation, slice(n - 1 + t if last else 0, None)))
-        finally:  # no helper outlives the plan, so none sees on_generation or a fork
-            if helper is not None:
-                helper.join()
-        elite_scores = scores[-t:]
-        elite_index = int(np.argmax(elite_scores))  # first max: ties break low
-        elite = parents[elite_index].copy()
-        elite_score = float(elite_scores[elite_index])
+            if helper is not None:  # it drew the next spawn's head beside the plan
+                helper.result(join=True)
+            elite_scores = scores[-t:]
+            elite_index = int(np.argmax(elite_scores))  # first max: ties break low
+            elite = parents[elite_index].copy()
+            elite_score = float(elite_scores[elite_index])
 
-        window.append((fitness.size, float(fitness.sum()),
-                       float(np.square(fitness).sum())))
-        rolling_mean, rolling_std = _window_stats(window)
-        stats = GenerationStats(
-            generation=generation,
-            top5_avg=float(fitness[order[:5]].mean()),
-            pop_mean=float(fitness.mean()),
-            pop_std=float(fitness.std()),
-            elite_score=elite_score,
-            rolling_mean_100=rolling_mean,
-            rolling_std_100=rolling_std,
-        )
-        history.append(stats)
+            window.append((fitness.size, float(fitness.sum()),
+                           float(np.square(fitness).sum())))
+            rolling_mean, rolling_std = _window_stats(window)
+            stats = GenerationStats(
+                generation=generation,
+                top5_avg=float(fitness[order[:5]].mean()),
+                pop_mean=float(fitness.mean()),
+                pop_std=float(fitness.std()),
+                elite_score=elite_score,
+                rolling_mean_100=rolling_mean,
+                rolling_std_100=rolling_std,
+            )
+            history.append(stats)
 
-        if elite_score > best_score:
-            best_genome = elite.copy()
-            best_score = elite_score
-
-        if on_generation is not None:
-            on_generation(stats, GenerationSnapshot(
-                generation, parents.copy(), elite, tuple(window), best_genome, best_score))
-        if not last:
-            population[n - 1] = elite
-            fitness = np.append(scores[:n - 1], scores[n - 1 + elite_index])
+            if elite_score > best_score:
+                best_genome = elite.copy()
+                best_score = elite_score
+            # copies first: the next helper gathers over the parents
+            snapshot = GenerationSnapshot(generation, parents.copy(), elite, tuple(window),
+                                          best_genome, best_score)
+            helper = None
+            if not last:
+                population[n - 1] = elite
+                fitness = np.append(scores[:n - 1], scores[n - 1 + elite_index])
+                helper = _Helper(cpus, advance(fitness, generation + 1)) if draw_ahead else None
+            if on_generation is not None:
+                on_generation(stats, snapshot)
+    finally:  # no helper outlives the run, and what the loop raised propagates
+        if helper is not None:
+            helper.join()
     return history
 
 

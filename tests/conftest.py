@@ -1,5 +1,6 @@
 """Session set-up shared by every test module, the tiny runs the command line
-tests start from, and the command line's failure and determinism contracts."""
+tests start from, the command line's failure and determinism contracts, and
+the stand-ins that record a run's pool maps, CPU placements and helpers."""
 
 import contextlib
 import dataclasses
@@ -8,7 +9,9 @@ import json
 import os
 import re
 import threading
+import time
 import warnings
+from concurrent import futures
 from pathlib import Path
 from unittest import mock
 
@@ -106,6 +109,55 @@ def placements(monkeypatch):
         (threading.current_thread().name, pid, sorted(cpus))), raising=False)
     monkeypatch.setattr(evo, "_this_cpu", lambda: 5)
     return placed
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: runs tasks here and records each map."""
+
+    maps: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.workers = max_workers
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.maps.append((self.workers, tasks))
+        return map(fn, tasks)
+
+
+def in_process_pool(monkeypatch):
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "maps", [])
+    for name in ("_WORKER_ENV", "_WORKER_POPULATION"):
+        monkeypatch.setattr(evo, name, None)  # restored after the test
+
+
+def record_helpers(monkeypatch, blocks: list | None = None, delay: float = 0.0) -> list:
+    """The CPUs handed to each helper thread, which first sleeps `delay`
+    seconds; the block of each head drawn ahead is appended to `blocks` as
+    a spawn is given it."""
+    handed, run, spawn_children = [], evo._Helper.run, evo.spawn_children
+
+    def recorded_run(helper):
+        handed.append(list(helper.cpus))
+        time.sleep(delay)
+        run(helper)
+
+    def recorded_spawn(*args, head=None, **kwargs):
+        if blocks is not None and head is not None:
+            blocks.append(head[2])
+        return spawn_children(*args, head=head, **kwargs)
+
+    monkeypatch.setattr(evo._Helper, "run", recorded_run)
+    monkeypatch.setattr(evo, "spawn_children", recorded_spawn)
+    return handed
 
 
 def assert_rejected(outcome: Outcome, text: str = "", exact: bool = False,

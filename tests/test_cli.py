@@ -23,7 +23,8 @@ import qevo
 from qevo import cli, envs, evo
 
 import reference as ref
-from conftest import assert_rejected, run_files, run_qevo, write_config
+from conftest import (assert_rejected, in_process_pool, record_helpers, run_files, run_qevo,
+                      write_config)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -708,6 +709,42 @@ def test_killed_run_leaves_best_genome_of_last_checkpoint(tmp_path, monkeypatch,
     _, snapshot = cli._load_checkpoint(out_dir / f"checkpoint_{last}.json")
     assert best["generation"] == last
     assert np.array_equal(best["genome"], snapshot.best_genome)
+
+
+@pytest.mark.parametrize("killed_in", [2, 4])
+def test_a_kill_on_a_helper_leaves_best_genome_of_last_checkpoint(tmp_path, monkeypatch,
+                                                                  killed_in):
+    # with a cart-pole row a spawn block, a helper ranks each generation beside the
+    # callback before it, and what it raises is raised only after that callback
+    monkeypatch.setattr(cli.evo, "SPAWN_BLOCK_ENTRIES", 26)
+    threads = record_helpers(monkeypatch)
+    test_killed_run_leaves_best_genome_of_last_checkpoint(tmp_path, monkeypatch, killed_in)
+    assert len(threads) == killed_in + 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_overflow_on_a_helper_stops_the_run_after_the_callback_before(tmp_path, monkeypatch,
+                                                                        workers):
+    # the children of generation 3 overflow, so a train stops after generation 2's
+    # stats row and checkpoint, whether the main thread spawns or a helper does
+    in_process_pool(monkeypatch)
+    threads = record_helpers(monkeypatch)
+    config = write_config(tmp_path / "cfg.json", checkpoint_every=1, workers=workers,
+                          evo={"mutation_power": 4e307, "master_seed": 1})
+    outcomes = []
+    for block_entries in (evo.SPAWN_BLOCK_ENTRIES, 26):  # the second: a row a block
+        monkeypatch.setattr(evo, "SPAWN_BLOCK_ENTRIES", block_entries)
+        outcomes.append(run_qevo(["train", "--config", str(config)], run=tmp_path / "run"))
+        shutil.rmtree(tmp_path / "run")
+    assert len(threads) == 4  # generations 0 to 3 are ranked on helpers
+    main, helped = outcomes
+    assert (main.status, main.err) == (
+        1, "error: the children of generation 3 overflow at mutation_power 4e+307\n")
+    assert sorted(main.run_after) == ["best_genome.json", "checkpoint_0.json",
+                                      "checkpoint_1.json", "checkpoint_2.json", "stats.csv"]
+    assert [line.split(",")[0] for line in
+            main.run_after["stats.csv"].decode().splitlines()[1:]] == ["0", "1", "2"]
+    assert helped == main
 
 
 @pytest.mark.parametrize("every", [1, 2, 4])

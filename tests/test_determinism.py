@@ -16,7 +16,7 @@ import pytest
 
 from qevo import cli, evo
 
-from conftest import assert_deterministic, run_qevo, write_config
+from conftest import assert_deterministic, record_helpers, run_qevo, write_config
 
 UNEVEN = {"generations": 3, "repeats_parents": 3, "master_seed": 11, "init_scale": 0.3}
 CONFIGS = {  # overrides of write_config's tiny cart-pole run
@@ -29,10 +29,11 @@ CONFIGS = {  # overrides of write_config's tiny cart-pole run
     # each pool worker builds TN-VQC policies from its copy of the env
     "minigrid5": {"env": "minigrid-5", "mps_bond_dim": 2, "evo": {
         "population": 10, "generations": 4, "master_seed": 1, "init_scale": 0.2}},
-    # 55 children of 4,808 entries span two spawn blocks, so a helper thread draws the
-    # noise of every spawn after the run's first while the plan before it is scored:
-    # all of it, since it fits in evo.HEAD_ENTRIES (the rows with a head of 0 draw one
-    # spawn block ahead and the rest on the main thread, as every P=500 run does)
+    # 55 children of 4,808 entries span two spawn blocks, so a helper thread spawns each
+    # generation beside the callback before it and draws the noise of every spawn after
+    # the run's first while the plan before it is scored: all of it, since it fits in
+    # evo.HEAD_ENTRIES (the rows with a head of 0 draw one spawn block ahead and the
+    # rest in the spawn, as every P=500 run does)
     "minigrid5-P56": {"env": "minigrid-5", "mps_bond_dim": 4, "evo": {
         "population": 56, "generations": 5, "master_seed": 1, "init_scale": 0.2}},
     # entries of about 1e10 overflow the cell tables' products, warning in no process
@@ -126,6 +127,10 @@ ROWS = [
     *(Row(f"minigrid5-P56-with-a-one-block-head{on}", "minigrid5-P56",
           partial(train, workers=workers),
           lambda monkeypatch: monkeypatch.setattr(evo, "HEAD_ENTRIES", 0))
+      for workers, on in [(1, ""), (2, "-on-2-workers")]),
+    # each helper sleeps before it ranks and spawns, so every callback runs beside one
+    *(Row(f"minigrid5-P56-beside-late-helpers{on}", "minigrid5-P56",
+          partial(train, workers=workers), partial(record_helpers, delay=0.05))
       for workers, on in [(1, ""), (2, "-on-2-workers")]),
     # the children fit one block, so no spawn has its head drawn ahead
     Row("minigrid5-P56-in-one-spawn-block", "minigrid5-P56", train,

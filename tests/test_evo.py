@@ -6,7 +6,6 @@ import itertools
 import math
 import os
 import threading
-import time
 import tracemalloc
 import zlib
 from concurrent import futures
@@ -20,6 +19,7 @@ from hypothesis import strategies as st
 from qevo import envs, evo
 
 import reference as ref
+from conftest import InProcessPool, in_process_pool, record_helpers
 
 
 def sphere(genome):
@@ -161,7 +161,7 @@ def check_spawn_matches_reference(data, population, genome_length, head, mutatio
         rows = {"1 row": 1, "all rows": population - 1}.get(head) or data.draw(
             st.integers(2, population - 2), label="rows")
         predrawn = evo._head(config, generation, truncation, np.empty((rows, genome_length)))
-        helper = threading.Thread(target=evo._draw_head, args=(predrawn[0], predrawn[2], []))
+        helper = threading.Thread(target=predrawn[0].standard_normal, kwargs={"out": predrawn[2]})
         helper.start()
         helper.join(timeout=60)
         assert not helper.is_alive()
@@ -577,34 +577,6 @@ def test_pooled_run_stopped_by_on_generation_leaves_no_live_worker():
     assert active_children() == []
 
 
-class InProcessPool:
-    """Stands in for ProcessPoolExecutor: runs tasks here and records each map."""
-
-    maps: list = []
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.workers = max_workers
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        pass
-
-    def map(self, fn, tasks):
-        tasks = list(tasks)
-        self.maps.append((self.workers, tasks))
-        return map(fn, tasks)
-
-
-def in_process_pool(monkeypatch):
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(InProcessPool, "maps", [])
-    for name in ("_WORKER_ENV", "_WORKER_POPULATION"):
-        monkeypatch.setattr(evo, name, None)  # restored after the test
-
-
 @pytest.mark.parametrize("population,truncation,workers",
                          [(7, 2, 3), (2, 1, 3), (10, 3, 4), (5, 4, 5), (12, 5, 2)])
 def test_pool_sends_one_contiguous_slice_per_worker(monkeypatch, placements, population,
@@ -647,36 +619,32 @@ def test_pool_sends_one_contiguous_slice_per_worker(monkeypatch, placements, pop
                           for task in tasks]
 
 
-def record_helpers(monkeypatch, blocks: list | None = None, delay: float = 0.0) -> list:
-    """The CPUs handed to each helper thread that draws a spawn's head; each
-    helper appends its block to `blocks` and first sleeps `delay` seconds."""
-    handed, draw_head = [], evo._draw_head
-
-    def recorded(rng, block, cpus):
-        handed.append(list(cpus))
-        if blocks is not None:
-            blocks.append(block)
-        time.sleep(delay)
-        draw_head(rng, block, cpus)
-
-    monkeypatch.setattr(evo, "_draw_head", recorded)
-    return handed
-
-
 def test_a_helper_runs_on_every_allowed_cpu_but_the_main_threads(monkeypatch, placements):
-    # rows of 4 entries, 1 a spawn block: generations 0..3 spawn 5 children
-    # each, and a helper draws the head of every spawn but the run's first
+    # rows of 4 entries, 1 a spawn block: one helper a generation ranks it, and
+    # those of generations 0..3 spawn 5 children each and draw the heads of
+    # every spawn but the run's first
     monkeypatch.setattr(evo, "SPAWN_BLOCK_ENTRIES", 7)
+    spawn_children = evo.spawn_children
+
+    def recorded_spawn(*args, **kwargs):
+        placements.append(("spawn", threading.current_thread().name))
+        return spawn_children(*args, **kwargs)
+
+    monkeypatch.setattr(evo, "spawn_children", recorded_spawn)
     blocks = []
     handed = record_helpers(monkeypatch, blocks)
     config = tiny_config(population=6, truncation=2, generations=5)
     serial = evo._evolve(config, sphere_fitness, 4)
-    assert handed == [[3, 8]] * 3
-    assert all(block is blocks[0] for block in blocks)  # one block a run
-    assert placements == [("qevo-spawn-ahead", 0, [3, 8])] * 3
+    assert handed == [[3, 8]] * 5
+    assert len(blocks) == 3 and all(block is blocks[0] for block in blocks)  # one block a run
+    # each spawn runs on its helper, after the helper is placed
+    placed = ("qevo-spawn-ahead", 0, [3, 8])
+    assert placements == [placed, ("spawn", "qevo-spawn-ahead")] * 4 + [placed]
+    placements.clear()
     monkeypatch.setattr(evo, "SPAWN_BLOCK_ENTRIES", 20)  # 5 rows: one block, no helper
     assert [repr(s) for s in evo._evolve(config, sphere_fitness, 4)] == [repr(s) for s in serial]
-    assert len(handed) == 3
+    assert len(handed) == 5
+    assert placements == [("spawn", "MainThread")] * 4
 
 
 @pytest.mark.parametrize("head_entries", [20, 19])
@@ -712,20 +680,34 @@ def test_nothing_is_placed_on_one_cpu_or_without_sched_setaffinity(monkeypatch, 
     handed = record_helpers(monkeypatch)
     evo.run(tiny_config(population=6, truncation=2, generations=5), envs.CartPoleEnv(),
             workers=2)
-    assert handed == [[]] * 3  # the helpers still draw, pinned to nothing
+    assert handed == [[]] * 5  # the helpers still run, pinned to nothing
     assert {task[0] for _, tasks in InProcessPool.maps for task in tasks} == {None}
     assert placements == []
 
 
-@pytest.mark.parametrize("stop", ["on_generation raises", "a spawn overflows"])
+@pytest.mark.parametrize("stop", ["on_generation raises", "a spawn overflows",
+                                  "on_generation raises beside a failing spawn"])
 def test_a_stopped_run_leaves_no_helper_alive(monkeypatch, capfd, stop):
-    # each helper outlasts the plan it is drawn beside, which must wait for it
+    # each helper sleeps first, so it outlasts the callback it runs beside and
+    # the plan after it must wait for its spawn
     monkeypatch.setattr(evo, "SPAWN_BLOCK_ENTRIES", 4)  # rows of 4 entries, 1 a block
     handed = record_helpers(monkeypatch, delay=0.02)
     threads = threading.active_count()
-    if stop == "on_generation raises":
+    if stop != "a spawn overflows":
+        if stop != "on_generation raises":  # the callback's error is the one raised
+            spawn_children = evo.spawn_children
+
+            def failing_spawn(parents, config, generation, **kwargs):
+                if generation == 3:  # spawned beside generation 2's callback
+                    raise ValueError("the spawn failed")
+                return spawn_children(parents, config, generation, **kwargs)
+
+            monkeypatch.setattr(evo, "spawn_children", failing_spawn)
+
         def on_generation(stats, snapshot):
-            assert threading.active_count() == threads  # no helper beside a callback
+            # a helper ranks and spawns the next generation beside every callback
+            # but the run's last
+            assert threading.active_count() == threads + 1
             if stats.generation == 2:
                 raise StopRun
 
@@ -745,9 +727,32 @@ def test_a_stopped_run_leaves_no_helper_alive(monkeypatch, capfd, stop):
     assert capfd.readouterr().err == ""
 
 
+def test_a_kept_snapshot_keeps_its_bytes(monkeypatch):
+    # every callback runs beside a helper that gathers the next parents and
+    # spawns over the buffer, so a snapshot holds only copies
+    monkeypatch.setattr(evo, "SPAWN_BLOCK_ENTRIES", 4)  # rows of 4 entries, 1 a block
+    handed = record_helpers(monkeypatch, delay=0.01)
+    config = tiny_config(population=6, truncation=2, generations=6)
+    buffer = np.empty((config.population - 1 + config.truncation, 4))
+    kept = []
+
+    def contents(snapshot):
+        return [snapshot.generation, snapshot.window, snapshot.best_score] + [
+            getattr(snapshot, name).tobytes() for name in ("parents", "elite", "best_genome")]
+
+    evo._evolve(config, sphere_fitness, 4, lambda stats, snapshot: kept.append(
+        (snapshot, contents(snapshot))), buffer=buffer)
+    assert len(handed) == len(kept) == config.generations
+    for snapshot, seen in kept:
+        assert contents(snapshot) == seen
+        assert not any(np.shares_memory(array, buffer) for array in (
+            snapshot.parents, snapshot.elite, snapshot.best_genome))
+
+
 def test_no_helper_is_alive_when_the_pool_forks(monkeypatch):
     # a fork from a process with a second thread warns from Python 3.12 on;
     # the forked pool starts both workers at its first plan, before any helper
+    # and a resume re-spawns its first population on the main thread before its fork
     forks, fork = [], os.fork
 
     def recorded_fork():
@@ -761,9 +766,14 @@ def test_no_helper_is_alive_when_the_pool_forks(monkeypatch):
     env = envs.MiniGridEnv(5, envs.BOND_DIM)  # 55 children of 4,808 entries: two blocks
     config = evo.EvoConfig(population=56, truncation=2, mutation_power=0.05, generations=5,
                            repeats_all=1, repeats_parents=1, master_seed=3, init_scale=0.2)
-    evo.run(config, env, workers=2)
-    assert len(handed) == 3
+    snaps = []
+    full = evo.run(config, env, workers=2, on_generation=lambda stats, snap: snaps.append(snap))
+    assert len(handed) == 5  # one helper a generation
     assert forks == [["MainThread"]] * 2
+    tail = evo.run(config, env, workers=2, resume=snaps[1])
+    assert [repr(s) for s in tail] == [repr(s) for s in full[2:]]
+    assert len(handed) == 8
+    assert forks == [["MainThread"]] * 4
 
 
 def test_near_zero_genomes_score_like_random_play():
